@@ -11,7 +11,7 @@ TRACKED_BENCHES = BenchmarkE2_,BenchmarkE9_,BenchmarkE12_,BenchmarkE13_,Benchmar
 # benchmarks themselves).
 TRACKED_ALLOCS_BENCHES = BenchmarkE18_,BenchmarkE19_,BenchmarkE20_,BenchmarkE21_
 
-.PHONY: all build vet lint fmt-check test race stress fed-check chaos-check admit-check intel-check bench bench-check check
+.PHONY: all build vet lint fmt-check test race stress fed-check chaos-check admit-check intel-check bench bench-check profile check
 
 all: check
 
@@ -74,8 +74,11 @@ admit-check:
 # gateway-level endpoint drills — /grid/at and /grid/diff conditional
 # semantics, the incident rollup and its time scoping, the reliability
 # trend's shared-renderer equality, the ?at= inventory satellite, the
-# rollup ETag, and the E18-style degraded-mode drill (intel views exclude
-# a downed site and re-key until heal).
+# rollup ETag, the E18-style degraded-mode drill (intel views exclude
+# a downed site and re-key until heal), and the live-advance drill
+# (TestIncidentsAndRollupUnderLiveAdvance: readers hammer /incidents and
+# /bugs/rollup while the campaign steps — no ticket read outside its gate,
+# one ETag never names two bodies).
 intel-check:
 	$(GO) test -race -count=1 ./internal/intel
 	$(GO) test -race -count=1 -run 'TestGridAt|TestGridDiff|TestIncidents|TestReliability|TestShardInventoryAt|TestFederatedVersionHint|TestBugsRollup|TestIntelUnderChaos' ./internal/gateway
@@ -96,5 +99,18 @@ bench:
 bench-check:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	$(GO) run ./cmd/benchjson -o bench-check.json -compare BENCH_results.json -max-regress 20% -track $(TRACKED_BENCHES) -track-allocs $(TRACKED_ALLOCS_BENCHES) -ns-floor 1ms < bench.out; st=$$?; rm -f bench.out; exit $$st
+
+# profile runs the two campaign shapes — 10 monolithic weeks, 3 federated
+# weeks — under g5ktest's -cpuprofile/-memprofile on one processor (the
+# setting g5kbench measures at), leaves the binary and the four profiles in
+# $(PROFILE_DIR) and prints the top of each CPU profile.
+PROFILE_DIR ?= profiles
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/g5ktest ./cmd/g5ktest
+	GOMAXPROCS=1 $(PROFILE_DIR)/g5ktest -quiet -weeks 10 -cpuprofile $(PROFILE_DIR)/mono.cpu.pprof -memprofile $(PROFILE_DIR)/mono.mem.pprof > /dev/null
+	GOMAXPROCS=1 $(PROFILE_DIR)/g5ktest -federated -weeks 3 -cpuprofile $(PROFILE_DIR)/fed.cpu.pprof -memprofile $(PROFILE_DIR)/fed.mem.pprof > /dev/null
+	$(GO) tool pprof -top -nodecount=12 $(PROFILE_DIR)/g5ktest $(PROFILE_DIR)/mono.cpu.pprof
+	$(GO) tool pprof -top -nodecount=12 $(PROFILE_DIR)/g5ktest $(PROFILE_DIR)/fed.cpu.pprof
 
 check: build vet lint fmt-check race intel-check

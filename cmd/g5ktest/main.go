@@ -25,12 +25,18 @@
 // the paper grid (federated mode then carves k×32 per-cluster
 // micro-shards; k=16 is the E21 benchmark's scale).
 //
+// Every mode accepts -cpuprofile and -memprofile, the standard
+// runtime/pprof pair written around the run (`go tool pprof -top <file>`
+// reads them; `make profile` runs the two campaign shapes under them).
+// Nothing is profiled by default.
+//
 // Usage:
 //
 //	g5ktest [-weeks N] [-seed S] [-faults N] [-scale K] [-quiet]
 //	g5ktest -seeds N [-parallel P] [-weeks N] [-seed BASE] [-faults N] [-scale K]
 //	g5ktest -reliability -seeds N [-parallel P] [-weeks N] [-seed BASE] [-scale K]
 //	g5ktest -federated [-parallel P] [-weeks N] [-seed S] [-faults N] [-scale K]
+//	g5ktest ... [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
@@ -39,6 +45,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"runtime/pprof"
 
 	"repro/internal/core"
 	"repro/internal/federation"
@@ -58,6 +65,8 @@ func main() {
 	federated := flag.Bool("federated", false, "run one campaign as per-site shards (internal/federation)")
 	reliability := flag.Bool("reliability", false, "report the -seeds fleet as the grid reliability trend (confidence bands)")
 	scale := flag.Int("scale", 1, "run on testbed.Scaled(k): k replicas of the paper grid")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+	memprofile := flag.String("memprofile", "", "write a heap and allocation profile to `file` after the run")
 	flag.Parse()
 
 	if *scale < 1 {
@@ -72,26 +81,72 @@ func main() {
 		cfg.Spec = testbed.ScaledSpec(*scale)
 	}
 
-	if *reliability {
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "g5ktest: %v\n", err)
+		os.Exit(1)
+	}
+	switch {
+	case *reliability:
 		runReliability(*seed, *seeds, *parallel, *weeks, *initialFaults, *scale)
-		return
-	}
-	if *federated {
+	case *federated:
 		runFederated(*seed, *parallel, *weeks, *initialFaults, *scale)
-		return
-	}
-	if *seeds > 1 {
+	case *seeds > 1:
 		runFleet(*seed, *seeds, *parallel, *weeks, *initialFaults, *scale)
-		return
+	default:
+		runCampaign(cfg, *weeks, *quiet)
 	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "g5ktest: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// startProfiles starts the CPU profile, if one was asked for, and returns
+// the function that ends it and writes the memory profile.
+func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memFile == "" {
+			return nil
+		}
+		mem, err := os.Create(memFile)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // so the profile's in-use figures are what the run retains
+		if err := pprof.WriteHeapProfile(mem); err != nil {
+			mem.Close()
+			return fmt.Errorf("memory profile: %w", err)
+		}
+		return mem.Close()
+	}, nil
+}
+
+// runCampaign is the default mode: one monolithic campaign, week by week.
+func runCampaign(cfg core.Config, weeks int, quiet bool) {
 	f := core.New(cfg)
 	f.Start()
 
 	fmt.Printf("testbed: %s\n", f.TB.Stats())
-	for w := 1; w <= *weeks; w++ {
+	for w := 1; w <= weeks; w++ {
 		f.RunFor(simclock.Week)
-		if !*quiet {
+		if !quiet {
 			st := f.Bugs.Stats()
 			fmt.Printf("week %2d: %4d builds total, %3d active faults, %s\n",
 				w, f.CI.TotalBuilds(), f.Faults.ActiveCount(), st)

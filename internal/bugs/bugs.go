@@ -163,6 +163,18 @@ func (t *Tracker) BySignature(sig string) *Bug { return t.bySig[sig] }
 // All returns every bug in filing order.
 func (t *Tracker) All() []*Bug { return append([]*Bug(nil), t.bugs...) }
 
+// Snapshot returns every bug in filing order, by value: unlike the live
+// tickets All points at, the copies do not change under a later File or
+// Fix, so they may be read after the lock that guards the tracker is
+// released.
+func (t *Tracker) Snapshot() []Bug {
+	out := make([]Bug, len(t.bugs))
+	for i, b := range t.bugs {
+		out[i] = *b
+	}
+	return out
+}
+
 // OpenBugs returns unresolved bugs, oldest first. The copy comes straight
 // off the maintained open index — no history scan.
 func (t *Tracker) OpenBugs() []*Bug {

@@ -889,9 +889,9 @@ type BugsRollupJSON struct {
 // handleBugsRollup serves the cross-site rollup: a site outage files one
 // ticket per surviving shard; this view folds such bursts back into one row
 // per signature, widest burst first. The ETag is the joined per-site
-// tracker version vector (every File and Fix bumps it), read in the same
-// gated pass as the ticket lists — so a matching conditional request means
-// the cached body is exactly current, and a 304 costs no rollup at all.
+// tracker version vector (every File and Fix bumps it) — so a matching
+// conditional request means the cached body is exactly current, and a 304
+// costs no rollup and reads no ticket at all (see serveTrackerView).
 func (g *Gateway) handleBugsRollup(w http.ResponseWriter, r *http.Request) {
 	if len(g.trackers) == 0 {
 		notConfigured(w, "bug tracker")
@@ -903,44 +903,27 @@ func (g *Gateway) handleBugsRollup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	degraded := g.degradedMarker()
-	snaps := intel.SnapshotTrackers(g.liveTrackers(excludedSites(degraded)))
-	key := "br" + intel.VersionKey64(snaps) + "|" + state + downSetKey(degraded)
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
+	keyOf := func(snaps []intel.TrackerSnapshot) string {
+		return "br" + intel.VersionKey64(snaps) + "|" + state + downSetKey(degraded)
 	}
-	g.intelMu.Lock()
-	body := g.rollupBody
-	hit := g.rollupKey == key && body != nil
-	g.intelMu.Unlock()
-	if !hit {
-		out := BugsRollupJSON{Degraded: degraded, Rollup: []BugRollupJSON{}}
-		for _, e := range bugs.RollupSorted(rollupFromSnapshots(snaps, state)) {
-			out.Rollup = append(out.Rollup, BugRollupJSON{
-				Signature:       e.Signature,
-				Title:           e.Title,
-				Family:          e.Family,
-				Sites:           e.Sites,
-				Tickets:         e.Tickets,
-				Open:            e.Open,
-				Occurrences:     e.Occurrences,
-				FirstFiledAtSec: e.FirstFiledAt.Seconds(),
-			})
-		}
-		out.Count = len(out.Rollup)
-		body, err = marshalIndent(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		g.intelMu.Lock()
-		g.rollupKey, g.rollupBody = key, body
-		g.intelMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+	g.serveTrackerView(w, r, &g.rollup, g.liveTrackers(excludedSites(degraded)), keyOf,
+		func(snaps []intel.TrackerSnapshot) any {
+			out := BugsRollupJSON{Degraded: degraded, Rollup: []BugRollupJSON{}}
+			for _, e := range bugs.RollupSorted(rollupFromSnapshots(snaps, state)) {
+				out.Rollup = append(out.Rollup, BugRollupJSON{
+					Signature:       e.Signature,
+					Title:           e.Title,
+					Family:          e.Family,
+					Sites:           e.Sites,
+					Tickets:         e.Tickets,
+					Open:            e.Open,
+					Occurrences:     e.Occurrences,
+					FirstFiledAtSec: e.FirstFiledAt.Seconds(),
+				})
+			}
+			out.Count = len(out.Rollup)
+			return out
+		})
 }
 
 // ---- status views ----------------------------------------------------------

@@ -259,10 +259,15 @@ type Gateway struct {
 	gridAtBody   []byte
 	gridDiffKey  string
 	gridDiffBody []byte
-	incKey       string
-	incBody      []byte
-	rollupKey    string
-	rollupBody   []byte
+	incidents    keyedBody
+	rollup       keyedBody
+}
+
+// keyedBody is a one-entry rendered-body cache: the body and the key it
+// was rendered under.
+type keyedBody struct {
+	key  string
+	body []byte
 }
 
 // New assembles a single-shard gateway over the configured subsystems —

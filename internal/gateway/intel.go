@@ -310,56 +310,76 @@ func (g *Gateway) handleIncidents(w http.ResponseWriter, r *http.Request) {
 		atSec = &sec
 	}
 	degraded := g.degradedMarker()
-	snaps := intel.SnapshotTrackers(g.liveTrackers(excludedSites(degraded)))
-	key := "inc" + intel.VersionKey64(snaps) + "|" + state + "|at:" + atLabel + downSetKey(degraded)
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
+	keyOf := func(snaps []intel.TrackerSnapshot) string {
+		return "inc" + intel.VersionKey64(snaps) + "|" + state + "|at:" + atLabel + downSetKey(degraded)
+	}
+	g.serveTrackerView(w, r, &g.incidents, g.liveTrackers(excludedSites(degraded)), keyOf,
+		func(snaps []intel.TrackerSnapshot) any {
+			incidents := intel.CorrelateSnapshots(snaps, opts)
+			out := IncidentsJSON{
+				Degraded:  degraded,
+				AtSec:     atSec,
+				Count:     len(incidents),
+				Incidents: make([]IncidentJSON, 0, len(incidents)),
+			}
+			for _, in := range incidents {
+				st := "closed"
+				if in.Open {
+					st = "open"
+				}
+				out.Incidents = append(out.Incidents, IncidentJSON{
+					Signature:    in.Signature,
+					Title:        in.Title,
+					Family:       in.Family,
+					Sites:        in.Sites,
+					Tickets:      in.Tickets,
+					OpenTickets:  in.OpenTickets,
+					Occurrences:  in.Occurrences,
+					Reopens:      in.Reopens,
+					State:        st,
+					FirstSeenSec: in.FirstSeen.Seconds(),
+					LastSeenSec:  in.LastSeen.Seconds(),
+				})
+			}
+			return out
+		})
+}
+
+// serveTrackerView answers a route whose body is a function of the live
+// trackers' tickets, under the strong ETag keyOf derives from their version
+// vector. A conditional request that matches, and one the cached body
+// answers, read the version vector only — no ticket is touched. A miss
+// reads the tickets by value, each tracker's together with its version
+// under the shard gate, and serves and caches the body under the key of
+// that read: a campaign step between the two reads moves the answer to the
+// newer key instead of filing newer tickets under the older one.
+func (g *Gateway) serveTrackerView(w http.ResponseWriter, r *http.Request, cache *keyedBody,
+	trackers []intel.SiteTracker, keyOf func([]intel.TrackerSnapshot) string,
+	view func([]intel.TrackerSnapshot) any) {
+	key := keyOf(intel.SnapshotVersions(trackers))
+	if etag := `"` + key + `"`; etagMatches(r.Header.Get("If-None-Match"), etag) {
+		w.Header().Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	g.intelMu.Lock()
-	body := g.incBody
-	hit := g.incKey == key && body != nil
+	cached := *cache
 	g.intelMu.Unlock()
-	if !hit {
-		incidents := intel.CorrelateSnapshots(snaps, opts)
-		out := IncidentsJSON{
-			Degraded:  degraded,
-			AtSec:     atSec,
-			Count:     len(incidents),
-			Incidents: make([]IncidentJSON, 0, len(incidents)),
-		}
-		for _, in := range incidents {
-			st := "closed"
-			if in.Open {
-				st = "open"
-			}
-			out.Incidents = append(out.Incidents, IncidentJSON{
-				Signature:    in.Signature,
-				Title:        in.Title,
-				Family:       in.Family,
-				Sites:        in.Sites,
-				Tickets:      in.Tickets,
-				OpenTickets:  in.OpenTickets,
-				Occurrences:  in.Occurrences,
-				Reopens:      in.Reopens,
-				State:        st,
-				FirstSeenSec: in.FirstSeen.Seconds(),
-				LastSeenSec:  in.LastSeen.Seconds(),
-			})
-		}
-		body, err = marshalIndent(out)
+	if cached.key != key || cached.body == nil {
+		snaps := intel.SnapshotTrackers(trackers)
+		body, err := marshalIndent(view(snaps))
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
+		cached = keyedBody{key: keyOf(snaps), body: body}
 		g.intelMu.Lock()
-		g.incKey, g.incBody = key, body
+		*cache = cached
 		g.intelMu.Unlock()
 	}
+	w.Header().Set("ETag", `"`+cached.key+`"`)
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+	w.Write(cached.body) //nolint:errcheck
 }
 
 // ---- GET /reliability/trend -------------------------------------------------
@@ -390,20 +410,17 @@ func (g *Gateway) handleReliabilityTrend(w http.ResponseWriter, r *http.Request)
 }
 
 // rollupFromSnapshots folds pre-read tracker snapshots into the /bugs/rollup
-// accumulator (the snapshot already fixed each site's ticket list, so no
+// accumulator (the snapshot already copied each site's tickets, so no
 // further gating is needed).
 func rollupFromSnapshots(snaps []intel.TrackerSnapshot, state string) map[string]*bugs.RollupEntry {
 	acc := map[string]*bugs.RollupEntry{}
 	for i := range snaps {
-		list := snaps[i].List
-		if state != "all" {
-			open := make([]*bugs.Bug, 0, len(list))
-			for _, b := range list {
-				if b.State == bugs.Open {
-					open = append(open, b)
-				}
+		tickets := snaps[i].List
+		list := make([]*bugs.Bug, 0, len(tickets))
+		for k := range tickets {
+			if state == "all" || tickets[k].State == bugs.Open {
+				list = append(list, &tickets[k])
 			}
-			list = open
 		}
 		bugs.RollupInto(acc, snaps[i].Site, list)
 	}

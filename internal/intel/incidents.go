@@ -63,25 +63,38 @@ type CorrelateOptions struct {
 const AtNow = simclock.Time(-1)
 
 // TrackerSnapshot is one site's single-pass gated read: the tracker's
-// mutation version plus the ticket list that version pins. Reading both
-// under one gate acquisition is what keeps a version-keyed ETag honest —
-// the key and the body cannot straddle a campaign step.
+// mutation version plus the tickets that version pins, copied by value so
+// that nothing read from a snapshot can change under a later campaign
+// step. Reading both under one gate acquisition is what keeps a
+// version-keyed ETag honest — the key and the body cannot straddle a step.
 type TrackerSnapshot struct {
 	Site    string
 	Version int64
-	List    []*bugs.Bug
+	List    []bugs.Bug // nil in a versions-only snapshot
 }
 
 // SnapshotTrackers reads every tracker once, each under its own gate, in
 // caller (shard) order.
 func SnapshotTrackers(sources []SiteTracker) []TrackerSnapshot {
+	return snapshotTrackers(sources, true)
+}
+
+// SnapshotVersions is SnapshotTrackers without the tickets: all a
+// conditional request needs to compute its key and answer 304.
+func SnapshotVersions(sources []SiteTracker) []TrackerSnapshot {
+	return snapshotTrackers(sources, false)
+}
+
+func snapshotTrackers(sources []SiteTracker, tickets bool) []TrackerSnapshot {
 	out := make([]TrackerSnapshot, len(sources))
 	for i := range sources {
 		src := &sources[i]
 		out[i].Site = src.Site
 		src.gated(func() {
 			out[i].Version = src.Bugs.Version()
-			out[i].List = src.Bugs.All()
+			if tickets {
+				out[i].List = src.Bugs.Snapshot()
+			}
 		})
 	}
 	return out
@@ -115,7 +128,8 @@ func CorrelateSnapshots(snaps []TrackerSnapshot, opts CorrelateOptions) []Incide
 	acc := map[string]*Incident{}
 	for i := range snaps {
 		src := &snaps[i]
-		for _, b := range src.List {
+		for k := range src.List {
+			b := &src.List[k]
 			if timeScoped && b.FiledAt > opts.At {
 				continue
 			}

@@ -303,6 +303,16 @@ func TestSnapshotTrackers(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("snapshot correlation diverges: %+v vs %+v", a, b)
 	}
+	// The versions-only read names the same key and copies no ticket.
+	vers := SnapshotVersions(sources)
+	if VersionKey64(vers) != "2.0" || vers[0].List != nil || vers[1].List != nil {
+		t.Fatalf("versions-only snapshots = %+v, want key 2.0 and no tickets", vers)
+	}
+	// Snapshots hold values: a later filing moves the tracker, not them.
+	trA.File("s", "t", "f", "x")
+	if got := snaps[0].List[0].Occurrences; got != 2 {
+		t.Fatalf("snapshot ticket changed under a later File: %d occurrences, want 2", got)
+	}
 }
 
 // fixtureFleet is a hand-built sweep result (every field of FleetResult is

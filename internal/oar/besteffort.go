@@ -7,7 +7,11 @@ package oar
 // availability probe and the immediate-submission path both see through
 // them via preemption.
 
-import "repro/internal/testbed"
+import (
+	"slices"
+
+	"repro/internal/testbed"
+)
 
 // Preempted marks a best-effort job killed to make room for a normal job.
 const Preempted JobState = 100
@@ -15,55 +19,30 @@ const Preempted JobState = 100
 // BestEffort reports whether the job was submitted in best-effort mode.
 func (j *Job) BestEffort() bool { return j.bestEffort }
 
-// allocateWithPreemption is the fallback when a normal allocation fails:
-// it retries treating nodes held by best-effort jobs as free, and returns
-// the set of best-effort job IDs that must die for the allocation to
-// succeed. It does not mutate anything.
-func (s *Server) allocateWithPreemption(req Request) (nodes []string, victims []int, ok bool) {
-	// Temporarily hide best-effort allocations from the busy map.
-	hidden := map[string]int{}
-	for node, jobID := range s.busy {
-		if j := s.jobs[jobID]; j != nil && j.bestEffort {
-			hidden[node] = jobID
-		}
+// heldByBestEffort reports whether the job on a busy node is best-effort.
+func (s *Server) heldByBestEffort(node string) bool {
+	_, ok := s.preemptable[node]
+	return ok
+}
+
+// allocateWithPreemption finds nodes for a request to start on right now.
+// While best-effort jobs run, a request that may preempt also sees the
+// nodes they hold, behind the free ones — when the free nodes suffice the
+// choice is the plain one — and gets back the best-effort job IDs that
+// must die for the allocation to succeed, in order of their first chosen
+// node. It does not mutate anything.
+func (s *Server) allocateWithPreemption(req Request, mayPreempt bool) (nodes []string, victims []int, ok bool) {
+	preempting := mayPreempt && len(s.preemptable) > 0
+	nodes, ok = s.allocate(req, preempting)
+	if !ok || !preempting {
+		return nodes, nil, ok
 	}
-	if len(hidden) == 0 {
-		return nil, nil, false
-	}
-	penalized := make(map[string]bool, len(hidden))
-	for node := range hidden {
-		delete(s.busy, node)
-		penalized[node] = true
-	}
-	nodes, ok = s.allocatePreferring(req, penalized)
-	for node, jobID := range hidden {
-		s.busy[node] = jobID
-	}
-	if !ok {
-		return nil, nil, false
-	}
-	seen := map[int]bool{}
 	for _, node := range nodes {
-		if jobID, held := hidden[node]; held && !seen[jobID] {
-			seen[jobID] = true
+		if jobID, held := s.preemptable[node]; held && !slices.Contains(victims, jobID) {
 			victims = append(victims, jobID)
 		}
 	}
 	return nodes, victims, true
-}
-
-// preempt kills a running best-effort job (no walltime refund, like OAR's
-// checkpoint-less best-effort).
-func (s *Server) preempt(j *Job) {
-	j.State = Preempted
-	j.EndedAt = s.clock.Now()
-	if j.walltimeEvent != nil {
-		j.walltimeEvent.Cancel()
-	}
-	for _, n := range j.Nodes {
-		delete(s.busy, n)
-	}
-	s.preempted++
 }
 
 // PreemptedCount returns how many best-effort jobs were killed.
@@ -73,23 +52,15 @@ func (s *Server) PreemptedCount() int {
 	return s.preempted
 }
 
-// startWithPreemption tries a normal allocation first, then the preempting
-// fallback (normal jobs only). Returns the nodes to use, or ok=false.
+// startWithPreemption allocates nodes for a waiting job, killing the
+// best-effort jobs in its way (best-effort never preempts anyone).
 func (s *Server) startWithPreemption(j *Job) ([]string, bool) {
-	if nodes, ok := s.allocate(j.Request); ok {
-		return nodes, true
-	}
-	if j.bestEffort {
-		return nil, false // best-effort never preempts anyone
-	}
-	nodes, victims, ok := s.allocateWithPreemption(j.Request)
-	if !ok {
-		return nil, false
-	}
+	nodes, victims, ok := s.allocateWithPreemption(j.Request, !j.bestEffort)
 	for _, id := range victims {
-		s.preempt(s.jobs[id])
+		s.endJob(s.jobs[id], Preempted)
+		s.preempted++
 	}
-	return nodes, true
+	return nodes, ok
 }
 
 // FreeOrPreemptable counts nodes that a normal request could use right now:
@@ -102,10 +73,8 @@ func (s *Server) FreeOrPreemptable(e Expr) int {
 		if n.State != testbed.Alive {
 			continue
 		}
-		if jobID, used := s.busy[n.Name]; used {
-			if j := s.jobs[jobID]; j == nil || !j.bestEffort {
-				continue
-			}
+		if _, used := s.busy[n.Name]; used && !s.heldByBestEffort(n.Name) {
+			continue
 		}
 		if e.EvalNode(n) {
 			count++

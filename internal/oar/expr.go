@@ -136,32 +136,50 @@ func (e cmpExpr) evalNum(actual float64) bool {
 }
 
 // EvalNode evaluates the comparison directly against the node, without
-// building a property map. The keys mirror Properties; unknown keys fall
-// back to the map form so custom properties keep working.
+// building a property map. A key OAR does not serve matches nothing, as
+// in the map form.
 func (e cmpExpr) EvalNode(n *testbed.Node) bool {
-	switch e.key {
-	case "cluster":
-		return e.evalStr(n.Cluster)
-	case "site":
-		return e.evalStr(n.Site)
-	case "host":
-		return e.evalStr(n.Name)
-	case "cpu_model":
-		return e.evalStr(n.Inv.CPU.Model)
-	case "cores":
-		return e.evalIntProp(n.Cores())
-	case "ram_gb":
-		return e.evalIntProp(n.Inv.RAMGB)
-	case "gpu":
-		return e.evalStr(yesNo(n.Inv.HasGPU()))
-	case "ib":
-		return e.evalStr(yesNo(n.Inv.HasIB()))
-	case "eth10g":
-		return e.evalStr(yn(n.Inv.Has10G()))
-	case "disktype":
-		return e.evalStr(diskType(n))
+	str, num, isNum, ok := nodeProperty(n, e.key)
+	switch {
+	case !ok:
+		return false
+	case isNum:
+		return e.evalIntProp(num)
 	}
-	return e.Eval(Properties(n))
+	return e.evalStr(str)
+}
+
+// nodeProperty reads one OAR property from a node's live inventory. This
+// switch is the one definition of the properties (names follow Grid'5000
+// conventions: gpu='YES', eth10g='Y', ...). Integer-valued ones come back
+// as num with isNum set, unrendered, so the scheduling path compares them
+// without allocating.
+func nodeProperty(n *testbed.Node, key string) (str string, num int, isNum, ok bool) {
+	switch key {
+	case "cluster":
+		str = n.Cluster
+	case "site":
+		str = n.Site
+	case "host":
+		str = n.Name
+	case "cpu_model":
+		str = n.Inv.CPU.Model
+	case "cores":
+		num, isNum = n.Cores(), true
+	case "ram_gb":
+		num, isNum = n.Inv.RAMGB, true
+	case "gpu":
+		str = yesNo(n.Inv.HasGPU())
+	case "ib":
+		str = yesNo(n.Inv.HasIB())
+	case "eth10g":
+		str = yn(n.Inv.Has10G())
+	case "disktype":
+		str = diskType(n)
+	default:
+		return "", 0, false, false
+	}
+	return str, num, isNum, true
 }
 
 // anchor extracts a narrowing constraint from the expression: a

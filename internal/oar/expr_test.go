@@ -235,3 +235,33 @@ func TestProperties(t *testing.T) {
 		t.Errorf("taurus ib = %q", p["ib"])
 	}
 }
+
+// TestPropertyMatchesProperties holds the single-property accessor, the
+// map form and an expression evaluated against the node to one answer for
+// every property of one node per cluster.
+func TestPropertyMatchesProperties(t *testing.T) {
+	for _, cl := range testbed.Default().Clusters() {
+		n := cl.Nodes[0]
+		all := Properties(n)
+		if len(all) != len(propertyKeys) {
+			t.Fatalf("%s: %d properties, want %d", n.Name, len(all), len(propertyKeys))
+		}
+		for _, key := range propertyKeys {
+			got, ok := Property(n, key)
+			if !ok || got != all[key] {
+				t.Errorf("%s: Property(%q) = %q, %v; Properties has %q", n.Name, key, got, ok, all[key])
+			}
+			if e := (cmpExpr{key: key, op: "=", val: got}); !e.EvalNode(n) || !e.Eval(all) {
+				t.Errorf("%s: %s does not hold", n.Name, e)
+			}
+		}
+		if got, ok := Property(n, "color"); ok || got != "" {
+			t.Errorf("%s: Property of an unserved key = %q, %v", n.Name, got, ok)
+		}
+		for _, op := range []string{"=", "!=", "<"} {
+			if e := (cmpExpr{key: "color", op: op, val: "red"}); e.EvalNode(n) || e.Eval(all) {
+				t.Errorf("%s: %s matched on an unserved key", n.Name, e)
+			}
+		}
+	}
+}

@@ -184,23 +184,31 @@ func parseWalltime(s string) (simclock.Time, error) {
 	return 0, fmt.Errorf("oar: bad walltime %q", s)
 }
 
-// Properties derives the OAR property map of a node from its live
-// inventory. The Reference API fills the OAR database on a real testbed
-// (slide 7); here the live inventory plays that role and the property names
-// follow Grid'5000 conventions (gpu='YES', eth10g='Y', ...).
-func Properties(n *testbed.Node) map[string]string {
-	return map[string]string{
-		"cluster":   n.Cluster,
-		"site":      n.Site,
-		"host":      n.Name,
-		"cores":     strconv.Itoa(n.Cores()),
-		"ram_gb":    strconv.Itoa(n.Inv.RAMGB),
-		"gpu":       yesNo(n.Inv.HasGPU()),
-		"ib":        yesNo(n.Inv.HasIB()),
-		"eth10g":    yn(n.Inv.Has10G()),
-		"disktype":  diskType(n),
-		"cpu_model": n.Inv.CPU.Model,
+// propertyKeys lists the properties OAR serves for every node.
+var propertyKeys = [...]string{"cluster", "site", "host", "cores", "ram_gb",
+	"gpu", "ib", "eth10g", "disktype", "cpu_model"}
+
+// Property returns one OAR property of a node, derived from its live
+// inventory: the Reference API fills the OAR database on a real testbed
+// (slide 7); here the live inventory plays that role. ok is false for a
+// key OAR does not serve. It is Properties(n)[key] without the map.
+func Property(n *testbed.Node, key string) (val string, ok bool) {
+	str, num, isNum, ok := nodeProperty(n, key)
+	if isNum {
+		str = strconv.Itoa(num)
 	}
+	return str, ok
+}
+
+// Properties builds the whole OAR property map of a node. It allocates a
+// ten-entry map per call: code that reads a property or two per node wants
+// Property, and the scheduler evaluates expressions with Expr.EvalNode.
+func Properties(n *testbed.Node) map[string]string {
+	m := make(map[string]string, len(propertyKeys))
+	for _, key := range propertyKeys {
+		m[key], _ = Property(n, key)
+	}
+	return m
 }
 
 // yesNo renders a boolean property the Grid'5000 way ("YES"/"NO").

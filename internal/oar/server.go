@@ -81,6 +81,11 @@ type Server struct {
 	jobs   map[int]*Job
 	queue  []*Job         // waiting jobs, FCFS order
 	busy   map[string]int // node name → running job ID
+	// preemptable is the part of busy held by running best-effort jobs,
+	// kept in step with it by startJob and endJob (the only places busy
+	// changes). Empty on a testbed without best-effort work, which is what
+	// lets the preemption fallback return without looking at anything.
+	preemptable map[string]int
 
 	// Scheduling fast path. The node list and the cluster/site indexes are
 	// static (topology never changes); expressions evaluate directly
@@ -98,11 +103,11 @@ type Server struct {
 	reqCache map[string]Request
 
 	// Scratch buffers reused across allocation attempts (all access is
-	// under the server mutex). chosen/taken/free hold the in-progress
+	// under the server mutex). chosen/free/held hold the in-progress
 	// selection; only a successful allocation copies the result out.
 	chosenScratch []string
 	freeScratch   []*testbed.Node
-	orderScratch  []*testbed.Node
+	heldScratch   []*testbed.Node
 	hostScratch   [1]*testbed.Node
 
 	// Re-entrancy guard: OnStart callbacks may Submit or Release
@@ -117,14 +122,15 @@ type Server struct {
 // NewServer returns an OAR server over the testbed.
 func NewServer(clock *simclock.Clock, tb *testbed.Testbed) *Server {
 	s := &Server{
-		clock:     clock,
-		tb:        tb,
-		jobs:      map[int]*Job{},
-		busy:      map[string]int{},
-		nodeList:  tb.Nodes(),
-		byCluster: map[string][]*testbed.Node{},
-		bySite:    map[string][]*testbed.Node{},
-		reqCache:  map[string]Request{},
+		clock:       clock,
+		tb:          tb,
+		jobs:        map[int]*Job{},
+		busy:        map[string]int{},
+		preemptable: map[string]int{},
+		nodeList:    tb.Nodes(),
+		byCluster:   map[string][]*testbed.Node{},
+		bySite:      map[string][]*testbed.Node{},
+		reqCache:    map[string]Request{},
 	}
 	for _, n := range s.nodeList {
 		s.byCluster[n.Cluster] = append(s.byCluster[n.Cluster], n)
@@ -277,16 +283,25 @@ func (s *Server) Release(id int) error {
 }
 
 func (s *Server) finishLocked(j *Job) {
-	j.State = Terminated
+	s.endJob(j, Terminated)
+	// Freed resources may unblock queued jobs.
+	s.scheduleLocked()
+}
+
+// endJob takes a running job off its nodes in the given final state
+// (Terminated, or Preempted with no walltime refund).
+func (s *Server) endJob(j *Job, final JobState) {
+	j.State = final
 	j.EndedAt = s.clock.Now()
 	if j.walltimeEvent != nil {
 		j.walltimeEvent.Cancel()
 	}
 	for _, n := range j.Nodes {
 		delete(s.busy, n)
+		if j.bestEffort {
+			delete(s.preemptable, n)
+		}
 	}
-	// Freed resources may unblock queued jobs.
-	s.scheduleLocked()
 }
 
 func (s *Server) removeFromQueue(j *Job) {
@@ -366,6 +381,9 @@ func (s *Server) startJob(j *Job, nodes []string) {
 	j.Nodes = nodes
 	for _, n := range nodes {
 		s.busy[n] = j.ID
+		if j.bestEffort {
+			s.preemptable[n] = j.ID
+		}
 	}
 	s.started++
 	jj := j
@@ -403,23 +421,20 @@ func (s *Server) schedulePass() []*Job {
 	return started
 }
 
-// allocate tries to satisfy every segment of the request with distinct free
-// Alive nodes. Returns the chosen node names sorted, or ok=false.
-func (s *Server) allocate(req Request) ([]string, bool) {
-	return s.allocatePreferring(req, nil)
-}
-
-// allocatePreferring is allocate with an optional penalty set: when picking
-// N of M candidate nodes, non-penalized nodes are chosen first. The
-// preemption path penalizes nodes held by best-effort jobs so that only the
-// minimum number of them get killed.
+// allocate tries to satisfy every segment of the request with distinct
+// Alive nodes, returning the chosen node names sorted, or ok=false. Free
+// nodes always qualify; with preempting set, so do nodes held by
+// best-effort jobs — busy but takeable — and when picking N of M
+// candidates the free ones go first, so that only the minimum number of
+// best-effort jobs get killed.
 //
 // This is the scheduler's hottest path (every Submit, every availability
-// probe): candidates come pre-narrowed by the segment anchor, expressions
-// evaluate against live node state without property maps, and all working
-// storage is reused scratch — a failed attempt allocates nothing, a
-// successful one allocates only the returned name slice.
-func (s *Server) allocatePreferring(req Request, penalized map[string]bool) ([]string, bool) {
+// probe, every queued job on every release): candidates come pre-narrowed
+// by the segment anchor, expressions evaluate against live node state
+// without property maps, and all working storage is reused scratch — a
+// failed attempt allocates nothing, a successful one allocates only the
+// returned name slice.
+func (s *Server) allocate(req Request, preempting bool) ([]string, bool) {
 	chosen := s.chosenScratch[:0]
 	defer func() { s.chosenScratch = chosen[:0] }()
 	// taken tracks nodes already claimed by an earlier segment of the same
@@ -437,7 +452,7 @@ func (s *Server) allocatePreferring(req Request, penalized map[string]bool) ([]s
 	for _, seg := range req.Segments {
 		cands := s.segmentCandidates(seg)
 		if seg.Nodes == AllNodes {
-			// Every matching node must exist, be Alive and be free.
+			// Every matching node must exist, be Alive and be free or takeable.
 			matched := false
 			for _, n := range cands {
 				if multi && isTaken(n.Name) {
@@ -450,7 +465,7 @@ func (s *Server) allocatePreferring(req Request, penalized map[string]bool) ([]s
 				if n.State != testbed.Alive {
 					return nil, false
 				}
-				if _, used := s.busy[n.Name]; used {
+				if _, used := s.busy[n.Name]; used && !(preempting && s.heldByBestEffort(n.Name)) {
 					return nil, false
 				}
 				chosen = append(chosen, n.Name)
@@ -460,7 +475,9 @@ func (s *Server) allocatePreferring(req Request, penalized map[string]bool) ([]s
 			}
 			continue
 		}
-		free := s.freeScratch[:0]
+		// First-fit: the first N free candidates in testbed order, topped
+		// up with the first takeable ones when the free ones run short.
+		free, held := s.freeScratch[:0], s.heldScratch[:0]
 		for _, n := range cands {
 			if multi && isTaken(n.Name) {
 				continue
@@ -468,40 +485,30 @@ func (s *Server) allocatePreferring(req Request, penalized map[string]bool) ([]s
 			if n.State != testbed.Alive {
 				continue
 			}
-			if _, used := s.busy[n.Name]; used {
+			_, used := s.busy[n.Name]
+			if used && !(preempting && s.heldByBestEffort(n.Name)) {
 				continue
 			}
 			if !seg.Expr.EvalNode(n) {
 				continue
 			}
+			if used {
+				held = append(held, n)
+				continue
+			}
 			free = append(free, n)
-			// First-fit takes the first N free candidates in testbed
-			// order; without a penalty set we can stop right there.
-			if penalized == nil && len(free) == seg.Nodes {
+			if len(free) == seg.Nodes {
 				break
 			}
 		}
-		s.freeScratch = free[:0]
-		if len(free) < seg.Nodes {
+		s.freeScratch, s.heldScratch = free[:0], held[:0]
+		if len(free)+len(held) < seg.Nodes {
 			return nil, false
 		}
-		if penalized != nil {
-			// Stable partition: genuinely free nodes first.
-			ordered := s.orderScratch[:0]
-			for _, n := range free {
-				if !penalized[n.Name] {
-					ordered = append(ordered, n)
-				}
-			}
-			for _, n := range free {
-				if penalized[n.Name] {
-					ordered = append(ordered, n)
-				}
-			}
-			s.orderScratch = ordered[:0]
-			free = ordered
+		for _, n := range free {
+			chosen = append(chosen, n.Name)
 		}
-		for _, n := range free[:seg.Nodes] {
+		for _, n := range held[:seg.Nodes-len(free)] {
 			chosen = append(chosen, n.Name)
 		}
 	}
@@ -557,10 +564,7 @@ func (s *Server) CanStartNowReq(req Request) bool {
 }
 
 func (s *Server) canStartNowLocked(req Request) bool {
-	if _, ok := s.allocate(req); ok {
-		return true
-	}
-	_, _, ok := s.allocateWithPreemption(req)
+	_, _, ok := s.allocateWithPreemption(req, true)
 	return ok
 }
 

@@ -270,11 +270,13 @@ func (c *Client) mergeMatrix(g *Grid, jobName string, put func(string, string, C
 	return nil
 }
 
-// worseResult reports whether a is more severe than b, using Jenkins
-// severity ordering.
+// resultRank is Jenkins' severity ordering; an unknown result ranks with
+// SUCCESS.
+var resultRank = map[string]int{"SUCCESS": 0, "NOT_BUILT": 1, "UNSTABLE": 2, "ABORTED": 3, "FAILURE": 4}
+
+// worseResult reports whether a is more severe than b.
 func worseResult(a, b string) bool {
-	rank := map[string]int{"SUCCESS": 0, "NOT_BUILT": 1, "UNSTABLE": 2, "ABORTED": 3, "FAILURE": 4}
-	return rank[a] > rank[b]
+	return resultRank[a] > resultRank[b]
 }
 
 // TargetReport is the transposed view: all families for one target.

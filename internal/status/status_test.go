@@ -292,3 +292,20 @@ func TestAllBuilds(t *testing.T) {
 		t.Fatalf("builds = %d", len(builds))
 	}
 }
+
+func TestWorseResult(t *testing.T) {
+	order := []string{"SUCCESS", "NOT_BUILT", "UNSTABLE", "ABORTED", "FAILURE"}
+	for i, a := range order {
+		for j, b := range order {
+			if got := worseResult(a, b); got != (i > j) {
+				t.Errorf("worseResult(%s, %s) = %v", a, b, got)
+			}
+		}
+	}
+	if worseResult("", "SUCCESS") || !worseResult("FAILURE", "") {
+		t.Error("an unknown result must rank with SUCCESS")
+	}
+	if got := testing.AllocsPerRun(100, func() { worseResult("FAILURE", "UNSTABLE") }); got != 0 {
+		t.Errorf("worseResult allocates %v times per call", got)
+	}
+}

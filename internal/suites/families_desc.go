@@ -6,6 +6,7 @@ package suites
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/kadeploy"
 	"repro/internal/oar"
@@ -83,18 +84,19 @@ func oarPropertiesTests(tb *testbed.Testbed) []*Test {
 						v.fail("refapi-missing:"+n.Name, "no description: %v", err)
 						continue
 					}
-					props := oar.Properties(n)
-					if props["ram_gb"] != fmt.Sprint(ref.Inv.RAMGB) {
+					// One property at a time: oar.Properties would build a
+					// ten-entry map per node per run to read these two.
+					if ram, _ := oar.Property(n, "ram_gb"); ram != strconv.Itoa(ref.Inv.RAMGB) {
 						v.fail("ram-loss:"+n.Name,
-							"oar ram_gb=%s but reference says %d", props["ram_gb"], ref.Inv.RAMGB)
+							"oar ram_gb=%s but reference says %d", ram, ref.Inv.RAMGB)
 					}
 					wantGPU := "NO"
 					if ref.Inv.HasGPU() {
 						wantGPU = "YES"
 					}
-					if props["gpu"] != wantGPU {
-						v.fail(fmt.Sprintf("desc-drift:%s/gpu", n.Name),
-							"oar gpu=%s, reference %s", props["gpu"], wantGPU)
+					if gpu, _ := oar.Property(n, "gpu"); gpu != wantGPU {
+						v.fail("desc-drift:"+n.Name+"/gpu",
+							"oar gpu=%s, reference %s", gpu, wantGPU)
 					}
 				}
 				v.logf("verified OAR properties for %s", cl.Name)
