@@ -11,7 +11,7 @@ TRACKED_BENCHES = BenchmarkE2_,BenchmarkE9_,BenchmarkE12_,BenchmarkE13_,Benchmar
 # benchmarks themselves).
 TRACKED_ALLOCS_BENCHES = BenchmarkE18_,BenchmarkE19_,BenchmarkE20_,BenchmarkE21_
 
-.PHONY: all build vet lint fmt-check test race stress fed-check chaos-check admit-check intel-check bench bench-check profile check
+.PHONY: all build vet lint fmt-check test race stress fed-check chaos-check admit-check intel-check fuzz-smoke bench bench-check profile check
 
 all: check
 
@@ -83,6 +83,14 @@ intel-check:
 	$(GO) test -race -count=1 ./internal/intel
 	$(GO) test -race -count=1 -run 'TestGridAt|TestGridDiff|TestIncidents|TestReliability|TestShardInventoryAt|TestFederatedVersionHint|TestBugsRollup|TestIntelUnderChaos' ./internal/gateway
 
+# fuzz-smoke gives the repository's fuzz target ten seconds: AppendIndent,
+# the single-pass indenter every JSON body goes through (internal/wire),
+# against encoding/json's indenter on whatever valid JSON the fuzzer finds.
+# The checked-in corpus alone runs with every `go test`; a new failing input
+# is written to internal/wire/testdata/fuzz/ for the fix to keep.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzAppendIndent -fuzztime 10s ./internal/wire
+
 # bench runs the full experiment suite once and records every number
 # (ns/op, allocs/op, reproduced sim metrics) in BENCH_results.json via
 # cmd/benchjson, so perf regressions show up as reviewable diffs.
@@ -113,4 +121,4 @@ profile:
 	$(GO) tool pprof -top -nodecount=12 $(PROFILE_DIR)/g5ktest $(PROFILE_DIR)/mono.cpu.pprof
 	$(GO) tool pprof -top -nodecount=12 $(PROFILE_DIR)/g5ktest $(PROFILE_DIR)/fed.cpu.pprof
 
-check: build vet lint fmt-check race intel-check
+check: build vet lint fmt-check race intel-check fuzz-smoke

@@ -6,10 +6,11 @@ package ci
 // Jenkins' REST API", slide 18).
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // JobJSON is the wire form of a job summary.
@@ -103,33 +104,47 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodGet)
 		return
 	}
-	out := RootJSON{
-		QueueLength: s.QueueLength(),
-		Executors:   s.Executors(),
-		Busy:        s.BusyExecutors(),
-		TotalBuilds: s.TotalBuilds(),
+	// One read lock: the counters and every job's last result are one instant.
+	s.mu.RLock()
+	out := RootJSON{QueueLength: len(s.queue), Executors: s.executors, Busy: s.running, TotalBuilds: s.builtCount}
+	for _, name := range s.jobOrder {
+		out.Jobs = append(out.Jobs, jobJSON(s.jobs[name]))
 	}
-	for _, name := range s.JobNames() {
-		j := s.JobByName(name)
-		jj := JobJSON{
-			Name:        j.Name,
-			Description: j.Description,
-			Matrix:      j.IsMatrix(),
-			CellCount:   j.CellCount(),
-		}
-		if last := s.LastCompleted(name); last != nil {
-			jj.LastBuild = last.Number
-			jj.LastResult = last.Result.String()
-		}
-		out.Jobs = append(out.Jobs, jj)
+	s.mu.RUnlock()
+	writeJSON(w, http.StatusOK, out)
+}
+
+// jobJSON renders a job's summary. Caller holds the server mutex.
+func jobJSON(j *Job) JobJSON {
+	out := JobJSON{Name: j.Name, Description: j.Description, Matrix: j.IsMatrix(), CellCount: j.CellCount()}
+	if last := j.lastCompleted(); last != nil {
+		out.LastBuild = last.Number
+		out.LastResult = last.Result.String()
 	}
-	writeJSON(w, out)
+	return out
 }
 
 // JobDetailJSON is the wire form of one job plus its retained builds.
 type JobDetailJSON struct {
 	JobJSON
 	Builds []BuildJSON `json:"builds"`
+}
+
+// jobDetail renders a job and its retained builds under ONE read lock, so a
+// response is a single instant of the server: last_build is the newest
+// completed build listed. ok is false for an unknown job.
+func (s *Server) jobDetail(name string) (out JobDetailJSON, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	j := s.jobs[name]
+	if j == nil {
+		return out, false
+	}
+	out.JobJSON = jobJSON(j)
+	for i := 0; i < j.nbuilds; i++ {
+		out.Builds = append(out.Builds, buildJSON(j.buildAt(i), false))
+	}
+	return out, true
 }
 
 // handleJob routes /job/... paths. Job names may themselves contain slashes
@@ -153,11 +168,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusForbidden)
 			return
 		}
-		// Content-Type must precede the status line: header mutations
-		// after WriteHeader are dropped by net/http.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusCreated)
-		writeJSON(w, s.buildSnapshot(b, false))
+		writeJSON(w, http.StatusCreated, s.buildSnapshot(b, false))
 
 	case strings.HasSuffix(rest, "/api/json"):
 		if r.Method != http.MethodGet {
@@ -176,39 +187,27 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 						http.NotFound(w, r)
 						return
 					}
-					writeJSON(w, s.buildSnapshot(b, true))
+					writeJSON(w, http.StatusOK, s.buildSnapshot(b, true))
 					return
 				}
 			}
 		}
-		j := s.JobByName(name)
-		if j == nil {
+		out, ok := s.jobDetail(name)
+		if !ok {
 			http.NotFound(w, r)
 			return
 		}
-		out := JobDetailJSON{JobJSON: JobJSON{
-			Name:        j.Name,
-			Description: j.Description,
-			Matrix:      j.IsMatrix(),
-			CellCount:   j.CellCount(),
-		}}
-		if last := s.LastCompleted(name); last != nil {
-			out.LastBuild = last.Number
-			out.LastResult = last.Result.String()
-		}
-		for _, b := range s.Builds(name) {
-			out.Builds = append(out.Builds, s.buildSnapshot(b, false))
-		}
-		writeJSON(w, out)
+		writeJSON(w, http.StatusOK, out)
 
 	default:
 		http.NotFound(w, r)
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // best effort on a closed client
+// writeJSON renders v before the status line goes out: a value that does
+// not encode answers 500, not code with an empty body.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	if err := wire.WriteIndent(w, code, v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }

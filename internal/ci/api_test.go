@@ -2,8 +2,13 @@ package ci
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/simclock"
@@ -213,4 +218,92 @@ func TestAPIMethodNotAllowedOnReads(t *testing.T) {
 	if allow := resp.Header.Get("Allow"); allow != http.MethodPost {
 		t.Fatalf("PUT build: Allow = %q, want POST", allow)
 	}
+}
+
+// TestAPIUnencodableBodyAnswers500: a value that cannot be encoded must not
+// go out as the handler's status with an empty body.
+func TestAPIUnencodableBodyAnswers500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, BuildJSON{Job: "smoke", QueuedAtSec: math.NaN()})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "NaN") {
+		t.Fatalf("NaN body answered %d %q, want 500 naming the value", rec.Code, rec.Body)
+	}
+	if ct := rec.Header().Get("Content-Type"); strings.Contains(ct, "json") {
+		t.Fatalf("error body sent as %q", ct)
+	}
+}
+
+// TestAPIJobDetailIsOneSnapshot reads a matrix job's detail from several
+// goroutines while its builds complete on the executor pool. Every response
+// must be one instant of the server: last_build is the newest completed
+// top-level build the listing shows, and a completed parent lists only
+// completed cells. Run with -race.
+func TestAPIJobDetailIsOneSnapshot(t *testing.T) {
+	c := simclock.New(7)
+	s := NewServerWith(c, Options{NumExecutors: 3})
+	var n atomic.Int64 // cell durations differ, so cells finish at different instants
+	err := s.CreateJob(&Job{Name: "envs", Retention: 40,
+		Script: func(bc *BuildContext) Outcome {
+			return Outcome{Result: Success, Duration: simclock.Time(1+n.Add(1)%5) * simclock.Minute}
+		},
+		Axes: []Axis{{Name: "image", Values: []string{"a", "b", "c"}}, {Name: "cluster", Values: []string{"x", "y"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+
+	const readers, minReads, minRounds = 4, 400, 40
+	var reads atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/job/envs/api/json", nil))
+				var d JobDetailJSON
+				if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil {
+					t.Errorf("status %d: %v", rec.Code, err)
+					return
+				}
+				building := map[int]bool{}
+				newestDone := 0
+				for _, b := range d.Builds {
+					building[b.Number] = b.Building
+					if !b.Building && b.Parent == 0 {
+						newestDone = b.Number
+					}
+				}
+				if d.LastBuild != newestDone {
+					t.Errorf("last_build = %d beside a listing whose newest completed build is %d", d.LastBuild, newestDone)
+					return
+				}
+				for _, b := range d.Builds {
+					for _, cell := range b.CellBuilds {
+						if !b.Building && building[cell] {
+							t.Errorf("parent %d reads completed beside cell %d still building", b.Number, cell)
+							return
+						}
+					}
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	for round := 0; round < minRounds || reads.Load() < minReads; round++ {
+		if _, err := s.Trigger("envs", "t"); err != nil {
+			t.Fatal(err)
+		}
+		c.Run()
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -825,6 +825,11 @@ func (s *Server) LastCompleted(jobName string) *Build {
 	if j == nil {
 		return nil
 	}
+	return j.lastCompleted()
+}
+
+// lastCompleted is LastCompleted's walk. Caller holds the server mutex.
+func (j *Job) lastCompleted() *Build {
 	for i := j.nbuilds - 1; i >= 0; i-- {
 		b := j.buildAt(i)
 		if b.completed && b.Parent == 0 {

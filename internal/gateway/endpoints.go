@@ -1063,7 +1063,7 @@ func floatParam(s string, def float64) (float64, error) {
 	v, err := strconv.ParseFloat(s, 64)
 	// NaN slides past ordering checks (NaN <= x is always false) and Inf
 	// breaks range arithmetic; both would corrupt downstream validation
-	// and make json.Encode fail after the 200 status line went out.
+	// and leave a body that does not encode — a 500 for a bad request.
 	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("bad number %q", s)
 	}

@@ -93,7 +93,6 @@
 package gateway
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -113,6 +112,7 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/status"
 	"repro/internal/testbed"
+	"repro/internal/wire"
 )
 
 // Config wires the subsystems one shard serves. Nil fields disable their
@@ -777,24 +777,17 @@ func (g *Gateway) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 // ---- shared helpers ---------------------------------------------------------
 
-func marshalIndent(v any) ([]byte, error) {
-	return json.MarshalIndent(v, "", "  ")
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	writeJSONStatus(w, http.StatusOK, v)
 }
 
-// writeJSONStatus sets the content type BEFORE the status line goes out —
-// header mutations after WriteHeader are silently dropped by net/http.
+// writeJSONStatus renders v before the status line goes out: a value that
+// does not encode answers 500 — and counts as the endpoint's error — not
+// code with an empty body.
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if code != http.StatusOK {
-		w.WriteHeader(code)
+	if err := wire.WriteIndent(w, code, v); err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // best effort on a closed client
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

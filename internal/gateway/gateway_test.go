@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -343,8 +344,8 @@ func TestInventoryCacheBound(t *testing.T) {
 }
 
 // TestNonFiniteParams: NaN/Inf query values must be rejected up front —
-// NaN slides past ordering checks and would otherwise surface as a 200
-// with an empty body when json.Encode chokes on it.
+// NaN slides past ordering checks and would otherwise surface as a
+// body that does not encode, which answers 500.
 func TestNonFiniteParams(t *testing.T) {
 	f, gw := newCampaign(t, 37, 0, simclock.Hour)
 	c := inproc.Client(gw)
@@ -359,6 +360,26 @@ func TestNonFiniteParams(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("GET %s: status = %d, want 400", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestUnencodableBodyAnswers500: should a non-finite value reach a body all
+// the same, the endpoint answers 500 and counts an error — not its own
+// status with nothing after it.
+func TestUnencodableBodyAnswers500(t *testing.T) {
+	gw := New(Config{})
+	gw.handle("/nan", http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+		writeJSONStatus(w, http.StatusCreated, TrendJSON{BucketSec: math.NaN()})
+	})
+	resp, body := get(t, inproc.Client(gw), "/nan")
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "NaN") {
+		t.Fatalf("NaN body answered %d %q, want 500 naming the value", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); strings.Contains(ct, "json") {
+		t.Fatalf("error body sent as %q", ct)
+	}
+	if m := gw.Metrics().Endpoints["/nan"]; m.Requests != 1 || m.Errors != 1 {
+		t.Fatalf("endpoint counters = %+v, want the one request counted as an error", m)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -21,8 +20,6 @@ import (
 // test. The file is the wire contract: re-record it only in a change whose
 // purpose is to alter a body, never beside a change to how bodies are made.
 var updateWireGolden = flag.Bool("update-wire-golden", false, "rewrite testdata/wire_golden.json")
-
-const wireGoldenFile = "wire_golden.json"
 
 // wireRecord is what a client can observe of one GET: the status, the
 // validator and the exact bytes (as their SHA-256).
@@ -156,7 +153,7 @@ func TestWireGolden(t *testing.T) {
 		got = append(got, rec)
 	}
 
-	file := filepath.Join("testdata", wireGoldenFile)
+	file := filepath.Join("testdata", "wire_golden.json")
 	if *updateWireGolden {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
@@ -187,7 +184,7 @@ func TestWireGolden(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("wire contract moved:\n got %s\nwant %s", fmt.Sprint(got[i]), fmt.Sprint(want[i]))
+			t.Errorf("wire contract moved:\n got %+v\nwant %+v", got[i], want[i])
 		}
 	}
 }

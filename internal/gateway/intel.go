@@ -28,6 +28,7 @@ import (
 	"repro/internal/bugs"
 	"repro/internal/intel"
 	"repro/internal/refapi"
+	"repro/internal/wire"
 )
 
 // excludedSites folds a degraded marker into the site-label exclusion set
@@ -148,7 +149,7 @@ func (g *Gateway) handleGridAt(w http.ResponseWriter, r *http.Request) {
 				Inventory:  sc.Snapshot,
 			})
 		}
-		body, err = marshalIndent(out)
+		body, err = wire.MarshalIndent(out)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
@@ -247,7 +248,7 @@ func (g *Gateway) handleGridDiff(w http.ResponseWriter, r *http.Request) {
 				Differences: sd.Differences,
 			})
 		}
-		body, err = marshalIndent(out)
+		body, err = wire.MarshalIndent(out)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
@@ -367,7 +368,7 @@ func (g *Gateway) serveTrackerView(w http.ResponseWriter, r *http.Request, cache
 	g.intelMu.Unlock()
 	if cached.key != key || cached.body == nil {
 		snaps := intel.SnapshotTrackers(trackers)
-		body, err := marshalIndent(view(snaps))
+		body, err := wire.MarshalIndent(view(snaps))
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"repro/internal/refapi"
+	"repro/internal/wire"
 )
 
 func versionETag(v int) string { return `"v` + strconv.Itoa(v) + `"` }
@@ -296,7 +297,7 @@ func (g *Gateway) serveFederatedInventory(shards []*shard, w http.ResponseWriter
 				ClusterInventoryJSON{Cluster: s.cluster, Version: vers[i], Inventory: snap})
 		}
 		var err error
-		body, err = marshalIndent(out)
+		body, err = wire.MarshalIndent(out)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
@@ -415,7 +416,7 @@ func (s *shard) refDiffBody(from, to int) ([]byte, error) {
 		return nil, err
 	}
 	out := RefDiffJSON{From: from, To: to, Count: len(diffs), Differences: diffs}
-	body, err := marshalIndent(out)
+	body, err := wire.MarshalIndent(out)
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +487,7 @@ func (g *Gateway) serveFederatedDiff(shards []*shard, w http.ResponseWriter, r *
 			out.Count += len(diffs)
 		}
 		var err error
-		body, err = marshalIndent(out)
+		body, err = wire.MarshalIndent(out)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
@@ -567,7 +568,7 @@ func (g *Gateway) serveSiteInventory(w http.ResponseWriter, r *http.Request, sit
 				ClusterInventoryJSON{Cluster: s.cluster, Version: vers[i], Inventory: snap})
 		}
 		var err error
-		body, err = marshalIndent(out)
+		body, err = wire.MarshalIndent(out)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
@@ -644,7 +645,7 @@ func (g *Gateway) serveSiteDiff(w http.ResponseWriter, r *http.Request, site str
 			out.Count += len(diffs)
 		}
 		var err error
-		body, err = marshalIndent(out)
+		body, err = wire.MarshalIndent(out)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return

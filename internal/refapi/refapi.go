@@ -19,7 +19,6 @@
 package refapi
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -29,6 +28,7 @@ import (
 
 	"repro/internal/simclock"
 	"repro/internal/testbed"
+	"repro/internal/wire"
 )
 
 // NodeDescription is the reference (claimed) description of one node.
@@ -60,7 +60,7 @@ func (s *Snapshot) Clone() *Snapshot {
 // MarshalJSONIndent renders the snapshot as pretty JSON — the format users
 // script against.
 func (s *Snapshot) MarshalJSONIndent() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
+	return wire.MarshalIndent(s)
 }
 
 // version is one link of the store's copy-on-write chain. Exactly one of

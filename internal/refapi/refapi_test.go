@@ -572,3 +572,24 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round-tripped CPU model = %q", d.Inv.CPU.Model)
 	}
 }
+
+var benchBody []byte
+
+// BenchmarkSnapshotMarshalIndent is the render layer as /ref/inventory pays
+// it: the paper-scale description, encoded and indented. MB/s counts bytes
+// produced.
+func BenchmarkSnapshotMarshalIndent(b *testing.B) {
+	snap := NewStore(testbed.Default(), 0).Current()
+	body, err := snap.MarshalJSONIndent()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchBody, err = snap.MarshalJSONIndent(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
