@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/federation"
 	"repro/internal/inproc"
 	"repro/internal/intel"
 	"repro/internal/simclock"
@@ -22,21 +24,25 @@ import (
 var updateWireGolden = flag.Bool("update-wire-golden", false, "rewrite testdata/wire_golden.json")
 
 // wireRecord is what a client can observe of one GET: the status, the
-// validator and the exact bytes (as their SHA-256).
+// validator, how long the answer may be cached and the exact bytes (as
+// their SHA-256). Path carries the fixture and grid state it was asked in
+// as a prefix ("degraded:", "healed:", "mono:", "ci:"); the healthy
+// federated grid has none.
 type wireRecord struct {
-	Path   string `json:"path"`
-	Status int    `json:"status"`
-	ETag   string `json:"etag,omitempty"`
-	SHA256 string `json:"sha256,omitempty"`
+	Path         string `json:"path"`
+	Status       int    `json:"status"`
+	ETag         string `json:"etag,omitempty"`
+	CacheControl string `json:"cache_control,omitempty"`
+	SHA256       string `json:"sha256,omitempty"`
 }
 
 // wireFixture is the fixed-seed static grid the golden bodies are served
 // from: the two-site federation of newFederatedCampaign after two days,
 // every store re-described once (so archives hold two versions and diffs
 // are not empty), and a hand-built reliability trend installed.
-func wireFixture(t *testing.T) (gw *Gateway, ciHandler http.Handler, ciJob string) {
+func wireFixture(t *testing.T) (fed *federation.Federation, gw *Gateway, ciHandler http.Handler, ciJob string) {
 	t.Helper()
-	fed, gw := newFederatedCampaign(t, 2*simclock.Day)
+	fed, gw = newFederatedCampaign(t, 2*simclock.Day)
 	for _, sh := range fed.Shards() {
 		n := sh.F.TB.Nodes()[0]
 		inv := n.Inv.Clone()
@@ -56,7 +62,32 @@ func wireFixture(t *testing.T) (gw *Gateway, ciHandler http.Handler, ciJob strin
 		BugsFiled:  intel.Band{Mean: 12, Std: 3, Min: 9, Max: 15, N: 3},
 	})
 	server := fed.Shards()[0].F.CI
-	return gw, server.Handler(), server.JobNames()[0]
+	return fed, gw, server.Handler(), server.JobNames()[0]
+}
+
+// monoWireFixture is the monolithic layout (ForFramework) of the same
+// contract: a one-day seed-31 campaign whose store is re-described once.
+// Only its conditional routes are recorded — the single-store forms the
+// federated fixture reaches through ?cluster= answer here on the bare paths.
+func monoWireFixture(t *testing.T) (*Gateway, []string) {
+	t.Helper()
+	f, gw := newCampaign(t, 31, 4, simclock.Day)
+	n := f.TB.Nodes()[0]
+	inv := n.Inv.Clone()
+	inv.RAMGB += 8
+	if err := f.Ref.Update(f.Clock.Now(), n.Name, inv); err != nil {
+		t.Fatal(err)
+	}
+	return gw, []string{
+		"/ref/inventory",
+		"/ref/inventory?version=1",
+		"/ref/inventory?at=3600",
+		"/ref/diff",
+		"/ref/diff?from=1&to=2",
+		"/ref/diff?from=1&to=1",
+		"/bugs/rollup",
+		"/incidents",
+	}
 }
 
 // wirePaths lists one request per GET route of the endpoint table, plus
@@ -65,6 +96,7 @@ func wireFixture(t *testing.T) (gw *Gateway, ciHandler http.Handler, ciJob strin
 // bodies a client meets first.
 func wirePaths(gw *Gateway) []string {
 	site := gw.shards[0].site
+	other := "/sites/" + gw.sites[len(gw.sites)-1] // the site the degraded replay takes out
 	cluster := gw.shards[0].cluster
 	node := gw.shards[0].cfg.TB.Nodes()[0].Name
 	scoped := "/sites/" + site
@@ -111,6 +143,8 @@ func wirePaths(gw *Gateway) []string {
 		scoped + "/ci/api/json",
 		scoped + "/ci/job/refapi/" + cluster + "/api/json",
 		"/sites/atlantis/oar/resources",
+		other + "/ref/inventory",
+		other + "/ref/diff",
 		// Last, and by status only: its body carries wall-clock latencies.
 		"/metrics",
 	}
@@ -119,7 +153,8 @@ func wirePaths(gw *Gateway) []string {
 func recordWire(t *testing.T, c *http.Client, path string, hashBody bool) wireRecord {
 	t.Helper()
 	resp, body := get(t, c, path)
-	rec := wireRecord{Path: path, Status: resp.StatusCode, ETag: resp.Header.Get("ETag")}
+	rec := wireRecord{Path: path, Status: resp.StatusCode, ETag: resp.Header.Get("ETag"),
+		CacheControl: resp.Header.Get("Cache-Control")}
 	if hashBody {
 		sum := sha256.Sum256(body)
 		rec.SHA256 = hex.EncodeToString(sum[:])
@@ -127,31 +162,45 @@ func recordWire(t *testing.T, c *http.Client, path string, hashBody bool) wireRe
 	if rec.ETag != "" && rec.Status == http.StatusOK {
 		// The validator a body went out under must answer for it.
 		re := getConditional(t, c, path, rec.ETag)
-		if re.StatusCode != http.StatusNotModified || re.Header.Get("ETag") != rec.ETag {
-			t.Errorf("GET %s If-None-Match %s = %d with ETag %s, want 304 echoing it",
-				path, rec.ETag, re.StatusCode, re.Header.Get("ETag"))
+		if re.StatusCode != http.StatusNotModified || re.Header.Get("ETag") != rec.ETag ||
+			re.Header.Get("Cache-Control") != rec.CacheControl {
+			t.Errorf("GET %s If-None-Match %s = %d with ETag %s Cache-Control %q, want 304 echoing %q",
+				path, rec.ETag, re.StatusCode, re.Header.Get("ETag"), re.Header.Get("Cache-Control"), rec.CacheControl)
 		}
 	}
 	return rec
 }
 
-// TestWireGolden pins what every GET route puts on the wire — status, ETag
-// and body bytes — for a fixed-seed federated static gateway and for one
-// shard's CI REST handler. How bodies are rendered may change; these may
-// not.
+// TestWireGolden pins what every GET route puts on the wire — status, ETag,
+// Cache-Control and body bytes — for a fixed-seed federated static gateway
+// (healthy, then with its last site lost to an outage, then healed), for a
+// monolithic one, and for one shard's CI REST handler. How bodies are
+// rendered may change; these may not.
 func TestWireGolden(t *testing.T) {
-	gw, ciHandler, ciJob := wireFixture(t)
+	fed, gw, ciHandler, ciJob := wireFixture(t)
 	var got []wireRecord
-	c := inproc.Client(gw)
-	for _, p := range wirePaths(gw) {
-		got = append(got, recordWire(t, c, p, p != "/metrics"))
+	replay := func(h http.Handler, prefix string, paths []string) {
+		c := inproc.Client(h)
+		for _, p := range paths {
+			rec := recordWire(t, c, p, p != "/metrics")
+			rec.Path = prefix + p
+			got = append(got, rec)
+		}
 	}
-	cc := inproc.Client(ciHandler)
-	for _, p := range []string{"/api/json", "/job/" + ciJob + "/api/json", "/job/" + ciJob + "/1/api/json", "/job/nope/api/json"} {
-		rec := recordWire(t, cc, p, true)
-		rec.Path = "ci:" + p
-		got = append(got, rec)
+	paths := wirePaths(gw)
+	replay(gw, "", paths)
+	ev, err := fed.InjectGrid(faults.SiteOutage, []string{gw.sites[len(gw.sites)-1]}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	replay(gw, "degraded:", paths)
+	if _, err := fed.HealGrid(ev.ID); err != nil {
+		t.Fatal(err)
+	}
+	replay(gw, "healed:", paths)
+	mono, monoPaths := monoWireFixture(t)
+	replay(mono, "mono:", monoPaths)
+	replay(ciHandler, "ci:", []string{"/api/json", "/job/" + ciJob + "/api/json", "/job/" + ciJob + "/1/api/json", "/job/nope/api/json"})
 
 	file := filepath.Join("testdata", "wire_golden.json")
 	if *updateWireGolden {
