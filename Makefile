@@ -83,13 +83,17 @@ intel-check:
 	$(GO) test -race -count=1 ./internal/intel
 	$(GO) test -race -count=1 -run 'TestGridAt|TestGridDiff|TestIncidents|TestReliability|TestShardInventoryAt|TestFederatedVersionHint|TestBugsRollup|TestIntelUnderChaos' ./internal/gateway
 
-# fuzz-smoke gives the repository's fuzz target ten seconds: AppendIndent,
-# the single-pass indenter every JSON body goes through (internal/wire),
-# against encoding/json's indenter on whatever valid JSON the fuzzer finds.
-# The checked-in corpus alone runs with every `go test`; a new failing input
-# is written to internal/wire/testdata/fuzz/ for the fix to keep.
+# fuzz-smoke gives each of the repository's fuzz targets ten seconds:
+# AppendIndent, the single-pass indenter every JSON body goes through
+# (internal/wire), against encoding/json's indenter on whatever valid JSON
+# the fuzzer finds; and etagMatches, the If-None-Match comparison every
+# conditional GET goes through (internal/gateway), against its contract on
+# arbitrary header text. The checked-in corpora alone run with every
+# `go test`; a new failing input is written to the package's testdata/fuzz/
+# for the fix to keep.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendIndent -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzETagMatches -fuzztime 10s ./internal/gateway
 
 # bench runs the full experiment suite once and records every number
 # (ns/op, allocs/op, reproduced sim metrics) in BENCH_results.json via

@@ -55,33 +55,6 @@ func (g *Gateway) siteAvailable(site string) bool {
 	return g.chaos == nil || g.chaos.SiteAvailable(site)
 }
 
-// availableShards filters out shards whose site is currently down. The
-// unreachable (partitioned) set is excluded too: those shards keep serving
-// their site-scoped routes, but merged views must not show state the merge
-// plane cannot reach.
-func (g *Gateway) availableShards(in []*shard) []*shard {
-	if g.chaos == nil {
-		return in
-	}
-	cut := map[string]bool{}
-	for _, s := range g.chaos.DownSites() {
-		cut[s] = true
-	}
-	for _, s := range g.chaos.UnreachableSites() {
-		cut[s] = true
-	}
-	if len(cut) == 0 {
-		return in
-	}
-	out := make([]*shard, 0, len(in))
-	for _, s := range in {
-		if !cut[s.site] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // DegradedJSON marks a merged response assembled while part of the grid was
 // lost: which sites still contributed, and which were excluded and why.
 type DegradedJSON struct {
@@ -102,20 +75,51 @@ func (g *Gateway) degradedMarker() *DegradedJSON {
 	if len(down) == 0 && len(unreachable) == 0 {
 		return nil
 	}
-	cut := map[string]bool{}
-	for _, s := range down {
-		cut[s] = true
-	}
-	for _, s := range unreachable {
-		cut[s] = true
-	}
 	marker := &DegradedJSON{DownSites: down, UnreachableSites: unreachable}
+	cut := excludedSites(marker)
 	for _, site := range g.sites {
 		if !cut[site] {
 			marker.SurvivingSites = append(marker.SurvivingSites, site)
 		}
 	}
 	return marker
+}
+
+// excludedSites folds a degraded marker into the set of lost site labels
+// (nil while the grid is healthy).
+func excludedSites(d *DegradedJSON) map[string]bool {
+	if d == nil {
+		return nil
+	}
+	cut := make(map[string]bool, len(d.DownSites)+len(d.UnreachableSites))
+	for _, s := range d.DownSites {
+		cut[s] = true
+	}
+	for _, s := range d.UnreachableSites {
+		cut[s] = true
+	}
+	return cut
+}
+
+// liveShards drops the shards of the sites the marker names as lost. Down
+// sites are frozen; unreachable (partitioned) ones keep serving their
+// site-scoped routes, but merged views must not show state the merge plane
+// cannot reach. Filtering by the marker the response will carry — not by a
+// second look at the controller — is what makes one request see one grid
+// state: an outage landing mid-request can no longer yield a body that
+// omits a site yet carries no marker and no "|down:" key.
+func liveShards(in []*shard, d *DegradedJSON) []*shard {
+	cut := excludedSites(d)
+	if len(cut) == 0 {
+		return in
+	}
+	out := make([]*shard, 0, len(in))
+	for _, s := range in {
+		if !cut[s.site] {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // siteUnavailable answers for a route whose site is lost: 503 with a

@@ -131,7 +131,7 @@ func (g *Gateway) serveOARResources(w http.ResponseWriter, r *http.Request, fixe
 		// Scatter-gather over the surviving shards, shard order (= site
 		// order); lost shards are excluded and the marker says which.
 		degraded = g.degradedMarker()
-		for _, s := range g.availableShards(shards) {
+		for _, s := range liveShards(shards, degraded) {
 			nodes = append(nodes, s.resourcesScoped("", "")...)
 		}
 	}
@@ -202,7 +202,7 @@ func (g *Gateway) serveOARJobs(w http.ResponseWriter, r *http.Request, only []*s
 	var out OARJobsJSON
 	if only == nil {
 		out.Degraded = g.degradedMarker()
-		shards = g.availableShards(shards)
+		shards = liveShards(shards, out.Degraded)
 	}
 	for _, s := range shards {
 		fetch := limit
@@ -825,7 +825,7 @@ func (g *Gateway) handleBugs(w http.ResponseWriter, r *http.Request) {
 	family := r.URL.Query().Get("family")
 	var out BugsJSON
 	out.Degraded = g.degradedMarker()
-	for _, s := range g.availableShards(shards) {
+	for _, s := range liveShards(shards, out.Degraded) {
 		site := ""
 		if g.federated() {
 			site = s.site
@@ -891,7 +891,8 @@ type BugsRollupJSON struct {
 // per signature, widest burst first. The ETag is the joined per-site
 // tracker version vector (every File and Fix bumps it) — so a matching
 // conditional request means the cached body is exactly current, and a 304
-// costs no rollup and reads no ticket at all (see serveTrackerView).
+// costs no rollup and reads no ticket at all; a miss reads each tracker's
+// tickets together with its version and answers under that key (serveView).
 func (g *Gateway) handleBugsRollup(w http.ResponseWriter, r *http.Request) {
 	if len(g.trackers) == 0 {
 		notConfigured(w, "bug tracker")
@@ -906,24 +907,25 @@ func (g *Gateway) handleBugsRollup(w http.ResponseWriter, r *http.Request) {
 	keyOf := func(snaps []intel.TrackerSnapshot) string {
 		return "br" + intel.VersionKey64(snaps) + "|" + state + downSetKey(degraded)
 	}
-	g.serveTrackerView(w, r, &g.rollup, g.liveTrackers(excludedSites(degraded)), keyOf,
-		func(snaps []intel.TrackerSnapshot) any {
-			out := BugsRollupJSON{Degraded: degraded, Rollup: []BugRollupJSON{}}
-			for _, e := range bugs.RollupSorted(rollupFromSnapshots(snaps, state)) {
-				out.Rollup = append(out.Rollup, BugRollupJSON{
-					Signature:       e.Signature,
-					Title:           e.Title,
-					Family:          e.Family,
-					Sites:           e.Sites,
-					Tickets:         e.Tickets,
-					Open:            e.Open,
-					Occurrences:     e.Occurrences,
-					FirstFiledAtSec: e.FirstFiledAt.Seconds(),
-				})
-			}
-			out.Count = len(out.Rollup)
-			return out
-		})
+	trackers := g.liveTrackers(excludedSites(degraded))
+	serveView(w, r, &g.rollup, keyOf(intel.SnapshotVersions(trackers)), 0, false, func() (string, []byte, error) {
+		snaps := intel.SnapshotTrackers(trackers)
+		out := BugsRollupJSON{Degraded: degraded, Rollup: []BugRollupJSON{}}
+		for _, e := range bugs.RollupSorted(rollupFromSnapshots(snaps, state)) {
+			out.Rollup = append(out.Rollup, BugRollupJSON{
+				Signature:       e.Signature,
+				Title:           e.Title,
+				Family:          e.Family,
+				Sites:           e.Sites,
+				Tickets:         e.Tickets,
+				Open:            e.Open,
+				Occurrences:     e.Occurrences,
+				FirstFiledAtSec: e.FirstFiledAt.Seconds(),
+			})
+		}
+		out.Count = len(out.Rollup)
+		return rendered(keyOf(snaps), out)
+	})
 }
 
 // ---- status views ----------------------------------------------------------
@@ -968,7 +970,7 @@ func (g *Gateway) handleStatusGrid(w http.ResponseWriter, r *http.Request) {
 	merged := &status.Grid{Cells: map[string]map[string]status.CellStatus{}}
 	famSet := map[string]bool{}
 	tgtSet := map[string]bool{}
-	for _, s := range g.availableShards(shards) {
+	for _, s := range liveShards(shards, degraded) {
 		var grid *status.Grid
 		var err error
 		s.rlocked(func() { grid, err = s.statusClient.BuildGrid() })
@@ -1037,7 +1039,7 @@ func (g *Gateway) handleStatusTrend(w http.ResponseWriter, r *http.Request) {
 	}
 	degraded := g.degradedMarker()
 	var builds []ci.BuildJSON
-	for _, s := range g.availableShards(shards) {
+	for _, s := range liveShards(shards, degraded) {
 		var part []ci.BuildJSON
 		var gerr error
 		s.rlocked(func() { part, gerr = s.statusClient.AllBuilds() })

@@ -52,7 +52,6 @@ func ForFederation(fed *federation.Federation) *Gateway {
 		})
 	}
 	gw := NewFederated(shards)
-	gw.SetAdvanceWorkers(fed.Workers())
 	gw.SetChaos(fed)
 	gw.SetAdvance(fed.Advance)
 	gw.siteAdvance = fed.StepSite

@@ -76,11 +76,16 @@
 // progress. Monitoring queries additionally serialize per shard because a
 // flaky-kwapi roll draws from that shard's campaign RNG.
 //
-// The /ref endpoints are read-optimized: responses carry a strong ETag
-// derived from the store's version counter (federated: the joined counters
-// of every shard), conditional requests short-cut to 304 before any
-// snapshot is materialized or marshaled, and rendered bodies are cached
-// per version — hot reads cost two atomic counters and a map hit.
+// The /ref, /grid, /incidents, /bugs/rollup and /reliability/trend routes
+// are read-optimized, all through one path (serveView in view.go): a
+// response carries a strong ETag derived from version counters alone (a
+// store's, the joined counters of every shard, a tracker version vector),
+// a conditional request short-cuts to 304 before any snapshot is
+// materialized or marshaled, and each route keeps its last rendered body
+// under that key. Only a store's archived versions keep more — eight, the
+// lowest version leaving first, because a scraper walking more versions
+// than that in a cycle would miss every time under oldest-first eviction
+// (measured on the benchmark's cold walk: 8 hits in 11 instead of 0).
 //
 // # Degraded mode
 //
@@ -96,7 +101,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,13 +171,9 @@ type shard struct {
 	// the /status views, the same code path the external status page uses.
 	statusClient *status.Client
 
-	// Rendered-body caches for the hot /ref endpoints.
-	invMu    sync.Mutex
-	invCache map[int][]byte
-	diffMu   sync.Mutex
-	diffFrom int
-	diffTo   int
-	diffBody []byte
+	// Rendered bodies of the shard's single-store /ref routes: its newest
+	// requested versions, and its last diff.
+	inv, diff view
 }
 
 // rlocked runs fn under the shard's read gate.
@@ -194,17 +194,15 @@ type Gateway struct {
 	// monolithic and whole-site layouts, one per cluster under
 	// micro-sharding. A site's first shard is its *coordinator* (the
 	// federation files grid tickets there, and the site CI proxy targets
-	// it). A monolithic shard claims every site of its testbed.
+	// it). A monolithic shard claims every site of its testbed. siteRef
+	// holds each site's joined /sites/{site}/ref bodies; like the other
+	// two it is built at assembly and only read afterwards.
 	sites      []string
 	siteShards map[string][]*shard
+	siteRef    map[string]*siteViews
 
 	// metrics is keyed by mux pattern; read-only after assembly.
 	metrics map[string]*endpointMetrics
-
-	// advanceWorkers bounds how many shards Advance steps concurrently
-	// (0 = all at once). ForFederation sets it from the federation's own
-	// worker cap so live serving honours the same bound as the engine.
-	advanceWorkers int
 
 	// chaos, when set, drives degraded-mode routing: lost sites answer 503,
 	// merged views exclude them and carry a degraded marker, and the /chaos
@@ -231,20 +229,6 @@ type Gateway struct {
 	// a bounded reservation queue and 429 load shedding (see admission.go).
 	admission *admit.Controller
 
-	// Federated /ref rendered-body caches, keyed by the joined version
-	// string of all shards (see ref.go).
-	fedMu       sync.Mutex
-	fedInvKey   string
-	fedInvBody  []byte
-	fedDiffKey  string
-	fedDiffBody []byte
-
-	// Joined site-scoped /ref caches for micro-sharded sites, keyed by
-	// site; each entry carries its own joined-version key (see ref.go).
-	siteRefMu     sync.Mutex
-	siteInvCache  map[string]siteRefCache
-	siteDiffCache map[string]siteRefCache
-
 	// Grid intelligence (internal/intel): the federated archive and
 	// tracker sources assembled over the shards at construction, and the
 	// stored fleet reliability trend (see intel.go).
@@ -252,22 +236,9 @@ type Gateway struct {
 	trackers    []intel.SiteTracker
 	reliability *intel.TrendStore
 
-	// Rendered-body caches for the intel endpoints, each keyed by its
-	// composite version key (+ the down-set suffix).
-	intelMu      sync.Mutex
-	gridAtKey    string
-	gridAtBody   []byte
-	gridDiffKey  string
-	gridDiffBody []byte
-	incidents    keyedBody
-	rollup       keyedBody
-}
-
-// keyedBody is a one-entry rendered-body cache: the body and the key it
-// was rendered under.
-type keyedBody struct {
-	key  string
-	body []byte
+	// Rendered bodies of the merged conditional-GET routes, one each (see
+	// view.go).
+	fedInv, fedDiff, gridAt, gridDiff, incidents, rollup, trend view
 }
 
 // New assembles a single-shard gateway over the configured subsystems —
@@ -289,9 +260,10 @@ func NewFederated(shardCfgs []ShardConfig) *Gateway {
 		started:    time.Now(),
 		metrics:    map[string]*endpointMetrics{},
 		siteShards: map[string][]*shard{},
+		siteRef:    map[string]*siteViews{},
 	}
 	for i, sc := range shardCfgs {
-		s := &shard{site: sc.Site, cluster: sc.Cluster, idx: i, cfg: sc.Config, invCache: map[int][]byte{}}
+		s := &shard{site: sc.Site, cluster: sc.Cluster, idx: i, cfg: sc.Config, inv: view{bound: archivedBodies}}
 		if sc.CI != nil {
 			s.statusClient = status.NewLocalClient(sc.CI.Handler())
 		}
@@ -306,6 +278,7 @@ func NewFederated(shardCfgs []ShardConfig) *Gateway {
 			}
 			if len(ss) == 0 {
 				g.sites = append(g.sites, site)
+				g.siteRef[site] = &siteViews{}
 			}
 			g.siteShards[site] = append(ss, s)
 		}
@@ -384,15 +357,10 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// SetAdvanceWorkers bounds how many shards Advance steps concurrently
-// (n <= 0 restores the default: all shards at once). Call before serving.
-func (g *Gateway) SetAdvanceWorkers(n int) { g.advanceWorkers = n }
-
-// Advance steps every shard's campaign by d of simulated time. Each shard
-// steps under its own write lock, so requests against one shard proceed
-// while another is still advancing; a multi-shard advance fans the shards
-// out across up to SetAdvanceWorkers goroutines (they share no simulation
-// state). A no-op for shards assembled without an Advance hook. With an
+// Advance steps every shard's campaign by d of simulated time, all shards
+// at once (they share no simulation state). Each steps under its own write
+// lock, so requests against one shard proceed while another is still
+// advancing. A no-op for shards assembled without an Advance hook. With an
 // advance override installed (ForFederation), the external driver runs
 // instead — it reaches back into the shards through their step gates.
 func (g *Gateway) Advance(d simclock.Time) {
@@ -403,31 +371,14 @@ func (g *Gateway) Advance(d simclock.Time) {
 		return
 	}
 	defer g.pumpAdmission()
-	if len(g.shards) == 1 {
-		g.advanceShard(g.shards[0], d)
-		return
-	}
-	workers := g.advanceWorkers
-	if workers <= 0 || workers > len(g.shards) {
-		workers = len(g.shards)
-	}
-	jobs := make(chan *shard)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range jobs {
-				g.advanceShard(s, d)
-			}
-		}()
-	}
 	for _, s := range g.shards {
-		if s.cfg.Advance != nil {
-			jobs <- s
-		}
+		wg.Add(1)
+		go func(s *shard) {
+			defer wg.Done()
+			g.advanceShard(s, d)
+		}(s)
 	}
-	close(jobs)
 	wg.Wait()
 }
 
@@ -797,22 +748,4 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 // notConfigured answers for endpoints whose subsystem was not wired in.
 func notConfigured(w http.ResponseWriter, what string) {
 	httpError(w, http.StatusServiceUnavailable, what+" not configured")
-}
-
-// etagMatches implements the If-None-Match comparison for strong ETags:
-// "*" matches anything, otherwise any listed tag must equal etag (weak
-// validators — W/ prefixed — are compared by their opaque part, per the
-// weak comparison RFC 9110 prescribes for If-None-Match).
-func etagMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		part = strings.TrimPrefix(part, "W/")
-		if part == "*" || part == etag {
-			return true
-		}
-	}
-	return false
 }

@@ -310,39 +310,6 @@ func TestInventoryETag(t *testing.T) {
 	}
 }
 
-// TestInventoryCacheBound: the rendered-body cache must stay bounded no
-// matter the access pattern — including a client scraping archived
-// history newest-to-oldest, where no cached entry is older than the
-// requested one.
-func TestInventoryCacheBound(t *testing.T) {
-	f, gw := newCampaign(t, 31, 0, simclock.Hour)
-	c := inproc.Client(gw)
-	nodes := f.TB.Nodes()
-	const versions = 40
-	for u := 0; u < versions; u++ {
-		n := nodes[u%len(nodes)]
-		inv := n.Inv.Clone()
-		inv.RAMGB = 16 + u
-		if err := f.Ref.Update(f.Clock.Now(), n.Name, inv); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Descending scrape of the whole archive.
-	for v := f.Ref.VersionCount(); v >= 1; v-- {
-		resp, _ := get(t, c, fmt.Sprintf("/ref/inventory?version=%d", v))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("version %d status = %d", v, resp.StatusCode)
-		}
-	}
-	s := gw.shards[0]
-	s.invMu.Lock()
-	size := len(s.invCache)
-	s.invMu.Unlock()
-	if size > 8 {
-		t.Fatalf("inventory cache grew to %d entries (bound is 8)", size)
-	}
-}
-
 // TestNonFiniteParams: NaN/Inf query values must be rejected up front —
 // NaN slides past ordering checks and would otherwise surface as a
 // body that does not encode, which answers 500.

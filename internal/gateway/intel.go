@@ -7,18 +7,18 @@ package gateway
 //	GET /incidents[?at=S]     cross-site incident rollup (live or as-of)
 //	GET /reliability/trend    fleet reliability confidence bands
 //
-// All four follow the /ref conditional-request discipline: the ETag is a
-// strong composite key (archive version vector, tracker version vector, or
-// trend version) computed without materializing anything, a matching
-// If-None-Match short-cuts to 304, and rendered bodies are cached under
-// that same key. The key and the body are pinned to each other — vector
-// reads happen under the shard gates, bodies are materialized from the
-// exact versions the key names (GridArchive.Materialize / DiffVector,
-// intel.TrackerSnapshot) — so a body can never be newer than its ETag even
-// while a campaign advances mid-request. Degraded mode composes the same
-// way as /ref: lost sites drop out of the vector and the key carries the
-// down-set suffix, so a degraded body never answers a whole-grid
-// conditional request.
+// All four follow the /ref conditional-request discipline through the same
+// serveView (view.go): the ETag is a strong composite key (archive version
+// vector, tracker version vector, or trend version) computed without
+// materializing anything, a matching If-None-Match short-cuts to 304, and
+// the rendered body is kept under that same key, one per route. The key and
+// the body are pinned to each other — vector reads happen under the shard
+// gates, bodies are materialized from the exact versions the key names
+// (GridArchive.Materialize / DiffVector, intel.TrackerSnapshot) — so a body
+// can never be newer than its ETag even while a campaign advances
+// mid-request. Degraded mode composes the same way as /ref: lost sites drop
+// out of the vector and the key carries the down-set suffix, so a degraded
+// body never answers a whole-grid conditional request.
 
 import (
 	"fmt"
@@ -30,22 +30,6 @@ import (
 	"repro/internal/refapi"
 	"repro/internal/wire"
 )
-
-// excludedSites folds a degraded marker into the site-label exclusion set
-// the intel passes consume (nil while the grid is healthy).
-func excludedSites(d *DegradedJSON) map[string]bool {
-	if d == nil {
-		return nil
-	}
-	cut := make(map[string]bool, len(d.DownSites)+len(d.UnreachableSites))
-	for _, s := range d.DownSites {
-		cut[s] = true
-	}
-	for _, s := range d.UnreachableSites {
-		cut[s] = true
-	}
-	return cut
-}
 
 // liveTrackers filters the assembled tracker sources down to the surviving
 // sites.
@@ -123,17 +107,7 @@ func (g *Gateway) handleGridAt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := "ga" + intel.VersionKey(vec) + downSetKey(degraded)
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.intelMu.Lock()
-	body := g.gridAtBody
-	hit := g.gridAtKey == key && body != nil
-	g.intelMu.Unlock()
-	if !hit {
+	serveView(w, r, &g.gridAt, key, 0, false, func() (string, []byte, error) {
 		snap := g.archive.Materialize(vec)
 		out := GridAtJSON{
 			Degraded: degraded,
@@ -149,17 +123,8 @@ func (g *Gateway) handleGridAt(w http.ResponseWriter, r *http.Request) {
 				Inventory:  sc.Snapshot,
 			})
 		}
-		body, err = wire.MarshalIndent(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		g.intelMu.Lock()
-		g.gridAtKey, g.gridAtBody = key, body
-		g.intelMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+		return rendered(key, out)
+	})
 }
 
 // ---- GET /grid/diff ---------------------------------------------------------
@@ -222,17 +187,7 @@ func (g *Gateway) handleGridDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := "gd" + intel.VersionKey(vecFrom) + "-" + intel.VersionKey(vecTo) + downSetKey(degraded)
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.intelMu.Lock()
-	body := g.gridDiffBody
-	hit := g.gridDiffKey == key && body != nil
-	g.intelMu.Unlock()
-	if !hit {
+	serveView(w, r, &g.gridDiff, key, 0, false, func() (string, []byte, error) {
 		diff := g.archive.DiffVector(vecFrom, vecTo)
 		out := GridDiffJSON{
 			Degraded: degraded,
@@ -248,17 +203,8 @@ func (g *Gateway) handleGridDiff(w http.ResponseWriter, r *http.Request) {
 				Differences: sd.Differences,
 			})
 		}
-		body, err = wire.MarshalIndent(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		g.intelMu.Lock()
-		g.gridDiffKey, g.gridDiffBody = key, body
-		g.intelMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+		return rendered(key, out)
+	})
 }
 
 // ---- GET /incidents ---------------------------------------------------------
@@ -314,73 +260,37 @@ func (g *Gateway) handleIncidents(w http.ResponseWriter, r *http.Request) {
 	keyOf := func(snaps []intel.TrackerSnapshot) string {
 		return "inc" + intel.VersionKey64(snaps) + "|" + state + "|at:" + atLabel + downSetKey(degraded)
 	}
-	g.serveTrackerView(w, r, &g.incidents, g.liveTrackers(excludedSites(degraded)), keyOf,
-		func(snaps []intel.TrackerSnapshot) any {
-			incidents := intel.CorrelateSnapshots(snaps, opts)
-			out := IncidentsJSON{
-				Degraded:  degraded,
-				AtSec:     atSec,
-				Count:     len(incidents),
-				Incidents: make([]IncidentJSON, 0, len(incidents)),
-			}
-			for _, in := range incidents {
-				st := "closed"
-				if in.Open {
-					st = "open"
-				}
-				out.Incidents = append(out.Incidents, IncidentJSON{
-					Signature:    in.Signature,
-					Title:        in.Title,
-					Family:       in.Family,
-					Sites:        in.Sites,
-					Tickets:      in.Tickets,
-					OpenTickets:  in.OpenTickets,
-					Occurrences:  in.Occurrences,
-					Reopens:      in.Reopens,
-					State:        st,
-					FirstSeenSec: in.FirstSeen.Seconds(),
-					LastSeenSec:  in.LastSeen.Seconds(),
-				})
-			}
-			return out
-		})
-}
-
-// serveTrackerView answers a route whose body is a function of the live
-// trackers' tickets, under the strong ETag keyOf derives from their version
-// vector. A conditional request that matches, and one the cached body
-// answers, read the version vector only — no ticket is touched. A miss
-// reads the tickets by value, each tracker's together with its version
-// under the shard gate, and serves and caches the body under the key of
-// that read: a campaign step between the two reads moves the answer to the
-// newer key instead of filing newer tickets under the older one.
-func (g *Gateway) serveTrackerView(w http.ResponseWriter, r *http.Request, cache *keyedBody,
-	trackers []intel.SiteTracker, keyOf func([]intel.TrackerSnapshot) string,
-	view func([]intel.TrackerSnapshot) any) {
-	key := keyOf(intel.SnapshotVersions(trackers))
-	if etag := `"` + key + `"`; etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.intelMu.Lock()
-	cached := *cache
-	g.intelMu.Unlock()
-	if cached.key != key || cached.body == nil {
+	trackers := g.liveTrackers(excludedSites(degraded))
+	serveView(w, r, &g.incidents, keyOf(intel.SnapshotVersions(trackers)), 0, false, func() (string, []byte, error) {
 		snaps := intel.SnapshotTrackers(trackers)
-		body, err := wire.MarshalIndent(view(snaps))
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
+		incidents := intel.CorrelateSnapshots(snaps, opts)
+		out := IncidentsJSON{
+			Degraded:  degraded,
+			AtSec:     atSec,
+			Count:     len(incidents),
+			Incidents: make([]IncidentJSON, 0, len(incidents)),
 		}
-		cached = keyedBody{key: keyOf(snaps), body: body}
-		g.intelMu.Lock()
-		*cache = cached
-		g.intelMu.Unlock()
-	}
-	w.Header().Set("ETag", `"`+cached.key+`"`)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(cached.body) //nolint:errcheck
+		for _, in := range incidents {
+			st := "closed"
+			if in.Open {
+				st = "open"
+			}
+			out.Incidents = append(out.Incidents, IncidentJSON{
+				Signature:    in.Signature,
+				Title:        in.Title,
+				Family:       in.Family,
+				Sites:        in.Sites,
+				Tickets:      in.Tickets,
+				OpenTickets:  in.OpenTickets,
+				Occurrences:  in.Occurrences,
+				Reopens:      in.Reopens,
+				State:        st,
+				FirstSeenSec: in.FirstSeen.Seconds(),
+				LastSeenSec:  in.LastSeen.Seconds(),
+			})
+		}
+		return rendered(keyOf(snaps), out)
+	})
 }
 
 // ---- GET /reliability/trend -------------------------------------------------
@@ -399,15 +309,14 @@ func (g *Gateway) handleReliabilityTrend(w http.ResponseWriter, r *http.Request)
 			"no reliability trend computed yet; run a fleet sweep (g5ktest -reliability) and install it with SetReliabilityTrend")
 		return
 	}
-	etag := `"r` + strconv.Itoa(ver) + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	// Served verbatim: a client decoding this body holds the exact Trend
-	// the CLI renders, which is what the shared-renderer equality rests on.
-	writeJSON(w, trend)
+	key := "r" + strconv.Itoa(ver)
+	serveView(w, r, &g.trend, key, 0, false, func() (string, []byte, error) {
+		// Served verbatim: a client decoding this body holds the exact Trend
+		// the CLI renders, which is what the shared-renderer equality rests
+		// on. The body has always ended with the Encoder's newline.
+		body, err := wire.MarshalIndent(trend)
+		return key, append(body, '\n'), err
+	})
 }
 
 // rollupFromSnapshots folds pre-read tracker snapshots into the /bugs/rollup

@@ -1,15 +1,18 @@
 package gateway
 
 // The Reference API endpoints. These are the gateway's hottest reads —
-// scripts poll the testbed description constantly — so both are built
-// around the store's monotone version counter:
+// scripts poll the testbed description constantly — so every one of them
+// is a key and a render function handed to serveView (view.go), and the
+// keys are built from the stores' monotone version counters:
 //
 //   - the ETag of /ref/inventory?version=N is "vN"; the current inventory's
 //     ETag advances exactly when Store.Update archives a new version;
 //   - a conditional request whose ETag still matches returns 304 before any
 //     snapshot is materialized or marshaled;
-//   - rendered bodies are cached per version, so even non-conditional hot
-//     reads marshal each version once.
+//   - rendered bodies are kept per key — one per route, except a store's
+//     archived versions, of which the newest few asked for stay (view.store
+//     has the rule and the measurement behind it) — so even non-conditional
+//     hot reads marshal each version once.
 //
 // On a federated gateway the unscoped paths scatter-gather: the ETag joins
 // every shard's version counter ("v3.1.7"), a conditional hit answers 304
@@ -29,10 +32,7 @@ import (
 	"strings"
 
 	"repro/internal/refapi"
-	"repro/internal/wire"
 )
-
-func versionETag(v int) string { return `"v` + strconv.Itoa(v) + `"` }
 
 // parseVersion reads a 1-based version query parameter; 0 means "not
 // given".
@@ -48,11 +48,6 @@ func parseVersion(r *http.Request, key string) (int, error) {
 	return v, nil
 }
 
-// refShards returns the shards carrying a Reference API store.
-func (g *Gateway) refShards() []*shard {
-	return refShardsOf(g.shards)
-}
-
 // refShardsOf filters a shard set down to those carrying a Reference API
 // store.
 func refShardsOf(shards []*shard) []*shard {
@@ -65,17 +60,6 @@ func refShardsOf(shards []*shard) []*shard {
 	return out
 }
 
-// siteClusterShard finds the shard in a site's set labeled with the named
-// cluster.
-func siteClusterShard(shards []*shard, cluster string) *shard {
-	for _, s := range shards {
-		if s.cluster == cluster {
-			return s
-		}
-	}
-	return nil
-}
-
 // clusterList renders a site's micro-shard cluster labels for error hints.
 func clusterList(shards []*shard) string {
 	names := make([]string, len(shards))
@@ -86,7 +70,18 @@ func clusterList(shards []*shard) string {
 }
 
 func (g *Gateway) handleRefInventory(w http.ResponseWriter, r *http.Request) {
-	shards := g.refShards()
+	g.serveRef(w, r, g.serveShardInventory, g.serveFederatedInventory)
+}
+
+func (g *Gateway) handleRefDiff(w http.ResponseWriter, r *http.Request) {
+	g.serveRef(w, r, g.serveShardDiff, g.serveFederatedDiff)
+}
+
+// serveRef dispatches an unscoped /ref route: a gateway over one store
+// serves it with single-store semantics, a federated one the merged view.
+func (g *Gateway) serveRef(w http.ResponseWriter, r *http.Request,
+	one func(*shard, http.ResponseWriter, *http.Request), merged func([]*shard, http.ResponseWriter, *http.Request)) {
+	shards := refShardsOf(g.shards)
 	switch len(shards) {
 	case 0:
 		notConfigured(w, "reference API")
@@ -95,9 +90,9 @@ func (g *Gateway) handleRefInventory(w http.ResponseWriter, r *http.Request) {
 			siteUnavailable(w, shards[0].site)
 			return
 		}
-		g.serveShardInventory(shards[0], w, r)
+		one(shards[0], w, r)
 	default:
-		g.serveFederatedInventory(shards, w, r)
+		merged(shards, w, r)
 	}
 }
 
@@ -150,70 +145,17 @@ func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.R
 		httpError(w, http.StatusNotFound, fmt.Sprintf("version %d not archived (latest is %d)", ver, cur))
 		return
 	}
-	etag := versionETag(ver)
-	w.Header().Set("ETag", etag)
-	if ver < cur {
-		// Archived versions are immutable: let clients cache them hard.
-		w.Header().Set("Cache-Control", "public, max-age=86400")
-	}
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	body, err := s.inventoryBody(ver)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
-}
-
-// inventoryBody returns the rendered JSON of one archived version, from the
-// per-version cache when possible. The cache is bounded: campaigns archive
-// thousands of versions but traffic concentrates on the newest few. The
-// render happens outside invMu — cache hits (the hot path) must never
-// queue behind a cache miss marshaling a multi-thousand-node snapshot; a
-// duplicate render per version under contention is the cheaper price.
-func (s *shard) inventoryBody(ver int) ([]byte, error) {
-	s.invMu.Lock()
-	body, ok := s.invCache[ver]
-	s.invMu.Unlock()
-	if ok {
-		return body, nil
-	}
-	var snap *refapi.Snapshot
-	s.rlocked(func() { snap = s.cfg.Ref.Version(ver) })
-	if snap == nil {
-		return nil, fmt.Errorf("version %d vanished", ver)
-	}
-	body, err := snap.MarshalJSONIndent()
-	if err != nil {
-		return nil, err
-	}
-	s.invMu.Lock()
-	defer s.invMu.Unlock()
-	if cached, ok := s.invCache[ver]; ok {
-		return cached, nil // raced with another renderer; keep its copy
-	}
-	// Bounded: evict oldest versions first, never the one just rendered —
-	// under churn the hot current version must stay cached. When every
-	// cached entry is newer (a client scraping history oldest-ward), skip
-	// caching entirely rather than grow past the bound.
-	for len(s.invCache) >= 8 {
-		oldest := ver
-		for v := range s.invCache {
-			if v < oldest {
-				oldest = v
-			}
+	key := "v" + strconv.Itoa(ver)
+	// Archived versions are immutable: let clients cache them hard.
+	serveView(w, r, &s.inv, key, ver, ver < cur, func() (string, []byte, error) {
+		var snap *refapi.Snapshot
+		s.rlocked(func() { snap = st.Version(ver) })
+		if snap == nil {
+			return "", nil, fmt.Errorf("version %d vanished", ver)
 		}
-		if oldest == ver {
-			return body, nil
-		}
-		delete(s.invCache, oldest)
-	}
-	s.invCache[ver] = body
-	return body, nil
+		body, err := snap.MarshalJSONIndent()
+		return key, body, err
+	})
 }
 
 // ClusterInventoryJSON is one store's slice of a site inventory section —
@@ -263,51 +205,44 @@ func (g *Gateway) serveFederatedInventory(shards []*shard, w http.ResponseWriter
 		return
 	}
 	degraded := g.degradedMarker()
-	shards = g.availableShards(shards)
+	shards = liveShards(shards, degraded)
 	key, vers := joinedVersions(shards)
 	key += downSetKey(degraded)
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.fedMu.Lock()
-	body := g.fedInvBody
-	hit := g.fedInvKey == key && body != nil
-	g.fedMu.Unlock()
-	if !hit {
-		out := FederatedInventoryJSON{Degraded: degraded, Sites: []SiteInventoryJSON{}}
-		idxOf := map[string]int{}
-		for i, s := range shards {
-			var snap *refapi.Snapshot
-			s.rlocked(func() { snap = s.cfg.Ref.Version(vers[i]) })
-			if snap == nil {
-				httpError(w, http.StatusInternalServerError,
-					fmt.Sprintf("site %q version %d vanished", s.site, vers[i]))
-				return
-			}
-			j, ok := idxOf[s.site]
-			if !ok {
-				j = len(out.Sites)
-				idxOf[s.site] = j
-				out.Sites = append(out.Sites, SiteInventoryJSON{Site: s.site})
-			}
-			out.Sites[j].Clusters = append(out.Sites[j].Clusters,
-				ClusterInventoryJSON{Cluster: s.cluster, Version: vers[i], Inventory: snap})
-		}
-		var err error
-		body, err = wire.MarshalIndent(out)
+	serveView(w, r, &g.fedInv, key, 0, false, func() (string, []byte, error) {
+		sites, err := inventorySections(shards, vers, "")
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
+			return "", nil, err
 		}
-		g.fedMu.Lock()
-		g.fedInvKey, g.fedInvBody = key, body
-		g.fedMu.Unlock()
+		return rendered(key, FederatedInventoryJSON{Degraded: degraded, Sites: sites})
+	})
+}
+
+// inventorySections renders each shard's store at the version named for it:
+// one section per shard site label, in shard order — or, when as is set, a
+// single section of that name (a site's joined view over its own shards).
+func inventorySections(shards []*shard, vers []int, as string) ([]SiteInventoryJSON, error) {
+	out := []SiteInventoryJSON{}
+	idxOf := map[string]int{}
+	for i, s := range shards {
+		var snap *refapi.Snapshot
+		s.rlocked(func() { snap = s.cfg.Ref.Version(vers[i]) })
+		if snap == nil {
+			return nil, fmt.Errorf("site %q cluster %q version %d vanished", s.site, s.cluster, vers[i])
+		}
+		site := as
+		if site == "" {
+			site = s.site
+		}
+		j, ok := idxOf[site]
+		if !ok {
+			j = len(out)
+			idxOf[site] = j
+			out = append(out, SiteInventoryJSON{Site: site})
+		}
+		out[j].Clusters = append(out[j].Clusters,
+			ClusterInventoryJSON{Cluster: s.cluster, Version: vers[i], Inventory: snap})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+	return out, nil
 }
 
 // RefDiffJSON is the wire form of GET /ref/diff.
@@ -334,22 +269,6 @@ type FederatedDiffJSON struct {
 	Degraded *DegradedJSON  `json:"degraded,omitempty"`
 	Count    int            `json:"count"`
 	Sites    []SiteDiffJSON `json:"sites"`
-}
-
-func (g *Gateway) handleRefDiff(w http.ResponseWriter, r *http.Request) {
-	shards := g.refShards()
-	switch len(shards) {
-	case 0:
-		notConfigured(w, "reference API")
-	case 1:
-		if g.shardDown(shards[0]) {
-			siteUnavailable(w, shards[0].site)
-			return
-		}
-		g.serveShardDiff(shards[0], w, r)
-	default:
-		g.serveFederatedDiff(shards, w, r)
-	}
 }
 
 func (g *Gateway) serveShardDiff(s *shard, w http.ResponseWriter, r *http.Request) {
@@ -384,44 +303,16 @@ func (g *Gateway) serveShardDiff(s *shard, w http.ResponseWriter, r *http.Reques
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("from %d > to %d", from, to))
 		return
 	}
-	etag := fmt.Sprintf(`"v%d-v%d"`, from, to)
-	w.Header().Set("ETag", etag)
-	if to < cur {
-		w.Header().Set("Cache-Control", "public, max-age=86400")
-	}
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	body, err := s.refDiffBody(from, to)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
-}
-
-// refDiffBody renders (and memoizes) the diff between two archived
-// versions. A single-entry cache suffices: traffic overwhelmingly asks for
-// the same (latest-1, latest) pair until the store moves on.
-func (s *shard) refDiffBody(from, to int) ([]byte, error) {
-	s.diffMu.Lock()
-	defer s.diffMu.Unlock()
-	if s.diffBody != nil && s.diffFrom == from && s.diffTo == to {
-		return s.diffBody, nil
-	}
-	diffs, err := s.diffSlice(from, to)
-	if err != nil {
-		return nil, err
-	}
-	out := RefDiffJSON{From: from, To: to, Count: len(diffs), Differences: diffs}
-	body, err := wire.MarshalIndent(out)
-	if err != nil {
-		return nil, err
-	}
-	s.diffFrom, s.diffTo, s.diffBody = from, to, body
-	return body, nil
+	// A single body suffices: traffic overwhelmingly asks for the same
+	// (latest-1, latest) pair until the store moves on.
+	key := fmt.Sprintf("v%d-v%d", from, to)
+	serveView(w, r, &s.diff, key, 0, to < cur, func() (string, []byte, error) {
+		diffs, err := s.diffSlice(from, to)
+		if err != nil {
+			return "", nil, err
+		}
+		return rendered(key, RefDiffJSON{From: from, To: to, Count: len(diffs), Differences: diffs})
+	})
 }
 
 // diffSlice computes the differences between two archived versions under
@@ -447,216 +338,122 @@ func (g *Gateway) serveFederatedDiff(shards []*shard, w http.ResponseWriter, r *
 		return
 	}
 	degraded := g.degradedMarker()
-	shards = g.availableShards(shards)
+	shards = liveShards(shards, degraded)
 	key, vers := joinedVersions(shards)
 	key = "d" + key + downSetKey(degraded)
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.fedMu.Lock()
-	body := g.fedDiffBody
-	hit := g.fedDiffKey == key && body != nil
-	g.fedMu.Unlock()
-	if !hit {
-		out := FederatedDiffJSON{Degraded: degraded, Sites: []SiteDiffJSON{}}
-		idxOf := map[string]int{}
-		for i, s := range shards {
-			to := vers[i]
-			from := to - 1
-			if from < 1 {
-				from = 1
-			}
-			diffs, err := s.diffSlice(from, to)
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			j, ok := idxOf[s.site]
-			if !ok {
-				j = len(out.Sites)
-				idxOf[s.site] = j
-				out.Sites = append(out.Sites, SiteDiffJSON{Site: s.site})
-			}
-			out.Sites[j].Clusters = append(out.Sites[j].Clusters,
-				RefDiffJSON{Cluster: s.cluster, From: from, To: to,
-					Count: len(diffs), Differences: diffs})
-			out.Sites[j].Count += len(diffs)
-			out.Count += len(diffs)
-		}
+	serveView(w, r, &g.fedDiff, key, 0, false, func() (string, []byte, error) {
+		out := FederatedDiffJSON{Degraded: degraded}
 		var err error
-		body, err = wire.MarshalIndent(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
+		if out.Sites, err = diffSections(shards, vers, ""); err != nil {
+			return "", nil, err
 		}
-		g.fedMu.Lock()
-		g.fedDiffKey, g.fedDiffBody = key, body
-		g.fedMu.Unlock()
+		for _, site := range out.Sites {
+			out.Count += site.Count
+		}
+		return rendered(key, out)
+	})
+}
+
+// diffSections renders each shard's latest-step diff at the version named
+// for it, sectioned like inventorySections.
+func diffSections(shards []*shard, vers []int, as string) ([]SiteDiffJSON, error) {
+	out := []SiteDiffJSON{}
+	idxOf := map[string]int{}
+	for i, s := range shards {
+		to := vers[i]
+		from := max(to-1, 1)
+		diffs, err := s.diffSlice(from, to)
+		if err != nil {
+			return nil, err
+		}
+		site := as
+		if site == "" {
+			site = s.site
+		}
+		j, ok := idxOf[site]
+		if !ok {
+			j = len(out)
+			idxOf[site] = j
+			out = append(out, SiteDiffJSON{Site: site})
+		}
+		out[j].Clusters = append(out[j].Clusters,
+			RefDiffJSON{Cluster: s.cluster, From: from, To: to, Count: len(diffs), Differences: diffs})
+		out[j].Count += len(diffs)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+	return out, nil
 }
 
 // ---- site-scoped views over micro-shards ------------------------------------
 
-// siteRefCache is one rendered joined site view plus the joined version
-// key it was rendered at.
-type siteRefCache struct {
-	key  string
-	body []byte
+// siteViews holds the joined /sites/{site}/ref bodies of one site.
+type siteViews struct{ inv, diff view }
+
+// serveSiteRef dispatches a /sites/{site}/ref route. A site with a single
+// store keeps full single-store semantics on the bare path (one). A
+// micro-sharded site serves a joined per-cluster view by default (joined)
+// and requires ?cluster=X for the parameters in perStore — archived access,
+// which then has full single-store semantics against that cluster's store.
+func (g *Gateway) serveSiteRef(w http.ResponseWriter, r *http.Request, site, what string, perStore []string,
+	one func(*shard, http.ResponseWriter, *http.Request), joined func([]*shard)) {
+	shards := refShardsOf(g.siteShards[site])
+	if len(shards) == 0 {
+		notConfigured(w, "reference API")
+		return
+	}
+	if len(shards) == 1 {
+		one(shards[0], w, r)
+		return
+	}
+	q := r.URL.Query()
+	if cl := q.Get("cluster"); cl != "" {
+		for _, s := range shards {
+			if s.cluster == cl {
+				one(s, w, r)
+				return
+			}
+		}
+		httpError(w, http.StatusNotFound, fmt.Sprintf("no cluster %q at site %q", cl, site))
+		return
+	}
+	for _, param := range perStore {
+		if q.Get(param) != "" {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf(
+				"site %q is micro-sharded and %s per cluster store; add ?cluster=X (one of: %s)",
+				site, what, clusterList(shards)))
+			return
+		}
+	}
+	joined(shards)
 }
 
-// serveSiteInventory implements /sites/{site}/ref/inventory. A site with a
-// single store keeps full single-store semantics on the bare path
-// (?version=, ?at=, per-version ETags). A micro-sharded site serves a
-// joined per-cluster view by default — ETag "sv3.1.7" over its stores'
-// version counters, conditional 304s, body cached per joined version —
-// and requires ?cluster=X for archived access, which then has full
-// single-store semantics against that cluster's store.
+// serveSiteInventory implements /sites/{site}/ref/inventory; the joined
+// view's ETag is "sv3.1.7" over the site's stores' version counters.
 func (g *Gateway) serveSiteInventory(w http.ResponseWriter, r *http.Request, site string) {
-	shards := refShardsOf(g.siteShards[site])
-	if len(shards) == 0 {
-		notConfigured(w, "reference API")
-		return
-	}
-	if len(shards) == 1 {
-		g.serveShardInventory(shards[0], w, r)
-		return
-	}
-	q := r.URL.Query()
-	if cl := q.Get("cluster"); cl != "" {
-		s := siteClusterShard(shards, cl)
-		if s == nil {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("no cluster %q at site %q", cl, site))
-			return
-		}
-		g.serveShardInventory(s, w, r)
-		return
-	}
-	if q.Get("version") != "" || q.Get("at") != "" {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf(
-			"site %q is micro-sharded and archives are per cluster store; add ?cluster=X (one of: %s)",
-			site, clusterList(shards)))
-		return
-	}
-	key, vers := joinedVersions(shards)
-	key = "s" + key
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.siteRefMu.Lock()
-	cached := g.siteInvCache[site]
-	g.siteRefMu.Unlock()
-	body := cached.body
-	if cached.key != key || body == nil {
-		out := SiteInventoryJSON{Site: site}
-		for i, s := range shards {
-			var snap *refapi.Snapshot
-			s.rlocked(func() { snap = s.cfg.Ref.Version(vers[i]) })
-			if snap == nil {
-				httpError(w, http.StatusInternalServerError,
-					fmt.Sprintf("cluster %q version %d vanished", s.cluster, vers[i]))
-				return
+	g.serveSiteRef(w, r, site, "archives are", []string{"version", "at"}, g.serveShardInventory, func(shards []*shard) {
+		key, vers := joinedVersions(shards)
+		key = "s" + key
+		serveView(w, r, &g.siteRef[site].inv, key, 0, false, func() (string, []byte, error) {
+			sections, err := inventorySections(shards, vers, site)
+			if err != nil {
+				return "", nil, err
 			}
-			out.Clusters = append(out.Clusters,
-				ClusterInventoryJSON{Cluster: s.cluster, Version: vers[i], Inventory: snap})
-		}
-		var err error
-		body, err = wire.MarshalIndent(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		g.siteRefMu.Lock()
-		if g.siteInvCache == nil {
-			g.siteInvCache = map[string]siteRefCache{}
-		}
-		g.siteInvCache[site] = siteRefCache{key: key, body: body}
-		g.siteRefMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+			return rendered(key, sections[0])
+		})
+	})
 }
 
-// serveSiteDiff implements /sites/{site}/ref/diff with the same shape as
-// serveSiteInventory: single-store semantics for a one-store site or with
-// ?cluster=X, a joined latest-step per-cluster view ("sd"-prefixed ETag)
-// otherwise; ?from=/?to= on the joined view point at ?cluster=.
+// serveSiteDiff implements /sites/{site}/ref/diff; the joined view is each
+// store's latest step ("sd"-prefixed ETag).
 func (g *Gateway) serveSiteDiff(w http.ResponseWriter, r *http.Request, site string) {
-	shards := refShardsOf(g.siteShards[site])
-	if len(shards) == 0 {
-		notConfigured(w, "reference API")
-		return
-	}
-	if len(shards) == 1 {
-		g.serveShardDiff(shards[0], w, r)
-		return
-	}
-	q := r.URL.Query()
-	if cl := q.Get("cluster"); cl != "" {
-		s := siteClusterShard(shards, cl)
-		if s == nil {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("no cluster %q at site %q", cl, site))
-			return
-		}
-		g.serveShardDiff(s, w, r)
-		return
-	}
-	if q.Get("from") != "" || q.Get("to") != "" {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf(
-			"site %q is micro-sharded and version ranges are per cluster store; add ?cluster=X (one of: %s)",
-			site, clusterList(shards)))
-		return
-	}
-	key, vers := joinedVersions(shards)
-	key = "sd" + key
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	g.siteRefMu.Lock()
-	cached := g.siteDiffCache[site]
-	g.siteRefMu.Unlock()
-	body := cached.body
-	if cached.key != key || body == nil {
-		out := SiteDiffJSON{Site: site}
-		for i, s := range shards {
-			to := vers[i]
-			from := to - 1
-			if from < 1 {
-				from = 1
-			}
-			diffs, err := s.diffSlice(from, to)
+	g.serveSiteRef(w, r, site, "version ranges are", []string{"from", "to"}, g.serveShardDiff, func(shards []*shard) {
+		key, vers := joinedVersions(shards)
+		key = "sd" + key
+		serveView(w, r, &g.siteRef[site].diff, key, 0, false, func() (string, []byte, error) {
+			sections, err := diffSections(shards, vers, site)
 			if err != nil {
-				httpError(w, http.StatusInternalServerError, err.Error())
-				return
+				return "", nil, err
 			}
-			out.Clusters = append(out.Clusters,
-				RefDiffJSON{Cluster: s.cluster, From: from, To: to,
-					Count: len(diffs), Differences: diffs})
-			out.Count += len(diffs)
-		}
-		var err error
-		body, err = wire.MarshalIndent(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		g.siteRefMu.Lock()
-		if g.siteDiffCache == nil {
-			g.siteDiffCache = map[string]siteRefCache{}
-		}
-		g.siteDiffCache[site] = siteRefCache{key: key, body: body}
-		g.siteRefMu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body) //nolint:errcheck
+			return rendered(key, sections[0])
+		})
+	})
 }
