@@ -1,6 +1,9 @@
 package federation
 
 import (
+	"encoding/json"
+	"flag"
+	"os"
 	"reflect"
 	"testing"
 
@@ -127,43 +130,85 @@ func runFederated(t *testing.T, workers int, siteGrouped bool) (Summary, []core.
 	return fed.Summary(), fed.WeeklyReport()
 }
 
+var updateSummaryGolden = flag.Bool("update-summary-golden", false,
+	"re-record testdata/summary_golden.json from the serial run (only when the campaign itself is meant to change)")
+
+const summaryGoldenFile = "testdata/summary_golden.json"
+
+// campaignOutcome is what the determinism gate compares: the per-site and
+// merged summaries plus the merged weekly report.
+type campaignOutcome struct {
+	Summary Summary
+	Weekly  []core.WeekCounts
+}
+
+// summaryGolden returns the recorded outcome of runFederated, re-recording
+// it from the given serial outcome first under -update-summary-golden.
+func summaryGolden(t *testing.T, serial campaignOutcome) campaignOutcome {
+	t.Helper()
+	if *updateSummaryGolden {
+		body, err := json.MarshalIndent(serial, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(summaryGoldenFile, append(body, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := os.ReadFile(summaryGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden campaignOutcome
+	if err := json.Unmarshal(body, &golden); err != nil {
+		t.Fatalf("%s: %v", summaryGoldenFile, err)
+	}
+	return golden
+}
+
 // TestFederationSerialParallelDeterminism is the load-bearing property of
 // the whole layer: stepping the micro-shards serially, across 4
 // work-stealing workers, or under the legacy site-grouped schedule
 // (one whole site per worker pull — the old per-site sharding) must
-// produce bit-identical campaign summaries, per site and merged.
+// produce bit-identical campaign summaries, per site and merged — and the
+// ones recorded in testdata/summary_golden.json, so a schedule can be
+// deleted without losing what it was held equal to.
 // CI also runs this under -race (make fed-check).
 func TestFederationSerialParallelDeterminism(t *testing.T) {
-	serial, serialWeekly := runFederated(t, 1, false)
-	parallel, parallelWeekly := runFederated(t, 4, false)
-	legacy, legacyWeekly := runFederated(t, 4, true)
+	var serial campaignOutcome
+	serial.Summary, serial.Weekly = runFederated(t, 1, false)
+	golden := summaryGolden(t, serial)
 
 	for _, alt := range []struct {
-		name   string
-		sum    Summary
-		weekly []core.WeekCounts
-	}{{"parallel", parallel, parallelWeekly}, {"site-grouped", legacy, legacyWeekly}} {
-		if len(serial.Sites) != len(alt.sum.Sites) {
-			t.Fatalf("site counts diverged: serial %d vs %s %d", len(serial.Sites), alt.name, len(alt.sum.Sites))
+		name        string
+		workers     int
+		siteGrouped bool
+	}{{"serial", 1, false}, {"work-stealing", 4, false}, {"site-grouped", 4, true}} {
+		got := serial
+		if alt.workers != 1 {
+			got.Summary, got.Weekly = runFederated(t, alt.workers, alt.siteGrouped)
 		}
-		for i := range serial.Sites {
-			if serial.Sites[i] != alt.sum.Sites[i] {
-				t.Fatalf("site %s diverged between serial and %s stepping:\nserial: %+v\n%s: %+v",
-					serial.Sites[i].Site, alt.name, serial.Sites[i].Summary, alt.name, alt.sum.Sites[i].Summary)
+		if len(golden.Summary.Sites) != len(got.Summary.Sites) {
+			t.Fatalf("site counts diverged: recorded %d vs %s %d", len(golden.Summary.Sites), alt.name, len(got.Summary.Sites))
+		}
+		for i := range golden.Summary.Sites {
+			if golden.Summary.Sites[i] != got.Summary.Sites[i] {
+				t.Fatalf("site %s diverged between the recorded campaign and %s stepping:\nrecorded: %+v\n%s: %+v",
+					golden.Summary.Sites[i].Site, alt.name, golden.Summary.Sites[i].Summary, alt.name, got.Summary.Sites[i].Summary)
 			}
 		}
-		if serial.Merged != alt.sum.Merged {
-			t.Fatalf("merged summary diverged:\nserial: %+v\n%s: %+v", serial.Merged, alt.name, alt.sum.Merged)
+		if golden.Summary.Merged != got.Summary.Merged {
+			t.Fatalf("merged summary diverged:\nrecorded: %+v\n%s: %+v", golden.Summary.Merged, alt.name, got.Summary.Merged)
 		}
-		if !reflect.DeepEqual(serialWeekly, alt.weekly) {
-			t.Fatalf("merged weekly reports diverged:\nserial: %+v\n%s: %+v", serialWeekly, alt.name, alt.weekly)
+		if !reflect.DeepEqual(golden, got) {
+			t.Fatalf("outcomes diverged:\nrecorded: %+v\n%s: %+v", golden, alt.name, got)
 		}
 	}
 	// Sanity: the campaign actually did something on every site.
-	if serial.Merged.Builds == 0 {
+	if serial.Summary.Merged.Builds == 0 {
 		t.Fatal("federated campaign completed no builds")
 	}
-	for _, s := range serial.Sites {
+	for _, s := range serial.Summary.Sites {
 		if s.Summary.Builds == 0 {
 			t.Fatalf("site %s completed no builds", s.Site)
 		}
