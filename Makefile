@@ -47,9 +47,9 @@ stress:
 	GATEWAY_STRESS=1 $(GO) test -race -count=1 -run 'TestStress|TestInventoryETagUnderChurn' ./internal/gateway
 
 # fed-check proves the federation's load-bearing property under the race
-# detector: stepping the per-cluster micro-shards serially, with the
-# work-stealing schedule, or with the legacy whole-site-per-worker
-# schedule yields bit-identical per-site and merged summaries.
+# detector: stepping the per-cluster micro-shards serially or with the
+# work-stealing schedule yields bit-identical per-site and merged
+# summaries — the ones recorded in internal/federation/testdata/.
 fed-check:
 	$(GO) test -race -count=1 -run 'TestFederationSerialParallelDeterminism' ./internal/federation
 
@@ -57,7 +57,9 @@ fed-check:
 # degraded-mode stepping (outage freeze, heal catch-up, partition merge
 # exclusion, serial ≡ parallel determinism mid-disaster) and the gateway's
 # degraded routing (lost sites 503 with Retry-After, merges carry the
-# degraded marker, /chaos inject/heal round trips).
+# degraded marker, /chaos inject/heal round trips, and the marker drill:
+# outages injected and healed on a partitioned site while readers check
+# that every reading names it lost exactly once).
 chaos-check:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/federation ./internal/gateway
 

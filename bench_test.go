@@ -797,9 +797,10 @@ func BenchmarkE16_MixedWorkload(b *testing.B) {
 //     4 shard workers on a ≥4-core machine (the uneven real site sizes —
 //     nancy is ~2x luxembourg — cost part of the ideal 4x). Below 4 cores
 //     the gate normalises to ≥62.5% parallel efficiency, like E14/E15;
-//  3. read availability — while a site-B-only Advance holds B's shard
-//     write lock, reads against site A keep completing through the
-//     federated gateway's per-shard locks.
+//  3. read availability — while a serial whole-grid Advance works its way
+//     through the other 30 micro-shards, one write lock at a time, reads
+//     against luxembourg keep completing through the federated gateway's
+//     per-shard locks.
 
 func BenchmarkE17_FederatedAdvance(b *testing.B) {
 	const weeks = 2
@@ -854,9 +855,12 @@ func BenchmarkE17_FederatedAdvance(b *testing.B) {
 				speedup, required, runtime.GOMAXPROCS(0))
 		}
 
-		// Read availability: site-A reads must complete while a site-B-only
-		// advance is in flight behind B's shard write lock.
-		gw := gateway.ForFederation(fedP)
+		// Read availability: luxembourg reads must complete while a serial
+		// advance of the whole grid is in flight — it holds one micro-shard's
+		// write lock at a time, luxembourg's two for a sixteenth of the tick.
+		// One simulated day: long enough for thousands of reads, short enough
+		// that their allocations stay a small part of the tracked allocs/op.
+		gw := gateway.ForFederation(fedS)
 		c := inproc.Client(gw)
 		readA := func() {
 			resp, err := c.Get("http://gw.local/sites/luxembourg/oar/resources")
@@ -871,22 +875,17 @@ func BenchmarkE17_FederatedAdvance(b *testing.B) {
 		}
 		readA() // warm path before the advance starts
 		var done atomic.Bool
-		advErr := make(chan error, 1)
 		go func() {
-			err := gw.AdvanceSite("nancy", simclock.Week)
+			gw.Advance(simclock.Day)
 			done.Store(true)
-			advErr <- err
 		}()
 		reads = 0
 		for !done.Load() {
 			readA()
 			reads++
 		}
-		if err := <-advErr; err != nil {
-			b.Fatalf("AdvanceSite: %v", err)
-		}
 		if reads == 0 {
-			b.Fatal("no site-A read completed while the site-B advance was in flight")
+			b.Fatal("no luxembourg read completed while the grid's advance was in flight")
 		}
 	}
 	if merged.Merged.Builds == 0 || merged.Merged.BugsFiled == 0 {
@@ -1442,10 +1441,9 @@ func BenchmarkE20_GridIntelligence(b *testing.B) {
 // ~14k nodes) the barrier's critical path must be the mean micro-shard,
 // not the max site. Three properties gate:
 //
-//  1. equivalence — serial stepping, the work-stealing schedule at 8
-//     workers, and the legacy whole-site-per-worker schedule all yield
-//     bit-identical per-site and merged summaries at 16x (micro-sharding
-//     must not move a single RNG draw);
+//  1. equivalence — serial stepping and the work-stealing schedule at 8
+//     workers yield bit-identical per-site and merged summaries at 16x
+//     (the schedule must not move a single RNG draw);
 //  2. efficiency — ≥90% parallel-advance efficiency at 8 workers,
 //     normalised to min(8, GOMAXPROCS) like E14/E15 (on a single-core
 //     runner the gate degenerates to "work-stealing costs nothing");
@@ -1465,9 +1463,9 @@ func BenchmarkE21_BalancedAdvance(b *testing.B) {
 		cfg.EnvMatrixPeriod = 0
 		return cfg
 	}
-	run := func(scale, workers int, siteGrouped bool) (*federation.Federation, float64) {
+	run := func(scale, workers int) (*federation.Federation, float64) {
 		fed := federation.New(federation.Config{
-			Seed: 21, Workers: workers, SiteGrouped: siteGrouped,
+			Seed: 21, Workers: workers,
 			Spec: testbed.ScaledSpec(scale), Configure: shardProfile,
 		})
 		fed.Start()
@@ -1477,39 +1475,38 @@ func BenchmarkE21_BalancedAdvance(b *testing.B) {
 	}
 
 	ideal := min(8, runtime.GOMAXPROCS(0))
-	var eff, speedup, t1x16, t8x16, tLegacy, mergeSec, shrink float64
+	var eff, speedup, t1x16, t8x16, mergeSec, shrink float64
 	var shardCount int
 	effAt := map[int]float64{}
 	for i := 0; i < b.N; i++ {
 		// The scale sweep: serial vs 8 work-stealing workers at 4x and 8x.
 		for _, scale := range []int{4, 8} {
-			_, ts := run(scale, 1, false)
-			_, tp := run(scale, 8, false)
+			_, ts := run(scale, 1)
+			_, tp := run(scale, 8)
 			effAt[scale] = (ts / tp) / float64(ideal)
 		}
 
-		// The 16x gate: serial, work-stealing and legacy site-grouped.
-		fedS, ts := run(16, 1, false)
-		fedW, tw := run(16, 8, false)
-		fedL, tl := run(16, 8, true)
-		t1x16, t8x16, tLegacy = ts, tw, tl
+		// The 16x gate: serial and work-stealing.
+		fedS, ts := run(16, 1)
+		fedW, tw := run(16, 8)
+		t1x16, t8x16 = ts, tw
 		shardCount = len(fedW.Shards())
 
-		sumS, sumW, sumL := fedS.Summary(), fedW.Summary(), fedL.Summary()
+		sumS, sumW := fedS.Summary(), fedW.Summary()
 		for k := range sumS.Sites {
-			if sumS.Sites[k] != sumW.Sites[k] || sumS.Sites[k] != sumL.Sites[k] {
-				b.Fatalf("site %s diverged between serial, work-stealing and site-grouped stepping:\nserial:       %+v\nwork-steal:   %+v\nsite-grouped: %+v",
-					sumS.Sites[k].Site, sumS.Sites[k], sumW.Sites[k], sumL.Sites[k])
+			if sumS.Sites[k] != sumW.Sites[k] {
+				b.Fatalf("site %s diverged between serial and work-stealing stepping:\nserial:     %+v\nwork-steal: %+v",
+					sumS.Sites[k].Site, sumS.Sites[k], sumW.Sites[k])
 			}
 		}
-		if sumS.Merged != sumW.Merged || sumS.Merged != sumL.Merged {
-			b.Fatal("merged summary diverged across schedules at 16x")
+		if sumS.Merged != sumW.Merged {
+			b.Fatal("merged summary diverged between serial and work-stealing stepping at 16x")
 		}
 		mergeStart := time.Now()
 		wr := fedW.WeeklyReport()
 		mergeSec = time.Since(mergeStart).Seconds()
-		if !reflect.DeepEqual(fedS.WeeklyReport(), wr) || !reflect.DeepEqual(fedL.WeeklyReport(), wr) {
-			b.Fatal("merged weekly reports diverged across schedules at 16x")
+		if !reflect.DeepEqual(fedS.WeeklyReport(), wr) {
+			b.Fatal("merged weekly reports diverged between serial and work-stealing stepping at 16x")
 		}
 		if sumW.Merged.Builds == 0 || sumW.Merged.BugsFiled == 0 {
 			b.Fatalf("16x campaign shape off: %+v", sumW.Merged)
@@ -1564,7 +1561,6 @@ func BenchmarkE21_BalancedAdvance(b *testing.B) {
 	b.ReportMetric(100*effAt[8], "eff_pct_scale8")
 	b.ReportMetric(t1x16*1000, "advance_serial_ms")
 	b.ReportMetric(t8x16*1000, "advance_ws_ms")
-	b.ReportMetric(tLegacy*1000, "advance_sitegrouped_ms")
 	b.ReportMetric(barrierWaitMs, "barrier_wait_ms")
 	b.ReportMetric(mergeMs, "merge_ms")
 	b.ReportMetric(shardStepMs, "shard_step_ms")

@@ -26,6 +26,10 @@
 // served state (resources, bugs, grid, inventory versions) evolves under
 // the clients' feet exactly like a production testbed.
 //
+// The server bounds how long a client may take to send a request, read a
+// response or sit idle, and SIGINT/SIGTERM shut it down gracefully:
+// in-flight requests drain, the -live driver stops, then the process exits.
+//
 // Load-generation mode drives the gateway without a listener and prints
 // throughput plus latency percentiles, overall and per scenario:
 //
@@ -56,11 +60,17 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -195,17 +205,78 @@ func main() {
 		return
 	}
 
+	var liveStep simclock.Time
 	if *live {
-		simStep := simclock.Time(*step)
-		go func() {
-			for range time.Tick(time.Second) {
-				gw.Advance(simStep)
-			}
-		}()
+		liveStep = simclock.Time(*step)
 		log.Printf("live mode: +%v of simulated time per wall second", *step)
 	}
-	log.Printf("testbed API gateway on %s (try /, /sites, /oar/resources, /ref/inventory, /metrics)", *addr)
-	log.Fatal(http.ListenAndServe(*addr, gw))
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	log.Printf("testbed API gateway on %s (try /, /sites, /oar/resources, /ref/inventory, /metrics)", ln.Addr())
+	if err := serve(ctx, ln, gw, liveStep); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("shut down")
+}
+
+// serve answers requests on ln until ctx is cancelled, stepping the
+// campaign by liveStep every wall-clock second beside it (0 = the campaign
+// stands still). On cancellation it stops accepting, gives in-flight
+// requests shutdownGrace to finish, and returns only once the live driver
+// has exited too — nothing it started outlives it.
+func serve(ctx context.Context, ln net.Listener, gw *gateway.Gateway, liveStep simclock.Time) error {
+	const shutdownGrace = 10 * time.Second
+	srv := &http.Server{
+		Handler:           gw,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       15 * time.Second,
+		// A read may queue behind one campaign step's write lock, and a
+		// step of the 512-shard grid takes seconds.
+		WriteTimeout: time.Minute,
+		IdleTimeout:  2 * time.Minute,
+	}
+	// Cancelled below on every path, so the driver also stops when Serve
+	// fails on its own.
+	ctx, cancel := context.WithCancel(ctx)
+
+	var driver sync.WaitGroup
+	if liveStep > 0 {
+		driver.Add(1)
+		go func() {
+			defer driver.Done()
+			tick := time.NewTicker(time.Second)
+			defer tick.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-tick.C:
+					gw.Advance(liveStep)
+				}
+			}
+		}()
+	}
+
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	var err error
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+		grace, cancelGrace := context.WithTimeout(context.Background(), shutdownGrace)
+		err = srv.Shutdown(grace)
+		cancelGrace()
+		if serveErr := <-served; err == nil && !errors.Is(serveErr, http.ErrServerClosed) {
+			err = serveErr
+		}
+	}
+	cancel()
+	driver.Wait()
+	return err
 }
 
 // monolithicMix picks the classic scenario mix for a single-shard gateway.

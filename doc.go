@@ -26,10 +26,11 @@
 //     Within a tick a work-stealing scheduler queues micro-shards
 //     longest-processing-time-first by node count and idle workers pull
 //     the next unit, so the barrier's critical path is the mean shard,
-//     not the max site; serial, work-stealing and the legacy
-//     whole-site-per-worker schedule (Config.SiteGrouped) are
-//     bit-identical (g5ktest -federated is the CLI form; make fed-check
-//     races the three-way determinism proof). Site-scale grid events (internal/faults:
+//     not the max site; serial and work-stealing stepping are
+//     bit-identical, and equal to a recorded golden (g5ktest -federated
+//     is the CLI form; make fed-check races the determinism proof).
+//     Federation.Advance is the only thing that steps a shard, so a
+//     site never runs ahead of the federated clock. Site-scale grid events (internal/faults:
 //     site-outage, wan-partition, rolling-maintenance) inject and heal
 //     deterministically off the simulated clock: downed shards freeze
 //     at the barrier and replay missed ticks on heal, partitioned
@@ -46,9 +47,12 @@
 //     or many shards: handlers hold only the owning micro-shard's read
 //     lock, site-scoped routes under /sites/{site}/... touch exactly the
 //     site's micro-shards, the classic paths scatter-gather federated
-//     merges, and advances step each micro-shard under its own write
-//     lock, so live serving stays coherent and one cluster's reads never
-//     queue behind another's progress (g5kapi -live, -shards). Under grid
+//     merges, and the gateway never drives time itself: Advance hands
+//     the step to the campaign's one driver (Federation.Advance, or
+//     Framework.RunFor on a monolithic campaign), whose every micro-shard
+//     step runs under that shard's write lock, so live serving stays
+//     coherent and one cluster's reads never queue behind another's
+//     progress (g5kapi -live, -shards). Under grid
 //     events the gateway degrades instead of failing: routes touching a
 //     down site answer 503 with Retry-After, merges exclude lost sites
 //     behind a degraded marker (absent when healthy), and POST

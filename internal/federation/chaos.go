@@ -136,20 +136,15 @@ func (fed *Federation) SiteAvailable(site string) bool {
 	return !fed.grid.SiteDownAt(site, fed.now)
 }
 
-// DownSites returns the sites currently frozen by an active outage or
-// maintenance window, in shard order.
-func (fed *Federation) DownSites() []string {
+// LostSites returns the sites currently frozen by an active outage or
+// maintenance window, and those isolated by a WAN partition (and not also
+// down), each in shard order — one reading of the grid under one lock, so a
+// site an event moves from one list to the other cannot be missing from
+// both.
+func (fed *Federation) LostSites() (down, unreachable []string) {
 	fed.mu.Lock()
 	defer fed.mu.Unlock()
-	return fed.downSitesLocked()
-}
-
-// UnreachableSites returns the sites currently isolated by a WAN partition
-// (and not also down), in shard order.
-func (fed *Federation) UnreachableSites() []string {
-	fed.mu.Lock()
-	defer fed.mu.Unlock()
-	return fed.unreachableSitesLocked()
+	return fed.downSitesLocked(), fed.unreachableSitesLocked()
 }
 
 // Degraded reports whether any site is currently down or unreachable.
@@ -157,37 +152,6 @@ func (fed *Federation) Degraded() bool {
 	fed.mu.Lock()
 	defer fed.mu.Unlock()
 	return len(fed.downSitesLocked())+len(fed.unreachableSitesLocked()) > 0
-}
-
-// StepSite advances one site's micro-shards by d without a barrier, on
-// the caller's goroutine (Gateway.AdvanceSite). The site runs ahead of the
-// federated clock — all of its micro-shards together, in cluster order, so
-// they stay in lockstep with each other — and the next Advance lets the
-// clock catch up instead of re-stepping them. Refused while the site is
-// down.
-func (fed *Federation) StepSite(site string, d simclock.Time) error {
-	fed.mu.Lock()
-	shards, ok := fed.bySite[site]
-	if !ok {
-		fed.mu.Unlock()
-		return fmt.Errorf("federation: unknown site %q", site)
-	}
-	if fed.grid.SiteDownAt(site, fed.now) {
-		fed.mu.Unlock()
-		return fmt.Errorf("federation: site %q is down", site)
-	}
-	fed.behind[fed.siteIdx[site]] -= d
-	fed.mu.Unlock()
-	// Step outside fed.mu: the caller (gateway) already serializes these
-	// shards behind their own write locks, and other sites are unaffected.
-	gate := fed.stepGate
-	if gate == nil {
-		gate = func(_, _ string, step func()) { step() }
-	}
-	for _, sh := range shards {
-		gate(sh.Site, sh.Cluster, func() { sh.F.RunFor(d) })
-	}
-	return nil
 }
 
 // downSitesLocked returns the down sites in site order. Caller holds

@@ -27,6 +27,33 @@ func chaosFed(workers int) *Federation {
 	return fed
 }
 
+// clockDebt returns how far each site lags the federated clock, by site
+// name. Debt is never negative: nothing steps a site ahead of the clock.
+func clockDebt(t *testing.T, fed *Federation) map[string]simclock.Time {
+	t.Helper()
+	fed.mu.Lock()
+	defer fed.mu.Unlock()
+	debt := make(map[string]simclock.Time, len(fed.sites))
+	for i, site := range fed.sites {
+		if fed.behind[i] < 0 {
+			t.Fatalf("site %s has negative clock debt %v", site, fed.behind[i])
+		}
+		debt[site] = fed.behind[i]
+	}
+	return debt
+}
+
+// assertNoClockDebt is the after-a-full-heal invariant: every site repaid
+// everything it owed.
+func assertNoClockDebt(t *testing.T, fed *Federation) {
+	t.Helper()
+	for site, d := range clockDebt(t, fed) {
+		if d != 0 {
+			t.Fatalf("site %s still owes %v of clock debt after every event healed", site, d)
+		}
+	}
+}
+
 func TestChaosOutageFreezesAndCatchesUp(t *testing.T) {
 	fed := chaosFed(1)
 	if err := fed.ScheduleChaos(faults.ScheduleEntry{
@@ -43,8 +70,8 @@ func TestChaosOutageFreezesAndCatchesUp(t *testing.T) {
 	if !fed.SiteAvailable("nantes") {
 		t.Fatal("nantes should be up")
 	}
-	if got := fed.DownSites(); !reflect.DeepEqual(got, []string{"lyon"}) {
-		t.Fatalf("DownSites = %v", got)
+	if down, unreachable := fed.LostSites(); !reflect.DeepEqual(down, []string{"lyon"}) || unreachable != nil {
+		t.Fatalf("LostSites = %v, %v", down, unreachable)
 	}
 	if !fed.Degraded() {
 		t.Fatal("federation should report degraded")
@@ -68,6 +95,9 @@ func TestChaosOutageFreezesAndCatchesUp(t *testing.T) {
 	if got := fed.Shard("nantes").F.Clock.Now(); got != 2*simclock.Week {
 		t.Fatalf("nantes clock = %v, want 2w", got)
 	}
+	if debt := clockDebt(t, fed); debt["lyon"] != simclock.Week || debt["nantes"] != 0 || debt["luxembourg"] != 0 {
+		t.Fatalf("clock debt after the frozen tick = %v, want lyon alone owing 1w", debt)
+	}
 
 	// Healed at 2w: the next tick steps lyon with a catch-up tick (2w
 	// total) and the lockstep resumes.
@@ -80,6 +110,7 @@ func TestChaosOutageFreezesAndCatchesUp(t *testing.T) {
 			t.Fatalf("shard %s clock = %v, want back in lockstep at 3w", sh.Site, got)
 		}
 	}
+	assertNoClockDebt(t, fed)
 	sum = fed.Summary()
 	if sum.Degraded || sum.DownSites != nil || sum.UnreachableSites != nil {
 		t.Fatalf("healed summary still degraded: %+v", sum)
@@ -131,6 +162,9 @@ func TestChaosSiteFreezeIsAtomic(t *testing.T) {
 				t.Fatalf("workers=%d: lyon/%s clock = %v, want frozen at 1w with its site", workers, sh.Cluster, got)
 			}
 		}
+		if debt := clockDebt(t, fed); debt["lyon"] != 2*simclock.Week {
+			t.Fatalf("workers=%d: lyon owes %v after two frozen ticks, want 2w", workers, debt["lyon"])
+		}
 		for _, site := range []string{"luxembourg", "nantes"} {
 			for _, sh := range fed.SiteShards(site) {
 				if got := sh.F.Clock.Now(); got != 3*simclock.Week {
@@ -147,6 +181,7 @@ func TestChaosSiteFreezeIsAtomic(t *testing.T) {
 				t.Fatalf("workers=%d: %s/%s clock = %v, want lockstep at 4w", workers, sh.Site, sh.Cluster, got)
 			}
 		}
+		assertNoClockDebt(t, fed)
 		outcomes = append(outcomes, fed.Summary())
 	}
 	if !reflect.DeepEqual(outcomes[0], outcomes[1]) {
@@ -166,8 +201,8 @@ func TestChaosPartitionReachability(t *testing.T) {
 	if !fed.SiteAvailable("lyon") {
 		t.Fatal("partitioned site should stay available")
 	}
-	if got := fed.UnreachableSites(); !reflect.DeepEqual(got, []string{"lyon"}) {
-		t.Fatalf("UnreachableSites = %v", got)
+	if down, unreachable := fed.LostSites(); down != nil || !reflect.DeepEqual(unreachable, []string{"lyon"}) {
+		t.Fatalf("LostSites = %v, %v", down, unreachable)
 	}
 	fed.Advance(simclock.Week)
 	if got := fed.Shard("lyon").F.Clock.Now(); got != 2*simclock.Week {
@@ -213,30 +248,6 @@ func TestChaosRejectsUnknownSites(t *testing.T) {
 	if _, err := fed.HealGrid(12345); err == nil {
 		t.Fatal("healing a non-event should fail")
 	}
-	if err := fed.StepSite("atlantis", simclock.Week); err == nil {
-		t.Fatal("stepping an unknown site should fail")
-	}
-}
-
-func TestChaosStepSiteRefusedWhileDown(t *testing.T) {
-	fed := chaosFed(1)
-	if _, err := fed.InjectGrid(faults.SiteOutage, []string{"lyon"}, 0, 0); err != nil {
-		t.Fatalf("inject: %v", err)
-	}
-	if err := fed.StepSite("lyon", simclock.Week); err == nil {
-		t.Fatal("stepping a downed site should fail")
-	}
-	if err := fed.StepSite("nantes", simclock.Week); err != nil {
-		t.Fatalf("stepping a healthy site: %v", err)
-	}
-	// The ahead shard is not re-stepped by the next federated tick.
-	fed.Advance(simclock.Week)
-	if got := fed.Shard("nantes").F.Clock.Now(); got != simclock.Week {
-		t.Fatalf("nantes clock = %v, want 1w (ahead shard skips the tick)", got)
-	}
-	if got := fed.Shard("luxembourg").F.Clock.Now(); got != simclock.Week {
-		t.Fatalf("luxembourg clock = %v, want 1w", got)
-	}
 }
 
 // runChaosFederated simulates a disaster campaign — an outage, a rolling
@@ -267,6 +278,7 @@ func runChaosFederated(t *testing.T, workers int) (Summary, []core.WeekCounts) {
 			t.Fatalf("shard %s clock = %v, want 5w after every event healed", sh.Site, got)
 		}
 	}
+	assertNoClockDebt(t, fed)
 	return fed.Summary(), fed.WeeklyReport()
 }
 

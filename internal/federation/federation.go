@@ -16,9 +16,8 @@
 // Determinism is the load-bearing property. Every micro-shard draws from
 // an independent RNG stream whose seed is a pure function of (campaign
 // seed, site name, cluster name) — see ShardSeed — and shards share no
-// mutable state whatsoever, so stepping them serially, across GOMAXPROCS
-// goroutines, or grouped whole-site-per-worker (Config.SiteGrouped, the
-// legacy schedule) produces bit-identical campaign summaries. That is the
+// mutable state whatsoever, so stepping them serially or across GOMAXPROCS
+// goroutines produces bit-identical campaign summaries. That is the
 // same serial ≡ parallel discipline core.Fleet proved for multi-seed
 // sweeps, now applied *inside* one campaign: Advance splits simulated time
 // into barrier ticks (a week by default), steps every shard through the
@@ -73,14 +72,6 @@ type Config struct {
 	// lockstep.
 	Barrier simclock.Time
 
-	// SiteGrouped restores the legacy per-site schedule: each barrier
-	// worker steps one whole site's micro-shards back to back, so a tick's
-	// critical path is the fattest site (exactly the old shard-per-site
-	// fan-out). The simulation itself is identical — same micro-shards,
-	// same seeds — which is why serial, work-stealing and site-grouped
-	// advances are all bit-identical; only the wall-clock shape differs.
-	SiteGrouped bool
-
 	// Configure builds a shard's campaign profile from its site label (nil
 	// = core.DefaultConfig). The returned Config's Seed and Spec are
 	// overridden with the micro-shard's derived seed and single cluster.
@@ -103,15 +94,13 @@ type Shard struct {
 
 // Federation owns the per-cluster micro-shards and their lockstep clocks.
 type Federation struct {
-	cfg         Config
-	shards      []*Shard            // site-grouped, cluster order within a site
-	sites       []string            // distinct site labels, first-appearance order
-	siteIdx     map[string]int      // site → index into sites/behind
-	bySite      map[string][]*Shard // site → its micro-shards in cluster order
-	workers     int
-	barrier     simclock.Time
-	siteGrouped bool
-	started     bool
+	cfg     Config
+	shards  []*Shard            // site-grouped, cluster order within a site
+	sites   []string            // distinct site labels, first-appearance order
+	bySite  map[string][]*Shard // site → its micro-shards in cluster order
+	workers int
+	barrier simclock.Time
+	started bool
 
 	// mu guards the federated clock and all chaos state below. Shard
 	// frameworks are never touched under mu: Advance plans a tick under the
@@ -122,11 +111,11 @@ type Federation struct {
 	now simclock.Time
 
 	// behind[i] is how far site i's micro-shard clocks lag the federated
-	// clock: a downed site accrues debt each tick it sits frozen at the
-	// barrier, and repays it with catch-up ticks on heal. Negative values
-	// mean the site ran ahead (Gateway.AdvanceSite). Debt is site-granular
-	// because chaos is: all of a site's micro-shards freeze and catch up
-	// together, which is what keeps them in lockstep with each other.
+	// clock, never negative: a downed site accrues debt each tick it sits
+	// frozen at the barrier, and repays all of it in its first tick after
+	// the heal. Debt is site-granular because chaos is: all of a site's
+	// micro-shards freeze and catch up together, which is what keeps them
+	// in lockstep with each other.
 	behind []simclock.Time
 
 	// grid owns the active site-scale events; pending/pendingHeals hold
@@ -138,9 +127,9 @@ type Federation struct {
 	announced     map[int]bool
 	healAnnounced map[int]bool
 
-	// stepGate, when set, wraps every micro-shard step so an embedder (the
-	// gateway) can interleave its own per-shard locking with the barrier
-	// ticks.
+	// stepGate wraps every micro-shard step so an embedder (the gateway)
+	// can interleave its own per-shard locking with the barrier ticks; the
+	// identity until SetStepGate.
 	stepGate func(site, cluster string, step func())
 
 	// gridListener, when set, is invoked (outside fed.mu) after any call
@@ -203,14 +192,13 @@ func New(cfg Config) *Federation {
 	fed := &Federation{
 		cfg:           cfg,
 		sites:         sites,
-		siteIdx:       make(map[string]int, len(sites)),
 		bySite:        make(map[string][]*Shard, len(sites)),
 		workers:       cfg.Workers,
 		barrier:       cfg.Barrier,
-		siteGrouped:   cfg.SiteGrouped,
 		grid:          faults.NewGridInjector(),
 		announced:     map[int]bool{},
 		healAnnounced: map[int]bool{},
+		stepGate:      func(_, _ string, step func()) { step() },
 	}
 	if fed.workers <= 0 {
 		fed.workers = runtime.GOMAXPROCS(0)
@@ -218,8 +206,7 @@ func New(cfg Config) *Federation {
 	if fed.barrier <= 0 {
 		fed.barrier = simclock.Week
 	}
-	for si, site := range sites {
-		fed.siteIdx[site] = si
+	for _, site := range sites {
 		for _, cs := range bySiteSpec[site] {
 			seed := ShardSeed(cfg.Seed, site, cs.Name)
 			c := configure(site, seed)
@@ -384,25 +371,15 @@ func (fed *Federation) planTickLocked(tick simclock.Time) []shardWork {
 			fed.behind[si] += tick
 			continue
 		}
-		due := fed.behind[si] + tick
-		step := simclock.Time(0)
-		if due > 0 {
-			step = due
-			fed.behind[si] = 0
-		} else {
-			// The site ran ahead via Gateway.AdvanceSite; let the federation
-			// clock catch up to it instead.
-			fed.behind[si] = due
-		}
+		step := fed.behind[si] + tick
+		fed.behind[si] = 0
 		for ci, sh := range fed.bySite[site] {
 			w := shardWork{idx: sh.idx, step: step}
 			if ci == 0 {
 				w.file = file
 				w.fix = fix
 			}
-			if w.step > 0 || len(w.file) > 0 || len(w.fix) > 0 {
-				plan = append(plan, w)
-			}
+			plan = append(plan, w)
 		}
 	}
 	fed.now += tick
@@ -448,71 +425,17 @@ func (fed *Federation) applyDueLocked() {
 	fed.grid.AutoHeal(fed.now)
 }
 
-// workUnit is one pull from the barrier's work-stealing queue: either a
-// single micro-shard (the default) or a whole site's micro-shards back to
-// back (SiteGrouped). cost is the unit's node count; first is the lowest
-// shard index inside, the deterministic tiebreak.
-type workUnit struct {
-	cost  int
-	first int
-	work  []shardWork
-}
-
-// planUnits folds a tick plan into scheduler work units and sorts them
-// longest-processing-time-first (node count descending, shard index
-// ascending on ties) — the classic LPT heuristic: with uniform per-node
-// cost it bounds the barrier's makespan at (4/3 − 1/3w)× optimal, and the
-// order is a pure function of the plan, so every run pulls from the same
-// queue.
-func (fed *Federation) planUnits(plan []shardWork) []workUnit {
-	var units []workUnit
-	if fed.siteGrouped {
-		// Legacy schedule: one unit per site. The plan is site-contiguous,
-		// so grouping consecutive entries by site label suffices.
-		for start := 0; start < len(plan); {
-			site := fed.shards[plan[start].idx].Site
-			end := start
-			cost := 0
-			for end < len(plan) && fed.shards[plan[end].idx].Site == site {
-				cost += fed.shards[plan[end].idx].Nodes
-				end++
-			}
-			units = append(units, workUnit{cost: cost, first: plan[start].idx, work: plan[start:end]})
-			start = end
-		}
-	} else {
-		for i := range plan {
-			units = append(units, workUnit{
-				cost:  fed.shards[plan[i].idx].Nodes,
-				first: plan[i].idx,
-				work:  plan[i : i+1],
-			})
-		}
-	}
-	sort.Slice(units, func(i, j int) bool {
-		if units[i].cost != units[j].cost {
-			return units[i].cost > units[j].cost
-		}
-		return units[i].first < units[j].first
-	})
-	return units
-}
-
 // runPlan executes one tick's plan: every planned shard files/closes its
-// grid tickets and steps its campaign. With more than one worker the units
-// are pulled work-stealing style — an atomic cursor over the LPT-ordered
-// queue — so an idle worker immediately takes the next-heaviest remaining
-// unit instead of waiting on a static assignment. Shards share nothing and
-// the queue is fixed before the first pull, so worker count and pull
-// interleaving cannot change the outcome.
+// grid tickets and steps its campaign. With more than one worker the shards
+// are pulled work-stealing style — an atomic cursor over the plan sorted
+// longest-processing-time-first — so an idle worker immediately takes the
+// next-heaviest remaining shard instead of waiting on a static assignment.
+// Shards share nothing and the queue is fixed before the first pull, so
+// worker count and pull interleaving cannot change the outcome.
 func (fed *Federation) runPlan(plan []shardWork) {
-	if len(plan) == 0 {
-		return
-	}
-	units := fed.planUnits(plan)
 	workers := fed.workers
-	if workers > len(units) {
-		workers = len(units)
+	if workers > len(plan) {
+		workers = len(plan)
 	}
 	if workers <= 1 {
 		for _, w := range plan {
@@ -520,6 +443,17 @@ func (fed *Federation) runPlan(plan []shardWork) {
 		}
 		return
 	}
+	// LPT: node count descending, shard index ascending on ties. With
+	// uniform per-node cost it bounds the barrier's makespan at
+	// (4/3 − 1/3w)× optimal, and the order is a pure function of the plan,
+	// so every run pulls from the same queue.
+	sort.Slice(plan, func(i, j int) bool {
+		ni, nj := fed.shards[plan[i].idx].Nodes, fed.shards[plan[j].idx].Nodes
+		if ni != nj {
+			return ni > nj
+		}
+		return plan[i].idx < plan[j].idx
+	})
 	var next int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -529,12 +463,10 @@ func (fed *Federation) runPlan(plan []shardWork) {
 			defer wg.Done()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(units) {
+				if i >= len(plan) {
 					return
 				}
-				for _, w := range units[i].work {
-					fed.runShardWork(w)
-				}
+				fed.runShardWork(plan[i])
 			}
 		}()
 	}
@@ -548,9 +480,6 @@ func (fed *Federation) runPlan(plan []shardWork) {
 func (fed *Federation) runShardWork(w shardWork) {
 	sh := fed.shards[w.idx]
 	gate := fed.stepGate
-	if gate == nil {
-		gate = func(_, _ string, step func()) { step() }
-	}
 	if len(w.file) > 0 || len(w.fix) > 0 {
 		gate(sh.Site, sh.Cluster, func() {
 			for _, t := range w.file {
@@ -635,8 +564,8 @@ func (fed *Federation) siteSummary(site string) core.CampaignSummary {
 
 // SiteSummary is one site's slice of a federated summary — its
 // micro-shards folded back into the per-site view. The struct stays
-// comparable (==) on purpose: the determinism gates compare serial,
-// parallel and site-grouped summaries with plain equality.
+// comparable (==) on purpose: the determinism gates compare serial and
+// parallel summaries with plain equality.
 type SiteSummary struct {
 	Site    string
 	Summary core.CampaignSummary

@@ -35,14 +35,13 @@ func (b *siteBackend) Site() string { return b.site }
 // are out, and so are partition-isolated ones — a job placed on a shard
 // the merge plane cannot reach would vanish from every federated view.
 func (b *siteBackend) Available() bool {
-	if !b.g.siteAvailable(b.site) {
-		return false
+	if b.g.chaos == nil {
+		return true
 	}
-	if b.g.chaos != nil {
-		for _, site := range b.g.chaos.UnreachableSites() {
-			if site == b.site {
-				return false
-			}
+	down, unreachable := b.g.chaos.LostSites()
+	for _, site := range append(down, unreachable...) {
+		if site == b.site {
+			return false
 		}
 	}
 	return true

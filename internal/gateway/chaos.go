@@ -24,12 +24,12 @@ type ChaosController interface {
 	// SiteAvailable reports whether the site's routes should serve (false
 	// while an outage or maintenance window has the site down).
 	SiteAvailable(site string) bool
-	// DownSites lists the sites currently frozen by an outage or
-	// maintenance window, in shard order.
-	DownSites() []string
-	// UnreachableSites lists the sites isolated from the merge plane by a
-	// WAN partition (and not also down), in shard order.
-	UnreachableSites() []string
+	// LostSites lists the sites currently frozen by an outage or
+	// maintenance window, and those isolated from the merge plane by a WAN
+	// partition (and not also down), each in shard order — both from one
+	// reading of the grid, so an event that moves a site between the lists
+	// cannot make it vanish from both.
+	LostSites() (down, unreachable []string)
 	// InjectGrid injects a grid event at the current federated clock.
 	InjectGrid(kind faults.GridKind, sites []string, window, duration simclock.Time) (faults.GridEvent, error)
 	// HealGrid heals an active event now.
@@ -43,12 +43,6 @@ type ChaosController interface {
 // SetChaos installs the chaos controller (ForFederation wires the
 // federation itself). Call before serving.
 func (g *Gateway) SetChaos(c ChaosController) { g.chaos = c }
-
-// SetAdvance overrides Gateway.Advance with an external driver.
-// ForFederation points it at Federation.Advance so HTTP-driven time always
-// goes through the barrier engine — which is what freezes downed shards and
-// replays their catch-up ticks deterministically.
-func (g *Gateway) SetAdvance(fn func(simclock.Time)) { g.advanceOverride = fn }
 
 // siteAvailable reports whether the named site's routes should serve.
 func (g *Gateway) siteAvailable(site string) bool {
@@ -70,8 +64,7 @@ func (g *Gateway) degradedMarker() *DegradedJSON {
 	if g.chaos == nil {
 		return nil
 	}
-	down := g.chaos.DownSites()
-	unreachable := g.chaos.UnreachableSites()
+	down, unreachable := g.chaos.LostSites()
 	if len(down) == 0 && len(unreachable) == 0 {
 		return nil
 	}
@@ -179,11 +172,10 @@ func (g *Gateway) handleChaos(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := ChaosJSON{
-		DownSites:        g.chaos.DownSites(),
-		UnreachableSites: g.chaos.UnreachableSites(),
-		Active:           gridEventsJSON(g.chaos.ActiveGridEvents()),
-		History:          gridEventsJSON(g.chaos.GridHistory()),
+		Active:  gridEventsJSON(g.chaos.ActiveGridEvents()),
+		History: gridEventsJSON(g.chaos.GridHistory()),
 	}
+	out.DownSites, out.UnreachableSites = g.chaos.LostSites()
 	out.Degraded = len(out.DownSites)+len(out.UnreachableSites) > 0
 	if out.DownSites == nil {
 		out.DownSites = []string{}

@@ -13,8 +13,8 @@ import (
 )
 
 // newChaosCampaign builds a three-site federation fronted by a gateway and
-// runs it one week through the barrier engine (gw.Advance delegates to the
-// federation once ForFederation wires it).
+// runs it one week through the barrier engine (gw.Advance is
+// Federation.Advance once ForFederation wires it).
 func newChaosCampaign(t testing.TB) (*federation.Federation, *Gateway) {
 	t.Helper()
 	fed := federation.New(federation.Config{
@@ -123,9 +123,6 @@ func TestChaosOutageDegradedRouting(t *testing.T) {
 	lyonNode := fed.Shard("lyon").F.TB.Nodes()[0].Name
 	if resp, _ := get(t, c, "/monitor/metrics?node="+lyonNode); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("monitor on lost node status = %d, want 503", resp.StatusCode)
-	}
-	if err := gw.AdvanceSite("lyon", simclock.Hour); err == nil {
-		t.Fatal("AdvanceSite on a lost site should refuse")
 	}
 
 	// Surviving sites keep serving.

@@ -4,8 +4,6 @@ package gateway
 // federation dependency stays out of the core gateway machinery.
 
 import (
-	"time"
-
 	"repro/internal/admit"
 	"repro/internal/federation"
 	"repro/internal/sched"
@@ -14,18 +12,12 @@ import (
 // ForFederation mounts one gateway shard per federation micro-shard: each
 // cluster's OAR, Reference API store, monitor, bug tracker and CI server
 // is served behind that micro-shard's own lock, labeled with the owning
-// site. Time is wired through the federation's barrier engine in both
-// directions:
-//
-//   - Gateway.Advance delegates to Federation.Advance, whose per-shard
-//     barrier ticks run under the owning gateway shard's write lock (the
-//     step gate below) — so downed sites freeze all of their micro-shards,
-//     heals replay catch-up ticks, and reads against live shards keep
-//     flowing throughout;
-//   - Gateway.AdvanceSite steps exactly one site through
-//     Federation.StepSite, which runs all of the site's micro-shards ahead
-//     of the federated clock in lockstep and lets the next Advance skip
-//     them rather than double-step.
+// site. Time has one driver, the federation's barrier engine:
+// Gateway.Advance is Federation.Advance, and every micro-shard step that
+// makes comes back through the step gate below to run under the owning
+// gateway shard's write lock — so downed sites freeze all of their
+// micro-shards, heals replay catch-up ticks, and reads against shards that
+// are not mid-step keep flowing throughout.
 //
 // The federation is also installed as the gateway's chaos controller, so
 // grid events injected via POST /chaos/inject (or a schedule) drive the
@@ -45,27 +37,16 @@ func ForFederation(fed *federation.Federation) *Gateway {
 				Monitor: f.Monitor,
 				Bugs:    f.Bugs,
 				CI:      f.CI,
-				// No per-shard Advance hook: every step — barrier ticks and
-				// AdvanceSite alike — reaches the micro-shards through the
-				// federation, which locks each via the step gate below.
 			},
 		})
 	}
 	gw := NewFederated(shards)
 	gw.SetChaos(fed)
-	gw.SetAdvance(fed.Advance)
-	gw.siteAdvance = fed.StepSite
+	// Federation.Advance fires the grid listener on return, which pumps the
+	// admission queue.
+	gw.advance = fed.Advance
 	fed.SetStepGate(func(site, cluster string, step func()) {
-		s := gw.shardFor(site, cluster)
-		if s == nil {
-			step()
-			return
-		}
-		s.sim.Lock()
-		defer s.sim.Unlock()
-		start := time.Now()
-		step()
-		gw.lockHold.record(time.Since(start))
+		gw.shardFor(site, cluster).step(&gw.lockHold, step)
 	})
 	// Grid admission: unanchored submissions route to the least-loaded live
 	// site or queue against freed capacity; the federation's grid listener

@@ -511,13 +511,15 @@ func TestMonolithicSiteRoutes(t *testing.T) {
 }
 
 // TestSiteReadsUnblockedByOtherShardAdvance pins the lock-scoping claim
-// deterministically: while shard B's Advance holds B's write lock, a
-// site-A read completes, and a site-B read can not — it is released
-// exactly when the advance finishes.
+// deterministically: while a whole-grid Advance is mid-step on site B's
+// coordinator shard — stalled there by an event on that shard's own
+// simulated clock, so B's write lock is held — a site-A read completes, and
+// a site-B read can not: it is released exactly when the step finishes.
 func TestSiteReadsUnblockedByOtherShardAdvance(t *testing.T) {
 	fed := federation.New(federation.Config{
-		Seed: 9,
-		Spec: fedSpec("luxembourg", "nantes"),
+		Seed:    9,
+		Spec:    fedSpec("luxembourg", "nantes"),
+		Workers: 1,
 		Configure: func(site string, seed int64) core.Config {
 			cfg := core.DefaultConfig()
 			cfg.InitialFaults = 0
@@ -527,35 +529,23 @@ func TestSiteReadsUnblockedByOtherShardAdvance(t *testing.T) {
 	})
 	fed.Start()
 	fed.Advance(simclock.Hour)
+	gw := ForFederation(fed)
+	c := inproc.Client(gw)
 
 	a, b := fed.Shard("luxembourg"), fed.Shard("nantes")
 	started := make(chan struct{})
 	release := make(chan struct{})
-	mk := func(sh *federation.Shard) Config {
-		return Config{
-			Clock: sh.F.Clock, TB: sh.F.TB, OAR: sh.F.OAR, Ref: sh.F.Ref,
-			Monitor: sh.F.Monitor, Bugs: sh.F.Bugs, CI: sh.F.CI, Advance: sh.F.RunFor,
-		}
-	}
-	cfgB := mk(b)
-	cfgB.Advance = func(d simclock.Time) {
+	b.F.Clock.After(30*simclock.Minute, func() {
 		close(started)
 		<-release // hold B's write lock until the test releases it
-	}
-	gw := NewFederated([]ShardConfig{
-		{Site: a.Site, Config: mk(a)},
-		{Site: b.Site, Config: cfgB},
 	})
-	c := inproc.Client(gw)
 
 	advDone := make(chan struct{})
 	go func() {
 		defer close(advDone)
-		if err := gw.AdvanceSite(b.Site, simclock.Hour); err != nil {
-			t.Errorf("AdvanceSite: %v", err)
-		}
+		gw.Advance(simclock.Hour)
 	}()
-	<-started // B's shard gate is now write-held
+	<-started // B's shard gate is now write-held, mid-step
 
 	// A site-A read completes while B is mid-advance.
 	readDone := make(chan int, 1)
@@ -579,7 +569,7 @@ func TestSiteReadsUnblockedByOtherShardAdvance(t *testing.T) {
 		t.Fatal("site-A read blocked behind site-B's advance")
 	}
 
-	// A site-B read must wait for the advance; it completes only after
+	// A site-B read must wait for the step; it completes only after
 	// release.
 	bDone := make(chan struct{})
 	go func() {
@@ -601,9 +591,9 @@ func TestSiteReadsUnblockedByOtherShardAdvance(t *testing.T) {
 	close(release)
 	<-advDone
 	<-bDone
-
-	// Unknown sites and hook-less shards error cleanly.
-	if err := gw.AdvanceSite("atlantis", simclock.Hour); err == nil {
-		t.Fatal("AdvanceSite(atlantis) did not error")
+	for _, sh := range fed.Shards() {
+		if got := sh.F.Clock.Now(); got != 2*simclock.Hour {
+			t.Fatalf("%s/%s clock = %v after the advance, want 2h", sh.Site, sh.Cluster, got)
+		}
 	}
 }

@@ -63,12 +63,17 @@
 // under the site label.
 //
 // Each shard carries its own RWMutex: request handlers hold the read side
-// of only the shard(s) they touch, and Advance — which steps the simulated
-// campaign — holds a shard's write side only while that micro-shard steps.
-// A site-scoped read (/sites/A/oar/resources) therefore never waits on an
-// Advance that is busy stepping site B — and under micro-sharding a read
-// against cluster A1 does not even wait on a step of A2; that
-// read-availability property is asserted by BenchmarkE17_FederatedAdvance.
+// of only the shard(s) they touch, and a campaign step holds a shard's
+// write side only while that micro-shard steps (shard.step — the one place
+// the write side is taken). The gateway itself never drives time: Advance
+// hands the duration to the one driver its constructor installed —
+// Federation.Advance, whose barrier ticks come back through shard.step as
+// the federation's step gate, or the monolithic Framework.RunFor under the
+// single shard's gate. A site-scoped read (/sites/A/oar/resources)
+// therefore never waits on an Advance that is busy stepping site B — and
+// under micro-sharding a read against cluster A1 does not even wait on a
+// step of A2; that read-availability property is asserted by
+// BenchmarkE17_FederatedAdvance.
 // Federated endpoints (/oar/resources and friends) scatter over the
 // shards, snapshotting each under its own read lock, and gather the merged
 // answer outside any lock. Subsystems guard their own state with their own
@@ -98,7 +103,6 @@
 package gateway
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -129,11 +133,6 @@ type Config struct {
 	Monitor *monitor.Collector
 	Bugs    *bugs.Tracker
 	CI      *ci.Server
-
-	// Advance, when set, lets Gateway.Advance drive the shard's campaign
-	// forward (typically core.Framework.RunFor). It always runs under the
-	// write side of the shard's request gate.
-	Advance func(simclock.Time)
 }
 
 // ShardConfig names one shard of a federated assembly. Site labels the
@@ -183,6 +182,16 @@ func (s *shard) rlocked(fn func()) {
 	fn()
 }
 
+// step runs one campaign step under the shard's write gate and records in
+// hold how long readers were shut out.
+func (s *shard) step(hold *latencyStat, fn func()) {
+	s.sim.Lock()
+	defer s.sim.Unlock()
+	start := time.Now()
+	fn()
+	hold.record(time.Since(start))
+}
+
 // Gateway is the front door. It implements http.Handler.
 type Gateway struct {
 	mux     *http.ServeMux
@@ -209,20 +218,15 @@ type Gateway struct {
 	// endpoints inject and heal grid events (see chaos.go).
 	chaos ChaosController
 
-	// advanceOverride, when set, replaces the per-shard fan-out of Advance —
-	// ForFederation points it at the federation's barrier engine so chaos
-	// semantics (frozen shards, catch-up ticks) apply to HTTP-driven time.
-	advanceOverride func(simclock.Time)
-
-	// siteAdvance, when set (ForFederation), replaces the per-shard loop of
-	// AdvanceSite with the federation's own site stepper, which keeps the
-	// site's micro-shards in lockstep and reaches back into their write
-	// locks through the step gate.
-	siteAdvance func(site string, d simclock.Time) error
+	// advance moves simulated time: Federation.Advance (ForFederation) or
+	// Framework.RunFor under the one shard's write gate (ForFramework). Nil
+	// on an assembly over bare subsystems, which serves a campaign that
+	// stands still.
+	advance func(simclock.Time)
 
 	// lockHold samples how long campaign steps hold shard write locks —
 	// the advance-side half of the E16 p99 investigation (AdvanceLockStats).
-	lockHold lockHoldStats
+	lockHold latencyStat
 
 	// admission, when set (EnableAdmission), routes unanchored federated
 	// submissions through the grid admission layer: least-loaded placement,
@@ -338,9 +342,9 @@ func NewFederated(shardCfgs []ShardConfig) *Gateway {
 }
 
 // ForFramework is the one-call assembly over a complete monolithic
-// campaign.
+// campaign; Advance runs it forward under the single shard's write gate.
 func ForFramework(f *core.Framework) *Gateway {
-	return New(Config{
+	g := New(Config{
 		Clock:   f.Clock,
 		TB:      f.TB,
 		OAR:     f.OAR,
@@ -348,8 +352,11 @@ func ForFramework(f *core.Framework) *Gateway {
 		Monitor: f.Monitor,
 		Bugs:    f.Bugs,
 		CI:      f.CI,
-		Advance: f.RunFor,
 	})
+	g.advance = func(d simclock.Time) {
+		g.shards[0].step(&g.lockHold, func() { f.RunFor(d) })
+	}
+	return g
 }
 
 // ServeHTTP implements http.Handler.
@@ -357,83 +364,14 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// Advance steps every shard's campaign by d of simulated time, all shards
-// at once (they share no simulation state). Each steps under its own write
-// lock, so requests against one shard proceed while another is still
-// advancing. A no-op for shards assembled without an Advance hook. With an
-// advance override installed (ForFederation), the external driver runs
-// instead — it reaches back into the shards through their step gates.
+// Advance steps the served campaign by d of simulated time through the
+// driver the constructor installed (see the package comment); requests
+// against a shard that is not mid-step proceed throughout. A no-op on an
+// assembly over bare subsystems.
 func (g *Gateway) Advance(d simclock.Time) {
-	if g.advanceOverride != nil {
-		// The override (Federation.Advance) fires the grid listener on
-		// return, which pumps the admission queue — no extra pump here.
-		g.advanceOverride(d)
-		return
+	if g.advance != nil {
+		g.advance(d)
 	}
-	defer g.pumpAdmission()
-	var wg sync.WaitGroup
-	for _, s := range g.shards {
-		wg.Add(1)
-		go func(s *shard) {
-			defer wg.Done()
-			g.advanceShard(s, d)
-		}(s)
-	}
-	wg.Wait()
-}
-
-// AdvanceSite steps only the shards owning the named site — all of its
-// micro-shards together, in cluster order, so they stay in lockstep with
-// each other — holding only those shards' write locks one at a time. Reads
-// against every other site (and, under micro-sharding, against this
-// site's not-currently-stepping clusters) proceed untouched. On a
-// monolithic (single-shard) gateway the one shard owns every site, so
-// this advances the whole campaign.
-func (g *Gateway) AdvanceSite(site string, d simclock.Time) error {
-	ss := g.siteShards[site]
-	if len(ss) == 0 {
-		return fmt.Errorf("gateway: unknown site %q", site)
-	}
-	if g.siteAdvance == nil {
-		hooked := false
-		for _, s := range ss {
-			if s.cfg.Advance != nil {
-				hooked = true
-				break
-			}
-		}
-		if !hooked {
-			return fmt.Errorf("gateway: site %q has no advance hook", site)
-		}
-	}
-	if !g.siteAvailable(site) {
-		return fmt.Errorf("gateway: site %q is down", site)
-	}
-	if g.siteAdvance != nil {
-		// The federation steps the site's micro-shards itself, taking each
-		// shard's write lock through the step gate.
-		if err := g.siteAdvance(site, d); err != nil {
-			return err
-		}
-	} else {
-		for _, s := range ss {
-			g.advanceShard(s, d)
-		}
-	}
-	// The stepped site may have freed capacity a queued reservation fits.
-	g.pumpAdmission()
-	return nil
-}
-
-func (g *Gateway) advanceShard(s *shard, d simclock.Time) {
-	if s.cfg.Advance == nil {
-		return
-	}
-	s.sim.Lock()
-	defer s.sim.Unlock()
-	start := time.Now()
-	s.cfg.Advance(d)
-	g.lockHold.record(time.Since(start))
 }
 
 // Sites returns the site names the gateway routes, sorted.
@@ -553,52 +491,51 @@ func (g *Gateway) handleCIProxy(w http.ResponseWriter, r *http.Request) {
 
 // ---- instrumentation --------------------------------------------------------
 
-// endpointMetrics is the per-endpoint counter set. All fields are atomics:
-// the hot path never takes a lock.
-type endpointMetrics struct {
-	requests    atomic.Int64
-	errors      atomic.Int64
-	notModified atomic.Int64
-	totalNs     atomic.Int64
-	maxNs       atomic.Int64
-}
-
-func (m *endpointMetrics) record(code int, d time.Duration) {
-	m.requests.Add(1)
-	if code >= 400 {
-		m.errors.Add(1)
-	}
-	if code == http.StatusNotModified {
-		m.notModified.Add(1)
-	}
-	ns := d.Nanoseconds()
-	m.totalNs.Add(ns)
-	for {
-		cur := m.maxNs.Load()
-		if ns <= cur || m.maxNs.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// lockHoldStats samples how long campaign steps hold a shard's write
-// lock. All fields are atomics: recording never contends with the readers
-// those holds block.
-type lockHoldStats struct {
-	steps   atomic.Int64
+// latencyStat is a lock-free count, total and maximum of durations:
+// recording never takes a lock, so it never contends with the requests (or
+// the readers a write-lock hold blocks) it measures.
+type latencyStat struct {
+	count   atomic.Int64
 	totalNs atomic.Int64
 	maxNs   atomic.Int64
 }
 
-func (l *lockHoldStats) record(d time.Duration) {
+func (l *latencyStat) record(d time.Duration) {
 	ns := d.Nanoseconds()
-	l.steps.Add(1)
+	l.count.Add(1)
 	l.totalNs.Add(ns)
 	for {
 		cur := l.maxNs.Load()
 		if ns <= cur || l.maxNs.CompareAndSwap(cur, ns) {
 			return
 		}
+	}
+}
+
+// micros returns the count with the mean and the maximum in microseconds.
+func (l *latencyStat) micros() (count int64, avgUs, maxUs float64) {
+	count = l.count.Load()
+	if count > 0 {
+		avgUs = float64(l.totalNs.Load()) / float64(count) / 1e3
+	}
+	return count, avgUs, float64(l.maxNs.Load()) / 1e3
+}
+
+// endpointMetrics is the per-endpoint counter set; latency counts the
+// requests.
+type endpointMetrics struct {
+	latency     latencyStat
+	errors      atomic.Int64
+	notModified atomic.Int64
+}
+
+func (m *endpointMetrics) record(code int, d time.Duration) {
+	m.latency.record(d)
+	if code >= 400 {
+		m.errors.Add(1)
+	}
+	if code == http.StatusNotModified {
+		m.notModified.Add(1)
 	}
 }
 
@@ -613,16 +550,10 @@ type LockHoldStats struct {
 }
 
 // AdvanceLockStats snapshots the write-lock hold sampling accumulated by
-// every campaign step since assembly (Advance, AdvanceSite, and federated
-// barrier ticks through the step gate).
+// every campaign step since assembly (each pass through shard.step).
 func (g *Gateway) AdvanceLockStats() LockHoldStats {
-	out := LockHoldStats{
-		Steps:     g.lockHold.steps.Load(),
-		MaxMicros: float64(g.lockHold.maxNs.Load()) / 1e3,
-	}
-	if out.Steps > 0 {
-		out.AvgMicros = float64(g.lockHold.totalNs.Load()) / float64(out.Steps) / 1e3
-	}
+	var out LockHoldStats
+	out.Steps, out.AvgMicros, out.MaxMicros = g.lockHold.micros()
 	return out
 }
 
@@ -691,15 +622,8 @@ func (g *Gateway) Metrics() MetricsReport {
 		rep.Admission = &st
 	}
 	for pattern, m := range g.metrics {
-		em := EndpointMetrics{
-			Requests:    m.requests.Load(),
-			Errors:      m.errors.Load(),
-			NotModified: m.notModified.Load(),
-			MaxMicros:   float64(m.maxNs.Load()) / 1e3,
-		}
-		if em.Requests > 0 {
-			em.AvgMicros = float64(m.totalNs.Load()) / float64(em.Requests) / 1e3
-		}
+		em := EndpointMetrics{Errors: m.errors.Load(), NotModified: m.notModified.Load()}
+		em.Requests, em.AvgMicros, em.MaxMicros = m.latency.micros()
 		rep.Requests += em.Requests
 		rep.Errors += em.Errors
 		rep.Endpoints[pattern] = em

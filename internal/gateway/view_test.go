@@ -155,7 +155,7 @@ func TestServeViewHammer(t *testing.T) {
 }
 
 // flippingChaos is a controller under which an outage lands in the middle
-// of every request: the first DownSites answer after arm says the grid is
+// of every request: the first LostSites answer after arm says the grid is
 // whole, every later one that site is down.
 type flippingChaos struct {
 	ChaosController
@@ -163,11 +163,11 @@ type flippingChaos struct {
 	calls atomic.Int32
 }
 
-func (c *flippingChaos) DownSites() []string {
+func (c *flippingChaos) LostSites() (down, unreachable []string) {
 	if c.calls.Add(1) == 1 {
-		return nil
+		return nil, nil
 	}
-	return []string{c.site}
+	return []string{c.site}, nil
 }
 
 // TestMergedReadSeesOneGridState: a merged response either carries the

@@ -132,33 +132,12 @@ type GridSnapshot struct {
 	Sites []SiteCapture
 }
 
-// At materializes the grid snapshot current at t. Each site's snapshot is
-// built (and cached) by its own store under its own gate; repeated calls
-// for the same t re-materialize nothing (refapi.Store.Materializations
-// proves it).
+// At materializes the grid snapshot current at t: Materialize of the
+// vector VersionVector reads at t. Each site's snapshot is built (and
+// cached) by its own store under its own gate; repeated calls for the same
+// t re-materialize nothing (refapi.Store.Materializations proves it).
 func (a *GridArchive) At(t simclock.Time, exclude map[string]bool) GridSnapshot {
-	var out GridSnapshot
-	for i := range a.sites {
-		s := &a.sites[i]
-		if exclude[s.Site] {
-			continue
-		}
-		var snap *refapi.Snapshot
-		s.gated(func() { snap = s.Ref.At(t) })
-		if snap == nil {
-			continue
-		}
-		if snap.TakenAt > out.AsOf {
-			out.AsOf = snap.TakenAt
-		}
-		out.Sites = append(out.Sites, SiteCapture{
-			Site:     s.Site,
-			Version:  snap.Version,
-			TakenAt:  snap.TakenAt,
-			Snapshot: snap,
-		})
-	}
-	return out
+	return a.Materialize(a.VersionVector(t, exclude))
 }
 
 // Materialize builds the grid snapshot for an exact version vector
@@ -213,42 +192,12 @@ type GridDiff struct {
 // earlier instant: everything present later reads as "missing → present".
 var emptySnapshot = &refapi.Snapshot{}
 
-// Diff computes the grid-level historical diff between two instants.
-// Sites with no capture at either instant are omitted; a site that only
-// exists at the later instant diffs against the empty snapshot.
+// Diff computes the grid-level historical diff between two instants:
+// DiffVector of the vectors VersionVector reads at each. Sites with no
+// capture at either instant are omitted; a site that only exists at the
+// later instant diffs against the empty snapshot.
 func (a *GridArchive) Diff(from, to simclock.Time, exclude map[string]bool) GridDiff {
-	var out GridDiff
-	for i := range a.sites {
-		s := &a.sites[i]
-		if exclude[s.Site] {
-			continue
-		}
-		var sa, sb *refapi.Snapshot
-		s.gated(func() { sa, sb = s.Ref.At(from), s.Ref.At(to) })
-		if sa == nil && sb == nil {
-			continue
-		}
-		sd := SiteDiff{Site: s.Site, Cluster: s.Cluster}
-		if sa == nil {
-			sa = emptySnapshot
-		} else {
-			sd.FromVersion = sa.Version
-		}
-		if sb == nil {
-			sb = emptySnapshot
-		} else {
-			sd.ToVersion = sb.Version
-		}
-		if sa != sb {
-			sd.Differences = refapi.DiffSnapshots(sa, sb)
-		}
-		if sd.Differences == nil {
-			sd.Differences = []refapi.Difference{}
-		}
-		out.Count += len(sd.Differences)
-		out.Sites = append(out.Sites, sd)
-	}
-	return out
+	return a.DiffVector(a.VersionVector(from, exclude), a.VersionVector(to, exclude))
 }
 
 // DiffVector is Diff pinned to two exact version vectors (VersionVector's

@@ -13,8 +13,9 @@ import (
 	"repro/internal/testbed"
 )
 
-// twoSiteArchive builds an archive over two independent stores: site a
-// captured at 10h with a one-node update at 20h, site b captured at 15h.
+// twoSiteArchive builds an archive over two independent stores, labelled
+// the way a micro-sharded federation labels them (site and cluster): a/c1
+// captured at 10h with a one-node update at 20h, b/c2 captured at 15h.
 func twoSiteArchive(t *testing.T) (*GridArchive, *testbed.Testbed) {
 	t.Helper()
 	tbA := testbed.Default()
@@ -28,8 +29,8 @@ func twoSiteArchive(t *testing.T) (*GridArchive, *testbed.Testbed) {
 	tbB := testbed.Default()
 	stB := refapi.NewStore(tbB, 15*simclock.Hour)
 	return NewGridArchive([]SiteArchive{
-		{Site: "a", Ref: stA},
-		{Site: "b", Ref: stB},
+		{Site: "a", Cluster: "c1", Ref: stA},
+		{Site: "b", Cluster: "c2", Ref: stB},
 	}), tbB
 }
 
@@ -37,7 +38,7 @@ func TestVersionVector(t *testing.T) {
 	arch, _ := twoSiteArchive(t)
 
 	vec := arch.VersionVector(5*simclock.Hour, nil)
-	want := []SiteVersion{{Site: "a"}, {Site: "b"}}
+	want := []SiteVersion{{Site: "a", Cluster: "c1"}, {Site: "b", Cluster: "c2"}}
 	if !reflect.DeepEqual(vec, want) {
 		t.Fatalf("vector before any capture = %v, want %v", vec, want)
 	}
@@ -46,13 +47,13 @@ func TestVersionVector(t *testing.T) {
 	}
 
 	vec = arch.VersionVector(12*simclock.Hour, nil)
-	want = []SiteVersion{{Site: "a", Version: 1}, {Site: "b"}}
+	want = []SiteVersion{{Site: "a", Cluster: "c1", Version: 1}, {Site: "b", Cluster: "c2"}}
 	if !reflect.DeepEqual(vec, want) {
 		t.Fatalf("vector at 12h = %v, want %v", vec, want)
 	}
 
 	vec = arch.VersionVector(25*simclock.Hour, nil)
-	want = []SiteVersion{{Site: "a", Version: 2}, {Site: "b", Version: 1}}
+	want = []SiteVersion{{Site: "a", Cluster: "c1", Version: 2}, {Site: "b", Cluster: "c2", Version: 1}}
 	if !reflect.DeepEqual(vec, want) {
 		t.Fatalf("vector at 25h = %v, want %v", vec, want)
 	}
@@ -63,7 +64,7 @@ func TestVersionVector(t *testing.T) {
 	// The degraded set drops a site from the vector (and so from the key:
 	// a body rendered while b was down must never match a whole-grid ETag).
 	vec = arch.VersionVector(25*simclock.Hour, map[string]bool{"b": true})
-	want = []SiteVersion{{Site: "a", Version: 2}}
+	want = []SiteVersion{{Site: "a", Cluster: "c1", Version: 2}}
 	if !reflect.DeepEqual(vec, want) {
 		t.Fatalf("vector excluding b = %v, want %v", vec, want)
 	}
@@ -77,16 +78,16 @@ func TestGridAt(t *testing.T) {
 	}
 
 	snap := arch.At(12*simclock.Hour, nil)
-	if len(snap.Sites) != 1 || snap.Sites[0].Site != "a" || snap.Sites[0].Version != 1 {
-		t.Fatalf("At(12h) sites = %+v, want a@1 only", snap.Sites)
+	if len(snap.Sites) != 1 || snap.Sites[0].Site != "a" || snap.Sites[0].Cluster != "c1" || snap.Sites[0].Version != 1 {
+		t.Fatalf("At(12h) sites = %+v, want a/c1@1 only", snap.Sites)
 	}
 	if snap.AsOf != 10*simclock.Hour {
 		t.Fatalf("AsOf = %v, want 10h", snap.AsOf)
 	}
 
 	snap = arch.At(25*simclock.Hour, nil)
-	if len(snap.Sites) != 2 || snap.Sites[0].Version != 2 || snap.Sites[1].Version != 1 {
-		t.Fatalf("At(25h) sites = %+v, want a@2, b@1", snap.Sites)
+	if len(snap.Sites) != 2 || snap.Sites[0].Version != 2 || snap.Sites[1].Version != 1 || snap.Sites[1].Cluster != "c2" {
+		t.Fatalf("At(25h) sites = %+v, want a/c1@2, b/c2@1", snap.Sites)
 	}
 	if snap.AsOf != 20*simclock.Hour {
 		t.Fatalf("AsOf = %v, want 20h (a's update)", snap.AsOf)
@@ -111,14 +112,15 @@ func TestMaterializePinsVector(t *testing.T) {
 	if old.Sites[0].Snapshot.Nodes["sol-1.sophia"].Inv.RAMGB != 8 {
 		t.Fatal("pinned render does not reflect a@2")
 	}
-	stale := arch.Materialize([]SiteVersion{{Site: "a", Version: 1}, {Site: "b", Version: 1}})
+	stale := arch.Materialize([]SiteVersion{{Site: "a", Cluster: "c1", Version: 1}, {Site: "b", Cluster: "c2", Version: 1}})
 	if stale.Sites[0].Version != 1 || stale.AsOf != 15*simclock.Hour {
 		t.Fatalf("stale vector render = a@%d AsOf %v, want a@1 AsOf 15h",
 			stale.Sites[0].Version, stale.AsOf)
 	}
 
-	// Version-0 entries and unknown sites drop out instead of panicking.
-	empty := arch.Materialize([]SiteVersion{{Site: "a"}, {Site: "nowhere", Version: 3}})
+	// Version-0 entries, a known site under the wrong cluster label and
+	// unknown sites drop out instead of panicking.
+	empty := arch.Materialize([]SiteVersion{{Site: "a", Cluster: "c1"}, {Site: "a", Version: 1}, {Site: "nowhere", Version: 3}})
 	if len(empty.Sites) != 0 {
 		t.Fatalf("degenerate vector carries %d sites, want 0", len(empty.Sites))
 	}
@@ -143,8 +145,10 @@ func TestGridAtRunsUnderGates(t *testing.T) {
 	arch.VersionVector(2*simclock.Hour, nil)
 	arch.At(2*simclock.Hour, nil)
 	arch.Diff(simclock.Hour, 2*simclock.Hour, nil)
-	if gated != 3 {
-		t.Fatalf("gate ran %d times, want 3 (every store access gated)", gated)
+	// One vector read; At reads a vector and renders it; Diff reads two and
+	// renders the pair.
+	if gated != 1+2+3 {
+		t.Fatalf("gate ran %d times, want 6 (every store access gated)", gated)
 	}
 }
 
@@ -156,7 +160,7 @@ func TestGridDiff(t *testing.T) {
 		t.Fatalf("diff sites = %d, want 2", len(d.Sites))
 	}
 	a := d.Sites[0]
-	if a.Site != "a" || a.FromVersion != 1 || a.ToVersion != 2 {
+	if a.Site != "a" || a.Cluster != "c1" || a.FromVersion != 1 || a.ToVersion != 2 {
 		t.Fatalf("site a diff header = %+v", a)
 	}
 	if len(a.Differences) != 1 || a.Differences[0].Field != "ram_gb" {
@@ -164,7 +168,7 @@ func TestGridDiff(t *testing.T) {
 	}
 	// Site b had no capture at 12h: everything reads as newly present.
 	b := d.Sites[1]
-	if b.Site != "b" || b.FromVersion != 0 || b.ToVersion != 1 {
+	if b.Site != "b" || b.Cluster != "c2" || b.FromVersion != 0 || b.ToVersion != 1 {
 		t.Fatalf("site b diff header = %+v", b)
 	}
 	if len(b.Differences) != len(tbB.Nodes()) {
