@@ -1,394 +1,13 @@
 // Ablation benchmarks for the reproduction's central design choices: each
 // one compares the paper's mechanism against the obvious alternative and
-// reports both sides as metrics.
+// reports both sides as metrics. The bodies live in reproduction_test.go.
 package repro_test
 
-import (
-	"fmt"
-	"testing"
+import "testing"
 
-	"repro/internal/ci"
-	"repro/internal/oar"
-	"repro/internal/sched"
-	"repro/internal/simclock"
-	"repro/internal/testbed"
-)
-
-// contendedFixture builds an OAR+CI pair over the default testbed with a
-// configurable user workload on one cluster.
-type contendedFixture struct {
-	clock *simclock.Clock
-	tb    *testbed.Testbed
-	oar   *oar.Server
-	ci    *ci.Server
-}
-
-func newFixture(seed int64) *contendedFixture {
-	f := &contendedFixture{clock: simclock.New(seed), tb: testbed.Default()}
-	f.oar = oar.NewServer(f.clock, f.tb)
-	f.ci = ci.NewServer(f.clock, 8)
-	return f
-}
-
-// staggeredLoad runs n independent user streams against the cluster, each
-// repeatedly holding `nodes` nodes for ~5 h then sleeping ~3 h. Streams
-// drift out of phase, so individual nodes are regularly free while the
-// whole cluster almost never is — the situation of slide 16 ("waiting for
-// all nodes of a given cluster to be available can take weeks").
-func (f *contendedFixture) staggeredLoad(cluster string, n, nodes int, gapMean simclock.Time) {
-	for i := 0; i < n; i++ {
-		var arm func()
-		arm = func() {
-			req := fmt.Sprintf("cluster='%s'/nodes=%d,walltime=5", cluster, nodes)
-			f.oar.Submit(req, oar.SubmitOptions{User: "user"})
-			sleep := 5*simclock.Hour + simclock.Exponential(f.clock.Rand(), gapMean)
-			f.clock.After(sleep, arm)
-		}
-		phase := simclock.Time(i) * 2 * simclock.Hour
-		f.clock.After(phase, arm)
-	}
-}
-
-// testJob installs a CI job running the paper's immediate-submit protocol
-// for the given request, and returns a counter of completed runs.
-func (f *contendedFixture) testJob(name, request string, runs *int) {
-	f.ci.CreateJob(&ci.Job{Name: name, Script: func(bc *ci.BuildContext) ci.Outcome {
-		j, _ := f.oar.Submit(request, oar.SubmitOptions{User: "jenkins", Immediate: true})
-		if j.State != oar.Running {
-			return ci.Outcome{Result: ci.Unstable, Duration: simclock.Minute}
-		}
-		f.clock.After(30*simclock.Minute, func() {
-			if f.oar.Job(j.ID).State == oar.Running {
-				f.oar.Release(j.ID) //nolint:errcheck
-			}
-		})
-		*runs++
-		return ci.Outcome{Result: ci.Success, Duration: 30 * simclock.Minute}
-	}})
-}
-
-// BenchmarkAblation_PerNodeScheduling addresses the paper's open question
-// (slide 23): hardware tests currently need ALL nodes of a cluster at once;
-// would per-node scheduling cover the cluster faster? We measure the
-// simulated days until every node of a contended 20-node cluster has been
-// disk-tested once, both ways.
 func BenchmarkAblation_PerNodeScheduling(b *testing.B) {
-	const cluster, clusterSize = "sol", 20
-	const horizon = 45 * simclock.Day
-
-	runWhole := func(seed int64) float64 {
-		f := newFixture(seed)
-		f.staggeredLoad(cluster, 3, 7, 3*simclock.Hour)
-		done := simclock.Time(-1)
-		runs := 0
-		f.testJob("disk", "cluster='"+cluster+"'/nodes=ALL,walltime=1", &runs)
-		s := sched.New(f.clock, f.oar, f.ci, sched.DefaultConfig())
-		s.Register(&sched.Spec{Name: "disk", JobName: "disk", Cluster: cluster,
-			Site: "sophia", Kind: sched.HardwareCentric,
-			Request: "cluster='" + cluster + "'/nodes=ALL,walltime=1",
-			Period:  10 * horizon})
-		s.Start()
-		for done < 0 && f.clock.Now() < horizon {
-			f.clock.RunFor(simclock.Hour)
-			if runs > 0 {
-				done = f.clock.Now()
-			}
-		}
-		s.Stop()
-		if done < 0 {
-			done = horizon
-		}
-		return done.Duration().Hours() / 24
-	}
-
-	runPerNode := func(seed int64) float64 {
-		f := newFixture(seed)
-		f.staggeredLoad(cluster, 3, 7, 3*simclock.Hour)
-		cfg := sched.DefaultConfig()
-		cfg.MaxActivePerSite = 4           // per-node tests are small; allow a few at once
-		cfg.BackoffMax = 2 * simclock.Hour // probing one node is cheap; stay responsive
-		s := sched.New(f.clock, f.oar, f.ci, cfg)
-		counters := make([]int, clusterSize)
-		for i := 1; i <= clusterSize; i++ {
-			node := fmt.Sprintf("%s-%d.sophia", cluster, i)
-			req := fmt.Sprintf("host='%s'/nodes=1,walltime=1", node)
-			name := "disk-" + node
-			f.testJob(name, req, &counters[i-1])
-			s.Register(&sched.Spec{Name: name, JobName: name, Cluster: cluster,
-				Site: "sophia", Kind: sched.SoftwareCentric, Request: req,
-				Period: 10 * horizon})
-		}
-		s.Start()
-		done := simclock.Time(-1)
-		for done < 0 && f.clock.Now() < horizon {
-			f.clock.RunFor(simclock.Hour)
-			covered := 0
-			for _, c := range counters {
-				if c > 0 {
-					covered++
-				}
-			}
-			if covered == clusterSize {
-				done = f.clock.Now()
-			}
-		}
-		s.Stop()
-		if done < 0 {
-			done = horizon
-		}
-		return done.Duration().Hours() / 24
-	}
-
-	// Contention patterns are seed-sensitive; average a fixed seed panel so
-	// the reported comparison is stable whatever b.N is.
-	const seeds = 5
-	var wholeDays, perNodeDays float64
-	for i := 0; i < b.N; i++ {
-		wholeDays, perNodeDays = 0, 0
-		for s := int64(1); s <= seeds; s++ {
-			wholeDays += runWhole(s)
-			perNodeDays += runPerNode(s)
-		}
-		wholeDays /= seeds
-		perNodeDays /= seeds
-	}
-	if perNodeDays >= wholeDays {
-		b.Fatalf("per-node (%.1f d) not faster than whole-cluster (%.1f d) on the seed panel",
-			perNodeDays, wholeDays)
-	}
-	b.ReportMetric(wholeDays, "whole_cluster_days")
-	b.ReportMetric(perNodeDays, "per_node_days")
+	benchExperiment(b, "Ablation_PerNodeScheduling")
 }
-
-// BenchmarkAblation_Backoff compares exponential backoff against a fixed
-// 30-minute retry while a cluster stays busy for five straight days: how
-// many availability probes does each policy waste, and how much later does
-// the exponential policy run the test once resources free up?
-func BenchmarkAblation_Backoff(b *testing.B) {
-	run := func(seed int64, expo bool) (probes int, firstRunDay float64) {
-		f := newFixture(seed)
-		// 28 of helios' 30 nodes pinned for 5 days, then released.
-		f.oar.Submit("cluster='helios'/nodes=28,walltime=120", oar.SubmitOptions{User: "user"})
-		cfg := sched.DefaultConfig()
-		cfg.AvoidPeak = false // isolate the backoff policy
-		if !expo {
-			cfg.BackoffMax = cfg.BackoffBase // fixed interval
-		}
-		runs := 0
-		f.testJob("t", "cluster='helios'/nodes=ALL,walltime=1", &runs)
-		s := sched.New(f.clock, f.oar, f.ci, cfg)
-		s.Register(&sched.Spec{Name: "t", JobName: "t", Cluster: "helios",
-			Site: "sophia", Kind: sched.HardwareCentric,
-			Request: "cluster='helios'/nodes=ALL,walltime=1", Period: 60 * simclock.Day})
-		s.Start()
-		firstRunDay = -1
-		for firstRunDay < 0 && f.clock.Now() < 8*simclock.Day {
-			f.clock.RunFor(simclock.Hour)
-			if runs > 0 {
-				firstRunDay = f.clock.Now().Duration().Hours() / 24
-			}
-		}
-		s.Stop()
-		counts := s.DecisionCounts()
-		probes = counts[sched.ActionDeferResources] + counts[sched.ActionTriggered]
-		return probes, firstRunDay
-	}
-	var expoProbes, fixedProbes int
-	var expoDay, fixedDay float64
-	for i := 0; i < b.N; i++ {
-		expoProbes, expoDay = run(int64(i)+1, true)
-		fixedProbes, fixedDay = run(int64(i)+1, false)
-	}
-	if expoProbes >= fixedProbes {
-		b.Fatalf("backoff (%d probes) not cheaper than fixed retry (%d)", expoProbes, fixedProbes)
-	}
-	b.ReportMetric(float64(expoProbes), "expo_probes")
-	b.ReportMetric(float64(fixedProbes), "fixed_probes")
-	b.ReportMetric(expoDay, "expo_first_run_day")
-	b.ReportMetric(fixedDay, "fixed_first_run_day")
-}
-
-// BenchmarkAblation_MatrixRetry compares Matrix Reloaded (retry only the
-// failed cells) with a naive full re-run of the matrix until everything is
-// green, counting cell executions (node-hours burnt on the testbed).
-func BenchmarkAblation_MatrixRetry(b *testing.B) {
-	// A flaky matrix: each cell fails with 20 % probability, independently,
-	// until it has succeeded once.
-	mkServer := func(seed int64) (*simclock.Clock, *ci.Server) {
-		clock := simclock.New(seed)
-		s := ci.NewServer(clock, 64)
-		passed := map[string]bool{}
-		s.CreateJob(&ci.Job{
-			Name: "m",
-			Axes: []ci.Axis{
-				{Name: "image", Values: axisValues("img", 14)},
-				{Name: "cluster", Values: axisValues("cl", 32)},
-			},
-			Retention: 10000,
-			Script: func(bc *ci.BuildContext) ci.Outcome {
-				key := bc.Axis("image") + "/" + bc.Axis("cluster")
-				if !passed[key] && clock.Rand().Float64() < 0.2 {
-					return ci.Outcome{Result: ci.Failure, Duration: 5 * simclock.Minute}
-				}
-				passed[key] = true
-				return ci.Outcome{Result: ci.Success, Duration: 5 * simclock.Minute}
-			},
-		})
-		return clock, s
-	}
-
-	runReloaded := func(seed int64) int {
-		clock, s := mkServer(seed)
-		parent, _ := s.Trigger("m", "bench")
-		clock.Run()
-		cells := len(parent.CellBuilds)
-		for round := 0; round < 10 && parent.Result != ci.Success; round++ {
-			parent, _ = s.RetryFailedCells("m", parent.Number, "retry")
-			clock.Run()
-			cells += len(parent.CellBuilds)
-		}
-		return cells
-	}
-	runFull := func(seed int64) int {
-		clock, s := mkServer(seed)
-		cells := 0
-		var parent *ci.Build
-		for round := 0; round < 10; round++ {
-			parent, _ = s.Trigger("m", "bench")
-			clock.Run()
-			cells += len(parent.CellBuilds)
-			if parent.Result == ci.Success {
-				break
-			}
-		}
-		return cells
-	}
-
-	var reloaded, full int
-	for i := 0; i < b.N; i++ {
-		reloaded = runReloaded(int64(i) + 1)
-		full = runFull(int64(i) + 1)
-	}
-	if reloaded >= full {
-		b.Fatalf("matrix reloaded (%d cells) not cheaper than full re-runs (%d)", reloaded, full)
-	}
-	b.ReportMetric(float64(reloaded), "reloaded_cells")
-	b.ReportMetric(float64(full), "full_rerun_cells")
-}
-
-func axisValues(prefix string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("%s%02d", prefix, i)
-	}
-	return out
-}
-
-// BenchmarkAblation_CancelPolicy compares the paper's whole protocol
-// (external scheduler pre-check + immediate-or-cancel submission) against
-// what it replaced — plain Jenkins time-based scheduling where the build
-// submits a normal OAR job and *blocks on its executor* until the job
-// starts (slide 16: "it would use a Jenkins worker"). We measure
-// executor-hours consumed per completed test run over a contended week.
-func BenchmarkAblation_CancelPolicy(b *testing.B) {
-	const cluster = "uvb" // 20 nodes
-	const wait = 12 * simclock.Hour
-
-	runPaper := func(seed int64) (execHours, runs float64) {
-		f := newFixture(seed)
-		f.staggeredLoad(cluster, 2, 7, 6*simclock.Hour)
-		var busy simclock.Time
-		completed := 0
-		f.ci.CreateJob(&ci.Job{Name: "t", Script: func(bc *ci.BuildContext) ci.Outcome {
-			j, _ := f.oar.Submit("cluster='"+cluster+"'/nodes=ALL,walltime=1",
-				oar.SubmitOptions{User: "jenkins", Immediate: true})
-			if j.State != oar.Running {
-				busy += simclock.Minute
-				return ci.Outcome{Result: ci.Unstable, Duration: simclock.Minute}
-			}
-			f.clock.After(30*simclock.Minute, func() {
-				if f.oar.Job(j.ID).State == oar.Running {
-					f.oar.Release(j.ID) //nolint:errcheck
-				}
-			})
-			busy += 30 * simclock.Minute
-			completed++
-			return ci.Outcome{Result: ci.Success, Duration: 30 * simclock.Minute}
-		}})
-		cfg := sched.DefaultConfig()
-		cfg.AvoidPeak = false // isolate the cancellation protocol
-		s := sched.New(f.clock, f.oar, f.ci, cfg)
-		s.Register(&sched.Spec{Name: "t", JobName: "t", Cluster: cluster,
-			Site: "sophia", Kind: sched.HardwareCentric,
-			Request: "cluster='" + cluster + "'/nodes=ALL,walltime=1",
-			Period:  simclock.Day})
-		s.Start()
-		f.clock.RunFor(simclock.Week)
-		s.Stop()
-		return busy.Duration().Hours(), float64(completed)
-	}
-
-	runCron := func(seed int64) (execHours, runs float64) {
-		f := newFixture(seed)
-		f.staggeredLoad(cluster, 2, 7, 6*simclock.Hour)
-		var busy simclock.Time
-		completed := 0
-		f.ci.CreateJob(&ci.Job{Name: "t", Script: func(bc *ci.BuildContext) ci.Outcome {
-			j, _ := f.oar.Submit("cluster='"+cluster+"'/nodes=ALL,walltime=1",
-				oar.SubmitOptions{User: "jenkins"})
-			if j.State == oar.Running {
-				f.clock.After(30*simclock.Minute, func() {
-					if f.oar.Job(j.ID).State == oar.Running {
-						f.oar.Release(j.ID) //nolint:errcheck
-					}
-				})
-				busy += 30 * simclock.Minute
-				completed++
-				return ci.Outcome{Result: ci.Success, Duration: 30 * simclock.Minute}
-			}
-			// Hold the executor while the job waits in the OAR queue; if the
-			// job got to run inside the window the test still counts, but
-			// the executor was pinned for the whole wait either way.
-			busy += wait
-			f.clock.After(wait, func() {
-				switch f.oar.Job(j.ID).State {
-				case oar.Waiting:
-					f.oar.Cancel(j.ID) //nolint:errcheck
-				case oar.Running:
-					completed++
-					f.oar.Release(j.ID) //nolint:errcheck
-				case oar.Terminated:
-					completed++
-				}
-			})
-			return ci.Outcome{Result: ci.Aborted, Duration: wait}
-		}})
-		// Plain time-based scheduling: trigger once a day.
-		f.clock.Every(simclock.Day, func() { f.ci.Trigger("t", "cron") }) //nolint:errcheck
-		f.clock.RunFor(simclock.Week)
-		return busy.Duration().Hours(), float64(completed)
-	}
-
-	// Average a fixed seed panel; the figure of merit is executor-hours per
-	// completed test run.
-	const seeds = 5
-	var paperHours, cronHours, paperRuns, cronRuns float64
-	for i := 0; i < b.N; i++ {
-		paperHours, cronHours, paperRuns, cronRuns = 0, 0, 0, 0
-		for s := int64(1); s <= seeds; s++ {
-			h, r := runPaper(s)
-			paperHours += h
-			paperRuns += r
-			h, r = runCron(s)
-			cronHours += h
-			cronRuns += r
-		}
-	}
-	if paperRuns == 0 || cronRuns == 0 {
-		b.Fatalf("degenerate scenario: sched runs=%v cron runs=%v", paperRuns, cronRuns)
-	}
-	b.ReportMetric(paperHours/paperRuns, "sched_hours_per_run")
-	b.ReportMetric(cronHours/cronRuns, "cron_hours_per_run")
-	b.ReportMetric(paperRuns/seeds, "sched_runs")
-	b.ReportMetric(cronRuns/seeds, "cron_runs")
-}
+func BenchmarkAblation_Backoff(b *testing.B)      { benchExperiment(b, "Ablation_Backoff") }
+func BenchmarkAblation_MatrixRetry(b *testing.B)  { benchExperiment(b, "Ablation_MatrixRetry") }
+func BenchmarkAblation_CancelPolicy(b *testing.B) { benchExperiment(b, "Ablation_CancelPolicy") }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
@@ -23,456 +22,53 @@ import (
 	"time"
 
 	"repro/internal/admit"
-	"repro/internal/checks"
-	"repro/internal/ci"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/federation"
 	"repro/internal/gateway"
 	"repro/internal/inproc"
-	"repro/internal/kadeploy"
 	"repro/internal/loadgen"
-	"repro/internal/monitor"
-	"repro/internal/oar"
 	"repro/internal/refapi"
 	"repro/internal/sched"
 	"repro/internal/simclock"
-	"repro/internal/status"
-	"repro/internal/suites"
 	"repro/internal/testbed"
 )
 
-// ---- E1: testbed scale (slide 6) ------------------------------------------
-
-func BenchmarkE1_TestbedScale(b *testing.B) {
-	var st testbed.Stats
-	for i := 0; i < b.N; i++ {
-		tb := testbed.Default()
-		st = tb.Stats()
+// benchExperiment runs one experiment of reproduction_test.go's table b.N
+// times and reports its metrics, so what `make bench` records for E1–E12
+// and the ablations is what TestReproduction asserts.
+func benchExperiment(b *testing.B, name string) {
+	for _, e := range experiments {
+		if e.name != name {
+			continue
+		}
+		var m metrics
+		for i := 0; i < b.N; i++ {
+			m = e.run(b)
+		}
+		for unit, v := range m {
+			b.ReportMetric(v, unit)
+		}
+		return
 	}
-	if st.Sites != 8 || st.Clusters != 32 || st.Nodes != 894 || st.Cores != 8490 {
-		b.Fatalf("scale mismatch: %s", st)
-	}
-	b.ReportMetric(float64(st.Sites), "sites")
-	b.ReportMetric(float64(st.Clusters), "clusters")
-	b.ReportMetric(float64(st.Nodes), "nodes")
-	b.ReportMetric(float64(st.Cores), "cores")
+	b.Fatalf("no experiment %q in the reproduction table", name)
 }
 
-// ---- E2: node verification catches description drift (slide 7) -------------
-//
-// The timed section is the verification sweep itself — the g5k-checks hot
-// path this repository optimises: CheckNodeInto borrows live inventories
-// and diffs them field-natively into a reused report, so a clean node costs
-// zero allocations (testbed generation and fault placement are untimed
-// setup). Before the zero-allocation rewrite this benchmark reported
-// 57905 allocs/op with setup included (~42k of them in the sweep).
+// ---- E1–E12: the paper's numbers and the two simulated-time scaling -------
+// extensions; bodies and recorded values in reproduction_test.go.
 
-func BenchmarkE2_NodeVerification(b *testing.B) {
-	const injected = 40
-	clock := simclock.New(1)
-	tb := testbed.Default()
-	ref := refapi.NewStore(tb, clock.Now())
-	inj := faults.NewInjector(clock, tb)
-	checker := checks.NewChecker(clock, tb, ref)
-
-	// Inject only description-drift faults (behavioural ones are out of
-	// g5k-checks' scope by design). The drifted testbed is reused across
-	// iterations: every sweep does identical verification work.
-	driftKinds := []faults.Kind{
-		faults.DiskFirmwareDrift, faults.DiskCacheOff, faults.CStatesOn,
-		faults.HyperThreadFlip, faults.TurboFlip, faults.RAMLoss, faults.WrongKernel,
-	}
-	placed := 0
-	for placed < injected {
-		k := driftKinds[clock.Rand().Intn(len(driftKinds))]
-		n := simclock.Pick(clock.Rand(), tb.Nodes())
-		if _, err := inj.InjectNode(k, n.Name); err == nil {
-			placed++
-		}
-	}
-	nodes := tb.Nodes()
-	rep := &checks.Report{}
-
-	var detected, nodesChecked int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		detected, nodesChecked = 0, 0
-		for _, n := range nodes {
-			if err := checker.CheckNodeInto(n.Name, rep); err != nil {
-				b.Fatal(err)
-			}
-			nodesChecked++
-			if !rep.OK {
-				detected += len(rep.Mismatches)
-			}
-		}
-		if detected < injected {
-			b.Fatalf("checks found %d/%d injected drifts", detected, injected)
-		}
-	}
-	b.ReportMetric(float64(injected), "faults_injected")
-	b.ReportMetric(float64(detected), "mismatches_found")
-	b.ReportMetric(float64(nodesChecked), "nodes_verified")
-}
-
-// ---- E3: Kadeploy, 200 nodes in ≈5 minutes (slide 8) ------------------------
-
-func BenchmarkE3_Deploy200Nodes(b *testing.B) {
-	var minutes float64
-	var okNodes int
-	for i := 0; i < b.N; i++ {
-		clock := simclock.New(int64(i) + 1)
-		tb := testbed.Default()
-		inj := faults.NewInjector(clock, tb)
-		d := kadeploy.NewDeployer(clock, inj)
-		var nodes []*testbed.Node
-		for _, cl := range []string{"griffon", "graphene", "graoully", "grisou"} {
-			nodes = append(nodes, tb.Cluster(cl).Nodes...)
-		}
-		res, err := d.Deploy(nodes[:200], kadeploy.StdEnv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		minutes = res.Duration.Duration().Minutes()
-		okNodes = res.OK
-	}
-	b.ReportMetric(minutes, "sim_minutes")
-	b.ReportMetric(float64(okNodes), "nodes_deployed")
-}
-
-// ---- E4: monitoring at ≈1 Hz (slide 9) --------------------------------------
-
-func BenchmarkE4_MonitoringRate(b *testing.B) {
-	clock := simclock.New(1)
-	tb := testbed.Default()
-	inj := faults.NewInjector(clock, tb)
-	col := monitor.NewCollector(clock, tb, inj)
-	clock.RunUntil(2 * simclock.Minute)
-	var samples int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, n := range tb.Cluster("taurus").Nodes {
-			ss, err := col.Query("power_w", n.Name, 0, simclock.Minute)
-			if err != nil {
-				b.Fatal(err)
-			}
-			samples = len(ss)
-		}
-	}
-	// 61 samples over 60 s ⇒ 1 Hz inclusive grid.
-	if samples != 61 {
-		b.Fatalf("samples = %d, want 61", samples)
-	}
-	b.ReportMetric(float64(samples-1)/60.0, "hz")
-}
-
-// ---- E5: environments matrix, 14 × 32 = 448 configurations (slide 15) ------
-
-func BenchmarkE5_MatrixEnvironments(b *testing.B) {
-	var cells, success int
-	var simHours float64
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		cfg.Seed = int64(i) + 1
-		cfg.InitialFaults = 0
-		cfg.FaultMeanInterval = 0
-		cfg.UserJobInterval = 0
-		cfg.EnvMatrixPeriod = 0
-		f := core.New(cfg)
-		f.Start()
-		parent, err := f.CI.Trigger("environments", "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		f.RunFor(2 * simclock.Day)
-		if !parent.Completed() {
-			b.Fatal("matrix did not complete in 2 sim-days")
-		}
-		cells, success = 0, 0
-		for _, num := range parent.CellBuilds {
-			cb := f.CI.Build("environments", num)
-			cells++
-			if cb.Result == ci.Success {
-				success++
-			}
-		}
-		simHours = (parent.EndedAt - parent.StartedAt).Duration().Hours()
-	}
-	if cells != 448 {
-		b.Fatalf("cells = %d, want 448", cells)
-	}
-	b.ReportMetric(float64(cells), "configurations")
-	b.ReportMetric(float64(success), "green_cells")
-	b.ReportMetric(simHours, "sim_hours")
-}
-
-// ---- E6: scheduler policies (slides 16–17) ----------------------------------
-
-func BenchmarkE6_SchedulerPolicies(b *testing.B) {
-	var counts map[sched.Action]int
-	var maxBackoffH float64
-	var unstables int
-	for i := 0; i < b.N; i++ {
-		clock := simclock.New(int64(i) + 5)
-		tb := testbed.Default()
-		oarSrv := oar.NewServer(clock, tb)
-		ciSrv := ci.NewServer(clock, 8)
-		s := sched.New(clock, oarSrv, ciSrv, sched.DefaultConfig())
-
-		mkJob := func(name, req string) {
-			ciSrv.CreateJob(&ci.Job{Name: name, Script: func(bc *ci.BuildContext) ci.Outcome {
-				j, _ := oarSrv.Submit(req, oar.SubmitOptions{User: "jenkins", Immediate: true})
-				if j.State != oar.Running {
-					return ci.Outcome{Result: ci.Unstable, Duration: simclock.Minute}
-				}
-				clock.After(30*simclock.Minute, func() { oarSrv.Release(j.ID) })
-				return ci.Outcome{Result: ci.Success, Duration: 30 * simclock.Minute}
-			}})
-		}
-		// Three hardware tests on sophia (same-site policy) + one on lyon.
-		for _, cl := range []string{"sol", "helios", "uvb"} {
-			req := "cluster='" + cl + "'/nodes=ALL,walltime=1"
-			mkJob("disk/"+cl, req)
-			s.Register(&sched.Spec{Name: "disk/" + cl, JobName: "disk/" + cl,
-				Cluster: cl, Site: "sophia", Kind: sched.HardwareCentric,
-				Request: req, Period: simclock.Day})
-		}
-		mkJob("disk/taurus", "cluster='taurus'/nodes=ALL,walltime=1")
-		s.Register(&sched.Spec{Name: "disk/taurus", JobName: "disk/taurus",
-			Cluster: "taurus", Site: "lyon", Kind: sched.HardwareCentric,
-			Request: "cluster='taurus'/nodes=ALL,walltime=1", Period: simclock.Day})
-
-		// Users hold most of sol for two days straight.
-		oarSrv.Submit("cluster='sol'/nodes=16,walltime=48", oar.SubmitOptions{User: "alice"})
-
-		s.Start()
-		clock.RunFor(3 * simclock.Day)
-		s.Stop()
-
-		counts = s.DecisionCounts()
-		maxBackoffH = 0
-		for _, d := range s.Decisions() {
-			if h := d.Backoff.Duration().Hours(); h > maxBackoffH {
-				maxBackoffH = h
-			}
-		}
-		unstables = 0
-		for _, st := range s.Stats() {
-			unstables += st.Unstables
-		}
-	}
-	if counts[sched.ActionDeferResources] == 0 || counts[sched.ActionDeferPeak] == 0 {
-		b.Fatalf("policies not exercised: %v", counts)
-	}
-	b.ReportMetric(float64(counts[sched.ActionTriggered]), "triggered")
-	b.ReportMetric(float64(counts[sched.ActionDeferResources]), "defer_resources")
-	b.ReportMetric(float64(counts[sched.ActionDeferPeak]), "defer_peak")
-	b.ReportMetric(float64(counts[sched.ActionDeferSiteBusy]), "defer_site")
-	b.ReportMetric(maxBackoffH, "max_backoff_hours")
-	b.ReportMetric(float64(unstables), "unstable_builds")
-}
-
-// ---- E7: test coverage, 751 configurations in 16 families (slide 21) --------
-
-func BenchmarkE7_TestCoverage(b *testing.B) {
-	var total, families int
-	for i := 0; i < b.N; i++ {
-		tb := testbed.Default()
-		total = suites.ConfigurationCount(tb)
-		families = len(suites.CountByFamily(tb))
-	}
-	if total != 751 || families != 16 {
-		b.Fatalf("coverage = %d configurations in %d families", total, families)
-	}
-	b.ReportMetric(float64(total), "configurations")
-	b.ReportMetric(float64(families), "families")
-}
-
-// ---- E8: bug campaign, "118 bugs filed (inc. 84 fixed)" (slide 22) ----------
-
-func BenchmarkE8_BugCampaign(b *testing.B) {
-	var filed, fixed, open int
-	for i := 0; i < b.N; i++ {
-		f := core.New(core.BugHuntConfig(int64(i) + 42))
-		f.Start()
-		f.RunFor(3 * simclock.Week)
-		st := f.Bugs.Stats()
-		filed, fixed, open = st.Filed, st.Fixed, st.Open
-	}
-	if filed < 80 || fixed < filed/2 {
-		b.Fatalf("campaign shape off: filed=%d fixed=%d", filed, fixed)
-	}
-	b.ReportMetric(float64(filed), "bugs_filed")
-	b.ReportMetric(float64(fixed), "bugs_fixed")
-	b.ReportMetric(float64(open), "bugs_open")
-}
-
-// ---- E9: reliability trend, 85 % → 93 % (slide 23) ---------------------------
-
-func BenchmarkE9_ReliabilityTrend(b *testing.B) {
-	var first, last float64
-	var weeks int
-	for i := 0; i < b.N; i++ {
-		f := core.New(core.PaperCampaignConfig(int64(i) + 42))
-		f.Start()
-		f.RunFor(10 * simclock.Week)
-		weekly := f.WeeklyReport()
-		weeks = len(weekly)
-		first = weekly[0].Rate()
-		// Average the final three weeks to smooth noise.
-		sum, n := 0.0, 0
-		for _, wc := range weekly[len(weekly)-3:] {
-			sum += wc.Rate()
-			n++
-		}
-		last = sum / float64(n)
-	}
-	if first > 0.90 || last < first {
-		b.Fatalf("trend shape off: %.3f → %.3f", first, last)
-	}
-	b.ReportMetric(100*first, "first_week_pct")
-	b.ReportMetric(100*last, "final_weeks_pct")
-	b.ReportMetric(float64(weeks), "weeks")
-}
-
-// ---- E10: status page aggregation (slides 18–19) -----------------------------
-
-func BenchmarkE10_StatusAggregation(b *testing.B) {
-	cfg := core.DefaultConfig()
-	cfg.InitialFaults = 10
-	f := core.New(cfg)
-	f.Start()
-	f.RunFor(simclock.Week)
-	ts := httptest.NewServer(f.CI.Handler())
-	defer ts.Close()
-	client := status.NewClient(ts.URL)
-
-	var gridCells int
-	var okRate float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		grid, err := client.BuildGrid()
-		if err != nil {
-			b.Fatal(err)
-		}
-		gridCells = 0
-		for _, fam := range grid.Families {
-			gridCells += len(grid.Cells[fam])
-		}
-		okRate = grid.OKRate()
-	}
-	if gridCells == 0 {
-		b.Fatal("empty grid")
-	}
-	b.ReportMetric(float64(gridCells), "grid_cells")
-	b.ReportMetric(100*okRate, "ok_rate_pct")
-}
-
-// ---- E11: executor pool scaling (this reproduction's extension) -------------
-//
-// The paper's CI server runs builds on a bounded executor pool. This bench
-// measures campaign throughput — completed builds per simulated hour over a
-// fixed backlog of independent test configurations — as the pool grows
-// from 1 to 8 executors. Same-job serialization means the parallelism comes
-// entirely from the pool fanning distinct configurations out across worker
-// goroutines.
-
-func BenchmarkE11_ExecutorScaling(b *testing.B) {
-	const jobCount = 96
-	campaign := func(executors int) float64 {
-		clock := simclock.New(11)
-		s := ci.NewServerWith(clock, ci.Options{NumExecutors: executors})
-		for i := 0; i < jobCount; i++ {
-			name := fmt.Sprintf("cfg-%03d", i)
-			// Deterministic 20–40 minute builds, varied per configuration.
-			dur := (20 + simclock.Time(i%21)) * simclock.Minute
-			if err := s.CreateJob(&ci.Job{Name: name, Script: func(bc *ci.BuildContext) ci.Outcome {
-				return ci.Outcome{Result: ci.Success, Duration: dur}
-			}}); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Trigger(name, "campaign"); err != nil {
-				b.Fatal(err)
-			}
-		}
-		clock.Run()
-		if s.TotalBuilds() != jobCount {
-			b.Fatalf("completed %d of %d builds at %d executors", s.TotalBuilds(), jobCount, executors)
-		}
-		makespan := clock.Now().Duration().Hours()
-		return float64(jobCount) / makespan
-	}
-
-	pools := []int{1, 2, 4, 8}
-	tput := make([]float64, len(pools))
-	for i := 0; i < b.N; i++ {
-		for k, e := range pools {
-			tput[k] = campaign(e)
-		}
-	}
-	if tput[2] < 1.5*tput[0] {
-		b.Fatalf("4-executor throughput %.2f builds/simh is not >1.5x the 1-executor %.2f",
-			tput[2], tput[0])
-	}
-	for k, e := range pools {
-		b.ReportMetric(tput[k], fmt.Sprintf("builds_per_simhour_x%d", e))
-	}
-	b.ReportMetric(tput[2]/tput[0], "speedup_x4")
-	b.ReportMetric(tput[3]/tput[0], "speedup_x8")
-}
-
-// ---- E12: parallel verification sweep scaling (reproduction extension) ------
-//
-// A whole-testbed g5k-checks sweep sharded over simclock run-token worker
-// goroutines (checks.CheckTestbedParallel), each node check occupying 30
-// simulated seconds of its worker — the management-network fan-out the real
-// campaign uses. Throughput is nodes verified per simulated hour; the
-// speedup over one worker is the reproduced result.
-
-func BenchmarkE12_SweepScaling(b *testing.B) {
-	sweep := func(workers int) float64 {
-		clock := simclock.New(13)
-		tb := testbed.Default()
-		ref := refapi.NewStore(tb, clock.Now())
-		checker := checks.NewChecker(clock, tb, ref)
-		checker.CheckCost = 30 * simclock.Second
-
-		var reports []*checks.Report
-		var err error
-		clock.Go(func() { reports, _, err = checker.CheckTestbedParallel(workers) })
-		clock.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(reports) != tb.TotalNodes() {
-			b.Fatalf("sweep covered %d of %d nodes", len(reports), tb.TotalNodes())
-		}
-		for _, r := range reports {
-			if !r.OK {
-				b.Fatalf("healthy testbed failed verification: %s", r.Summary())
-			}
-		}
-		return float64(len(reports)) / clock.Now().Duration().Hours()
-	}
-
-	pools := []int{1, 2, 4, 8}
-	tput := make([]float64, len(pools))
-	for i := 0; i < b.N; i++ {
-		for k, w := range pools {
-			tput[k] = sweep(w)
-		}
-	}
-	if tput[2] < 2*tput[0] {
-		b.Fatalf("4-worker sweep throughput %.1f nodes/simh is not >2x the 1-worker %.1f",
-			tput[2], tput[0])
-	}
-	for k, w := range pools {
-		b.ReportMetric(tput[k], fmt.Sprintf("nodes_per_simhour_x%d", w))
-	}
-	b.ReportMetric(tput[2]/tput[0], "speedup_x4")
-	b.ReportMetric(tput[3]/tput[0], "speedup_x8")
-}
+func BenchmarkE1_TestbedScale(b *testing.B)       { benchExperiment(b, "E1_TestbedScale") }
+func BenchmarkE2_NodeVerification(b *testing.B)   { benchExperiment(b, "E2_NodeVerification") }
+func BenchmarkE3_Deploy200Nodes(b *testing.B)     { benchExperiment(b, "E3_Deploy") }
+func BenchmarkE4_MonitoringRate(b *testing.B)     { benchExperiment(b, "E4_MonitoringRate") }
+func BenchmarkE5_MatrixEnvironments(b *testing.B) { benchExperiment(b, "E5_MatrixEnvironments") }
+func BenchmarkE6_SchedulerPolicies(b *testing.B)  { benchExperiment(b, "E6_SchedulerPolicies") }
+func BenchmarkE7_TestCoverage(b *testing.B)       { benchExperiment(b, "E7_TestCoverage") }
+func BenchmarkE8_BugCampaign(b *testing.B)        { benchExperiment(b, "E8_BugCampaign") }
+func BenchmarkE9_ReliabilityTrend(b *testing.B)   { benchExperiment(b, "E9_ReliabilityTrend") }
+func BenchmarkE10_StatusAggregation(b *testing.B) { benchExperiment(b, "E10_StatusAggregation") }
+func BenchmarkE11_ExecutorScaling(b *testing.B)   { benchExperiment(b, "E11_ExecutorScaling") }
+func BenchmarkE12_SweepScaling(b *testing.B)      { benchExperiment(b, "E12_SweepScaling") }
 
 // ---- E14: parallel multi-seed campaign fleet (reproduction extension) -------
 //
