@@ -1,20 +1,6 @@
 GO ?= go
 
-# Benchmarks whose ns_per_op / allocs_per_op are gated by bench-check.
-# (E2 left the list when its body moved to reproduction_test.go: the sweep
-# is no longer timed apart from its set-up, and cmd/g5kbench's
-# checks.node_check_ns row carries that cost.)
-TRACKED_BENCHES = BenchmarkE9_,BenchmarkE12_,BenchmarkE13_,BenchmarkE14_,BenchmarkE15_,BenchmarkE16_,BenchmarkE17_
-# Benchmarks gated on allocs_per_op only: E18–E21 spend their time in
-# real concurrent load generation or whole-campaign replays, so their
-# ns/op varies ±25% between runs even on one machine — allocs/op is
-# their reproducible axis (their correctness gates — determinism,
-# availability, bounded queues, shed contract, archive/incident
-# invariants, the 16x balanced-advance efficiency floor — run inside the
-# benchmarks themselves).
-TRACKED_ALLOCS_BENCHES = BenchmarkE18_,BenchmarkE19_,BenchmarkE20_,BenchmarkE21_
-
-.PHONY: all build vet lint fmt-check test race stress fed-check chaos-check admit-check intel-check fuzz-smoke bench bench-check profile check
+.PHONY: all build vet lint fmt-check test race stress fed-check chaos-check admit-check intel-check fuzz-smoke profile check
 
 all: check
 
@@ -80,13 +66,15 @@ admit-check:
 # semantics, the incident rollup and its time scoping, the reliability
 # trend's shared-renderer equality, the ?at= inventory satellite, the
 # rollup ETag, the E18-style degraded-mode drill (intel views exclude
-# a downed site and re-key until heal), and the live-advance drill
+# a downed site and re-key until heal), the E20 determinism drill (a
+# disaster campaign stepped serially and on 4 workers serves byte-identical
+# intel bodies; hot re-reads materialize nothing), and the live-advance drill
 # (TestIncidentsAndRollupUnderLiveAdvance: readers hammer /incidents and
 # /bugs/rollup while the campaign steps — no ticket read outside its gate,
 # one ETag never names two bodies).
 intel-check:
 	$(GO) test -race -count=1 ./internal/intel
-	$(GO) test -race -count=1 -run 'TestGridAt|TestGridDiff|TestIncidents|TestReliability|TestShardInventoryAt|TestFederatedVersionHint|TestBugsRollup|TestIntelUnderChaos' ./internal/gateway
+	$(GO) test -race -count=1 -run 'TestGridAt|TestGridDiff|TestIncidents|TestReliability|TestShardInventoryAt|TestFederatedVersionHint|TestBugsRollup|TestIntel' ./internal/gateway
 
 # fuzz-smoke gives each of the repository's fuzz targets ten seconds:
 # AppendIndent, the single-pass indenter every JSON body goes through
@@ -99,23 +87,6 @@ intel-check:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendIndent -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzETagMatches -fuzztime 10s ./internal/gateway
-
-# bench runs the full experiment suite once and records every number
-# (ns/op, allocs/op, reproduced sim metrics) in BENCH_results.json via
-# cmd/benchjson, so perf regressions show up as reviewable diffs.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	$(GO) run ./cmd/benchjson -o BENCH_results.json < bench.out; st=$$?; rm -f bench.out; exit $$st
-
-# bench-check re-runs the suite and fails when a tracked benchmark's
-# ns_per_op or allocs_per_op regressed >20% against the committed
-# BENCH_results.json. Benchmarks whose baseline runs under 1ms skip the
-# ns gate (a single sub-ms sample at -benchtime=1x is scheduling noise;
-# allocs stay gated). It also writes the fresh numbers to bench-check.json
-# (not the committed baseline) so CI can archive them.
-bench-check:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	$(GO) run ./cmd/benchjson -o bench-check.json -compare BENCH_results.json -max-regress 20% -track $(TRACKED_BENCHES) -track-allocs $(TRACKED_ALLOCS_BENCHES) -ns-floor 1ms < bench.out; st=$$?; rm -f bench.out; exit $$st
 
 # profile runs the two campaign shapes — 10 monolithic weeks, 3 federated
 # weeks — under g5ktest's -cpuprofile/-memprofile on one processor (the

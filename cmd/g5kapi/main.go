@@ -1,9 +1,6 @@
 // Command g5kapi serves a live campaign through the unified testbed API
-// gateway (internal/gateway), or load-tests it in process
-// (internal/loadgen).
-//
-// Serving mode runs a short campaign first, then exposes every subsystem
-// over one HTTP front door:
+// gateway (internal/gateway): it runs a short campaign first, then exposes
+// every subsystem over one HTTP front door:
 //
 //	g5kapi [-addr :8080] [-weeks 2] [-seed 42] [-live] [-step 10m] [-shards] [-scale k]
 //
@@ -18,8 +15,8 @@
 // under its own write lock, so reads against one site never wait for
 // another site's progress.
 //
-// With -scale k any mode runs on testbed.Scaled(k) — k replicas of the
-// paper grid (k=16 is the E21 benchmark's 512-micro-shard scale).
+// With -scale k the campaign runs on testbed.Scaled(k) — k replicas of the
+// paper grid (k=16 is 512 micro-shards).
 //
 // With -live the campaign keeps advancing: every wall-clock second the
 // simulation steps by -step while request handlers are held out, so the
@@ -30,33 +27,15 @@
 // response or sit idle, and SIGINT/SIGTERM shut it down gracefully:
 // in-flight requests drain, the -live driver stops, then the process exits.
 //
-// Load-generation mode drives the gateway without a listener and prints
-// throughput plus latency percentiles, overall and per scenario:
-//
-//	g5kapi -loadgen [-workers 4] [-requests 20000] [-mix default|scrape|submit]
-//	g5kapi -loadgen -shards    # site-pinned federated mix
-//	g5kapi -loadgen -rate 500  # open-loop: fixed arrival rate, CO-safe latency
-//
-// With -rate the generator switches from closed-loop (next request waits
-// for the previous) to open-loop: arrivals follow a seeded jittered
-// schedule at the given rate regardless of how fast the service answers,
-// and latency is measured from the scheduled arrival instant — so queueing
-// delay past the capacity knee is charged to the report instead of being
-// hidden by coordinated omission. The printout adds offered vs achieved
-// rate; a gap between them locates the knee.
-//
 // With -shards, -chaos arms a deterministic disaster schedule against the
 // federated campaign (internal/faults.ParseSchedule syntax):
 //
 //	g5kapi -shards -chaos "outage:lyon@1w+1w,partition:nantes@2w+1w"
-//	g5kapi -shards -chaos "outage:lyon@1w" -loadgen   # disaster mix + availability report
 //
 // Scheduled events fire as the pre-serve campaign advances: downed sites
 // freeze at the federation barrier (their routes answer 503 with
 // Retry-After), partitioned sites drop out of merged views, and heals
-// replay the missed time deterministically. In -loadgen mode the scenario
-// mix switches to the disaster mix and an availability report (overall and
-// per site, 503-by-design split from real errors) is printed.
+// replay the missed time deterministically.
 package main
 
 import (
@@ -77,15 +56,13 @@ import (
 	"repro/internal/faults"
 	"repro/internal/federation"
 	"repro/internal/gateway"
-	"repro/internal/inproc"
 	"repro/internal/intel"
-	"repro/internal/loadgen"
 	"repro/internal/simclock"
 	"repro/internal/testbed"
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address (serving mode)")
+	addr := flag.String("addr", ":8080", "listen address")
 	weeks := flag.Int("weeks", 2, "simulated weeks of campaign to run before serving")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	live := flag.Bool("live", false, "keep advancing the campaign while serving")
@@ -95,15 +72,9 @@ func main() {
 	fedWorkers := flag.Int("shard-workers", 0, "shards advanced concurrently (0 = GOMAXPROCS; -shards only)")
 	chaos := flag.String("chaos", "", `disaster schedule, e.g. "outage:lyon@1w+1w,maintenance:nancy+rennes@2w+1w" (-shards only)`)
 	reliability := flag.Int("reliability", 0, "also run an N-seed fleet sweep and serve it on /reliability/trend (0 = skip)")
-	runLoad := flag.Bool("loadgen", false, "run the load generator against an in-process gateway and exit")
-	workers := flag.Int("workers", 4, "loadgen: concurrent client workers")
-	requests := flag.Int("requests", 20000, "loadgen: total scenario iterations")
-	rate := flag.Float64("rate", 0, "loadgen: open-loop arrival rate in req/s (0 = closed-loop)")
-	mixName := flag.String("mix", "default", "loadgen: scenario mix (default|scrape|submit; ignored with -shards)")
 	flag.Parse()
 
 	var gw *gateway.Gateway
-	var mix []loadgen.Scenario
 
 	if *scale < 1 {
 		fmt.Fprintln(os.Stderr, "g5kapi: -scale must be ≥ 1")
@@ -144,14 +115,6 @@ func main() {
 			log.Printf("  site %-12s %s%s", s.Site, s.Summary, marker)
 		}
 		log.Printf("campaign done: %s", sum)
-		if *runLoad {
-			mix = loadgen.FederatedMix(federatedTargets(fed))
-			*mixName = "federated"
-			if *chaos != "" {
-				mix = loadgen.DisasterMix(federatedTargets(fed))
-				*mixName = "disaster"
-			}
-		}
 	} else {
 		if *chaos != "" {
 			fmt.Fprintln(os.Stderr, "g5kapi: -chaos requires -shards")
@@ -168,13 +131,6 @@ func main() {
 		f.RunFor(simclock.Time(*weeks) * simclock.Week)
 		log.Printf("campaign done: %s", f.Summary())
 		gw = gateway.ForFramework(f)
-		if *runLoad {
-			var err error
-			if mix, err = monolithicMix(*mixName, f.TB); err != nil {
-				fmt.Fprintf(os.Stderr, "g5kapi: %v\n", err)
-				os.Exit(1)
-			}
-		}
 	}
 
 	if *reliability > 0 {
@@ -195,14 +151,6 @@ func main() {
 		})
 		gw.SetReliabilityTrend(intel.TrendFromFleet(res, *seed, *weeks))
 		log.Printf("reliability trend installed: GET /reliability/trend")
-	}
-
-	if *runLoad {
-		if err := loadTest(gw, mix, *workers, *requests, *rate, *mixName, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "g5kapi: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	var liveStep simclock.Time
@@ -277,108 +225,4 @@ func serve(ctx context.Context, ln net.Listener, gw *gateway.Gateway, liveStep s
 	cancel()
 	driver.Wait()
 	return err
-}
-
-// monolithicMix picks the classic scenario mix for a single-shard gateway.
-func monolithicMix(name string, tb *testbed.Testbed) ([]loadgen.Scenario, error) {
-	clusters := make([]string, 0, 8)
-	for _, cl := range tb.Clusters() {
-		clusters = append(clusters, cl.Name)
-		if len(clusters) == 8 {
-			break
-		}
-	}
-	switch name {
-	case "default":
-		return loadgen.DefaultMix(clusters), nil
-	case "scrape":
-		return loadgen.ScrapeOnlyMix(clusters), nil
-	case "submit":
-		return []loadgen.Scenario{loadgen.SubmitHeavy(clusters)}, nil
-	}
-	return nil, fmt.Errorf("unknown -mix %q (default|scrape|submit)", name)
-}
-
-// federatedTargets derives the site-pinned loadgen targets from a
-// federation: every site with its clusters and one monitored node. The
-// federation shards per cluster, so each site's micro-shards fold into
-// one target.
-func federatedTargets(fed *federation.Federation) []loadgen.SiteTarget {
-	var out []loadgen.SiteTarget
-	idx := map[string]int{}
-	for _, sh := range fed.Shards() {
-		i, ok := idx[sh.Site]
-		if !ok {
-			i = len(out)
-			idx[sh.Site] = i
-			out = append(out, loadgen.SiteTarget{Site: sh.Site})
-		}
-		for _, cl := range sh.F.TB.Clusters() {
-			out[i].Clusters = append(out[i].Clusters, cl.Name)
-		}
-		if nodes := sh.F.TB.Nodes(); len(out[i].Nodes) == 0 && len(nodes) > 0 {
-			out[i].Nodes = []string{nodes[0].Name}
-		}
-	}
-	return out
-}
-
-// loadTest drives the gateway through the in-process transport — no
-// listener, no socket stack, just the service code under concurrency.
-func loadTest(gw *gateway.Gateway, mix []loadgen.Scenario, workers, requests int, rate float64, mixName string, seed int64) error {
-	newClient := func(int) (*http.Client, string) {
-		return inproc.Client(gw), "http://gateway.local"
-	}
-	var rep *loadgen.Report
-	if rate > 0 {
-		fmt.Printf("open-loop: %d arrivals of %q at %g req/s on %d workers...\n",
-			requests, mixName, rate, workers)
-		olr, err := loadgen.RunOpenLoop(loadgen.OpenLoopConfig{
-			Rate:       rate,
-			Requests:   requests,
-			Workers:    workers,
-			Mix:        mix,
-			Seed:       seed,
-			JitterFrac: 0.2,
-			NewClient:  newClient,
-		})
-		if err != nil {
-			return err
-		}
-		rep = &olr.Report
-		defer fmt.Printf("\nrates: offered %.1f req/s, achieved %.1f req/s\n",
-			olr.OfferedRate, olr.AchievedRate)
-	} else {
-		fmt.Printf("load-generating %d iterations of %q on %d workers...\n", requests, mixName, workers)
-		var err error
-		rep, err = loadgen.Run(loadgen.Config{
-			Workers:   workers,
-			Requests:  requests,
-			Mix:       mix,
-			Seed:      seed,
-			NewClient: newClient,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Println()
-	fmt.Print(rep.String())
-	if mixName == "disaster" {
-		fmt.Println()
-		fmt.Print(rep.Availability().String())
-	}
-
-	fmt.Println("\ngateway metrics:")
-	m := gw.Metrics()
-	fmt.Printf("  %-18s %8d requests, %d errors\n", "total", m.Requests, m.Errors)
-	for _, ep := range []string{"/sites", "/sites/", "/ref/inventory", "/ref/diff", "/oar/resources", "/oar/jobs", "/oar/submit", "/admit/queue", "/status/grid", "/status/trend", "/bugs", "/ci/", "/metrics"} {
-		em, ok := m.Endpoints[ep]
-		if !ok || em.Requests == 0 {
-			continue
-		}
-		fmt.Printf("  %-18s %8d requests, %5d × 304, avg %7.1fµs, max %.0fµs\n",
-			ep, em.Requests, em.NotModified, em.AvgMicros, em.MaxMicros)
-	}
-	return nil
 }

@@ -23,7 +23,7 @@
 //
 // Every mode accepts -scale k to run on testbed.Scaled(k) — k replicas of
 // the paper grid (federated mode then carves k×32 per-cluster
-// micro-shards; k=16 is the E21 benchmark's scale).
+// micro-shards; k=16 is 512 of them).
 //
 // Every mode accepts -cpuprofile and -memprofile, the standard
 // runtime/pprof pair written around the run (`go tool pprof -top <file>`

@@ -20,6 +20,7 @@ import (
 	"log"
 	"net/http"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/simclock"
@@ -87,6 +88,16 @@ func main() {
 	})
 	mux.Handle("/ci/", http.StripPrefix("/ci", ciHandler))
 
+	// The same bounds g5kapi sets on how long a client may take to send a
+	// request, read a response or sit idle.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           mux,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       15 * time.Second,
+		WriteTimeout:      time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 	log.Printf("status page on %s", *addr)
-	log.Fatal(http.ListenAndServe(*addr, mux))
+	log.Fatal(srv.ListenAndServe())
 }

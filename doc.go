@@ -84,17 +84,9 @@
 //     shared renderer — the CLI report (g5ktest -reliability) and a
 //     render of the gateway's GET /reliability/trend body are
 //     byte-identical (make intel-check races the drills)
-//   - internal/loadgen — the workload engine: N client workers replay
-//     weighted scenario mixes (operator-dashboard, api-scraper,
-//     submit-heavy) and report throughput plus latency percentiles;
-//     the disaster mix splits by-design 503s from real errors and
-//     reports per-site availability, and RunOpenLoop drives a seeded
-//     fixed-rate arrival schedule with latency charged from the
-//     scheduled arrival — coordinated-omission-safe, the measure the
-//     overload gate uses (g5kapi -loadgen [-rate N] is the CLI form)
 //   - internal/inproc — in-process http.RoundTripper used by the status
-//     page, the gateway's internal status client and the load generator
-//     to consume HTTP APIs without a listener
+//     page, the gateway's internal status client and the benchmark to
+//     consume HTTP APIs without a listener
 //   - internal/suites — the 751 test configurations in 16 families
 //   - internal/sched — the external test scheduler (the paper's core
 //     custom development)
@@ -113,20 +105,17 @@
 //     token). Findings are suppressed only by a //g5k:allow <analyzer>
 //     <reason> directive; the reason is mandatory
 //
-// bench_test.go at the repository root regenerates every quantitative
-// claim of the paper (E1–E10, plus E11–E21 added by this reproduction:
-// executor-pool scaling, parallel verification sweeps, Reference API
-// version churn, campaign-fleet scaling, API-gateway throughput scaling,
-// the mixed gateway workload, the federated micro-shard advance,
-// disaster availability under site-scale chaos, overload shedding
-// through grid admission, grid intelligence — time-travel archive
-// determinism, hot-304 flatness and cross-site incident folding — and
-// the balanced micro-shard advance at 16x grid scale with its
-// work-stealing barrier; E12/E13/E21 exercised against deterministic
-// k×-scale testbeds from testbed.Scaled), smoke_test.go
-// runs the same experiments at reduced scale as plain tests, and
-// ablation_test.go compares the paper's mechanisms against their obvious
-// alternatives. README.md maps the module layout; `make bench` records
-// every benchmark number in BENCH_results.json and `make bench-check`
-// fails the build when a tracked benchmark regresses against it.
+// reproduction_test.go at the repository root holds every quantitative
+// claim of the paper (E1–E10), the reproduction's two simulated-time
+// scaling extensions (E11 executor pool, E12 verification sweep) and four
+// ablations of the paper's mechanisms against their obvious alternatives:
+// TestReproduction runs each at full scale and asserts its metrics exactly
+// against a table in the same file. The systems extensions E13–E21 —
+// Reference API version churn, campaign fleets, the gateway's conditional
+// reads and mixed workload, the federated micro-shard advance, disaster
+// availability, overload shedding through grid admission, grid
+// intelligence, work-stealing at scale — are held by tests of the packages
+// above; README.md maps each to its test and maps the module layout.
+// Performance numbers come from cmd/g5kbench (BENCHMARK.json) and nothing
+// else.
 package repro

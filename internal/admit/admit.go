@@ -79,7 +79,8 @@ type Config struct {
 	// when all are done (the gateway points it at a goroutine fan-out).
 	// Nil runs them serially. Each thunk writes only its own result slot,
 	// and placement is a pure function of the gathered slots, so the two
-	// modes are bit-identical — E19's determinism gate proves it.
+	// modes are bit-identical
+	// (TestAdmitDeterministicSerialVsParallelScatter).
 	Scatter func(tasks []func())
 	// Policy, when set, is the grid-wide peak-hours policy: requests it
 	// defers (whole-cluster demands during working hours) queue instead of

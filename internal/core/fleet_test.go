@@ -61,6 +61,17 @@ func TestFleetDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestFleetFirstWeekShape: a sweep of the paper's campaign profile starts
+// where the paper's trend does — every seed reports a first week, and the
+// mean first-week success rate sits in the paper's 85 % region, below the
+// 92 % the trend climbs past.
+func TestFleetFirstWeekShape(t *testing.T) {
+	res := RunFleet(FleetConfig{Seeds: SeedRange(42, 4), Duration: simclock.Week})
+	if fw := res.FirstWeek; fw.N != 4 || fw.Mean < 0.75 || fw.Mean > 0.92 {
+		t.Fatalf("fleet trend shape off: first week %+v", fw)
+	}
+}
+
 // TestFleetOverlappingSweeps drives two fleets concurrently with
 // overlapping seed ranges — the shape a parameter study produces — and
 // checks both complete and agree on the shared seeds. Run under -race this

@@ -24,8 +24,9 @@
 // tick, waits on the barrier, and repeats. Within a tick the workers
 // work-steal: micro-shards are queued longest-processing-time-first (by
 // node count, the deterministic cost model) and idle workers pull the next
-// unit from the queue, so uneven sites no longer serialize the tick. The
-// determinism test and BenchmarkE17/E21 gate exactly this.
+// unit from the queue, so uneven sites no longer serialize the tick.
+// TestFederationSerialParallelDeterminism and its 2x-scale sibling gate
+// exactly this.
 //
 // Reporting merges shard outcomes the way the real federation's status
 // pages do: per-site summaries fold a site's micro-shards back into one

@@ -202,6 +202,44 @@ func TestFederationSerialParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestFederationScaledWorkStealingDeterminism holds the same property at
+// twice the paper grid (testbed.ScaledSpec(2): 64 micro-shards, eight per
+// worker) under 8 work-stealing workers: which worker pulls which shard
+// must not move a single RNG draw. Two 64-shard campaign weeks, so skipped
+// under -short.
+func TestFederationScaledWorkStealingDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 64-shard campaign weeks")
+	}
+	run := func(workers int) campaignOutcome {
+		fed := New(Config{
+			Seed: 21, Workers: workers, Spec: testbed.ScaledSpec(2),
+			Configure: func(site string, seed int64) core.Config {
+				cfg := core.DefaultConfig()
+				cfg.InitialFaults = 4
+				cfg.EnvMatrixPeriod = 0
+				return cfg
+			},
+		})
+		fed.Start()
+		fed.Advance(simclock.Week)
+		return campaignOutcome{fed.Summary(), fed.WeeklyReport()}
+	}
+	serial, stolen := run(1), run(8)
+	for i, s := range serial.Summary.Sites {
+		if s != stolen.Summary.Sites[i] {
+			t.Fatalf("site %s diverged between serial and work-stealing stepping:\nserial:     %+v\nwork-steal: %+v",
+				s.Site, s.Summary, stolen.Summary.Sites[i].Summary)
+		}
+	}
+	if !reflect.DeepEqual(serial, stolen) {
+		t.Fatalf("outcomes diverged:\nserial:     %+v\nwork-steal: %+v", serial, stolen)
+	}
+	if m := serial.Summary.Merged; m.Builds == 0 || m.BugsFiled == 0 {
+		t.Fatalf("2x campaign shape off: %+v", m)
+	}
+}
+
 func TestMergeWeekly(t *testing.T) {
 	a := []core.WeekCounts{{Week: 0, Success: 10, Failure: 2}, {Week: 2, Success: 5, Unstable: 1}}
 	b := []core.WeekCounts{{Week: 0, Success: 3, Failure: 1}, {Week: 1, Success: 7}}

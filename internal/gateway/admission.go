@@ -94,7 +94,8 @@ func (b *siteBackend) Place(req oar.Request, user string) (oar.JobInfo, error) {
 // parallelScatter fans the probe thunks out on one goroutine each and waits
 // for all of them — the live-serving default. Each thunk writes only its
 // own result slot and placement is a pure function of the gathered slots,
-// so this is bit-identical to running them serially (E19's gate).
+// so this is bit-identical to running them serially
+// (TestAdmissionSerialParallelScatterOnTheWire).
 func parallelScatter(tasks []func()) {
 	var wg sync.WaitGroup
 	wg.Add(len(tasks))

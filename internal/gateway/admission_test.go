@@ -7,12 +7,15 @@ package gateway
 // deterministically to the lexicographically smallest live site.
 
 import (
+	"fmt"
 	"net/http"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/inproc"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/testbed"
 )
@@ -82,6 +85,111 @@ func TestAdmissionQueueUnderChaos(t *testing.T) {
 	}
 	if sub := decode[SubmitResponse](t, body); sub.Site != "nantes" {
 		t.Fatalf("re-routed submit landed on %q, want nantes", sub.Site)
+	}
+}
+
+// newAdmissionGrid fronts the two-site federation, an hour into its
+// campaign, with grid admission under the default peak policy. Nothing
+// advances afterwards, so every placement holds its nodes and capacity only
+// drains.
+func newAdmissionGrid(t *testing.T, queueCap int, scatter func([]func())) (*federation.Federation, *Gateway) {
+	t.Helper()
+	fed, gw := newFederatedCampaign(t, simclock.Hour)
+	policy := sched.DefaultGridPolicy()
+	gw.EnableAdmission(admit.Config{Now: fed.Now, Policy: &policy, QueueCap: queueCap, Scatter: scatter})
+	return fed, gw
+}
+
+// TestAdmissionSerialParallelScatterOnTheWire: the same 140 submissions —
+// small demands that place and drain capacity, oversized ones that queue —
+// probed serially and through the gateway's goroutine fan-out leave the
+// same status, verdict and site for every request and the same counters.
+// Placement is a pure function of the gathered probe slots; the fan-out
+// must not change a single routing.
+func TestAdmissionSerialParallelScatterOnTheWire(t *testing.T) {
+	trace := func(scatter func([]func())) ([]string, admit.StatsJSON) {
+		_, gw := newAdmissionGrid(t, 0, scatter)
+		c := inproc.Client(gw)
+		var out []string
+		for n := 0; n < 140; n++ {
+			nodes := 1 + n%5
+			if n%17 == 0 {
+				nodes = 999 // startable nowhere: the queue path
+			}
+			resp, body := postJSON(t, c, "/oar/submit", fmt.Sprintf(`{"request":"nodes=%d,walltime=12","user":"e19"}`, nodes))
+			sub := decode[SubmitResponse](t, body)
+			out = append(out, fmt.Sprintf("%d:%s:%s", resp.StatusCode, sub.Admission, sub.Site))
+		}
+		return out, gw.Admission().Stats()
+	}
+	serialTrace, serialStats := trace(func(tasks []func()) {
+		for _, task := range tasks {
+			task()
+		}
+	})
+	fanoutTrace, fanoutStats := trace(nil)
+	for i := range serialTrace {
+		if serialTrace[i] != fanoutTrace[i] {
+			t.Fatalf("submission %d diverged: serial %s, fan-out %s", i, serialTrace[i], fanoutTrace[i])
+		}
+	}
+	if serialStats != fanoutStats {
+		t.Fatalf("admission counters diverged:\nserial:  %+v\nfan-out: %+v", serialStats, fanoutStats)
+	}
+	if serialStats.Placed == 0 || serialStats.Queued == 0 {
+		t.Fatalf("the sequence must both place and queue: %+v", serialStats)
+	}
+}
+
+// TestAdmissionShedsPastTheKnee is the overload contract as exact counts.
+// Demand far past what the grid can hold is never an error: it places
+// (201), then queues (202) up to the queue's capacity, then sheds (429) —
+// the wire's 429s are the controller's Shed counter, every one carries
+// Retry-After, and the queue never outgrows its cap. Demand for half the
+// free capacity all places, with nothing queued or shed.
+func TestAdmissionShedsPastTheKnee(t *testing.T) {
+	const submit = `{"request":"nodes=4,walltime=12","user":"e19"}`
+	_, gw := newAdmissionGrid(t, 16, nil)
+	c := inproc.Client(gw)
+	seen := map[int]int64{}
+	for n := 0; n < 500; n++ {
+		resp, body := postJSON(t, c, "/oar/submit", submit)
+		seen[resp.StatusCode]++
+		switch resp.StatusCode {
+		case http.StatusCreated, http.StatusAccepted:
+		case http.StatusTooManyRequests:
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("submission %d shed without Retry-After", n)
+			}
+		default:
+			t.Fatalf("submission %d: status = %d, want 201, 202 or 429: %s", n, resp.StatusCode, body)
+		}
+	}
+	st := gw.Admission().Stats()
+	if st.Placed == 0 || st.Shed == 0 {
+		t.Fatalf("knee not crossed: %+v", st)
+	}
+	if seen[http.StatusCreated] != st.Placed || seen[http.StatusAccepted] != st.Queued || seen[http.StatusTooManyRequests] != st.Shed {
+		t.Fatalf("wire saw %v, controller counted %+v", seen, st)
+	}
+	if st.Capacity != 16 || st.MaxDepth > st.Capacity {
+		t.Fatalf("queue grew to %d past its cap of %d (configured 16)", st.MaxDepth, st.Capacity)
+	}
+
+	fed, gw := newAdmissionGrid(t, 0, nil)
+	c = inproc.Client(gw)
+	free := 0
+	for _, sh := range fed.Shards() {
+		free += sh.F.TB.TotalNodes() - sh.F.OAR.BusyNodes()
+	}
+	half := int64(free / 2 / 4) // 4 nodes a request
+	for n := int64(0); n < half; n++ {
+		if resp, body := postJSON(t, c, "/oar/submit", submit); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("half-capacity submission %d of %d: status = %d, want 201: %s", n, half, resp.StatusCode, body)
+		}
+	}
+	if st := gw.Admission().Stats(); half == 0 || st.Placed != half || st.Queued != 0 || st.Shed != 0 {
+		t.Fatalf("half-capacity demand (%d requests) did not all place: %+v", half, st)
 	}
 }
 

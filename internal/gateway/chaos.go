@@ -9,7 +9,6 @@ package gateway
 // a frozen shard.
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 
@@ -116,7 +115,7 @@ func liveShards(in []*shard, d *DegradedJSON) []*shard {
 }
 
 // siteUnavailable answers for a route whose site is lost: 503 with a
-// Retry-After hint, the contract loadgen's disaster scenarios tolerate.
+// Retry-After hint.
 func siteUnavailable(w http.ResponseWriter, site string) {
 	w.Header().Set("Retry-After", "60")
 	httpError(w, http.StatusServiceUnavailable, "site "+site+" is down")
@@ -220,8 +219,7 @@ func (g *Gateway) handleChaosInject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ChaosInjectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	kind, ok := parseGridKind(req.Kind)
@@ -259,8 +257,7 @@ func (g *Gateway) handleChaosHeal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ChaosHealRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	var healed []faults.GridEvent

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/federation"
 	"repro/internal/inproc"
 	"repro/internal/simclock"
@@ -45,6 +46,36 @@ func postJSON(t *testing.T, c *http.Client, path, body string) (*http.Response, 
 		t.Fatalf("POST %s: reading body: %v", path, err)
 	}
 	return resp, b
+}
+
+// TestPostBodiesAreBounded: the three POST routes read at most maxBodyBytes
+// of a body — a larger one answers 413 however well-formed it is, a
+// malformed one 400, and a valid one what it always did.
+func TestPostBodiesAreBounded(t *testing.T) {
+	_, gw := newFederatedCampaign(t, simclock.Hour)
+	c := inproc.Client(gw)
+	for _, tc := range []struct {
+		path, valid string
+		status      int
+	}{
+		{"/oar/submit", `{"request":"nodes=1,walltime=1"}`, http.StatusCreated},
+		{"/chaos/inject", `{"kind":"outage","sites":["nantes"]}`, http.StatusCreated},
+		{"/chaos/heal", `{"all":true}`, http.StatusOK},
+	} {
+		for _, send := range []struct {
+			body   string
+			status int
+		}{
+			{strings.Repeat(" ", maxBodyBytes) + tc.valid, http.StatusRequestEntityTooLarge},
+			{`{"request":`, http.StatusBadRequest},
+			{tc.valid, tc.status},
+		} {
+			if resp, body := postJSON(t, c, tc.path, send.body); resp.StatusCode != send.status {
+				t.Errorf("POST %s with %d bytes: status = %d, want %d: %s",
+					tc.path, len(send.body), resp.StatusCode, send.status, body)
+			}
+		}
+	}
 }
 
 // TestChaosOutageDegradedRouting is the HTTP-level disaster drill: inject a
@@ -248,6 +279,98 @@ func TestChaosOutageDegradedRouting(t *testing.T) {
 	st := decode[ChaosJSON](t, body)
 	if st.Degraded || len(st.Active) != 0 || len(st.History) != 1 || !st.History[0].Healed {
 		t.Fatalf("post-heal /chaos = %+v", st)
+	}
+}
+
+// siteWalk is what one pass over every site's routes saw at one site.
+type siteWalk struct{ requests, unavailable int }
+
+// walkSites plays, in a fixed order, the requests an operator dashboard, a
+// per-site scraper and a per-site submitter make: the merged views, then
+// for every site its resources (whole and per cluster), inventory, one
+// node's power metrics, recent jobs, and a dry-run probe per cluster. It
+// returns per-site counts of requests and 503s; a merged view answering
+// anything but 200, a site route answering anything but success or 503, or
+// a 503 without Retry-After fails the test.
+func walkSites(t *testing.T, fed *federation.Federation, c *http.Client) map[string]siteWalk {
+	t.Helper()
+	for _, path := range []string{"/sites", "/status/grid", "/status/trend", "/bugs", "/oar/resources", "/ref/inventory"} {
+		if resp, body := get(t, c, path); resp.StatusCode != http.StatusOK {
+			t.Fatalf("merged view %s: status = %d, want 200: %s", path, resp.StatusCode, body)
+		}
+	}
+	out := map[string]siteWalk{}
+	for _, site := range fed.Sites() {
+		base := "/sites/" + site
+		node := fed.Shard(site).F.TB.Nodes()[0].Name
+		var w siteWalk
+		see := func(path string, resp *http.Response, body []byte) {
+			w.requests++
+			switch {
+			case resp.StatusCode == http.StatusServiceUnavailable:
+				w.unavailable++
+				if resp.Header.Get("Retry-After") == "" {
+					t.Fatalf("%s: 503 without Retry-After", path)
+				}
+			case resp.StatusCode >= 300:
+				t.Fatalf("%s: status = %d: %s", path, resp.StatusCode, body)
+			}
+		}
+		paths := []string{
+			base + "/oar/resources", base + "/ref/inventory", base + "/oar/jobs?limit=25",
+			base + "/monitor/metrics?metric=power_w&node=" + node + "&from_sec=0&to_sec=30",
+		}
+		for _, sh := range fed.SiteShards(site) {
+			paths = append(paths, base+"/oar/resources?cluster="+sh.Cluster)
+		}
+		for _, path := range paths {
+			resp, body := get(t, c, path)
+			see(path, resp, body)
+		}
+		for _, sh := range fed.SiteShards(site) {
+			resp, body := postJSON(t, c, base+"/oar/submit",
+				`{"request":"cluster='`+sh.Cluster+`'/nodes=1,walltime=0:30:00","dry_run":true}`)
+			see(base+"/oar/submit", resp, body)
+		}
+		out[site] = w
+	}
+	return out
+}
+
+// TestChaosWalkCountsEvery503 is the availability contract as exact counts:
+// with lyon lost, every request to a lyon route — and no other request —
+// answers 503, each with Retry-After; the merged views keep answering 200;
+// and after the heal and a catch-up week the same walk sees no 503 at all.
+func TestChaosWalkCountsEvery503(t *testing.T) {
+	fed, gw := newChaosCampaign(t)
+	c := inproc.Client(gw)
+
+	ev, err := fed.InjectGrid(faults.SiteOutage, []string{"lyon"}, 0, 0)
+	if err != nil {
+		t.Fatalf("inject: %v", err)
+	}
+	for site, w := range walkSites(t, fed, c) {
+		want := 0
+		if site == "lyon" {
+			want = w.requests
+		}
+		if w.requests == 0 || w.unavailable != want {
+			t.Fatalf("site %s with lyon lost: %d × 503 in %d requests, want %d",
+				site, w.unavailable, w.requests, want)
+		}
+	}
+
+	if _, err := fed.HealGrid(ev.ID); err != nil {
+		t.Fatalf("heal: %v", err)
+	}
+	gw.Advance(simclock.Week)
+	if fed.Degraded() {
+		t.Fatal("federation still degraded after heal")
+	}
+	for site, w := range walkSites(t, fed, c) {
+		if w.requests == 0 || w.unavailable != 0 {
+			t.Fatalf("site %s after heal: %d × 503 in %d requests, want none", site, w.unavailable, w.requests)
+		}
 	}
 }
 

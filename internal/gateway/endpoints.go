@@ -8,6 +8,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -25,9 +26,36 @@ import (
 	"repro/internal/testbed"
 )
 
-// secondsToSim converts a wire-level seconds value to simulated time.
+// secondsToSim converts a wire-level seconds value to simulated time,
+// saturating at the latest representable instant: converting a float64
+// beyond int64's range is implementation-defined (amd64 wraps it negative),
+// and a far-future instant must read as "the latest state", not as before
+// the campaign began.
 func secondsToSim(s float64) simclock.Time {
-	return simclock.Time(s * float64(simclock.Second))
+	ns := s * float64(simclock.Second)
+	if ns >= math.MaxInt64 {
+		return simclock.Time(math.MaxInt64)
+	}
+	return simclock.Time(ns)
+}
+
+// maxBodyBytes bounds a POST body; the largest legitimate one is a few
+// hundred bytes of JSON.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes a POST's JSON body into v, reading at most
+// maxBodyBytes of it. On failure it has answered — 413 for an oversized
+// body, 400 for a malformed one — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", maxBodyBytes))
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "bad JSON body: "+err.Error())
+	}
+	return err == nil
 }
 
 // ---- OAR -------------------------------------------------------------------
@@ -487,8 +515,7 @@ func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, only []
 		return
 	}
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Request == "" {

@@ -6,8 +6,7 @@
 // On the real Grid'5000 these are separate REST services (the OAR API, the
 // Reference API, Jenkins' JSON API) that operators, dashboards and scripts
 // hammer constantly; here they share one mux so a single campaign can be
-// served, scraped and load-tested as a production system
-// (internal/loadgen drives exactly that).
+// served, scraped and load-tested as a production system.
 //
 // Endpoints (all JSON):
 //
@@ -73,7 +72,7 @@
 // therefore never waits on an Advance that is busy stepping site B — and
 // under micro-sharding a read against cluster A1 does not even wait on a
 // step of A2; that read-availability property is asserted by
-// BenchmarkE17_FederatedAdvance.
+// TestSiteReadsUnblockedByOtherShardAdvance.
 // Federated endpoints (/oar/resources and friends) scatter over the
 // shards, snapshotting each under its own read lock, and gather the merged
 // answer outside any lock. Subsystems guard their own state with their own

@@ -328,6 +328,22 @@ func TestNonFiniteParams(t *testing.T) {
 			t.Fatalf("GET %s: status = %d, want 400", path, resp.StatusCode)
 		}
 	}
+	// A finite instant beyond what simulated time can represent (≈ 9.22e9 s)
+	// is the far future, so it reads the latest state — it must not wrap
+	// around to before the campaign began.
+	for _, path := range []string{
+		"/grid/at?t=9000000000",
+		"/grid/at?t=10000000000",
+		"/grid/at?t=1e300",
+		"/grid/diff?from=0&to=1e300",
+		"/ref/inventory?at=1e300",
+		"/incidents?at=1e300",
+		"/monitor/metrics?node=" + node + "&from_sec=3590&to_sec=1e300",
+	} {
+		if resp, body := get(t, c, path); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status = %d, want 200: %s", path, resp.StatusCode, body)
+		}
+	}
 }
 
 // TestUnencodableBodyAnswers500: should a non-finite value reach a body all
@@ -603,6 +619,7 @@ func TestStress(t *testing.T) {
 		"/ref/inventory",
 		"/ref/diff",
 		"/bugs",
+		"/status/grid",
 		"/status/trend",
 		"/monitor/metrics?metric=cpu_load&node=" + node + "&from_sec=0&to_sec=30",
 		"/ci/api/json",
@@ -680,6 +697,12 @@ func TestStress(t *testing.T) {
 		// kwapi fault; every other endpoint must stay clean.
 		if pattern != "/monitor/metrics" && em.Errors != 0 {
 			t.Fatalf("endpoint %s recorded %d errors under stress", pattern, em.Errors)
+		}
+	}
+	// Every consumer population was served: dashboards, scrapers, submitters.
+	for _, pattern := range []string{"/status/grid", "/ref/inventory", "/oar/submit"} {
+		if m.Endpoints[pattern].Requests == 0 {
+			t.Fatalf("endpoint %s saw no request: %+v", pattern, m.Endpoints)
 		}
 	}
 }

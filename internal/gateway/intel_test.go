@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/bugs"
+	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/federation"
 	"repro/internal/inproc"
 	"repro/internal/intel"
 	"repro/internal/refapi"
@@ -616,5 +620,98 @@ func TestIncidentsAndRollupUnderLiveAdvance(t *testing.T) {
 		if keysSeen[i] < 2 && !t.Failed() {
 			t.Errorf("%s kept one ETag through 72 hours of campaign: the trackers never moved, the test proves nothing", path)
 		}
+	}
+}
+
+// TestIntelSerialParallelDeterminism holds the intel views to the
+// federation's load-bearing property through a whole disaster: the same
+// campaign (lyon out for week 2, nantes cut off for weeks 2–3), stepped
+// serially and on 4 shard workers, serves byte-identical bodies under
+// identical ETags for every probed instant — frozen weeks and catch-up
+// ticks must not leak into the archive. On the 4-worker gateway it then
+// checks what a historical read costs (hot re-reads materialize no
+// snapshot) and that the outage's ticket burst folds into one incident.
+func TestIntelSerialParallelDeterminism(t *testing.T) {
+	run := func(workers int) (*federation.Federation, *http.Client) {
+		fed := federation.New(federation.Config{
+			Seed: 20, Workers: workers,
+			Spec: fedSpec("luxembourg", "nantes", "lyon", "sophia"),
+			Configure: func(site string, seed int64) core.Config {
+				cfg := core.DefaultConfig()
+				cfg.InitialFaults = 10
+				cfg.EnvMatrixPeriod = 0
+				return cfg
+			},
+		})
+		fed.Start()
+		if err := fed.ScheduleChaos(
+			faults.ScheduleEntry{Kind: faults.SiteOutage, Sites: []string{"lyon"}, At: simclock.Week, Duration: simclock.Week},
+			faults.ScheduleEntry{Kind: faults.WANPartition, Sites: []string{"nantes"}, At: simclock.Week, Duration: 2 * simclock.Week},
+		); err != nil {
+			t.Fatalf("schedule: %v", err)
+		}
+		gw := ForFederation(fed)
+		gw.Advance(3 * simclock.Week)
+		return fed, inproc.Client(gw)
+	}
+	_, serial := run(1)
+	fed, parallel := run(4)
+
+	const midOutage = "/grid/at?t=907200" // mid week 2: lyon frozen, nantes cut
+	for _, path := range []string{
+		"/grid/at?t=302400", // mid week 1: whole grid, pre-disaster
+		midOutage,
+		"/grid/at?t=1814400", // week 3 barrier: healed and caught up
+		"/grid/diff?from=302400&to=1814400",
+		"/incidents?state=all",
+		"/incidents?at=1209600",
+		"/bugs/rollup?state=all",
+	} {
+		respS, bodyS := get(t, serial, path)
+		respP, bodyP := get(t, parallel, path)
+		if respS.StatusCode != http.StatusOK || respP.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d serial, %d parallel", path, respS.StatusCode, respP.StatusCode)
+		}
+		if etagS, etagP := respS.Header.Get("ETag"), respP.Header.Get("ETag"); etagS != etagP || !bytes.Equal(bodyS, bodyP) {
+			t.Fatalf("%s diverged between serial and parallel stepping:\nserial:   %s %d bytes\nparallel: %s %d bytes",
+				path, etagS, len(bodyS), etagP, len(bodyP))
+		}
+	}
+
+	// A hot historical read is one binary search per store, not a rebuild.
+	materializations := func() (n int64) {
+		for _, sh := range fed.Shards() {
+			n += sh.F.Ref.Materializations()
+		}
+		return n
+	}
+	resp, _ := get(t, parallel, midOutage)
+	etag, before := resp.Header.Get("ETag"), materializations()
+	for i := 0; i < 50; i++ {
+		if resp := getConditional(t, parallel, midOutage, etag); resp.StatusCode != http.StatusNotModified {
+			t.Fatalf("conditional read %d: status = %d, want 304", i, resp.StatusCode)
+		}
+	}
+	for i := 0; i < 25; i++ {
+		get(t, parallel, midOutage)
+	}
+	if after := materializations(); after != before {
+		t.Fatalf("75 hot %s reads re-materialized snapshots: %d → %d", midOutage, before, after)
+	}
+
+	// The outage files one ticket, same signature, on every surviving
+	// site's coordinator shard; the rollup folds the burst into one row.
+	_, body := get(t, parallel, "/incidents?state=all")
+	var outage []IncidentJSON
+	for _, in := range decode[IncidentsJSON](t, body).Incidents {
+		if in.Signature == "site-outage:lyon" {
+			outage = append(outage, in)
+		}
+	}
+	if len(outage) != 1 {
+		t.Fatalf("outage burst folded into %d incidents, want exactly 1", len(outage))
+	}
+	if in := outage[0]; len(in.Sites) < 2 || in.Tickets != len(in.Sites) || slices.Contains(in.Sites, "lyon") {
+		t.Fatalf("outage incident = %d tickets across %v, want one per surviving site", in.Tickets, in.Sites)
 	}
 }

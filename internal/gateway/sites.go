@@ -78,7 +78,7 @@ func siteTopology(label string, tb *testbed.Testbed) []siteTopo {
 // handleSites lists the federation layout. Deliberately gate-free: the
 // topology is the assembly-time snapshot and node states go through the
 // testbed's own mutex, so this listing never queues behind any shard's
-// Advance — the property the site-pinned loadgen scenarios lean on.
+// Advance.
 func (g *Gateway) handleSites(w http.ResponseWriter, r *http.Request) {
 	out := SitesJSON{Shards: len(g.shards), Degraded: g.degradedMarker()}
 	down := map[string]bool{}

@@ -8,8 +8,8 @@ import "go/ast"
 // one goroutine at a time in deterministic event order, which is what
 // keeps campaign outcomes independent of the host scheduler. A bare go
 // statement opts out of that discipline. The serving stack (gateway,
-// loadgen, inproc, status) and the binaries live outside the simulation
-// and are exempt; the few sanctioned uses inside sim packages — the
+// inproc, status) and the binaries live outside the simulation and are
+// exempt; the few sanctioned uses inside sim packages — the
 // run-token implementation itself and the share-nothing fleet/federation
 // worker pools — carry //g5k:allow directives saying why they are safe.
 var BareGoroutine = &Analyzer{
@@ -17,7 +17,6 @@ var BareGoroutine = &Analyzer{
 	Doc:  "no bare go statements in simulation packages; use the simclock run-token API",
 	Exempt: []string{
 		"repro/internal/gateway",
-		"repro/internal/loadgen",
 		"repro/internal/inproc",
 		"repro/internal/status",
 		"repro/cmd/...",

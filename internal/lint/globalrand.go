@@ -18,8 +18,8 @@ var randConstructors = map[string]bool{
 // The global source is seeded once per process — randomly since Go 1.20 —
 // so rand.Intn in any code path makes campaign outcomes unreproducible.
 // All randomness must flow through seeded *rand.Rand values: the
-// simclock's campaign stream, federation.ShardSeed's per-site streams, or
-// loadgen's per-worker streams. No package is exempt.
+// simclock's campaign stream or federation.ShardSeed's per-site streams.
+// No package is exempt.
 var GlobalRand = &Analyzer{
 	Name: "globalrand",
 	Doc:  "no package-level math/rand functions; randomness flows through seeded *rand.Rand values",

@@ -6,15 +6,16 @@
 //
 // The simulator's load-bearing property is determinism: a campaign's
 // outcome is a pure function of its seed, and the federation's serial and
-// parallel schedules must produce bit-identical summaries (the E14/E17
-// gates). Those invariants are enforced dynamically by -race runs and
-// benchmark assertions, which can only catch a violation after it corrupts
-// an output. The analyzers in this package make the common sources of
+// parallel schedules must produce bit-identical summaries. Those
+// invariants are enforced dynamically by -race runs and the determinism
+// tests (TestFleetDeterministicAcrossParallelism,
+// TestFederationSerialParallelDeterminism), which can only catch a
+// violation after it corrupts an output. The analyzers in this package make the common sources of
 // nondeterminism fail `make lint` instead:
 //
 //   - walltime: no time.Now/Since/Sleep (or timers) in simulation
 //     packages — wall-clock is allowed only where real time is the
-//     subject (loadgen, the gateway's latency metrics, binaries).
+//     subject (the gateway's latency metrics, binaries).
 //   - globalrand: no package-level math/rand functions anywhere; all
 //     randomness flows through seeded *rand.Rand values.
 //   - maporder: no appending to slices or emitting output from inside a

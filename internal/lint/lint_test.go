@@ -129,7 +129,6 @@ func f(work func()) { go work() }
 		findings int
 	}{
 		{lint.WallTime, wallSrc, simPkgPath, 1},
-		{lint.WallTime, wallSrc, "repro/internal/loadgen", 0},
 		{lint.WallTime, wallSrc, "repro/internal/gateway", 0},
 		{lint.WallTime, wallSrc, "repro/cmd/g5kapi", 0},
 		{lint.BareGoroutine, goSrc, simPkgPath, 1},
@@ -150,14 +149,14 @@ func f(work func()) { go work() }
 }
 
 func TestExempted(t *testing.T) {
-	a := &lint.Analyzer{Exempt: []string{"repro/internal/loadgen", "repro/cmd/..."}}
+	a := &lint.Analyzer{Exempt: []string{"repro/internal/inproc", "repro/cmd/..."}}
 	for path, want := range map[string]bool{
-		"repro/internal/loadgen":  true,
-		"repro/internal/loadgenX": false,
-		"repro/internal/oar":      false,
-		"repro/cmd":               true,
-		"repro/cmd/g5kapi":        true,
-		"repro/cmdX":              false,
+		"repro/internal/inproc":  true,
+		"repro/internal/inprocX": false,
+		"repro/internal/oar":     false,
+		"repro/cmd":              true,
+		"repro/cmd/g5kapi":       true,
+		"repro/cmdX":             false,
 	} {
 		if got := a.Exempted(path); got != want {
 			t.Errorf("Exempted(%q) = %v, want %v", path, got, want)

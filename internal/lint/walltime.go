@@ -18,13 +18,12 @@ var wallFuncs = map[string]bool{
 // time is the clock there (simclock.Clock.Now advances only through the
 // event loop), so a time.Now or time.Sleep smuggles host scheduling into
 // results that must be a pure function of the seed. Wall time stays legal
-// where real time is the subject: the load generator and the gateway's
-// latency metrics measure the host, and binaries report to humans.
+// where real time is the subject: the gateway's latency metrics measure
+// the host, and binaries report to humans.
 var WallTime = &Analyzer{
 	Name: "walltime",
 	Doc:  "no time.Now/Since/Sleep (or timers) in simulation packages; use the simclock",
 	Exempt: []string{
-		"repro/internal/loadgen", // measures real request latency
 		"repro/internal/gateway", // per-endpoint latency metrics and uptime
 		"repro/cmd/...",          // binaries talk to humans in wall time
 	},

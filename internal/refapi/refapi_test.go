@@ -593,3 +593,39 @@ func BenchmarkSnapshotMarshalIndent(b *testing.B) {
 		}
 	}
 }
+
+// TestUpdateAllocsFlatAcrossScale: version churn is O(changed nodes). A
+// store that copied the whole snapshot per Update allocated ~2.7k times per
+// update on the paper testbed and ~4x that on testbed.Scaled(4); the delta
+// chain must cost the same small handful on both, and archived versions
+// must stay readable after the churn. Allocations, not wall time, carry the
+// assertion: they are deterministic, and they are exactly what a
+// full-snapshot copy makes O(total nodes).
+func TestUpdateAllocsFlatAcrossScale(t *testing.T) {
+	const updates = 2000
+	churn := func(scale int) float64 {
+		tb := testbed.Scaled(scale)
+		st := NewStore(tb, 0)
+		nodes := tb.Nodes()
+		u := 0
+		allocs := testing.AllocsPerRun(updates-1, func() {
+			n := nodes[(u*131)%len(nodes)]
+			inv := n.Inv.Clone()
+			inv.RAMGB = 8 + u%64
+			if err := st.Update(simclock.Time(u+1)*simclock.Second, n.Name, inv); err != nil {
+				t.Fatal(err)
+			}
+			u++
+		})
+		if st.VersionCount() != updates+1 {
+			t.Fatalf("%dx: %d versions after %d updates", scale, st.VersionCount(), updates)
+		}
+		if s := st.At(simclock.Time(updates/2) * simclock.Second); s == nil || s.Version != updates/2+1 {
+			t.Fatalf("%dx: At(mid-churn) = %v, want version %d", scale, s, updates/2+1)
+		}
+		return allocs
+	}
+	if a1, a4 := churn(1), churn(4); a4 > 2*a1 || a4 > 50 {
+		t.Fatalf("allocations per Update grew with testbed size: %.1f at 1x, %.1f at 4x", a1, a4)
+	}
+}
