@@ -91,6 +91,14 @@
 //   - internal/sched — the external test scheduler (the paper's core
 //     custom development)
 //   - internal/ci — the Jenkins-like automation server
+//   - internal/simclock — the virtual clock, event queue and run-token
+//     goroutines everything above runs on. Its steady state allocates
+//     nothing, under one rule: a *Event returned by At or After is never
+//     reused (Cancel on a fired handle stays a no-op for good), while
+//     events nobody holds a handle to (Clock.Schedule, the wake-ups
+//     behind Sleep) are recycled per clock, a Ticker re-arms its one
+//     event, Clock.Arm schedules an event embedded in the caller's own
+//     struct, and finished simulation goroutines park for the next Go
 //   - internal/testbed, refapi, oar, kadeploy, kavlan, monitor, checks,
 //     faults, bugs — the simulated substrate
 //   - internal/lint — the custom static-analysis suite (cmd/g5kvet is

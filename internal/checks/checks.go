@@ -19,6 +19,7 @@ package checks
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -158,65 +159,86 @@ func (c *Checker) CheckCluster(cluster string) ([]*Report, []string, error) {
 // goroutines: call it from a simulation goroutine (a CI build script, or a
 // function handed to Clock.Go), never from the driver.
 func (c *Checker) CheckClusterParallel(cluster string, workers int) ([]*Report, []string, error) {
+	return results(c.CheckClusterParallelInto(cluster, workers, nil))
+}
+
+// CheckClusterParallelInto is CheckClusterParallel writing its reports over
+// buf (or a new slab when buf is short), returned in node-name order: a test,
+// whose runs never overlap, hands its last result back in and allocates none.
+func (c *Checker) CheckClusterParallelInto(cluster string, workers int, buf []Report) ([]Report, error) {
 	cl := c.tb.Cluster(cluster)
 	if cl == nil {
-		return nil, nil, fmt.Errorf("checks: unknown cluster %q", cluster)
+		return nil, fmt.Errorf("checks: unknown cluster %q", cluster)
 	}
-	return c.sweep(cl.Nodes, workers)
+	return c.sweep(cl.Nodes, workers, buf)
 }
 
 // CheckTestbedParallel verifies every node of the testbed with a sharded
 // sweep — the whole-campaign version of CheckClusterParallel, with the
 // same calling convention.
 func (c *Checker) CheckTestbedParallel(workers int) ([]*Report, []string, error) {
-	return c.sweep(c.tb.Nodes(), workers)
+	return results(c.sweep(c.tb.Nodes(), workers, nil))
+}
+
+// results is a sweep's slab as one pointer per report plus the failing
+// nodes' names.
+func results(slab []Report, err error) (reports []*Report, failing []string, _ error) {
+	if err == nil {
+		reports = make([]*Report, len(slab))
+	}
+	for i := range slab {
+		reports[i] = &slab[i]
+		if !slab[i].OK {
+			failing = append(failing, slab[i].Node)
+		}
+	}
+	return reports, failing, err
 }
 
 // sweep fans the node list out over `workers` simulation goroutines in a
 // strided shard (worker w checks nodes w, w+workers, ...), joins on a
-// latch, and aggregates. Workers write disjoint slots of the result slice,
-// so the shards never contend.
-func (c *Checker) sweep(nodes []*testbed.Node, workers int) ([]*Report, []string, error) {
+// latch, and sorts. Workers write disjoint slots of the slab, so the shards
+// never contend.
+func (c *Checker) sweep(nodes []*testbed.Node, workers int, slab []Report) ([]Report, error) {
 	if workers < 1 {
 		workers = 1
 	}
 	if workers > len(nodes) {
 		workers = len(nodes)
 	}
-	reports := make([]*Report, len(nodes))
+	if cap(slab) < len(nodes) {
+		slab = make([]Report, len(nodes))
+	}
+	slab = slab[:len(nodes)]
 	errs := make([]error, workers)
 	latch := c.clock.NewLatch(workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		c.clock.Go(func() {
-			defer latch.Done()
-			for i := w; i < len(nodes); i += workers {
-				rep := &Report{}
-				if err := c.CheckNodeInto(nodes[i].Name, rep); err != nil {
-					errs[w] = err
-					return
-				}
-				reports[i] = rep
-				if c.CheckCost > 0 {
-					c.clock.Sleep(c.CheckCost)
-				}
+	// One function for all workers: each takes the next shard as it starts.
+	started := 0
+	work := func() {
+		defer latch.Done()
+		w := started
+		started++
+		for i := w; i < len(nodes); i += workers {
+			if err := c.CheckNodeInto(nodes[i].Name, &slab[i]); err != nil {
+				errs[w] = err
+				return
 			}
-		})
+			if c.CheckCost > 0 {
+				c.clock.Sleep(c.CheckCost)
+			}
+		}
+	}
+	for w := 0; w < workers; w++ {
+		c.clock.Go(work)
 	}
 	latch.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].Node < reports[j].Node })
-	var failing []string
-	for _, r := range reports {
-		if !r.OK {
-			failing = append(failing, r.Node)
-		}
-	}
-	return reports, failing, nil
+	slices.SortFunc(slab, func(a, b Report) int { return strings.Compare(a.Node, b.Node) })
+	return slab, nil
 }
 
 // HomogeneityReport lists, for a field extractor, the distinct values seen

@@ -284,3 +284,51 @@ func TestHomogeneityCleanCluster(t *testing.T) {
 		t.Fatalf("clean cluster has %d BIOS versions", len(byValue))
 	}
 }
+
+// raceDetector is set by race_test.go; allocation guards skip under it.
+var raceDetector bool
+
+// TestSweepAllocationsDoNotGrowWithTheCluster: a sweep handed its last
+// result back allocates a fixed handful of objects (the latch, the workers'
+// function and error slots) whatever the number of nodes — no report, no
+// wake channel, no goroutine — and returns what CheckClusterParallel does.
+func TestSweepAllocationsDoNotGrowWithTheCluster(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation guards run without the race detector")
+	}
+	clock, tb, inj, ch := setup()
+	inj.InjectNode(faults.TurboFlip, "griffon-3.nancy")
+	perSweep := func(cluster string) float64 {
+		var buf []Report
+		sweep := func() {
+			clock.Go(func() {
+				var err error
+				if buf, err = ch.CheckClusterParallelInto(cluster, 4, buf); err != nil {
+					t.Error(err)
+				}
+			})
+			clock.Run()
+		}
+		sweep()
+		allocs := testing.AllocsPerRun(50, sweep)
+		var want []*Report
+		clock.Go(func() { want, _, _ = ch.CheckClusterParallel(cluster, 4) })
+		clock.Run()
+		if len(buf) != len(tb.Cluster(cluster).Nodes) || len(want) != len(buf) {
+			t.Fatalf("%s: %d reports in the slab, %d from CheckClusterParallel", cluster, len(buf), len(want))
+		}
+		for i := range buf {
+			if buf[i].Node != want[i].Node || buf[i].OK != want[i].OK || len(buf[i].Mismatches) != len(want[i].Mismatches) {
+				t.Fatalf("%s: report %d = %+v, want %+v", cluster, i, buf[i], *want[i])
+			}
+		}
+		return allocs
+	}
+	small, large := perSweep("chirloute"), perSweep("griffon")
+	if ns, nl := len(tb.Cluster("chirloute").Nodes), len(tb.Cluster("griffon").Nodes); nl < 10*ns {
+		t.Fatalf("clusters of %d and %d nodes do not tell O(1) from O(n)", ns, nl)
+	}
+	if small != large || large > 8 {
+		t.Errorf("a sweep allocates %v times on the small cluster and %v on the large one; want the same handful", small, large)
+	}
+}

@@ -375,18 +375,20 @@ type Server struct {
 
 	clock     *simclock.Clock
 	executors int
-	running   int // builds currently occupying an executor
-	workers   int // live worker goroutines (pool shrinks to zero when idle)
+	running   int    // builds currently occupying an executor
+	workers   int    // live worker goroutines (pool shrinks to zero when idle)
+	work      func() // worker as a value, made once for every Go
 
 	jobs     map[string]*Job
 	jobOrder []string
-	queue    []*pending
+	queue    []pending
 	// activeKeys marks serialization keys (job name, or job+cell for
 	// matrix cells) with a build currently running.
 	activeKeys map[string]bool
 	// pumpScheduled coalesces the start-workers event: many enqueues at one
 	// instant produce a single pump.
 	pumpScheduled bool
+	claimed       map[string]bool // spawnWorkersLocked's scratch, empty between calls
 	// draining: the server no longer accepts triggers; queued and running
 	// builds finish, then the pool winds down (graceful drain).
 	draining bool
@@ -442,15 +444,18 @@ func NewServerWith(clock *simclock.Clock, o Options) *Server {
 	} else if o.MaxLogLines < 0 {
 		o.MaxLogLines = 0 // unbounded
 	}
-	return &Server{
+	s := &Server{
 		clock:       clock,
 		executors:   o.NumExecutors,
 		jobs:        map[string]*Job{},
 		activeKeys:  map[string]bool{},
+		claimed:     map[string]bool{},
 		tokens:      map[string]string{},
 		discardLogs: o.DiscardBuildLogs,
 		maxLogLines: o.MaxLogLines,
 	}
+	s.work = s.worker
+	return s
 }
 
 // AddToken registers an API token for a user.
@@ -630,7 +635,7 @@ func serialKey(b *Build) string {
 }
 
 func (s *Server) enqueueLocked(b *Build, script Script) {
-	s.queue = append(s.queue, &pending{build: b, script: script})
+	s.queue = append(s.queue, pending{build: b, script: script})
 	s.schedulePumpLocked()
 }
 
@@ -642,12 +647,13 @@ func (s *Server) schedulePumpLocked() {
 		return
 	}
 	s.pumpScheduled = true
-	s.clock.After(0, s.pump)
+	s.clock.Schedule(0, pump, s)
 }
 
 // pump spawns executor workers for dispatchable queued builds, up to the
-// pool size. Runs on the event loop.
-func (s *Server) pump() {
+// pool size. Runs on the event loop; the argument is the server.
+func pump(server any) {
+	s := server.(*Server)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pumpScheduled = false
@@ -659,33 +665,33 @@ func (s *Server) pump() {
 // Idle workers exit on their own, so the pool always shrinks back to zero.
 func (s *Server) spawnWorkersLocked() {
 	dispatchable := 0
-	claimed := map[string]bool{}
 	for _, p := range s.queue {
 		key := serialKey(p.build)
-		if s.activeKeys[key] || claimed[key] {
+		if s.activeKeys[key] || s.claimed[key] {
 			continue
 		}
-		claimed[key] = true
+		s.claimed[key] = true
 		dispatchable++
 	}
+	clear(s.claimed)
 	for s.workers < s.executors && dispatchable > 0 {
 		s.workers++
 		dispatchable--
-		s.clock.Go(s.worker)
+		s.clock.Go(s.work)
 	}
 }
 
 // dequeueLocked pops the first queued build whose serialization key is not
-// currently running, or nil.
-func (s *Server) dequeueLocked() *pending {
+// currently running, if there is one.
+func (s *Server) dequeueLocked() (pending, bool) {
 	for i, p := range s.queue {
 		if s.activeKeys[serialKey(p.build)] {
 			continue
 		}
 		s.queue = append(s.queue[:i], s.queue[i+1:]...)
-		return p
+		return p, true
 	}
-	return nil
+	return pending{}, false
 }
 
 // worker is one executor: it pulls builds off the queue and runs each for
@@ -694,8 +700,8 @@ func (s *Server) dequeueLocked() *pending {
 func (s *Server) worker() {
 	s.mu.Lock()
 	for {
-		p := s.dequeueLocked()
-		if p == nil {
+		p, ok := s.dequeueLocked()
+		if !ok {
 			s.workers--
 			s.mu.Unlock()
 			return

@@ -159,8 +159,9 @@ type Framework struct {
 	envRetries map[int]int // parent build number → retry generation
 	started    bool
 
-	clusters   []*testbed.Cluster // cached topology for the user-load loop
-	fixScratch []*bugs.Bug        // reused operator-pass candidate buffer
+	userReqs   [][]oar.Request // per cluster, per node count: see startUserLoad
+	abandon    func(job any)   // abandonQueued as a value, made once
+	fixScratch []*bugs.Bug     // reused operator-pass candidate buffer
 }
 
 // WeekCounts accumulates build verdicts per simulated week.
@@ -214,7 +215,7 @@ func New(cfg Config) *Framework {
 	})
 	f.Bugs = bugs.NewTracker(f.Clock)
 	f.Sched = sched.New(f.Clock, f.OAR, f.CI, cfg.Sched)
-	f.clusters = f.TB.Clusters()
+	f.abandon = f.abandonQueued
 
 	f.Ctx = &suites.Context{
 		Clock:    f.Clock,

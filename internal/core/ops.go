@@ -82,18 +82,19 @@ func (f *Framework) startFaultProcess() {
 	for i := 0; i < f.Cfg.InitialFaults; i++ {
 		f.Faults.InjectRandom()
 	}
-	if f.Cfg.FaultMeanInterval <= 0 {
-		return
+	if f.Cfg.FaultMeanInterval > 0 {
+		f.arrivals(f.Cfg.FaultMeanInterval, func() { f.Faults.InjectRandom() })
 	}
-	var arm func()
-	arm = func() {
-		delay := simclock.Exponential(f.Clock.Rand(), f.Cfg.FaultMeanInterval)
-		f.Clock.After(delay, func() {
-			f.Faults.InjectRandom()
-			arm()
-		})
+}
+
+// arrivals runs fn at exponentially distributed gaps of the given mean.
+func (f *Framework) arrivals(mean simclock.Time, fn func()) {
+	var arrive func(any)
+	arrive = func(any) {
+		fn()
+		f.Clock.Schedule(simclock.Exponential(f.Clock.Rand(), mean), arrive, nil)
 	}
-	arm()
+	f.Clock.Schedule(simclock.Exponential(f.Clock.Rand(), mean), arrive, nil)
 }
 
 // ---- operator model --------------------------------------------------------
@@ -164,52 +165,55 @@ func (f *Framework) startUserLoad() {
 	if f.Cfg.UserJobInterval <= 0 {
 		return
 	}
-	var arm func()
-	arm = func() {
-		delay := simclock.Exponential(f.Clock.Rand(), f.Cfg.UserJobInterval)
-		f.Clock.After(delay, func() {
-			f.submitUserJob()
-			arm()
-		})
+	// Every request the load can draw, built once: userReqs[i][n] asks for
+	// n nodes of cluster i, userReqs[i][0] for all of them. A draw copies one
+	// and sets its walltime; the segments are shared and never written.
+	maxN := f.Cfg.UserMaxNodes
+	if maxN <= 0 {
+		maxN = 10
 	}
-	arm()
+	clusters := f.TB.Clusters()
+	f.userReqs = make([][]oar.Request, len(clusters))
+	for i, cl := range clusters {
+		all := oar.ClusterRequest(cl.Name, oar.AllNodes, 0).Segments[0]
+		segs := make([]oar.Segment, min(maxN, len(cl.Nodes))+1)
+		f.userReqs[i] = make([]oar.Request, len(segs))
+		for n := range segs {
+			segs[n] = all
+			if n > 0 {
+				segs[n].Nodes = n
+			}
+			f.userReqs[i][n].Segments = segs[n : n+1 : n+1]
+		}
+	}
+	f.arrivals(f.Cfg.UserJobInterval, f.submitUserJob)
 }
 
 func (f *Framework) submitUserJob() {
 	rng := f.Clock.Rand()
-	cl := simclock.Pick(rng, f.clusters)
+	reqs := simclock.Pick(rng, f.userReqs)
 	wall := simclock.Exponential(rng, f.Cfg.UserMeanWalltime)
 	if wall < 10*simclock.Minute {
 		wall = 10 * simclock.Minute
 	}
-	var req string
-	if simclock.Bernoulli(rng, f.Cfg.WholeClusterFrac) {
-		req = fmt.Sprintf("cluster='%s'/nodes=ALL,walltime=%d:00:00", cl.Name,
-			int(wall/simclock.Hour)+1)
-	} else {
-		maxN := f.Cfg.UserMaxNodes
-		if maxN <= 0 {
-			maxN = 10
-		}
-		if maxN > len(cl.Nodes) {
-			maxN = len(cl.Nodes)
-		}
-		n := 1 + rng.Intn(maxN)
-		req = fmt.Sprintf("cluster='%s'/nodes=%d,walltime=%d:00:00", cl.Name, n,
-			int(wall/simclock.Hour)+1)
+	n := 0 // the whole cluster
+	if !simclock.Bernoulli(rng, f.Cfg.WholeClusterFrac) {
+		n = 1 + rng.Intn(len(reqs)-1)
 	}
-	j, err := f.OAR.Submit(req, oar.SubmitOptions{User: "user"})
-	if err != nil {
-		return
-	}
+	req := reqs[n]
+	req.Walltime = (wall/simclock.Hour + 1) * simclock.Hour
+	j := f.OAR.SubmitReq(req, oar.SubmitOptions{User: "user"})
 	// Users abandon jobs stuck in the queue for a day, so unsatisfiable
 	// whole-cluster requests (e.g. a suspected node) don't clog the queue
 	// forever.
-	f.Clock.After(simclock.Day, func() {
-		if j.State == oar.Waiting {
-			f.OAR.Cancel(j.ID) //nolint:errcheck
-		}
-	})
+	f.Clock.Schedule(simclock.Day, f.abandon, j)
+}
+
+// abandonQueued withdraws a user job (the argument) that is still waiting.
+func (f *Framework) abandonQueued(job any) {
+	if j := job.(*oar.Job); j.State == oar.Waiting {
+		f.OAR.Cancel(j.ID) //nolint:errcheck
+	}
 }
 
 // ---- environments matrix cron ----------------------------------------------

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -341,13 +342,15 @@ func ParseSchedule(s string) ([]ScheduleEntry, error) {
 // (weeks) or d (days) suffix, or any Go duration string.
 func parseSimDuration(s string) (simclock.Time, error) {
 	s = strings.TrimSpace(s)
+	// Within ±10 000 units: NaN and what would overflow a simclock.Time
+	// fall through to ParseDuration, which refuses them.
 	if n, ok := strings.CutSuffix(s, "w"); ok {
-		if v, err := strconv.ParseFloat(n, 64); err == nil {
+		if v, err := strconv.ParseFloat(n, 64); err == nil && math.Abs(v) <= 1e4 {
 			return simclock.Time(v * float64(simclock.Week)), nil
 		}
 	}
 	if n, ok := strings.CutSuffix(s, "d"); ok {
-		if v, err := strconv.ParseFloat(n, 64); err == nil {
+		if v, err := strconv.ParseFloat(n, 64); err == nil && math.Abs(v) <= 1e4 {
 			return simclock.Time(v * float64(24*time.Hour)), nil
 		}
 	}

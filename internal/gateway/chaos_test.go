@@ -1,8 +1,10 @@
 package gateway
 
 import (
+	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,6 +76,53 @@ func TestPostBodiesAreBounded(t *testing.T) {
 				t.Errorf("POST %s with %d bytes: status = %d, want %d: %s",
 					tc.path, len(send.body), resp.StatusCode, send.status, body)
 			}
+		}
+	}
+}
+
+// TestPostBodiesRejectUnknownFields: a body with a field its route does not
+// know — {"request":"nodes=4","dryrun":true}, a misspelt dry run — or with
+// anything after its JSON value answers 400 and reaches no OAR server, while
+// the bodies g5kbench sends (request + dry_run, request + user; anchored and
+// not) answer what they always did.
+func TestPostBodiesRejectUnknownFields(t *testing.T) {
+	fed, gw := newFederatedCampaign(t, simclock.Hour)
+	c := inproc.Client(gw)
+	submitted := func() (n int) {
+		for _, sh := range fed.Shards() {
+			s, _, _ := sh.F.OAR.Stats()
+			n += s
+		}
+		return n
+	}
+	before := submitted()
+	for _, tc := range []struct{ path, body string }{
+		{"/oar/submit", `{"request":"nodes=4","dryrun":true}`},
+		{"/oar/submit", `{"request":"nodes=1,walltime=1"} {"request":"nodes=2"}`},
+		{"/oar/submit", `{"request":"nodes=1,walltime=1"}}`},
+		{"/chaos/inject", `{"kind":"outage","sites":["nantes"],"duration":60}`},
+		{"/chaos/heal", `{"all":true,"force":true}`},
+	} {
+		if resp, body := postJSON(t, c, tc.path, tc.body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status = %d, want 400: %s", tc.path, tc.body, resp.StatusCode, body)
+		}
+	}
+	if after := submitted(); after != before {
+		t.Fatalf("rejected bodies moved OAR's submitted count from %d to %d", before, after)
+	}
+
+	cluster := fed.Shards()[0].F.TB.Clusters()[0].Name
+	for _, tc := range []struct {
+		body string
+		want []int
+	}{
+		{fmt.Sprintf(`{"request":"cluster='%s'/nodes=2,walltime=0:30:00","dry_run":true}`, cluster), []int{http.StatusOK}},
+		{fmt.Sprintf(`{"request":"cluster='%s'/nodes=1,walltime=0:10:00","user":"g5kbench"}`, cluster), []int{http.StatusCreated}},
+		{`{"request":"nodes=2,walltime=0:30:00","dry_run":true}`, []int{http.StatusOK}},
+		{`{"request":"nodes=1,walltime=0:10:00","user":"g5kbench"}`, []int{http.StatusCreated, http.StatusAccepted}},
+	} {
+		if resp, body := postJSON(t, c, "/oar/submit", tc.body); !slices.Contains(tc.want, resp.StatusCode) {
+			t.Errorf("POST /oar/submit %s: status = %d, want one of %v: %s", tc.body, resp.StatusCode, tc.want, body)
 		}
 	}
 }

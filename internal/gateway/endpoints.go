@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -45,9 +46,15 @@ const maxBodyBytes = 64 << 10
 
 // decodeBody decodes a POST's JSON body into v, reading at most
 // maxBodyBytes of it. On failure it has answered — 413 for an oversized
-// body, 400 for a malformed one — and reports false.
+// body, 400 for a malformed one, a field v lacks (a misspelt "dry_run" must
+// not enqueue a real job) or anything after the value — and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if _, more := dec.Token(); err == nil && more != io.EOF {
+		err = errors.New("data after the JSON value")
+	}
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):

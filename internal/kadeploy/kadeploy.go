@@ -25,7 +25,8 @@ package kadeploy
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/faults"
@@ -144,6 +145,8 @@ type Deployer struct {
 
 	mu          sync.Mutex
 	deployments int
+
+	res Result // the last deployment's outcome, see Deploy
 }
 
 // NewDeployer returns a deployer with the default timing model.
@@ -167,6 +170,10 @@ func (d *Deployer) Count() int {
 // The returned Result.Duration is simulated wall time; the caller (a test
 // script running inside an OAR job) accounts for it in its own timeline.
 // Deploy fails as a whole when the site's kadeploy service is down.
+//
+// The Result, PerNode included, is the deployer's own and its next Deploy
+// overwrites it: copy what must outlive that (a test script reads it before
+// it parks, and deployments run one at a time under the run token).
 func (d *Deployer) Deploy(nodes []*testbed.Node, env Environment) (*Result, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("kadeploy: empty node set")
@@ -184,7 +191,8 @@ func (d *Deployer) Deploy(nodes []*testbed.Node, env Environment) (*Result, erro
 		return nil, fmt.Errorf("kadeploy: service error at %s (server unreachable)", site)
 	}
 
-	res := &Result{Env: env}
+	res := &d.res
+	*res = Result{Env: env, PerNode: res.PerNode[:0]}
 	// Pipeline fill: the image flows down a chain tree; depth grows with
 	// log2(N) and each level costs PipelineStep.
 	depth := simclock.Time(math.Ceil(math.Log2(float64(len(nodes)+1)))) * d.cfg.PipelineStep
@@ -202,7 +210,7 @@ func (d *Deployer) Deploy(nodes []*testbed.Node, env Environment) (*Result, erro
 			res.Failed++
 		}
 	}
-	sort.Slice(res.PerNode, func(i, j int) bool { return res.PerNode[i].Node < res.PerNode[j].Node })
+	slices.SortFunc(res.PerNode, func(a, b NodeResult) int { return strings.Compare(a.Node, b.Node) })
 	if res.OK == 0 {
 		// Total failure still costs the timeout before kadeploy gives up.
 		res.Duration = d.cfg.NodeTimeout

@@ -96,10 +96,11 @@ func TestDeployIncrementsBootCount(t *testing.T) {
 func TestBootDelayFaultSlowsDeployment(t *testing.T) {
 	_, tb, inj, d := setup(4)
 	n := tb.Node("uvb-1.sophia")
-	base, err := d.Deploy([]*testbed.Node{n}, StdEnv)
-	if err != nil || base.OK != 1 {
-		t.Fatalf("healthy deploy failed: %v %+v", err, base)
+	res, err := d.Deploy([]*testbed.Node{n}, StdEnv)
+	if err != nil || res.OK != 1 {
+		t.Fatalf("healthy deploy failed: %v %+v", err, res)
 	}
+	base := *res // the deployer's next Deploy overwrites its Result
 	inj.InjectNode(faults.BootDelay, n.Name)
 	slow, err := d.Deploy([]*testbed.Node{n}, StdEnv)
 	if err != nil || slow.OK != 1 {
@@ -114,7 +115,8 @@ func TestBootDelayFaultSlowsDeployment(t *testing.T) {
 func TestDiskCacheFaultSlowsImageWrite(t *testing.T) {
 	_, tb, inj, d := setup(5)
 	n := tb.Node("econome-1.nantes")
-	base, _ := d.Deploy([]*testbed.Node{n}, StdEnv)
+	res, _ := d.Deploy([]*testbed.Node{n}, StdEnv)
+	base := *res // the deployer's next Deploy overwrites its Result
 	inj.InjectNode(faults.DiskCacheOff, n.Name)
 	slow, _ := d.Deploy([]*testbed.Node{n}, StdEnv)
 	if base.OK != 1 || slow.OK != 1 {
@@ -231,10 +233,10 @@ func TestBiggerImageTakesLonger(t *testing.T) {
 	var smallSum, bigSum simclock.Time
 	for i := 0; i < 10; i++ {
 		s, _ := d.Deploy(n, Environment{Name: "min", SizeMB: 400, Kernel: "k"})
-		b, _ := d.Deploy(n, Environment{Name: "big", SizeMB: 2400, Kernel: "k"})
 		if s.OK == 1 {
 			smallSum += s.Duration
 		}
+		b, _ := d.Deploy(n, Environment{Name: "big", SizeMB: 2400, Kernel: "k"})
 		if b.OK == 1 {
 			bigSum += b.Duration
 		}

@@ -6,6 +6,7 @@ package oar
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/simclock"
@@ -92,6 +93,94 @@ func TestFailedStartAttemptAllocatesNothing(t *testing.T) {
 		}
 		if s.QueueLength() != saturatedQueue {
 			t.Errorf("%s: %d jobs waiting, want %d", tc.name, s.QueueLength(), saturatedQueue)
+		}
+	}
+}
+
+// raceDetector is set by race_test.go; allocation guards skip under it.
+var raceDetector bool
+
+// TestSubmissionAllocatesTheJobAndItsNodes: a submission that starts — and
+// runs to its walltime — allocates the Job and the slice of node names it
+// got, nothing else: no closure or event for the walltime (the event lives
+// in the Job), no string, no parse. One that has to wait allocates the Job.
+func TestSubmissionAllocatesTheJobAndItsNodes(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation guards run without the race detector")
+	}
+	c, _, s := newServer()
+	req := ClusterRequest("taurus", 2, simclock.Hour)
+	cycle := func() {
+		if j := s.SubmitReq(req, SubmitOptions{User: "user"}); j.State != Running {
+			t.Fatalf("job %d is %v", j.ID, j.State)
+		}
+		c.RunFor(simclock.Hour) // the walltime expires and frees the nodes
+	}
+	for i := 0; i < 200; i++ {
+		cycle() // grow the job table and the clock's queue past the measured runs
+	}
+	if got := testing.AllocsPerRun(100, cycle); got > 2 {
+		t.Errorf("submit, run, expire allocates %v times; want the Job and its node slice", got)
+	}
+	if s.BusyNodes() != 0 {
+		t.Fatalf("%d nodes still busy", s.BusyNodes())
+	}
+	all := ClusterRequest("taurus", AllNodes, simclock.Hour)
+	s.SubmitReq(all, SubmitOptions{})
+	if got := testing.AllocsPerRun(100, func() { s.SubmitReq(all, SubmitOptions{}) }); got > 1 {
+		t.Errorf("a submission that waits allocates %v times; want the Job", got)
+	}
+}
+
+// TestOnStartIsDroppedOnceFired: the callback runs once and the job's
+// record does not keep what it captured.
+func TestOnStartIsDroppedOnceFired(t *testing.T) {
+	_, _, s := newServer()
+	fired := 0
+	j := s.SubmitReq(ClusterRequest("taurus", 1, simclock.Hour), SubmitOptions{OnStart: func(*Job) { fired++ }})
+	if fired != 1 || j.OnStart != nil {
+		t.Fatalf("fired %d times, OnStart kept: %v", fired, j.OnStart != nil)
+	}
+}
+
+// TestRequestCacheStopsGrowingWhenFull: the table of parsed wire strings
+// takes reqCacheSize entries and no more; what it holds stays, what comes
+// later is parsed each time and answers the same.
+func TestRequestCacheStopsGrowingWhenFull(t *testing.T) {
+	_, _, s := newServer()
+	probe := func(i int) string { return fmt.Sprintf("cluster='taurus'/nodes=1,walltime=%d", i+1) }
+	for round := 0; round < 2; round++ {
+		for i := 0; i < reqCacheSize+10; i++ {
+			if ok, err := s.CanStartNow(probe(i)); err != nil || !ok {
+				t.Fatalf("probe %d: %v, %v", i, ok, err)
+			}
+		}
+		if len(s.reqCache) != reqCacheSize {
+			t.Fatalf("cache holds %d entries, want %d", len(s.reqCache), reqCacheSize)
+		}
+	}
+	for i, want := range map[int]bool{0: true, reqCacheSize - 1: true, reqCacheSize: false} {
+		if _, ok := s.reqCache[probe(i)]; ok != want {
+			t.Errorf("entry %d cached: %v, want %v", i, ok, want)
+		}
+	}
+}
+
+// TestClusterRequestEqualsItsParse: the constructor builds what the parser
+// builds from the text it prints.
+func TestClusterRequestEqualsItsParse(t *testing.T) {
+	for _, r := range []Request{
+		ClusterRequest("edel", 3, 5*simclock.Hour),
+		ClusterRequest("sol", AllNodes, simclock.Hour),
+		ClusterRequest("graphene-r2", 1, 90*simclock.Minute),
+		ClusterRequest("1e3", 2, simclock.Hour), // a name that reads as a number compares as one, both ways
+	} {
+		parsed, err := ParseRequest(r.String())
+		if err != nil {
+			t.Fatalf("%q: %v", r.String(), err)
+		}
+		if !reflect.DeepEqual(parsed, r) {
+			t.Errorf("ClusterRequest %#v\nParseRequest(%q) %#v", r, r.String(), parsed)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package oar
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -411,8 +412,14 @@ func (p *parser) parsePrimary() Expr {
 	}
 	val := p.cur.text
 	p.advance()
+	return newCmpExpr(key, op, val)
+}
+
+// newCmpExpr builds a comparison; a numeric literal (NaN is not one) also
+// compares as a number.
+func newCmpExpr(key, op, val string) cmpExpr {
 	e := cmpExpr{key: key, op: op, val: val}
-	if n, err := strconv.ParseFloat(val, 64); err == nil {
+	if n, err := strconv.ParseFloat(val, 64); err == nil && !math.IsNaN(n) {
 		e.valNum, e.valIsNum = n, true
 	}
 	return e

@@ -118,6 +118,15 @@ func (r Request) PinnedToSite(site string) Request {
 	return out
 }
 
+// ClusterRequest builds "cluster='name'/nodes=N,walltime=W" (nodes may be
+// AllNodes) without the parser. It equals ParseRequest of that string for a
+// name that needs no quoting and a walltime of whole seconds.
+func ClusterRequest(cluster string, nodes int, walltime simclock.Time) Request {
+	e := newCmpExpr("cluster", "=", cluster)
+	return Request{Walltime: walltime, Segments: []Segment{{Expr: e, Nodes: nodes,
+		raw: e.String(), anchorKey: "cluster", anchorVal: cluster}}}
+}
+
 // MustParseRequest is ParseRequest for requests known valid at compile time.
 func MustParseRequest(s string) Request {
 	r, err := ParseRequest(s)
@@ -156,22 +165,26 @@ func parseSegment(s string) (Segment, error) {
 		anchorKey: ak, anchorVal: av}, nil
 }
 
+// maxWalltimeHours (a century) keeps every walltime field inside a Time.
+const maxWalltimeHours = 1e6
+
 func parseWalltime(s string) (simclock.Time, error) {
 	s = strings.TrimSpace(s)
 	parts := strings.Split(s, ":")
 	switch len(parts) {
 	case 1:
+		// Whole seconds, as String prints them; the bounds keep NaN out too.
 		h, err := strconv.ParseFloat(parts[0], 64)
-		if err != nil || h <= 0 {
+		if err != nil || !(h*3600 >= 1 && h <= maxWalltimeHours) {
 			return 0, fmt.Errorf("oar: bad walltime %q", s)
 		}
-		return simclock.Time(h * float64(simclock.Hour)), nil
+		return simclock.Time(h*3600) * simclock.Second, nil
 	case 2, 3:
 		var total simclock.Time
 		units := []simclock.Time{simclock.Hour, simclock.Minute, simclock.Second}
 		for i, p := range parts {
 			v, err := strconv.Atoi(p)
-			if err != nil || v < 0 {
+			if err != nil || v < 0 || v > maxWalltimeHours {
 				return 0, fmt.Errorf("oar: bad walltime %q", s)
 			}
 			total += simclock.Time(v) * units[i]

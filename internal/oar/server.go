@@ -54,11 +54,11 @@ type Job struct {
 	Nodes []string
 
 	// OnStart fires when the job's resources are allocated; test jobs run
-	// their payload from here.
+	// their payload from here. The server drops it once fired.
 	OnStart func(j *Job)
 
-	bestEffort    bool
-	walltimeEvent *simclock.Event
+	bestEffort bool
+	walltime   simclock.Event // the walltime expiry, armed by startJob
 }
 
 // Server is the OAR resource manager for one testbed. A single Server
@@ -96,11 +96,13 @@ type Server struct {
 	byCluster map[string][]*testbed.Node
 	bySite    map[string][]*testbed.Node
 
-	// reqCache interns parsed requests by their source string: the test
-	// scheduler re-probes a fixed set of requests every poll and user jobs
-	// draw from a small family of request shapes, so parsing each string
-	// once removes the parser from the hot path entirely.
+	// reqCache interns parsed requests by their source string, for the wire,
+	// where clients repeat a few shapes (the campaign's own submissions
+	// arrive parsed: SubmitReq, CanStartNowReq). Once it holds reqCacheSize
+	// it takes no more: later strings are parsed each time, none is dropped.
 	reqCache map[string]Request
+
+	expire func(job any) // walltimeExpired as a value, made once
 
 	// Scratch buffers reused across allocation attempts (all access is
 	// under the server mutex). chosen/free/held hold the in-progress
@@ -136,8 +138,11 @@ func NewServer(clock *simclock.Clock, tb *testbed.Testbed) *Server {
 		s.byCluster[n.Cluster] = append(s.byCluster[n.Cluster], n)
 		s.bySite[n.Site] = append(s.bySite[n.Site], n)
 	}
+	s.expire = s.walltimeExpired
 	return s
 }
+
+const reqCacheSize = 1024 // request families are small
 
 // parseRequestCached is ParseRequest through the server's intern table.
 // The cached Request (including its Segments slice) is shared between
@@ -151,10 +156,9 @@ func (s *Server) parseRequestCachedLocked(request string) (Request, error) {
 	if err != nil {
 		return Request{}, err
 	}
-	if len(s.reqCache) >= 8192 { // defensive bound; request families are small
-		s.reqCache = map[string]Request{}
+	if len(s.reqCache) < reqCacheSize {
+		s.reqCache[request] = req
 	}
-	s.reqCache[request] = req
 	return req, nil
 }
 
@@ -230,8 +234,9 @@ func (s *Server) SubmitReq(req Request, opts SubmitOptions) *Job {
 		s.cancelLocked(j)
 	}
 	s.mu.Unlock()
-	if started && j.OnStart != nil {
-		j.OnStart(j)
+	if fn := j.OnStart; started && fn != nil {
+		j.OnStart = nil // fires once; what it captured need not outlive that
+		fn(j)
 	}
 	return j
 }
@@ -293,9 +298,7 @@ func (s *Server) finishLocked(j *Job) {
 func (s *Server) endJob(j *Job, final JobState) {
 	j.State = final
 	j.EndedAt = s.clock.Now()
-	if j.walltimeEvent != nil {
-		j.walltimeEvent.Cancel()
-	}
+	j.walltime.Cancel()
 	for _, n := range j.Nodes {
 		delete(s.busy, n)
 		if j.bestEffort {
@@ -341,9 +344,10 @@ func (s *Server) scheduleLocked() {
 		s.again = false
 		started := s.schedulePass()
 		for _, j := range started {
-			if j.OnStart != nil {
+			if fn := j.OnStart; fn != nil {
+				j.OnStart = nil
 				s.mu.Unlock()
-				j.OnStart(j)
+				fn(j)
 				s.mu.Lock()
 			}
 		}
@@ -386,14 +390,17 @@ func (s *Server) startJob(j *Job, nodes []string) {
 		}
 	}
 	s.started++
-	jj := j
-	j.walltimeEvent = s.clock.After(j.Request.Walltime, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if jj.State == Running {
-			s.finishLocked(jj)
-		}
-	})
+	s.clock.Arm(&j.walltime, j.Request.Walltime, s.expire, j)
+}
+
+// walltimeExpired ends a job that ran out its walltime.
+func (s *Server) walltimeExpired(job any) {
+	j := job.(*Job)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.State == Running {
+		s.finishLocked(j)
+	}
 }
 
 // schedulePass walks the queue once, starting every job that fits. OnStart

@@ -28,28 +28,56 @@ package simclock
 // WaitUntil and Sleep must only be called from goroutines started with Go;
 // calling them from the driver would deadlock the token accounting.
 
+// simG is one simulation goroutine. Its wake channel serves every handoff
+// of the run token to it, and it outlives its function, parked until Go has
+// another: a campaign spawns only as many goroutines as ever run at once.
+type simG struct {
+	wake chan struct{} // buffered: handing over the token never blocks
+	c    *Clock        // nil while parked, see run
+	fn   func()
+}
+
+// parkedGs holds a clock's finished goroutines, last in first out, in an
+// allocation of its own to carry the finalizer that ends them with the clock.
+type parkedGs struct{ gs []*simG }
+
 // Go starts fn as a simulation goroutine tracked by the clock. The
 // goroutine does not run immediately: it is queued for the run token and
 // first executes during the next Step/Run/RunUntil/Advance, after the
 // event that spawned it returns. It may call WaitUntil/Sleep to block for
 // simulated time and At/After/Go to schedule further work.
 func (c *Clock) Go(fn func()) {
-	start := make(chan struct{}, 1)
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	var g *simG
+	if n := len(c.parked.gs); n > 0 {
+		g, c.parked.gs = c.parked.gs[n-1], c.parked.gs[:n-1]
+	} else {
+		g = &simG{wake: make(chan struct{}, 1)}
+		//g5k:allow baregoroutine this IS the run-token implementation: the goroutine starts parked and only ever runs while holding the token
+		go g.run()
+	}
+	g.c, g.fn = c, fn
 	c.goroutines++
-	c.runnable = append(c.runnable, start)
+	c.runnable = append(c.runnable, g)
 	c.idle.Broadcast()
-	c.mu.Unlock()
-	//g5k:allow baregoroutine this IS the run-token implementation: the goroutine starts parked and only ever runs while holding the token
-	go func() {
-		<-start
-		fn()
+}
+
+// run executes one function per token handoff and parks in between,
+// referencing only its simG: a clock whose goroutines have all finished is
+// collectable with all its events hold, and that closes wake and ends run.
+func (g *simG) run() {
+	for range g.wake {
+		c := g.c
+		g.fn()
 		c.mu.Lock()
-		c.active--
+		g.c, g.fn = nil, nil
+		c.running = nil
 		c.goroutines--
+		c.parked.gs = append(c.parked.gs, g)
 		c.idle.Broadcast()
 		c.mu.Unlock()
-	}()
+	}
 }
 
 // Goroutines returns the number of live simulation goroutines (running,
@@ -65,17 +93,17 @@ func (c *Clock) Goroutines() int {
 // at the same instant resume one at a time, in the order they went to
 // sleep.
 func (c *Clock) WaitUntil(t Time) {
-	wake := make(chan struct{}, 1)
 	c.mu.Lock()
 	if t <= c.now {
 		c.mu.Unlock()
 		return
 	}
-	c.atLocked(t, func() { c.makeRunnable(wake) })
-	c.active--
+	g := c.running
+	c.scheduleLocked(t, makeRunnable, g)
+	c.running = nil
 	c.idle.Broadcast()
 	c.mu.Unlock()
-	<-wake
+	<-g.wake
 }
 
 // Sleep parks the calling simulation goroutine for d of simulated time.
@@ -94,11 +122,13 @@ func (c *Clock) Sleep(d Time) {
 // driver side of the WaitUntil contract.
 func (c *Clock) Advance(d Time) { c.RunFor(d) }
 
-// makeRunnable queues a parked goroutine's wake channel for the run token.
-// Called from wake-up events (driver context, mutex not held).
-func (c *Clock) makeRunnable(wake chan struct{}) {
+// makeRunnable queues a goroutine parked in WaitUntil for the run token. It
+// is the wake-up event's callback (driver context, mutex not held).
+func makeRunnable(arg any) {
+	g := arg.(*simG)
+	c := g.c
 	c.mu.Lock()
-	c.runnable = append(c.runnable, wake)
+	c.runnable = append(c.runnable, g)
 	c.idle.Broadcast()
 	c.mu.Unlock()
 }
@@ -116,7 +146,7 @@ func (c *Clock) makeRunnable(wake chan struct{}) {
 type Latch struct {
 	c       *Clock
 	n       int
-	waiters []chan struct{}
+	waiters []*simG
 }
 
 // NewLatch creates a latch that opens after n Done calls. n must be ≥ 0;
@@ -150,29 +180,31 @@ func (l *Latch) Done() {
 // WaitUntil, it must only be called from goroutines started with Go —
 // calling it from the driver would corrupt the run-token accounting.
 func (l *Latch) Wait() {
-	wake := make(chan struct{}, 1)
 	l.c.mu.Lock()
 	if l.n == 0 {
 		l.c.mu.Unlock()
 		return
 	}
-	l.waiters = append(l.waiters, wake)
-	l.c.active--
+	g := l.c.running
+	l.waiters = append(l.waiters, g)
+	l.c.running = nil
 	l.c.idle.Broadcast()
 	l.c.mu.Unlock()
-	<-wake
+	<-g.wake
 }
 
 // quiesceLocked blocks the driver until no simulation goroutine is running
 // or ready, dispatching ready goroutines one at a time (FIFO). Called with
 // the mutex held.
 func (c *Clock) quiesceLocked() {
-	for c.active > 0 || len(c.runnable) > 0 {
-		if c.active == 0 {
-			next := c.runnable[0]
-			c.runnable = c.runnable[1:]
-			c.active = 1
-			next <- struct{}{} // buffered: never blocks
+	for c.running != nil || c.runHead < len(c.runnable) {
+		if c.running == nil {
+			c.running = c.runnable[c.runHead]
+			c.runnable[c.runHead] = nil
+			if c.runHead++; c.runHead == len(c.runnable) {
+				c.runnable, c.runHead = c.runnable[:0], 0
+			}
+			c.running.wake <- struct{}{}
 		}
 		c.idle.Wait()
 	}

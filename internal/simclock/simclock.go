@@ -19,12 +19,19 @@
 //     {driver, simulation goroutines} executes at any instant and wake-ups
 //     happen in event order: campaigns stay deterministic (see
 //     concurrent.go).
+//
+// The steady state allocates nothing. The handle rule: a *Event returned by
+// At or After is never reused, so Cancel on it stays a no-op however long
+// after it fired. Events without a handle (Schedule, WaitUntil's wake-ups)
+// come from a per-clock free list and return to it as they fire; a Ticker
+// re-arms its one event; Arm schedules an event the caller's struct embeds.
 package simclock
 
 import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,14 +103,18 @@ func (t Time) String() string {
 }
 
 // Event is a scheduled callback. The callback runs with the clock set to the
-// event's time.
+// event's time. The zero Event is ready for Arm.
 type Event struct {
 	at       Time
 	seq      uint64 // tie-break so equal-time events run in schedule order
-	fn       func()
+	fn       func(arg any)
+	arg      any
 	canceled atomic.Bool // atomic: Cancel may come from any goroutine
-	index    int         // heap index, -1 when popped
+	pooled   bool        // no handle exists: back to the clock's free list on fire
 }
+
+// callFunc is the fn of an event scheduled with a plain func(), its arg.
+func callFunc(fn any) { fn.(func())() }
 
 // Cancel prevents a pending event from firing. Canceling an already-fired or
 // already-canceled event is a no-op. Safe to call from any goroutine.
@@ -128,22 +139,13 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*Event)) }
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*q = old[:n-1]
 	return e
 }
@@ -166,19 +168,27 @@ type Clock struct {
 	rng    *rand.Rand
 	fired  uint64
 	maxLen int
+	free   []*Event // fired pooled events, reused last in first out
 
-	// Run-token scheduler state (concurrent.go): the number of simulation
-	// goroutines currently holding the token (0 or 1), the FIFO of
-	// goroutines ready to take it, and the count of live Go goroutines.
-	active     int
-	runnable   []chan struct{}
+	// Run-token scheduler state (concurrent.go): the goroutine holding the
+	// token (nil: the driver), the FIFO of those ready for it
+	// (runnable[runHead:]), the live count, the finished ones kept for Go.
+	running    *simG
+	runnable   []*simG
+	runHead    int
 	goroutines int
+	parked     *parkedGs
 }
 
 // New returns a clock at the epoch with an RNG seeded by seed.
 func New(seed int64) *Clock {
-	c := &Clock{rng: rand.New(rand.NewSource(seed))}
+	c := &Clock{rng: rand.New(rand.NewSource(seed)), parked: new(parkedGs)}
 	c.idle = sync.NewCond(&c.mu)
+	runtime.SetFinalizer(c.parked, func(p *parkedGs) {
+		for _, g := range p.gs {
+			close(g.wake) // ends run
+		}
+	})
 	return c
 }
 
@@ -222,32 +232,61 @@ func (c *Clock) MaxQueueLen() int {
 // the current instant) runs the event at the current time, after all events
 // already scheduled for that time.
 func (c *Clock) At(t Time, fn func()) *Event {
+	e := &Event{fn: callFunc, arg: fn}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.atLocked(t, fn)
+	c.pushLocked(e, t)
+	return e
 }
 
-func (c *Clock) atLocked(t Time, fn func()) *Event {
+// pushLocked queues e for time t (the current instant if t is past).
+func (c *Clock) pushLocked(e *Event, t Time) {
 	if t < c.now {
 		t = c.now
 	}
-	e := &Event{at: t, seq: c.seq, fn: fn}
+	e.at, e.seq = t, c.seq
 	c.seq++
 	heap.Push(&c.queue, e)
 	if len(c.queue) > c.maxLen {
 		c.maxLen = len(c.queue)
 	}
-	return e
 }
 
 // After schedules fn to run d after the current time.
 func (c *Clock) After(d Time, fn func()) *Event {
+	e := &Event{}
+	c.Arm(e, d, callFunc, fn)
+	return e
+}
+
+// Arm schedules the caller's own event (a field of the struct the callback
+// works on, say: a cancellable timer without an allocation) to run fn(arg)
+// d from now. e must not be pending; once canceled it never fires again.
+func (c *Clock) Arm(e *Event, d Time, fn func(arg any), arg any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if d < 0 {
-		d = 0
+	e.fn, e.arg = fn, arg
+	c.pushLocked(e, c.now+max(d, 0))
+}
+
+// Schedule is After without a handle: fn(arg) runs d from now and cannot be
+// canceled, so the clock recycles the event once it has fired. With fn kept
+// in a field and what varies passed as arg, scheduling allocates nothing.
+func (c *Clock) Schedule(d Time, fn func(arg any), arg any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.scheduleLocked(c.now+max(d, 0), fn, arg)
+}
+
+func (c *Clock) scheduleLocked(t Time, fn func(arg any), arg any) {
+	var e *Event
+	if n := len(c.free); n > 0 {
+		e, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		e = &Event{pooled: true}
 	}
-	return c.atLocked(c.now+d, fn)
+	e.fn, e.arg = fn, arg
+	c.pushLocked(e, t)
 }
 
 // Ticker repeatedly schedules a callback at a fixed period until stopped.
@@ -257,8 +296,7 @@ type Ticker struct {
 	clock   *Clock
 	period  Time
 	fn      func()
-	mu      sync.Mutex // guards event
-	event   *Event
+	event   Event // armed again on every fire
 	stopped atomic.Bool
 }
 
@@ -269,33 +307,26 @@ func (c *Clock) Every(period Time, fn func()) *Ticker {
 		panic("simclock: non-positive ticker period")
 	}
 	t := &Ticker{clock: c, period: period, fn: fn}
-	t.schedule()
+	c.Arm(&t.event, period, tick, t)
 	return t
 }
 
-func (t *Ticker) schedule() {
-	e := t.clock.After(t.period, func() {
-		if t.stopped.Load() {
-			return
-		}
-		t.fn()
-		if !t.stopped.Load() {
-			t.schedule()
-		}
-	})
-	t.mu.Lock()
-	t.event = e
-	t.mu.Unlock()
+func tick(arg any) {
+	t := arg.(*Ticker)
+	if t.stopped.Load() {
+		return
+	}
+	t.fn()
+	if !t.stopped.Load() {
+		t.clock.Arm(&t.event, t.period, tick, t)
+	}
 }
 
 // Stop halts the ticker. It is safe to call multiple times, from any
 // goroutine.
 func (t *Ticker) Stop() {
 	t.stopped.Store(true)
-	t.mu.Lock()
-	e := t.event
-	t.mu.Unlock()
-	e.Cancel()
+	t.event.Cancel()
 }
 
 // Step lets every runnable simulation goroutine proceed until it parks,
@@ -322,8 +353,12 @@ func (c *Clock) step(limit Time, bounded bool) bool {
 		}
 		c.now = e.at
 		c.fired++
+		fn, arg := e.fn, e.arg
+		if e.pooled {
+			c.free = append(c.free, e)
+		}
 		c.mu.Unlock()
-		e.fn()
+		fn(arg)
 		c.mu.Lock()
 		c.quiesceLocked()
 		c.mu.Unlock()

@@ -19,12 +19,13 @@ import (
 // cell: reserve one node of the cluster, deploy the image, verify the
 // booted kernel, release.
 func environmentsCellScript(ctx *Context) ci.Script {
-	// Per-cluster request strings rendered once: a 448-cell matrix fires
-	// this script constantly and the requests never change.
-	reqByCluster := map[string]string{}
+	// Per-cluster requests built once: a 448-cell matrix fires this script
+	// constantly and the requests never change.
+	reqByCluster := map[string]oar.Request{}
 	for _, cl := range ctx.TB.Clusters() {
-		reqByCluster[cl.Name] = fmt.Sprintf("cluster='%s'/nodes=1,walltime=1", cl.Name)
+		reqByCluster[cl.Name] = oar.ClusterRequest(cl.Name, 1, simclock.Hour)
 	}
+	release := ctx.releaseJob
 	return func(bc *ci.BuildContext) ci.Outcome {
 		image, cluster := bc.Axis("image"), bc.Axis("cluster")
 		env, err := kadeploy.EnvByName(image)
@@ -35,13 +36,9 @@ func environmentsCellScript(ctx *Context) ci.Script {
 		}
 		req, ok := reqByCluster[cluster]
 		if !ok {
-			req = fmt.Sprintf("cluster='%s'/nodes=1,walltime=1", cluster)
+			req = oar.ClusterRequest(cluster, 1, simclock.Hour)
 		}
-		job, err := ctx.OAR.Submit(req, oar.SubmitOptions{User: "jenkins", Immediate: true})
-		if err != nil {
-			bc.Logf("oarsub failed: %v", err)
-			return ci.Outcome{Result: ci.Failure, Duration: simclock.Minute}
-		}
+		job := ctx.OAR.SubmitReq(req, oar.SubmitOptions{User: "jenkins", Immediate: true})
 		if job.State != oar.Running {
 			bc.Logf("no node available right now; cancelled")
 			return ci.Outcome{Result: ci.Unstable, Duration: simclock.Minute}
@@ -63,14 +60,11 @@ func environmentsCellScript(ctx *Context) ci.Script {
 			out.BugSignatures = append(out.BugSignatures, "random-reboots:"+node.Name)
 		default:
 			out.Duration = res.Duration + simclock.Minute
-			bc.Logf("%s deployed on %s in %v", image, node.Name, res.Duration)
-		}
-		jobID := job.ID
-		ctx.Clock.After(out.Duration, func() {
-			if ctx.OAR.Job(jobID).State == oar.Running {
-				ctx.OAR.Release(jobID) //nolint:errcheck // walltime reclaims otherwise
+			if bc.LogsRetained() { // or the arguments are boxed for nothing, 448 times a matrix
+				bc.Logf("%s deployed on %s in %v", image, node.Name, res.Duration)
 			}
-		})
+		}
+		ctx.Clock.Schedule(out.Duration, release, job)
 		return out
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/checks"
 	"repro/internal/kadeploy"
 	"repro/internal/oar"
 	"repro/internal/sched"
@@ -30,6 +31,9 @@ func refapiTests(tb *testbed.Testbed) []*Test {
 	var out []*Test
 	for _, cl := range tb.Clusters() {
 		cl := cl
+		// The sweep's reports, handed back in on every run: runs of one
+		// test never overlap, and nothing below keeps a report.
+		var reports []checks.Report
 		out = append(out, &Test{
 			Family:  "refapi",
 			Name:    "refapi/" + cl.Name,
@@ -41,11 +45,12 @@ func refapiTests(tb *testbed.Testbed) []*Test {
 			Run: func(ctx *Context, job *oar.Job) Verdict {
 				v := ctx.NewVerdict()
 				v.Duration = 5 * simclock.Minute
-				reports, _, err := ctx.Checker.CheckClusterParallel(cl.Name, sweepWorkers)
+				swept, err := ctx.Checker.CheckClusterParallelInto(cl.Name, sweepWorkers, reports)
 				if err != nil {
 					v.fail("refapi-error:"+cl.Name, "check run failed: %v", err)
 					return v
 				}
+				reports = swept
 				for _, r := range reports {
 					for _, d := range r.Mismatches {
 						v.fail(SignatureForDiff(d), "%s", d)

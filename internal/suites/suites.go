@@ -93,6 +93,8 @@ type Test struct {
 	Request string        // OAR resource request
 	Period  simclock.Time // desired run frequency
 	Run     func(ctx *Context, job *oar.Job) Verdict
+
+	req oar.Request // Request parsed, by Script's first run
 }
 
 // Script wraps a test into a CI build script implementing the paper's
@@ -100,12 +102,16 @@ type Test struct {
 // it cannot start right away, cancel and mark the build unstable; otherwise
 // run the payload and release the resources when it completes.
 func (t *Test) Script(ctx *Context) ci.Script {
+	release := ctx.releaseJob
 	return func(bc *ci.BuildContext) ci.Outcome {
-		job, err := ctx.OAR.Submit(t.Request, oar.SubmitOptions{User: "jenkins", Immediate: true})
-		if err != nil {
-			bc.Logf("oarsub failed: %v", err)
-			return ci.Outcome{Result: ci.Failure, Duration: simclock.Minute}
+		if t.req.Segments == nil { // the first run parses, every run submits the same
+			var err error
+			if t.req, err = oar.ParseRequest(t.Request); err != nil {
+				bc.Logf("oarsub failed: %v", err)
+				return ci.Outcome{Result: ci.Failure, Duration: simclock.Minute}
+			}
 		}
+		job := ctx.OAR.SubmitReq(t.req, oar.SubmitOptions{User: "jenkins", Immediate: true})
 		if job.State != oar.Running {
 			bc.Logf("testbed job could not be scheduled immediately; cancelled")
 			return ci.Outcome{Result: ci.Unstable, Duration: simclock.Minute}
@@ -115,17 +121,20 @@ func (t *Test) Script(ctx *Context) ci.Script {
 		if dur <= 0 {
 			dur = simclock.Minute
 		}
-		jobID := job.ID
-		ctx.Clock.After(dur, func() {
-			if ctx.OAR.Job(jobID).State == oar.Running {
-				ctx.OAR.Release(jobID) //nolint:errcheck // released at walltime otherwise
-			}
-		})
+		ctx.Clock.Schedule(dur, release, job)
 		res := ci.Success
 		if v.Failed {
 			res = ci.Failure
 		}
 		return ci.Outcome{Result: res, Duration: dur, Log: v.Log, BugSignatures: v.Signatures}
+	}
+}
+
+// releaseJob ends a test's OAR job (the argument) once its payload's
+// simulated duration is over; the walltime reclaims the nodes otherwise.
+func (ctx *Context) releaseJob(job any) {
+	if j := job.(*oar.Job); j.State == oar.Running {
+		ctx.OAR.Release(j.ID) //nolint:errcheck // released at walltime otherwise
 	}
 }
 

@@ -202,16 +202,14 @@ func (c *Cluster) Cores() int {
 type Site struct {
 	Name     string
 	Clusters []*Cluster
+
+	nodes []*Node // every cluster's nodes in order, set by Testbed.index
 }
 
-// Nodes returns all nodes of the site, in cluster order.
-func (s *Site) Nodes() []*Node {
-	var out []*Node
-	for _, c := range s.Clusters {
-		out = append(out, c.Nodes...)
-	}
-	return out
-}
+// Nodes returns all nodes of the site, in cluster order. The slice is the
+// site's own (the topology never changes after generation): do not mutate
+// it.
+func (s *Site) Nodes() []*Node { return s.nodes }
 
 // Testbed is the whole infrastructure.
 //
@@ -227,6 +225,7 @@ type Testbed struct {
 	Sites []*Site
 
 	mu             sync.Mutex
+	nodes          []*Node // every site's nodes in order, set by index
 	nodesByName    map[string]*Node
 	clustersByName map[string]*Cluster
 	sitesByName    map[string]*Site
@@ -261,14 +260,18 @@ func (tb *Testbed) index() {
 	tb.nodesByName = make(map[string]*Node)
 	tb.clustersByName = make(map[string]*Cluster)
 	tb.sitesByName = make(map[string]*Site)
+	tb.nodes = nil
 	for _, s := range tb.Sites {
 		tb.sitesByName[s.Name] = s
+		s.nodes = nil
 		for _, c := range s.Clusters {
 			tb.clustersByName[c.Name] = c
+			s.nodes = append(s.nodes, c.Nodes...)
 			for _, n := range c.Nodes {
 				tb.nodesByName[n.Name] = n
 			}
 		}
+		tb.nodes = append(tb.nodes, s.nodes...)
 	}
 }
 
@@ -282,14 +285,8 @@ func (tb *Testbed) Cluster(name string) *Cluster { return tb.clustersByName[name
 func (tb *Testbed) Site(name string) *Site { return tb.sitesByName[name] }
 
 // Nodes returns every node of the testbed in deterministic (site, cluster,
-// index) order.
-func (tb *Testbed) Nodes() []*Node {
-	var out []*Node
-	for _, s := range tb.Sites {
-		out = append(out, s.Nodes()...)
-	}
-	return out
-}
+// index) order. The slice is the testbed's own: do not mutate it.
+func (tb *Testbed) Nodes() []*Node { return tb.nodes }
 
 // Clusters returns every cluster in deterministic order.
 func (tb *Testbed) Clusters() []*Cluster {
