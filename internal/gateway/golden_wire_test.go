@@ -6,9 +6,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -23,16 +25,18 @@ import (
 // purpose is to alter a body, never beside a change to how bodies are made.
 var updateWireGolden = flag.Bool("update-wire-golden", false, "rewrite testdata/wire_golden.json")
 
-// wireRecord is what a client can observe of one GET: the status, the
-// validator, how long the answer may be cached and the exact bytes (as
-// their SHA-256). Path carries the fixture and grid state it was asked in
-// as a prefix ("degraded:", "healed:", "mono:", "ci:"); the healthy
-// federated grid has none.
+// wireRecord is what a client can observe of one request: the status, the
+// validator, how long the answer may be cached, when to come back and the
+// exact bytes (as their SHA-256). Path carries the fixture and grid state it
+// was asked in as a prefix ("degraded:", "healed:", "mono:", "ci:", "post:",
+// "mono-post:"); the healthy federated grid has none. A request that is not
+// a bare GET reads "METHOD path body".
 type wireRecord struct {
 	Path         string `json:"path"`
 	Status       int    `json:"status"`
 	ETag         string `json:"etag,omitempty"`
 	CacheControl string `json:"cache_control,omitempty"`
+	RetryAfter   string `json:"retry_after,omitempty"`
 	SHA256       string `json:"sha256,omitempty"`
 }
 
@@ -66,9 +70,11 @@ func wireFixture(t *testing.T) (fed *federation.Federation, gw *Gateway, ciHandl
 }
 
 // monoWireFixture is the monolithic layout (ForFramework) of the same
-// contract: a one-day seed-31 campaign whose store is re-described once.
-// Only its conditional routes are recorded — the single-store forms the
-// federated fixture reaches through ?cluster= answer here on the bare paths.
+// contract: a one-day seed-31 campaign whose store is re-described once. It
+// replays the whole route list — the single-store forms the federated
+// fixture reaches through ?cluster= answer here on the bare paths, the
+// site-scoped ones narrow the one shard — after two single-store forms the
+// list does not carry.
 func monoWireFixture(t *testing.T) (*Gateway, []string) {
 	t.Helper()
 	f, gw := newCampaign(t, 31, 4, simclock.Day)
@@ -78,16 +84,20 @@ func monoWireFixture(t *testing.T) (*Gateway, []string) {
 	if err := f.Ref.Update(f.Clock.Now(), n.Name, inv); err != nil {
 		t.Fatal(err)
 	}
-	return gw, []string{
-		"/ref/inventory",
-		"/ref/inventory?version=1",
+	return gw, append([]string{
 		"/ref/inventory?at=3600",
-		"/ref/diff",
-		"/ref/diff?from=1&to=2",
 		"/ref/diff?from=1&to=1",
-		"/bugs/rollup",
-		"/incidents",
-	}
+	}, wirePaths(gw)...)
+}
+
+// wireNames picks what the request lists are written against: the first
+// shard's first node with its cluster and site, and the last site (the one
+// the degraded replay takes out) with its first cluster.
+func wireNames(gw *Gateway) (site, cluster, node, otherSite, otherCluster string) {
+	n := gw.shards[0].cfg.TB.Nodes()[0]
+	otherSite = gw.sites[len(gw.sites)-1]
+	otherCluster = gw.siteShards[otherSite][0].cfg.TB.Site(otherSite).Clusters[0].Name
+	return n.Site, n.Cluster, n.Name, otherSite, otherCluster
 }
 
 // wirePaths lists one request per GET route of the endpoint table, plus
@@ -95,10 +105,8 @@ func monoWireFixture(t *testing.T) (*Gateway, []string) {
 // versions, time travel, per-cluster stores, scoped CI), plus the error
 // bodies a client meets first.
 func wirePaths(gw *Gateway) []string {
-	site := gw.shards[0].site
-	other := "/sites/" + gw.sites[len(gw.sites)-1] // the site the degraded replay takes out
-	cluster := gw.shards[0].cluster
-	node := gw.shards[0].cfg.TB.Nodes()[0].Name
+	site, cluster, node, otherSite, _ := wireNames(gw)
+	other := "/sites/" + otherSite
 	scoped := "/sites/" + site
 	return []string{
 		"/",
@@ -150,44 +158,109 @@ func wirePaths(gw *Gateway) []string {
 	}
 }
 
-func recordWire(t *testing.T, c *http.Client, path string, hashBody bool) wireRecord {
+// wireRequest is one request of the POST table: anything but a bare GET.
+type wireRequest struct {
+	method, path, body string
+	label              string // what the record shows for body; "" = body itself
+}
+
+// wirePosts lists what a client can send the POST routes: submissions and
+// probes by every anchor the router resolves (cluster, site, none — the
+// admission layer's case — and, site-scoped, an anchor elsewhere), a grid
+// event injected, submissions to the site it took out, the heal, and the
+// bodies and methods refused before any handler runs. It runs after every GET table of its fixture: the real
+// submissions and the event change what the GETs would read.
+func wirePosts(gw *Gateway) []wireRequest {
+	site, cluster, _, otherSite, otherCluster := wireNames(gw)
+	var out []wireRequest
+	submit := func(path, request string) {
+		out = append(out,
+			wireRequest{method: http.MethodPost, path: path, body: `{"request":"` + request + `","dry_run":true}`},
+			wireRequest{method: http.MethodPost, path: path, body: `{"request":"` + request + `","user":"golden"}`})
+	}
+	submit("/oar/submit", "cluster='"+cluster+"'/nodes=1,walltime=1")
+	submit("/oar/submit", "site='"+site+"'/nodes=1,walltime=1")
+	submit("/oar/submit", "nodes=1,walltime=1")
+	submit("/sites/"+site+"/oar/submit", "nodes=1,walltime=1")
+	submit("/sites/"+site+"/oar/submit", "cluster='"+otherCluster+"'/nodes=1,walltime=1")
+	out = append(out, wireRequest{method: http.MethodPost, path: "/chaos/inject", body: `{"kind":"outage","sites":["` + otherSite + `"]}`})
+	submit("/oar/submit", "site='"+otherSite+"'/nodes=1,walltime=1")
+	submit("/oar/submit", "cluster='"+otherCluster+"'/nodes=1,walltime=1")
+	return append(out,
+		wireRequest{method: http.MethodPost, path: "/chaos/heal", body: `{"all":true}`},
+		wireRequest{method: http.MethodPost, path: "/oar/submit", body: `{"request":"nodes=1,walltime=1","dryrun":true}`},
+		wireRequest{method: http.MethodPost, path: "/oar/submit", label: "<70000 bytes>",
+			body: `{"request":"nodes=1,walltime=1","user":"` + strings.Repeat("x", 70000) + `"}`},
+		wireRequest{method: http.MethodGet, path: "/oar/submit"},
+		wireRequest{method: http.MethodGet, path: "/chaos/inject"},
+	)
+}
+
+func recordWire(t *testing.T, c *http.Client, wr wireRequest, hashBody bool) wireRecord {
 	t.Helper()
-	resp, body := get(t, c, path)
-	rec := wireRecord{Path: path, Status: resp.StatusCode, ETag: resp.Header.Get("ETag"),
-		CacheControl: resp.Header.Get("Cache-Control")}
+	req, err := http.NewRequest(wr.method, "http://gw.local"+wr.path, strings.NewReader(wr.body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", wr.method, wr.path, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("%s %s: reading body: %v", wr.method, wr.path, err)
+	}
+	rec := wireRecord{Path: wr.path, Status: resp.StatusCode, ETag: resp.Header.Get("ETag"),
+		CacheControl: resp.Header.Get("Cache-Control"), RetryAfter: resp.Header.Get("Retry-After")}
+	if wr.method != http.MethodGet || wr.body != "" {
+		shown := wr.label
+		if shown == "" {
+			shown = wr.body
+		}
+		rec.Path = strings.TrimSpace(wr.method + " " + wr.path + " " + shown)
+	}
 	if hashBody {
 		sum := sha256.Sum256(body)
 		rec.SHA256 = hex.EncodeToString(sum[:])
 	}
 	if rec.ETag != "" && rec.Status == http.StatusOK {
 		// The validator a body went out under must answer for it.
-		re := getConditional(t, c, path, rec.ETag)
+		re := getConditional(t, c, wr.path, rec.ETag)
 		if re.StatusCode != http.StatusNotModified || re.Header.Get("ETag") != rec.ETag ||
 			re.Header.Get("Cache-Control") != rec.CacheControl {
 			t.Errorf("GET %s If-None-Match %s = %d with ETag %s Cache-Control %q, want 304 echoing %q",
-				path, rec.ETag, re.StatusCode, re.Header.Get("ETag"), re.Header.Get("Cache-Control"), rec.CacheControl)
+				wr.path, rec.ETag, re.StatusCode, re.Header.Get("ETag"), re.Header.Get("Cache-Control"), rec.CacheControl)
 		}
 	}
 	return rec
 }
 
-// TestWireGolden pins what every GET route puts on the wire — status, ETag,
-// Cache-Control and body bytes — for a fixed-seed federated static gateway
-// (healthy, then with its last site lost to an outage, then healed), for a
-// monolithic one, and for one shard's CI REST handler. How bodies are
-// rendered may change; these may not.
+// TestWireGolden pins what every route puts on the wire — status, ETag,
+// Cache-Control, Retry-After and body bytes — for a fixed-seed federated
+// static gateway (healthy, then with its last site lost to an outage, then
+// healed), for a monolithic one, for one shard's CI REST handler, and last
+// for what both gateways answer to POSTs. How bodies are rendered may
+// change; these may not.
 func TestWireGolden(t *testing.T) {
 	fed, gw, ciHandler, ciJob := wireFixture(t)
 	var got []wireRecord
-	replay := func(h http.Handler, prefix string, paths []string) {
+	replay := func(h http.Handler, prefix string, reqs []wireRequest) {
 		c := inproc.Client(h)
-		for _, p := range paths {
-			rec := recordWire(t, c, p, p != "/metrics")
-			rec.Path = prefix + p
+		for _, wr := range reqs {
+			rec := recordWire(t, c, wr, wr.path != "/metrics")
+			rec.Path = prefix + rec.Path
 			got = append(got, rec)
 		}
 	}
-	paths := wirePaths(gw)
+	gets := func(paths []string) []wireRequest {
+		out := make([]wireRequest, len(paths))
+		for i, p := range paths {
+			out[i] = wireRequest{method: http.MethodGet, path: p}
+		}
+		return out
+	}
+	paths := gets(wirePaths(gw))
 	replay(gw, "", paths)
 	ev, err := fed.InjectGrid(faults.SiteOutage, []string{gw.sites[len(gw.sites)-1]}, 0, 0)
 	if err != nil {
@@ -199,8 +272,10 @@ func TestWireGolden(t *testing.T) {
 	}
 	replay(gw, "healed:", paths)
 	mono, monoPaths := monoWireFixture(t)
-	replay(mono, "mono:", monoPaths)
-	replay(ciHandler, "ci:", []string{"/api/json", "/job/" + ciJob + "/api/json", "/job/" + ciJob + "/1/api/json", "/job/nope/api/json"})
+	replay(mono, "mono:", gets(monoPaths))
+	replay(ciHandler, "ci:", gets([]string{"/api/json", "/job/" + ciJob + "/api/json", "/job/" + ciJob + "/1/api/json", "/job/nope/api/json"}))
+	replay(gw, "post:", wirePosts(gw))
+	replay(mono, "mono-post:", wirePosts(mono))
 
 	file := filepath.Join("testdata", "wire_golden.json")
 	if *updateWireGolden {
