@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint fmt-check test race stress fed-check chaos-check admit-check intel-check fuzz-smoke profile check
+.PHONY: all build vet lint fmt-check test race stress fed-check chaos-check admit-check intel-check fuzz-smoke profile loc check
 
 all: check
 
@@ -121,5 +121,17 @@ profile:
 	$(PPROF) -sample_index=alloc_objects $(PROFILE_DIR)/g5ktest $(PROFILE_DIR)/fed.mem.pprof
 	$(call allocs-per-week,mono,$(PROFILE_DIR)/mono.mem.pprof,10)
 	$(call allocs-per-week,fed,$(PROFILE_DIR)/fed.mem.pprof,3)
+
+# loc prints the Go line counts of every internal/* and cmd/* package,
+# non-test and test files apart (plain `wc -l`, comments and blanks
+# included) — the figure ROADMAP's size targets and every simplicity PR's
+# CHANGES entry quote.
+loc:
+	@printf '%-22s %9s %9s\n' package non-test test; \
+	for d in internal/* cmd/*; do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		t=$$(find $$d -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-22s %9d %9d\n' $$d $$n $$t; \
+	done | awk '{print; n += $$2; t += $$3} END {printf "%-22s %9d %9d\n", "total", n, t}'
 
 check: build vet lint fmt-check race intel-check fuzz-smoke

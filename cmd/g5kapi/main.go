@@ -116,8 +116,8 @@ func main() {
 		}
 		log.Printf("campaign done: %s", sum)
 	} else {
-		if *chaos != "" {
-			fmt.Fprintln(os.Stderr, "g5kapi: -chaos requires -shards")
+		if *chaos != "" || *fedWorkers != 0 {
+			fmt.Fprintln(os.Stderr, "g5kapi: -chaos and -shard-workers require -shards")
 			os.Exit(1)
 		}
 		cfg := core.DefaultConfig()

@@ -43,9 +43,11 @@
 //     per-version ETags and a 304 path that never re-materializes
 //     snapshots, monitoring queries, the bug tracker, the status views,
 //     and the CI REST API proxied under /ci/), with per-endpoint atomic
-//     request/error/latency counters at /metrics. The gateway serves one
-//     or many shards: handlers hold only the owning micro-shard's read
-//     lock, site-scoped routes under /sites/{site}/... touch exactly the
+//     request/error/latency counters at /metrics. The gateway serves a
+//     framework as one shard (ForFramework) or a federation as one per
+//     cluster (ForFederation), and that assembly, not the shard count,
+//     picks the wire shapes: handlers hold only the owning micro-shard's
+//     read lock, site-scoped routes under /sites/{site}/... touch exactly the
 //     site's micro-shards, the classic paths scatter-gather federated
 //     merges, and the gateway never drives time itself: Advance hands
 //     the step to the campaign's one driver (Federation.Advance, or

@@ -35,9 +35,6 @@ func (b *siteBackend) Site() string { return b.site }
 // are out, and so are partition-isolated ones — a job placed on a shard
 // the merge plane cannot reach would vanish from every federated view.
 func (b *siteBackend) Available() bool {
-	if b.g.chaos == nil {
-		return true
-	}
 	down, unreachable := b.g.chaos.LostSites()
 	for _, site := range append(down, unreachable...) {
 		if site == b.site {
@@ -52,10 +49,8 @@ func (b *siteBackend) Available() bool {
 func (b *siteBackend) Capacity() (busy, total int) {
 	for _, s := range b.shards {
 		s.rlocked(func() {
-			busy += s.cfg.OAR.BusyNodes()
-			if s.cfg.TB != nil {
-				total += s.cfg.TB.TotalNodes()
-			}
+			busy += s.f.OAR.BusyNodes()
+			total += s.f.TB.TotalNodes()
 		})
 	}
 	return busy, total
@@ -67,7 +62,7 @@ func (b *siteBackend) CanPlace(req oar.Request) bool {
 	pinned := req.PinnedToSite(b.site)
 	for _, s := range b.shards {
 		var ok bool
-		s.rlocked(func() { ok = s.cfg.OAR.CanStartNowReq(pinned) })
+		s.rlocked(func() { ok = s.f.OAR.CanStartNowReq(pinned) })
 		if ok {
 			return true
 		}
@@ -85,8 +80,8 @@ func (b *siteBackend) Place(req oar.Request, user string) (oar.JobInfo, error) {
 	target := pickSiteShard(b.shards, pinned)
 	var info oar.JobInfo
 	target.rlocked(func() {
-		j := target.cfg.OAR.SubmitReq(pinned, oar.SubmitOptions{User: user})
-		info, _ = target.cfg.OAR.JobInfoByID(j.ID)
+		j := target.f.OAR.SubmitReq(pinned, oar.SubmitOptions{User: user})
+		info, _ = target.f.OAR.JobInfoByID(j.ID)
 	})
 	return info, nil
 }
@@ -109,31 +104,19 @@ func parallelScatter(tasks []func()) {
 	wg.Wait()
 }
 
-// EnableAdmission builds the admission controller over every site with at
-// least one site-labeled OAR shard (micro-shards group under their site).
-// cfg.Now is required; a nil cfg.Scatter gets the parallel fan-out (pass a
-// serial func to force serial probing, as the determinism gate does).
-// No-op when no site qualifies — monolithic gateways keep their
-// pre-admission behavior.
+// EnableAdmission builds the admission controller over every site of a
+// federated gateway (micro-shards group under their site); ForFederation
+// calls it. cfg.Now is required; a nil cfg.Scatter gets the parallel
+// fan-out (pass a serial func to force serial probing, as the determinism
+// gate does). No-op on a monolithic gateway, which keeps its pre-admission
+// behavior.
 func (g *Gateway) EnableAdmission(cfg admit.Config) {
+	if g.mono != nil {
+		return
+	}
 	var backends []admit.Backend
 	for _, site := range g.sites {
-		if site == "" {
-			continue
-		}
-		var shards []*shard
-		for _, s := range g.siteShards[site] {
-			if s.site == site && s.cfg.OAR != nil {
-				shards = append(shards, s)
-			}
-		}
-		if len(shards) == 0 {
-			continue
-		}
-		backends = append(backends, &siteBackend{g: g, site: site, shards: shards})
-	}
-	if len(backends) == 0 {
-		return
+		backends = append(backends, &siteBackend{g: g, site: site, shards: g.siteShards[site]})
 	}
 	if cfg.Scatter == nil {
 		cfg.Scatter = parallelScatter
@@ -147,11 +130,7 @@ func (g *Gateway) Admission() *admit.Controller { return g.admission }
 // pumpAdmission drains what the reservation queue can place right now.
 // Wired to every campaign advance and, through the federation's grid
 // listener, to every chaos inject/heal.
-func (g *Gateway) pumpAdmission() {
-	if g.admission != nil {
-		g.admission.Pump()
-	}
-}
+func (g *Gateway) pumpAdmission() { g.admission.Pump() }
 
 func (g *Gateway) handleAdmitQueue(w http.ResponseWriter, r *http.Request) {
 	if g.admission == nil {

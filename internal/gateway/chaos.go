@@ -17,8 +17,9 @@ import (
 )
 
 // ChaosController is the federation-side surface the gateway's degraded-mode
-// routing and /chaos endpoints consume. *federation.Federation implements it;
-// a nil controller (monolithic assemblies) means every site is always up.
+// routing and /chaos endpoints consume. *federation.Federation implements
+// it, and ForFederation installs it; without one (ForFramework) every site
+// is always up.
 type ChaosController interface {
 	// SiteAvailable reports whether the site's routes should serve (false
 	// while an outage or maintenance window has the site down).
@@ -39,11 +40,9 @@ type ChaosController interface {
 	GridHistory() []faults.GridEvent
 }
 
-// SetChaos installs the chaos controller (ForFederation wires the
-// federation itself). Call before serving.
-func (g *Gateway) SetChaos(c ChaosController) { g.chaos = c }
-
-// siteAvailable reports whether the named site's routes should serve.
+// siteAvailable reports whether the named site's routes should serve: false
+// while a grid event has it down, always true on a monolithic gateway
+// (whose one shard carries no site label, and no controller).
 func (g *Gateway) siteAvailable(site string) bool {
 	return g.chaos == nil || g.chaos.SiteAvailable(site)
 }

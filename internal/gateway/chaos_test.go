@@ -386,6 +386,19 @@ func walkSites(t *testing.T, fed *federation.Federation, c *http.Client) map[str
 	return out
 }
 
+// TestChaosMetricsClockIsTheGrids: /metrics reports the assembly's clock,
+// not its first shard's, which stands still while that shard's site is out.
+func TestChaosMetricsClockIsTheGrids(t *testing.T) {
+	fed, gw := newFederatedCampaign(t, simclock.Day)
+	if _, err := fed.InjectGrid(faults.SiteOutage, []string{gw.sites[0]}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	gw.Advance(simclock.Day)
+	if got, want := gw.Metrics().SimNowSec, fed.Now().Seconds(); got != want || want != (2*simclock.Day).Seconds() {
+		t.Fatalf("sim_now_sec = %v with %s out, the grid is at %v", got, gw.sites[0], want)
+	}
+}
+
 // TestChaosWalkCountsEvery503 is the availability contract as exact counts:
 // with lyon lost, every request to a lyon route — and no other request —
 // answers 503, each with Retry-After; the merged views keep answering 200;

@@ -3,7 +3,7 @@ package gateway
 // The OAR, monitoring, bug-tracker and status-view endpoints. Each handler
 // follows the scatter-gather shape: parse parameters lock-free, snapshot
 // the shard(s) involved under their own read gates, merge and write the
-// answer outside any lock. On a single-shard gateway the "merge" is the
+// answer outside any lock. Over the monolithic shard the "merge" is the
 // identity and the wire shapes match the pre-federation gateway exactly.
 
 import (
@@ -74,33 +74,10 @@ type OARResourcesJSON struct {
 	Nodes    []oar.ResourceInfo `json:"nodes"`
 }
 
-// shardDown reports whether a shard's site is lost to an active grid
-// event — its routes answer 503 until heal. Label-less (monolithic) shards
-// are never down.
-func (g *Gateway) shardDown(s *shard) bool {
-	return s.site != "" && !g.siteAvailable(s.site)
-}
-
-// oarShards returns the shards carrying an OAR server.
-func (g *Gateway) oarShards() []*shard {
-	return oarShardsOf(g.shards)
-}
-
-// oarShardsOf filters a shard set down to those carrying an OAR server.
-func oarShardsOf(shards []*shard) []*shard {
-	var out []*shard
-	for _, s := range shards {
-		if s.cfg.OAR != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // resourcesScoped snapshots one shard's resource states under its gate.
 func (s *shard) resourcesScoped(cluster, site string) []oar.ResourceInfo {
 	var out []oar.ResourceInfo
-	s.rlocked(func() { out = s.cfg.OAR.ResourcesIn(cluster, site) })
+	s.rlocked(func() { out = s.f.OAR.ResourcesIn(cluster, site) })
 	return out
 }
 
@@ -111,11 +88,6 @@ func (g *Gateway) handleOARResources(w http.ResponseWriter, r *http.Request) {
 // serveOARResources implements /oar/resources and its site-scoped variant
 // (fixedSite != "" pins the site from the URL path).
 func (g *Gateway) serveOARResources(w http.ResponseWriter, r *http.Request, fixedSite string) {
-	shards := g.oarShards()
-	if len(shards) == 0 {
-		notConfigured(w, "oar")
-		return
-	}
 	q := r.URL.Query()
 	cluster := q.Get("cluster")
 	site := fixedSite
@@ -127,18 +99,18 @@ func (g *Gateway) serveOARResources(w http.ResponseWriter, r *http.Request, fixe
 	var degraded *DegradedJSON
 	switch {
 	case site != "":
-		ss := oarShardsOf(g.siteShards[site])
+		ss := g.siteShards[site]
 		if len(ss) == 0 {
 			// The ?site= filter contract: unknown sites are a client error.
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown site %q", site))
 			return
 		}
-		if g.shardDown(ss[0]) {
+		if !g.siteAvailable(site) {
 			siteUnavailable(w, site)
 			return
 		}
 		// Micro-sharded sites concatenate their cluster shards in cluster
-		// order — the same node order one whole-site shard would render.
+		// order — the node order the monolithic shard renders the site in.
 		for _, s := range ss {
 			nodes = append(nodes, s.resourcesScoped(cluster, site)...)
 		}
@@ -149,11 +121,11 @@ func (g *Gateway) serveOARResources(w http.ResponseWriter, r *http.Request, fixe
 		}
 	case cluster != "":
 		s := g.shardForCluster(cluster)
-		if s == nil || s.cfg.OAR == nil {
+		if s == nil {
 			httpError(w, http.StatusNotFound, fmt.Sprintf("no cluster %q", cluster))
 			return
 		}
-		if g.shardDown(s) {
+		if !g.siteAvailable(s.site) {
 			siteUnavailable(w, s.site)
 			return
 		}
@@ -166,7 +138,7 @@ func (g *Gateway) serveOARResources(w http.ResponseWriter, r *http.Request, fixe
 		// Scatter-gather over the surviving shards, shard order (= site
 		// order); lost shards are excluded and the marker says which.
 		degraded = g.degradedMarker()
-		for _, s := range liveShards(shards, degraded) {
+		for _, s := range liveShards(g.shards, degraded) {
 			nodes = append(nodes, s.resourcesScoped("", "")...)
 		}
 	}
@@ -201,8 +173,8 @@ func parseLimit(r *http.Request) (int, error) {
 // jobsScoped snapshots one shard's job list and counters under its gate.
 func (s *shard) jobsScoped(limit int) (jobs []oar.JobInfo, submitted, started, canceled int) {
 	s.rlocked(func() {
-		jobs = s.cfg.OAR.JobsInfo(limit)
-		submitted, started, canceled = s.cfg.OAR.Stats()
+		jobs = s.f.OAR.JobsInfo(limit)
+		submitted, started, canceled = s.f.OAR.Stats()
 	})
 	return jobs, submitted, started, canceled
 }
@@ -215,35 +187,28 @@ func (g *Gateway) handleOARJobs(w http.ResponseWriter, r *http.Request) {
 // set (the site-scoped route, with site naming the requested site) — one
 // shard per cluster under micro-sharding, whose newest-first lists merge
 // like the federated view's. When the pinned shard spans several sites
-// (monolithic assembly), the job list is narrowed to jobs tied to the
+// (the monolithic one), the job list is narrowed to jobs tied to the
 // site — allocated there, or anchored there while waiting; the
 // submitted/started/canceled counters stay shard-wide (OAR does not
 // attribute submissions to sites).
 func (g *Gateway) serveOARJobs(w http.ResponseWriter, r *http.Request, only []*shard, site string) {
-	shards := g.oarShards()
-	if only != nil {
-		shards = oarShardsOf(only)
-	}
-	if len(shards) == 0 {
-		notConfigured(w, "oar")
-		return
-	}
 	limit, err := parseLimit(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	narrow := len(only) == 1 && shardSpansSites(only[0], site)
 	var out OARJobsJSON
+	shards := only
 	if only == nil {
 		out.Degraded = g.degradedMarker()
-		shards = liveShards(shards, out.Degraded)
+		shards = liveShards(g.shards, out.Degraded)
+	}
+	narrow := len(only) == 1 && shardSpansSites(only[0], site)
+	fetch := limit
+	if narrow {
+		fetch = 0 // filter first, truncate after
 	}
 	for _, s := range shards {
-		fetch := limit
-		if narrow {
-			fetch = 0 // filter first, truncate after
-		}
 		jobs, sub, st, can := s.jobsScoped(fetch)
 		out.Jobs = append(out.Jobs, jobs...)
 		out.Submitted += sub
@@ -253,33 +218,29 @@ func (g *Gateway) serveOARJobs(w http.ResponseWriter, r *http.Request, only []*s
 	if narrow {
 		kept := out.Jobs[:0]
 		for _, j := range out.Jobs {
-			if jobTouchesSite(j, site, only[0].cfg.TB) {
+			if jobTouchesSite(j, site, only[0].f.TB) {
 				kept = append(kept, j)
 			}
 		}
 		out.Jobs = kept
-		if limit > 0 && len(out.Jobs) > limit {
-			out.Jobs = out.Jobs[:limit]
-		}
 	}
-	if len(shards) > 1 {
-		// Merge the per-shard newest-first lists into one newest-first
-		// view; ties on submission time keep shard order (stable sort).
-		sort.SliceStable(out.Jobs, func(i, j int) bool {
-			return out.Jobs[i].SubmittedAtSec > out.Jobs[j].SubmittedAtSec
-		})
-		if limit > 0 && len(out.Jobs) > limit {
-			out.Jobs = out.Jobs[:limit]
-		}
+	// Merge the per-shard newest-first lists into one newest-first view;
+	// ties on submission time keep shard order (stable sort), so one
+	// shard's list stays as it came.
+	sort.SliceStable(out.Jobs, func(i, j int) bool {
+		return out.Jobs[i].SubmittedAtSec > out.Jobs[j].SubmittedAtSec
+	})
+	if limit > 0 && len(out.Jobs) > limit {
+		out.Jobs = out.Jobs[:limit]
 	}
 	writeJSON(w, out)
 }
 
 // shardSpansSites reports whether a shard's testbed covers more than the
-// named site — true only for monolithic assemblies, where site-scoped
+// named site — true only for the monolithic shard, where site-scoped
 // views must narrow explicitly.
 func shardSpansSites(s *shard, site string) bool {
-	return site != "" && s.cfg.TB != nil && len(s.cfg.TB.Sites) > 1
+	return site != "" && len(s.f.TB.Sites) > 1
 }
 
 // jobTouchesSite reports whether a job is tied to the site: any allocated
@@ -365,8 +326,8 @@ func hasAnchoredSegment(req oar.Request) bool {
 // anchors name one, the specific shard. A nil shard with a non-empty site
 // means only site-level anchors resolved (micro-sharding: the caller
 // probes the site's cluster shards). Unanchored segments are skipped here
-// — the caller pins them to the resolved site (mixed requests) or routes
-// the whole request through the admission layer (fully unanchored).
+// — the caller pins them to the resolved site (mixed requests); a fully
+// unanchored request never gets here, the admission layer places it.
 func (g *Gateway) resolveOARRequest(req oar.Request) (string, *shard, error) {
 	var site string
 	var target *shard
@@ -404,12 +365,6 @@ func (g *Gateway) resolveOARRequest(req oar.Request) (string, *shard, error) {
 			target = s
 		}
 	}
-	if site == "" {
-		return "", nil, fmt.Errorf("federated submit: no segment is anchored to a site, cluster or host (admission not enabled)")
-	}
-	if target != nil && target.cfg.OAR == nil {
-		return "", nil, fmt.Errorf("federated submit: no shard serves this request")
-	}
 	return site, target, nil
 }
 
@@ -417,10 +372,7 @@ func (g *Gateway) resolveOARRequest(req oar.Request) (string, *shard, error) {
 // cluster at the site, or nil.
 func clusterShardIn(shards []*shard, name, site string) *shard {
 	for _, s := range shards {
-		if s.cfg.TB == nil {
-			continue
-		}
-		if cl := s.cfg.TB.Cluster(name); cl != nil && cl.Site == site {
+		if cl := s.f.TB.Cluster(name); cl != nil && cl.Site == site {
 			return s
 		}
 	}
@@ -431,26 +383,11 @@ func clusterShardIn(shards []*shard, name, site string) *shard {
 // node at the site, or nil.
 func nodeShardIn(shards []*shard, name, site string) *shard {
 	for _, s := range shards {
-		if s.cfg.TB == nil {
-			continue
-		}
-		if n := s.cfg.TB.Node(name); n != nil && n.Site == site {
+		if n := s.f.TB.Node(name); n != nil && n.Site == site {
 			return s
 		}
 	}
 	return nil
-}
-
-// shardsHaveTB reports whether any shard in the set carries a testbed
-// (partial assemblies without one skip anchor validation, like the
-// pre-federation gateway did).
-func shardsHaveTB(shards []*shard) bool {
-	for _, s := range shards {
-		if s.cfg.TB != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // pickSiteShard resolves which of a site's shards takes a site-scoped (or
@@ -463,7 +400,7 @@ func pickSiteShard(shards []*shard, pinned oar.Request) *shard {
 	}
 	for _, s := range shards {
 		ok := false
-		s.rlocked(func() { ok = s.cfg.OAR.CanStartNowReq(pinned) })
+		s.rlocked(func() { ok = s.f.OAR.CanStartNowReq(pinned) })
 		if ok {
 			return s
 		}
@@ -481,7 +418,6 @@ func (g *Gateway) handleOARSubmit(w http.ResponseWriter, r *http.Request) {
 // micro-sharding is exactly one). Unanchored segments pass — the caller
 // pins them with Request.PinnedToSite.
 func anchorsWithinSite(req oar.Request, site string, shards []*shard) error {
-	hasTB := shardsHaveTB(shards)
 	for i, seg := range req.Segments {
 		key, val := seg.Anchor()
 		switch key {
@@ -490,11 +426,11 @@ func anchorsWithinSite(req oar.Request, site string, shards []*shard) error {
 				return fmt.Errorf("segment %d anchors to site %q, not %q", i+1, val, site)
 			}
 		case "cluster":
-			if hasTB && clusterShardIn(shards, val, site) == nil {
+			if clusterShardIn(shards, val, site) == nil {
 				return fmt.Errorf("segment %d anchors to cluster %q, which is not at site %q", i+1, val, site)
 			}
 		case "host":
-			if hasTB && nodeShardIn(shards, val, site) == nil {
+			if nodeShardIn(shards, val, site) == nil {
 				return fmt.Errorf("segment %d anchors to host %q, which is not at site %q", i+1, val, site)
 			}
 		}
@@ -512,15 +448,6 @@ func anchorsWithinSite(req oar.Request, site string, shards []*shard) error {
 // one, the site's shards are probed in cluster order and the coordinator
 // queues what nothing can start.
 func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, only []*shard, site string) {
-	shards := g.oarShards()
-	siteSet := only
-	if only != nil {
-		siteSet = oarShardsOf(only)
-	}
-	if len(shards) == 0 || (only != nil && len(siteSet) == 0) {
-		notConfigured(w, "oar")
-		return
-	}
 	var req SubmitRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -531,53 +458,49 @@ func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, only []
 	}
 	var target *shard
 	var pinned *oar.Request
-	if only != nil {
+	switch {
+	case only != nil:
 		parsed, err := oar.ParseRequest(req.Request)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if err := anchorsWithinSite(parsed, site, siteSet); err != nil {
+		if err := anchorsWithinSite(parsed, site, only); err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		p := parsed.PinnedToSite(site)
 		pinned = &p
-		if len(siteSet) > 1 && shardsHaveTB(siteSet) {
-			for _, seg := range parsed.Segments {
-				key, val := seg.Anchor()
-				var s *shard
-				switch key {
-				case "cluster":
-					s = clusterShardIn(siteSet, val, site)
-				case "host":
-					s = nodeShardIn(siteSet, val, site)
-				default:
-					continue
-				}
-				if s == nil {
-					continue // vetted above; nil only for TB-less shards
-				}
-				if target != nil && s != target {
-					httpError(w, http.StatusBadRequest,
-						fmt.Sprintf("request spans more than one cluster shard of site %q", site))
-					return
-				}
-				target = s
+		for _, seg := range parsed.Segments {
+			key, val := seg.Anchor()
+			var s *shard
+			switch key {
+			case "cluster":
+				s = clusterShardIn(only, val, site)
+			case "host":
+				s = nodeShardIn(only, val, site)
+			default:
+				continue
 			}
+			if target != nil && s != target {
+				httpError(w, http.StatusBadRequest,
+					fmt.Sprintf("request spans more than one cluster shard of site %q", site))
+				return
+			}
+			target = s
 		}
 		if target == nil {
-			target = pickSiteShard(siteSet, p)
+			target = pickSiteShard(only, p)
 		}
-	} else if len(shards) == 1 {
-		target = shards[0]
-	} else {
+	case g.mono != nil:
+		target = g.mono
+	default:
 		parsed, err := oar.ParseRequest(req.Request)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if g.admission != nil && !hasAnchoredSegment(parsed) {
+		if !hasAnchoredSegment(parsed) {
 			// Nothing names a site: the grid admission layer picks one
 			// (or queues / sheds). See admission.go.
 			g.serveAdmission(w, req, parsed)
@@ -598,28 +521,23 @@ func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, only []
 		}
 		if target == nil {
 			// Site-level anchors under micro-sharding: pick a cluster shard.
-			ss := oarShardsOf(g.siteShards[targetSite])
-			if len(ss) == 0 {
-				httpError(w, http.StatusBadRequest, "federated submit: no shard serves this request")
-				return
-			}
 			if !g.siteAvailable(targetSite) {
 				siteUnavailable(w, targetSite)
 				return
 			}
-			target = pickSiteShard(ss, *pinned)
+			target = pickSiteShard(g.siteShards[targetSite], *pinned)
 		}
 	}
-	if g.shardDown(target) {
+	if !g.siteAvailable(target.site) {
 		// Submissions routed to a lost site cannot enqueue anywhere; the
 		// client retries after heal.
 		siteUnavailable(w, target.site)
 		return
 	}
-	srv := target.cfg.OAR
+	srv := target.f.OAR
 	respSite := site
-	if respSite == "" && g.federated() {
-		respSite = target.site
+	if respSite == "" {
+		respSite = target.site // "" on the monolithic shard
 	}
 	if req.DryRun {
 		var ok bool
@@ -719,32 +637,20 @@ func (g *Gateway) serveMonitorMetrics(w http.ResponseWriter, r *http.Request, fi
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown site %q", site))
 			return
 		}
-		if !shardsHaveTB(ss) {
-			s = ss[0]
-		} else if s = nodeShardIn(ss, node, site); s == nil {
+		if s = nodeShardIn(ss, node, site); s == nil {
 			httpError(w, http.StatusBadRequest,
 				fmt.Sprintf("node %q is not at site %q", node, site))
 			return
 		}
 	} else if s = g.shardForNode(node); s == nil {
-		if g.federated() || g.shards[0].cfg.TB != nil {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown node %q", node))
-			return
-		}
-		// Partial assembly without a testbed: skip node validation, like
-		// the pre-federation gateway did.
-		s = g.shards[0]
+		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown node %q", node))
+		return
 	}
-	if g.shardDown(s) {
+	if !g.siteAvailable(s.site) {
 		siteUnavailable(w, s.site)
 		return
 	}
-	col := s.cfg.Monitor
-	if col == nil || s.cfg.Clock == nil {
-		notConfigured(w, "monitoring")
-		return
-	}
-	now := s.cfg.Clock.Now().Seconds()
+	now := s.f.Clock.Now().Seconds()
 	defFrom := now - 60
 	if defFrom < 0 {
 		defFrom = 0 // a campaign younger than the default window
@@ -772,7 +678,7 @@ func (g *Gateway) serveMonitorMetrics(w http.ResponseWriter, r *http.Request, fi
 	var qerr error
 	s.rlocked(func() {
 		s.monMu.Lock()
-		samples, qerr = col.Query(metric, node, fromT, toT)
+		samples, qerr = s.f.Monitor.Query(metric, node, fromT, toT)
 		s.monMu.Unlock()
 	})
 	if qerr != nil {
@@ -822,17 +728,6 @@ type BugsJSON struct {
 	Bugs     []BugJSON     `json:"bugs"`
 }
 
-// bugShards returns the shards carrying a bug tracker.
-func (g *Gateway) bugShards() []*shard {
-	var out []*shard
-	for _, s := range g.shards {
-		if s.cfg.Bugs != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // parseBugState validates the ?state= filter (open unless given).
 func parseBugState(r *http.Request) (string, error) {
 	state := r.URL.Query().Get("state")
@@ -846,11 +741,6 @@ func parseBugState(r *http.Request) (string, error) {
 }
 
 func (g *Gateway) handleBugs(w http.ResponseWriter, r *http.Request) {
-	shards := g.bugShards()
-	if len(shards) == 0 {
-		notConfigured(w, "bug tracker")
-		return
-	}
 	state, err := parseBugState(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -859,13 +749,9 @@ func (g *Gateway) handleBugs(w http.ResponseWriter, r *http.Request) {
 	family := r.URL.Query().Get("family")
 	var out BugsJSON
 	out.Degraded = g.degradedMarker()
-	for _, s := range liveShards(shards, out.Degraded) {
-		site := ""
-		if g.federated() {
-			site = s.site
-		}
+	for _, s := range liveShards(g.shards, out.Degraded) {
 		s.rlocked(func() {
-			tr := s.cfg.Bugs
+			tr := s.f.Bugs
 			st := tr.Stats()
 			out.Filed += st.Filed
 			out.Fixed += st.Fixed
@@ -880,7 +766,7 @@ func (g *Gateway) handleBugs(w http.ResponseWriter, r *http.Request) {
 				}
 				out.Bugs = append(out.Bugs, BugJSON{
 					ID:          b.ID,
-					Site:        site,
+					Site:        s.site,
 					Signature:   b.Signature,
 					Title:       b.Title,
 					Family:      b.Family,
@@ -928,10 +814,6 @@ type BugsRollupJSON struct {
 // costs no rollup and reads no ticket at all; a miss reads each tracker's
 // tickets together with its version and answers under that key (serveView).
 func (g *Gateway) handleBugsRollup(w http.ResponseWriter, r *http.Request) {
-	if len(g.trackers) == 0 {
-		notConfigured(w, "bug tracker")
-		return
-	}
 	state, err := parseBugState(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -980,23 +862,7 @@ type GridCellJSON struct {
 	AtSec  float64 `json:"at_sec"`
 }
 
-// statusShards returns the shards with a status client.
-func (g *Gateway) statusShards() []*shard {
-	var out []*shard
-	for _, s := range g.shards {
-		if s.statusClient != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 func (g *Gateway) handleStatusGrid(w http.ResponseWriter, r *http.Request) {
-	shards := g.statusShards()
-	if len(shards) == 0 {
-		notConfigured(w, "status views")
-		return
-	}
 	// Scatter: one grid per surviving shard, each under its own gate;
 	// gather into a merged grid. Family/target spaces are disjoint across
 	// shards (each site owns its clusters), so the merge is a union.
@@ -1004,7 +870,7 @@ func (g *Gateway) handleStatusGrid(w http.ResponseWriter, r *http.Request) {
 	merged := &status.Grid{Cells: map[string]map[string]status.CellStatus{}}
 	famSet := map[string]bool{}
 	tgtSet := map[string]bool{}
-	for _, s := range liveShards(shards, degraded) {
+	for _, s := range liveShards(g.shards, degraded) {
 		var grid *status.Grid
 		var err error
 		s.rlocked(func() { grid, err = s.statusClient.BuildGrid() })
@@ -1061,11 +927,6 @@ type TrendJSON struct {
 }
 
 func (g *Gateway) handleStatusTrend(w http.ResponseWriter, r *http.Request) {
-	shards := g.statusShards()
-	if len(shards) == 0 {
-		notConfigured(w, "status views")
-		return
-	}
 	bucket, err := floatParam(r.URL.Query().Get("bucket_sec"), 86400)
 	if err != nil || bucket <= 0 {
 		httpError(w, http.StatusBadRequest, "bad bucket_sec")
@@ -1073,7 +934,7 @@ func (g *Gateway) handleStatusTrend(w http.ResponseWriter, r *http.Request) {
 	}
 	degraded := g.degradedMarker()
 	var builds []ci.BuildJSON
-	for _, s := range liveShards(shards, degraded) {
+	for _, s := range liveShards(g.shards, degraded) {
 		var part []ci.BuildJSON
 		var gerr error
 		s.rlocked(func() { part, gerr = s.statusClient.AllBuilds() })

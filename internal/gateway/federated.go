@@ -23,25 +23,13 @@ import (
 // grid events injected via POST /chaos/inject (or a schedule) drive the
 // degraded-mode routing: lost sites answer 503, merges exclude them.
 func ForFederation(fed *federation.Federation) *Gateway {
-	var shards []ShardConfig
-	for _, sh := range fed.Shards() {
-		f := sh.F
-		shards = append(shards, ShardConfig{
-			Site:    sh.Site,
-			Cluster: sh.Cluster,
-			Config: Config{
-				Clock:   f.Clock,
-				TB:      f.TB,
-				OAR:     f.OAR,
-				Ref:     f.Ref,
-				Monitor: f.Monitor,
-				Bugs:    f.Bugs,
-				CI:      f.CI,
-			},
-		})
+	shards := make([]*shard, len(fed.Shards()))
+	for i, sh := range fed.Shards() {
+		shards[i] = &shard{site: sh.Site, cluster: sh.Cluster, f: sh.F}
 	}
-	gw := NewFederated(shards)
-	gw.SetChaos(fed)
+	gw := assemble(shards)
+	gw.chaos = fed
+	gw.now = fed.Now
 	// Federation.Advance fires the grid listener on return, which pumps the
 	// admission queue.
 	gw.advance = fed.Advance

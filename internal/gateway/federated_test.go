@@ -1,9 +1,12 @@
 package gateway
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -595,5 +598,112 @@ func TestSiteReadsUnblockedByOtherShardAdvance(t *testing.T) {
 		if got := sh.F.Clock.Now(); got != 2*simclock.Hour {
 			t.Fatalf("%s/%s clock = %v after the advance, want 2h", sh.Site, sh.Cluster, got)
 		}
+	}
+}
+
+// TestOneClusterFederationServesFederatedShapes: which wire shapes a gateway
+// serves is decided by how it was assembled, not by how many shards that
+// made. A federation over a single cluster still answers as a federation —
+// the sectioned /ref/inventory that refuses ?version=, no unscoped /ci/,
+// the site on bugs and submit replies, shards in /metrics, and submissions
+// resolved by anchor (an unanchored one through admission).
+func TestOneClusterFederationServesFederatedShapes(t *testing.T) {
+	fed := federation.New(federation.Config{Seed: 5, Spec: fedSpec("luxembourg")[:1]})
+	fed.Start()
+	fed.Advance(simclock.Hour)
+	sh := fed.Shards()[0]
+	sh.F.Bugs.File("net/switch-flap", "switch flapping", "net", "sw-1")
+	gw := ForFederation(fed)
+	c := inproc.Client(gw)
+
+	resp, body := get(t, c, "/ref/inventory")
+	inv := decode[FederatedInventoryJSON](t, body)
+	if resp.StatusCode != http.StatusOK || len(inv.Sites) != 1 || inv.Sites[0].Site != sh.Site ||
+		len(inv.Sites[0].Clusters) != 1 || inv.Sites[0].Clusters[0].Cluster != sh.Cluster {
+		t.Fatalf("/ref/inventory = %d, sections %+v; want one %s section with its %s store", resp.StatusCode, inv.Sites, sh.Site, sh.Cluster)
+	}
+	if resp, _ := get(t, c, "/ref/inventory?version=1"); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/ref/inventory?version=1 = %d, want 400: archived versions are per store on a federation", resp.StatusCode)
+	}
+	if resp, _ := get(t, c, "/ci/api/json"); resp.StatusCode != http.StatusMisdirectedRequest {
+		t.Errorf("unscoped /ci/api/json = %d, want 421", resp.StatusCode)
+	}
+	_, body = get(t, c, "/bugs?state=all")
+	if bugs := decode[BugsJSON](t, body).Bugs; len(bugs) == 0 || bugs[0].Site != sh.Site {
+		t.Errorf("/bugs = %+v, want tickets carrying site %s", bugs, sh.Site)
+	}
+	if got := gw.Metrics().Shards; got != 1 {
+		t.Errorf("/metrics shards = %d, want 1", got)
+	}
+	resp, body = postJSON(t, c, "/oar/submit", `{"request":"cluster='`+sh.Cluster+`'/nodes=1,walltime=1","dry_run":true}`)
+	if got := decode[SubmitResponse](t, body); resp.StatusCode != http.StatusOK || got.Site != sh.Site {
+		t.Errorf("anchored dry run = %d at site %q, want 200 at %s", resp.StatusCode, got.Site, sh.Site)
+	}
+	_, body = postJSON(t, c, "/oar/submit", `{"request":"nodes=1,walltime=1"}`)
+	if got := decode[SubmitResponse](t, body); got.Admission == "" {
+		t.Errorf("unanchored submission answered %s, want the admission layer's verdict", body)
+	}
+	if resp, body := postJSON(t, c, "/oar/submit", `{"request":"cluster='graphene'/nodes=1,walltime=1"}`); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), "unknown cluster") {
+		t.Errorf("a foreign anchor = %d %s, want the router's 400", resp.StatusCode, body)
+	}
+}
+
+// parkedOnGate reports whether some goroutine is waiting for a shard's read
+// gate.
+func parkedOnGate() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "sync.(*RWMutex).RLock")
+}
+
+// goneClientWriter counts what reaches a client that has hung up.
+type goneClientWriter struct {
+	header http.Header
+	writes int
+}
+
+func (w *goneClientWriter) Header() http.Header         { return w.header }
+func (w *goneClientWriter) WriteHeader(int)             { w.writes++ }
+func (w *goneClientWriter) Write(p []byte) (int, error) { w.writes++; return len(p), nil }
+
+// TestClientDisconnectMidScatterLeaksNothing: a client that hangs up while
+// its merged read waits on a shard mid-step costs nothing once the step
+// ends — the handler returns, no goroutine outlives it, and nothing is
+// written to the connection that is gone.
+func TestClientDisconnectMidScatterLeaksNothing(t *testing.T) {
+	_, gw := newFederatedCampaign(t, simclock.Day)
+	held := gw.shards[len(gw.shards)-1] // the scatter has gathered every other shard when it parks here
+	for _, path := range []string{"/oar/resources", "/status/grid"} {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		w := &goneClientWriter{header: http.Header{}}
+		served := make(chan struct{})
+		held.sim.Lock()
+		go func() {
+			defer close(served)
+			gw.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for !parkedOnGate() {
+			if time.Now().After(deadline) {
+				t.Fatalf("GET %s never waited on the write-held shard", path)
+			}
+			runtime.Gosched()
+		}
+		cancel()
+		held.sim.Unlock()
+		<-served
+		if w.writes != 0 {
+			t.Errorf("GET %s: %d writes to a client that hung up before the scatter finished", path, w.writes)
+		}
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("GET %s: %d goroutines, %d before the request", path, runtime.NumGoroutine(), baseline)
+			}
+			runtime.Gosched()
+		}
+	}
+	if resp, _ := get(t, inproc.Client(gw), "/oar/resources"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("the next read = %d", resp.StatusCode)
 	}
 }

@@ -48,13 +48,18 @@
 //
 // # Sharding and concurrency
 //
-// The gateway serves one or more *shards*. A monolithic campaign
-// (ForFramework / New) is the single-shard case: one subsystem set covering
-// every site. A federated campaign (ForFederation / NewFederated) mounts
-// one shard per cluster *micro-shard*, each with its own OAR, monitor,
-// Reference API store, CI server and bug tracker — internal/federation
-// carves exactly that layout. Shards are labeled with the site that owns
-// them plus their cluster, but the *site* stays the unit of identity for
+// A *shard* is one complete core.Framework behind its own gate, and there
+// are two assemblies. ForFramework mounts a monolithic campaign as one
+// shard without a site label, which covers every site of its testbed.
+// ForFederation mounts one shard per cluster *micro-shard* of a federation
+// — each with its own OAR, monitor, Reference API store, CI server and bug
+// tracker, as internal/federation carves them — labeled with the site that
+// owns it plus its cluster. The label is the layout: the routes whose wire
+// shape differs between the two (the unscoped /ref and /ci/ paths,
+// submission routing, the site on bugs and submit replies, shards in
+// /metrics) ask whether the assembly made the label-less shard, never how
+// many shards there are, so a federation over a single cluster still
+// answers as a federation. The *site* stays the unit of identity for
 // routing: /sites/{site}/... addresses all of a site's micro-shards at
 // once (merging where the route reads, probing in cluster order where it
 // writes), chaos freezes and heals whole sites, admission places against
@@ -83,18 +88,21 @@
 // The /ref, /grid, /incidents, /bugs/rollup and /reliability/trend routes
 // are read-optimized, all through one path (serveView in view.go): a
 // response carries a strong ETag derived from version counters alone (a
-// store's, the joined counters of every shard, a tracker version vector),
-// a conditional request short-cuts to 304 before any snapshot is
+// store's, an archive's version vector, a tracker version vector), a
+// conditional request short-cuts to 304 before any snapshot is
 // materialized or marshaled, and each route keeps its last rendered body
-// under that key. Only a store's archived versions keep more — eight, the
-// lowest version leaving first, because a scraper walking more versions
-// than that in a cycle would miss every time under oldest-first eviction
-// (measured on the benchmark's cold walk: 8 hits in 11 instead of 0).
+// under that key. A /ref body has two renderers (ref.go): one store at one
+// version, or the current version vector of an intel.GridArchive — the
+// one /grid/at reads, or a site's own. Only a store's archived versions
+// keep more — eight, the lowest version leaving first, because a scraper
+// walking more versions than that in a cycle would miss every time under
+// oldest-first eviction (measured on the benchmark's cold walk: 8 hits in
+// 11 instead of 0).
 //
 // # Degraded mode
 //
-// With a chaos controller installed (ForFederation wires the federation
-// itself), site-scale events reroute traffic instead of breaking it: the
+// On a federation (ForFederation installs it as the chaos controller),
+// site-scale events reroute traffic instead of breaking it: the
 // site-scoped routes of a lost site answer 503 with a Retry-After hint,
 // federated merges exclude lost shards and carry a "degraded" marker naming
 // the survivors, and POST /chaos/inject|heal drive grid events live against
@@ -102,6 +110,7 @@
 package gateway
 
 import (
+	"context"
 	"net/http"
 	"sort"
 	"sync"
@@ -109,50 +118,21 @@ import (
 	"time"
 
 	"repro/internal/admit"
-	"repro/internal/bugs"
-	"repro/internal/ci"
 	"repro/internal/core"
 	"repro/internal/intel"
-	"repro/internal/monitor"
-	"repro/internal/oar"
-	"repro/internal/refapi"
 	"repro/internal/simclock"
 	"repro/internal/status"
-	"repro/internal/testbed"
 	"repro/internal/wire"
 )
 
-// Config wires the subsystems one shard serves. Nil fields disable their
-// endpoints (they answer 503), so partial assemblies are valid.
-type Config struct {
-	Clock   *simclock.Clock
-	TB      *testbed.Testbed
-	OAR     *oar.Server
-	Ref     *refapi.Store
-	Monitor *monitor.Collector
-	Bugs    *bugs.Tracker
-	CI      *ci.Server
-}
-
-// ShardConfig names one shard of a federated assembly. Site labels the
-// shard; Cluster narrows the label when the site is split into per-cluster
-// micro-shards (internal/federation's layout — every micro-shard of a
-// site shares its Site and carries its own Cluster). A shard's TB decides
-// which site names route to it (a monolithic shard whose testbed spans
-// many sites serves them all).
-type ShardConfig struct {
-	Site    string
-	Cluster string
-	Config
-}
-
-// shard is one site's serving state: its subsystem set, its campaign gate,
-// and its rendered-body caches for the hot /ref reads.
+// shard is one complete campaign framework behind its own gate: the
+// monolithic one (site == "", which only ForFramework makes) or one cluster
+// micro-shard of a federation, labeled with its site and cluster.
 type shard struct {
 	site    string
-	cluster string // micro-shard label; "" for whole-site and monolithic shards
-	idx     int    // position in Gateway.shards (the /sites "shard" column)
-	cfg     Config
+	cluster string
+	idx     int // position in Gateway.shards (the /sites "shard" column)
+	f       *core.Framework
 
 	// sites is the shard's precomputed site topology (names, clusters,
 	// node lists, core counts) — immutable after assembly, so the /sites
@@ -197,14 +177,17 @@ type Gateway struct {
 	started time.Time
 
 	shards []*shard
+	// mono is the one shard of a monolithic assembly, nil on a federated
+	// one: the label decided which at assembly, and the routes whose wire
+	// shape differs between the two layouts ask this, never a shard count.
+	mono *shard
 	// sites keeps the routed site names in first-claimed (shard) order;
-	// siteShards maps a site name to the shards serving it — one for
-	// monolithic and whole-site layouts, one per cluster under
-	// micro-sharding. A site's first shard is its *coordinator* (the
-	// federation files grid tickets there, and the site CI proxy targets
-	// it). A monolithic shard claims every site of its testbed. siteRef
-	// holds each site's joined /sites/{site}/ref bodies; like the other
-	// two it is built at assembly and only read afterwards.
+	// siteShards maps a site name to the shards serving it — the
+	// monolithic shard for every site of its testbed, else one per
+	// cluster. A site's first shard is its *coordinator* (the federation
+	// files grid tickets there, and the site CI proxy targets it). siteRef
+	// holds each site's own archive and joined /sites/{site}/ref bodies.
+	// All three are built at assembly and only read afterwards.
 	sites      []string
 	siteShards map[string][]*shard
 	siteRef    map[string]*siteViews
@@ -212,29 +195,31 @@ type Gateway struct {
 	// metrics is keyed by mux pattern; read-only after assembly.
 	metrics map[string]*endpointMetrics
 
-	// chaos, when set, drives degraded-mode routing: lost sites answer 503,
-	// merged views exclude them and carry a degraded marker, and the /chaos
-	// endpoints inject and heal grid events (see chaos.go).
+	// chaos, set on a federated assembly, drives degraded-mode routing: lost
+	// sites answer 503, merged views exclude them and carry a degraded
+	// marker, and the /chaos endpoints inject and heal grid events (see
+	// chaos.go).
 	chaos ChaosController
 
-	// advance moves simulated time: Federation.Advance (ForFederation) or
-	// Framework.RunFor under the one shard's write gate (ForFramework). Nil
-	// on an assembly over bare subsystems, which serves a campaign that
-	// stands still.
+	// now reads the assembly's clock and advance moves it: Federation.Now
+	// and Federation.Advance, or the framework's clock and Framework.RunFor
+	// under the one shard's write gate.
+	now     func() simclock.Time
 	advance func(simclock.Time)
 
 	// lockHold samples how long campaign steps hold shard write locks —
 	// the advance-side half of the E16 p99 investigation (AdvanceLockStats).
 	lockHold latencyStat
 
-	// admission, when set (EnableAdmission), routes unanchored federated
-	// submissions through the grid admission layer: least-loaded placement,
-	// a bounded reservation queue and 429 load shedding (see admission.go).
+	// admission, set on a federated assembly (EnableAdmission), routes
+	// unanchored submissions through the grid admission layer: least-loaded
+	// placement, a bounded reservation queue and 429 load shedding (see
+	// admission.go).
 	admission *admit.Controller
 
-	// Grid intelligence (internal/intel): the federated archive and
-	// tracker sources assembled over the shards at construction, and the
-	// stored fleet reliability trend (see intel.go).
+	// Grid intelligence (internal/intel): the archive and tracker sources
+	// assembled over the shards at construction, and the stored fleet
+	// reliability trend (see intel.go).
 	archive     *intel.GridArchive
 	trackers    []intel.SiteTracker
 	reliability *intel.TrendStore
@@ -244,75 +229,55 @@ type Gateway struct {
 	fedInv, fedDiff, gridAt, gridDiff, incidents, rollup, trend view
 }
 
-// New assembles a single-shard gateway over the configured subsystems —
-// the monolithic campaign layout.
-func New(cfg Config) *Gateway {
-	return NewFederated([]ShardConfig{{Config: cfg}})
-}
-
-// NewFederated assembles a gateway over one shard per entry. Site names
-// are claimed from each shard's testbed (plus its explicit Site label);
-// several shards claiming one site is the micro-shard layout, and they
-// serve it together in entry order (the first is the coordinator).
-func NewFederated(shardCfgs []ShardConfig) *Gateway {
-	if len(shardCfgs) == 0 {
-		panic("gateway: no shards")
-	}
+// assemble mounts the routes over the labeled shards (site, cluster and f
+// set by the caller). The label decides the layout: a shard without a site
+// is the monolithic one — alone, it claims every site of its testbed —
+// and a labeled shard claims its site, shards sharing one serving it
+// together in order (the first is the coordinator). The caller installs
+// the clock pair, and on a federation chaos and admission.
+func assemble(shards []*shard) *Gateway {
 	g := &Gateway{
-		mux:        http.NewServeMux(),
-		started:    time.Now(),
-		metrics:    map[string]*endpointMetrics{},
-		siteShards: map[string][]*shard{},
-		siteRef:    map[string]*siteViews{},
+		mux:         http.NewServeMux(),
+		started:     time.Now(),
+		shards:      shards,
+		metrics:     map[string]*endpointMetrics{},
+		siteShards:  map[string][]*shard{},
+		siteRef:     map[string]*siteViews{},
+		reliability: &intel.TrendStore{},
 	}
-	for i, sc := range shardCfgs {
-		s := &shard{site: sc.Site, cluster: sc.Cluster, idx: i, cfg: sc.Config, inv: view{bound: archivedBodies}}
-		if sc.CI != nil {
-			s.statusClient = status.NewLocalClient(sc.CI.Handler())
-		}
-		s.sites = siteTopology(sc.Site, sc.TB)
-		g.shards = append(g.shards, s)
-		claim := func(site string) {
-			ss := g.siteShards[site]
-			for _, prev := range ss {
-				if prev == s {
-					return
-				}
-			}
-			if len(ss) == 0 {
-				g.sites = append(g.sites, site)
-				g.siteRef[site] = &siteViews{}
-			}
-			g.siteShards[site] = append(ss, s)
-		}
-		if sc.TB != nil {
-			for _, name := range sc.TB.SiteNames() {
-				claim(name)
-			}
-		}
-		if sc.Site != "" {
-			claim(sc.Site)
-		}
-	}
-
 	// The grid intelligence sources: every archived store and every
 	// tracker, each behind its own shard's read gate, labeled like the
-	// rollup views label shards (a monolithic shard reads as "local").
+	// rollup views label shards (the monolithic shard reads as "local").
 	var arcs []intel.SiteArchive
-	for _, s := range g.shards {
-		label := s.site
-		if label == "" {
-			label = "local"
+	siteArcs := map[string][]intel.SiteArchive{}
+	for i, s := range shards {
+		s.idx = i
+		s.inv.bound = archivedBodies
+		s.statusClient = status.NewLocalClient(s.f.CI.Handler())
+		s.sites = siteTopology(s.f.TB)
+		label, claims := s.site, []string{s.site}
+		if s.site == "" {
+			if len(shards) > 1 {
+				panic("gateway: a shard without a site label beside others")
+			}
+			g.mono = s
+			label, claims = "local", s.f.TB.SiteNames()
 		}
-		if s.cfg.Ref != nil {
-			arcs = append(arcs, intel.SiteArchive{Site: label, Cluster: s.cluster, Ref: s.cfg.Ref, Gate: s.rlocked})
-		}
-		if s.cfg.Bugs != nil {
-			g.trackers = append(g.trackers, intel.SiteTracker{Site: label, Bugs: s.cfg.Bugs, Gate: s.rlocked})
+		arc := intel.SiteArchive{Site: label, Cluster: s.cluster, Ref: s.f.Ref, Gate: s.rlocked}
+		arcs = append(arcs, arc)
+		g.trackers = append(g.trackers, intel.SiteTracker{Site: label, Bugs: s.f.Bugs, Gate: s.rlocked})
+		for _, site := range claims {
+			if len(g.siteShards[site]) == 0 {
+				g.sites = append(g.sites, site)
+			}
+			g.siteShards[site] = append(g.siteShards[site], s)
+			siteArcs[site] = append(siteArcs[site], arc)
 		}
 	}
 	g.archive = intel.NewGridArchive(arcs)
-	g.reliability = &intel.TrendStore{}
+	for _, site := range g.sites {
+		g.siteRef[site] = &siteViews{archive: intel.NewGridArchive(siteArcs[site])}
+	}
 
 	g.handle("/", http.MethodGet, g.handleIndex)
 	g.handle("/sites", http.MethodGet, g.handleSites)
@@ -343,17 +308,10 @@ func NewFederated(shardCfgs []ShardConfig) *Gateway {
 // ForFramework is the one-call assembly over a complete monolithic
 // campaign; Advance runs it forward under the single shard's write gate.
 func ForFramework(f *core.Framework) *Gateway {
-	g := New(Config{
-		Clock:   f.Clock,
-		TB:      f.TB,
-		OAR:     f.OAR,
-		Ref:     f.Ref,
-		Monitor: f.Monitor,
-		Bugs:    f.Bugs,
-		CI:      f.CI,
-	})
+	g := assemble([]*shard{{f: f}})
+	g.now = f.Clock.Now
 	g.advance = func(d simclock.Time) {
-		g.shards[0].step(&g.lockHold, func() { f.RunFor(d) })
+		g.mono.step(&g.lockHold, func() { f.RunFor(d) })
 	}
 	return g
 }
@@ -365,45 +323,19 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Advance steps the served campaign by d of simulated time through the
 // driver the constructor installed (see the package comment); requests
-// against a shard that is not mid-step proceed throughout. A no-op on an
-// assembly over bare subsystems.
-func (g *Gateway) Advance(d simclock.Time) {
-	if g.advance != nil {
-		g.advance(d)
-	}
-}
-
-// Sites returns the site names the gateway routes, sorted.
-func (g *Gateway) Sites() []string {
-	out := append([]string(nil), g.sites...)
-	sort.Strings(out)
-	return out
-}
-
-// coordinator returns the first shard claimed for the site — under
-// micro-sharding, the site's first cluster in spec order — or nil for an
-// unknown site.
-func (g *Gateway) coordinator(site string) *shard {
-	if ss := g.siteShards[site]; len(ss) > 0 {
-		return ss[0]
-	}
-	return nil
-}
+// against a shard that is not mid-step proceed throughout.
+func (g *Gateway) Advance(d simclock.Time) { g.advance(d) }
 
 // shardFor returns the site's shard carrying the given cluster label, or
-// nil. Shards without a cluster label (monolithic, whole-site) match any
-// cluster: they gate the whole site behind one lock.
+// nil.
 func (g *Gateway) shardFor(site, cluster string) *shard {
 	for _, s := range g.siteShards[site] {
-		if s.cluster == cluster || s.cluster == "" {
+		if s.cluster == cluster {
 			return s
 		}
 	}
 	return nil
 }
-
-// federated reports whether this gateway fronts more than one shard.
-func (g *Gateway) federated() bool { return len(g.shards) > 1 }
 
 // shardForCluster finds the shard whose testbed owns the named cluster.
 // Cluster names are not globally unique on the real grid (two sites can
@@ -414,14 +346,14 @@ func (g *Gateway) federated() bool { return len(g.shards) > 1 }
 func (g *Gateway) shardForCluster(name string) *shard {
 	var best *shard
 	for _, s := range g.shards {
-		if s.cfg.TB == nil || s.cfg.TB.Cluster(name) == nil {
+		if s.f.TB.Cluster(name) == nil {
 			continue
 		}
 		if best == nil {
 			best = s
 			continue
 		}
-		bestDown, sDown := g.shardDown(best), g.shardDown(s)
+		bestDown, sDown := !g.siteAvailable(best.site), !g.siteAvailable(s.site)
 		if (bestDown && !sDown) || (bestDown == sDown && s.site < best.site) {
 			best = s
 		}
@@ -432,7 +364,7 @@ func (g *Gateway) shardForCluster(name string) *shard {
 // shardForNode finds the shard whose testbed owns the named node.
 func (g *Gateway) shardForNode(name string) *shard {
 	for _, s := range g.shards {
-		if s.cfg.TB != nil && s.cfg.TB.Node(name) != nil {
+		if s.f.TB.Node(name) != nil {
 			return s
 		}
 	}
@@ -447,7 +379,7 @@ func (g *Gateway) handle(pattern, allow string, fn http.HandlerFunc) {
 	g.metrics[pattern] = m
 	g.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &statusWriter{ResponseWriter: w, ctx: r.Context()}
 		switch {
 		case pattern == "/" && r.URL.Path != "/":
 			// The root pattern catches every unregistered path; a missing
@@ -463,29 +395,17 @@ func (g *Gateway) handle(pattern, allow string, fn http.HandlerFunc) {
 	})
 }
 
-// handleCIProxy forwards /ci/... to a shard CI REST API under that shard's
-// read gate. On a federated gateway the per-site trees live under
-// /sites/{site}/ci/; the unscoped path answers only when a single shard
-// carries a CI server, to stay unambiguous.
+// handleCIProxy forwards /ci/... to the monolithic shard's CI REST API
+// under its read gate. A federation has one CI server per cluster; their
+// trees live under /sites/{site}/ci/.
 func (g *Gateway) handleCIProxy(w http.ResponseWriter, r *http.Request) {
-	var target *shard
-	for _, s := range g.shards {
-		if s.cfg.CI == nil {
-			continue
-		}
-		if target != nil {
-			httpError(w, http.StatusMisdirectedRequest,
-				"federated gateway: use /sites/{site}/ci/...")
-			return
-		}
-		target = s
-	}
-	if target == nil {
-		notConfigured(w, "ci")
+	if g.mono == nil {
+		httpError(w, http.StatusMisdirectedRequest,
+			"federated gateway: use /sites/{site}/ci/...")
 		return
 	}
-	proxy := http.StripPrefix("/ci", target.cfg.CI.Handler())
-	target.rlocked(func() { proxy.ServeHTTP(w, r) })
+	proxy := http.StripPrefix("/ci", g.mono.f.CI.Handler())
+	g.mono.rlocked(func() { proxy.ServeHTTP(w, r) })
 }
 
 // ---- instrumentation --------------------------------------------------------
@@ -556,9 +476,12 @@ func (g *Gateway) AdvanceLockStats() LockHoldStats {
 	return out
 }
 
-// statusWriter captures the response code for the instrumentation layer.
+// statusWriter captures the response code for the instrumentation layer,
+// and sends nothing once ctx, the request's, is done: a read that sat out a
+// campaign step behind a shard gate may find its client has hung up.
 type statusWriter struct {
 	http.ResponseWriter
+	ctx  context.Context
 	code int
 }
 
@@ -566,12 +489,17 @@ func (w *statusWriter) WriteHeader(code int) {
 	if w.code == 0 {
 		w.code = code
 	}
-	w.ResponseWriter.WriteHeader(code)
+	if w.ctx.Err() == nil {
+		w.ResponseWriter.WriteHeader(code)
+	}
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
 	if w.code == 0 {
 		w.code = http.StatusOK
+	}
+	if err := w.ctx.Err(); err != nil {
+		return 0, err
 	}
 	return w.ResponseWriter.Write(p)
 }
@@ -608,13 +536,11 @@ type MetricsReport struct {
 func (g *Gateway) Metrics() MetricsReport {
 	rep := MetricsReport{
 		UptimeSec: time.Since(g.started).Seconds(),
+		SimNowSec: g.now().Seconds(),
 		Endpoints: make(map[string]EndpointMetrics, len(g.metrics)),
 	}
-	if g.federated() {
+	if g.mono == nil {
 		rep.Shards = len(g.shards)
-	}
-	if clock := g.shards[0].cfg.Clock; clock != nil {
-		rep.SimNowSec = clock.Now().Seconds()
 	}
 	if g.admission != nil {
 		st := g.admission.Stats()
@@ -668,7 +594,8 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	http.Error(w, msg, code)
 }
 
-// notConfigured answers for endpoints whose subsystem was not wired in.
+// notConfigured answers for the federation-only endpoints (/chaos*,
+// /admit/queue) on a monolithic gateway.
 func notConfigured(w http.ResponseWriter, what string) {
 	httpError(w, http.StatusServiceUnavailable, what+" not configured")
 }

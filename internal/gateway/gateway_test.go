@@ -350,7 +350,7 @@ func TestNonFiniteParams(t *testing.T) {
 // the same, the endpoint answers 500 and counts an error — not its own
 // status with nothing after it.
 func TestUnencodableBodyAnswers500(t *testing.T) {
-	gw := New(Config{})
+	_, gw := newCampaign(t, 1, 0, 0)
 	gw.handle("/nan", http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		writeJSONStatus(w, http.StatusCreated, TrendJSON{BucketSec: math.NaN()})
 	})

@@ -94,9 +94,9 @@ func monoWireFixture(t *testing.T) (*Gateway, []string) {
 // shard's first node with its cluster and site, and the last site (the one
 // the degraded replay takes out) with its first cluster.
 func wireNames(gw *Gateway) (site, cluster, node, otherSite, otherCluster string) {
-	n := gw.shards[0].cfg.TB.Nodes()[0]
+	n := gw.shards[0].f.TB.Nodes()[0]
 	otherSite = gw.sites[len(gw.sites)-1]
-	otherCluster = gw.siteShards[otherSite][0].cfg.TB.Site(otherSite).Clusters[0].Name
+	otherCluster = gw.siteShards[otherSite][0].f.TB.Site(otherSite).Clusters[0].Name
 	return n.Site, n.Cluster, n.Name, otherSite, otherCluster
 }
 
@@ -158,7 +158,8 @@ func wirePaths(gw *Gateway) []string {
 	}
 }
 
-// wireRequest is one request of the POST table: anything but a bare GET.
+// wireRequest is one request of a replayed table: a bare GET of path, or a
+// row of the POST table.
 type wireRequest struct {
 	method, path, body string
 	label              string // what the record shows for body; "" = body itself
@@ -168,8 +169,9 @@ type wireRequest struct {
 // probes by every anchor the router resolves (cluster, site, none — the
 // admission layer's case — and, site-scoped, an anchor elsewhere), a grid
 // event injected, submissions to the site it took out, the heal, and the
-// bodies and methods refused before any handler runs. It runs after every GET table of its fixture: the real
-// submissions and the event change what the GETs would read.
+// bodies and methods refused before any handler runs. It runs after every
+// GET table of its fixture: the real submissions and the event change what
+// the GETs would read.
 func wirePosts(gw *Gateway) []wireRequest {
 	site, cluster, _, otherSite, otherCluster := wireNames(gw)
 	var out []wireRequest

@@ -58,8 +58,9 @@ func allZero(vec []intel.SiteVersion) bool {
 
 // ---- GET /grid/at -----------------------------------------------------------
 
-// GridSiteJSON is one store's slice of a GET /grid/at answer: a whole
-// site (Cluster empty) or one cluster micro-shard of it.
+// GridSiteJSON is one store's slice of a GET /grid/at answer: one cluster
+// micro-shard of a site, or the monolithic store (site "local", Cluster
+// empty).
 type GridSiteJSON struct {
 	Site       string           `json:"site"`
 	Cluster    string           `json:"cluster,omitempty"`
@@ -80,10 +81,6 @@ type GridAtJSON struct {
 }
 
 func (g *Gateway) handleGridAt(w http.ResponseWriter, r *http.Request) {
-	if g.archive == nil || g.archive.Len() == 0 {
-		notConfigured(w, "reference API")
-		return
-	}
 	q := r.URL.Query().Get("t")
 	if q == "" {
 		httpError(w, http.StatusBadRequest, "missing t: GET /grid/at?t=<simtime seconds>")
@@ -148,10 +145,6 @@ type GridDiffJSON struct {
 }
 
 func (g *Gateway) handleGridDiff(w http.ResponseWriter, r *http.Request) {
-	if g.archive == nil || g.archive.Len() == 0 {
-		notConfigured(w, "reference API")
-		return
-	}
 	fromQ, toQ := r.URL.Query().Get("from"), r.URL.Query().Get("to")
 	if fromQ == "" || toQ == "" {
 		httpError(w, http.StatusBadRequest,
@@ -234,10 +227,6 @@ type IncidentsJSON struct {
 }
 
 func (g *Gateway) handleIncidents(w http.ResponseWriter, r *http.Request) {
-	if len(g.trackers) == 0 {
-		notConfigured(w, "bug tracker")
-		return
-	}
 	state, err := parseBugState(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())

@@ -19,38 +19,35 @@ import (
 	"repro/internal/intel"
 	"repro/internal/refapi"
 	"repro/internal/simclock"
-	"repro/internal/testbed"
 )
 
-// newIntelGateway assembles a two-shard gateway over hand-built stores and
-// trackers — no campaign, so every archived version, sim-time and tracker
-// mutation is exact. Site "luxembourg" captures at 10h and updates one
-// node's RAM at 20h; site "nantes" captures at 15h.
+// newIntelGateway assembles a two-shard gateway — one cluster micro-shard
+// each of "luxembourg" and "nantes", frameworks that never start — whose
+// stores and trackers are swapped for hand-built ones, so every archived
+// version, sim-time and tracker mutation is exact. luxembourg captures at
+// 10h and updates one node's RAM at 20h, its tracker's clock reads 1h;
+// nantes captures at 15h, its tracker's clock reads 2h.
 func newIntelGateway(t *testing.T) (*Gateway, *refapi.Store, *refapi.Store, *bugs.Tracker, *bugs.Tracker) {
 	t.Helper()
-	tbA := testbed.Generate(fedSpec("luxembourg"))
-	stA := refapi.NewStore(tbA, 10*simclock.Hour)
-	node := tbA.Nodes()[0]
+	micro := func(site string, captured, trackerNow simclock.Time) *shard {
+		cfg := core.DefaultConfig()
+		cfg.Spec = fedSpec(site)[:1]
+		f := core.New(cfg)
+		f.Ref = refapi.NewStore(f.TB, captured)
+		clk := simclock.New(1)
+		clk.RunUntil(trackerNow)
+		f.Bugs = bugs.NewTracker(clk)
+		return &shard{site: site, cluster: cfg.Spec[0].Name, f: f}
+	}
+	a := micro("luxembourg", 10*simclock.Hour, simclock.Hour)
+	b := micro("nantes", 15*simclock.Hour, 2*simclock.Hour)
+	node := a.f.TB.Nodes()[0]
 	inv := node.Inv.Clone()
 	inv.RAMGB += 8
-	if err := stA.Update(20*simclock.Hour, node.Name, inv); err != nil {
+	if err := a.f.Ref.Update(20*simclock.Hour, node.Name, inv); err != nil {
 		t.Fatal(err)
 	}
-	tbB := testbed.Generate(fedSpec("nantes"))
-	stB := refapi.NewStore(tbB, 15*simclock.Hour)
-
-	clkA := simclock.New(1)
-	clkA.RunUntil(simclock.Hour)
-	trA := bugs.NewTracker(clkA)
-	clkB := simclock.New(2)
-	clkB.RunUntil(2 * simclock.Hour)
-	trB := bugs.NewTracker(clkB)
-
-	gw := NewFederated([]ShardConfig{
-		{Site: "luxembourg", Config: Config{TB: tbA, Ref: stA, Bugs: trA}},
-		{Site: "nantes", Config: Config{TB: tbB, Ref: stB, Bugs: trB}},
-	})
-	return gw, stA, stB, trA, trB
+	return assemble([]*shard{a, b}), a.f.Ref, b.f.Ref, a.f.Bugs, b.f.Bugs
 }
 
 func getConditional(t *testing.T, c *http.Client, path, etag string) *http.Response {

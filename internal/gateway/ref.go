@@ -14,24 +14,29 @@ package gateway
 //     has the rule and the measurement behind it) — so even non-conditional
 //     hot reads marshal each version once.
 //
-// On a federated gateway the unscoped paths scatter-gather: the ETag joins
-// every shard's version counter ("v3.1.7"), a conditional hit answers 304
-// without touching any store, and the merged body nests one per-site
-// section, each listing its cluster stores (one per micro-shard).
-// Archived-version queries (?version=, ?from=, ?to=) are per store by
-// nature and live on /sites/{site}/ref/...; the federated paths reject
-// them with a pointer there. A micro-sharded site's scoped routes serve a
-// joined per-cluster view by default ("sv"/"sd" ETags) and require
-// ?cluster=X for archived access, which then has full single-store
-// semantics.
+// A /ref body is one of two things. One store at one version
+// (serveShardInventory, serveShardDiff): the monolithic gateway's unscoped
+// paths, a one-store site's scoped ones, and ?cluster=X anywhere. Or a
+// version vector over stores (serveVector): the federated unscoped paths
+// and a micro-sharded site's scoped ones read the current vector of an
+// intel.GridArchive — the gateway's whole one, or the site's own — whose
+// key is the ETag ("v3.1.7"; "sv…", "dv…", "sdv…" for the other three), so
+// a conditional hit answers 304 without touching any snapshot, and whose
+// Materialize / DiffVector give the sections, nested per site, one entry per
+// cluster store. Archived-version queries (?version=, ?from=, ?to=) are
+// per store by nature: the vector paths reject them with a pointer to
+// /sites/{site}/ref/... and ?cluster=X.
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 
+	"repro/internal/intel"
 	"repro/internal/refapi"
+	"repro/internal/simclock"
 )
 
 // parseVersion reads a 1-based version query parameter; 0 means "not
@@ -48,18 +53,6 @@ func parseVersion(r *http.Request, key string) (int, error) {
 	return v, nil
 }
 
-// refShardsOf filters a shard set down to those carrying a Reference API
-// store.
-func refShardsOf(shards []*shard) []*shard {
-	var out []*shard
-	for _, s := range shards {
-		if s.cfg.Ref != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // clusterList renders a site's micro-shard cluster labels for error hints.
 func clusterList(shards []*shard) string {
 	names := make([]string, len(shards))
@@ -70,30 +63,19 @@ func clusterList(shards []*shard) string {
 }
 
 func (g *Gateway) handleRefInventory(w http.ResponseWriter, r *http.Request) {
-	g.serveRef(w, r, g.serveShardInventory, g.serveFederatedInventory)
+	if g.mono != nil {
+		g.serveShardInventory(g.mono, w, r)
+		return
+	}
+	g.serveFederatedInventory(w, r)
 }
 
 func (g *Gateway) handleRefDiff(w http.ResponseWriter, r *http.Request) {
-	g.serveRef(w, r, g.serveShardDiff, g.serveFederatedDiff)
-}
-
-// serveRef dispatches an unscoped /ref route: a gateway over one store
-// serves it with single-store semantics, a federated one the merged view.
-func (g *Gateway) serveRef(w http.ResponseWriter, r *http.Request,
-	one func(*shard, http.ResponseWriter, *http.Request), merged func([]*shard, http.ResponseWriter, *http.Request)) {
-	shards := refShardsOf(g.shards)
-	switch len(shards) {
-	case 0:
-		notConfigured(w, "reference API")
-	case 1:
-		if g.shardDown(shards[0]) {
-			siteUnavailable(w, shards[0].site)
-			return
-		}
-		one(shards[0], w, r)
-	default:
-		merged(shards, w, r)
+	if g.mono != nil {
+		g.serveShardDiff(g.mono, w, r)
+		return
 	}
+	g.serveFederatedDiff(w, r)
 }
 
 // downSetKey suffixes a federated cache/ETag key with the lost-site set, so
@@ -112,7 +94,7 @@ func downSetKey(d *DegradedJSON) string {
 // was current at a sim-time, resolved by one binary search — same ETag and
 // cache identity as asking for that version by number).
 func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.Request) {
-	st := s.cfg.Ref
+	st := s.f.Ref
 	var cur int
 	s.rlocked(func() { cur = st.VersionCount() })
 	ver, err := parseVersion(r, "version")
@@ -158,8 +140,8 @@ func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.R
 	})
 }
 
-// ClusterInventoryJSON is one store's slice of a site inventory section —
-// a whole-site store (Cluster empty) or one cluster micro-shard.
+// ClusterInventoryJSON is one cluster store's slice of a site inventory
+// section.
 type ClusterInventoryJSON struct {
 	Cluster   string           `json:"cluster,omitempty"`
 	Version   int              `json:"version"`
@@ -181,23 +163,27 @@ type FederatedInventoryJSON struct {
 	Sites    []SiteInventoryJSON `json:"sites"`
 }
 
-// joinedVersions snapshots every shard's version counter (each under its
-// own gate) and renders the combined ETag payload, e.g. "v3.1.7".
-func joinedVersions(shards []*shard) (string, []int) {
-	vers := make([]int, len(shards))
-	var sb strings.Builder
-	sb.WriteByte('v')
-	for i, s := range shards {
-		s.rlocked(func() { vers[i] = s.cfg.Ref.VersionCount() })
-		if i > 0 {
-			sb.WriteByte('.')
+// latest is past every capture: the archive's version vector at it names
+// each store's current version.
+const latest = simclock.Time(math.MaxInt64)
+
+// serveVector is the one path of the four merged /ref views: arc's current
+// version vector over the surviving sites, behind prefix, is the key, and
+// body renders the answer from exactly the versions it names.
+func serveVector(w http.ResponseWriter, r *http.Request, cache *view, arc *intel.GridArchive, prefix string,
+	degraded *DegradedJSON, body func(vec []intel.SiteVersion) (any, error)) {
+	vec := arc.VersionVector(latest, excludedSites(degraded))
+	key := prefix + intel.VersionKey(vec) + downSetKey(degraded)
+	serveView(w, r, cache, key, 0, false, func() (string, []byte, error) {
+		v, err := body(vec)
+		if err != nil {
+			return "", nil, err
 		}
-		sb.WriteString(strconv.Itoa(vers[i]))
-	}
-	return sb.String(), vers
+		return rendered(key, v)
+	})
 }
 
-func (g *Gateway) serveFederatedInventory(shards []*shard, w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) serveFederatedInventory(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("version") != "" {
 		httpError(w, http.StatusBadRequest,
 			"archived versions are per-site; use /sites/{site}/ref/inventory?version=N "+
@@ -205,42 +191,34 @@ func (g *Gateway) serveFederatedInventory(shards []*shard, w http.ResponseWriter
 		return
 	}
 	degraded := g.degradedMarker()
-	shards = liveShards(shards, degraded)
-	key, vers := joinedVersions(shards)
-	key += downSetKey(degraded)
-	serveView(w, r, &g.fedInv, key, 0, false, func() (string, []byte, error) {
-		sites, err := inventorySections(shards, vers, "")
-		if err != nil {
-			return "", nil, err
-		}
-		return rendered(key, FederatedInventoryJSON{Degraded: degraded, Sites: sites})
+	serveVector(w, r, &g.fedInv, g.archive, "v", degraded, func(vec []intel.SiteVersion) (any, error) {
+		sites, err := inventorySites(g.archive, vec)
+		return FederatedInventoryJSON{Degraded: degraded, Sites: sites}, err
 	})
 }
 
-// inventorySections renders each shard's store at the version named for it:
-// one section per shard site label, in shard order — or, when as is set, a
-// single section of that name (a site's joined view over its own shards).
-func inventorySections(shards []*shard, vers []int, as string) ([]SiteInventoryJSON, error) {
+// vanished is the error of a vector naming a version its archive cannot
+// produce (versions are never dropped, so only a bug gets here).
+func vanished(vec []intel.SiteVersion) error {
+	return fmt.Errorf("version vector %s names a version that vanished", intel.VersionKey(vec))
+}
+
+// inventorySites materializes the vector: one section per site, in archive
+// order (site-grouped), each listing its stores at the versions named. A
+// version the archive cannot produce is an error, never a shorter body.
+func inventorySites(arc *intel.GridArchive, vec []intel.SiteVersion) ([]SiteInventoryJSON, error) {
+	snap := arc.Materialize(vec)
+	if len(snap.Sites) != len(vec) {
+		return nil, vanished(vec)
+	}
 	out := []SiteInventoryJSON{}
-	idxOf := map[string]int{}
-	for i, s := range shards {
-		var snap *refapi.Snapshot
-		s.rlocked(func() { snap = s.cfg.Ref.Version(vers[i]) })
-		if snap == nil {
-			return nil, fmt.Errorf("site %q cluster %q version %d vanished", s.site, s.cluster, vers[i])
+	for _, sc := range snap.Sites {
+		if n := len(out); n == 0 || out[n-1].Site != sc.Site {
+			out = append(out, SiteInventoryJSON{Site: sc.Site})
 		}
-		site := as
-		if site == "" {
-			site = s.site
-		}
-		j, ok := idxOf[site]
-		if !ok {
-			j = len(out)
-			idxOf[site] = j
-			out = append(out, SiteInventoryJSON{Site: site})
-		}
-		out[j].Clusters = append(out[j].Clusters,
-			ClusterInventoryJSON{Cluster: s.cluster, Version: vers[i], Inventory: snap})
+		site := &out[len(out)-1]
+		site.Clusters = append(site.Clusters,
+			ClusterInventoryJSON{Cluster: sc.Cluster, Version: sc.Version, Inventory: sc.Snapshot})
 	}
 	return out, nil
 }
@@ -272,7 +250,7 @@ type FederatedDiffJSON struct {
 }
 
 func (g *Gateway) serveShardDiff(s *shard, w http.ResponseWriter, r *http.Request) {
-	st := s.cfg.Ref
+	st := s.f.Ref
 	var cur int
 	s.rlocked(func() { cur = st.VersionCount() })
 	from, err := parseVersion(r, "from")
@@ -307,30 +285,20 @@ func (g *Gateway) serveShardDiff(s *shard, w http.ResponseWriter, r *http.Reques
 	// (latest-1, latest) pair until the store moves on.
 	key := fmt.Sprintf("v%d-v%d", from, to)
 	serveView(w, r, &s.diff, key, 0, to < cur, func() (string, []byte, error) {
-		diffs, err := s.diffSlice(from, to)
-		if err != nil {
-			return "", nil, err
+		var a, b *refapi.Snapshot
+		s.rlocked(func() { a, b = st.Version(from), st.Version(to) })
+		if a == nil || b == nil {
+			return "", nil, fmt.Errorf("version range %d..%d vanished", from, to)
+		}
+		diffs := refapi.DiffSnapshots(a, b)
+		if diffs == nil {
+			diffs = []refapi.Difference{}
 		}
 		return rendered(key, RefDiffJSON{From: from, To: to, Count: len(diffs), Differences: diffs})
 	})
 }
 
-// diffSlice computes the differences between two archived versions under
-// the shard gate.
-func (s *shard) diffSlice(from, to int) ([]refapi.Difference, error) {
-	var a, b *refapi.Snapshot
-	s.rlocked(func() { a, b = s.cfg.Ref.Version(from), s.cfg.Ref.Version(to) })
-	if a == nil || b == nil {
-		return nil, fmt.Errorf("version range %d..%d vanished", from, to)
-	}
-	diffs := refapi.DiffSnapshots(a, b)
-	if diffs == nil {
-		diffs = []refapi.Difference{}
-	}
-	return diffs, nil
-}
-
-func (g *Gateway) serveFederatedDiff(shards []*shard, w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) serveFederatedDiff(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if q.Get("from") != "" || q.Get("to") != "" {
 		httpError(w, http.StatusBadRequest,
@@ -338,55 +306,54 @@ func (g *Gateway) serveFederatedDiff(shards []*shard, w http.ResponseWriter, r *
 		return
 	}
 	degraded := g.degradedMarker()
-	shards = liveShards(shards, degraded)
-	key, vers := joinedVersions(shards)
-	key = "d" + key + downSetKey(degraded)
-	serveView(w, r, &g.fedDiff, key, 0, false, func() (string, []byte, error) {
+	serveVector(w, r, &g.fedDiff, g.archive, "dv", degraded, func(vec []intel.SiteVersion) (any, error) {
 		out := FederatedDiffJSON{Degraded: degraded}
 		var err error
-		if out.Sites, err = diffSections(shards, vers, ""); err != nil {
-			return "", nil, err
-		}
+		out.Sites, err = diffSites(g.archive, vec)
 		for _, site := range out.Sites {
 			out.Count += site.Count
 		}
-		return rendered(key, out)
+		return out, err
 	})
 }
 
-// diffSections renders each shard's latest-step diff at the version named
-// for it, sectioned like inventorySections.
-func diffSections(shards []*shard, vers []int, as string) ([]SiteDiffJSON, error) {
+// diffSites renders each store's latest step — the version before the one
+// the vector names (or the first, against itself) to it — sectioned like
+// inventorySites, and as strict about a version the archive lost.
+func diffSites(arc *intel.GridArchive, vec []intel.SiteVersion) ([]SiteDiffJSON, error) {
+	from := make([]intel.SiteVersion, len(vec))
+	for i, sv := range vec {
+		sv.Version = max(sv.Version-1, 1)
+		from[i] = sv
+	}
+	diff := arc.DiffVector(from, vec)
+	if len(diff.Sites) != len(vec) {
+		return nil, vanished(vec)
+	}
 	out := []SiteDiffJSON{}
-	idxOf := map[string]int{}
-	for i, s := range shards {
-		to := vers[i]
-		from := max(to-1, 1)
-		diffs, err := s.diffSlice(from, to)
-		if err != nil {
-			return nil, err
+	for i, sd := range diff.Sites {
+		if sd.FromVersion != from[i].Version || sd.ToVersion != vec[i].Version {
+			return nil, vanished(vec)
 		}
-		site := as
-		if site == "" {
-			site = s.site
+		if n := len(out); n == 0 || out[n-1].Site != sd.Site {
+			out = append(out, SiteDiffJSON{Site: sd.Site})
 		}
-		j, ok := idxOf[site]
-		if !ok {
-			j = len(out)
-			idxOf[site] = j
-			out = append(out, SiteDiffJSON{Site: site})
-		}
-		out[j].Clusters = append(out[j].Clusters,
-			RefDiffJSON{Cluster: s.cluster, From: from, To: to, Count: len(diffs), Differences: diffs})
-		out[j].Count += len(diffs)
+		site := &out[len(out)-1]
+		site.Clusters = append(site.Clusters, RefDiffJSON{Cluster: sd.Cluster, From: sd.FromVersion, To: sd.ToVersion,
+			Count: len(sd.Differences), Differences: sd.Differences})
+		site.Count += len(sd.Differences)
 	}
 	return out, nil
 }
 
 // ---- site-scoped views over micro-shards ------------------------------------
 
-// siteViews holds the joined /sites/{site}/ref bodies of one site.
-type siteViews struct{ inv, diff view }
+// siteViews holds one site's own archive — its stores in cluster order —
+// and the joined /sites/{site}/ref bodies rendered from it.
+type siteViews struct {
+	archive   *intel.GridArchive
+	inv, diff view
+}
 
 // serveSiteRef dispatches a /sites/{site}/ref route. A site with a single
 // store keeps full single-store semantics on the bare path (one). A
@@ -394,23 +361,17 @@ type siteViews struct{ inv, diff view }
 // and requires ?cluster=X for the parameters in perStore — archived access,
 // which then has full single-store semantics against that cluster's store.
 func (g *Gateway) serveSiteRef(w http.ResponseWriter, r *http.Request, site, what string, perStore []string,
-	one func(*shard, http.ResponseWriter, *http.Request), joined func([]*shard)) {
-	shards := refShardsOf(g.siteShards[site])
-	if len(shards) == 0 {
-		notConfigured(w, "reference API")
-		return
-	}
+	one func(*shard, http.ResponseWriter, *http.Request), joined func(*siteViews)) {
+	shards := g.siteShards[site]
 	if len(shards) == 1 {
 		one(shards[0], w, r)
 		return
 	}
 	q := r.URL.Query()
 	if cl := q.Get("cluster"); cl != "" {
-		for _, s := range shards {
-			if s.cluster == cl {
-				one(s, w, r)
-				return
-			}
+		if s := g.shardFor(site, cl); s != nil {
+			one(s, w, r)
+			return
 		}
 		httpError(w, http.StatusNotFound, fmt.Sprintf("no cluster %q at site %q", cl, site))
 		return
@@ -423,37 +384,33 @@ func (g *Gateway) serveSiteRef(w http.ResponseWriter, r *http.Request, site, wha
 			return
 		}
 	}
-	joined(shards)
+	joined(g.siteRef[site])
 }
 
 // serveSiteInventory implements /sites/{site}/ref/inventory; the joined
 // view's ETag is "sv3.1.7" over the site's stores' version counters.
 func (g *Gateway) serveSiteInventory(w http.ResponseWriter, r *http.Request, site string) {
-	g.serveSiteRef(w, r, site, "archives are", []string{"version", "at"}, g.serveShardInventory, func(shards []*shard) {
-		key, vers := joinedVersions(shards)
-		key = "s" + key
-		serveView(w, r, &g.siteRef[site].inv, key, 0, false, func() (string, []byte, error) {
-			sections, err := inventorySections(shards, vers, site)
+	g.serveSiteRef(w, r, site, "archives are", []string{"version", "at"}, g.serveShardInventory, func(sv *siteViews) {
+		serveVector(w, r, &sv.inv, sv.archive, "sv", nil, func(vec []intel.SiteVersion) (any, error) {
+			sites, err := inventorySites(sv.archive, vec)
 			if err != nil {
-				return "", nil, err
+				return nil, err
 			}
-			return rendered(key, sections[0])
+			return sites[0], nil
 		})
 	})
 }
 
 // serveSiteDiff implements /sites/{site}/ref/diff; the joined view is each
-// store's latest step ("sd"-prefixed ETag).
+// store's latest step ("sdv"-prefixed ETag).
 func (g *Gateway) serveSiteDiff(w http.ResponseWriter, r *http.Request, site string) {
-	g.serveSiteRef(w, r, site, "version ranges are", []string{"from", "to"}, g.serveShardDiff, func(shards []*shard) {
-		key, vers := joinedVersions(shards)
-		key = "sd" + key
-		serveView(w, r, &g.siteRef[site].diff, key, 0, false, func() (string, []byte, error) {
-			sections, err := diffSections(shards, vers, site)
+	g.serveSiteRef(w, r, site, "version ranges are", []string{"from", "to"}, g.serveShardDiff, func(sv *siteViews) {
+		serveVector(w, r, &sv.diff, sv.archive, "sdv", nil, func(vec []intel.SiteVersion) (any, error) {
+			sites, err := diffSites(sv.archive, vec)
 			if err != nil {
-				return "", nil, err
+				return nil, err
 			}
-			return rendered(key, sections[0])
+			return sites[0], nil
 		})
 	})
 }

@@ -52,13 +52,7 @@ type siteTopo struct {
 // siteTopology snapshots a shard's site layout at assembly time, when no
 // campaign is advancing — the topology (names, clusters, core counts)
 // never changes afterwards.
-func siteTopology(label string, tb *testbed.Testbed) []siteTopo {
-	if tb == nil {
-		if label == "" {
-			return nil
-		}
-		return []siteTopo{{entry: SiteJSON{Name: label}}}
-	}
+func siteTopology(tb *testbed.Testbed) []siteTopo {
 	var out []siteTopo
 	for _, site := range tb.Sites {
 		st := siteTopo{entry: SiteJSON{Name: site.Name}}
@@ -95,10 +89,10 @@ func (g *Gateway) handleSites(w http.ResponseWriter, r *http.Request) {
 	for i, s := range g.shards {
 		for _, st := range s.sites {
 			var states map[string]int
-			if s.cfg.TB != nil && len(st.nodes) > 0 {
+			if len(st.nodes) > 0 {
 				states = make(map[string]int, 2)
 				for _, name := range st.nodes {
-					state, _ := s.cfg.TB.NodeState(name)
+					state, _ := s.f.TB.NodeState(name)
 					states[state.String()]++
 				}
 			}
@@ -196,18 +190,8 @@ func (g *Gateway) handleSiteScoped(w http.ResponseWriter, r *http.Request) {
 			// The site's CI view is its coordinator cluster's server: under
 			// micro-sharding that is where the federation files grid tickets,
 			// so the scoped tree stays one coherent Jenkins.
-			var target *shard
-			for _, s := range ss {
-				if s.cfg.CI != nil {
-					target = s
-					break
-				}
-			}
-			if target == nil {
-				notConfigured(w, "ci")
-				return
-			}
-			proxy := http.StripPrefix("/sites/"+site+"/ci", target.cfg.CI.Handler())
+			target := ss[0]
+			proxy := http.StripPrefix("/sites/"+site+"/ci", target.f.CI.Handler())
 			target.rlocked(func() { proxy.ServeHTTP(w, r) })
 			return
 		}

@@ -185,7 +185,7 @@ func TestMergedReadSeesOneGridState(t *testing.T) {
 		whole[p] = answer{resp.Header.Get("ETag"), string(body)}
 	}
 	chaos := &flippingChaos{ChaosController: fed, site: gw.sites[len(gw.sites)-1]}
-	gw.SetChaos(chaos)
+	gw.chaos = chaos
 	for _, p := range paths {
 		chaos.calls.Store(0)
 		resp, body := get(t, c, p)

@@ -65,10 +65,6 @@ func NewGridArchive(sites []SiteArchive) *GridArchive {
 	return a
 }
 
-// Len returns how many archived stores the grid covers (one per site, or
-// one per micro-shard once cluster-carved).
-func (a *GridArchive) Len() int { return len(a.sites) }
-
 // SiteVersion is one store's archived version number at a query time.
 // Cluster carries the micro-shard label when the site is cluster-carved.
 type SiteVersion struct {
@@ -83,18 +79,18 @@ type SiteVersion struct {
 // skipped entirely. This is the gateway's conditional-request fast path.
 func (a *GridArchive) VersionVector(t simclock.Time, exclude map[string]bool) []SiteVersion {
 	out := make([]SiteVersion, 0, len(a.sites))
+	// One closure for the whole walk: a gate is an indirect call, so one
+	// made per store would be two heap objects per store on the gateway's
+	// hottest path.
+	var s *SiteArchive
+	var version int
+	read := func() { version, _ = s.Ref.VersionAt(t) }
 	for i := range a.sites {
-		s := &a.sites[i]
-		if exclude[s.Site] {
+		if s = &a.sites[i]; exclude[s.Site] {
 			continue
 		}
-		sv := SiteVersion{Site: s.Site, Cluster: s.Cluster}
-		s.gated(func() {
-			if v, ok := s.Ref.VersionAt(t); ok {
-				sv.Version = v
-			}
-		})
-		out = append(out, sv)
+		s.gated(read)
+		out = append(out, SiteVersion{Site: s.Site, Cluster: s.Cluster, Version: version})
 	}
 	return out
 }
@@ -104,6 +100,7 @@ func (a *GridArchive) VersionVector(t simclock.Time, exclude map[string]bool) []
 // pinned by its version number.
 func VersionKey(vec []SiteVersion) string {
 	var sb strings.Builder
+	sb.Grow(4 * len(vec))
 	for i, sv := range vec {
 		if i > 0 {
 			sb.WriteByte('.')
