@@ -148,6 +148,7 @@ func wirePaths(gw *Gateway) []string {
 		scoped + "/ref/inventory?version=1",
 		scoped + "/ref/diff",
 		scoped + "/ref/diff?cluster=" + cluster + "&from=1&to=2",
+		scoped + "/ref/diff?cluster=" + cluster + "&from=1&to=1",
 		scoped + "/ci/api/json",
 		scoped + "/ci/job/refapi/" + cluster + "/api/json",
 		"/sites/atlantis/oar/resources",
