@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint fmt-check test race stress fed-check chaos-check admit-check intel-check fuzz-smoke profile loc check
+.PHONY: all build vet lint fmt-check test race stress fuzz-smoke profile loc check
 
 all: check
 
@@ -34,47 +34,6 @@ race:
 # campaign advances underneath them.
 stress:
 	GATEWAY_STRESS=1 $(GO) test -race -count=1 -run 'TestStress|TestInventoryETagUnderChurn' ./internal/gateway
-
-# fed-check proves the federation's load-bearing property under the race
-# detector: stepping the per-cluster micro-shards serially or with the
-# work-stealing schedule yields bit-identical per-site and merged
-# summaries — the ones recorded in internal/federation/testdata/.
-fed-check:
-	$(GO) test -race -count=1 -run 'TestFederationSerialParallelDeterminism' ./internal/federation
-
-# chaos-check runs the site-scale disaster drills under the race detector:
-# degraded-mode stepping (outage freeze, heal catch-up, partition merge
-# exclusion, serial ≡ parallel determinism mid-disaster) and the gateway's
-# degraded routing (lost sites 503 with Retry-After, merges carry the
-# degraded marker, /chaos inject/heal round trips, and the marker drill:
-# outages injected and healed on a partitioned site while readers check
-# that every reading names it lost exactly once).
-chaos-check:
-	$(GO) test -race -count=1 -run 'TestChaos' ./internal/federation ./internal/gateway
-
-# admit-check drills the grid admission layer under the race detector: the
-# controller's placement determinism, fairness and breaker transitions
-# (internal/admit) plus the gateway-level queue-under-chaos and
-# duplicate-cluster routing drills.
-admit-check:
-	$(GO) test -race -count=1 ./internal/admit
-	$(GO) test -race -count=1 -run 'TestAdmission|TestDuplicateCluster' ./internal/gateway
-
-# intel-check drills the grid intelligence layer under the race detector:
-# the archive/incident/reliability unit suite (internal/intel) plus the
-# gateway-level endpoint drills — /grid/at and /grid/diff conditional
-# semantics, the incident rollup and its time scoping, the reliability
-# trend's shared-renderer equality, the ?at= inventory satellite, the
-# rollup ETag, the E18-style degraded-mode drill (intel views exclude
-# a downed site and re-key until heal), the E20 determinism drill (a
-# disaster campaign stepped serially and on 4 workers serves byte-identical
-# intel bodies; hot re-reads materialize nothing), and the live-advance drill
-# (TestIncidentsAndRollupUnderLiveAdvance: readers hammer /incidents and
-# /bugs/rollup while the campaign steps — no ticket read outside its gate,
-# one ETag never names two bodies).
-intel-check:
-	$(GO) test -race -count=1 ./internal/intel
-	$(GO) test -race -count=1 -run 'TestGridAt|TestGridDiff|TestIncidents|TestReliability|TestShardInventoryAt|TestFederatedVersionHint|TestBugsRollup|TestIntel' ./internal/gateway
 
 # fuzz-smoke gives each of the repository's fuzz targets ten seconds:
 # AppendIndent, the single-pass indenter every JSON body goes through
@@ -134,4 +93,4 @@ loc:
 		printf '%-22s %9d %9d\n' $$d $$n $$t; \
 	done | awk '{print; n += $$2; t += $$3} END {printf "%-22s %9d %9d\n", "total", n, t}'
 
-check: build vet lint fmt-check race intel-check fuzz-smoke
+check: build vet lint fmt-check race fuzz-smoke

@@ -1,36 +1,39 @@
 // Command g5kapi serves a live campaign through the unified testbed API
-// gateway (internal/gateway): it runs a short campaign first, then exposes
-// every subsystem over one HTTP front door:
+// gateway (internal/gateway): it runs a short federated campaign
+// (internal/federation) first, then exposes every subsystem over one HTTP
+// front door:
 //
-//	g5kapi [-addr :8080] [-weeks 2] [-seed 42] [-live] [-step 10m] [-shards] [-scale k]
+//	g5kapi [-addr :8080] [-weeks 2] [-seed 42] [-live] [-step 10m] [-scale k]
+//
+// The campaign is one micro-shard per cluster behind per-shard gateway
+// locks, grouped under its site's label, with site-scoped routes under
+// /sites/{site}/... and scatter-gather merges on the grid-wide paths. An
+// advance work-steals the micro-shards across -shard-workers barrier
+// workers, each stepping under its own write lock, so reads against one
+// site never wait for another site's progress. (One framework over the
+// whole grid is what g5ktest runs and statuspage serves, CI REST API and
+// status page.)
 //
 // With -reliability N an N-seed fleet sweep runs before serving and its
 // confidence-band trend is installed on GET /reliability/trend.
-//
-// With -shards the campaign is federated (internal/federation): one
-// micro-shard per cluster behind per-shard gateway locks, grouped under
-// its site's label, with site-scoped routes under /sites/{site}/... and
-// scatter-gather merges on the classic paths. A -live advance then
-// work-steals the micro-shards across the barrier workers, each stepping
-// under its own write lock, so reads against one site never wait for
-// another site's progress.
 //
 // With -scale k the campaign runs on testbed.Scaled(k) — k replicas of the
 // paper grid (k=16 is 512 micro-shards).
 //
 // With -live the campaign keeps advancing: every wall-clock second the
-// simulation steps by -step while request handlers are held out, so the
-// served state (resources, bugs, grid, inventory versions) evolves under
-// the clients' feet exactly like a production testbed.
+// simulation steps by -step while request handlers are held out of the
+// shard that is stepping, so the served state (resources, bugs, grid,
+// inventory versions) evolves under the clients' feet exactly like a
+// production testbed.
 //
 // The server bounds how long a client may take to send a request, read a
 // response or sit idle, and SIGINT/SIGTERM shut it down gracefully:
 // in-flight requests drain, the -live driver stops, then the process exits.
 //
-// With -shards, -chaos arms a deterministic disaster schedule against the
-// federated campaign (internal/faults.ParseSchedule syntax):
+// -chaos arms a deterministic disaster schedule against the campaign
+// (internal/faults.ParseSchedule syntax):
 //
-//	g5kapi -shards -chaos "outage:lyon@1w+1w,partition:nantes@2w+1w"
+//	g5kapi -chaos "outage:lyon@1w+1w,partition:nantes@2w+1w"
 //
 // Scheduled events fire as the pre-serve campaign advances: downed sites
 // freeze at the federation barrier (their routes answer 503 with
@@ -67,71 +70,50 @@ func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	live := flag.Bool("live", false, "keep advancing the campaign while serving")
 	step := flag.Duration("step", 10*time.Minute, "simulated time advanced per wall second in -live mode")
-	shards := flag.Bool("shards", false, "federate the campaign: per-cluster micro-shards behind per-shard gateway locks")
 	scale := flag.Int("scale", 1, "run on testbed.Scaled(k): k replicas of the paper grid")
-	fedWorkers := flag.Int("shard-workers", 0, "shards advanced concurrently (0 = GOMAXPROCS; -shards only)")
-	chaos := flag.String("chaos", "", `disaster schedule, e.g. "outage:lyon@1w+1w,maintenance:nancy+rennes@2w+1w" (-shards only)`)
+	fedWorkers := flag.Int("shard-workers", 0, "micro-shards advanced concurrently (0 = GOMAXPROCS)")
+	chaos := flag.String("chaos", "", `disaster schedule, e.g. "outage:lyon@1w+1w,maintenance:nancy+rennes@2w+1w"`)
 	reliability := flag.Int("reliability", 0, "also run an N-seed fleet sweep and serve it on /reliability/trend (0 = skip)")
 	flag.Parse()
 
-	var gw *gateway.Gateway
-
-	if *scale < 1 {
-		fmt.Fprintln(os.Stderr, "g5kapi: -scale must be ≥ 1")
+	if err := checkFlags(*scale, *weeks, *reliability, *live, *step); err != nil {
+		fmt.Fprintf(os.Stderr, "g5kapi: %v\n", err)
 		os.Exit(1)
 	}
 
-	if *shards {
-		fed := federation.New(federation.Config{
-			Seed: *seed, Workers: *fedWorkers, Spec: testbed.ScaledSpec(*scale),
-		})
-		fed.Start()
-		if *chaos != "" {
-			entries, err := faults.ParseSchedule(*chaos)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "g5kapi: -chaos: %v\n", err)
-				os.Exit(1)
-			}
-			if err := fed.ScheduleChaos(entries...); err != nil {
-				fmt.Fprintf(os.Stderr, "g5kapi: -chaos: %v\n", err)
-				os.Exit(1)
-			}
-			log.Printf("chaos schedule armed: %d grid event(s)", len(entries))
-		}
-		// The gateway is assembled before the pre-serve advance so barrier
-		// ticks run under the per-shard gateway locks from the first week.
-		gw = gateway.ForFederation(fed)
-		log.Printf("running %d simulated weeks on %d federated micro-shards (%d sites)...",
-			*weeks, len(fed.Shards()), len(fed.Summary().Sites))
-		gw.Advance(simclock.Time(*weeks) * simclock.Week)
-		sum := fed.Summary()
-		for _, s := range sum.Sites {
-			marker := ""
-			if s.Down {
-				marker = "  [down]"
-			} else if s.Unreachable {
-				marker = "  [unreachable]"
-			}
-			log.Printf("  site %-12s %s%s", s.Site, s.Summary, marker)
-		}
-		log.Printf("campaign done: %s", sum)
-	} else {
-		if *chaos != "" || *fedWorkers != 0 {
-			fmt.Fprintln(os.Stderr, "g5kapi: -chaos and -shard-workers require -shards")
+	fed := federation.New(federation.Config{
+		Seed: *seed, Workers: *fedWorkers, Spec: testbed.ScaledSpec(*scale),
+	})
+	fed.Start()
+	if *chaos != "" {
+		entries, err := faults.ParseSchedule(*chaos)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "g5kapi: -chaos: %v\n", err)
 			os.Exit(1)
 		}
-		cfg := core.DefaultConfig()
-		cfg.Seed = *seed
-		if *scale > 1 {
-			cfg.Spec = testbed.ScaledSpec(*scale)
+		if err := fed.ScheduleChaos(entries...); err != nil {
+			fmt.Fprintf(os.Stderr, "g5kapi: -chaos: %v\n", err)
+			os.Exit(1)
 		}
-		f := core.New(cfg)
-		f.Start()
-		log.Printf("running %d simulated weeks of testing on %s...", *weeks, f.TB.Stats())
-		f.RunFor(simclock.Time(*weeks) * simclock.Week)
-		log.Printf("campaign done: %s", f.Summary())
-		gw = gateway.ForFramework(f)
+		log.Printf("chaos schedule armed: %d grid event(s)", len(entries))
 	}
+	// The gateway is assembled before the pre-serve advance so barrier
+	// ticks run under the per-shard gateway locks from the first week.
+	gw := gateway.ForFederation(fed)
+	log.Printf("running %d simulated weeks on %d federated micro-shards (%d sites)...",
+		*weeks, len(fed.Shards()), len(fed.Sites()))
+	gw.Advance(simclock.Time(*weeks) * simclock.Week)
+	sum := fed.Summary()
+	for _, s := range sum.Sites {
+		marker := ""
+		if s.Down {
+			marker = "  [down]"
+		} else if s.Unreachable {
+			marker = "  [unreachable]"
+		}
+		log.Printf("  site %-12s %s%s", s.Site, s.Summary, marker)
+	}
+	log.Printf("campaign done: %s", sum)
 
 	if *reliability > 0 {
 		// The sweep is expensive (N whole campaigns), so it runs once here
@@ -169,6 +151,22 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("shut down")
+}
+
+// checkFlags refuses the flag values no campaign can be run or served
+// with.
+func checkFlags(scale, weeks, reliability int, live bool, step time.Duration) error {
+	switch {
+	case scale < 1:
+		return errors.New("-scale must be ≥ 1")
+	case weeks < 0:
+		return errors.New("-weeks must be ≥ 0")
+	case reliability < 0:
+		return errors.New("-reliability must be ≥ 0")
+	case live && step <= 0:
+		return errors.New("-live needs a -step > 0: the campaign would stand still")
+	}
+	return nil
 }
 
 // serve answers requests on ln until ctx is cancelled, stepping the

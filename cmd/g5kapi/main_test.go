@@ -8,9 +8,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/federation"
 	"repro/internal/gateway"
 	"repro/internal/simclock"
+	"repro/internal/testbed"
 )
 
 // TestServeShutsDownWithItsLiveDriver: serve answers requests while the
@@ -18,9 +19,9 @@ import (
 // and SIGTERM do) makes it return with the listener closed and the driver
 // gone — the campaign's clock stands where serve left it.
 func TestServeShutsDownWithItsLiveDriver(t *testing.T) {
-	f := core.New(core.DefaultConfig())
-	f.Start()
-	gw := gateway.ForFramework(f)
+	fed := federation.New(federation.Config{Spec: testbed.DefaultSpec[:2]})
+	fed.Start()
+	gw := gateway.ForFederation(fed)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +33,7 @@ func TestServeShutsDownWithItsLiveDriver(t *testing.T) {
 
 	url := "http://" + ln.Addr().String() + "/metrics"
 	deadline := time.Now().Add(30 * time.Second)
-	for f.Clock.Now() == 0 {
+	for fed.Now() == 0 {
 		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatalf("GET /metrics while serving: %v", err)
@@ -57,12 +58,39 @@ func TestServeShutsDownWithItsLiveDriver(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("serve did not return after its context was cancelled")
 	}
-	stopped := f.Clock.Now()
+	stopped := fed.Now()
 	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
 		conn.Close()
 		t.Fatal("the listener still accepts after serve returned")
 	}
-	if got := gw.AdvanceLockStats().Steps; simclock.Time(got)*simclock.Minute != stopped {
-		t.Fatalf("%d live steps, clock at %v: something else moved time", got, stopped)
+	// Every live step passes each micro-shard's gate once.
+	perShard := gw.AdvanceLockStats().Steps / int64(len(fed.Shards()))
+	if simclock.Time(perShard)*simclock.Minute != stopped {
+		t.Fatalf("%d live steps a shard, clock at %v: something else moved time", perShard, stopped)
+	}
+}
+
+// TestCheckFlags: values no campaign can run with are refused before one is
+// built — a -live campaign that would never move among them.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name                      string
+		scale, weeks, reliability int
+		live                      bool
+		step                      time.Duration
+		ok                        bool
+	}{
+		{"defaults", 1, 2, 0, false, 10 * time.Minute, true},
+		{"live", 16, 0, 3, true, time.Minute, true},
+		{"a step that is not used", 1, 2, 0, false, 0, true},
+		{"scale 0", 0, 2, 0, false, 10 * time.Minute, false},
+		{"negative weeks", 1, -1, 0, false, 10 * time.Minute, false},
+		{"negative reliability", 1, 2, -3, false, 10 * time.Minute, false},
+		{"live standing still", 1, 2, 0, true, 0, false},
+		{"live running backwards", 1, 2, 0, true, -time.Minute, false},
+	} {
+		if err := checkFlags(tc.scale, tc.weeks, tc.reliability, tc.live, tc.step); (err == nil) != tc.ok {
+			t.Errorf("%s: checkFlags = %v, want ok %v", tc.name, err, tc.ok)
+		}
 	}
 }

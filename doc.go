@@ -28,7 +28,7 @@
 //     the next unit, so the barrier's critical path is the mean shard,
 //     not the max site; serial and work-stealing stepping are
 //     bit-identical, and equal to a recorded golden (g5ktest -federated
-//     is the CLI form; make fed-check races the determinism proof).
+//     is the CLI form; make race races the determinism proof).
 //     Federation.Advance is the only thing that steps a shard, so a
 //     site never runs ahead of the federated clock. Site-scale grid events (internal/faults:
 //     site-outage, wan-partition, rolling-maintenance) inject and heal
@@ -36,25 +36,24 @@
 //     at the barrier and replay missed ticks on heal, partitioned
 //     shards drop out of merged reporting, and serial ≡ parallel stays
 //     bit-identical through the whole disaster (g5kapi -chaos arms a
-//     schedule; make chaos-check races the drills)
+//     schedule; make race races the drills)
 //   - internal/gateway — the unified testbed API gateway: one
 //     http.Handler mounting read-optimized JSON endpoints over every
 //     subsystem (OAR resources/jobs/submission, the Reference API with
 //     per-version ETags and a 304 path that never re-materializes
 //     snapshots, monitoring queries, the bug tracker, the status views,
-//     and the CI REST API proxied under /ci/), with per-endpoint atomic
-//     request/error/latency counters at /metrics. The gateway serves a
-//     framework as one shard (ForFramework) or a federation as one per
-//     cluster (ForFederation), and that assembly, not the shard count,
-//     picks the wire shapes: handlers hold only the owning micro-shard's
-//     read lock, site-scoped routes under /sites/{site}/... touch exactly the
-//     site's micro-shards, the classic paths scatter-gather federated
-//     merges, and the gateway never drives time itself: Advance hands
-//     the step to the campaign's one driver (Federation.Advance, or
-//     Framework.RunFor on a monolithic campaign), whose every micro-shard
-//     step runs under that shard's write lock, so live serving stays
-//     coherent and one cluster's reads never queue behind another's
-//     progress (g5kapi -live, -shards). Under grid
+//     and each site's CI REST API proxied under /sites/{site}/ci/), with
+//     per-endpoint atomic request/error/latency counters at /metrics.
+//     The gateway has one assembly — ForFederation, one shard per
+//     cluster micro-shard — and a site's cluster count never changes a
+//     wire shape: handlers hold only the owning micro-shard's read lock,
+//     site-scoped routes under /sites/{site}/... touch exactly the
+//     site's micro-shards, the grid-wide paths scatter-gather merges,
+//     and the gateway never drives time itself: Advance is
+//     Federation.Advance, whose every micro-shard step runs under that
+//     shard's write lock, so live serving stays coherent and one
+//     cluster's reads never queue behind another's progress (g5kapi
+//     -live). Under grid
 //     events the gateway degrades instead of failing: routes touching a
 //     down site answer 503 with Retry-After, merges exclude lost sites
 //     behind a degraded marker (absent when healthy), and POST
@@ -70,22 +69,22 @@
 //     Retry-After, and per-site breakers route placement away from
 //     down, partitioned or persistently-refusing sites (GET
 //     /admit/queue is the observability view; sched.GridPolicy defers
-//     whole-cluster demands grid-wide during peak hours; make
-//     admit-check races the drills)
+//     whole-cluster demands grid-wide during peak hours; make race
+//     races the drills)
 //   - internal/intel — the grid intelligence layer over the federation:
 //     GridArchive answers "the whole grid's inventory as of sim-time T"
 //     by binary-searching every live shard's Reference-API archive
 //     under its read gate, joined into a version-vector ETag whose body
 //     is materialized from exactly the versions the vector names (GET
-//     /grid/at, /grid/diff; /sites/{site}/ref/inventory?at=T is the
-//     site-scoped form); Correlate folds same-signature bugs across all
+//     /grid/at, /grid/diff; /sites/{site}/ref/inventory?cluster=X&at=T
+//     is one store's form); Correlate folds same-signature bugs across all
 //     sites' trackers into lifecycle-bearing incidents, snapshot-keyed
 //     so any filing or fix anywhere re-keys the view and ?at=T replays
 //     history (GET /incidents); and TrendFromFleet folds a core.Fleet
 //     sweep into per-week success-rate confidence bands rendered by one
 //     shared renderer — the CLI report (g5ktest -reliability) and a
 //     render of the gateway's GET /reliability/trend body are
-//     byte-identical (make intel-check races the drills)
+//     byte-identical (make race races the drills)
 //   - internal/inproc — in-process http.RoundTripper used by the status
 //     page, the gateway's internal status client and the benchmark to
 //     consume HTTP APIs without a listener

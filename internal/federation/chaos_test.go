@@ -285,7 +285,7 @@ func runChaosFederated(t *testing.T, workers int) (Summary, []core.WeekCounts) {
 // TestChaosSerialParallelDeterminism is the disaster-mode extension of the
 // federation's load-bearing property: with site-scale events injected,
 // frozen barriers and catch-up ticks, serial and parallel advances must
-// still be bit-identical. CI runs this under -race (make chaos-check).
+// still be bit-identical. CI runs this under -race (make race).
 func TestChaosSerialParallelDeterminism(t *testing.T) {
 	serial, serialWeekly := runChaosFederated(t, 1)
 	parallel, parallelWeekly := runChaosFederated(t, 4)

@@ -651,21 +651,3 @@ func sliceSet(sites []string) map[string]bool {
 	}
 	return m
 }
-
-// SpecSites returns the distinct site names of a cluster specification in
-// first-appearance order (nil = testbed.DefaultSpec). Exposed for binaries
-// that want to enumerate a federation's layout before building it.
-func SpecSites(spec []testbed.ClusterSpec) []string {
-	if spec == nil {
-		spec = testbed.DefaultSpec
-	}
-	var sites []string
-	seen := map[string]bool{}
-	for _, cs := range spec {
-		if !seen[cs.Site] {
-			seen[cs.Site] = true
-			sites = append(sites, cs.Site)
-		}
-	}
-	return sites
-}

@@ -33,8 +33,8 @@ func TestShardLayout(t *testing.T) {
 	if got := len(fed.Shards()); got != 32 {
 		t.Fatalf("default federation has %d micro-shards, want 32 (one per cluster)", got)
 	}
-	if got := len(fed.Sites()); got != 8 {
-		t.Fatalf("default federation has %d sites, want 8", got)
+	if got, want := fed.Sites(), []string{"grenoble", "lille", "luxembourg", "lyon", "nancy", "nantes", "rennes", "sophia"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("default federation's sites = %v, want %v (first-appearance order)", got, want)
 	}
 	seeds := map[int64]string{}
 	for _, sh := range fed.Shards() {
@@ -170,7 +170,7 @@ func summaryGolden(t *testing.T, serial campaignOutcome) campaignOutcome {
 // site and merged — the ones recorded in testdata/summary_golden.json,
 // which the whole-site-per-worker schedule also produced before it was
 // deleted (the recording was made, and held equal to all three, at the
-// commit before). CI also runs this under -race (make fed-check).
+// commit before). CI also runs this under -race (make race).
 func TestFederationSerialParallelDeterminism(t *testing.T) {
 	serial := runFederated(t, 1)
 	golden := summaryGolden(t, serial)
@@ -254,13 +254,5 @@ func TestMergeWeekly(t *testing.T) {
 	}
 	if out := MergeWeekly(); len(out) != 0 {
 		t.Fatalf("MergeWeekly() = %+v, want empty", out)
-	}
-}
-
-func TestSpecSites(t *testing.T) {
-	got := SpecSites(nil)
-	want := []string{"grenoble", "lille", "luxembourg", "lyon", "nancy", "nantes", "rennes", "sophia"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SpecSites(nil) = %v, want %v", got, want)
 	}
 }

@@ -2,8 +2,8 @@ package gateway
 
 // The gateway side of the grid admission layer (internal/admit): each OAR
 // shard is adapted to an admit.Backend whose probes and placements run
-// under the shard's own read gate, unanchored federated submissions route
-// through the controller instead of failing, and GET /admit/queue exposes
+// under the shard's own read gate, unanchored submissions route through the
+// controller instead of failing, and GET /admit/queue exposes
 // the queue. The admission pump runs after every campaign advance and —
 // via the federation's grid listener — after every chaos transition, so a
 // site outage fails queued reservations fast instead of letting them sit
@@ -20,8 +20,8 @@ import (
 )
 
 // siteBackend adapts one site's shard set to the admission controller's
-// placement surface — the site is the admission unit even when carved into
-// per-cluster micro-shards. All OAR access happens under the owning
+// placement surface — the site is the admission unit, not its per-cluster
+// micro-shards. All OAR access happens under the owning
 // shard's read gate, so probes never block another shard's barrier ticks.
 type siteBackend struct {
 	g      *Gateway
@@ -104,16 +104,11 @@ func parallelScatter(tasks []func()) {
 	wg.Wait()
 }
 
-// EnableAdmission builds the admission controller over every site of a
-// federated gateway (micro-shards group under their site); ForFederation
-// calls it. cfg.Now is required; a nil cfg.Scatter gets the parallel
-// fan-out (pass a serial func to force serial probing, as the determinism
-// gate does). No-op on a monolithic gateway, which keeps its pre-admission
-// behavior.
+// EnableAdmission builds the admission controller over every site
+// (micro-shards group under their site); ForFederation calls it. cfg.Now is
+// required; a nil cfg.Scatter gets the parallel fan-out (pass a serial func
+// to force serial probing, as the determinism gate does).
 func (g *Gateway) EnableAdmission(cfg admit.Config) {
-	if g.mono != nil {
-		return
-	}
 	var backends []admit.Backend
 	for _, site := range g.sites {
 		backends = append(backends, &siteBackend{g: g, site: site, shards: g.siteShards[site]})
@@ -124,7 +119,7 @@ func (g *Gateway) EnableAdmission(cfg admit.Config) {
 	g.admission = admit.New(cfg, backends)
 }
 
-// Admission returns the admission controller, or nil when not enabled.
+// Admission returns the admission controller.
 func (g *Gateway) Admission() *admit.Controller { return g.admission }
 
 // pumpAdmission drains what the reservation queue can place right now.
@@ -133,14 +128,10 @@ func (g *Gateway) Admission() *admit.Controller { return g.admission }
 func (g *Gateway) pumpAdmission() { g.admission.Pump() }
 
 func (g *Gateway) handleAdmitQueue(w http.ResponseWriter, r *http.Request) {
-	if g.admission == nil {
-		notConfigured(w, "admission")
-		return
-	}
 	writeJSON(w, g.admission.Queue())
 }
 
-// serveAdmission routes a fully-unanchored federated submission through the
+// serveAdmission routes a fully-unanchored submission through the
 // admission controller: 201 placed on the least-loaded startable site, 202
 // with a reservation when nothing can start it now, 429 + Retry-After when
 // the queue is full. Dry runs probe without admitting.

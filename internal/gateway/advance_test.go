@@ -74,38 +74,6 @@ func TestGatewayAddsNothingToTime(t *testing.T) {
 	}
 }
 
-// TestGatewayAddsNothingToTimeMonolithic is the same claim for the
-// single-shard layout: ForFramework(f).Advance is f.RunFor.
-func TestGatewayAddsNothingToTimeMonolithic(t *testing.T) {
-	twin := func() *core.Framework {
-		cfg := core.DefaultConfig()
-		cfg.Seed = 15
-		cfg.InitialFaults = 4
-		f := core.New(cfg)
-		f.Start()
-		return f
-	}
-	direct, fronted := twin(), twin()
-	gw := ForFramework(fronted)
-	steps := advanceSteps()
-	for _, d := range steps {
-		direct.RunFor(d)
-		gw.Advance(d)
-	}
-	if d, f := direct.Summary(), fronted.Summary(); d != f {
-		t.Fatalf("summaries diverged:\ndirect:  %+v\nfronted: %+v", d, f)
-	}
-	if d, f := direct.WeeklyReport(), fronted.WeeklyReport(); !reflect.DeepEqual(d, f) {
-		t.Fatalf("weekly reports diverged:\ndirect:  %+v\nfronted: %+v", d, f)
-	}
-	if d, f := direct.Clock.Fired(), fronted.Clock.Fired(); d != f {
-		t.Fatalf("fired %d events stepped directly, %d behind the gateway", d, f)
-	}
-	if got := gw.AdvanceLockStats().Steps; got != int64(len(steps)) {
-		t.Fatalf("%d steps held the shard's write gate, want one per Advance (%d)", got, len(steps))
-	}
-}
-
 // TestChaosMarkerIsOneReading races outages against the degraded marker on
 // a site that is partitioned throughout: each inject moves nantes from the
 // unreachable list to the down list and each heal moves it back, so the

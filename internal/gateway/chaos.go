@@ -1,8 +1,8 @@
 package gateway
 
 // The site-scale chaos surface: /chaos admin endpoints drive grid events
-// (site outages, WAN partitions, rolling maintenance) live against a
-// federated campaign, and the availability queries below are what every
+// (site outages, WAN partitions, rolling maintenance) live against the
+// served campaign, and the availability queries below are what every
 // scatter-gather handler consults to keep serving during a disaster —
 // merged views exclude lost shards and carry a degraded marker, site-scoped
 // routes for a lost site answer 503 with Retry-After instead of hanging on
@@ -18,8 +18,7 @@ import (
 
 // ChaosController is the federation-side surface the gateway's degraded-mode
 // routing and /chaos endpoints consume. *federation.Federation implements
-// it, and ForFederation installs it; without one (ForFramework) every site
-// is always up.
+// it, and ForFederation installs it.
 type ChaosController interface {
 	// SiteAvailable reports whether the site's routes should serve (false
 	// while an outage or maintenance window has the site down).
@@ -41,10 +40,9 @@ type ChaosController interface {
 }
 
 // siteAvailable reports whether the named site's routes should serve: false
-// while a grid event has it down, always true on a monolithic gateway
-// (whose one shard carries no site label, and no controller).
+// while a grid event has it down.
 func (g *Gateway) siteAvailable(site string) bool {
-	return g.chaos == nil || g.chaos.SiteAvailable(site)
+	return g.chaos.SiteAvailable(site)
 }
 
 // DegradedJSON marks a merged response assembled while part of the grid was
@@ -59,9 +57,6 @@ type DegradedJSON struct {
 // grid is healthy (so healthy wire shapes are byte-identical to the
 // pre-chaos gateway).
 func (g *Gateway) degradedMarker() *DegradedJSON {
-	if g.chaos == nil {
-		return nil
-	}
 	down, unreachable := g.chaos.LostSites()
 	if len(down) == 0 && len(unreachable) == 0 {
 		return nil
@@ -165,10 +160,6 @@ type ChaosJSON struct {
 }
 
 func (g *Gateway) handleChaos(w http.ResponseWriter, r *http.Request) {
-	if g.chaos == nil {
-		notConfigured(w, "chaos")
-		return
-	}
 	out := ChaosJSON{
 		Active:  gridEventsJSON(g.chaos.ActiveGridEvents()),
 		History: gridEventsJSON(g.chaos.GridHistory()),
@@ -213,10 +204,6 @@ func parseGridKind(s string) (faults.GridKind, bool) {
 }
 
 func (g *Gateway) handleChaosInject(w http.ResponseWriter, r *http.Request) {
-	if g.chaos == nil {
-		notConfigured(w, "chaos")
-		return
-	}
 	var req ChaosInjectRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -251,10 +238,6 @@ type ChaosHealResponse struct {
 }
 
 func (g *Gateway) handleChaosHeal(w http.ResponseWriter, r *http.Request) {
-	if g.chaos == nil {
-		notConfigured(w, "chaos")
-		return
-	}
 	var req ChaosHealRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -263,12 +246,12 @@ func (g *Gateway) handleChaosHeal(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.All:
 		for _, e := range g.chaos.ActiveGridEvents() {
-			h, err := g.chaos.HealGrid(e.ID)
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, err.Error())
-				return
+			// An event that closed since it was listed (its scheduled heal
+			// fired on a live step, another operator got there first) is
+			// what was asked for: skip it.
+			if h, err := g.chaos.HealGrid(e.ID); err == nil {
+				healed = append(healed, h)
 			}
-			healed = append(healed, h)
 		}
 	case req.ID > 0:
 		h, err := g.chaos.HealGrid(req.ID)

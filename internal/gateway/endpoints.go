@@ -3,8 +3,7 @@ package gateway
 // The OAR, monitoring, bug-tracker and status-view endpoints. Each handler
 // follows the scatter-gather shape: parse parameters lock-free, snapshot
 // the shard(s) involved under their own read gates, merge and write the
-// answer outside any lock. Over the monolithic shard the "merge" is the
-// identity and the wire shapes match the pre-federation gateway exactly.
+// answer outside any lock.
 
 import (
 	"encoding/json"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/oar"
 	"repro/internal/simclock"
 	"repro/internal/status"
-	"repro/internal/testbed"
 )
 
 // secondsToSim converts a wire-level seconds value to simulated time,
@@ -74,10 +72,11 @@ type OARResourcesJSON struct {
 	Nodes    []oar.ResourceInfo `json:"nodes"`
 }
 
-// resourcesScoped snapshots one shard's resource states under its gate.
-func (s *shard) resourcesScoped(cluster, site string) []oar.ResourceInfo {
+// resources snapshots one shard's resource states under its gate, narrowed
+// to the named cluster (empty = all; a shard that does not own it has none).
+func (s *shard) resources(cluster string) []oar.ResourceInfo {
 	var out []oar.ResourceInfo
-	s.rlocked(func() { out = s.f.OAR.ResourcesIn(cluster, site) })
+	s.rlocked(func() { out = s.f.OAR.Resources(cluster) })
 	return out
 }
 
@@ -109,10 +108,9 @@ func (g *Gateway) serveOARResources(w http.ResponseWriter, r *http.Request, fixe
 			siteUnavailable(w, site)
 			return
 		}
-		// Micro-sharded sites concatenate their cluster shards in cluster
-		// order — the node order the monolithic shard renders the site in.
+		// A site concatenates its cluster shards in cluster order.
 		for _, s := range ss {
-			nodes = append(nodes, s.resourcesScoped(cluster, site)...)
+			nodes = append(nodes, s.resources(cluster)...)
 		}
 		if cluster != "" && len(nodes) == 0 {
 			httpError(w, http.StatusNotFound,
@@ -129,7 +127,7 @@ func (g *Gateway) serveOARResources(w http.ResponseWriter, r *http.Request, fixe
 			siteUnavailable(w, s.site)
 			return
 		}
-		nodes = s.resourcesScoped(cluster, "")
+		nodes = s.resources(cluster)
 		if len(nodes) == 0 {
 			httpError(w, http.StatusNotFound, fmt.Sprintf("no cluster %q", cluster))
 			return
@@ -139,7 +137,7 @@ func (g *Gateway) serveOARResources(w http.ResponseWriter, r *http.Request, fixe
 		// order); lost shards are excluded and the marker says which.
 		degraded = g.degradedMarker()
 		for _, s := range liveShards(g.shards, degraded) {
-			nodes = append(nodes, s.resourcesScoped("", "")...)
+			nodes = append(nodes, s.resources("")...)
 		}
 	}
 	summary := map[string]int{}
@@ -180,18 +178,13 @@ func (s *shard) jobsScoped(limit int) (jobs []oar.JobInfo, submitted, started, c
 }
 
 func (g *Gateway) handleOARJobs(w http.ResponseWriter, r *http.Request) {
-	g.serveOARJobs(w, r, nil, "")
+	g.serveOARJobs(w, r, nil)
 }
 
 // serveOARJobs implements /oar/jobs; a non-nil only pins a site's shard
-// set (the site-scoped route, with site naming the requested site) — one
-// shard per cluster under micro-sharding, whose newest-first lists merge
-// like the federated view's. When the pinned shard spans several sites
-// (the monolithic one), the job list is narrowed to jobs tied to the
-// site — allocated there, or anchored there while waiting; the
-// submitted/started/canceled counters stay shard-wide (OAR does not
-// attribute submissions to sites).
-func (g *Gateway) serveOARJobs(w http.ResponseWriter, r *http.Request, only []*shard, site string) {
+// set (the site-scoped route) — one shard per cluster, whose newest-first
+// lists merge like the grid-wide view's.
+func (g *Gateway) serveOARJobs(w http.ResponseWriter, r *http.Request, only []*shard) {
 	limit, err := parseLimit(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -203,26 +196,12 @@ func (g *Gateway) serveOARJobs(w http.ResponseWriter, r *http.Request, only []*s
 		out.Degraded = g.degradedMarker()
 		shards = liveShards(g.shards, out.Degraded)
 	}
-	narrow := len(only) == 1 && shardSpansSites(only[0], site)
-	fetch := limit
-	if narrow {
-		fetch = 0 // filter first, truncate after
-	}
 	for _, s := range shards {
-		jobs, sub, st, can := s.jobsScoped(fetch)
+		jobs, sub, st, can := s.jobsScoped(limit)
 		out.Jobs = append(out.Jobs, jobs...)
 		out.Submitted += sub
 		out.Started += st
 		out.Canceled += can
-	}
-	if narrow {
-		kept := out.Jobs[:0]
-		for _, j := range out.Jobs {
-			if jobTouchesSite(j, site, only[0].f.TB) {
-				kept = append(kept, j)
-			}
-		}
-		out.Jobs = kept
 	}
 	// Merge the per-shard newest-first lists into one newest-first view;
 	// ties on submission time keep shard order (stable sort), so one
@@ -234,48 +213,6 @@ func (g *Gateway) serveOARJobs(w http.ResponseWriter, r *http.Request, only []*s
 		out.Jobs = out.Jobs[:limit]
 	}
 	writeJSON(w, out)
-}
-
-// shardSpansSites reports whether a shard's testbed covers more than the
-// named site — true only for the monolithic shard, where site-scoped
-// views must narrow explicitly.
-func shardSpansSites(s *shard, site string) bool {
-	return site != "" && len(s.f.TB.Sites) > 1
-}
-
-// jobTouchesSite reports whether a job is tied to the site: any allocated
-// node lives there, or (still unallocated) a segment anchors there.
-func jobTouchesSite(j oar.JobInfo, site string, tb *testbed.Testbed) bool {
-	for _, name := range j.Nodes {
-		if n := tb.Node(name); n != nil && n.Site == site {
-			return true
-		}
-	}
-	if len(j.Nodes) > 0 {
-		return false
-	}
-	parsed, err := oar.ParseRequest(j.Request)
-	if err != nil {
-		return false
-	}
-	for _, seg := range parsed.Segments {
-		key, val := seg.Anchor()
-		switch key {
-		case "site":
-			if val == site {
-				return true
-			}
-		case "cluster":
-			if cl := tb.Cluster(val); cl != nil && cl.Site == site {
-				return true
-			}
-		case "host":
-			if n := tb.Node(val); n != nil && n.Site == site {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // SubmitRequest is the body of POST /oar/submit.
@@ -290,7 +227,7 @@ type SubmitRequest struct {
 
 // SubmitResponse is the reply of POST /oar/submit.
 type SubmitResponse struct {
-	Site        string       `json:"site,omitempty"` // shard that took the job (federated)
+	Site        string       `json:"site,omitempty"` // site of the shard that took the job
 	CanStartNow *bool        `json:"can_start_now,omitempty"`
 	Job         *oar.JobInfo `json:"job,omitempty"`
 	// Admission marks a submission routed through the grid admission layer
@@ -324,8 +261,8 @@ func hasAnchoredSegment(req oar.Request) bool {
 // resolveOARRequest routes a parsed resource request to the single site
 // owning every anchored site/cluster/host — and, when cluster or host
 // anchors name one, the specific shard. A nil shard with a non-empty site
-// means only site-level anchors resolved (micro-sharding: the caller
-// probes the site's cluster shards). Unanchored segments are skipped here
+// means only site-level anchors resolved (the caller probes the site's
+// cluster shards). Unanchored segments are skipped here
 // — the caller pins them to the resolved site (mixed requests); a fully
 // unanchored request never gets here, the admission layer places it.
 func (g *Gateway) resolveOARRequest(req oar.Request) (string, *shard, error) {
@@ -345,7 +282,7 @@ func (g *Gateway) resolveOARRequest(req oar.Request) (string, *shard, error) {
 				owner = val
 			}
 		case "host":
-			if s = g.shardForNode(val); s != nil {
+			if s = nodeShardIn(g.shards, val); s != nil {
 				owner = s.site
 			}
 		default:
@@ -368,22 +305,11 @@ func (g *Gateway) resolveOARRequest(req oar.Request) (string, *shard, error) {
 	return site, target, nil
 }
 
-// clusterShardIn returns the shard in the set whose testbed owns the named
-// cluster at the site, or nil.
-func clusterShardIn(shards []*shard, name, site string) *shard {
-	for _, s := range shards {
-		if cl := s.f.TB.Cluster(name); cl != nil && cl.Site == site {
-			return s
-		}
-	}
-	return nil
-}
-
 // nodeShardIn returns the shard in the set whose testbed owns the named
-// node at the site, or nil.
-func nodeShardIn(shards []*shard, name, site string) *shard {
+// node, or nil.
+func nodeShardIn(shards []*shard, name string) *shard {
 	for _, s := range shards {
-		if n := s.f.TB.Node(name); n != nil && n.Site == site {
+		if s.f.TB.Node(name) != nil {
 			return s
 		}
 	}
@@ -413,11 +339,10 @@ func (g *Gateway) handleOARSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // anchorsWithinSite verifies that every anchored segment of a request
-// falls inside the named site, against the site's shard set (a cluster or
-// host is at the site when any of its shards owns it, which under
-// micro-sharding is exactly one). Unanchored segments pass — the caller
-// pins them with Request.PinnedToSite.
-func anchorsWithinSite(req oar.Request, site string, shards []*shard) error {
+// falls inside the named site (a cluster or host is at the site when one of
+// its shards owns it). Unanchored segments pass — the caller pins them with
+// Request.PinnedToSite.
+func (g *Gateway) anchorsWithinSite(req oar.Request, site string) error {
 	for i, seg := range req.Segments {
 		key, val := seg.Anchor()
 		switch key {
@@ -426,11 +351,11 @@ func anchorsWithinSite(req oar.Request, site string, shards []*shard) error {
 				return fmt.Errorf("segment %d anchors to site %q, not %q", i+1, val, site)
 			}
 		case "cluster":
-			if clusterShardIn(shards, val, site) == nil {
+			if g.shardFor(site, val) == nil {
 				return fmt.Errorf("segment %d anchors to cluster %q, which is not at site %q", i+1, val, site)
 			}
 		case "host":
-			if nodeShardIn(shards, val, site) == nil {
+			if nodeShardIn(g.siteShards[site], val) == nil {
 				return fmt.Errorf("segment %d anchors to host %q, which is not at site %q", i+1, val, site)
 			}
 		}
@@ -442,11 +367,10 @@ func anchorsWithinSite(req oar.Request, site string, shards []*shard) error {
 // site's shard set (the site-scoped route, with site naming the requested
 // site). Site-scoped submissions are validated against the site — anchors
 // elsewhere are 400 — and unanchored segments are pinned to it, so
-// /sites/X/oar/submit can never allocate outside X, monolithic or not.
-// Under micro-sharding, cluster and host anchors name the owning cluster
-// shard (a request cannot span two — each shard is its own OAR); without
-// one, the site's shards are probed in cluster order and the coordinator
-// queues what nothing can start.
+// /sites/X/oar/submit can never allocate outside X. Cluster and host
+// anchors name the owning cluster shard (a request cannot span two — each
+// shard is its own OAR); without one, the site's shards are probed in
+// cluster order and the coordinator queues what nothing can start.
 func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, only []*shard, site string) {
 	var req SubmitRequest
 	if !decodeBody(w, r, &req) {
@@ -465,7 +389,7 @@ func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, only []
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if err := anchorsWithinSite(parsed, site, only); err != nil {
+		if err := g.anchorsWithinSite(parsed, site); err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
@@ -476,9 +400,9 @@ func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, only []
 			var s *shard
 			switch key {
 			case "cluster":
-				s = clusterShardIn(only, val, site)
+				s = g.shardFor(site, val)
 			case "host":
-				s = nodeShardIn(only, val, site)
+				s = nodeShardIn(only, val)
 			default:
 				continue
 			}
@@ -492,8 +416,6 @@ func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, only []
 		if target == nil {
 			target = pickSiteShard(only, p)
 		}
-	case g.mono != nil:
-		target = g.mono
 	default:
 		parsed, err := oar.ParseRequest(req.Request)
 		if err != nil {
@@ -520,7 +442,7 @@ func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, only []
 			pinned = &p
 		}
 		if target == nil {
-			// Site-level anchors under micro-sharding: pick a cluster shard.
+			// Site-level anchors only: pick a cluster shard.
 			if !g.siteAvailable(targetSite) {
 				siteUnavailable(w, targetSite)
 				return
@@ -535,10 +457,6 @@ func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, only []
 		return
 	}
 	srv := target.f.OAR
-	respSite := site
-	if respSite == "" {
-		respSite = target.site // "" on the monolithic shard
-	}
 	if req.DryRun {
 		var ok bool
 		var err error
@@ -553,7 +471,7 @@ func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, only []
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		writeJSON(w, SubmitResponse{Site: respSite, CanStartNow: &ok})
+		writeJSON(w, SubmitResponse{Site: target.site, CanStartNow: &ok})
 		return
 	}
 	user := req.User
@@ -580,7 +498,7 @@ func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, only []
 		httpError(w, http.StatusBadRequest, submitErr.Error())
 		return
 	}
-	writeJSONStatus(w, http.StatusCreated, SubmitResponse{Site: respSite, Job: &info})
+	writeJSONStatus(w, http.StatusCreated, SubmitResponse{Site: target.site, Job: &info})
 }
 
 // ---- monitoring ------------------------------------------------------------
@@ -637,12 +555,12 @@ func (g *Gateway) serveMonitorMetrics(w http.ResponseWriter, r *http.Request, fi
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown site %q", site))
 			return
 		}
-		if s = nodeShardIn(ss, node, site); s == nil {
+		if s = nodeShardIn(ss, node); s == nil {
 			httpError(w, http.StatusBadRequest,
 				fmt.Sprintf("node %q is not at site %q", node, site))
 			return
 		}
-	} else if s = g.shardForNode(node); s == nil {
+	} else if s = nodeShardIn(g.shards, node); s == nil {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown node %q", node))
 		return
 	}
@@ -707,7 +625,7 @@ func (g *Gateway) serveMonitorMetrics(w http.ResponseWriter, r *http.Request, fi
 // BugJSON is the wire form of one bug report.
 type BugJSON struct {
 	ID          int     `json:"id"`
-	Site        string  `json:"site,omitempty"` // owning shard (federated)
+	Site        string  `json:"site,omitempty"` // the owning shard's
 	Signature   string  `json:"signature"`
 	Title       string  `json:"title,omitempty"`
 	Family      string  `json:"family,omitempty"`

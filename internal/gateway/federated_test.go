@@ -406,113 +406,6 @@ func TestFederatedStatusAndRef(t *testing.T) {
 	}
 }
 
-// TestMonolithicSiteRoutes: the single-shard gateway serves the site
-// routes too — the shard owns every site and narrows its views.
-func TestMonolithicSiteRoutes(t *testing.T) {
-	f, gw := newCampaign(t, 41, 0, simclock.Hour)
-	c := inproc.Client(gw)
-
-	resp, body := get(t, c, "/sites")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/sites status = %d", resp.StatusCode)
-	}
-	sites := decode[SitesJSON](t, body)
-	if sites.Shards != 1 || len(sites.Sites) != 8 {
-		t.Fatalf("/sites = %d shards, %d sites; want 1, 8", sites.Shards, len(sites.Sites))
-	}
-
-	nancy := f.TB.Site("nancy")
-	resp, body = get(t, c, "/sites/nancy/oar/resources")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("site route status = %d", resp.StatusCode)
-	}
-	if got := decode[OARResourcesJSON](t, body); len(got.Nodes) != len(nancy.Nodes()) {
-		t.Fatalf("nancy route = %d nodes, want %d", len(got.Nodes), len(nancy.Nodes()))
-	}
-	resp, body = get(t, c, "/oar/resources?site=nancy")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("?site= status = %d", resp.StatusCode)
-	}
-	if got := decode[OARResourcesJSON](t, body); len(got.Nodes) != len(nancy.Nodes()) {
-		t.Fatalf("?site=nancy = %d nodes, want %d", len(got.Nodes), len(nancy.Nodes()))
-	}
-	if resp, _ := get(t, c, "/oar/resources?site=atlantis"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown ?site= status = %d, want 400", resp.StatusCode)
-	}
-	if resp, _ := get(t, c, "/sites/nancy/nosuch"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown site sub-route status = %d, want 404", resp.StatusCode)
-	}
-	resp, _ = get(t, c, "/sites/nancy/oar/submit")
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET site submit status = %d, want 405", resp.StatusCode)
-	}
-	if allow := resp.Header.Get("Allow"); allow != http.MethodPost {
-		t.Fatalf("Allow = %q, want POST", allow)
-	}
-
-	// Even on the whole-grid shard, the site route narrows submissions:
-	// requests anchored at another site are rejected, unanchored ones are
-	// pinned so their nodes land at the requested site.
-	post := func(path, body string) (*http.Response, []byte) {
-		t.Helper()
-		resp, err := c.Post("http://gw.local"+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp, b
-	}
-	if resp, _ := post("/sites/nancy/oar/submit", `{"request":"cluster='taurus'/nodes=1,walltime=1"}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("monolithic cross-site submit status = %d, want 400", resp.StatusCode)
-	}
-	resp, body = post("/sites/lyon/oar/submit", `{"request":"nodes=2,walltime=1","user":"carol"}`)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("monolithic pinned submit status = %d: %s", resp.StatusCode, body)
-	}
-	pinnedSub := decode[SubmitResponse](t, body)
-	if pinnedSub.Job == nil || pinnedSub.Site != "lyon" || len(pinnedSub.Job.Nodes) != 2 {
-		t.Fatalf("pinned submit = %+v", pinnedSub)
-	}
-	for _, n := range pinnedSub.Job.Nodes {
-		if node := f.TB.Node(n); node == nil || node.Site != "lyon" {
-			t.Fatalf("pinned submit allocated %s outside lyon", n)
-		}
-	}
-
-	// And the site-scoped job listing shows only jobs tied to the site:
-	// the lyon-pinned job above must appear under lyon, not under nancy.
-	resp, body = get(t, c, "/sites/lyon/oar/jobs?limit=0")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("lyon jobs status = %d", resp.StatusCode)
-	}
-	lyonJobs := decode[OARJobsJSON](t, body)
-	foundLyon := false
-	for _, j := range lyonJobs.Jobs {
-		for _, n := range j.Nodes {
-			node := f.TB.Node(n)
-			if node == nil || node.Site != "lyon" {
-				t.Fatalf("lyon job %d holds node %s outside lyon", j.ID, n)
-			}
-		}
-		if j.User == "carol" {
-			foundLyon = true
-		}
-	}
-	if !foundLyon {
-		t.Fatal("lyon job listing misses the job just submitted there")
-	}
-	resp, body = get(t, c, "/sites/nancy/oar/jobs?limit=0")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("nancy jobs status = %d", resp.StatusCode)
-	}
-	for _, j := range decode[OARJobsJSON](t, body).Jobs {
-		if j.User == "carol" {
-			t.Fatal("nancy job listing shows a lyon-pinned job")
-		}
-	}
-}
-
 // TestSiteReadsUnblockedByOtherShardAdvance pins the lock-scoping claim
 // deterministically: while a whole-grid Advance is mid-step on site B's
 // coordinator shard — stalled there by an event on that shard's own
@@ -601,12 +494,13 @@ func TestSiteReadsUnblockedByOtherShardAdvance(t *testing.T) {
 	}
 }
 
-// TestOneClusterFederationServesFederatedShapes: which wire shapes a gateway
-// serves is decided by how it was assembled, not by how many shards that
-// made. A federation over a single cluster still answers as a federation —
-// the sectioned /ref/inventory that refuses ?version=, no unscoped /ci/,
-// the site on bugs and submit replies, shards in /metrics, and submissions
-// resolved by anchor (an unanchored one through admission).
+// TestOneClusterFederationServesFederatedShapes: how many clusters a
+// federation (or a site) has never changes a wire shape. A federation over
+// a single cluster answers as every federation does — the sectioned
+// /ref/inventory that refuses ?version=, no unscoped /ci/, the site on bugs
+// and submit replies, shards in /metrics, submissions resolved by anchor
+// (an unanchored one through admission) — and its one-cluster site serves
+// the joined /sites/{site}/ref envelope, archives behind ?cluster= only.
 func TestOneClusterFederationServesFederatedShapes(t *testing.T) {
 	fed := federation.New(federation.Config{Seed: 5, Spec: fedSpec("luxembourg")[:1]})
 	fed.Start()
@@ -616,7 +510,25 @@ func TestOneClusterFederationServesFederatedShapes(t *testing.T) {
 	gw := ForFederation(fed)
 	c := inproc.Client(gw)
 
-	resp, body := get(t, c, "/ref/inventory")
+	scoped := "/sites/" + sh.Site + "/ref/inventory"
+	resp, body := get(t, c, scoped)
+	joined := decode[SiteInventoryJSON](t, body)
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("ETag"), `"sv`) || joined.Site != sh.Site ||
+		len(joined.Clusters) != 1 || joined.Clusters[0].Cluster != sh.Cluster || joined.Clusters[0].Inventory == nil {
+		t.Fatalf("%s = %d under %s: %+v; want the joined envelope with its %s store", scoped, resp.StatusCode, resp.Header.Get("ETag"), joined, sh.Cluster)
+	}
+	if resp, body := get(t, c, scoped+"?version=1"); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), sh.Cluster) {
+		t.Errorf("%s?version=1 = %d %s, want a 400 naming cluster %s", scoped, resp.StatusCode, body, sh.Cluster)
+	}
+	if resp, _ := get(t, c, scoped+"?version=1&cluster="+sh.Cluster); resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != `"v1"` {
+		t.Errorf("%s?version=1&cluster=%s = %d under %s, want the store's v1", scoped, sh.Cluster, resp.StatusCode, resp.Header.Get("ETag"))
+	}
+	resp, body = get(t, c, "/sites/"+sh.Site+"/ref/diff")
+	if d := decode[SiteDiffJSON](t, body); resp.StatusCode != http.StatusOK || d.Site != sh.Site || len(d.Clusters) != 1 {
+		t.Errorf("site diff = %d %+v, want the joined envelope", resp.StatusCode, d)
+	}
+
+	resp, body = get(t, c, "/ref/inventory")
 	inv := decode[FederatedInventoryJSON](t, body)
 	if resp.StatusCode != http.StatusOK || len(inv.Sites) != 1 || inv.Sites[0].Site != sh.Site ||
 		len(inv.Sites[0].Clusters) != 1 || inv.Sites[0].Clusters[0].Cluster != sh.Cluster {

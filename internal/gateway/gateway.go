@@ -15,13 +15,14 @@
 //	GET  /oar/resources    node allocation states (?cluster=X, ?site=Y narrow)
 //	GET  /oar/jobs         recent jobs, newest first (?limit=N, 0 = all)
 //	POST /oar/submit       submit a resource request (or dry-run probe);
-//	                       unanchored federated submissions route through
-//	                       the admission layer (201 placed / 202 queued /
+//	                       unanchored submissions route through the
+//	                       admission layer (201 placed / 202 queued /
 //	                       429 shed + Retry-After)
 //	GET  /admit/queue      admission state: counters, waiting reservations,
 //	                       recently resolved, per-site breakers
-//	GET  /ref/inventory    testbed description (?version=N; ETag/304)
-//	GET  /ref/diff         drift between two versions (?from=&to=; ETag/304)
+//	GET  /ref/inventory    testbed description, every store at its current
+//	                       version (ETag/304)
+//	GET  /ref/diff         every store's latest step (ETag/304)
 //	GET  /monitor/metrics  1 Hz samples (?metric=&node=&site=&from_sec=&to_sec=)
 //	GET  /bugs             bug reports (?state=open|all, ?family=F)
 //	GET  /bugs/rollup      cross-site rollup: one row per signature
@@ -40,47 +41,43 @@
 //	GET  /status/grid      family × target status matrix
 //	GET  /status/trend     historical success rate (?bucket_sec=S)
 //	GET  /metrics          per-endpoint request/error/latency counters
-//	     /ci/...           the CI REST API, proxied to ci.Handler
-//	     /sites/{site}/... site-scoped views over the shard(s) owning the
+//	     /ci/...           421: there is one CI server per cluster, under
+//	                       /sites/{site}/ci/
+//	     /sites/{site}/... site-scoped views over the shards owning the
 //	                       site: oar/resources, oar/jobs, oar/submit,
-//	                       monitor/metrics, ref/inventory, ref/diff, ci/...
-//	                       (ci proxies to the coordinator cluster's server)
+//	                       monitor/metrics, ref/inventory and ref/diff
+//	                       (?cluster=X for one store's archive: ?version=N,
+//	                       ?at=S, ?from=&to=), ci/... (the coordinator
+//	                       cluster's CI REST API)
 //
 // # Sharding and concurrency
 //
 // A *shard* is one complete core.Framework behind its own gate, and there
-// are two assemblies. ForFramework mounts a monolithic campaign as one
-// shard without a site label, which covers every site of its testbed.
-// ForFederation mounts one shard per cluster *micro-shard* of a federation
-// — each with its own OAR, monitor, Reference API store, CI server and bug
-// tracker, as internal/federation carves them — labeled with the site that
-// owns it plus its cluster. The label is the layout: the routes whose wire
-// shape differs between the two (the unscoped /ref and /ci/ paths,
-// submission routing, the site on bugs and submit replies, shards in
-// /metrics) ask whether the assembly made the label-less shard, never how
-// many shards there are, so a federation over a single cluster still
-// answers as a federation. The *site* stays the unit of identity for
-// routing: /sites/{site}/... addresses all of a site's micro-shards at
-// once (merging where the route reads, probing in cluster order where it
-// writes), chaos freezes and heals whole sites, admission places against
-// site-level capacity, and the intel archives report per-store versions
-// under the site label.
+// is one assembly: ForFederation mounts one shard per cluster *micro-shard*
+// of a federation — each with its own OAR, monitor, Reference API store, CI
+// server and bug tracker, as internal/federation carves them — labeled with
+// the site that owns it plus its cluster. The *site* is the unit of
+// identity for routing: /sites/{site}/... addresses all of a site's
+// micro-shards at once (merging where the route reads, probing in cluster
+// order where it writes), chaos freezes and heals whole sites, admission
+// places against site-level capacity, and the intel archives report
+// per-store versions under the site label. How many clusters a site has
+// never changes a wire shape: a site of one answers the same joined
+// envelopes as a site of seven.
 //
 // Each shard carries its own RWMutex: request handlers hold the read side
 // of only the shard(s) they touch, and a campaign step holds a shard's
 // write side only while that micro-shard steps (shard.step — the one place
 // the write side is taken). The gateway itself never drives time: Advance
-// hands the duration to the one driver its constructor installed —
-// Federation.Advance, whose barrier ticks come back through shard.step as
-// the federation's step gate, or the monolithic Framework.RunFor under the
-// single shard's gate. A site-scoped read (/sites/A/oar/resources)
-// therefore never waits on an Advance that is busy stepping site B — and
-// under micro-sharding a read against cluster A1 does not even wait on a
+// is Federation.Advance, whose barrier ticks come back through shard.step
+// as the federation's step gate. A site-scoped read
+// (/sites/A/oar/resources) therefore never waits on an Advance that is busy
+// stepping site B, and a read against cluster A1 does not even wait on a
 // step of A2; that read-availability property is asserted by
 // TestSiteReadsUnblockedByOtherShardAdvance.
-// Federated endpoints (/oar/resources and friends) scatter over the
-// shards, snapshotting each under its own read lock, and gather the merged
-// answer outside any lock. Subsystems guard their own state with their own
+// Merged endpoints (/oar/resources and friends) scatter over the shards,
+// snapshotting each under its own read lock, and gather the merged answer
+// outside any lock. Subsystems guard their own state with their own
 // mutexes; the shard gates only serialize requests against campaign
 // progress. Monitoring queries additionally serialize per shard because a
 // flaky-kwapi roll draws from that shard's campaign RNG.
@@ -91,22 +88,23 @@
 // store's, an archive's version vector, a tracker version vector), a
 // conditional request short-cuts to 304 before any snapshot is
 // materialized or marshaled, and each route keeps its last rendered body
-// under that key. A /ref body has two renderers (ref.go): one store at one
-// version, or the current version vector of an intel.GridArchive — the
-// one /grid/at reads, or a site's own. Only a store's archived versions
-// keep more — eight, the lowest version leaving first, because a scraper
-// walking more versions than that in a cycle would miss every time under
-// oldest-first eviction (measured on the benchmark's cold walk: 8 hits in
-// 11 instead of 0).
+// under that key. A /ref body has two renderers (ref.go) because it
+// answers two questions: one store at any archived version (?cluster=X on
+// a site's routes), or the current version vector of an intel.GridArchive
+// — the one /grid/at reads, or a site's own. Only a store's archived
+// versions keep more — eight, the lowest version leaving first, because a
+// scraper walking more versions than that in a cycle would miss every time
+// under oldest-first eviction (measured on the benchmark's cold walk: 8
+// hits in 11 instead of 0).
 //
 // # Degraded mode
 //
-// On a federation (ForFederation installs it as the chaos controller),
-// site-scale events reroute traffic instead of breaking it: the
-// site-scoped routes of a lost site answer 503 with a Retry-After hint,
-// federated merges exclude lost shards and carry a "degraded" marker naming
-// the survivors, and POST /chaos/inject|heal drive grid events live against
-// the running campaign. See chaos.go.
+// The federation is the gateway's chaos controller, and site-scale events
+// reroute traffic instead of breaking it: the site-scoped routes of a lost
+// site answer 503 with a Retry-After hint, merges exclude lost shards and
+// carry a "degraded" marker naming the survivors, and POST
+// /chaos/inject|heal drive grid events live against the running campaign.
+// See chaos.go.
 package gateway
 
 import (
@@ -119,25 +117,28 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/core"
+	"repro/internal/federation"
 	"repro/internal/intel"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/status"
 	"repro/internal/wire"
 )
 
-// shard is one complete campaign framework behind its own gate: the
-// monolithic one (site == "", which only ForFramework makes) or one cluster
-// micro-shard of a federation, labeled with its site and cluster.
+// shard is one cluster micro-shard of the served federation — a complete
+// campaign framework behind its own gate — labeled with its site and
+// cluster.
 type shard struct {
 	site    string
 	cluster string
 	idx     int // position in Gateway.shards (the /sites "shard" column)
 	f       *core.Framework
 
-	// sites is the shard's precomputed site topology (names, clusters,
-	// node lists, core counts) — immutable after assembly, so the /sites
-	// listing never takes the shard gate (see handleSites).
-	sites []siteTopo
+	// nodes and cores are the cluster's topology — immutable after
+	// assembly, so the /sites listing never takes the shard gate (see
+	// handleSites).
+	nodes []string
+	cores int
 
 	// sim is the shard's campaign gate (see the package comment).
 	sim sync.RWMutex
@@ -176,18 +177,16 @@ type Gateway struct {
 	mux     *http.ServeMux
 	started time.Time
 
+	// fed is the served federation: its clock is the gateway's, and its
+	// barrier engine the only thing that moves it (Advance).
+	fed    *federation.Federation
 	shards []*shard
-	// mono is the one shard of a monolithic assembly, nil on a federated
-	// one: the label decided which at assembly, and the routes whose wire
-	// shape differs between the two layouts ask this, never a shard count.
-	mono *shard
-	// sites keeps the routed site names in first-claimed (shard) order;
-	// siteShards maps a site name to the shards serving it — the
-	// monolithic shard for every site of its testbed, else one per
-	// cluster. A site's first shard is its *coordinator* (the federation
-	// files grid tickets there, and the site CI proxy targets it). siteRef
-	// holds each site's own archive and joined /sites/{site}/ref bodies.
-	// All three are built at assembly and only read afterwards.
+	// sites keeps the site names in shard order; siteShards maps a site
+	// name to the shards serving it, one per cluster. A site's first shard
+	// is its *coordinator* (the federation files grid tickets there, and the
+	// site CI proxy targets it). siteRef holds each site's own archive and
+	// joined /sites/{site}/ref bodies. All three are built at assembly and
+	// only read afterwards.
 	sites      []string
 	siteShards map[string][]*shard
 	siteRef    map[string]*siteViews
@@ -195,26 +194,18 @@ type Gateway struct {
 	// metrics is keyed by mux pattern; read-only after assembly.
 	metrics map[string]*endpointMetrics
 
-	// chaos, set on a federated assembly, drives degraded-mode routing: lost
-	// sites answer 503, merged views exclude them and carry a degraded
-	// marker, and the /chaos endpoints inject and heal grid events (see
-	// chaos.go).
+	// chaos is fed as degraded-mode routing sees it: lost sites answer 503,
+	// merged views exclude them and carry a degraded marker, and the /chaos
+	// endpoints inject and heal grid events (see chaos.go).
 	chaos ChaosController
-
-	// now reads the assembly's clock and advance moves it: Federation.Now
-	// and Federation.Advance, or the framework's clock and Framework.RunFor
-	// under the one shard's write gate.
-	now     func() simclock.Time
-	advance func(simclock.Time)
 
 	// lockHold samples how long campaign steps hold shard write locks —
 	// the advance-side half of the E16 p99 investigation (AdvanceLockStats).
 	lockHold latencyStat
 
-	// admission, set on a federated assembly (EnableAdmission), routes
-	// unanchored submissions through the grid admission layer: least-loaded
-	// placement, a bounded reservation queue and 429 load shedding (see
-	// admission.go).
+	// admission routes unanchored submissions through the grid admission
+	// layer: least-loaded placement, a bounded reservation queue and 429
+	// load shedding (see admission.go).
 	admission *admit.Controller
 
 	// Grid intelligence (internal/intel): the archive and tracker sources
@@ -229,50 +220,53 @@ type Gateway struct {
 	fedInv, fedDiff, gridAt, gridDiff, incidents, rollup, trend view
 }
 
-// assemble mounts the routes over the labeled shards (site, cluster and f
-// set by the caller). The label decides the layout: a shard without a site
-// is the monolithic one — alone, it claims every site of its testbed —
-// and a labeled shard claims its site, shards sharing one serving it
-// together in order (the first is the coordinator). The caller installs
-// the clock pair, and on a federation chaos and admission.
-func assemble(shards []*shard) *Gateway {
+// ForFederation mounts one gateway shard per federation micro-shard: each
+// cluster's OAR, Reference API store, monitor, bug tracker and CI server
+// is served behind that micro-shard's own lock, labeled with the owning
+// site; shards sharing a site serve it together in cluster order. Time has
+// one driver, the federation's barrier engine: Gateway.Advance is
+// Federation.Advance, and every micro-shard step that makes comes back
+// through the step gate below to run under the owning gateway shard's write
+// lock — so downed sites freeze all of their micro-shards, heals replay
+// catch-up ticks, and reads against shards that are not mid-step keep
+// flowing throughout.
+//
+// The federation is also the gateway's chaos controller, so grid events
+// injected via POST /chaos/inject (or a schedule) drive the degraded-mode
+// routing: lost sites answer 503, merges exclude them.
+func ForFederation(fed *federation.Federation) *Gateway {
 	g := &Gateway{
 		mux:         http.NewServeMux(),
 		started:     time.Now(),
-		shards:      shards,
+		fed:         fed,
+		chaos:       fed,
 		metrics:     map[string]*endpointMetrics{},
 		siteShards:  map[string][]*shard{},
 		siteRef:     map[string]*siteViews{},
 		reliability: &intel.TrendStore{},
 	}
 	// The grid intelligence sources: every archived store and every
-	// tracker, each behind its own shard's read gate, labeled like the
-	// rollup views label shards (the monolithic shard reads as "local").
+	// tracker, each behind its own shard's read gate and under its site's
+	// label.
 	var arcs []intel.SiteArchive
 	siteArcs := map[string][]intel.SiteArchive{}
-	for i, s := range shards {
-		s.idx = i
+	for i, sh := range fed.Shards() {
+		s := &shard{site: sh.Site, cluster: sh.Cluster, idx: i, f: sh.F}
 		s.inv.bound = archivedBodies
 		s.statusClient = status.NewLocalClient(s.f.CI.Handler())
-		s.sites = siteTopology(s.f.TB)
-		label, claims := s.site, []string{s.site}
-		if s.site == "" {
-			if len(shards) > 1 {
-				panic("gateway: a shard without a site label beside others")
-			}
-			g.mono = s
-			label, claims = "local", s.f.TB.SiteNames()
+		for _, n := range s.f.TB.Nodes() {
+			s.nodes = append(s.nodes, n.Name)
 		}
-		arc := intel.SiteArchive{Site: label, Cluster: s.cluster, Ref: s.f.Ref, Gate: s.rlocked}
+		s.cores = s.f.TB.Cluster(s.cluster).Cores()
+		g.shards = append(g.shards, s)
+		arc := intel.SiteArchive{Site: s.site, Cluster: s.cluster, Ref: s.f.Ref, Gate: s.rlocked}
 		arcs = append(arcs, arc)
-		g.trackers = append(g.trackers, intel.SiteTracker{Site: label, Bugs: s.f.Bugs, Gate: s.rlocked})
-		for _, site := range claims {
-			if len(g.siteShards[site]) == 0 {
-				g.sites = append(g.sites, site)
-			}
-			g.siteShards[site] = append(g.siteShards[site], s)
-			siteArcs[site] = append(siteArcs[site], arc)
+		g.trackers = append(g.trackers, intel.SiteTracker{Site: s.site, Bugs: s.f.Bugs, Gate: s.rlocked})
+		if len(g.siteShards[s.site]) == 0 {
+			g.sites = append(g.sites, s.site)
 		}
+		g.siteShards[s.site] = append(g.siteShards[s.site], s)
+		siteArcs[s.site] = append(siteArcs[s.site], arc)
 	}
 	g.archive = intel.NewGridArchive(arcs)
 	for _, site := range g.sites {
@@ -302,17 +296,18 @@ func assemble(shards []*shard) *Gateway {
 	g.handle("/status/trend", http.MethodGet, g.handleStatusTrend)
 	g.handle("/metrics", http.MethodGet, g.handleMetrics)
 	g.handle("/ci/", "", g.handleCIProxy)
-	return g
-}
 
-// ForFramework is the one-call assembly over a complete monolithic
-// campaign; Advance runs it forward under the single shard's write gate.
-func ForFramework(f *core.Framework) *Gateway {
-	g := assemble([]*shard{{f: f}})
-	g.now = f.Clock.Now
-	g.advance = func(d simclock.Time) {
-		g.mono.step(&g.lockHold, func() { f.RunFor(d) })
-	}
+	fed.SetStepGate(func(site, cluster string, step func()) {
+		g.shardFor(site, cluster).step(&g.lockHold, step)
+	})
+	// Grid admission: unanchored submissions route to the least-loaded live
+	// site or queue against freed capacity; the federation's grid listener
+	// pumps the queue on every advance and chaos transition so a site outage
+	// fails queued reservations fast. The grid-wide peak policy defers
+	// whole-cluster demands during working hours.
+	policy := sched.DefaultGridPolicy()
+	g.EnableAdmission(admit.Config{Now: fed.Now, Policy: &policy})
+	fed.SetGridListener(g.pumpAdmission)
 	return g
 }
 
@@ -321,10 +316,10 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// Advance steps the served campaign by d of simulated time through the
-// driver the constructor installed (see the package comment); requests
-// against a shard that is not mid-step proceed throughout.
-func (g *Gateway) Advance(d simclock.Time) { g.advance(d) }
+// Advance steps the served campaign by d of simulated time — it is
+// Federation.Advance, which fires the grid listener (the admission pump) on
+// return; requests against a shard that is not mid-step proceed throughout.
+func (g *Gateway) Advance(d simclock.Time) { g.fed.Advance(d) }
 
 // shardFor returns the site's shard carrying the given cluster label, or
 // nil.
@@ -361,16 +356,6 @@ func (g *Gateway) shardForCluster(name string) *shard {
 	return best
 }
 
-// shardForNode finds the shard whose testbed owns the named node.
-func (g *Gateway) shardForNode(name string) *shard {
-	for _, s := range g.shards {
-		if s.f.TB.Node(name) != nil {
-			return s
-		}
-	}
-	return nil
-}
-
 // handle registers an instrumented endpoint. allow is the accepted method
 // ("" lets the wrapped handler enforce methods itself, used by the CI
 // proxy and the /sites/ subtree).
@@ -395,17 +380,11 @@ func (g *Gateway) handle(pattern, allow string, fn http.HandlerFunc) {
 	})
 }
 
-// handleCIProxy forwards /ci/... to the monolithic shard's CI REST API
-// under its read gate. A federation has one CI server per cluster; their
-// trees live under /sites/{site}/ci/.
+// handleCIProxy answers the unscoped /ci/...: there is one CI server per
+// cluster, and their trees live under /sites/{site}/ci/.
 func (g *Gateway) handleCIProxy(w http.ResponseWriter, r *http.Request) {
-	if g.mono == nil {
-		httpError(w, http.StatusMisdirectedRequest,
-			"federated gateway: use /sites/{site}/ci/...")
-		return
-	}
-	proxy := http.StripPrefix("/ci", g.mono.f.CI.Handler())
-	g.mono.rlocked(func() { proxy.ServeHTTP(w, r) })
+	httpError(w, http.StatusMisdirectedRequest,
+		"federated gateway: use /sites/{site}/ci/...")
 }
 
 // ---- instrumentation --------------------------------------------------------
@@ -534,17 +513,13 @@ type MetricsReport struct {
 
 // Metrics snapshots the gateway's counters (what GET /metrics serves).
 func (g *Gateway) Metrics() MetricsReport {
+	admission := g.admission.Stats()
 	rep := MetricsReport{
 		UptimeSec: time.Since(g.started).Seconds(),
-		SimNowSec: g.now().Seconds(),
+		SimNowSec: g.fed.Now().Seconds(),
+		Shards:    len(g.shards),
+		Admission: &admission,
 		Endpoints: make(map[string]EndpointMetrics, len(g.metrics)),
-	}
-	if g.mono == nil {
-		rep.Shards = len(g.shards)
-	}
-	if g.admission != nil {
-		st := g.admission.Stats()
-		rep.Admission = &st
 	}
 	for pattern, m := range g.metrics {
 		em := EndpointMetrics{Errors: m.errors.Load(), NotModified: m.notModified.Load()}
@@ -592,10 +567,4 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 
 func httpError(w http.ResponseWriter, code int, msg string) {
 	http.Error(w, msg, code)
-}
-
-// notConfigured answers for the federation-only endpoints (/chaos*,
-// /admit/queue) on a monolithic gateway.
-func notConfigured(w http.ResponseWriter, what string) {
-	httpError(w, http.StatusServiceUnavailable, what+" not configured")
 }

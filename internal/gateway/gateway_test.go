@@ -10,26 +10,18 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/federation"
 	"repro/internal/inproc"
 	"repro/internal/simclock"
 )
 
-// newCampaign builds a framework, runs it for d of simulated time and
-// returns it with a gateway in front. The environments matrix is disabled:
-// these tests exercise the serving layer, not the 448-cell job.
-func newCampaign(t testing.TB, seed int64, faults int, d simclock.Time) (*core.Framework, *Gateway) {
-	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.InitialFaults = faults
-	cfg.EnvMatrixPeriod = 0
-	f := core.New(cfg)
-	f.Start()
-	f.RunFor(d)
-	return f, ForFramework(f)
+// storePath is the single-store form of a /sites/{site}/ref route: the
+// shard's own archive, addressed through ?cluster=.
+func storePath(sh *federation.Shard, route string) string {
+	return "/sites/" + sh.Site + "/ref/" + route + "?cluster=" + sh.Cluster
 }
 
 func get(t *testing.T, c *http.Client, path string) (*http.Response, []byte) {
@@ -55,8 +47,11 @@ func decode[T any](t *testing.T, body []byte) T {
 	return v
 }
 
+// TestEndpoints walks the read routes once (the merged lists, the status
+// views and the scoped CI tree have their own tests in federated_test.go)
+// and checks that /metrics counted the walk.
 func TestEndpoints(t *testing.T) {
-	f, gw := newCampaign(t, 7, 8, 2*simclock.Day)
+	fed, gw := newFederatedCampaign(t, 2*simclock.Day)
 	c := inproc.Client(gw)
 
 	resp, body := get(t, c, "/")
@@ -75,19 +70,15 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("resources status = %d", resp.StatusCode)
 	}
 	res := decode[OARResourcesJSON](t, body)
-	if len(res.Nodes) != f.TB.TotalNodes() {
-		t.Fatalf("resources lists %d of %d nodes", len(res.Nodes), f.TB.TotalNodes())
-	}
 	total := 0
 	for _, n := range res.Summary {
 		total += n
 	}
-	if total != len(res.Nodes) {
+	if total == 0 || total != len(res.Nodes) {
 		t.Fatalf("summary counts %d, nodes %d", total, len(res.Nodes))
 	}
 
-	cluster := f.TB.Clusters()[0].Name
-	resp, body = get(t, c, "/oar/resources?cluster="+cluster)
+	resp, body = get(t, c, "/oar/resources?cluster="+fed.Shards()[0].Cluster)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cluster resources status = %d", resp.StatusCode)
 	}
@@ -99,63 +90,13 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("unknown cluster status = %d", resp.StatusCode)
 	}
 
-	resp, body = get(t, c, "/oar/jobs?limit=10")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("jobs status = %d", resp.StatusCode)
-	}
-	jobs := decode[OARJobsJSON](t, body)
-	if jobs.Submitted == 0 || len(jobs.Jobs) == 0 || len(jobs.Jobs) > 10 {
-		t.Fatalf("jobs = %d listed of %d submitted", len(jobs.Jobs), jobs.Submitted)
-	}
-	// Newest first.
-	for i := 1; i < len(jobs.Jobs); i++ {
-		if jobs.Jobs[i].ID >= jobs.Jobs[i-1].ID {
-			t.Fatalf("jobs not newest-first: %d then %d", jobs.Jobs[i-1].ID, jobs.Jobs[i].ID)
-		}
-	}
-
-	resp, body = get(t, c, "/bugs?state=all")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bugs status = %d", resp.StatusCode)
-	}
-	bl := decode[BugsJSON](t, body)
-	if bl.Filed == 0 || len(bl.Bugs) != bl.Filed {
-		t.Fatalf("bugs = %d listed, %d filed", len(bl.Bugs), bl.Filed)
-	}
 	if resp, _ := get(t, c, "/bugs?state=weird"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad bug state status = %d", resp.StatusCode)
 	}
-
-	resp, body = get(t, c, "/status/grid")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("grid status = %d", resp.StatusCode)
-	}
-	grid := decode[GridJSON](t, body)
-	if len(grid.Families) == 0 || len(grid.Targets) == 0 {
-		t.Fatalf("empty grid: %d families, %d targets", len(grid.Families), len(grid.Targets))
-	}
-
-	resp, body = get(t, c, "/status/trend")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trend status = %d", resp.StatusCode)
-	}
-	trend := decode[TrendJSON](t, body)
-	if len(trend.Points) == 0 {
-		t.Fatal("empty trend")
-	}
-
-	// The CI API proxied under /ci/.
-	resp, body = get(t, c, "/ci/api/json")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ci proxy status = %d", resp.StatusCode)
-	}
-	ciRoot := decode[struct {
-		Jobs []struct {
-			Name string `json:"name"`
-		} `json:"jobs"`
-	}](t, body)
-	if len(ciRoot.Jobs) == 0 {
-		t.Fatal("ci proxy lists no jobs")
+	for _, path := range []string{"/oar/jobs?limit=10", "/bugs?state=all", "/status/grid", "/status/trend", "/chaos", "/admit/queue"} {
+		if resp, _ := get(t, c, path); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s status = %d", path, resp.StatusCode)
+		}
 	}
 
 	// Metrics reflect everything above.
@@ -170,13 +111,13 @@ func TestEndpoints(t *testing.T) {
 	if m.Endpoints["/bugs"].Errors != 1 {
 		t.Fatalf("bugs error counter = %d, want 1", m.Endpoints["/bugs"].Errors)
 	}
-	if m.Requests == 0 || m.SimNowSec == 0 {
+	if m.Requests == 0 || m.SimNowSec == 0 || m.Shards != len(fed.Shards()) || m.Admission == nil {
 		t.Fatalf("metrics totals off: %+v", m)
 	}
 }
 
 func TestMethodAndPathErrors(t *testing.T) {
-	_, gw := newCampaign(t, 7, 0, simclock.Hour)
+	_, gw := newFederatedCampaign(t, simclock.Hour)
 	c := inproc.Client(gw)
 
 	resp, err := c.Post("http://gw.local/ref/inventory", "application/json", strings.NewReader("{}"))
@@ -215,11 +156,15 @@ func TestMethodAndPathErrors(t *testing.T) {
 	}
 }
 
+// TestInventoryETag: one store's inventory, through ?cluster=, is keyed by
+// the store's version alone.
 func TestInventoryETag(t *testing.T) {
-	f, gw := newCampaign(t, 11, 0, simclock.Hour)
+	fed, gw := newFederatedCampaign(t, simclock.Hour)
 	c := inproc.Client(gw)
+	sh := fed.Shards()[0]
+	f, path := sh.F, storePath(sh, "inventory")
 
-	resp, body := get(t, c, "/ref/inventory")
+	resp, body := get(t, c, path)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -237,13 +182,7 @@ func TestInventoryETag(t *testing.T) {
 	// Conditional re-reads take the 304 path and never re-materialize.
 	mats := f.Ref.Materializations()
 	for i := 0; i < 50; i++ {
-		req, _ := http.NewRequest(http.MethodGet, "http://gw.local/ref/inventory", nil)
-		req.Header.Set("If-None-Match", etag)
-		resp, err := c.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		resp := getConditional(t, c, path, etag)
 		if resp.StatusCode != http.StatusNotModified {
 			t.Fatalf("conditional read %d: status = %d, want 304", i, resp.StatusCode)
 		}
@@ -258,7 +197,7 @@ func TestInventoryETag(t *testing.T) {
 	// Unconditional hot reads serve the cached body: still no new
 	// materializations.
 	for i := 0; i < 10; i++ {
-		if resp, _ := get(t, c, "/ref/inventory"); resp.StatusCode != http.StatusOK {
+		if resp, _ := get(t, c, path); resp.StatusCode != http.StatusOK {
 			t.Fatalf("hot read status = %d", resp.StatusCode)
 		}
 	}
@@ -274,14 +213,7 @@ func TestInventoryETag(t *testing.T) {
 	if err := f.Ref.Update(f.Clock.Now(), node.Name, inv); err != nil {
 		t.Fatal(err)
 	}
-	req, _ := http.NewRequest(http.MethodGet, "http://gw.local/ref/inventory", nil)
-	req.Header.Set("If-None-Match", etag)
-	resp2, err := c.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body) //nolint:errcheck
-	resp2.Body.Close()
+	resp2 := getConditional(t, c, path, etag)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-update conditional status = %d, want 200", resp2.StatusCode)
 	}
@@ -290,7 +222,7 @@ func TestInventoryETag(t *testing.T) {
 	}
 
 	// Archived versions stay addressable and cacheable.
-	resp, body = get(t, c, "/ref/inventory?version=1")
+	resp, body = get(t, c, path+"&version=1")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("archived status = %d", resp.StatusCode)
 	}
@@ -302,10 +234,10 @@ func TestInventoryETag(t *testing.T) {
 	if cc := resp.Header.Get("Cache-Control"); !strings.Contains(cc, "max-age") {
 		t.Fatalf("archived Cache-Control = %q", cc)
 	}
-	if resp, _ := get(t, c, "/ref/inventory?version=99999"); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := get(t, c, path+"&version=99999"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("future version status = %d, want 404", resp.StatusCode)
 	}
-	if resp, _ := get(t, c, "/ref/inventory?version=bogus"); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := get(t, c, path+"&version=bogus"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus version status = %d, want 400", resp.StatusCode)
 	}
 }
@@ -314,9 +246,10 @@ func TestInventoryETag(t *testing.T) {
 // NaN slides past ordering checks and would otherwise surface as a
 // body that does not encode, which answers 500.
 func TestNonFiniteParams(t *testing.T) {
-	f, gw := newCampaign(t, 37, 0, simclock.Hour)
+	fed, gw := newFederatedCampaign(t, simclock.Hour)
 	c := inproc.Client(gw)
-	node := f.TB.Nodes()[0].Name
+	sh := fed.Shards()[0]
+	node := sh.F.TB.Nodes()[0].Name
 	for _, path := range []string{
 		"/status/trend?bucket_sec=NaN",
 		"/status/trend?bucket_sec=+Inf",
@@ -336,7 +269,7 @@ func TestNonFiniteParams(t *testing.T) {
 		"/grid/at?t=10000000000",
 		"/grid/at?t=1e300",
 		"/grid/diff?from=0&to=1e300",
-		"/ref/inventory?at=1e300",
+		storePath(sh, "inventory") + "&at=1e300",
 		"/incidents?at=1e300",
 		"/monitor/metrics?node=" + node + "&from_sec=3590&to_sec=1e300",
 	} {
@@ -350,7 +283,7 @@ func TestNonFiniteParams(t *testing.T) {
 // the same, the endpoint answers 500 and counts an error — not its own
 // status with nothing after it.
 func TestUnencodableBodyAnswers500(t *testing.T) {
-	_, gw := newCampaign(t, 1, 0, 0)
+	_, gw := newFederatedCampaign(t, 0)
 	gw.handle("/nan", http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		writeJSONStatus(w, http.StatusCreated, TrendJSON{BucketSec: math.NaN()})
 	})
@@ -366,10 +299,15 @@ func TestUnencodableBodyAnswers500(t *testing.T) {
 	}
 }
 
+// TestRefDiff: one store's diff, through ?cluster=, defaults to its latest
+// step and takes any archived range.
 func TestRefDiff(t *testing.T) {
-	f, gw := newCampaign(t, 13, 0, simclock.Hour)
+	fed, gw := newFederatedCampaign(t, simclock.Hour)
 	c := inproc.Client(gw)
+	sh := fed.Shards()[0]
+	f, path := sh.F, storePath(sh, "diff")
 
+	before := f.Ref.VersionCount()
 	node := f.TB.Nodes()[3]
 	inv := node.Inv.Clone()
 	inv.RAMGB /= 2
@@ -377,60 +315,44 @@ func TestRefDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, body := get(t, c, "/ref/diff")
+	resp, body := get(t, c, path)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("diff status = %d", resp.StatusCode)
 	}
 	diff := decode[RefDiffJSON](t, body)
-	if diff.From != 1 || diff.To != 2 || diff.Count != 1 {
-		t.Fatalf("diff = %d..%d with %d differences", diff.From, diff.To, diff.Count)
+	if diff.From != before || diff.To != before+1 || diff.Count != 1 {
+		t.Fatalf("diff = %d..%d with %d differences, want %d..%d with 1", diff.From, diff.To, diff.Count, before, before+1)
 	}
 	if diff.Differences[0].Node != node.Name || diff.Differences[0].Field != "ram_gb" {
 		t.Fatalf("difference = %+v", diff.Differences[0])
 	}
-
-	etag := resp.Header.Get("ETag")
-	req, _ := http.NewRequest(http.MethodGet, "http://gw.local/ref/diff", nil)
-	req.Header.Set("If-None-Match", etag)
-	resp2, err := c.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotModified {
+	if resp2 := getConditional(t, c, path, resp.Header.Get("ETag")); resp2.StatusCode != http.StatusNotModified {
 		t.Fatalf("conditional diff status = %d, want 304", resp2.StatusCode)
 	}
 
 	// Identical endpoints diff to zero differences.
-	resp, body = get(t, c, "/ref/diff?from=1&to=1")
+	resp, body = get(t, c, path+"&from=1&to=1")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("self diff status = %d", resp.StatusCode)
 	}
 	if d := decode[RefDiffJSON](t, body); d.Count != 0 {
 		t.Fatalf("self diff count = %d", d.Count)
 	}
-	if resp, _ := get(t, c, "/ref/diff?from=2&to=1"); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := get(t, c, path+"&from=2&to=1"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("inverted diff status = %d, want 400", resp.StatusCode)
 	}
-	if resp, _ := get(t, c, "/ref/diff?to=99"); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := get(t, c, path+"&to=99999"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("out-of-range diff status = %d, want 404", resp.StatusCode)
 	}
 }
 
 func TestSubmit(t *testing.T) {
-	f, gw := newCampaign(t, 17, 0, simclock.Hour)
+	fed, gw := newFederatedCampaign(t, simclock.Hour)
 	c := inproc.Client(gw)
-	cluster := f.TB.Clusters()[0].Name
-
+	cluster := fed.Shards()[0].Cluster
 	post := func(body string) (*http.Response, []byte) {
 		t.Helper()
-		resp, err := c.Post("http://gw.local/oar/submit", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp, b
+		return postJSON(t, c, "/oar/submit", body)
 	}
 
 	resp, body := post(fmt.Sprintf(`{"request":"cluster='%s'/nodes=2,walltime=1","dry_run":true}`, cluster))
@@ -466,9 +388,9 @@ func TestSubmit(t *testing.T) {
 }
 
 func TestMonitorEndpoint(t *testing.T) {
-	f, gw := newCampaign(t, 19, 0, simclock.Hour)
+	fed, gw := newFederatedCampaign(t, simclock.Hour)
 	c := inproc.Client(gw)
-	node := f.TB.Nodes()[0].Name
+	node := fed.Shards()[0].F.TB.Nodes()[0].Name
 
 	resp, body := get(t, c, "/monitor/metrics?metric=cpu_load&node="+node+"&from_sec=0&to_sec=60")
 	if resp.StatusCode != http.StatusOK {
@@ -500,9 +422,8 @@ func TestMonitorEndpoint(t *testing.T) {
 
 	// On a campaign younger than the default 60 s window, the default
 	// from clamps to the epoch instead of rejecting the request.
-	fy, gwy := newCampaign(t, 19, 0, 10*simclock.Second)
-	cy := inproc.Client(gwy)
-	resp, body = get(t, cy, "/monitor/metrics?metric=cpu_load&node="+fy.TB.Nodes()[0].Name)
+	_, gwy := newFederatedCampaign(t, 10*simclock.Second)
+	resp, body = get(t, inproc.Client(gwy), "/monitor/metrics?metric=cpu_load&node="+node)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("young-campaign default window status = %d: %s", resp.StatusCode, body)
 	}
@@ -511,25 +432,32 @@ func TestMonitorEndpoint(t *testing.T) {
 	}
 }
 
-// TestInventoryETagUnderChurn drives conditional reads from several client
-// goroutines while the Reference API archives new versions underneath
-// them. Every response must be coherent: a 304 confirms the exact ETag the
-// client sent, and a 200's body version must match the ETag it carries.
+// TestInventoryETagUnderChurn drives conditional reads of one store from
+// several client goroutines while the Reference API archives new versions
+// underneath them. Every response must be coherent: a 304 confirms the exact
+// ETag the client sent, and a 200's body version must match the ETag it
+// carries. Half the readers ask by ?at=<far future> — the latest version by
+// another door, which a version archived mid-request must never turn into
+// a 404.
 func TestInventoryETagUnderChurn(t *testing.T) {
-	f, gw := newCampaign(t, 23, 0, simclock.Hour)
+	fed, gw := newFederatedCampaign(t, simclock.Hour)
 	c := inproc.Client(gw)
-	nodes := f.TB.Nodes()
+	sh := fed.Shards()[0]
+	f, nodes := sh.F, sh.F.TB.Nodes()
+	before := f.Ref.VersionCount()
 
 	const (
 		readers = 4
-		updates = 300
+		updates = 300 // at least; the churn lasts as long as the readers do
 		reads   = 150
 	)
 	var writer sync.WaitGroup
+	var readersDone atomic.Bool
+	archived := 0
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
-		for u := 0; u < updates; u++ {
+		for u := 0; u < updates || !readersDone.Load(); u++ {
 			n := nodes[(u*131)%len(nodes)]
 			inv := n.Inv.Clone()
 			inv.RAMGB = 8 + u%64
@@ -537,67 +465,74 @@ func TestInventoryETagUnderChurn(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			archived++
 			// Yield so readers interleave with the churn even on one core.
 			runtime.Gosched()
 		}
 	}()
 
 	var clients sync.WaitGroup
-	for w := 0; w < readers; w++ {
-		clients.Add(1)
-		go func() {
-			defer clients.Done()
-			etag := ""
-			hits200 := 0
-			for i := 0; i < reads; i++ {
-				req, _ := http.NewRequest(http.MethodGet, "http://gw.local/ref/inventory", nil)
-				if etag != "" {
-					req.Header.Set("If-None-Match", etag)
+	read := func(path string) {
+		defer clients.Done()
+		etag := ""
+		hits200 := 0
+		for i := 0; i < reads; i++ {
+			req, _ := http.NewRequest(http.MethodGet, "http://gw.local"+path, nil)
+			if etag != "" {
+				req.Header.Set("If-None-Match", etag)
+			}
+			resp, err := c.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			switch resp.StatusCode {
+			case http.StatusNotModified:
+				if got := resp.Header.Get("ETag"); got != etag {
+					t.Errorf("304 with ETag %q after sending %q", got, etag)
 				}
-				resp, err := c.Do(req)
-				if err != nil {
-					t.Error(err)
+				resp.Body.Close()
+			case http.StatusOK:
+				hits200++
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				var snap struct {
+					Version int `json:"version"`
+				}
+				if err := json.Unmarshal(body, &snap); err != nil {
+					t.Errorf("bad body: %v", err)
 					return
 				}
-				switch resp.StatusCode {
-				case http.StatusNotModified:
-					if got := resp.Header.Get("ETag"); got != etag {
-						t.Errorf("304 with ETag %q after sending %q", got, etag)
-					}
-					resp.Body.Close()
-				case http.StatusOK:
-					hits200++
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					var snap struct {
-						Version int `json:"version"`
-					}
-					if err := json.Unmarshal(body, &snap); err != nil {
-						t.Errorf("bad body: %v", err)
-						return
-					}
-					etag = resp.Header.Get("ETag")
-					if want := fmt.Sprintf(`"v%d"`, snap.Version); etag != want {
-						t.Errorf("body version %d vs ETag %s", snap.Version, etag)
-						return
-					}
-				default:
-					t.Errorf("status = %d", resp.StatusCode)
-					resp.Body.Close()
+				etag = resp.Header.Get("ETag")
+				if want := fmt.Sprintf(`"v%d"`, snap.Version); etag != want {
+					t.Errorf("body version %d vs ETag %s", snap.Version, etag)
 					return
 				}
+			default:
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				t.Errorf("GET %s: status = %d: %s", path, resp.StatusCode, body)
+				return
 			}
-			// The first read is unconditional, so every reader sees at
-			// least one full body.
-			if hits200 == 0 {
-				t.Error("reader saw no 200 at all")
-			}
-		}()
+		}
+		// The first read is unconditional, so every reader sees at
+		// least one full body.
+		if hits200 == 0 {
+			t.Error("reader saw no 200 at all")
+		}
 	}
-	writer.Wait()
+	clients.Add(2 * readers)
+	for w := 0; w < readers; w++ {
+		go read(storePath(sh, "inventory"))
+	}
+	for w := 0; w < readers; w++ {
+		go read(storePath(sh, "inventory") + "&at=1e300")
+	}
 	clients.Wait()
-	if got := f.Ref.VersionCount(); got != updates+1 {
-		t.Fatalf("versions = %d, want %d", got, updates+1)
+	readersDone.Store(true)
+	writer.Wait()
+	if got := f.Ref.VersionCount(); got != before+archived {
+		t.Fatalf("versions = %d, want %d", got, before+archived)
 	}
 }
 
@@ -606,28 +541,32 @@ func TestInventoryETagUnderChurn(t *testing.T) {
 // Gateway.Advance — the live-serving mode of cmd/g5kapi. Run with -race;
 // CI does (GATEWAY_STRESS=1 scales it up).
 func TestStress(t *testing.T) {
-	f, gw := newCampaign(t, 29, 5, simclock.Day)
+	fed, gw := newFederatedCampaign(t, simclock.Day)
 	clients, iters := 4, 30
 	if os.Getenv("GATEWAY_STRESS") != "" {
 		clients, iters = 16, 60
 	}
-	cluster := f.TB.Clusters()[1].Name
-	node := f.TB.Nodes()[0].Name
+	sh := fed.Shards()[1]
+	cluster := sh.Cluster
+	node := fed.Shards()[0].F.TB.Nodes()[0].Name
 	paths := []string{
 		"/oar/resources?cluster=" + cluster,
 		"/oar/jobs?limit=20",
 		"/ref/inventory",
 		"/ref/diff",
+		storePath(sh, "inventory"),
+		storePath(sh, "inventory") + "&at=1e300",
+		storePath(sh, "diff"),
 		"/bugs",
 		"/status/grid",
 		"/status/trend",
 		"/monitor/metrics?metric=cpu_load&node=" + node + "&from_sec=0&to_sec=30",
-		"/ci/api/json",
+		"/sites/" + sh.Site + "/ci/api/json",
 		"/metrics",
-		// The gate-free federation layout and a site-narrowed view, racing
+		// The gate-free federation layout and a site's merged view, racing
 		// the node-state flips of the advancing campaign.
 		"/sites",
-		"/sites/nancy/oar/resources",
+		"/sites/nantes/oar/resources",
 	}
 
 	done := make(chan struct{})

@@ -28,9 +28,9 @@ var updateWireGolden = flag.Bool("update-wire-golden", false, "rewrite testdata/
 // wireRecord is what a client can observe of one request: the status, the
 // validator, how long the answer may be cached, when to come back and the
 // exact bytes (as their SHA-256). Path carries the fixture and grid state it
-// was asked in as a prefix ("degraded:", "healed:", "mono:", "ci:", "post:",
-// "mono-post:"); the healthy federated grid has none. A request that is not
-// a bare GET reads "METHOD path body".
+// was asked in as a prefix ("degraded:", "healed:", "ci:", "post:"); the
+// healthy grid has none. A request that is not a bare GET reads "METHOD
+// path body".
 type wireRecord struct {
 	Path         string `json:"path"`
 	Status       int    `json:"status"`
@@ -67,27 +67,6 @@ func wireFixture(t *testing.T) (fed *federation.Federation, gw *Gateway, ciHandl
 	})
 	server := fed.Shards()[0].F.CI
 	return fed, gw, server.Handler(), server.JobNames()[0]
-}
-
-// monoWireFixture is the monolithic layout (ForFramework) of the same
-// contract: a one-day seed-31 campaign whose store is re-described once. It
-// replays the whole route list — the single-store forms the federated
-// fixture reaches through ?cluster= answer here on the bare paths, the
-// site-scoped ones narrow the one shard — after two single-store forms the
-// list does not carry.
-func monoWireFixture(t *testing.T) (*Gateway, []string) {
-	t.Helper()
-	f, gw := newCampaign(t, 31, 4, simclock.Day)
-	n := f.TB.Nodes()[0]
-	inv := n.Inv.Clone()
-	inv.RAMGB += 8
-	if err := f.Ref.Update(f.Clock.Now(), n.Name, inv); err != nil {
-		t.Fatal(err)
-	}
-	return gw, append([]string{
-		"/ref/inventory?at=3600",
-		"/ref/diff?from=1&to=1",
-	}, wirePaths(gw)...)
 }
 
 // wireNames picks what the request lists are written against: the first
@@ -171,8 +150,8 @@ type wireRequest struct {
 // admission layer's case — and, site-scoped, an anchor elsewhere), a grid
 // event injected, submissions to the site it took out, the heal, and the
 // bodies and methods refused before any handler runs. It runs after every
-// GET table of its fixture: the real submissions and the event change what
-// the GETs would read.
+// GET table: the real submissions and the event change what the GETs would
+// read.
 func wirePosts(gw *Gateway) []wireRequest {
 	site, cluster, _, otherSite, otherCluster := wireNames(gw)
 	var out []wireRequest
@@ -240,11 +219,10 @@ func recordWire(t *testing.T, c *http.Client, wr wireRequest, hashBody bool) wir
 }
 
 // TestWireGolden pins what every route puts on the wire — status, ETag,
-// Cache-Control, Retry-After and body bytes — for a fixed-seed federated
-// static gateway (healthy, then with its last site lost to an outage, then
-// healed), for a monolithic one, for one shard's CI REST handler, and last
-// for what both gateways answer to POSTs. How bodies are rendered may
-// change; these may not.
+// Cache-Control, Retry-After and body bytes — for a fixed-seed static
+// gateway (healthy, then with its last site lost to an outage, then
+// healed), for one shard's CI REST handler, and last for what the gateway
+// answers to POSTs. How bodies are rendered may change; these may not.
 func TestWireGolden(t *testing.T) {
 	fed, gw, ciHandler, ciJob := wireFixture(t)
 	var got []wireRecord
@@ -274,11 +252,8 @@ func TestWireGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay(gw, "healed:", paths)
-	mono, monoPaths := monoWireFixture(t)
-	replay(mono, "mono:", gets(monoPaths))
 	replay(ciHandler, "ci:", gets([]string{"/api/json", "/job/" + ciJob + "/api/json", "/job/" + ciJob + "/1/api/json", "/job/nope/api/json"}))
 	replay(gw, "post:", wirePosts(gw))
-	replay(mono, "mono-post:", wirePosts(mono))
 
 	file := filepath.Join("testdata", "wire_golden.json")
 	if *updateWireGolden {

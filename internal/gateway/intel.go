@@ -59,8 +59,7 @@ func allZero(vec []intel.SiteVersion) bool {
 // ---- GET /grid/at -----------------------------------------------------------
 
 // GridSiteJSON is one store's slice of a GET /grid/at answer: one cluster
-// micro-shard of a site, or the monolithic store (site "local", Cluster
-// empty).
+// micro-shard of a site.
 type GridSiteJSON struct {
 	Site       string           `json:"site"`
 	Cluster    string           `json:"cluster,omitempty"`

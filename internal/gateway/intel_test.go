@@ -21,33 +21,34 @@ import (
 	"repro/internal/simclock"
 )
 
-// newIntelGateway assembles a two-shard gateway — one cluster micro-shard
-// each of "luxembourg" and "nantes", frameworks that never start — whose
-// stores and trackers are swapped for hand-built ones, so every archived
-// version, sim-time and tracker mutation is exact. luxembourg captures at
-// 10h and updates one node's RAM at 20h, its tracker's clock reads 1h;
-// nantes captures at 15h, its tracker's clock reads 2h.
+// newIntelGateway fronts a two-shard federation that never starts — one
+// cluster micro-shard each of "luxembourg" and "nantes" — whose stores and
+// trackers are swapped for hand-built ones before assembly, so every
+// archived version, sim-time and tracker mutation is exact. luxembourg
+// captures at 10h and updates one node's RAM at 20h, its tracker's clock
+// reads 1h; nantes captures at 15h, its tracker's clock reads 2h.
 func newIntelGateway(t *testing.T) (*Gateway, *refapi.Store, *refapi.Store, *bugs.Tracker, *bugs.Tracker) {
 	t.Helper()
-	micro := func(site string, captured, trackerNow simclock.Time) *shard {
-		cfg := core.DefaultConfig()
-		cfg.Spec = fedSpec(site)[:1]
-		f := core.New(cfg)
+	fed := federation.New(federation.Config{
+		Spec: append(fedSpec("luxembourg")[:1:1], fedSpec("nantes")[0]),
+	})
+	micro := func(site string, captured, trackerNow simclock.Time) *core.Framework {
+		f := fed.Shard(site).F
 		f.Ref = refapi.NewStore(f.TB, captured)
 		clk := simclock.New(1)
 		clk.RunUntil(trackerNow)
 		f.Bugs = bugs.NewTracker(clk)
-		return &shard{site: site, cluster: cfg.Spec[0].Name, f: f}
+		return f
 	}
 	a := micro("luxembourg", 10*simclock.Hour, simclock.Hour)
 	b := micro("nantes", 15*simclock.Hour, 2*simclock.Hour)
-	node := a.f.TB.Nodes()[0]
+	node := a.TB.Nodes()[0]
 	inv := node.Inv.Clone()
 	inv.RAMGB += 8
-	if err := a.f.Ref.Update(20*simclock.Hour, node.Name, inv); err != nil {
+	if err := a.Ref.Update(20*simclock.Hour, node.Name, inv); err != nil {
 		t.Fatal(err)
 	}
-	return assemble([]*shard{a, b}), a.f.Ref, b.f.Ref, a.f.Bugs, b.f.Bugs
+	return ForFederation(fed), a.Ref, b.Ref, a.Bugs, b.Bugs
 }
 
 func getConditional(t *testing.T, c *http.Client, path, etag string) *http.Response {
@@ -358,14 +359,15 @@ func TestReliabilityTrendEndpoint(t *testing.T) {
 	}
 }
 
-// TestShardInventoryAt is the ?at= satellite: site-scoped (and
-// single-shard) inventory reads resolve a sim-time to the version that was
-// current then, sharing the version's ETag and cache identity.
+// TestShardInventoryAt is the ?at= satellite: one store's inventory reads
+// resolve a sim-time to the version that was current then, sharing the
+// version's ETag and cache identity.
 func TestShardInventoryAt(t *testing.T) {
 	gw, stA, _, _, _ := newIntelGateway(t)
 	c := inproc.Client(gw)
+	inventory := "/sites/luxembourg/ref/inventory?cluster=" + gw.shards[0].cluster
 
-	resp, body := get(t, c, "/sites/luxembourg/ref/inventory?at=43200")
+	resp, body := get(t, c, inventory+"&at=43200")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("?at=12h status = %d", resp.StatusCode)
 	}
@@ -381,27 +383,27 @@ func TestShardInventoryAt(t *testing.T) {
 		t.Fatalf("?at=12h version = %d, want 1", v.Version)
 	}
 
-	resp, _ = get(t, c, "/sites/luxembourg/ref/inventory?at=90000")
+	resp, _ = get(t, c, inventory+"&at=90000")
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != `"v2"` {
 		t.Fatalf("?at=25h = %d %s, want 200 \"v2\"", resp.StatusCode, resp.Header.Get("ETag"))
 	}
 
 	// T before the first capture is a 404, not an empty inventory.
-	if resp, _ := get(t, c, "/sites/luxembourg/ref/inventory?at=100"); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := get(t, c, inventory+"&at=100"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("pre-capture ?at status = %d, want 404", resp.StatusCode)
 	}
-	if resp, _ := get(t, c, "/sites/luxembourg/ref/inventory?at=junk"); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := get(t, c, inventory+"&at=junk"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatal("bad ?at should be 400")
 	}
-	if resp, _ := get(t, c, "/sites/luxembourg/ref/inventory?version=1&at=43200"); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := get(t, c, inventory+"&version=1&at=43200"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatal("?version together with ?at should be 400")
 	}
 
 	// The resolved version shares the per-version body cache (no fresh
 	// materialization for a repeat read through either parameter).
 	mats := stA.Materializations()
-	get(t, c, "/sites/luxembourg/ref/inventory?at=43200")
-	get(t, c, "/sites/luxembourg/ref/inventory?version=1")
+	get(t, c, inventory+"&at=43200")
+	get(t, c, inventory+"&version=1")
 	if got := stA.Materializations(); got != mats {
 		t.Fatalf("repeat reads re-materialized: %d → %d", mats, got)
 	}

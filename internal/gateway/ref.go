@@ -3,10 +3,11 @@ package gateway
 // The Reference API endpoints. These are the gateway's hottest reads —
 // scripts poll the testbed description constantly — so every one of them
 // is a key and a render function handed to serveView (view.go), and the
-// keys are built from the stores' monotone version counters:
+// keys are built from the stores' version counters, which only grow:
 //
-//   - the ETag of /ref/inventory?version=N is "vN"; the current inventory's
-//     ETag advances exactly when Store.Update archives a new version;
+//   - the ETag of one store's inventory at ?version=N is "vN"; its current
+//     inventory's ETag advances exactly when Store.Update archives a new
+//     version;
 //   - a conditional request whose ETag still matches returns 304 before any
 //     snapshot is materialized or marshaled;
 //   - rendered bodies are kept per key — one per route, except a store's
@@ -14,18 +15,17 @@ package gateway
 //     has the rule and the measurement behind it) — so even non-conditional
 //     hot reads marshal each version once.
 //
-// A /ref body is one of two things. One store at one version
-// (serveShardInventory, serveShardDiff): the monolithic gateway's unscoped
-// paths, a one-store site's scoped ones, and ?cluster=X anywhere. Or a
-// version vector over stores (serveVector): the federated unscoped paths
-// and a micro-sharded site's scoped ones read the current vector of an
-// intel.GridArchive — the gateway's whole one, or the site's own — whose
-// key is the ETag ("v3.1.7"; "sv…", "dv…", "sdv…" for the other three), so
-// a conditional hit answers 304 without touching any snapshot, and whose
-// Materialize / DiffVector give the sections, nested per site, one entry per
-// cluster store. Archived-version queries (?version=, ?from=, ?to=) are
-// per store by nature: the vector paths reject them with a pointer to
-// /sites/{site}/ref/... and ?cluster=X.
+// A /ref body answers one of two questions. What one store held at any
+// archived version (serveShardInventory, serveShardDiff): ?cluster=X on a
+// site's scoped paths. Or where every store stands now (serveVector): the
+// unscoped paths and a site's scoped ones read the current version vector
+// of an intel.GridArchive — the gateway's whole one, or the site's own —
+// whose key is the ETag ("v3.1.7"; "sv…", "dv…", "sdv…" for the other
+// three), so a conditional hit answers 304 without touching any snapshot,
+// and whose Materialize / DiffVector give the sections, nested per site,
+// one entry per cluster store. Archived-version queries (?version=, ?at=,
+// ?from=, ?to=) are per store by nature: the vector paths reject them with
+// a pointer to /sites/{site}/ref/... and ?cluster=X.
 
 import (
 	"fmt"
@@ -62,23 +62,7 @@ func clusterList(shards []*shard) string {
 	return strings.Join(names, ", ")
 }
 
-func (g *Gateway) handleRefInventory(w http.ResponseWriter, r *http.Request) {
-	if g.mono != nil {
-		g.serveShardInventory(g.mono, w, r)
-		return
-	}
-	g.serveFederatedInventory(w, r)
-}
-
-func (g *Gateway) handleRefDiff(w http.ResponseWriter, r *http.Request) {
-	if g.mono != nil {
-		g.serveShardDiff(g.mono, w, r)
-		return
-	}
-	g.serveFederatedDiff(w, r)
-}
-
-// downSetKey suffixes a federated cache/ETag key with the lost-site set, so
+// downSetKey suffixes a merged view's cache/ETag key with the lost-site set, so
 // a degraded merge never serves (or matches a conditional request against)
 // a body rendered while the grid was whole, and vice versa.
 func downSetKey(d *DegradedJSON) string {
@@ -95,8 +79,6 @@ func downSetKey(d *DegradedJSON) string {
 // cache identity as asking for that version by number).
 func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.Request) {
 	st := s.f.Ref
-	var cur int
-	s.rlocked(func() { cur = st.VersionCount() })
 	ver, err := parseVersion(r, "version")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -120,6 +102,10 @@ func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.R
 			return
 		}
 	}
+	// Read last: versions only grow, so one VersionAt resolved is never
+	// above it, however many steps land in between.
+	var cur int
+	s.rlocked(func() { cur = st.VersionCount() })
 	if ver == 0 {
 		ver = cur
 	}
@@ -155,9 +141,8 @@ type SiteInventoryJSON struct {
 	Clusters []ClusterInventoryJSON `json:"clusters"`
 }
 
-// FederatedInventoryJSON is the wire form of GET /ref/inventory on a
-// federated gateway: one per-site section per surviving site, in shard
-// order.
+// FederatedInventoryJSON is the wire form of GET /ref/inventory: one
+// per-site section per surviving site, in shard order.
 type FederatedInventoryJSON struct {
 	Degraded *DegradedJSON       `json:"degraded,omitempty"`
 	Sites    []SiteInventoryJSON `json:"sites"`
@@ -183,7 +168,7 @@ func serveVector(w http.ResponseWriter, r *http.Request, cache *view, arc *intel
 	})
 }
 
-func (g *Gateway) serveFederatedInventory(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) handleRefInventory(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("version") != "" {
 		httpError(w, http.StatusBadRequest,
 			"archived versions are per-site; use /sites/{site}/ref/inventory?version=N "+
@@ -223,10 +208,10 @@ func inventorySites(arc *intel.GridArchive, vec []intel.SiteVersion) ([]SiteInve
 	return out, nil
 }
 
-// RefDiffJSON is the wire form of GET /ref/diff.
+// RefDiffJSON is one store's diff: the wire form of a ?cluster=X
+// /sites/{site}/ref/diff, and one entry of a site's section.
 type RefDiffJSON struct {
-	Site        string              `json:"site,omitempty"`    // set in federated sections
-	Cluster     string              `json:"cluster,omitempty"` // micro-shard sections
+	Cluster     string              `json:"cluster,omitempty"` // set in sections
 	From        int                 `json:"from"`
 	To          int                 `json:"to"`
 	Count       int                 `json:"count"`
@@ -241,8 +226,8 @@ type SiteDiffJSON struct {
 	Clusters []RefDiffJSON `json:"clusters"`
 }
 
-// FederatedDiffJSON is the wire form of GET /ref/diff on a federated
-// gateway: one per-site section per surviving site, in shard order.
+// FederatedDiffJSON is the wire form of GET /ref/diff: one per-site
+// section per surviving site, in shard order.
 type FederatedDiffJSON struct {
 	Degraded *DegradedJSON  `json:"degraded,omitempty"`
 	Count    int            `json:"count"`
@@ -298,7 +283,7 @@ func (g *Gateway) serveShardDiff(s *shard, w http.ResponseWriter, r *http.Reques
 	})
 }
 
-func (g *Gateway) serveFederatedDiff(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) handleRefDiff(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if q.Get("from") != "" || q.Get("to") != "" {
 		httpError(w, http.StatusBadRequest,
@@ -346,7 +331,7 @@ func diffSites(arc *intel.GridArchive, vec []intel.SiteVersion) ([]SiteDiffJSON,
 	return out, nil
 }
 
-// ---- site-scoped views over micro-shards ------------------------------------
+// ---- site-scoped views ------------------------------------------------------
 
 // siteViews holds one site's own archive — its stores in cluster order —
 // and the joined /sites/{site}/ref bodies rendered from it.
@@ -355,18 +340,13 @@ type siteViews struct {
 	inv, diff view
 }
 
-// serveSiteRef dispatches a /sites/{site}/ref route. A site with a single
-// store keeps full single-store semantics on the bare path (one). A
-// micro-sharded site serves a joined per-cluster view by default (joined)
-// and requires ?cluster=X for the parameters in perStore — archived access,
-// which then has full single-store semantics against that cluster's store.
+// serveSiteRef dispatches a /sites/{site}/ref route. A site serves the
+// joined per-cluster view by default (joined), whether it has one cluster
+// or seven, and requires ?cluster=X for the parameters in perStore —
+// archived access, which then has full single-store semantics against that
+// cluster's store (one).
 func (g *Gateway) serveSiteRef(w http.ResponseWriter, r *http.Request, site, what string, perStore []string,
 	one func(*shard, http.ResponseWriter, *http.Request), joined func(*siteViews)) {
-	shards := g.siteShards[site]
-	if len(shards) == 1 {
-		one(shards[0], w, r)
-		return
-	}
 	q := r.URL.Query()
 	if cl := q.Get("cluster"); cl != "" {
 		if s := g.shardFor(site, cl); s != nil {
@@ -380,7 +360,7 @@ func (g *Gateway) serveSiteRef(w http.ResponseWriter, r *http.Request, site, wha
 		if q.Get(param) != "" {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf(
 				"site %q is micro-sharded and %s per cluster store; add ?cluster=X (one of: %s)",
-				site, what, clusterList(shards)))
+				site, what, clusterList(g.siteShards[site])))
 			return
 		}
 	}

@@ -1,26 +1,22 @@
 package gateway
 
 // The site-scoped routes: /sites lists the federation layout, and
-// /sites/{site}/... exposes the shard(s) owning the site — one whole-grid
-// shard narrowed to the site (monolithic), or all of the site's
-// per-cluster micro-shards merged (federated). These are the endpoints
-// whose latency is immune to other sites' campaign progress:
-// /sites/{site}/... takes only the owning shards' read gates, and /sites
-// takes none at all (topology is precomputed at assembly; node states are
-// read through the testbed's own mutex). (The mux predates Go 1.22
-// pattern wildcards, so the subtree is dispatched by hand; every route
+// /sites/{site}/... exposes the site's per-cluster micro-shards merged.
+// These are the endpoints whose latency is immune to other sites' campaign
+// progress: /sites/{site}/... takes only the owning shards' read gates, and
+// /sites takes none at all (topology is precomputed at assembly; node
+// states are read through the testbed's own mutex). (The mux predates Go
+// 1.22 pattern wildcards, so the subtree is dispatched by hand; every route
 // under /sites/ shares one metrics bucket.)
 
 import (
 	"fmt"
 	"net/http"
 	"strings"
-
-	"repro/internal/testbed"
 )
 
 // SiteJSON is one entry of GET /sites. Shard is the index of the site's
-// coordinator shard (its first micro-shard, when cluster-carved).
+// coordinator shard (its first micro-shard).
 type SiteJSON struct {
 	Name     string         `json:"name"`
 	Shard    int            `json:"shard"`
@@ -42,37 +38,10 @@ type SitesJSON struct {
 	Sites    []SiteJSON    `json:"sites"`
 }
 
-// siteTopo is one site's precomputed layout: everything except node
-// states, which are live.
-type siteTopo struct {
-	entry SiteJSON // States left nil; filled per request
-	nodes []string
-}
-
-// siteTopology snapshots a shard's site layout at assembly time, when no
-// campaign is advancing — the topology (names, clusters, core counts)
-// never changes afterwards.
-func siteTopology(tb *testbed.Testbed) []siteTopo {
-	var out []siteTopo
-	for _, site := range tb.Sites {
-		st := siteTopo{entry: SiteJSON{Name: site.Name}}
-		for _, cl := range site.Clusters {
-			st.entry.Clusters = append(st.entry.Clusters, cl.Name)
-			st.entry.Cores += cl.Cores()
-		}
-		for _, n := range site.Nodes() {
-			st.nodes = append(st.nodes, n.Name)
-			st.entry.Nodes++
-		}
-		out = append(out, st)
-	}
-	return out
-}
-
-// handleSites lists the federation layout. Deliberately gate-free: the
-// topology is the assembly-time snapshot and node states go through the
-// testbed's own mutex, so this listing never queues behind any shard's
-// Advance.
+// handleSites lists the federation layout, each site folding its
+// micro-shards in cluster order. Deliberately gate-free: the topology is
+// the assembly-time snapshot and node states go through the testbed's own
+// mutex, so this listing never queues behind any shard's Advance.
 func (g *Gateway) handleSites(w http.ResponseWriter, r *http.Request) {
 	out := SitesJSON{Shards: len(g.shards), Degraded: g.degradedMarker()}
 	down := map[string]bool{}
@@ -85,54 +54,29 @@ func (g *Gateway) handleSites(w http.ResponseWriter, r *http.Request) {
 			unreachable[name] = true
 		}
 	}
-	idxOf := map[string]int{} // site name → position in out.Sites
-	for i, s := range g.shards {
-		for _, st := range s.sites {
-			var states map[string]int
-			if len(st.nodes) > 0 {
-				states = make(map[string]int, 2)
-				for _, name := range st.nodes {
-					state, _ := s.f.TB.NodeState(name)
-					states[state.String()]++
-				}
-			}
-			j, seen := idxOf[st.entry.Name]
-			if !seen {
-				entry := st.entry
-				entry.Clusters = append([]string(nil), st.entry.Clusters...)
-				entry.Shard = i
-				entry.Down = down[entry.Name]
-				entry.Unreachable = unreachable[entry.Name]
-				entry.States = states
-				idxOf[entry.Name] = len(out.Sites)
-				out.Sites = append(out.Sites, entry)
-				continue
-			}
-			// Another micro-shard of an already-listed site: fold it in.
-			// Shard stays the coordinator's index.
-			e := &out.Sites[j]
-			e.Clusters = append(e.Clusters, st.entry.Clusters...)
-			e.Nodes += st.entry.Nodes
-			e.Cores += st.entry.Cores
-			for k, v := range states {
-				if e.States == nil {
-					e.States = map[string]int{}
-				}
-				e.States[k] += v
+	for _, site := range g.sites {
+		ss := g.siteShards[site]
+		entry := SiteJSON{Name: site, Shard: ss[0].idx, States: map[string]int{},
+			Down: down[site], Unreachable: unreachable[site]}
+		for _, s := range ss {
+			entry.Clusters = append(entry.Clusters, s.cluster)
+			entry.Nodes += len(s.nodes)
+			entry.Cores += s.cores
+			for _, name := range s.nodes {
+				state, _ := s.f.TB.NodeState(name)
+				entry.States[state.String()]++
 			}
 		}
+		out.Sites = append(out.Sites, entry)
 	}
 	writeJSON(w, out)
 }
 
 // handleSiteScoped dispatches /sites/{site}/... to the shards owning the
-// site. Monolithic gateways serve these too: the single shard owns every
-// site and each view narrows to the requested one (resources and
-// monitoring filter by site; jobs list only jobs tied to the site;
-// submissions are validated against — and pinned to — the site). Under
-// micro-sharding reads merge over the site's cluster shards and
-// submissions probe them in cluster order; the ci subtree proxies to the
-// coordinator cluster's server.
+// site: reads merge over the site's cluster shards, submissions are
+// validated against — and pinned to — the site and probe its shards in
+// cluster order, and the ci subtree proxies to the coordinator cluster's
+// server.
 func (g *Gateway) handleSiteScoped(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/sites/")
 	site, sub, _ := strings.Cut(rest, "/")
@@ -167,7 +111,7 @@ func (g *Gateway) handleSiteScoped(w http.ResponseWriter, r *http.Request) {
 		}
 	case "oar/jobs":
 		if requireMethod(http.MethodGet) {
-			g.serveOARJobs(w, r, ss, site)
+			g.serveOARJobs(w, r, ss)
 		}
 	case "oar/submit":
 		if requireMethod(http.MethodPost) {
@@ -187,9 +131,9 @@ func (g *Gateway) handleSiteScoped(w http.ResponseWriter, r *http.Request) {
 		}
 	default:
 		if sub == "ci" || strings.HasPrefix(sub, "ci/") {
-			// The site's CI view is its coordinator cluster's server: under
-			// micro-sharding that is where the federation files grid tickets,
-			// so the scoped tree stays one coherent Jenkins.
+			// The site's CI view is its coordinator cluster's server: that is
+			// where the federation files grid tickets, so the scoped tree
+			// stays one coherent Jenkins.
 			target := ss[0]
 			proxy := http.StripPrefix("/sites/"+site+"/ci", target.f.CI.Handler())
 			target.rlocked(func() { proxy.ServeHTTP(w, r) })

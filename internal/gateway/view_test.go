@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/inproc"
 	"repro/internal/simclock"
 )
@@ -36,8 +38,9 @@ func askView(cache *view, key string, version int, inm string) (rec *httptest.Re
 // Told from outside: after the scrape the newest eight versions answer
 // without a render and the ninth does not.
 func TestInventoryCacheBound(t *testing.T) {
-	f, gw := newCampaign(t, 31, 0, simclock.Hour)
+	fed, gw := newFederatedCampaign(t, simclock.Hour)
 	c := inproc.Client(gw)
+	f := fed.Shards()[0].F
 	nodes := f.TB.Nodes()
 	for u := 0; u < 40; u++ {
 		n := nodes[u%len(nodes)]
@@ -49,7 +52,7 @@ func TestInventoryCacheBound(t *testing.T) {
 	}
 	latest := f.Ref.VersionCount()
 	for v := latest; v >= 1; v-- {
-		resp, _ := get(t, c, fmt.Sprintf("/ref/inventory?version=%d", v))
+		resp, _ := get(t, c, fmt.Sprintf("%s&version=%d", storePath(fed.Shards()[0], "inventory"), v))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("version %d status = %d", v, resp.StatusCode)
 		}
@@ -197,6 +200,37 @@ func TestMergedReadSeesOneGridState(t *testing.T) {
 			t.Errorf("GET %s with an outage landing mid-request: ETag %s, %d body bytes and no degraded marker; the whole grid's answer is ETag %s, %d bytes",
 				p, got.etag, len(got.body), whole[p].etag, len(whole[p].body))
 		}
+	}
+}
+
+// vanishingChaos lists two active events of which the first has closed by
+// the time anyone heals it — a scheduled heal fired on a live step, or a
+// second operator was quicker.
+type vanishingChaos struct{ ChaosController }
+
+func (vanishingChaos) ActiveGridEvents() []faults.GridEvent {
+	return []faults.GridEvent{{ID: 1, Kind: faults.SiteOutage, Sites: []string{"nantes"}}, {ID: 2, Kind: faults.WANPartition, Sites: []string{"luxembourg"}}}
+}
+
+func (vanishingChaos) HealGrid(id int) (faults.GridEvent, error) {
+	if id == 1 {
+		return faults.GridEvent{}, errors.New("no active grid event 1")
+	}
+	return faults.GridEvent{ID: id, Kind: faults.WANPartition, Sites: []string{"luxembourg"}, Healed: true}, nil
+}
+
+// TestHealAllSkipsAnEventAlreadyGone: "heal everything" is not refused
+// half-way because one listed event healed under it; it reports the ones it
+// closed.
+func TestHealAllSkipsAnEventAlreadyGone(t *testing.T) {
+	fed, gw := newFederatedCampaign(t, 0)
+	gw.chaos = vanishingChaos{fed}
+	resp, body := postJSON(t, inproc.Client(gw), "/chaos/heal", `{"all":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("heal all = %d %s, want 200", resp.StatusCode, body)
+	}
+	if healed := decode[ChaosHealResponse](t, body).Healed; len(healed) != 1 || healed[0].ID != 2 || !healed[0].Healed {
+		t.Fatalf("healed = %+v, want event 2 alone", healed)
 	}
 }
 

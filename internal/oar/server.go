@@ -628,31 +628,19 @@ type ResourceInfo struct {
 }
 
 // Resources snapshots every node's allocation state in testbed order,
-// optionally narrowed to one cluster (empty = all). The copy is taken under
-// the server mutex, so it is consistent with a single scheduling instant.
+// optionally narrowed to one cluster (empty = all; an unknown name selects
+// the empty subset — the gateway turns that into its 404). The copy is
+// taken under the server mutex, so it is consistent with a single
+// scheduling instant.
 func (s *Server) Resources(cluster string) []ResourceInfo {
-	return s.ResourcesIn(cluster, "")
-}
-
-// ResourcesIn is Resources narrowed by cluster and/or site (empty = any).
-// When both are given the filters intersect: a cluster that lives at a
-// different site yields nothing. Unknown names simply select the empty
-// subset — the gateway turns that into its 404/400 answers.
-func (s *Server) ResourcesIn(cluster, site string) []ResourceInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	nodes := s.nodeList
-	switch {
-	case cluster != "":
+	if cluster != "" {
 		nodes = s.byCluster[cluster]
-	case site != "":
-		nodes = s.bySite[site]
 	}
 	out := make([]ResourceInfo, 0, len(nodes))
 	for _, n := range nodes {
-		if site != "" && n.Site != site {
-			continue
-		}
 		out = append(out, ResourceInfo{
 			Name:    n.Name,
 			Cluster: n.Cluster,

@@ -399,31 +399,3 @@ func (c *Clock) peekLocked() *Event {
 	}
 	return nil
 }
-
-// Sleeper helps sequential workflows (like a deployment) accumulate time
-// without scheduling: it tracks a moving cursor starting at the clock's
-// current time.
-type Sleeper struct {
-	cursor Time
-}
-
-// NewSleeper returns a Sleeper starting at t.
-func NewSleeper(t Time) *Sleeper { return &Sleeper{cursor: t} }
-
-// Advance moves the cursor forward by d and returns the new cursor.
-func (s *Sleeper) Advance(d Time) Time {
-	if d > 0 {
-		s.cursor += d
-	}
-	return s.cursor
-}
-
-// Cursor returns the current cursor position.
-func (s *Sleeper) Cursor() Time { return s.cursor }
-
-// SyncTo moves the cursor to t if t is later than the cursor.
-func (s *Sleeper) SyncTo(t Time) {
-	if t > s.cursor {
-		s.cursor = t
-	}
-}

@@ -306,29 +306,6 @@ func TestShuffledLeavesInputIntact(t *testing.T) {
 	}
 }
 
-func TestSleeper(t *testing.T) {
-	s := NewSleeper(10 * Second)
-	if s.Cursor() != 10*Second {
-		t.Fatal("bad initial cursor")
-	}
-	s.Advance(5 * Second)
-	if s.Cursor() != 15*Second {
-		t.Fatal("advance failed")
-	}
-	s.Advance(-3 * Second) // negative ignored
-	if s.Cursor() != 15*Second {
-		t.Fatal("negative advance moved cursor")
-	}
-	s.SyncTo(12 * Second) // earlier ignored
-	if s.Cursor() != 15*Second {
-		t.Fatal("SyncTo moved cursor backwards")
-	}
-	s.SyncTo(20 * Second)
-	if s.Cursor() != 20*Second {
-		t.Fatal("SyncTo failed")
-	}
-}
-
 func TestMaxQueueLen(t *testing.T) {
 	c := New(1)
 	for i := 0; i < 50; i++ {

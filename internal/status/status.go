@@ -20,7 +20,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -30,9 +29,8 @@ import (
 
 // Client talks to the CI server's REST API.
 type Client struct {
-	base  string
-	http  *http.Client
-	retry RetryPolicy
+	base string
+	http *http.Client
 }
 
 // DefaultTimeout bounds every request a NewClient makes. The status page
@@ -61,54 +59,19 @@ func NewLocalClient(h http.Handler) *Client {
 	return NewClientWith("http://ci.local", inproc.Client(h))
 }
 
-// get fetches and decodes one API response. Transport errors, transient
-// 5xx responses and 429 (admission shed — the server's explicit "come back
-// later", treated exactly like a 503) are retried within the client's
-// RetryPolicy budget (no retries unless WithRetry was used), honoring any
-// Retry-After hint; other statuses fail immediately.
+// get fetches and decodes one API response; any status but 200 is an
+// error naming it.
 func (c *Client) get(path string, v any) error {
-	attempts := c.retry.attempts()
-	var lastErr error
-	var hint time.Duration
-	for try := 0; try < attempts; try++ {
-		if try > 0 {
-			c.retry.backoff(try-1, hint)
-		}
-		resp, err := c.http.Get(c.base + path)
-		if err != nil {
-			lastErr = err
-			hint = 0
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			err = json.NewDecoder(resp.Body).Decode(v)
-			resp.Body.Close()
-			return err
-		}
+	resp, err := c.http.Get(c.base + path)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		hint = retryAfterHint(resp)
-		resp.Body.Close()
-		lastErr = fmt.Errorf("status: GET %s: %s", path, resp.Status)
-		if resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
-			// Client errors are not transient; retrying cannot help.
-			return lastErr
-		}
+		return fmt.Errorf("status: GET %s: %s", path, resp.Status)
 	}
-	return lastErr
-}
-
-// retryAfterHint parses a Retry-After header given in seconds (the only
-// form the testbed's services emit). Absent or malformed headers hint 0.
-func retryAfterHint(resp *http.Response) time.Duration {
-	s := resp.Header.Get("Retry-After")
-	if s == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(s)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // Root fetches the server summary.

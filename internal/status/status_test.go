@@ -267,6 +267,16 @@ func TestClientErrors(t *testing.T) {
 	if _, err := live.JobDetail("ghost"); err == nil {
 		t.Fatal("ghost job accepted")
 	}
+	// A failing upstream is asked once: riding out an outage is the
+	// caller's decision.
+	requests := 0
+	down := NewLocalClient(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests++
+		http.Error(w, "maintenance", http.StatusServiceUnavailable)
+	}))
+	if _, err := down.Root(); err == nil || !strings.Contains(err.Error(), "503") || requests != 1 {
+		t.Fatalf("a 503 upstream: err %v after %d requests, want an error naming it after one", err, requests)
+	}
 }
 
 func TestSplitJobName(t *testing.T) {
