@@ -40,16 +40,21 @@ stress:
 # (internal/wire), against encoding/json's indenter on whatever valid JSON
 # the fuzzer finds; etagMatches, the If-None-Match comparison every
 # conditional GET goes through (internal/gateway), against its contract on
-# arbitrary header text; and the two parsers of operator-written text,
+# arbitrary header text; the two parsers of operator-written text,
 # oar.ParseRequest (resource requests, also off the wire) and
 # faults.ParseSchedule (disaster schedules), which must never panic and
-# must read back what they accepted once it is printed in their own syntax.
+# must read back what they accepted once it is printed in their own syntax;
+# and the OAR scheduler on operation streams read from the fuzzer's bytes,
+# held after every operation to the scanning reference, a recount of its
+# dense state and the jobs' own history (one input runs hundreds of
+# operations, so minimizing a new one is capped at a second).
 # The checked-in corpora alone run with every `go test`; a new failing input
 # is written to the package's testdata/fuzz/ for the fix to keep.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendIndent -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzETagMatches -fuzztime 10s ./internal/gateway
 	$(GO) test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/oar
+	$(GO) test -run '^$$' -fuzz FuzzSchedulerMatchesScan -fuzztime 10s -fuzzminimizetime 1s ./internal/oar
 	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 10s ./internal/faults
 
 # profile runs the two campaign shapes — 10 monolithic weeks, 3 federated

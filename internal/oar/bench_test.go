@@ -7,7 +7,9 @@ package oar
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/simclock"
 	"repro/internal/testbed"
@@ -55,6 +57,36 @@ func BenchmarkSchedulePassSaturated(b *testing.B) {
 	b.StopTimer()
 	if s.QueueLength() != saturatedQueue || s.BusyNodes() != 30 {
 		b.Fatalf("left the steady state: %d queued, %d busy", s.QueueLength(), s.BusyNodes())
+	}
+}
+
+// BenchmarkSchedulePassSaturatedBestEffort is the release with 10 of the 30
+// nodes held by best-effort jobs: the oldest of them ends, the pass fails
+// all 120 waiting jobs — each may preempt, and the cluster's held count
+// refuses it — and a new best-effort job takes the freed node.
+func BenchmarkSchedulePassSaturatedBestEffort(b *testing.B) {
+	const fillers = 10
+	s, _ := saturated(b, fillers)
+	one := ClusterRequest("genepi", 1, 100*simclock.Hour)
+	var bestEffort [fillers]int // job IDs, oldest at i%fillers
+	for i := range bestEffort {
+		bestEffort[i] = i + 1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Release(bestEffort[i%fillers]); err != nil {
+			b.Fatal(err)
+		}
+		j := s.SubmitReq(one, SubmitOptions{BestEffort: true})
+		if j.State != Running {
+			b.Fatalf("best-effort job %d is %v", j.ID, j.State)
+		}
+		bestEffort[i%fillers] = j.ID
+	}
+	b.StopTimer()
+	if s.QueueLength() != saturatedQueue || s.BusyNodes() != 30 || s.spans[0].held != fillers {
+		b.Fatalf("left the steady state: %d queued, %d busy, %d held", s.QueueLength(), s.BusyNodes(), s.spans[0].held)
 	}
 }
 
@@ -129,6 +161,39 @@ func TestSubmissionAllocatesTheJobAndItsNodes(t *testing.T) {
 	s.SubmitReq(all, SubmitOptions{})
 	if got := testing.AllocsPerRun(100, func() { s.SubmitReq(all, SubmitOptions{}) }); got > 1 {
 		t.Errorf("a submission that waits allocates %v times; want the Job", got)
+	}
+}
+
+// TestFinishedJobsAreNotRetained: once a job has run out its walltime or
+// been canceled, the server keeps a record of it, not the *Job — how long
+// that lives is up to whoever submitted it. The records still answer.
+func TestFinishedJobsAreNotRetained(t *testing.T) {
+	c, _, s := newServer()
+	var ran, canceled weak.Pointer[Job]
+	func() {
+		j := s.SubmitReq(ClusterRequest("taurus", 2, simclock.Hour), SubmitOptions{User: "user"})
+		s.SubmitReq(ClusterRequest("sol", AllNodes, 2*simclock.Hour), SubmitOptions{})
+		w := s.SubmitReq(ClusterRequest("sol", 1, simclock.Hour), SubmitOptions{})
+		if j.State != Running || w.State != Waiting {
+			t.Fatalf("jobs are %v and %v, want Running and Waiting", j.State, w.State)
+		}
+		if err := s.Cancel(w.ID); err != nil {
+			t.Fatal(err)
+		}
+		ran, canceled = weak.Make(j), weak.Make(w)
+	}()
+	c.RunFor(90 * simclock.Minute) // taurus's walltime expires
+	runtime.GC()
+	if ran.Value() != nil {
+		t.Error("the server still holds a job that ran out its walltime")
+	}
+	if canceled.Value() != nil {
+		t.Error("the server still holds a canceled job")
+	}
+	for id, want := range map[int]string{1: "Terminated", 3: "Canceled"} {
+		if info, ok := s.JobInfoByID(id); !ok || info.State != want {
+			t.Errorf("job %d reads %+v, %v; want %s", id, info, ok, want)
+		}
 	}
 }
 

@@ -3,13 +3,16 @@ package oar
 // The scan-based preemption fallback the server used before it kept the
 // best-effort holdings incrementally, kept as the oracle of a differential
 // test: on every failed allocation it re-derives who is best-effort by
-// walking busy and looking each holder up in jobs, hides those nodes from
-// busy, allocates with them penalized, and puts them back.
+// walking a busy map recounted from the jobs and looking each holder up,
+// and allocates by name over the whole testbed with those nodes hidden and
+// penalized — no ordinal, span or anchor of the server's in sight.
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -17,31 +20,24 @@ import (
 	"repro/internal/testbed"
 )
 
-// refAllocatePreferring is the old allocatePreferring: free nodes only,
-// non-penalized ones first.
-func (s *Server) refAllocatePreferring(req Request, penalized map[string]bool) ([]string, bool) {
+// refAllocatePreferring is the old allocatePreferring, over a busy map
+// (node name → job ID) the caller recounts from the jobs it holds and the
+// whole testbed in order — an anchor only narrows what the expression
+// already says: free nodes only, non-penalized ones first.
+func (d *diffDriver) refAllocatePreferring(busy map[string]int, req Request, penalized map[string]bool) ([]string, bool) {
 	var chosen []string
-	isTaken := func(name string) bool {
-		for _, t := range chosen {
-			if t == name {
-				return true
-			}
-		}
-		return false
-	}
 	for _, seg := range req.Segments {
-		cands := s.segmentCandidates(seg)
 		if seg.Nodes == AllNodes {
 			matched := false
-			for _, n := range cands {
-				if isTaken(n.Name) || !seg.Expr.EvalNode(n) {
+			for _, n := range d.tb.Nodes() {
+				if slices.Contains(chosen, n.Name) || !seg.Expr.EvalNode(n) {
 					continue
 				}
 				matched = true
 				if n.State != testbed.Alive {
 					return nil, false
 				}
-				if _, used := s.busy[n.Name]; used {
+				if _, used := busy[n.Name]; used {
 					return nil, false
 				}
 				chosen = append(chosen, n.Name)
@@ -52,11 +48,11 @@ func (s *Server) refAllocatePreferring(req Request, penalized map[string]bool) (
 			continue
 		}
 		var free []*testbed.Node
-		for _, n := range cands {
-			if isTaken(n.Name) || n.State != testbed.Alive {
+		for _, n := range d.tb.Nodes() {
+			if slices.Contains(chosen, n.Name) || n.State != testbed.Alive {
 				continue
 			}
-			if _, used := s.busy[n.Name]; used {
+			if _, used := busy[n.Name]; used {
 				continue
 			}
 			if seg.Expr.EvalNode(n) {
@@ -78,26 +74,26 @@ func (s *Server) refAllocatePreferring(req Request, penalized map[string]bool) (
 	return chosen, true
 }
 
-// refAllocateWithPreemption is the old allocateWithPreemption.
-func (s *Server) refAllocateWithPreemption(req Request) (nodes []string, victims []int, ok bool) {
+// refAllocateWithPreemption is the old allocateWithPreemption: it finds
+// who is best-effort by looking each holder in busy up among the jobs,
+// hides those nodes, and allocates with them penalized.
+func (d *diffDriver) refAllocateWithPreemption(busy map[string]int, req Request) (nodes []string, victims []int, ok bool) {
 	hidden := map[string]int{}
-	for node, jobID := range s.busy {
-		if j := s.jobs[jobID]; j != nil && j.bestEffort {
+	for node, jobID := range busy {
+		if d.jobs[jobID-1].bestEffort {
 			hidden[node] = jobID
 		}
 	}
 	if len(hidden) == 0 {
 		return nil, nil, false
 	}
+	rest := maps.Clone(busy)
 	penalized := make(map[string]bool, len(hidden))
 	for node := range hidden {
-		delete(s.busy, node)
+		delete(rest, node)
 		penalized[node] = true
 	}
-	nodes, ok = s.refAllocatePreferring(req, penalized)
-	for node, jobID := range hidden {
-		s.busy[node] = jobID
-	}
+	nodes, ok = d.refAllocatePreferring(rest, req, penalized)
 	if !ok {
 		return nil, nil, false
 	}
@@ -111,33 +107,18 @@ func (s *Server) refAllocateWithPreemption(req Request) (nodes []string, victims
 	return nodes, victims, true
 }
 
-// refFreeOrPreemptable is the old FreeOrPreemptable, mutex not taken.
-func (s *Server) refFreeOrPreemptable(e Expr) int {
-	count := 0
-	for _, n := range s.nodeList {
-		if n.State != testbed.Alive {
-			continue
-		}
-		if jobID, used := s.busy[n.Name]; used {
-			if j := s.jobs[jobID]; j == nil || !j.bestEffort {
-				continue
-			}
-		}
-		if e.EvalNode(n) {
-			count++
-		}
-	}
-	return count
-}
-
 // diffDriver generates operations against one server and, after each,
-// holds the server's answers against the reference's.
+// holds the server's answers against the reference's and its dense state
+// against a recount from the jobs the driver holds — the driver, not the
+// server, keeps every *Job ever submitted.
 type diffDriver struct {
 	t    *testing.T
-	rng  *rand.Rand
+	rng  interface{ Intn(n int) int } // a seeded *rand.Rand, or the fuzzer's bytes
 	tb   *testbed.Testbed
 	s    *Server
 	reqs []Request // the request pool, parsed once
+	jobs []*Job    // every job submitted: job ID i at jobs[i-1]
+	want []JobInfo // what each job read when its state last changed
 	seed int64
 	op   int
 }
@@ -198,16 +179,52 @@ func (d *diffDriver) fatalf(format string, args ...any) {
 
 func (d *diffDriver) pick() Request { return d.reqs[d.rng.Intn(len(d.reqs))] }
 
+// track keeps a job the server returned.
+func (d *diffDriver) track(j *Job) {
+	for len(d.jobs) < j.ID {
+		d.jobs = append(d.jobs, nil)
+	}
+	d.jobs[j.ID-1] = j
+}
+
 // jobsIn returns the IDs of the jobs in the given state, ascending.
 func (d *diffDriver) jobsIn(st JobState) []int {
 	var ids []int
-	for id, j := range d.s.jobs {
+	for _, j := range d.jobs {
 		if j.State == st {
-			ids = append(ids, id)
+			ids = append(ids, j.ID)
 		}
 	}
-	sort.Ints(ids)
 	return ids
+}
+
+// refBusy recounts which running job holds each node.
+func (d *diffDriver) refBusy() map[string]int {
+	busy := map[string]int{}
+	for _, j := range d.jobs {
+		if j.State != Running {
+			continue
+		}
+		for _, n := range j.Nodes {
+			if other, dup := busy[n]; dup {
+				d.fatalf("node %s allocated to jobs %d and %d", n, other, j.ID)
+			}
+			busy[n] = j.ID
+		}
+	}
+	return busy
+}
+
+// names is the node names of the ordinals, nil for nil.
+func (d *diffDriver) names(ords []int32) []string {
+	if ords == nil {
+		return nil
+	}
+	out := make([]string, len(ords))
+	for i, o := range ords {
+		out[i] = d.s.nodeList[o].Name
+	}
+	return out
 }
 
 // submit issues one top-level submission and checks the decision the
@@ -218,14 +235,16 @@ func (d *diffDriver) submit(nest int) {
 	opts := SubmitOptions{BestEffort: d.rng.Intn(3) == 0, Immediate: d.rng.Intn(5) == 0}
 	if nest > 0 {
 		inner, innerBE := d.pick(), d.rng.Intn(2) == 0
-		opts.OnStart = func(*Job) { d.s.SubmitReq(inner, SubmitOptions{BestEffort: innerBE}) }
+		opts.OnStart = func(*Job) { d.track(d.s.SubmitReq(inner, SubmitOptions{BestEffort: innerBE})) }
 	}
-	wantNodes, wantOK := d.s.refAllocatePreferring(req, nil)
+	busy := d.refBusy()
+	wantNodes, wantOK := d.refAllocatePreferring(busy, req, nil)
 	var wantVictims []int
 	if !wantOK && !opts.BestEffort {
-		wantNodes, wantVictims, wantOK = d.s.refAllocateWithPreemption(req)
+		wantNodes, wantVictims, wantOK = d.refAllocateWithPreemption(busy, req)
 	}
 	j := d.s.SubmitReq(req, opts)
+	d.track(j)
 	if started := j.Nodes != nil; started != wantOK {
 		d.fatalf("submit %q (best-effort %v): started %v, reference %v", req, opts.BestEffort, started, wantOK)
 	}
@@ -233,7 +252,7 @@ func (d *diffDriver) submit(nest int) {
 		d.fatalf("submit %q: nodes %v, reference %v", req, j.Nodes, wantNodes)
 	}
 	for _, id := range wantVictims {
-		if st := d.s.jobs[id].State; st != Preempted {
+		if st := d.jobs[id-1].State; st != Preempted {
 			d.fatalf("submit %q: reference victim %d is %v", req, id, st)
 		}
 	}
@@ -274,41 +293,50 @@ func (d *diffDriver) step() {
 	}
 }
 
-// check holds the maintained state against a recount from jobs, and the
-// answers the server gives right now to a few requests from the pool
-// against the reference's.
+// check holds the dense state against a recount from the jobs, the history
+// against the jobs themselves, and the answers the server gives right now
+// to a few requests from the pool against the reference's.
 func (d *diffDriver) check() {
 	s := d.s
-	busy, preemptable, preempted := map[string]int{}, map[string]int{}, 0
-	for id, j := range s.jobs {
-		switch j.State {
-		case Preempted:
+	busy, preempted := d.refBusy(), 0
+	for _, j := range d.jobs {
+		if j.State == Preempted {
 			preempted++
-		case Running:
-			for _, n := range j.Nodes {
-				if other, dup := busy[n]; dup {
-					d.fatalf("node %s allocated to jobs %d and %d", n, other, id)
-				}
-				busy[n] = id
-				if j.bestEffort {
-					preemptable[n] = id
+		}
+		if _, live := s.jobs[j.ID]; live != (j.State == Waiting || j.State == Running) {
+			d.fatalf("job %d is %v; in the live table: %v", j.ID, j.State, live)
+		}
+	}
+	for o, n := range s.nodeList {
+		id := busy[n.Name]
+		be := id != 0 && d.jobs[id-1].bestEffort
+		if s.busy[o] != id || s.preemptable[o] != be {
+			d.fatalf("node %s: busy %d, best-effort %v; recounted from jobs %d, %v", n.Name, s.busy[o], s.preemptable[o], id, be)
+		}
+	}
+	for k, sp := range s.spans {
+		b, h := 0, 0
+		for _, n := range s.nodeList[sp.lo:sp.hi] {
+			if id := busy[n.Name]; id != 0 {
+				b++
+				if d.jobs[id-1].bestEffort {
+					h++
 				}
 			}
 		}
-	}
-	if !reflect.DeepEqual(s.busy, busy) {
-		d.fatalf("busy map %v, recomputed from jobs %v", s.busy, busy)
-	}
-	if !reflect.DeepEqual(s.preemptable, preemptable) {
-		d.fatalf("best-effort holdings %v, recomputed from jobs %v", s.preemptable, preemptable)
+		if sp.busy != b || sp.held != h {
+			d.fatalf("span %d [%d, %d): busy %d, held %d; recounted from jobs %d, %d", k, sp.lo, sp.hi, sp.busy, sp.held, b, h)
+		}
 	}
 	if got := s.PreemptedCount(); got != preempted {
 		d.fatalf("PreemptedCount %d, %d jobs are Preempted", got, preempted)
 	}
+	d.checkHistory()
 	for i := 0; i < probesPerOp; i++ {
 		req := d.pick()
-		gotNodes, gotOK := s.allocate(req, false)
-		wantNodes, wantOK := s.refAllocatePreferring(req, nil)
+		ords, gotOK := s.allocate(req, false)
+		gotNodes := d.names(ords)
+		wantNodes, wantOK := d.refAllocatePreferring(busy, req, nil)
 		if gotOK != wantOK || (gotOK && !reflect.DeepEqual(gotNodes, wantNodes)) {
 			d.fatalf("allocate %q: %v %v, reference %v %v", req, gotNodes, gotOK, wantNodes, wantOK)
 		}
@@ -316,9 +344,10 @@ func (d *diffDriver) check() {
 		// attempt fails; the server decides both in one pass.
 		var wantVictims []int
 		if !wantOK {
-			wantNodes, wantVictims, wantOK = s.refAllocateWithPreemption(req)
+			wantNodes, wantVictims, wantOK = d.refAllocateWithPreemption(busy, req)
 		}
-		gotNodes, gotVictims, gotOK := s.allocateWithPreemption(req, true)
+		ords, gotVictims, gotOK := s.allocateWithPreemption(req, true)
+		gotNodes = d.names(ords)
 		if gotOK != wantOK || !reflect.DeepEqual(gotNodes, wantNodes) || !reflect.DeepEqual(gotVictims, wantVictims) {
 			d.fatalf("preempting %q: nodes %v victims %v %v, reference nodes %v victims %v %v",
 				req, gotNodes, gotVictims, gotOK, wantNodes, wantVictims, wantOK)
@@ -326,20 +355,68 @@ func (d *diffDriver) check() {
 		if got := s.CanStartNowReq(req); got != wantOK {
 			d.fatalf("CanStartNow %q: %v, reference %v", req, got, wantOK)
 		}
-		for _, seg := range req.Segments {
-			if got, want := s.FreeOrPreemptable(seg.Expr), s.refFreeOrPreemptable(seg.Expr); got != want {
-				d.fatalf("FreeOrPreemptable %q: %d, reference %d", seg.Expr, got, want)
-			}
+	}
+}
+
+// checkHistory holds what the server says of every job the driver ever
+// submitted — read from the live job or from its record — against what the
+// *Job the driver holds reads, and the error of a Cancel or Release it
+// must refuse against the one the job's state gives. A job reads anew only
+// when its state changes, so JobInfoByID is asked then; JobsInfo(0), which
+// reads every job the way JobInfoByID does, is asked every time.
+func (d *diffDriver) checkHistory() {
+	for i, j := range d.jobs {
+		if i == len(d.want) {
+			d.want = append(d.want, JobInfo{})
+		} else if d.want[i].State == j.State.String() {
+			continue
+		}
+		d.want[i] = jobInfoLocked(j)
+		if got, ok := d.s.JobInfoByID(j.ID); !ok || !sameInfo(got, d.want[i]) {
+			d.fatalf("JobInfoByID(%d) = %+v, %v; the job reads %+v", j.ID, got, ok, d.want[i])
 		}
 	}
+	got := d.s.JobsInfo(0)
+	if len(got) != len(d.jobs) {
+		d.fatalf("JobsInfo(0) lists %d jobs, %d were submitted", len(got), len(d.jobs))
+	}
+	for i, info := range got {
+		if want := d.want[len(got)-1-i]; !sameInfo(info, want) {
+			d.fatalf("JobsInfo(0)[%d] = %+v; the job reads %+v", i, info, want)
+		}
+	}
+	refused := func(err error, want string) {
+		if err == nil || err.Error() != want {
+			d.fatalf("refusal %v, want %q", err, want)
+		}
+	}
+	refused(d.s.Release(len(d.jobs)+1), fmt.Sprintf("oar: no job %d", len(d.jobs)+1))
+	if len(d.jobs) == 0 {
+		return
+	}
+	j := d.jobs[d.rng.Intn(len(d.jobs))]
+	if j.State != Running {
+		refused(d.s.Release(j.ID), fmt.Sprintf("oar: job %d is %s, cannot release", j.ID, j.State))
+	}
+	if j.State != Waiting {
+		refused(d.s.Cancel(j.ID), fmt.Sprintf("oar: job %d is %s, cannot cancel", j.ID, j.State))
+	}
+}
+
+// sameInfo is reflect.DeepEqual of two JobInfos, without reflection: the
+// history check compares every job after every operation.
+func sameInfo(a, b JobInfo) bool {
+	return a.ID == b.ID && a.User == b.User && a.Request == b.Request && a.State == b.State &&
+		(a.Nodes == nil) == (b.Nodes == nil) && slices.Equal(a.Nodes, b.Nodes) &&
+		a.SubmittedAtSec == b.SubmittedAtSec && a.StartedAtSec == b.StartedAtSec && a.EndedAtSec == b.EndedAtSec
 }
 
 // TestPreemptionMatchesScanReference drives a server through seeded random
 // histories and, after every operation, asserts that the incremental
 // best-effort bookkeeping answers exactly as the scanning reference does:
-// chosen nodes, victims, PreemptedCount, FreeOrPreemptable, CanStartNow,
-// and the maintained holdings against a recount. A failure names the seed
-// and the operation index.
+// chosen nodes, victims, PreemptedCount, CanStartNow, the busy state and
+// span counts against a recount, and every job's JobInfo against the job.
+// A failure names the seed and the operation index.
 func TestPreemptionMatchesScanReference(t *testing.T) {
 	seeds, ops := 200, 300
 	if testing.Short() {

@@ -108,23 +108,6 @@ func TestCanStartNowSeesThroughBestEffort(t *testing.T) {
 	}
 }
 
-func TestFreeOrPreemptable(t *testing.T) {
-	_, tb, s := newServer()
-	e := MustParseExpr("cluster='sol'")
-	s.Submit("cluster='sol'/nodes=12,walltime=100", SubmitOptions{BestEffort: true})
-	s.Submit("cluster='sol'/nodes=4,walltime=100", SubmitOptions{})
-	if got := s.FreeMatching(e); got != 4 {
-		t.Fatalf("free = %d, want 4", got)
-	}
-	if got := s.FreeOrPreemptable(e); got != 16 {
-		t.Fatalf("free-or-preemptable = %d, want 16", got)
-	}
-	tb.Node("sol-20.sophia").State = testbed.Dead
-	if got := s.FreeOrPreemptable(e); got > 16 {
-		t.Fatalf("dead node counted: %d", got)
-	}
-}
-
 func TestPreemptionFreesWalltimeEvent(t *testing.T) {
 	c, _, s := newServer()
 	be, _ := s.Submit("cluster='uvb'/nodes=ALL,walltime=2", SubmitOptions{BestEffort: true})

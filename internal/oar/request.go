@@ -33,15 +33,18 @@ type Segment struct {
 // site.
 func (s Segment) Anchor() (key, val string) { return s.anchorKey, s.anchorVal }
 
-func (s Segment) String() string {
-	n := "ALL"
-	if s.Nodes != AllNodes {
-		n = strconv.Itoa(s.Nodes)
+func (s Segment) String() string { return string(s.appendTo(nil)) }
+
+// appendTo appends the segment as String prints it.
+func (s Segment) appendTo(b []byte) []byte {
+	if s.raw != "" {
+		b = append(append(b, s.raw...), '/')
 	}
-	if s.raw == "" {
-		return "nodes=" + n
+	b = append(b, "nodes="...)
+	if s.Nodes == AllNodes {
+		return append(b, "ALL"...)
 	}
-	return s.raw + "/nodes=" + n
+	return strconv.AppendInt(b, int64(s.Nodes), 10)
 }
 
 // Request is a full oarsub -l resource request, e.g.
@@ -53,16 +56,34 @@ type Request struct {
 }
 
 func (r Request) String() string {
-	parts := make([]string, len(r.Segments))
-	for i, s := range r.Segments {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, "+") + ",walltime=" + formatWalltime(r.Walltime)
+	return string(appendWalltime(appendSegments(nil, r.Segments), r.Walltime))
 }
 
-func formatWalltime(w simclock.Time) string {
+// appendSegments appends the segments joined by "+", the part of
+// Request.String before the walltime.
+func appendSegments(b []byte, segs []Segment) []byte {
+	for i, s := range segs {
+		if i > 0 {
+			b = append(b, '+')
+		}
+		b = s.appendTo(b)
+	}
+	return b
+}
+
+// appendWalltime appends ",walltime=H:MM:SS", the part of Request.String
+// after the segments.
+func appendWalltime(b []byte, w simclock.Time) []byte {
 	secs := int64(w.Duration().Seconds())
-	return fmt.Sprintf("%d:%02d:%02d", secs/3600, secs/60%60, secs%60)
+	b = strconv.AppendInt(append(b, ",walltime="...), secs/3600, 10)
+	for _, v := range [2]int64{secs / 60 % 60, secs % 60} {
+		b = append(b, ':')
+		if 0 <= v && v < 10 {
+			b = append(b, '0')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return b
 }
 
 // ParseRequest parses the oarsub -l syntax. Walltime accepts either plain

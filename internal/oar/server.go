@@ -2,7 +2,8 @@ package oar
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/simclock"
@@ -61,10 +62,11 @@ type Job struct {
 	walltime   simclock.Event // the walltime expiry, armed by startJob
 }
 
-// Server is the OAR resource manager for one testbed. A single Server
-// manages all sites (like Grid'5000's per-site OARs federated behind one
-// API; one instance keeps the simulation simple while preserving the
-// scheduling semantics the paper's framework interacts with).
+// Server is the OAR resource manager of one testbed. The monolithic
+// framework runs one over the whole grid; a federation runs one per cluster
+// micro-shard, over that cluster's nodes — as Grid'5000 runs one OAR per
+// site. Either way it keeps the scheduling semantics the paper's framework
+// interacts with.
 //
 // The server is safe for concurrent use: CI build scripts run on executor
 // goroutines (see internal/ci) and submit/release jobs while the event
@@ -72,29 +74,45 @@ type Job struct {
 // mutex. OnStart callbacks always fire with the mutex released — they may
 // re-enter the server (Submit/Release from a callback is the normal test
 // payload pattern).
+//
+// Its state is dense. A node is its ordinal, its position in tb.Nodes(),
+// where every cluster and every site is one contiguous range (NewServer
+// checks it); live state is indexed by ordinal, and a finished job is a
+// pointer-free record (history.go), not the *Job its submitter may still
+// hold.
 type Server struct {
 	mu    sync.Mutex
 	clock *simclock.Clock
 	tb    *testbed.Testbed
 
 	nextID int
-	jobs   map[int]*Job
-	queue  []*Job         // waiting jobs, FCFS order
-	busy   map[string]int // node name → running job ID
-	// preemptable is the part of busy held by running best-effort jobs,
-	// kept in step with it by startJob and endJob (the only places busy
-	// changes). Empty on a testbed without best-effort work, which is what
-	// lets the preemption fallback return without looking at anything.
-	preemptable map[string]int
+	jobs   map[int]*Job // waiting and running jobs; finished ones are in hist
+	queue  []*Job       // waiting jobs, FCFS order
+	hist   history
 
-	// Scheduling fast path. The node list and the cluster/site indexes are
-	// static (topology never changes); expressions evaluate directly
-	// against live node state (Expr.EvalNode), so no property maps are
-	// built on the allocation path. Requests anchored on cluster='x' or
-	// site='y' scan only that subset of nodes.
-	nodeList  []*testbed.Node
-	byCluster map[string][]*testbed.Node
-	bySite    map[string][]*testbed.Node
+	// busy is each node's running job ID (0: free); preemptable marks the
+	// part of it held by best-effort jobs. startJob and endJob are the only
+	// places either changes, and they keep the spans' counts in step.
+	busy        []int
+	preemptable []bool
+
+	// spans[0] is the whole testbed, then one span per cluster and per site
+	// (byCluster, bySite name them; clusterOf, siteOf give a node's). Their
+	// counts know nothing of node state, which flips behind the server
+	// (testbed.SetNodeState, tests writing Node.State), so a span's size
+	// minus busy only bounds what it can give: allocate uses it to reject,
+	// never to choose.
+	spans             []span
+	byCluster, bySite map[string]int32
+	clusterOf, siteOf []int32
+
+	// The node list is static (topology never changes); expressions
+	// evaluate directly against live node state (Expr.EvalNode), so no
+	// property maps are built on the allocation path. Requests anchored on
+	// cluster='x', site='y' or host='z' scan only that range of ordinals.
+	nodeList []*testbed.Node
+	ordinal  map[string]int32 // node name → ordinal
+	byName   func(a, b int32) int
 
 	// reqCache interns parsed requests by their source string, for the wire,
 	// where clients repeat a few shapes (the campaign's own submissions
@@ -104,13 +122,10 @@ type Server struct {
 
 	expire func(job any) // walltimeExpired as a value, made once
 
-	// Scratch buffers reused across allocation attempts (all access is
+	// Scratch ordinals reused across allocation attempts (all access is
 	// under the server mutex). chosen/free/held hold the in-progress
-	// selection; only a successful allocation copies the result out.
-	chosenScratch []string
-	freeScratch   []*testbed.Node
-	heldScratch   []*testbed.Node
-	hostScratch   [1]*testbed.Node
+	// selection; only a successful start copies the result out.
+	chosenScratch, freeScratch, heldScratch []int32
 
 	// Re-entrancy guard: OnStart callbacks may Submit or Release
 	// synchronously, which re-invokes Schedule.
@@ -121,25 +136,68 @@ type Server struct {
 	submitted, started, canceled, preempted int
 }
 
-// NewServer returns an OAR server over the testbed.
+// span is a contiguous range of node ordinals [lo, hi) with how many of
+// them running jobs hold (busy) and how many of those are best-effort
+// (held).
+type span struct {
+	lo, hi     int32
+	busy, held int
+}
+
+// room bounds how many nodes the span can give a request right now.
+func (sp *span) room(preempting bool) int {
+	r := int(sp.hi-sp.lo) - sp.busy
+	if preempting {
+		r += sp.held
+	}
+	return r
+}
+
+// NewServer returns an OAR server over the testbed. It panics if a cluster
+// or a site is not one contiguous run of tb.Nodes(), which testbed.Generate
+// never builds.
 func NewServer(clock *simclock.Clock, tb *testbed.Testbed) *Server {
+	nodes := tb.Nodes()
 	s := &Server{
 		clock:       clock,
 		tb:          tb,
 		jobs:        map[int]*Job{},
-		busy:        map[string]int{},
-		preemptable: map[string]int{},
-		nodeList:    tb.Nodes(),
-		byCluster:   map[string][]*testbed.Node{},
-		bySite:      map[string][]*testbed.Node{},
+		busy:        make([]int, len(nodes)),
+		preemptable: make([]bool, len(nodes)),
+		spans:       []span{{hi: int32(len(nodes))}},
+		byCluster:   map[string]int32{},
+		bySite:      map[string]int32{},
+		clusterOf:   make([]int32, len(nodes)),
+		siteOf:      make([]int32, len(nodes)),
+		nodeList:    nodes,
+		ordinal:     make(map[string]int32, len(nodes)),
 		reqCache:    map[string]Request{},
 	}
-	for _, n := range s.nodeList {
-		s.byCluster[n.Cluster] = append(s.byCluster[n.Cluster], n)
-		s.bySite[n.Site] = append(s.bySite[n.Site], n)
+	for i, n := range nodes {
+		o := int32(i)
+		s.ordinal[n.Name] = o
+		s.clusterOf[o] = s.extendSpan(s.byCluster, n.Cluster, o)
+		s.siteOf[o] = s.extendSpan(s.bySite, n.Site, o)
 	}
+	s.byName = func(a, b int32) int { return strings.Compare(nodes[a].Name, nodes[b].Name) }
 	s.expire = s.walltimeExpired
 	return s
+}
+
+// extendSpan adds node o to the span index names, opening it at o. A span
+// that does not end right before o is not contiguous.
+func (s *Server) extendSpan(index map[string]int32, name string, o int32) int32 {
+	k, ok := index[name]
+	if !ok {
+		k = int32(len(s.spans))
+		index[name] = k
+		s.spans = append(s.spans, span{lo: o, hi: o})
+	}
+	if s.spans[k].hi != o {
+		panic(fmt.Sprintf("oar: the nodes of %q are not contiguous in testbed order", name))
+	}
+	s.spans[k].hi++
+	return k
 }
 
 const reqCacheSize = 1024 // request families are small
@@ -163,21 +221,28 @@ func (s *Server) parseRequestCachedLocked(request string) (Request, error) {
 }
 
 // segmentCandidates narrows the nodes a segment can possibly match using
-// its parse-time anchor, falling back to the full node list.
-func (s *Server) segmentCandidates(seg Segment) []*testbed.Node {
+// its parse-time anchor, falling back to the whole testbed. It returns the
+// nodes, the ordinal of the first, and the span they make up (nil for a
+// host: one node needs no count).
+func (s *Server) segmentCandidates(seg Segment) ([]*testbed.Node, int32, *span) {
+	k, ok := int32(0), true
 	switch seg.anchorKey {
 	case "cluster":
-		return s.byCluster[seg.anchorVal]
+		k, ok = s.byCluster[seg.anchorVal]
 	case "site":
-		return s.bySite[seg.anchorVal]
+		k, ok = s.bySite[seg.anchorVal]
 	case "host":
-		if n := s.tb.Node(seg.anchorVal); n != nil {
-			s.hostScratch[0] = n
-			return s.hostScratch[:]
+		o, ok := s.ordinal[seg.anchorVal]
+		if !ok {
+			return nil, 0, nil
 		}
-		return nil
+		return s.nodeList[o : o+1], o, nil
 	}
-	return s.nodeList
+	if !ok {
+		return nil, 0, nil
+	}
+	sp := &s.spans[k]
+	return s.nodeList[sp.lo:sp.hi], sp.lo, sp
 }
 
 // SubmitOptions tweak job submission.
@@ -241,24 +306,14 @@ func (s *Server) SubmitReq(req Request, opts SubmitOptions) *Job {
 	return j
 }
 
-// Job returns the job with the given ID, or nil.
-func (s *Server) Job(id int) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
 // Cancel withdraws a waiting job. Canceling a running or finished job is an
 // error; use Release to end a running job early.
 func (s *Server) Cancel(id int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.jobs[id]
-	if j == nil {
-		return fmt.Errorf("oar: no job %d", id)
-	}
-	if j.State != Waiting {
-		return fmt.Errorf("oar: job %d is %s, cannot cancel", id, j.State)
+	if j == nil || j.State != Waiting {
+		return s.refusalLocked(id, "cancel")
 	}
 	s.cancelLocked(j)
 	return nil
@@ -269,6 +324,7 @@ func (s *Server) cancelLocked(j *Job) {
 	j.EndedAt = s.clock.Now()
 	s.removeFromQueue(j)
 	s.canceled++
+	s.retire(j)
 }
 
 // Release ends a running job before its walltime (tests finishing early
@@ -277,14 +333,25 @@ func (s *Server) Release(id int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.jobs[id]
-	if j == nil {
-		return fmt.Errorf("oar: no job %d", id)
-	}
-	if j.State != Running {
-		return fmt.Errorf("oar: job %d is %s, cannot release", id, j.State)
+	if j == nil || j.State != Running {
+		return s.refusalLocked(id, "release")
 	}
 	s.finishLocked(j)
 	return nil
+}
+
+// refusalLocked is the error of a Cancel or Release (verb) of job id, which
+// does not exist or is in the wrong state for it.
+func (s *Server) refusalLocked(id int, verb string) error {
+	var st JobState
+	if j := s.jobs[id]; j != nil {
+		st = j.State
+	} else if r := s.hist.get(id); r != nil {
+		st = JobState(r.state)
+	} else {
+		return fmt.Errorf("oar: no job %d", id)
+	}
+	return fmt.Errorf("oar: job %d is %s, cannot %s", id, st, verb)
 }
 
 func (s *Server) finishLocked(j *Job) {
@@ -294,26 +361,56 @@ func (s *Server) finishLocked(j *Job) {
 }
 
 // endJob takes a running job off its nodes in the given final state
-// (Terminated, or Preempted with no walltime refund).
+// (Terminated, or Preempted with no walltime refund) and retires it.
 func (s *Server) endJob(j *Job, final JobState) {
 	j.State = final
 	j.EndedAt = s.clock.Now()
 	j.walltime.Cancel()
-	for _, n := range j.Nodes {
-		delete(s.busy, n)
-		if j.bestEffort {
-			delete(s.preemptable, n)
+	for _, o := range s.retire(j) {
+		s.busy[o] = 0
+		s.preemptable[o] = false
+		s.count(o, -1, j.bestEffort)
+	}
+}
+
+// retire moves a finished job from jobs to its record and returns the
+// node ordinals recorded for it. The caller's *Job stays valid; the server
+// just no longer holds it.
+func (s *Server) retire(j *Job) []int32 {
+	delete(s.jobs, j.ID)
+	return s.hist.add(j, s.ordinal)
+}
+
+// count adds d to the busy count of the three spans holding node o, and
+// to their held count too for a best-effort job.
+func (s *Server) count(o int32, d int, bestEffort bool) {
+	for _, k := range [...]int32{0, s.clusterOf[o], s.siteOf[o]} {
+		s.spans[k].busy += d
+		if bestEffort {
+			s.spans[k].held += d
 		}
 	}
 }
 
 func (s *Server) removeFromQueue(j *Job) {
-	for i, q := range s.queue {
-		if q == j {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return
-		}
+	if i := slices.Index(s.queue, j); i >= 0 {
+		s.dropQueued(i)
 	}
+}
+
+// dropQueued removes queue[i], clearing the slot it vacates so the queue's
+// backing array does not keep the job. The usual job to go is the oldest —
+// started first or abandoned by its user — and it leaves by advancing the
+// slice, not by shifting every pointer behind it (a write barrier each
+// while the collector marks); a last one leaves the array in place for the
+// next submission.
+func (s *Server) dropQueued(i int) {
+	if i == 0 && len(s.queue) > 1 {
+		s.queue[0] = nil
+		s.queue = s.queue[1:]
+		return
+	}
+	s.queue = slices.Delete(s.queue, i, i+1)
 }
 
 // Schedule runs scheduling passes over the waiting queue until no further
@@ -379,15 +476,15 @@ func (s *Server) tryStartOneLocked(j *Job) bool {
 // startJob transitions a waiting job to Running on the given nodes. The
 // caller holds the mutex, is responsible for removing the job from the
 // queue, and fires OnStart itself (with the mutex released).
-func (s *Server) startJob(j *Job, nodes []string) {
+func (s *Server) startJob(j *Job, nodes []int32) {
 	j.State = Running
 	j.StartedAt = s.clock.Now()
-	j.Nodes = nodes
-	for _, n := range nodes {
-		s.busy[n] = j.ID
-		if j.bestEffort {
-			s.preemptable[n] = j.ID
-		}
+	j.Nodes = make([]string, len(nodes))
+	for i, o := range nodes {
+		j.Nodes[i] = s.nodeList[o].Name
+		s.busy[o] = j.ID
+		s.preemptable[o] = j.bestEffort
+		s.count(o, 1, j.bestEffort)
 	}
 	s.started++
 	s.clock.Arm(&j.walltime, j.Request.Walltime, s.expire, j)
@@ -413,7 +510,7 @@ func (s *Server) schedulePass() []*Job {
 	for i < len(s.queue) {
 		j := s.queue[i]
 		if j.State != Waiting {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			s.dropQueued(i)
 			continue
 		}
 		nodes, ok := s.startWithPreemption(j)
@@ -421,7 +518,7 @@ func (s *Server) schedulePass() []*Job {
 			i++
 			continue
 		}
-		s.queue = append(s.queue[:i], s.queue[i+1:]...)
+		s.dropQueued(i)
 		s.startJob(j, nodes)
 		started = append(started, j)
 	}
@@ -429,40 +526,34 @@ func (s *Server) schedulePass() []*Job {
 }
 
 // allocate tries to satisfy every segment of the request with distinct
-// Alive nodes, returning the chosen node names sorted, or ok=false. Free
-// nodes always qualify; with preempting set, so do nodes held by
-// best-effort jobs — busy but takeable — and when picking N of M
+// Alive nodes, returning the chosen ordinals sorted by node name, or
+// ok=false. Free nodes always qualify; with preempting set, so do nodes
+// held by best-effort jobs — busy but takeable — and when picking N of M
 // candidates the free ones go first, so that only the minimum number of
-// best-effort jobs get killed.
+// best-effort jobs get killed. The returned slice is scratch, valid until
+// the next call.
 //
 // This is the scheduler's hottest path (every Submit, every availability
 // probe, every queued job on every release): candidates come pre-narrowed
-// by the segment anchor, expressions evaluate against live node state
-// without property maps, and all working storage is reused scratch — a
-// failed attempt allocates nothing, a successful one allocates only the
-// returned name slice.
-func (s *Server) allocate(req Request, preempting bool) ([]string, bool) {
+// by the segment anchor, a counted segment its span cannot hold is refused
+// without a scan, expressions evaluate against live node state without
+// property maps, and all working storage is reused scratch — an attempt
+// allocates nothing.
+func (s *Server) allocate(req Request, preempting bool) ([]int32, bool) {
 	chosen := s.chosenScratch[:0]
-	defer func() { s.chosenScratch = chosen[:0] }()
-	// taken tracks nodes already claimed by an earlier segment of the same
-	// request; requests are at most a few segments of bounded size, so a
+	defer func() { keepScratch(&s.chosenScratch, chosen) }()
+	// Nodes already claimed by an earlier segment of the same request are
+	// skipped; requests are at most a few segments of bounded size, so a
 	// linear scan beats a map here.
-	isTaken := func(name string) bool {
-		for _, t := range chosen {
-			if t == name {
-				return true
-			}
-		}
-		return false
-	}
 	multi := len(req.Segments) > 1
 	for _, seg := range req.Segments {
-		cands := s.segmentCandidates(seg)
+		cands, base, sp := s.segmentCandidates(seg)
 		if seg.Nodes == AllNodes {
 			// Every matching node must exist, be Alive and be free or takeable.
 			matched := false
-			for _, n := range cands {
-				if multi && isTaken(n.Name) {
+			for i, n := range cands {
+				o := base + int32(i)
+				if multi && slices.Contains(chosen, o) {
 					continue
 				}
 				if !seg.Expr.EvalNode(n) {
@@ -472,79 +563,68 @@ func (s *Server) allocate(req Request, preempting bool) ([]string, bool) {
 				if n.State != testbed.Alive {
 					return nil, false
 				}
-				if _, used := s.busy[n.Name]; used && !(preempting && s.heldByBestEffort(n.Name)) {
+				if s.busy[o] != 0 && !(preempting && s.preemptable[o]) {
 					return nil, false
 				}
-				chosen = append(chosen, n.Name)
+				chosen = append(chosen, o)
 			}
 			if !matched {
 				return nil, false
 			}
 			continue
 		}
+		if sp != nil && sp.room(preempting) < seg.Nodes {
+			return nil, false
+		}
 		// First-fit: the first N free candidates in testbed order, topped
 		// up with the first takeable ones when the free ones run short.
 		free, held := s.freeScratch[:0], s.heldScratch[:0]
-		for _, n := range cands {
-			if multi && isTaken(n.Name) {
+		for i, n := range cands {
+			o := base + int32(i)
+			if multi && slices.Contains(chosen, o) {
 				continue
 			}
 			if n.State != testbed.Alive {
 				continue
 			}
-			_, used := s.busy[n.Name]
-			if used && !(preempting && s.heldByBestEffort(n.Name)) {
+			used := s.busy[o] != 0
+			if used && !(preempting && s.preemptable[o]) {
 				continue
 			}
 			if !seg.Expr.EvalNode(n) {
 				continue
 			}
 			if used {
-				held = append(held, n)
+				held = append(held, o)
 				continue
 			}
-			free = append(free, n)
+			free = append(free, o)
 			if len(free) == seg.Nodes {
 				break
 			}
 		}
-		s.freeScratch, s.heldScratch = free[:0], held[:0]
+		keepScratch(&s.freeScratch, free)
+		keepScratch(&s.heldScratch, held)
 		if len(free)+len(held) < seg.Nodes {
 			return nil, false
 		}
-		for _, n := range free {
-			chosen = append(chosen, n.Name)
-		}
-		for _, n := range held[:seg.Nodes-len(free)] {
-			chosen = append(chosen, n.Name)
-		}
+		chosen = append(chosen, free...)
+		chosen = append(chosen, held[:seg.Nodes-len(free)]...)
 	}
-	sort.Strings(chosen)
-	out := make([]string, len(chosen))
-	copy(out, chosen)
-	return out, true
+	slices.SortFunc(chosen, s.byName)
+	return chosen, true
+}
+
+// keepScratch stores a scratch buffer back only when append grew it. The
+// store is a pointer write, which costs a write barrier while the collector
+// marks, and allocate runs for every waiting job on every release.
+func keepScratch(scratch *[]int32, grown []int32) {
+	if cap(grown) != cap(*scratch) {
+		*scratch = grown[:0]
+	}
 }
 
 // ---- availability queries (used by the external test scheduler) ----
-
-// FreeMatching counts free Alive nodes matching the expression.
-func (s *Server) FreeMatching(e Expr) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	count := 0
-	for _, n := range s.nodeList {
-		if n.State != testbed.Alive {
-			continue
-		}
-		if _, used := s.busy[n.Name]; used {
-			continue
-		}
-		if e.EvalNode(n) {
-			count++
-		}
-	}
-	return count
-}
 
 // CanStartNow reports whether a normal-priority request could be allocated
 // immediately, counting nodes that would be freed by preempting best-effort
@@ -579,7 +659,7 @@ func (s *Server) canStartNowLocked(req Request) bool {
 func (s *Server) BusyNodes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.busy)
+	return s.spans[0].busy
 }
 
 // QueueLength returns the number of waiting jobs.
@@ -635,18 +715,22 @@ type ResourceInfo struct {
 func (s *Server) Resources(cluster string) []ResourceInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	nodes := s.nodeList
+	sp := s.spans[0]
 	if cluster != "" {
-		nodes = s.byCluster[cluster]
+		sp = span{}
+		if k, ok := s.byCluster[cluster]; ok {
+			sp = s.spans[k]
+		}
 	}
-	out := make([]ResourceInfo, 0, len(nodes))
-	for _, n := range nodes {
+	out := make([]ResourceInfo, 0, sp.hi-sp.lo)
+	for o := sp.lo; o < sp.hi; o++ {
+		n := s.nodeList[o]
 		out = append(out, ResourceInfo{
 			Name:    n.Name,
 			Cluster: n.Cluster,
 			Site:    n.Site,
 			State:   n.State.String(),
-			JobID:   s.busy[n.Name],
+			JobID:   s.busy[o],
 		})
 	}
 	return out
@@ -680,6 +764,19 @@ func jobInfoLocked(j *Job) JobInfo {
 	}
 }
 
+// infoLocked copies job id's externally visible state from the live job or
+// its record; ok is false when there is no job id. The caller holds the
+// server mutex.
+func (s *Server) infoLocked(id int) (JobInfo, bool) {
+	if r := s.hist.get(id); r != nil {
+		return s.hist.info(id, r, s.nodeList), true
+	}
+	if j := s.jobs[id]; j != nil {
+		return jobInfoLocked(j), true
+	}
+	return JobInfo{}, false
+}
+
 // JobsInfo snapshots the most recently submitted limit jobs (0 = all),
 // newest first. Node name slices are copied, so callers may hold the result
 // while the scheduler keeps running.
@@ -691,35 +788,18 @@ func (s *Server) JobsInfo(limit int) []JobInfo {
 	}
 	out := make([]JobInfo, 0, limit)
 	for id := s.nextID; id >= 1 && len(out) < limit; id-- {
-		j := s.jobs[id]
-		if j == nil {
-			continue
+		if info, ok := s.infoLocked(id); ok {
+			out = append(out, info)
 		}
-		out = append(out, jobInfoLocked(j))
 	}
 	return out
 }
 
 // JobInfoByID snapshots one job's externally visible state; ok is false
-// when the job is unknown. Unlike Job, the returned copy is safe to read
-// while the scheduler keeps mutating the live object.
+// when the job is unknown. The returned copy is safe to read while the
+// scheduler keeps mutating the live object.
 func (s *Server) JobInfoByID(id int) (JobInfo, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.jobs[id]
-	if j == nil {
-		return JobInfo{}, false
-	}
-	return jobInfoLocked(j), true
-}
-
-// StateSummary counts nodes per state, the oarstate test family's input.
-func (s *Server) StateSummary() map[testbed.NodeState]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := map[testbed.NodeState]int{}
-	for _, n := range s.nodeList {
-		out[n.State]++
-	}
-	return out
+	return s.infoLocked(id)
 }

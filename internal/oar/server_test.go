@@ -1,6 +1,9 @@
 package oar
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/simclock"
@@ -26,7 +29,7 @@ func TestSubmitStartsImmediatelyWhenFree(t *testing.T) {
 		t.Fatalf("assigned %d nodes", len(j.Nodes))
 	}
 	for _, n := range j.Nodes {
-		if got := s.busy[n]; got != j.ID {
+		if got := s.busy[s.ordinal[n]]; got != j.ID {
 			t.Fatalf("node %s busy with job %d", n, got)
 		}
 	}
@@ -247,22 +250,6 @@ func TestAllNodesRequiresWholeClusterAlive(t *testing.T) {
 	}
 }
 
-func TestFreeMatching(t *testing.T) {
-	_, tb, s := newServer()
-	e := MustParseExpr("cluster='sol'")
-	if got := s.FreeMatching(e); got != 20 {
-		t.Fatalf("free sol = %d, want 20", got)
-	}
-	s.Submit("cluster='sol'/nodes=15,walltime=1", SubmitOptions{})
-	if got := s.FreeMatching(e); got != 5 {
-		t.Fatalf("free sol = %d, want 5", got)
-	}
-	tb.Node("sol-20.sophia").State = testbed.Suspected
-	if got := s.FreeMatching(e); got > 5 {
-		t.Fatalf("suspected node counted free: %d", got)
-	}
-}
-
 func TestSetNodeStateUnblocksQueue(t *testing.T) {
 	_, tb, s := newServer()
 	tb.Node("hercule-1.lyon").State = testbed.Suspected
@@ -281,16 +268,6 @@ func TestSetNodeStateUnblocksQueue(t *testing.T) {
 	}
 }
 
-func TestStateSummary(t *testing.T) {
-	_, tb, s := newServer()
-	tb.Node("sol-1.sophia").State = testbed.Suspected
-	tb.Node("sol-2.sophia").State = testbed.Dead
-	sum := s.StateSummary()
-	if sum[testbed.Alive] != 892 || sum[testbed.Suspected] != 1 || sum[testbed.Dead] != 1 {
-		t.Fatalf("summary = %v", sum)
-	}
-}
-
 func TestCanStartNowParseError(t *testing.T) {
 	_, _, s := newServer()
 	if _, err := s.CanStartNow("((("); err == nil {
@@ -300,21 +277,23 @@ func TestCanStartNowParseError(t *testing.T) {
 
 func TestNoOverlapBetweenConcurrentJobs(t *testing.T) {
 	c, _, s := newServer()
+	var jobs []*Job
 	for i := 0; i < 30; i++ {
-		s.Submit("cluster='griffon'/nodes=5,walltime=1", SubmitOptions{})
+		j, _ := s.Submit("cluster='griffon'/nodes=5,walltime=1", SubmitOptions{})
+		jobs = append(jobs, j)
 	}
 	// At any step, assert no node is double-booked.
 	for c.Step() {
 		seen := map[string]int{}
-		for id, j := range s.jobs {
+		for _, j := range jobs {
 			if j.State != Running {
 				continue
 			}
 			for _, n := range j.Nodes {
 				if prev, dup := seen[n]; dup {
-					t.Fatalf("node %s in jobs %d and %d", n, prev, id)
+					t.Fatalf("node %s in jobs %d and %d", n, prev, j.ID)
 				}
-				seen[n] = id
+				seen[n] = j.ID
 			}
 		}
 	}
@@ -339,8 +318,8 @@ func TestJobStateString(t *testing.T) {
 
 // TestAnchoredNarrowingUnknownNames covers the nil-slice paths of
 // segmentCandidates: requests anchored on a site, cluster or host that
-// does not exist select the empty candidate set (s.bySite[v] and friends
-// return nil), so they queue instead of panicking or matching anything.
+// does not exist select the empty candidate set, so they queue instead of
+// panicking or matching anything.
 func TestAnchoredNarrowingUnknownNames(t *testing.T) {
 	_, _, s := newServer()
 	for _, req := range []string{
@@ -370,8 +349,8 @@ func TestAnchoredNarrowingUnknownNames(t *testing.T) {
 }
 
 // TestAnchoredNarrowingEmptyValues: an anchor with an empty value
-// (site=”/...) must behave like any other unknown name — bySite[""] is a
-// nil slice, not the whole testbed.
+// (site=”/...) must behave like any other unknown name — the empty
+// candidate set, not the whole testbed.
 func TestAnchoredNarrowingEmptyValues(t *testing.T) {
 	_, _, s := newServer()
 	for _, req := range []string{
@@ -387,7 +366,7 @@ func TestAnchoredNarrowingEmptyValues(t *testing.T) {
 		if key == "" || val != "" {
 			t.Fatalf("anchor of %q = (%q, %q), want a keyed empty value", req, key, val)
 		}
-		if cands := s.segmentCandidates(parsed.Segments[0]); len(cands) != 0 {
+		if cands, _, _ := s.segmentCandidates(parsed.Segments[0]); len(cands) != 0 {
 			t.Fatalf("segmentCandidates(%q) = %d nodes, want 0", req, len(cands))
 		}
 		if s.CanStartNowReq(parsed) {
@@ -425,7 +404,48 @@ func TestAnchoredNarrowingMatchesFullScan(t *testing.T) {
 	if key, val := parsed.Segments[0].Anchor(); key != "" || val != "" {
 		t.Fatalf("OR expression anchored to (%q, %q)", key, val)
 	}
-	if got := len(s.segmentCandidates(parsed.Segments[0])); got != tb.TotalNodes() {
-		t.Fatalf("OR candidates = %d, want full scan %d", got, tb.TotalNodes())
+	if cands, _, _ := s.segmentCandidates(parsed.Segments[0]); len(cands) != tb.TotalNodes() {
+		t.Fatalf("OR candidates = %d, want full scan %d", len(cands), tb.TotalNodes())
 	}
+}
+
+// TestSpansAreClustersAndSites: every cluster and every site is one
+// contiguous range of ordinals, span 0 is the whole testbed, and each
+// node's cluster and site spans are the ones that hold it.
+func TestSpansAreClustersAndSites(t *testing.T) {
+	for _, tb := range []*testbed.Testbed{testbed.Default(), testbed.Scaled(2)} {
+		s := NewServer(simclock.New(1), tb)
+		if sp := s.spans[0]; !slices.Equal(s.nodeList[sp.lo:sp.hi], tb.Nodes()) {
+			t.Fatalf("span 0 is [%d, %d), want the %d nodes", sp.lo, sp.hi, len(tb.Nodes()))
+		}
+		for _, c := range tb.Clusters() {
+			if sp := s.spans[s.byCluster[c.Name]]; !slices.Equal(s.nodeList[sp.lo:sp.hi], c.Nodes) {
+				t.Fatalf("cluster %s: span [%d, %d) is not its nodes", c.Name, sp.lo, sp.hi)
+			}
+		}
+		for _, site := range tb.Sites {
+			if sp := s.spans[s.bySite[site.Name]]; !slices.Equal(s.nodeList[sp.lo:sp.hi], site.Nodes()) {
+				t.Fatalf("site %s: span [%d, %d) is not its nodes", site.Name, sp.lo, sp.hi)
+			}
+		}
+		for o, n := range s.nodeList {
+			if s.clusterOf[o] != s.byCluster[n.Cluster] || s.siteOf[o] != s.bySite[n.Site] || s.ordinal[n.Name] != int32(o) {
+				t.Fatalf("node %s at %d: cluster span %d, site span %d, ordinal %d", n.Name, o, s.clusterOf[o], s.siteOf[o], s.ordinal[n.Name])
+			}
+		}
+	}
+}
+
+// TestNewServerRefusesASplitCluster: a cluster whose nodes are not one run
+// of the testbed's order — here edel at grenoble and again at lille — has
+// no span, and the server says so at construction.
+func TestNewServerRefusesASplitCluster(t *testing.T) {
+	spec := []testbed.ClusterSpec{testbed.DefaultSpec[0], testbed.DefaultSpec[1], testbed.DefaultSpec[0]}
+	spec[2].Site = "lille"
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"edel" are not contiguous`) {
+			t.Fatalf("NewServer over a split cluster: recovered %v", r)
+		}
+	}()
+	NewServer(simclock.New(1), testbed.Generate(spec))
 }

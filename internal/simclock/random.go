@@ -1,6 +1,9 @@
 package simclock
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // Jitter returns a duration uniformly drawn from [base-spread, base+spread],
 // clamped to be non-negative. It is the standard way subsystems model
@@ -20,16 +23,23 @@ func Jitter(rng *rand.Rand, base, spread Time) Time {
 }
 
 // Exponential returns an exponentially distributed duration with the given
-// mean, clamped to [0, 20*mean] to keep simulations bounded.
+// mean, clamped to [0, 20*mean] to keep simulations bounded. Both the cap
+// and the draw saturate at the largest Time rather than wrap.
 func Exponential(rng *rand.Rand, mean Time) Time {
 	if mean <= 0 {
 		return 0
 	}
-	d := Time(rng.ExpFloat64() * float64(mean))
-	if max := 20 * mean; d > max {
-		d = max
+	limit := Time(math.MaxInt64)
+	if mean <= limit/20 {
+		limit = 20 * mean
 	}
-	return d
+	// float64(MaxInt64) is 2^63: a draw below it converts to a Time, one
+	// at or above it has no Time to convert to.
+	f := rng.ExpFloat64() * float64(mean)
+	if f >= float64(math.MaxInt64) {
+		return limit
+	}
+	return min(Time(f), limit)
 }
 
 // Bernoulli reports true with probability p.

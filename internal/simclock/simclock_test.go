@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -263,6 +264,19 @@ func TestExponentialBounds(t *testing.T) {
 	}
 	if Exponential(rng, 0) != 0 {
 		t.Fatal("zero-mean exponential should be 0")
+	}
+	// Up to MaxInt64/20 the cap is 20*mean; beyond, the cap and the draw
+	// saturate at MaxInt64 instead of wrapping negative.
+	for _, mean := range []Time{math.MaxInt64 / 20, 1 << 61, math.MaxInt64 / 2, math.MaxInt64} {
+		limit := Time(math.MaxInt64)
+		if mean <= limit/20 {
+			limit = 20 * mean
+		}
+		for i := 0; i < 1000; i++ {
+			if d := Exponential(rng, mean); d < 0 || d > limit {
+				t.Fatalf("Exponential(%d) = %d, out of [0, %d]", int64(mean), int64(d), int64(limit))
+			}
+		}
 	}
 }
 

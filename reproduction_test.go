@@ -568,7 +568,7 @@ func ablationCancelPolicy(testing.TB) metrics {
 			// job that got to run inside the window still counts as a test run.
 			busy += wait
 			f.clock.After(wait, func() {
-				switch f.oar.Job(j.ID).State {
+				switch j.State {
 				case oar.Waiting:
 					_ = f.oar.Cancel(j.ID)
 				case oar.Running:
