@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint fmt-check test race stress fuzz-smoke profile loc check
+.PHONY: all build vet lint fmt-check test race stress fuzz-smoke bench-smoke profile loc check
 
 all: check
 
@@ -57,6 +57,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerMatchesScan -fuzztime 10s -fuzzminimizetime 1s ./internal/oar
 	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 10s ./internal/faults
 
+# bench-smoke runs every micro-benchmark under internal/ exactly once: a
+# benchmark that only compiles can still rot at runtime (a b.Fatal, a
+# panic), and nothing else executes them.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
 # profile runs the two campaign shapes — 10 monolithic weeks, 3 federated
 # weeks — under g5ktest's -cpuprofile/-memprofile on one processor (the
 # setting g5kbench measures at), leaves the binary and the four profiles in
@@ -98,4 +104,4 @@ loc:
 		printf '%-22s %9d %9d\n' $$d $$n $$t; \
 	done | awk '{print; n += $$2; t += $$3} END {printf "%-22s %9d %9d\n", "total", n, t}'
 
-check: build vet lint fmt-check race fuzz-smoke
+check: build vet lint fmt-check race fuzz-smoke bench-smoke

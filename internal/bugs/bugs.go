@@ -192,9 +192,6 @@ func (t *Tracker) EachOpen(fn func(*Bug) bool) {
 	}
 }
 
-// OpenCount returns the number of unresolved bugs, O(1).
-func (t *Tracker) OpenCount() int { return len(t.open) }
-
 // Stats summarises the tracker like the paper's slide 22 headline.
 type Stats struct {
 	Filed int

@@ -17,6 +17,7 @@ package ci
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -388,7 +389,7 @@ type Server struct {
 	// pumpScheduled coalesces the start-workers event: many enqueues at one
 	// instant produce a single pump.
 	pumpScheduled bool
-	claimed       map[string]bool // spawnWorkersLocked's scratch, empty between calls
+	claimed       []string // spawnWorkersLocked's scratch, at most executors keys
 	// draining: the server no longer accepts triggers; queued and running
 	// builds finish, then the pool winds down (graceful drain).
 	draining bool
@@ -449,7 +450,6 @@ func NewServerWith(clock *simclock.Clock, o Options) *Server {
 		executors:   o.NumExecutors,
 		jobs:        map[string]*Job{},
 		activeKeys:  map[string]bool{},
-		claimed:     map[string]bool{},
 		tokens:      map[string]string{},
 		discardLogs: o.DiscardBuildLogs,
 		maxLogLines: o.MaxLogLines,
@@ -662,23 +662,27 @@ func pump(server any) {
 
 // spawnWorkersLocked grows the pool to cover dispatchable work: one worker
 // per queued build whose serialization key is free, capped at NumExecutors.
-// Idle workers exit on their own, so the pool always shrinks back to zero.
+// The keys it claims fit a scratch slice: the walk stops once the pool
+// would be full. Idle workers exit on their own, so the pool always
+// shrinks back to zero.
 func (s *Server) spawnWorkersLocked() {
-	dispatchable := 0
+	claimed := s.claimed[:0]
 	for _, p := range s.queue {
+		if s.workers+len(claimed) >= s.executors {
+			break
+		}
 		key := serialKey(p.build)
-		if s.activeKeys[key] || s.claimed[key] {
+		if s.activeKeys[key] || slices.Contains(claimed, key) {
 			continue
 		}
-		s.claimed[key] = true
-		dispatchable++
+		claimed = append(claimed, key)
 	}
-	clear(s.claimed)
-	for s.workers < s.executors && dispatchable > 0 {
+	for range claimed {
 		s.workers++
-		dispatchable--
 		s.clock.Go(s.work)
 	}
+	clear(claimed)
+	s.claimed = claimed[:0]
 }
 
 // dequeueLocked pops the first queued build whose serialization key is not

@@ -22,7 +22,6 @@ import (
 	"repro/internal/refapi"
 	"repro/internal/sched"
 	"repro/internal/simclock"
-	"repro/internal/status"
 	"repro/internal/suites"
 	"repro/internal/testbed"
 )
@@ -312,9 +311,3 @@ func (f *Framework) Start() {
 
 // RunFor advances the simulation by d.
 func (f *Framework) RunFor(d simclock.Time) { f.Clock.RunFor(d) }
-
-// StatusClient returns a status-page client bound to the CI server's REST
-// API at the given base URL (the caller owns the HTTP listener).
-func (f *Framework) StatusClient(baseURL string) *status.Client {
-	return status.NewClient(baseURL)
-}

@@ -72,12 +72,16 @@ type Fault struct {
 	Fixed      bool
 	FixedAt    simclock.Time
 
+	sig  string // Signature, fixed when the injector registers the fault
 	undo func()
 }
 
 // Signature is a stable identity used for bug deduplication: the same
 // signature re-detected must not open a second bug report.
-func (f *Fault) Signature() string {
+func (f *Fault) Signature() string { return f.sig }
+
+// signature spells the signature out from the fault's fields.
+func (f *Fault) signature() string {
 	switch {
 	case f.Service != "":
 		return fmt.Sprintf("%s:%s/%s", f.Kind, f.Site, f.Service)
@@ -171,7 +175,7 @@ func (in *Injector) ActiveCount() int { return len(in.active) }
 // BySignature returns the active fault with the given signature, or nil.
 func (in *Injector) BySignature(sig string) *Fault {
 	for _, f := range in.active {
-		if f.Signature() == sig {
+		if f.sig == sig {
 			return f
 		}
 	}
@@ -226,6 +230,7 @@ func (in *Injector) register(f *Fault) *Fault {
 	in.nextID++
 	f.ID = in.nextID
 	f.InjectedAt = in.clock.Now()
+	f.sig = f.signature()
 	in.active[f.ID] = f
 	in.history = append(in.history, f)
 	if f.Node != "" {

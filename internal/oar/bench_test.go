@@ -22,6 +22,14 @@ const saturatedQueue = 120
 // saturatedQueue normal jobs waiting behind them for one node more than
 // preemption could give them — plus the request those waiting jobs carry.
 func saturated(tb testing.TB, bestEffort int) (*Server, Request) {
+	stuck := MustParseRequest(fmt.Sprintf("cluster='genepi'/nodes=%d,walltime=100", bestEffort+1))
+	return queued(tb, bestEffort, stuck, saturatedQueue), stuck
+}
+
+// queued returns a server over genepi's 30 nodes, job IDs 1 to 30 holding
+// one node each (the first bestEffort of them best-effort), with n normal
+// jobs of the request stuck waiting behind them.
+func queued(tb testing.TB, bestEffort int, stuck Request, n int) *Server {
 	spec := testbed.DefaultSpec[1:2] // genepi, 30 nodes
 	s := NewServer(simclock.New(1), testbed.Generate(spec))
 	for i := 0; i < spec[0].NodeCount; i++ {
@@ -30,13 +38,12 @@ func saturated(tb testing.TB, bestEffort int) (*Server, Request) {
 			tb.Fatalf("filler job %d is %v", j.ID, j.State)
 		}
 	}
-	stuck := MustParseRequest(fmt.Sprintf("cluster='genepi'/nodes=%d,walltime=100", bestEffort+1))
-	for i := 0; i < saturatedQueue; i++ {
+	for i := 0; i < n; i++ {
 		if j := s.SubmitReq(stuck, SubmitOptions{}); j.State != Waiting {
 			tb.Fatalf("queued job %d is %v", j.ID, j.State)
 		}
 	}
-	return s, stuck
+	return s
 }
 
 // BenchmarkSchedulePassSaturated is one release on the saturated cluster:
@@ -87,6 +94,61 @@ func BenchmarkSchedulePassSaturatedBestEffort(b *testing.B) {
 	b.StopTimer()
 	if s.QueueLength() != saturatedQueue || s.BusyNodes() != 30 || s.spans[0].held != fillers {
 		b.Fatalf("left the steady state: %d queued, %d busy, %d held", s.QueueLength(), s.BusyNodes(), s.spans[0].held)
+	}
+}
+
+// longQueue is how long a federated micro-shard's queue is for most of a
+// campaign (the median over shards, seed 1, three weeks).
+const longQueue = 124
+
+// BenchmarkReleaseBehindLongQueue is one release on a cluster whose
+// longQueue waiting jobs each need two nodes: the pass refuses every one
+// of them on its fit, and a one-node resubmission takes the freed node
+// back.
+func BenchmarkReleaseBehindLongQueue(b *testing.B) {
+	s := queued(b, 0, ClusterRequest("genepi", 2, 100*simclock.Hour), longQueue)
+	one := ClusterRequest("genepi", 1, 100*simclock.Hour)
+	var running [30]int // job IDs, oldest at i%30
+	for i := range running {
+		running[i] = i + 1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Release(running[i%30]); err != nil {
+			b.Fatal(err)
+		}
+		j := s.SubmitReq(one, SubmitOptions{})
+		if j.State != Running {
+			b.Fatalf("resubmitted job %d is %v", j.ID, j.State)
+		}
+		running[i%30] = j.ID
+	}
+	b.StopTimer()
+	if s.QueueLength() != longQueue || s.BusyNodes() != 30 {
+		b.Fatalf("left the steady state: %d queued, %d busy", s.QueueLength(), s.BusyNodes())
+	}
+}
+
+// TestReleaseBehindALongQueueAllocatesNothing: a release whose pass can
+// start none of longQueue waiting jobs allocates nothing. Each waiting job
+// needs the whole cluster, so none fits while the measured releases run.
+func TestReleaseBehindALongQueueAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation guards run without the race detector")
+	}
+	s := queued(t, 0, ClusterRequest("genepi", 30, 100*simclock.Hour), longQueue)
+	next := 1
+	if got := testing.AllocsPerRun(20, func() {
+		if err := s.Release(next); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); got != 0 {
+		t.Errorf("a release behind %d stuck jobs allocates %v times", s.QueueLength(), got)
+	}
+	if s.QueueLength() != longQueue || s.BusyNodes() != 30-21 {
+		t.Errorf("%d queued, %d busy; want %d and %d", s.QueueLength(), s.BusyNodes(), longQueue, 30-21)
 	}
 }
 

@@ -331,6 +331,7 @@ func (d *diffDriver) check() {
 	if got := s.PreemptedCount(); got != preempted {
 		d.fatalf("PreemptedCount %d, %d jobs are Preempted", got, preempted)
 	}
+	d.checkQueue()
 	d.checkHistory()
 	for i := 0; i < probesPerOp; i++ {
 		req := d.pick()
@@ -354,6 +355,31 @@ func (d *diffDriver) check() {
 		}
 		if got := s.CanStartNowReq(req); got != wantOK {
 			d.fatalf("CanStartNow %q: %v, reference %v", req, got, wantOK)
+		}
+	}
+}
+
+// checkQueue holds the queue's fit shadow to the queue and to allocate:
+// one fit per queued job, each the one its request and mode give, every
+// queued job Waiting, and no job refused by its fit that allocate would
+// start right now.
+func (d *diffDriver) checkQueue() {
+	s := d.s
+	if len(s.need) != len(s.queue) {
+		d.fatalf("%d fits for %d queued jobs", len(s.need), len(s.queue))
+	}
+	for i, j := range s.queue {
+		if j.State != Waiting {
+			d.fatalf("queued job %d is %v", j.ID, j.State)
+		}
+		if want := s.fitOf(j.Request, j.bestEffort); s.need[i] != want {
+			d.fatalf("queued job %d (%q): fit %+v, its request gives %+v", j.ID, j.Request, s.need[i], want)
+		}
+		if !s.refuses(s.need[i]) {
+			continue
+		}
+		if _, _, ok := s.allocateWithPreemption(j.Request, !j.bestEffort); ok {
+			d.fatalf("queued job %d (%q): its fit %+v refuses it, allocate starts it", j.ID, j.Request, s.need[i])
 		}
 	}
 }
@@ -409,6 +435,51 @@ func sameInfo(a, b JobInfo) bool {
 	return a.ID == b.ID && a.User == b.User && a.Request == b.Request && a.State == b.State &&
 		(a.Nodes == nil) == (b.Nodes == nil) && slices.Equal(a.Nodes, b.Nodes) &&
 		a.SubmittedAtSec == b.SubmittedAtSec && a.StartedAtSec == b.StartedAtSec && a.EndedAtSec == b.EndedAtSec
+}
+
+// TestQueueFitsStayAlignedThroughCancels queues the whole request pool —
+// nodes=N, nodes=ALL, host-anchored and multi-segment shapes, a third of
+// them best-effort — on a testbed it keeps contended, cancels from the
+// middle of the queue and releases now and then, and runs the oracle's
+// checks after every operation: the fit shadow stays aligned with the
+// queue and never refuses a job allocate would start.
+func TestQueueFitsStayAlignedThroughCancels(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		d := newDiffDriver(t, seed)
+		var unbounded, bounded, bestEffort bool
+		do := func(op func()) {
+			op()
+			d.check()
+			d.op++
+			for _, f := range d.s.need {
+				unbounded, bounded, bestEffort = unbounded || f.n == 0, bounded || f.n > 0, bestEffort || f.bestEffort
+			}
+		}
+		for i := 0; i < 150; i++ {
+			req, be := d.reqs[i%len(d.reqs)], d.rng.Intn(3) == 0
+			do(func() { d.track(d.s.SubmitReq(req, SubmitOptions{BestEffort: be})) })
+			if q := d.s.queue; i%3 == 2 && len(q) > 2 {
+				id := q[1+d.rng.Intn(len(q)-2)].ID
+				do(func() {
+					if err := d.s.Cancel(id); err != nil {
+						d.fatalf("cancel: %v", err)
+					}
+				})
+			}
+			if running := d.jobsIn(Running); i%5 == 4 && len(running) > 0 {
+				id := running[d.rng.Intn(len(running))]
+				do(func() {
+					if err := d.s.Release(id); err != nil {
+						d.fatalf("release: %v", err)
+					}
+				})
+			}
+		}
+		if !unbounded || !bounded || !bestEffort {
+			t.Fatalf("seed %d: the queue never held an unbounded fit (%v), a bounded one (%v) and a best-effort one (%v)",
+				seed, unbounded, bounded, bestEffort)
+		}
+	}
 }
 
 // TestPreemptionMatchesScanReference drives a server through seeded random

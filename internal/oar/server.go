@@ -79,7 +79,9 @@ type Job struct {
 // where every cluster and every site is one contiguous range (NewServer
 // checks it); live state is indexed by ordinal, and a finished job is a
 // pointer-free record (history.go), not the *Job its submitter may still
-// hold.
+// hold. The waiting queue has a dense shadow, need, which holds what each
+// queued job asks of its span, so a pass over a saturated queue refuses
+// most jobs without reading them.
 type Server struct {
 	mu    sync.Mutex
 	clock *simclock.Clock
@@ -88,6 +90,7 @@ type Server struct {
 	nextID int
 	jobs   map[int]*Job // waiting and running jobs; finished ones are in hist
 	queue  []*Job       // waiting jobs, FCFS order
+	need   []fit        // need[i] is queue[i]'s fit: dropQueued keeps them aligned
 	hist   history
 
 	// busy is each node's running job ID (0: free); preemptable marks the
@@ -151,6 +154,40 @@ func (sp *span) room(preempting bool) int {
 		r += sp.held
 	}
 	return r
+}
+
+// fit is what a queued job needs of one span before allocate can start it:
+// at least n nodes that are free, or takeable when it may preempt. n is 0
+// when no span bounds the request (a host anchor, several segments).
+type fit struct {
+	n, sp      int32
+	bestEffort bool
+}
+
+// fitOf computes the fit of a request. A single counted segment needs its
+// count; nodes=ALL needs one node, since with none free or takeable in its
+// span no matching node can be taken.
+func (s *Server) fitOf(req Request, bestEffort bool) fit {
+	if len(req.Segments) != 1 {
+		return fit{}
+	}
+	seg := req.Segments[0]
+	k, ok := s.spanOf(seg)
+	if !ok {
+		return fit{}
+	}
+	n := int32(seg.Nodes)
+	if seg.Nodes == AllNodes {
+		n = 1
+	}
+	return fit{n: n, sp: k, bestEffort: bestEffort}
+}
+
+// refuses reports whether allocate would refuse the job of fit f right now
+// on its span's counts alone — allocate's own first test, with the held
+// count read now, as allocateWithPreemption reads it.
+func (s *Server) refuses(f fit) bool {
+	return f.n > 0 && s.spans[f.sp].room(!f.bestEffort && s.spans[0].held > 0) < int(f.n)
 }
 
 // NewServer returns an OAR server over the testbed. It panics if a cluster
@@ -220,24 +257,34 @@ func (s *Server) parseRequestCachedLocked(request string) (Request, error) {
 	return req, nil
 }
 
-// segmentCandidates narrows the nodes a segment can possibly match using
-// its parse-time anchor, falling back to the whole testbed. It returns the
-// nodes, the ordinal of the first, and the span they make up (nil for a
-// host: one node needs no count).
-func (s *Server) segmentCandidates(seg Segment) ([]*testbed.Node, int32, *span) {
-	k, ok := int32(0), true
+// spanOf is the span a segment's parse-time anchor names: its cluster's,
+// its site's, or the whole testbed's when it has none. ok is false for a
+// host anchor and for a name the testbed does not have.
+func (s *Server) spanOf(seg Segment) (k int32, ok bool) {
 	switch seg.anchorKey {
 	case "cluster":
 		k, ok = s.byCluster[seg.anchorVal]
 	case "site":
 		k, ok = s.bySite[seg.anchorVal]
-	case "host":
+	case "":
+		ok = true
+	}
+	return k, ok
+}
+
+// segmentCandidates narrows the nodes a segment can possibly match using
+// its parse-time anchor, falling back to the whole testbed. It returns the
+// nodes, the ordinal of the first, and the span they make up (nil for a
+// host: one node needs no count).
+func (s *Server) segmentCandidates(seg Segment) ([]*testbed.Node, int32, *span) {
+	if seg.anchorKey == "host" {
 		o, ok := s.ordinal[seg.anchorVal]
 		if !ok {
 			return nil, 0, nil
 		}
 		return s.nodeList[o : o+1], o, nil
 	}
+	k, ok := s.spanOf(seg)
 	if !ok {
 		return nil, 0, nil
 	}
@@ -290,6 +337,7 @@ func (s *Server) SubmitReq(req Request, opts SubmitOptions) *Job {
 	}
 	s.jobs[j.ID] = j
 	s.queue = append(s.queue, j)
+	s.need = append(s.need, s.fitOf(req, opts.BestEffort))
 	s.submitted++
 	// A new submission can only start itself (first-fit: it cannot free
 	// resources for anyone else), so try just this job instead of walking
@@ -398,19 +446,20 @@ func (s *Server) removeFromQueue(j *Job) {
 	}
 }
 
-// dropQueued removes queue[i], clearing the slot it vacates so the queue's
-// backing array does not keep the job. The usual job to go is the oldest —
-// started first or abandoned by its user — and it leaves by advancing the
-// slice, not by shifting every pointer behind it (a write barrier each
-// while the collector marks); a last one leaves the array in place for the
-// next submission.
+// dropQueued removes queue[i] and its fit, clearing the slot it vacates so
+// the queue's backing array does not keep the job. The usual job to go is
+// the oldest — started first or abandoned by its user — and it leaves by
+// advancing the slices, not by shifting every pointer behind it (a write
+// barrier each while the collector marks); a last one leaves the arrays in
+// place for the next submission.
 func (s *Server) dropQueued(i int) {
 	if i == 0 && len(s.queue) > 1 {
 		s.queue[0] = nil
-		s.queue = s.queue[1:]
+		s.queue, s.need = s.queue[1:], s.need[1:]
 		return
 	}
 	s.queue = slices.Delete(s.queue, i, i+1)
+	s.need = slices.Delete(s.need, i, i+1)
 }
 
 // Schedule runs scheduling passes over the waiting queue until no further
@@ -454,9 +503,9 @@ func (s *Server) scheduleLocked() {
 	}
 }
 
-// tryStartOneLocked attempts to start a single waiting job right now. It
-// reports whether the job started; the caller fires OnStart after
-// releasing the mutex.
+// tryStartOneLocked attempts to start j, the job just queued (the last in
+// the queue), right now. It reports whether the job started; the caller
+// fires OnStart after releasing the mutex.
 func (s *Server) tryStartOneLocked(j *Job) bool {
 	if s.inSchedule {
 		// A Submit from inside an OnStart callback: let the outer Schedule
@@ -464,11 +513,15 @@ func (s *Server) tryStartOneLocked(j *Job) bool {
 		s.again = true
 		return false
 	}
+	last := len(s.queue) - 1
+	if s.refuses(s.need[last]) {
+		return false
+	}
 	nodes, ok := s.startWithPreemption(j)
 	if !ok {
 		return false
 	}
-	s.removeFromQueue(j)
+	s.dropQueued(last)
 	s.startJob(j, nodes)
 	return true
 }
@@ -500,19 +553,20 @@ func (s *Server) walltimeExpired(job any) {
 	}
 }
 
-// schedulePass walks the queue once, starting every job that fits. OnStart
-// callbacks are NOT invoked here (the caller fires them after the walk) so
-// that queue mutations from callbacks cannot corrupt the iteration.
-// The caller holds the mutex.
+// schedulePass walks the queue once, starting every job that fits. A job
+// its fit refuses is passed over without reading the *Job: on a saturated
+// cluster that is nearly every job. OnStart callbacks are NOT invoked here
+// (the caller fires them after the walk) so that queue mutations from
+// callbacks cannot corrupt the iteration. The caller holds the mutex.
 func (s *Server) schedulePass() []*Job {
 	var started []*Job
 	i := 0
 	for i < len(s.queue) {
-		j := s.queue[i]
-		if j.State != Waiting {
-			s.dropQueued(i)
+		if s.refuses(s.need[i]) {
+			i++
 			continue
 		}
+		j := s.queue[i]
 		nodes, ok := s.startWithPreemption(j)
 		if !ok {
 			i++

@@ -6,7 +6,6 @@ package suites
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/checks"
 	"repro/internal/kadeploy"
@@ -89,11 +88,11 @@ func oarPropertiesTests(tb *testbed.Testbed) []*Test {
 						v.fail("refapi-missing:"+n.Name, "no description: %v", err)
 						continue
 					}
-					// One property at a time: oar.Properties would build a
-					// ten-entry map per node per run to read these two.
-					if ram, _ := oar.Property(n, "ram_gb"); ram != strconv.Itoa(ref.Inv.RAMGB) {
+					// OAR's ram_gb is the live inventory's RAMGB, so the two
+					// compare as integers; gpu is read as OAR serves it.
+					if ram := n.Inv.RAMGB; ram != ref.Inv.RAMGB {
 						v.fail("ram-loss:"+n.Name,
-							"oar ram_gb=%s but reference says %d", ram, ref.Inv.RAMGB)
+							"oar ram_gb=%d but reference says %d", ram, ref.Inv.RAMGB)
 					}
 					wantGPU := "NO"
 					if ref.Inv.HasGPU() {

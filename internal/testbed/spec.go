@@ -36,9 +36,6 @@ type ClusterSpec struct {
 	PowerProfile string
 }
 
-// CoresPerNode returns the per-node core count for the spec.
-func (cs ClusterSpec) CoresPerNode() int { return cs.Sockets * cs.CoresPerSocket }
-
 // DefaultSpec is the 32-cluster specification of the default testbed.
 //
 // Invariants checked by tests (and relied upon by internal/suites for its
