@@ -17,7 +17,7 @@
 // With -reliability N an N-seed fleet sweep runs before serving and its
 // confidence-band trend is installed on GET /reliability/trend.
 //
-// With -scale k the campaign runs on testbed.Scaled(k) — k replicas of the
+// With -scale k the campaign runs on testbed.ScaledSpec(k) — k replicas of the
 // paper grid (k=16 is 512 micro-shards).
 //
 // With -live the campaign keeps advancing: every wall-clock second the
@@ -70,7 +70,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	live := flag.Bool("live", false, "keep advancing the campaign while serving")
 	step := flag.Duration("step", 10*time.Minute, "simulated time advanced per wall second in -live mode")
-	scale := flag.Int("scale", 1, "run on testbed.Scaled(k): k replicas of the paper grid")
+	scale := flag.Int("scale", 1, "run on testbed.ScaledSpec(k): k replicas of the paper grid")
 	fedWorkers := flag.Int("shard-workers", 0, "micro-shards advanced concurrently (0 = GOMAXPROCS)")
 	chaos := flag.String("chaos", "", `disaster schedule, e.g. "outage:lyon@1w+1w,maintenance:nancy+rennes@2w+1w"`)
 	reliability := flag.Int("reliability", 0, "also run an N-seed fleet sweep and serve it on /reliability/trend (0 = skip)")

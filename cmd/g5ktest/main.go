@@ -14,14 +14,15 @@
 // (internal/intel) — byte-identical to what a client renders from the
 // gateway's GET /reliability/trend body.
 //
-// With -federated it runs ONE campaign split into per-site shards
-// (internal/federation): every site gets its own OAR, monitor, CI, fault
-// and operator processes on an independent RNG stream, shards step in
-// lockstep weekly barriers across -parallel goroutines, and the report
-// shows each site's outcome plus the cross-site merge. Serial and
+// With -federated it runs ONE campaign split into per-cluster micro-shards
+// under site labels (internal/federation): every cluster gets its own OAR,
+// monitor, CI, fault and operator processes on an independent RNG stream,
+// micro-shards step in lockstep weekly barriers across -parallel
+// goroutines, and the report shows each site's outcome (its micro-shards
+// folded back together) plus the cross-site merge. Serial and
 // parallel stepping produce bit-identical results by construction.
 //
-// Every mode accepts -scale k to run on testbed.Scaled(k) — k replicas of
+// Every mode accepts -scale k to run on testbed.ScaledSpec(k) — k replicas of
 // the paper grid (federated mode then carves k×32 per-cluster
 // micro-shards; k=16 is 512 of them).
 //
@@ -61,10 +62,10 @@ func main() {
 	initialFaults := flag.Int("faults", 25, "fault backlog at campaign start")
 	quiet := flag.Bool("quiet", false, "only print the final summary")
 	seeds := flag.Int("seeds", 1, "run a fleet of N independently seeded campaigns")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "campaigns (fleet mode) or site shards (federated mode) simulated concurrently")
-	federated := flag.Bool("federated", false, "run one campaign as per-site shards (internal/federation)")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "campaigns (fleet mode) or micro-shards (federated mode) simulated concurrently")
+	federated := flag.Bool("federated", false, "run one campaign as per-cluster micro-shards under site labels (internal/federation)")
 	reliability := flag.Bool("reliability", false, "report the -seeds fleet as the grid reliability trend (confidence bands)")
-	scale := flag.Int("scale", 1, "run on testbed.Scaled(k): k replicas of the paper grid")
+	scale := flag.Int("scale", 1, "run on testbed.ScaledSpec(k): k replicas of the paper grid")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap and allocation profile to `file` after the run")
 	flag.Parse()

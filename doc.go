@@ -60,17 +60,18 @@
 //     /chaos/inject | /chaos/heal drive events live
 //   - internal/admit — the grid-level admission layer between the
 //     gateway and the federation's shards: fully-unanchored submissions
-//     scatter read-only CanStartNow probes across every live site and
+//     probe every live site in turn with a read-only CanStartNow and
 //     place on the least-loaded one that can start now (integer
-//     cross-multiplied load comparison, lexicographic tiebreak — serial
-//     and parallel probing are bit-identical), requests no site can
-//     start wait in a bounded fairness-aware reservation queue pumped
-//     on every advance and chaos transition, overflow sheds with 429 +
-//     Retry-After, and per-site breakers route placement away from
-//     down, partitioned or persistently-refusing sites (GET
-//     /admit/queue is the observability view; sched.GridPolicy defers
-//     whole-cluster demands grid-wide during peak hours; make race
-//     races the drills)
+//     cross-multiplied load comparison, lexicographic tiebreak), requests
+//     no site can start wait in a bounded fairness-aware reservation
+//     queue pumped on every advance and chaos transition, overflow sheds
+//     with 429 + Retry-After, and per-site breakers route placement away
+//     from down, partitioned or persistently-refusing sites. The peak-hour
+//     rule always applies, from the one definition the site schedulers
+//     use (sched.InPeak): whole-cluster demands queue during working
+//     hours, and a dry run answers what the submission would get (GET
+//     /admit/queue is the observability view; make race races the
+//     drills)
 //   - internal/intel — the grid intelligence layer over the federation:
 //     GridArchive answers "the whole grid's inventory as of sim-time T"
 //     by binary-searching every live shard's Reference-API archive
@@ -112,7 +113,11 @@
 //     atomicfield (all-or-nothing sync/atomic per struct field) and
 //     baregoroutine (in-sim goroutines go through the simclock run
 //     token). Findings are suppressed only by a //g5k:allow <analyzer>
-//     <reason> directive; the reason is mandatory
+//     <reason> directive; the reason is mandatory. One rule needs the
+//     whole module at once, so it is a test rather than an analyzer:
+//     TestEveryExportHasAProductCaller fails on any exported identifier
+//     that no non-test code references, outside a reasoned allowlist
+//     whose paper entries are TestReproduction's callers
 //
 // reproduction_test.go at the repository root holds every quantitative
 // claim of the paper (E1–E10), the reproduction's two simulated-time

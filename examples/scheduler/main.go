@@ -21,7 +21,7 @@ func main() {
 	clock := simclock.New(9)
 	tb := testbed.Default()
 	oarSrv := oar.NewServer(clock, tb)
-	ciSrv := ci.NewServer(clock, 4)
+	ciSrv := ci.NewServer(clock, ci.Options{NumExecutors: 4})
 	scheduler := sched.New(clock, oarSrv, ciSrv, sched.DefaultConfig())
 
 	// A CI job that needs ALL of the sol cluster for 30 minutes.

@@ -1,10 +1,10 @@
 // Package admit is the grid-level admission layer between the gateway and
-// the federation's per-site shards — the pooled meta-scheduler the real
+// the federation's shards — the pooled meta-scheduler the real
 // Grid'5000 front door needs once submissions stop naming a site.
 //
 // A submission without an anchor could be satisfied anywhere, so the
-// controller scatters read-only CanStartNow probes across every live shard
-// and routes the job to the least-loaded site that can start it right now.
+// controller probes every live site with a read-only CanStartNow and routes
+// the job to the least-loaded site that can start it right now.
 // Requests no site can start enter a bounded, fairness-aware reservation
 // queue with a per-request deadline instead of failing; every campaign
 // advance (and every chaos transition) pumps the queue, placing whatever
@@ -14,14 +14,17 @@
 // partitioned, or persistently refusing work, so a site outage fails
 // queued reservations fast and re-routes new arrivals.
 //
+// The grid-wide peak-hours rule (sched.AllowNow) always applies: a
+// whole-cluster demand during working hours queues even when capacity is
+// free, and a dry run answers what the submission would get.
+//
 // Determinism is preserved by construction. Probes are read-only and
-// RNG-free, each lands in its own result slot, and the placement decision
-// is a pure function of the gathered results (least busy/total load ratio,
-// ties broken by lexicographically smallest site name) — so probing the
-// shards serially or in parallel picks the same site. Time is an injected
-// simulated-clock function and the controller spawns no goroutines of its
-// own (the embedder supplies the fan-out), keeping the package clean under
-// the repository's walltime and baregoroutine analyzers.
+// RNG-free, run serially in site order, and the placement decision is a
+// pure function of the gathered results (least busy/total load ratio, ties
+// broken by lexicographically smallest site name). Time is an injected
+// simulated-clock function and the controller spawns no goroutines, keeping
+// the package clean under the repository's walltime and baregoroutine
+// analyzers.
 package admit
 
 import (
@@ -54,58 +57,23 @@ type Backend interface {
 	Place(req oar.Request, user string) (oar.JobInfo, error)
 }
 
-// Config parameterises a Controller. The zero value of every field gets a
-// sensible default.
-type Config struct {
-	// QueueCap bounds the reservation queue; arrivals beyond it are shed
-	// with 429 + Retry-After. Default 64.
-	QueueCap int
-	// Deadline is how long a reservation may wait (simulated time) before
-	// it expires. Default 2 hours.
-	Deadline simclock.Time
-	// RetryAfterSec is the Retry-After hint attached to shed responses.
-	// Default 30.
-	RetryAfterSec int
-	// BreakerThreshold is how many consecutive placement refusals trip a
-	// site's breaker. Default 3.
-	BreakerThreshold int
-	// BreakerCooldown is how long (simulated time) a tripped breaker holds
-	// the site out of placement before a half-open probe. Default 30 min.
-	BreakerCooldown simclock.Time
-	// Now supplies the simulated clock (required): deadlines and breaker
-	// cooldowns are measured in campaign time, not wall time.
-	Now func() simclock.Time
-	// Scatter, when set, runs the probe thunks concurrently and returns
-	// when all are done (the gateway points it at a goroutine fan-out).
-	// Nil runs them serially. Each thunk writes only its own result slot,
-	// and placement is a pure function of the gathered slots, so the two
-	// modes are bit-identical
-	// (TestAdmitDeterministicSerialVsParallelScatter).
-	Scatter func(tasks []func())
-	// Policy, when set, is the grid-wide peak-hours policy: requests it
-	// defers (whole-cluster demands during working hours) queue instead of
-	// placing even when capacity is free.
-	Policy *sched.GridPolicy
-}
-
-func (c Config) withDefaults() Config {
-	if c.QueueCap <= 0 {
-		c.QueueCap = 64
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 2 * simclock.Hour
-	}
-	if c.RetryAfterSec <= 0 {
-		c.RetryAfterSec = 30
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 30 * simclock.Minute
-	}
-	return c
-}
+// The controller's fixed policy.
+const (
+	// queueCap bounds the reservation queue; arrivals beyond it are shed
+	// with 429 + Retry-After.
+	queueCap = 64
+	// deadline is how long a reservation may wait (simulated time) before
+	// it expires.
+	deadline = 2 * simclock.Hour
+	// retryAfterSec is the Retry-After hint attached to shed responses.
+	retryAfterSec = 30
+	// breakerThreshold is how many consecutive placement refusals trip a
+	// site's breaker.
+	breakerThreshold = 3
+	// breakerCooldown is how long (simulated time) a tripped breaker holds
+	// the site out of placement before a half-open probe.
+	breakerCooldown = 30 * simclock.Minute
+)
 
 // Status classifies an admission outcome.
 type Status string
@@ -201,7 +169,7 @@ type breaker struct {
 
 // Controller is the admission layer. One instance fronts all sites.
 type Controller struct {
-	cfg      Config
+	now      func() simclock.Time
 	backends []Backend // sorted by site name
 	bySite   map[string]Backend
 
@@ -223,16 +191,15 @@ type Controller struct {
 	deferredPeak int64
 }
 
-// New builds a controller over the given backends. Backends are sorted by
-// site name, so placement tiebreaks do not depend on registration order.
-func New(cfg Config, backends []Backend) *Controller {
-	if cfg.Now == nil {
-		panic("admit: Config.Now is required")
-	}
+// New builds a controller over the given backends. now supplies the
+// simulated clock: deadlines and breaker cooldowns are measured in campaign
+// time, not wall time. Backends are sorted by site name, so placement
+// tiebreaks do not depend on registration order.
+func New(now func() simclock.Time, backends []Backend) *Controller {
 	sorted := append([]Backend(nil), backends...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Site() < sorted[j].Site() })
 	c := &Controller{
-		cfg:      cfg.withDefaults(),
+		now:      now,
 		backends: sorted,
 		bySite:   make(map[string]Backend, len(sorted)),
 		breakers: map[string]*breaker{},
@@ -261,8 +228,8 @@ func (c *Controller) candidatesLocked(now simclock.Time) []Backend {
 		if !b.Available() {
 			continue
 		}
-		if br := c.breakers[b.Site()]; br != nil && br.failures >= c.cfg.BreakerThreshold {
-			if now < br.openedAt+c.cfg.BreakerCooldown {
+		if br := c.breakers[b.Site()]; br != nil && br.failures >= breakerThreshold {
+			if now < br.openedAt+breakerCooldown {
 				continue // open: placement routed away
 			}
 			// Cooldown over: half-open, let one placement attempt through.
@@ -272,24 +239,12 @@ func (c *Controller) candidatesLocked(now simclock.Time) []Backend {
 	return out
 }
 
-// scatterProbes probes the request against every candidate, serially or
-// through the configured fan-out. Each thunk owns one result slot.
-func (c *Controller) scatterProbes(cands []Backend, req oar.Request) []probe {
+// probeAll probes the request against every candidate, in site order.
+func probeAll(cands []Backend, req oar.Request) []probe {
 	results := make([]probe, len(cands))
-	tasks := make([]func(), len(cands))
 	for i, b := range cands {
-		i, b := i, b
-		tasks[i] = func() {
-			busy, total := b.Capacity()
-			results[i] = probe{backend: b, canStart: b.CanPlace(req), busy: busy, total: total}
-		}
-	}
-	if c.cfg.Scatter != nil {
-		c.cfg.Scatter(tasks)
-	} else {
-		for _, t := range tasks {
-			t()
-		}
+		busy, total := b.Capacity()
+		results[i] = probe{backend: b, canStart: b.CanPlace(req), busy: busy, total: total}
 	}
 	return results
 }
@@ -318,13 +273,17 @@ func pickSite(probes []probe) Backend {
 
 // Probe runs the placement probe without admitting anything: the dry-run
 // form of Admit. It returns the site that would take the request now, or
-// ok=false when no live site can start it.
+// ok=false when Admit would not place it now: no live site can start it,
+// or the peak-hours rule holds it back.
 func (c *Controller) Probe(req oar.Request) (site string, ok bool) {
-	now := c.cfg.Now()
+	now := c.now()
+	if !sched.AllowNow(req, now) {
+		return "", false
+	}
 	c.mu.Lock()
 	cands := c.candidatesLocked(now)
 	c.mu.Unlock()
-	results := c.scatterProbes(cands, req)
+	results := probeAll(cands, req)
 	c.mu.Lock()
 	c.probes += int64(len(results))
 	c.mu.Unlock()
@@ -338,15 +297,15 @@ func (c *Controller) Probe(req oar.Request) (site string, ok bool) {
 // startable site, queue a reservation when nothing can start it, or shed
 // when the queue is full.
 func (c *Controller) Admit(req oar.Request, user string) Outcome {
-	now := c.cfg.Now()
+	now := c.now()
 	c.mu.Lock()
 	cands := c.candidatesLocked(now)
 	c.mu.Unlock()
 
-	allowNow := c.cfg.Policy == nil || c.cfg.Policy.AllowNow(req, now)
+	allowNow := sched.AllowNow(req, now)
 	var results []probe
 	if allowNow {
-		results = c.scatterProbes(cands, req)
+		results = probeAll(cands, req)
 	}
 
 	c.mu.Lock()
@@ -363,9 +322,9 @@ func (c *Controller) Admit(req oar.Request, user string) Outcome {
 		// The probed site refused between probe and placement (downed
 		// mid-flight); fall through to the queue like any other miss.
 	}
-	if len(c.queue) >= c.cfg.QueueCap {
+	if len(c.queue) >= queueCap {
 		c.shed++
-		return Outcome{Status: Shed, RetryAfterSec: c.cfg.RetryAfterSec}
+		return Outcome{Status: Shed, RetryAfterSec: retryAfterSec}
 	}
 	c.nextID++
 	r := &reservation{
@@ -373,7 +332,7 @@ func (c *Controller) Admit(req oar.Request, user string) Outcome {
 		req:      req,
 		user:     user,
 		enqueued: now,
-		deadline: now + c.cfg.Deadline,
+		deadline: now + deadline,
 	}
 	c.queue = append(c.queue, r)
 	c.queued++
@@ -395,7 +354,7 @@ func (c *Controller) placeLocked(b Backend, req oar.Request, user string, now si
 			c.breakers[b.Site()] = br
 		}
 		br.failures++
-		if br.failures == c.cfg.BreakerThreshold {
+		if br.failures == breakerThreshold {
 			br.openedAt = now
 		}
 		return oar.JobInfo{}, err
@@ -413,7 +372,7 @@ func (c *Controller) placeLocked(b Backend, req oar.Request, user string, now si
 // Call it after every campaign advance and every chaos transition; it is a
 // cheap no-op while the queue is empty.
 func (c *Controller) Pump() {
-	now := c.cfg.Now()
+	now := c.now()
 	c.mu.Lock()
 	if len(c.queue) == 0 {
 		c.mu.Unlock()
@@ -438,10 +397,10 @@ func (c *Controller) Pump() {
 			// No live site anywhere: fail fast rather than let every
 			// reservation sit out its deadline against a dead grid.
 			verdicts = append(verdicts, verdict{r: r, outcome: "failed"})
-		case c.cfg.Policy != nil && !c.cfg.Policy.AllowNow(r.req, now):
+		case !sched.AllowNow(r.req, now):
 			verdicts = append(verdicts, verdict{r: r, outcome: "keep"})
 		default:
-			results := c.scatterProbes(cands, r.req)
+			results := probeAll(cands, r.req)
 			c.mu.Lock()
 			c.probes += int64(len(results))
 			c.mu.Unlock()
@@ -524,7 +483,7 @@ func (c *Controller) Stats() StatsJSON {
 func (c *Controller) statsLocked() StatsJSON {
 	return StatsJSON{
 		Depth:        len(c.queue),
-		Capacity:     c.cfg.QueueCap,
+		Capacity:     queueCap,
 		MaxDepth:     c.maxDepth,
 		Probes:       c.probes,
 		Placed:       c.placed,
@@ -541,7 +500,7 @@ func (c *Controller) statsLocked() StatsJSON {
 // serves): counters, waiting reservations in FIFO order, the
 // recently-resolved ring, and every site's breaker state.
 func (c *Controller) Queue() QueueJSON {
-	now := c.cfg.Now()
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := QueueJSON{
@@ -561,8 +520,8 @@ func (c *Controller) Queue() QueueJSON {
 		}
 		if br := c.breakers[b.Site()]; br != nil {
 			bj.Failures = br.failures
-			if br.failures >= c.cfg.BreakerThreshold {
-				if now < br.openedAt+c.cfg.BreakerCooldown {
+			if br.failures >= breakerThreshold {
+				if now < br.openedAt+breakerCooldown {
 					bj.State = "open"
 				} else if bj.State == "closed" {
 					bj.State = "half-open"

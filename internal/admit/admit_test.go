@@ -59,15 +59,14 @@ func mustReq(t testing.TB, s string) oar.Request {
 }
 
 // newTestController builds a controller over the given backends with a
-// manually stepped simulated clock.
-func newTestController(cfg Config, backends ...*fakeBackend) (*Controller, *simclock.Time) {
+// manually stepped simulated clock, at the epoch: Monday 00:00, off peak.
+func newTestController(backends ...*fakeBackend) (*Controller, *simclock.Time) {
 	now := new(simclock.Time)
-	cfg.Now = func() simclock.Time { return *now }
 	bs := make([]Backend, len(backends))
 	for i, b := range backends {
 		bs[i] = b
 	}
-	return New(cfg, bs), now
+	return New(func() simclock.Time { return *now }, bs), now
 }
 
 func TestAdmitRoutesToLeastLoadedSite(t *testing.T) {
@@ -76,7 +75,7 @@ func TestAdmitRoutesToLeastLoadedSite(t *testing.T) {
 	nancy := &fakeBackend{site: "nancy", available: true, total: 8, busy: 4}
 	rennes := &fakeBackend{site: "rennes", available: true, total: 8, busy: 1}
 	grenoble := &fakeBackend{site: "grenoble", available: true, total: 4}
-	c, _ := newTestController(Config{}, nancy, rennes, grenoble)
+	c, _ := newTestController(nancy, rennes, grenoble)
 
 	out := c.Admit(mustReq(t, "nodes=2,walltime=1"), "alice")
 	if out.Status != Placed || out.Site != "grenoble" {
@@ -99,7 +98,7 @@ func TestAdmitTiebreakIsLexicographic(t *testing.T) {
 		for _, site := range order {
 			backends = append(backends, &fakeBackend{site: site, available: true, total: 8, busy: 2})
 		}
-		c, _ := newTestController(Config{}, backends...)
+		c, _ := newTestController(backends...)
 		out := c.Admit(mustReq(t, "nodes=1,walltime=1"), "u")
 		if out.Status != Placed || out.Site != "lyon" {
 			t.Fatalf("order %v: admit = %+v, want lyon", order, out)
@@ -110,7 +109,7 @@ func TestAdmitTiebreakIsLexicographic(t *testing.T) {
 func TestAdmitSkipsDownSites(t *testing.T) {
 	down := &fakeBackend{site: "lyon", available: false, total: 8}
 	up := &fakeBackend{site: "nancy", available: true, total: 8, busy: 7}
-	c, _ := newTestController(Config{}, down, up)
+	c, _ := newTestController(down, up)
 	out := c.Admit(mustReq(t, "nodes=1,walltime=1"), "u")
 	if out.Status != Placed || out.Site != "nancy" {
 		t.Fatalf("admit = %+v, want placed at nancy", out)
@@ -119,10 +118,10 @@ func TestAdmitSkipsDownSites(t *testing.T) {
 
 func TestQueueBoundsAndShedding(t *testing.T) {
 	full := &fakeBackend{site: "lyon", available: true, total: 2, busy: 2}
-	c, _ := newTestController(Config{QueueCap: 3, RetryAfterSec: 7}, full)
+	c, _ := newTestController(full)
 
 	req := mustReq(t, "nodes=1,walltime=1")
-	for i := 0; i < 3; i++ {
+	for i := 0; i < queueCap; i++ {
 		out := c.Admit(req, "u")
 		if out.Status != Queued {
 			t.Fatalf("admit %d = %+v, want queued", i, out)
@@ -132,18 +131,18 @@ func TestQueueBoundsAndShedding(t *testing.T) {
 		}
 	}
 	out := c.Admit(req, "u")
-	if out.Status != Shed || out.RetryAfterSec != 7 {
-		t.Fatalf("overflow admit = %+v, want shed with Retry-After 7", out)
+	if out.Status != Shed || out.RetryAfterSec != retryAfterSec {
+		t.Fatalf("overflow admit = %+v, want shed with Retry-After %d", out, retryAfterSec)
 	}
 	st := c.Stats()
-	if st.Depth != 3 || st.MaxDepth != 3 || st.Shed != 1 || st.Queued != 3 {
+	if st.Depth != queueCap || st.MaxDepth != queueCap || st.Shed != 1 || st.Queued != queueCap {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestPumpPlacesFreedCapacity(t *testing.T) {
 	lyon := &fakeBackend{site: "lyon", available: true, total: 2, busy: 2}
-	c, _ := newTestController(Config{}, lyon)
+	c, _ := newTestController(lyon)
 	req := mustReq(t, "nodes=2,walltime=1")
 	if out := c.Admit(req, "u"); out.Status != Queued {
 		t.Fatalf("admit = %+v, want queued", out)
@@ -172,7 +171,7 @@ func TestPumpPlacesFreedCapacity(t *testing.T) {
 // the one-node reservation behind it backfills into freed capacity.
 func TestPumpFairness(t *testing.T) {
 	lyon := &fakeBackend{site: "lyon", available: true, total: 4, busy: 4}
-	c, _ := newTestController(Config{}, lyon)
+	c, _ := newTestController(lyon)
 	big := c.Admit(mustReq(t, "nodes=4,walltime=1"), "big")
 	small := c.Admit(mustReq(t, "nodes=1,walltime=1"), "small")
 	if big.Status != Queued || small.Status != Queued {
@@ -205,15 +204,20 @@ func TestPumpFairness(t *testing.T) {
 
 func TestPumpExpiresPastDeadline(t *testing.T) {
 	full := &fakeBackend{site: "lyon", available: true, total: 1, busy: 1}
-	c, now := newTestController(Config{Deadline: simclock.Hour}, full)
+	c, now := newTestController(full)
 	out := c.Admit(mustReq(t, "nodes=1,walltime=1"), "u")
 	if out.Status != Queued {
 		t.Fatalf("admit = %+v", out)
 	}
-	if out.Reservation.DeadlineSec != simclock.Hour.Seconds() {
-		t.Fatalf("deadline = %v, want 1h", out.Reservation.DeadlineSec)
+	if out.Reservation.DeadlineSec != deadline.Seconds() {
+		t.Fatalf("deadline = %v, want %v", out.Reservation.DeadlineSec, deadline)
 	}
-	*now = simclock.Hour // deadline reached
+	*now = deadline - simclock.Second
+	c.Pump()
+	if st := c.Stats(); st.Depth != 1 {
+		t.Fatalf("stats = %+v, want the reservation waiting until its deadline", st)
+	}
+	*now = deadline // deadline reached
 	c.Pump()
 	st := c.Stats()
 	if st.Depth != 0 || st.Expired != 1 {
@@ -225,7 +229,7 @@ func TestPumpExpiresPastDeadline(t *testing.T) {
 // live site must fail immediately, well before its deadline.
 func TestPumpFailsFastWithNoLiveSites(t *testing.T) {
 	lyon := &fakeBackend{site: "lyon", available: true, total: 1, busy: 1}
-	c, _ := newTestController(Config{Deadline: simclock.Day}, lyon)
+	c, _ := newTestController(lyon)
 	if out := c.Admit(mustReq(t, "nodes=1,walltime=1"), "u"); out.Status != Queued {
 		t.Fatalf("admit = %+v", out)
 	}
@@ -243,14 +247,14 @@ func TestPumpFailsFastWithNoLiveSites(t *testing.T) {
 
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	// lyon probes as startable but refuses every placement (down
-	// mid-flight); nancy has no capacity. After BreakerThreshold refusals,
+	// mid-flight); nancy has no capacity. After breakerThreshold refusals,
 	// lyon drops out of the candidate set until the cooldown passes.
 	lyon := &fakeBackend{site: "lyon", available: true, total: 8, placeErr: fmt.Errorf("shard down")}
 	nancy := &fakeBackend{site: "nancy", available: true, total: 1, busy: 1}
-	c, now := newTestController(Config{BreakerThreshold: 2, BreakerCooldown: simclock.Hour}, lyon, nancy)
+	c, now := newTestController(lyon, nancy)
 	req := mustReq(t, "nodes=1,walltime=1")
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if out := c.Admit(req, "u"); out.Status != Queued {
 			t.Fatalf("admit %d = %+v, want queued after refusal", i, out)
 		}
@@ -270,7 +274,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 	// Cooldown over and the site actually healed: the half-open trial
 	// places, which closes the breaker.
-	*now = simclock.Hour
+	*now = breakerCooldown
 	lyon.placeErr = nil
 	if out := c.Admit(req, "u"); out.Status != Placed || out.Site != "lyon" {
 		t.Fatalf("half-open admit = %+v, want placed at lyon", out)
@@ -281,56 +285,20 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestAdmitDeterministicSerialVsParallelScatter: the same admission
-// sequence through a serial and a concurrent Scatter must pick identical
-// sites — the pure-decision property E19 gates end to end.
-func TestAdmitDeterministicSerialVsParallelScatter(t *testing.T) {
-	build := func(scatter func([]func())) *Controller {
-		a := &fakeBackend{site: "lyon", available: true, total: 6}
-		b := &fakeBackend{site: "nancy", available: true, total: 4}
-		d := &fakeBackend{site: "rennes", available: true, total: 8, busy: 3}
-		c, _ := newTestController(Config{Scatter: scatter}, a, b, d)
-		return c
-	}
-	parallel := func(tasks []func()) {
-		donech := make(chan struct{})
-		for _, task := range tasks {
-			task := task
-			go func() { task(); donech <- struct{}{} }()
-		}
-		for range tasks {
-			<-donech
-		}
-	}
-	serial, conc := build(nil), build(parallel)
-	reqs := []string{
-		"nodes=2,walltime=1", "nodes=1,walltime=1", "nodes=3,walltime=2",
-		"nodes=1,walltime=1", "nodes=2,walltime=1", "nodes=4,walltime=1",
-	}
-	for i, rs := range reqs {
-		req := mustReq(t, rs)
-		a, b := serial.Admit(req, "u"), conc.Admit(req, "u")
-		if a.Status != b.Status || a.Site != b.Site {
-			t.Fatalf("request %d diverged: serial (%s,%s) vs parallel (%s,%s)",
-				i, a.Status, a.Site, b.Status, b.Site)
-		}
-	}
-	if serial.Stats() != conc.Stats() {
-		t.Fatalf("stats diverged:\nserial:   %+v\nparallel: %+v", serial.Stats(), conc.Stats())
-	}
-}
-
 func TestPeakPolicyDefersWholeClusterRequests(t *testing.T) {
-	pol := sched.DefaultGridPolicy()
 	idle := &fakeBackend{site: "lyon", available: true, total: 8}
-	c, now := newTestController(Config{Policy: &pol, Deadline: simclock.Day}, idle)
+	c, now := newTestController(idle)
 
-	// Monday 10:00 (the simulated epoch is a Monday at 00:00).
-	*now = 10 * simclock.Hour
-	if !pol.InPeak(*now) {
-		t.Fatal("Monday 10:00 should be peak")
+	// Monday 17:00 (the simulated epoch is a Monday at 00:00).
+	*now = 17 * simclock.Hour
+	if !sched.InPeak(*now) {
+		t.Fatal("Monday 17:00 should be peak")
 	}
-	out := c.Admit(mustReq(t, "nodes=ALL,walltime=1"), "u")
+	whole := mustReq(t, "nodes=ALL,walltime=1")
+	if _, ok := c.Probe(whole); ok {
+		t.Fatal("dry run of a whole-cluster request during peak answered placeable")
+	}
+	out := c.Admit(whole, "u")
 	if out.Status != Queued {
 		t.Fatalf("whole-cluster admit during peak = %+v, want queued", out)
 	}
@@ -341,9 +309,9 @@ func TestPeakPolicyDefersWholeClusterRequests(t *testing.T) {
 	if out := c.Admit(mustReq(t, "nodes=1,walltime=1"), "u"); out.Status != Placed {
 		t.Fatalf("small admit during peak = %+v, want placed", out)
 	}
-	// Off-peak and with the pool drained, the queued whole-cluster request
-	// pumps through.
-	*now = 20 * simclock.Hour
+	// Off-peak, before its deadline, and with the pool drained, the queued
+	// whole-cluster request pumps through.
+	*now = 18 * simclock.Hour
 	idle.busy = 0
 	c.Pump()
 	if st := c.Stats(); st.Depth != 0 || st.QueuedPlaced != 1 {

@@ -149,14 +149,6 @@ func (t *Tracker) Fix(id int) error {
 // Two reads observing the same version observed identical tracker state.
 func (t *Tracker) Version() int64 { return t.version }
 
-// Get returns a bug by ID, or nil.
-func (t *Tracker) Get(id int) *Bug {
-	if id < 1 || id > len(t.bugs) {
-		return nil
-	}
-	return t.bugs[id-1]
-}
-
 // BySignature returns the bug carrying the signature, or nil.
 func (t *Tracker) BySignature(sig string) *Bug { return t.bySig[sig] }
 

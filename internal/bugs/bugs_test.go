@@ -57,11 +57,8 @@ func TestLookups(t *testing.T) {
 	tr := NewTracker(simclock.New(3))
 	tr.File("a", "ta", "f1", "x")
 	tr.File("b", "tb", "f2", "y")
-	if tr.Get(1).Signature != "a" || tr.Get(2).Signature != "b" {
-		t.Fatal("Get by ID")
-	}
-	if tr.Get(0) != nil || tr.Get(3) != nil {
-		t.Fatal("out-of-range Get")
+	if all := tr.All(); len(all) != 2 || all[0].ID != 1 || all[1].ID != 2 {
+		t.Fatal("IDs are not in filing order")
 	}
 	if tr.BySignature("b").ID != 2 {
 		t.Fatal("BySignature")

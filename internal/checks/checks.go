@@ -83,16 +83,6 @@ func NewChecker(clock *simclock.Clock, tb *testbed.Testbed, ref *refapi.Store) *
 // concurrently with checks running on executor goroutines.
 func (c *Checker) Runs() int { return int(c.runs.Load()) }
 
-// Acquire reads the node's live inventory, as OHAI/ethtool would. It is a
-// deep copy: callers can compare or store it without aliasing live state.
-func (c *Checker) Acquire(node string) (testbed.Inventory, error) {
-	n := c.tb.Node(node)
-	if n == nil {
-		return testbed.Inventory{}, fmt.Errorf("checks: unknown node %q", node)
-	}
-	return n.Inv.Clone(), nil
-}
-
 // CheckNode verifies one node against the current reference description.
 func (c *Checker) CheckNode(node string) (*Report, error) {
 	rep := &Report{}

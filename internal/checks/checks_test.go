@@ -84,18 +84,6 @@ func TestCheckUnknownNode(t *testing.T) {
 	}
 }
 
-func TestAcquireDoesNotAlias(t *testing.T) {
-	_, tb, _, ch := setup()
-	inv, err := ch.Acquire("sol-1.sophia")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv.Disks[0].Firmware = "HACKED"
-	if tb.Node("sol-1.sophia").Inv.Disks[0].Firmware == "HACKED" {
-		t.Fatal("Acquire aliases live state")
-	}
-}
-
 func TestCheckCluster(t *testing.T) {
 	_, tb, inj, ch := setup()
 	inj.InjectNode(faults.TurboFlip, "helios-3.sophia")

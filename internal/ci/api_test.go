@@ -17,7 +17,7 @@ import (
 func apiServer(t *testing.T) (*simclock.Clock, *Server, *httptest.Server) {
 	t.Helper()
 	c := simclock.New(20)
-	s := NewServer(c, 4)
+	s := NewServer(c, Options{NumExecutors: 4})
 	s.CreateJob(&Job{Name: "smoke", Description: "basic check",
 		Script: constScript(Success, 5*simclock.Minute)})
 	s.CreateJob(&Job{Name: "envs", Script: constScript(Failure, simclock.Minute),
@@ -240,7 +240,7 @@ func TestAPIUnencodableBodyAnswers500(t *testing.T) {
 // completed cells. Run with -race.
 func TestAPIJobDetailIsOneSnapshot(t *testing.T) {
 	c := simclock.New(7)
-	s := NewServerWith(c, Options{NumExecutors: 3})
+	s := NewServer(c, Options{NumExecutors: 3})
 	var n atomic.Int64 // cell durations differ, so cells finish at different instants
 	err := s.CreateJob(&Job{Name: "envs", Retention: 40,
 		Script: func(bc *BuildContext) Outcome {

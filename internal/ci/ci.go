@@ -104,14 +104,13 @@ type BuildContext struct {
 	// Level-gated bounded log ring. When the server discards build logs,
 	// logOn is false and Logf returns before formatting — the call is then
 	// effectively free (the variadic slice stays on the caller's stack).
-	// When logs are kept, at most maxLines lines are retained (a ring of
+	// When logs are kept, at most maxLogLines lines are retained (a ring of
 	// the most recent); the line storage is reused across builds via the
 	// context pool.
-	logOn    bool
-	maxLines int
-	log      []string
-	logHead  int // next overwrite position once the ring wrapped
-	wrapped  bool
+	logOn   bool
+	log     []string
+	logHead int // next overwrite position once the ring wrapped
+	wrapped bool
 }
 
 var bcPool = sync.Pool{New: func() any { return new(BuildContext) }}
@@ -130,7 +129,7 @@ func (bc *BuildContext) Logf(format string, args ...any) {
 func (bc *BuildContext) LogsRetained() bool { return bc.logOn }
 
 func (bc *BuildContext) addLine(line string) {
-	if bc.maxLines > 0 && len(bc.log) >= bc.maxLines {
+	if len(bc.log) >= maxLogLines {
 		bc.log[bc.logHead] = line
 		bc.logHead++
 		if bc.logHead == len(bc.log) {
@@ -158,8 +157,8 @@ func (bc *BuildContext) takeLog(extra []string) []string {
 		out = append(out, bc.log...)
 	}
 	out = append(out, extra...)
-	if bc.maxLines > 0 && len(out) > bc.maxLines {
-		out = out[len(out)-bc.maxLines:] // keep the most recent lines
+	if len(out) > maxLogLines {
+		out = out[len(out)-maxLogLines:] // keep the most recent lines
 	}
 	return out
 }
@@ -216,8 +215,6 @@ type Job struct {
 	// cell-key strings and serialization keys are computed once per job and
 	// shared by every build, instead of re-sorting a map per cell trigger.
 	cells []matrixCell
-
-	cron *simclock.Ticker
 }
 
 // matrixCell is one interned (axis values, key) combination of a matrix job.
@@ -278,8 +275,8 @@ func (j *Job) buildAt(i int) *Build { return j.ring[(j.head+i)%len(j.ring)] }
 // DefaultRetention is the per-job build history size.
 const DefaultRetention = 200
 
-// DefaultMaxLogLines bounds the per-build log ring when logs are retained.
-const DefaultMaxLogLines = 1000
+// maxLogLines bounds the per-build log ring when logs are retained.
+const maxLogLines = 1000
 
 // IsMatrix reports whether the job expands into cells.
 func (j *Job) IsMatrix() bool { return len(j.Axes) > 0 }
@@ -390,9 +387,6 @@ type Server struct {
 	// instant produce a single pump.
 	pumpScheduled bool
 	claimed       []string // spawnWorkersLocked's scratch, at most executors keys
-	// draining: the server no longer accepts triggers; queued and running
-	// builds finish, then the pool winds down (graceful drain).
-	draining bool
 
 	// tokens implements the "access control for users to trigger jobs
 	// manually" benefit (slide 20): token → user name.
@@ -401,9 +395,7 @@ type Server struct {
 	// completion listeners (status page, bug filing in internal/core).
 	onComplete []func(*Build)
 
-	// Log policy (see Options).
-	discardLogs bool
-	maxLogLines int
+	discardLogs bool // see Options
 
 	builtCount int
 }
@@ -423,27 +415,14 @@ type Options struct {
 	// a no-op that never formats, and script outcome logs are not stored.
 	// Long campaigns that never read logs run allocation-lean with this
 	// set; the default keeps logs, like Jenkins.
+	// Kept logs are bounded to a ring of the most recent maxLogLines lines.
 	DiscardBuildLogs bool
-
-	// MaxLogLines bounds the per-build log to a ring of the most recent
-	// lines (0 = DefaultMaxLogLines, negative = unbounded).
-	MaxLogLines int
 }
 
-// NewServer creates a server with the given executor count.
-func NewServer(clock *simclock.Clock, executors int) *Server {
-	return NewServerWith(clock, Options{NumExecutors: executors})
-}
-
-// NewServerWith creates a server from Options.
-func NewServerWith(clock *simclock.Clock, o Options) *Server {
+// NewServer creates a server from Options.
+func NewServer(clock *simclock.Clock, o Options) *Server {
 	if o.NumExecutors < 1 {
 		o.NumExecutors = 1
-	}
-	if o.MaxLogLines == 0 {
-		o.MaxLogLines = DefaultMaxLogLines
-	} else if o.MaxLogLines < 0 {
-		o.MaxLogLines = 0 // unbounded
 	}
 	s := &Server{
 		clock:       clock,
@@ -452,7 +431,6 @@ func NewServerWith(clock *simclock.Clock, o Options) *Server {
 		activeKeys:  map[string]bool{},
 		tokens:      map[string]string{},
 		discardLogs: o.DiscardBuildLogs,
-		maxLogLines: o.MaxLogLines,
 	}
 	s.work = s.worker
 	return s
@@ -502,40 +480,11 @@ func (s *Server) CreateJob(j *Job) error {
 	s.jobOrder = append(s.jobOrder, j.Name)
 	if j.Every > 0 {
 		name := j.Name
-		j.cron = s.clock.Every(j.Every, func() {
+		s.clock.Every(j.Every, func() {
 			s.Trigger(name, "cron") //nolint:errcheck // job exists by construction
 		})
 	}
 	return nil
-}
-
-// DeleteJob unregisters a job, stopping its cron trigger. History is
-// discarded (Jenkins keeps it on disk; we drop it with the job).
-func (s *Server) DeleteJob(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.jobs[name]
-	if j == nil {
-		return fmt.Errorf("ci: unknown job %q", name)
-	}
-	if j.cron != nil {
-		j.cron.Stop()
-	}
-	delete(s.jobs, name)
-	for i, n := range s.jobOrder {
-		if n == name {
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-			break
-		}
-	}
-	return nil
-}
-
-// JobNames returns registered job names in creation order.
-func (s *Server) JobNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.jobOrder...)
 }
 
 // JobByName returns a job, or nil.
@@ -543,23 +492,6 @@ func (s *Server) JobByName(name string) *Job {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.jobs[name]
-}
-
-// Executors returns the executor pool size.
-func (s *Server) Executors() int { return s.executors }
-
-// BusyExecutors returns how many executors are currently running builds.
-func (s *Server) BusyExecutors() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.running
-}
-
-// QueueLength returns the number of builds waiting for an executor.
-func (s *Server) QueueLength() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.queue)
 }
 
 // TotalBuilds returns the number of completed builds since startup.
@@ -574,9 +506,6 @@ func (s *Server) TotalBuilds() int {
 func (s *Server) Trigger(jobName, cause string) (*Build, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
-		return nil, fmt.Errorf("ci: server is draining")
-	}
 	j := s.jobs[jobName]
 	if j == nil {
 		return nil, fmt.Errorf("ci: unknown job %q", jobName)
@@ -722,7 +651,7 @@ func (s *Server) worker() {
 		// comes from a pool — its log storage is recycled build to build.
 		bc := bcPool.Get().(*BuildContext)
 		bc.Clock, bc.Job, bc.Cell = s.clock, b.Job, b.Cell
-		bc.logOn, bc.maxLines = !s.discardLogs, s.maxLogLines
+		bc.logOn = !s.discardLogs
 		out := p.script(bc)
 		var log []string
 		if !s.discardLogs {
@@ -764,40 +693,6 @@ func (s *Server) completeBuild(b *Build, out Outcome, log []string, key string) 
 			fn(parentDone)
 		}
 	}
-}
-
-// Drain puts the server into graceful shutdown: cron triggers stop, new
-// triggers are rejected, and queued plus running builds are allowed to
-// finish. Drive the clock until Drained reports true to complete the
-// drain.
-func (s *Server) Drain() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return
-	}
-	s.draining = true
-	for _, name := range s.jobOrder {
-		if j := s.jobs[name]; j.cron != nil {
-			j.cron.Stop()
-			j.cron = nil
-		}
-	}
-}
-
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.draining
-}
-
-// Drained reports whether a drain has completed: no queued builds, no
-// running builds, and every executor wound down.
-func (s *Server) Drained() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.draining && len(s.queue) == 0 && s.running == 0 && s.workers == 0
 }
 
 // Build returns one build of a job by number, or nil.

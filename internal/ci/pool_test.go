@@ -46,7 +46,7 @@ func completedWindows(s *Server, jobs ...string) []window {
 // concurrently, observed as overlapping build windows on the sim clock.
 func TestConcurrentBuildWindowsOverlap(t *testing.T) {
 	c := simclock.New(21)
-	s := NewServerWith(c, Options{NumExecutors: 4})
+	s := NewServer(c, Options{NumExecutors: 4})
 	var jobs []string
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("job-%d", i)
@@ -76,7 +76,7 @@ func TestConcurrentBuildWindowsOverlap(t *testing.T) {
 // builds of one job never overlap, even with executors to spare.
 func TestSameJobBuildsSerialize(t *testing.T) {
 	c := simclock.New(22)
-	s := NewServerWith(c, Options{NumExecutors: 4})
+	s := NewServer(c, Options{NumExecutors: 4})
 	if err := s.CreateJob(&Job{Name: "serial", Script: constScript(Success, simclock.Hour)}); err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +86,8 @@ func TestSameJobBuildsSerialize(t *testing.T) {
 		}
 	}
 	c.RunUntil(simclock.Minute)
-	if s.BusyExecutors() != 1 {
-		t.Fatalf("busy = %d, want 1 (same-job builds must not overlap)", s.BusyExecutors())
+	if s.busy() != 1 {
+		t.Fatalf("busy = %d, want 1 (same-job builds must not overlap)", s.busy())
 	}
 	c.Run()
 	if got := maxOverlap(completedWindows(s, "serial")); got != 1 {
@@ -103,7 +103,7 @@ func TestSameJobBuildsSerialize(t *testing.T) {
 // one cell serialize.
 func TestMatrixCellsRunConcurrently(t *testing.T) {
 	c := simclock.New(23)
-	s := NewServerWith(c, Options{NumExecutors: 4})
+	s := NewServer(c, Options{NumExecutors: 4})
 	err := s.CreateJob(&Job{
 		Name:   "matrix",
 		Script: constScript(Success, simclock.Hour),
@@ -129,63 +129,11 @@ func TestMatrixCellsRunConcurrently(t *testing.T) {
 	}
 }
 
-// TestGracefulDrain: Drain stops cron and rejects new triggers but lets
-// queued and running builds finish; the pool then winds down to zero
-// goroutines.
-func TestGracefulDrain(t *testing.T) {
-	c := simclock.New(24)
-	s := NewServerWith(c, Options{NumExecutors: 2})
-	s.CreateJob(&Job{Name: "cronjob", Script: constScript(Success, simclock.Minute), Every: simclock.Hour})
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("work-%d", i)
-		s.CreateJob(&Job{Name: name, Script: constScript(Success, simclock.Hour)})
-		if _, err := s.Trigger(name, "test"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Let the first two builds start, then drain mid-flight.
-	c.RunUntil(simclock.Minute)
-	if s.BusyExecutors() != 2 || s.QueueLength() != 1 {
-		t.Fatalf("busy=%d queue=%d before drain", s.BusyExecutors(), s.QueueLength())
-	}
-	s.Drain()
-	if !s.Draining() {
-		t.Fatal("not draining")
-	}
-	if s.Drained() {
-		t.Fatal("drained with builds in flight")
-	}
-	if _, err := s.Trigger("work-0", "late"); err == nil {
-		t.Fatal("trigger accepted while draining")
-	}
-	c.Run()
-	if !s.Drained() {
-		t.Fatalf("not drained: busy=%d queue=%d", s.BusyExecutors(), s.QueueLength())
-	}
-	// All three queued builds finished; the cron job never fired (drained
-	// before its first period elapsed) and stays off forever.
-	if got := s.TotalBuilds(); got != 3 {
-		t.Fatalf("completed builds = %d, want 3", got)
-	}
-	c.RunFor(simclock.Day)
-	if got := s.TotalBuilds(); got != 3 {
-		t.Fatalf("cron fired after drain: %d builds", got)
-	}
-	if g := c.Goroutines(); g != 0 {
-		t.Fatalf("executor goroutines leaked: %d", g)
-	}
-	// Drain is idempotent.
-	s.Drain()
-	if !s.Drained() {
-		t.Fatal("second drain broke state")
-	}
-}
-
 // TestPoolShrinksToZeroWhenIdle: between bursts of work no executor
 // goroutine stays parked.
 func TestPoolShrinksToZeroWhenIdle(t *testing.T) {
 	c := simclock.New(25)
-	s := NewServerWith(c, Options{NumExecutors: 8})
+	s := NewServer(c, Options{NumExecutors: 8})
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("burst-%d", i)
 		s.CreateJob(&Job{Name: name, Script: constScript(Success, simclock.Minute)})
@@ -212,7 +160,7 @@ func TestPoolShrinksToZeroWhenIdle(t *testing.T) {
 // executor is free — the build window starts at the trigger time.
 func TestBuildsStartAtTriggerInstant(t *testing.T) {
 	c := simclock.New(26)
-	s := NewServerWith(c, Options{NumExecutors: 1})
+	s := NewServer(c, Options{NumExecutors: 1})
 	s.CreateJob(&Job{Name: "j", Script: constScript(Success, simclock.Minute)})
 	c.RunUntil(simclock.Hour)
 	b, _ := s.Trigger("j", "test")

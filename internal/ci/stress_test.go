@@ -19,7 +19,7 @@ import (
 // Run with -race: this is the thread-safety contract of the server.
 func TestServerConcurrentStress(t *testing.T) {
 	c := simclock.New(99)
-	s := NewServerWith(c, Options{NumExecutors: 8})
+	s := NewServer(c, Options{NumExecutors: 8})
 	const jobs = 16
 	for i := 0; i < jobs; i++ {
 		err := s.CreateJob(&Job{
@@ -46,10 +46,9 @@ func TestServerConcurrentStress(t *testing.T) {
 						atomic.AddInt64(&triggered, 1)
 					}
 				case 1:
-					_ = s.QueueLength() + s.BusyExecutors() + s.TotalBuilds()
-					_ = s.Draining()
+					_ = s.queued() + s.busy() + s.TotalBuilds()
 				case 2:
-					_ = s.JobNames()
+					_ = s.Builds(name)
 					if j := s.JobByName(name); j == nil {
 						t.Error("job vanished")
 						return
@@ -80,7 +79,7 @@ func TestServerConcurrentStress(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = s.QueueLength() + s.BusyExecutors() + s.TotalBuilds()
+				_ = s.queued() + s.busy() + s.TotalBuilds()
 				resp, err := http.Get(ts.URL + "/job/job-0/api/json")
 				if err == nil {
 					_, _ = io.Copy(io.Discard, resp.Body)
@@ -110,7 +109,7 @@ func TestServerConcurrentStress(t *testing.T) {
 			runtime.Gosched()
 			continue
 		}
-		if s.QueueLength() == 0 && s.BusyExecutors() == 0 && c.Pending() == 0 {
+		if s.queued() == 0 && s.busy() == 0 && !c.Step() {
 			break
 		}
 	}
@@ -120,7 +119,7 @@ func TestServerConcurrentStress(t *testing.T) {
 	if got := int64(s.TotalBuilds()); got != triggered {
 		t.Fatalf("completed %d of %d triggered builds", got, triggered)
 	}
-	if s.QueueLength() != 0 || s.BusyExecutors() != 0 {
+	if s.queued() != 0 || s.busy() != 0 {
 		t.Fatal("server not drained")
 	}
 	if g := c.Goroutines(); g != 0 {

@@ -208,7 +208,7 @@ func New(cfg Config) *Framework {
 	f.VLAN = kavlan.NewManager(f.Clock, f.TB, f.Faults)
 	f.Monitor = monitor.NewCollector(f.Clock, f.TB, f.Faults)
 	f.Checker = checks.NewChecker(f.Clock, f.TB, f.Ref)
-	f.CI = ci.NewServerWith(f.Clock, ci.Options{
+	f.CI = ci.NewServer(f.Clock, ci.Options{
 		NumExecutors:     cfg.Executors,
 		DiscardBuildLogs: !cfg.RetainBuildLogs,
 	})

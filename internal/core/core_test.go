@@ -24,17 +24,22 @@ func quietConfig(seed int64) Config {
 func TestFrameworkWiring(t *testing.T) {
 	f := New(quietConfig(1))
 	f.Start()
-	// 303 simple jobs + environments matrix.
-	if got := len(f.CI.JobNames()); got != 304 {
-		t.Fatalf("CI jobs = %d, want 304", got)
-	}
-	if got := len(f.Sched.SpecNames()); got != 303 {
+	// 303 simple jobs, each with its spec, + environments matrix.
+	if got := len(f.Sched.Stats()); got != 303 {
 		t.Fatalf("specs = %d, want 303", got)
+	}
+	for _, st := range f.Sched.Stats() {
+		if f.CI.JobByName(st.Name) == nil {
+			t.Fatalf("spec %s has no CI job", st.Name)
+		}
+	}
+	if f.CI.JobByName("environments") == nil {
+		t.Fatal("no environments matrix job")
 	}
 	// Start is idempotent.
 	f.Start()
-	if got := len(f.CI.JobNames()); got != 304 {
-		t.Fatalf("double Start duplicated jobs: %d", got)
+	if got := len(f.Sched.Stats()); got != 303 {
+		t.Fatalf("double Start duplicated specs: %d", got)
 	}
 }
 
@@ -217,15 +222,15 @@ func TestRolloutDelaysFamilies(t *testing.T) {
 	f := New(cfg)
 	f.Start()
 	f.RunFor(simclock.Day)
-	for _, name := range f.Sched.SpecNames() {
-		if strings.HasPrefix(name, "disk/") {
+	for _, st := range f.Sched.Stats() {
+		if strings.HasPrefix(st.Name, "disk/") {
 			t.Fatal("disk specs registered before rollout time")
 		}
 	}
 	f.RunFor(2 * simclock.Week)
 	found := false
-	for _, name := range f.Sched.SpecNames() {
-		if strings.HasPrefix(name, "disk/") {
+	for _, st := range f.Sched.Stats() {
+		if strings.HasPrefix(st.Name, "disk/") {
 			found = true
 		}
 	}

@@ -20,8 +20,8 @@ func TestAddExperimentsBeforeStart(t *testing.T) {
 	}
 	f.Start()
 	found := false
-	for _, name := range f.Sched.SpecNames() {
-		if name == "regression/alice-io" {
+	for _, st := range f.Sched.Stats() {
+		if st.Name == "regression/alice-io" {
 			found = true
 		}
 	}

@@ -34,7 +34,7 @@ func TestEndToEndStatusPageShowsFaultAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := grid.Cell("refapi", "suno"); st.Result != "FAILURE" {
+	if st := grid.Cells["refapi"]["suno"]; st.Result != "FAILURE" {
 		t.Fatalf("refapi/suno = %q, want FAILURE", st.Result)
 	}
 	// Transposed view has the row too.
@@ -61,11 +61,11 @@ func TestEndToEndStatusPageShowsFaultAndRecovery(t *testing.T) {
 	// Operators fix it; the next daily wave turns the cell green.
 	f.RunFor(3 * simclock.Day)
 	grid, _ = client.BuildGrid()
-	if st := grid.Cell("refapi", "suno"); st.Result != "SUCCESS" {
+	if st := grid.Cells["refapi"]["suno"]; st.Result != "SUCCESS" {
 		t.Fatalf("refapi/suno after fix = %q, want SUCCESS", st.Result)
 	}
 	if f.Faults.ActiveCount() != 0 {
-		t.Fatalf("faults still active: %v", f.Faults.Active())
+		t.Fatalf("faults still active: %d", f.Faults.ActiveCount())
 	}
 }
 

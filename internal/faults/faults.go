@@ -22,7 +22,6 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/simclock"
 	"repro/internal/testbed"
@@ -49,11 +48,12 @@ const (
 	ConsoleBroken     Kind = "console-broken"      // serial console unusable on a node
 )
 
-// AllKinds lists every fault kind, in a deterministic order.
-var AllKinds = []Kind{
+// AllKinds lists every fault kind, in a deterministic order: the order
+// weightedKind lays out their shares of random injections.
+var AllKinds = [...]Kind{
 	DiskFirmwareDrift, DiskCacheOff, DiskDying, CStatesOn, HyperThreadFlip,
 	TurboFlip, RAMLoss, WrongKernel, CablingSwap, RandomReboots, BootDelay,
-	OFEDFlaky, ServiceFlaky, ConsoleBroken,
+	OFEDFlaky, ConsoleBroken, ServiceFlaky,
 }
 
 // Services that ServiceFlaky can degrade, mirroring the paper's software
@@ -96,19 +96,6 @@ func (f *Fault) String() string {
 	return fmt.Sprintf("fault #%d %s (injected %s)", f.ID, f.Signature(), f.InjectedAt)
 }
 
-// DescriptionDrift reports whether this fault kind is visible as a
-// divergence between the live inventory and the Reference API (detected by
-// internal/checks), as opposed to purely behavioural faults that only
-// functional tests can catch.
-func (k Kind) DescriptionDrift() bool {
-	switch k {
-	case DiskFirmwareDrift, DiskCacheOff, CStatesOn, HyperThreadFlip,
-		TurboFlip, RAMLoss, WrongKernel, CablingSwap:
-		return true
-	}
-	return false
-}
-
 // nodeKind keys the per-node fault index.
 type nodeKind struct {
 	node string
@@ -126,9 +113,8 @@ type Injector struct {
 	nodes     []*testbed.Node
 	siteNames []string
 
-	nextID  int
-	active  map[int]*Fault
-	history []*Fault
+	nextID int
+	active map[int]*Fault
 
 	// byNode indexes active node-scoped faults by (node, kind), so the
 	// behaviour queries every subsystem issues per node — reboot
@@ -155,20 +141,6 @@ func NewInjector(clock *simclock.Clock, tb *testbed.Testbed) *Injector {
 	}
 }
 
-// Active returns the active (unfixed) faults sorted by ID.
-func (in *Injector) Active() []*Fault {
-	out := make([]*Fault, 0, len(in.active))
-	for _, f := range in.active {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// History returns every fault ever injected, fixed or not, in injection
-// order.
-func (in *Injector) History() []*Fault { return append([]*Fault(nil), in.history...) }
-
 // ActiveCount returns the number of unfixed faults.
 func (in *Injector) ActiveCount() int { return len(in.active) }
 
@@ -180,17 +152,6 @@ func (in *Injector) BySignature(sig string) *Fault {
 		}
 	}
 	return nil
-}
-
-// NodeFaults returns active fault kinds on the named node.
-func (in *Injector) NodeFaults(node string) []Kind {
-	var out []Kind
-	for _, f := range in.Active() {
-		if f.Node == node || f.PeerNode == node {
-			out = append(out, f.Kind)
-		}
-	}
-	return out
 }
 
 // HasFault reports whether the node currently suffers from the given kind.
@@ -232,7 +193,6 @@ func (in *Injector) register(f *Fault) *Fault {
 	f.InjectedAt = in.clock.Now()
 	f.sig = f.signature()
 	in.active[f.ID] = f
-	in.history = append(in.history, f)
 	if f.Node != "" {
 		in.byNode[nodeKind{f.Node, f.Kind}]++
 	}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -30,7 +31,7 @@ func TestInjectAndFixRestoresState(t *testing.T) {
 		}
 		ids = append(ids, f.ID)
 	}
-	if diffs := refapi.DiffInventories(node, before, tb.Node(node).Inv); len(diffs) == 0 {
+	if diffs := refapi.AppendDiff(nil, node, before, tb.Node(node).Inv); len(diffs) == 0 {
 		t.Fatal("description faults caused no drift")
 	}
 	for _, id := range ids {
@@ -38,7 +39,7 @@ func TestInjectAndFixRestoresState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if diffs := refapi.DiffInventories(node, before, tb.Node(node).Inv); len(diffs) != 0 {
+	if diffs := refapi.AppendDiff(nil, node, before, tb.Node(node).Inv); len(diffs) != 0 {
 		t.Fatalf("fixing did not restore state: %v", diffs)
 	}
 	if in.ActiveCount() != 0 {
@@ -131,7 +132,7 @@ func TestServiceFaultBehaviour(t *testing.T) {
 	if !in.ServiceFails("nancy", "api") {
 		t.Fatal("rate-1.0 service did not fail")
 	}
-	if in.ServiceErrorRate("nancy", "api") != 1.0 {
+	if in.serviceErr["nancy/api"] != 1.0 {
 		t.Fatal("wrong error rate")
 	}
 	if in.ServiceFails("lyon", "api") {
@@ -249,8 +250,8 @@ func TestInjectRandomAlwaysPlacesFault(t *testing.T) {
 	if in.ActiveCount() != 300 {
 		t.Fatalf("active = %d, want 300", in.ActiveCount())
 	}
-	if len(in.History()) != 300 {
-		t.Fatalf("history = %d, want 300", len(in.History()))
+	if in.nextID != 300 {
+		t.Fatalf("injected = %d, want 300", in.nextID)
 	}
 }
 
@@ -274,9 +275,8 @@ func TestNodeFaults(t *testing.T) {
 	n := "uvb-7.sophia"
 	in.InjectNode(RAMLoss, n)
 	in.InjectNode(CStatesOn, n)
-	ks := in.NodeFaults(n)
-	if len(ks) != 2 {
-		t.Fatalf("NodeFaults = %v", ks)
+	if !in.HasFault(n, RAMLoss) || !in.HasFault(n, CStatesOn) || in.HasFault(n, WrongKernel) {
+		t.Fatalf("%s: want exactly RAMLoss and CStatesOn among these", n)
 	}
 }
 
@@ -318,32 +318,17 @@ func TestInjectFixIdentityProperty(t *testing.T) {
 		if err := in.Fix(flt.ID); err != nil {
 			return false
 		}
-		return len(refapi.DiffInventories(n.Name, before, n.Inv)) == 0
+		return len(refapi.AppendDiff(nil, n.Name, before, n.Inv)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestDescriptionDriftClassification(t *testing.T) {
-	drift := map[Kind]bool{
-		DiskFirmwareDrift: true, DiskCacheOff: true, CStatesOn: true,
-		HyperThreadFlip: true, TurboFlip: true, RAMLoss: true,
-		WrongKernel: true, CablingSwap: true,
-		DiskDying: false, RandomReboots: false, BootDelay: false,
-		OFEDFlaky: false, ServiceFlaky: false, ConsoleBroken: false,
-	}
-	for k, want := range drift {
-		if got := k.DescriptionDrift(); got != want {
-			t.Errorf("%s.DescriptionDrift() = %v, want %v", k, got, want)
-		}
-	}
-}
-
 // hasFaultScan recomputes HasFault the pre-index way: a linear scan over
 // the active set. The O(1) index must always agree with it.
 func hasFaultScan(in *Injector, node string, k Kind) bool {
-	for _, f := range in.Active() {
+	for _, f := range in.activeSorted() {
 		if f.Kind == k && (f.Node == node || f.PeerNode == node) {
 			return true
 		}
@@ -372,7 +357,7 @@ func TestHasFaultIndexConsistentProperty(t *testing.T) {
 				in.InjectNode(k, n.Name) //nolint:errcheck // dup ok
 			}
 		case 1:
-			if act := in.Active(); len(act) > 0 {
+			if act := in.activeSorted(); len(act) > 0 {
 				in.Fix(act[rng.Intn(len(act))].ID) //nolint:errcheck
 			}
 		case 2:
@@ -384,7 +369,7 @@ func TestHasFaultIndexConsistentProperty(t *testing.T) {
 		}
 	}
 	// Drain everything and verify the index is empty-equivalent.
-	for _, f := range in.Active() {
+	for _, f := range in.activeSorted() {
 		if err := in.Fix(f.ID); err != nil {
 			t.Fatal(err)
 		}
@@ -396,4 +381,14 @@ func TestHasFaultIndexConsistentProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// activeSorted returns the active (unfixed) faults sorted by ID.
+func (in *Injector) activeSorted() []*Fault {
+	out := make([]*Fault, 0, len(in.active))
+	for _, f := range in.active {
+		out = append(out, f)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }

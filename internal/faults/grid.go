@@ -37,9 +37,6 @@ const (
 	RollingMaintenance GridKind = "rolling-maintenance"
 )
 
-// AllGridKinds lists every grid-event kind, in a deterministic order.
-var AllGridKinds = []GridKind{SiteOutage, WANPartition, RollingMaintenance}
-
 // GridEvent is one injected site-scale event. Like node faults, events are
 // identified by ID, carry inject/heal timestamps off the sim clock, and
 // expose a stable Signature for bug deduplication.
@@ -223,9 +220,6 @@ func (g *GridInjector) Active() []*GridEvent {
 // History returns every event ever injected, healed or not, in injection
 // order.
 func (g *GridInjector) History() []*GridEvent { return append([]*GridEvent(nil), g.history...) }
-
-// ActiveCount returns the number of unhealed events.
-func (g *GridInjector) ActiveCount() int { return len(g.active) }
 
 // SiteDownAt reports whether the named site is down — its shard frozen and
 // its routes dark — under any active event at the given instant.

@@ -24,7 +24,7 @@ func TestGridEventLifecycle(t *testing.T) {
 	if g.SiteDownAt("lyon", simclock.Week) {
 		t.Fatal("lyon should be unaffected")
 	}
-	if n := g.ActiveCount(); n != 1 {
+	if n := len(g.Active()); n != 1 {
 		t.Fatalf("active = %d", n)
 	}
 	if err := g.Heal(e.ID, 2*simclock.Week); err != nil {

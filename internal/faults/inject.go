@@ -168,37 +168,25 @@ func (in *Injector) InjectRandom() *Fault {
 	return nil
 }
 
-// weightedKind maps a uniform draw to a fault kind. Weights reflect the
-// paper's bug statistics: settings/firmware drift is the common case,
-// dramatic failures (random reboots) are rare.
+// kindShares is each kind's share of random injections, index-aligned with
+// AllKinds. The shares reflect the paper's bug statistics: settings/firmware
+// drift is the common case, dramatic failures (random reboots) are rare.
+var kindShares = [len(AllKinds)]float64{
+	0.14, 0.12, 0.06, 0.13, 0.07,
+	0.07, 0.06, 0.06, 0.07, 0.04, 0.05,
+	0.05, 0.04, 0.04,
+}
+
+// weightedKind maps a uniform draw to a fault kind by kindShares.
 func weightedKind(u float64) Kind {
-	table := []struct {
-		w float64
-		k Kind
-	}{
-		{0.14, DiskFirmwareDrift},
-		{0.12, DiskCacheOff},
-		{0.06, DiskDying},
-		{0.13, CStatesOn},
-		{0.07, HyperThreadFlip},
-		{0.07, TurboFlip},
-		{0.06, RAMLoss},
-		{0.06, WrongKernel},
-		{0.07, CablingSwap},
-		{0.04, RandomReboots},
-		{0.05, BootDelay},
-		{0.05, OFEDFlaky},
-		{0.04, ConsoleBroken},
-		{0.04, ServiceFlaky},
-	}
 	acc := 0.0
-	for _, e := range table {
-		acc += e.w
+	for i, w := range kindShares {
+		acc += w
 		if u < acc {
-			return e.k
+			return AllKinds[i]
 		}
 	}
-	return ServiceFlaky
+	return AllKinds[len(AllKinds)-1]
 }
 
 // ---- Behaviour queries -------------------------------------------------
@@ -288,9 +276,4 @@ func (in *Injector) ServiceFails(site, service string) bool {
 		return false
 	}
 	return simclock.Bernoulli(in.clock.Rand(), rate)
-}
-
-// ServiceErrorRate returns the configured error rate (0 when healthy).
-func (in *Injector) ServiceErrorRate(site, service string) float64 {
-	return in.serviceErr[site+"/"+service]
 }

@@ -77,7 +77,7 @@ func (fed *Federation) InjectGrid(kind faults.GridKind, sites []string, window, 
 		return faults.GridEvent{}, err
 	}
 	if kind == faults.RollingMaintenance && window <= 0 {
-		window = fed.barrier
+		window = barrier
 	}
 	ev, err := fed.grid.Inject(kind, sites, fed.now, window)
 	if err != nil {
@@ -145,13 +145,6 @@ func (fed *Federation) LostSites() (down, unreachable []string) {
 	fed.mu.Lock()
 	defer fed.mu.Unlock()
 	return fed.downSitesLocked(), fed.unreachableSitesLocked()
-}
-
-// Degraded reports whether any site is currently down or unreachable.
-func (fed *Federation) Degraded() bool {
-	fed.mu.Lock()
-	defer fed.mu.Unlock()
-	return len(fed.downSitesLocked())+len(fed.unreachableSitesLocked()) > 0
 }
 
 // downSitesLocked returns the down sites in site order. Caller holds

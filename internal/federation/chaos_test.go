@@ -73,7 +73,7 @@ func TestChaosOutageFreezesAndCatchesUp(t *testing.T) {
 	if down, unreachable := fed.LostSites(); !reflect.DeepEqual(down, []string{"lyon"}) || unreachable != nil {
 		t.Fatalf("LostSites = %v, %v", down, unreachable)
 	}
-	if !fed.Degraded() {
+	if !fed.Summary().Degraded {
 		t.Fatal("federation should report degraded")
 	}
 	sum := fed.Summary()
@@ -89,10 +89,10 @@ func TestChaosOutageFreezesAndCatchesUp(t *testing.T) {
 	// The downed tick: lyon freezes at the barrier, the others step; the
 	// heal lands exactly at 2w as the Advance returns.
 	fed.Advance(simclock.Week)
-	if got := fed.Shard("lyon").F.Clock.Now(); got != simclock.Week {
+	if got := fed.bySite["lyon"][0].F.Clock.Now(); got != simclock.Week {
 		t.Fatalf("lyon clock = %v, want frozen at 1w", got)
 	}
-	if got := fed.Shard("nantes").F.Clock.Now(); got != 2*simclock.Week {
+	if got := fed.bySite["nantes"][0].F.Clock.Now(); got != 2*simclock.Week {
 		t.Fatalf("nantes clock = %v, want 2w", got)
 	}
 	if debt := clockDebt(t, fed); debt["lyon"] != simclock.Week || debt["nantes"] != 0 || debt["luxembourg"] != 0 {
@@ -102,7 +102,7 @@ func TestChaosOutageFreezesAndCatchesUp(t *testing.T) {
 	// Healed at 2w: the next tick steps lyon with a catch-up tick (2w
 	// total) and the lockstep resumes.
 	fed.Advance(simclock.Week)
-	if fed.Degraded() {
+	if fed.Summary().Degraded {
 		t.Fatal("federation should have healed at 2w")
 	}
 	for _, sh := range fed.Shards() {
@@ -120,7 +120,7 @@ func TestChaosOutageFreezesAndCatchesUp(t *testing.T) {
 	// coordinator micro-shard (the site's first cluster), not once per
 	// cluster — closed on heal; the downed site never heard of it.
 	for _, site := range fed.Sites() {
-		for i, sh := range fed.SiteShards(site) {
+		for i, sh := range fed.bySite[site] {
 			b := sh.F.Bugs.BySignature("site-outage:lyon")
 			if site == "lyon" || i > 0 {
 				if b != nil {
@@ -157,7 +157,7 @@ func TestChaosSiteFreezeIsAtomic(t *testing.T) {
 		// 1w — atomically, as one site — while every other micro-shard
 		// keeps stepping.
 		fed.Advance(3 * simclock.Week)
-		for _, sh := range fed.SiteShards("lyon") {
+		for _, sh := range fed.bySite["lyon"] {
 			if got := sh.F.Clock.Now(); got != simclock.Week {
 				t.Fatalf("workers=%d: lyon/%s clock = %v, want frozen at 1w with its site", workers, sh.Cluster, got)
 			}
@@ -166,7 +166,7 @@ func TestChaosSiteFreezeIsAtomic(t *testing.T) {
 			t.Fatalf("workers=%d: lyon owes %v after two frozen ticks, want 2w", workers, debt["lyon"])
 		}
 		for _, site := range []string{"luxembourg", "nantes"} {
-			for _, sh := range fed.SiteShards(site) {
+			for _, sh := range fed.bySite[site] {
 				if got := sh.F.Clock.Now(); got != 3*simclock.Week {
 					t.Fatalf("workers=%d: %s/%s clock = %v, want 3w", workers, site, sh.Cluster, got)
 				}
@@ -205,7 +205,7 @@ func TestChaosPartitionReachability(t *testing.T) {
 		t.Fatalf("LostSites = %v, %v", down, unreachable)
 	}
 	fed.Advance(simclock.Week)
-	if got := fed.Shard("lyon").F.Clock.Now(); got != 2*simclock.Week {
+	if got := fed.bySite["lyon"][0].F.Clock.Now(); got != 2*simclock.Week {
 		t.Fatalf("partitioned shard clock = %v, want 2w (still stepping)", got)
 	}
 	sum := fed.Summary()

@@ -20,7 +20,7 @@
 // goroutines produces bit-identical campaign summaries. That is the
 // same serial ≡ parallel discipline core.Fleet proved for multi-seed
 // sweeps, now applied *inside* one campaign: Advance splits simulated time
-// into barrier ticks (a week by default), steps every shard through the
+// into barrier ticks (a simulated week), steps every shard through the
 // tick, waits on the barrier, and repeats. Within a tick the workers
 // work-steal: micro-shards are queued longest-processing-time-first (by
 // node count, the deterministic cost model) and idle workers pull the next
@@ -67,17 +67,16 @@ type Config struct {
 	// serially. The campaign outcome is identical either way.
 	Workers int
 
-	// Barrier is the tick length between cross-site clock barriers
-	// (0 = one simulated week). Shards never drift further apart than one
-	// barrier while an Advance is in flight, and always finish it in
-	// lockstep.
-	Barrier simclock.Time
-
 	// Configure builds a shard's campaign profile from its site label (nil
 	// = core.DefaultConfig). The returned Config's Seed and Spec are
 	// overridden with the micro-shard's derived seed and single cluster.
 	Configure func(site string, seed int64) core.Config
 }
+
+// barrier is the tick length between cross-site clock barriers. Shards
+// never drift further apart than one barrier while an Advance is in flight,
+// and always finish it in lockstep.
+const barrier = simclock.Week
 
 // Shard is one cluster's slice of the federated campaign: a complete
 // framework over just that cluster, labeled with the site that owns it.
@@ -100,7 +99,6 @@ type Federation struct {
 	sites   []string            // distinct site labels, first-appearance order
 	bySite  map[string][]*Shard // site → its micro-shards in cluster order
 	workers int
-	barrier simclock.Time
 	started bool
 
 	// mu guards the federated clock and all chaos state below. Shard
@@ -195,7 +193,6 @@ func New(cfg Config) *Federation {
 		sites:         sites,
 		bySite:        make(map[string][]*Shard, len(sites)),
 		workers:       cfg.Workers,
-		barrier:       cfg.Barrier,
 		grid:          faults.NewGridInjector(),
 		announced:     map[int]bool{},
 		healAnnounced: map[int]bool{},
@@ -203,9 +200,6 @@ func New(cfg Config) *Federation {
 	}
 	if fed.workers <= 0 {
 		fed.workers = runtime.GOMAXPROCS(0)
-	}
-	if fed.barrier <= 0 {
-		fed.barrier = simclock.Week
 	}
 	for _, site := range sites {
 		for _, cs := range bySiteSpec[site] {
@@ -232,24 +226,6 @@ func New(cfg Config) *Federation {
 // Shards returns the micro-shards, grouped by site in first-appearance
 // order, cluster order within a site.
 func (fed *Federation) Shards() []*Shard { return fed.shards }
-
-// Workers returns the barrier-worker concurrency bound (resolved, never 0).
-func (fed *Federation) Workers() int { return fed.workers }
-
-// Shard returns the named site's first micro-shard (its coordinator
-// cluster), or nil. All of a site's micro-shards share one clock lockstep,
-// so the coordinator answers site-level clock and topology questions.
-func (fed *Federation) Shard(site string) *Shard {
-	shards := fed.bySite[site]
-	if len(shards) == 0 {
-		return nil
-	}
-	return shards[0]
-}
-
-// SiteShards returns the named site's micro-shards in cluster order (nil
-// for an unknown site).
-func (fed *Federation) SiteShards(site string) []*Shard { return fed.bySite[site] }
 
 // Sites returns the distinct site labels in first-appearance order.
 func (fed *Federation) Sites() []string { return fed.sites }
@@ -293,10 +269,7 @@ func (fed *Federation) Start() {
 func (fed *Federation) Advance(d simclock.Time) {
 	for d > 0 {
 		fed.mu.Lock()
-		tick := fed.barrier
-		if tick > d {
-			tick = d
-		}
+		tick := min(d, barrier)
 		plan := fed.planTickLocked(tick)
 		fed.mu.Unlock()
 		fed.runPlan(plan)
@@ -494,10 +467,7 @@ func (fed *Federation) runShardWork(w shardWork) {
 		})
 	}
 	for rest := w.step; rest > 0; {
-		chunk := fed.barrier
-		if chunk > rest {
-			chunk = rest
-		}
+		chunk := min(rest, barrier)
 		gate(sh.Site, sh.Cluster, func() { sh.F.RunFor(chunk) })
 		rest -= chunk
 	}

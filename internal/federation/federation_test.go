@@ -66,18 +66,15 @@ func TestShardLayout(t *testing.T) {
 	if nodes != 894 || cores != 8490 {
 		t.Fatalf("micro-shard union = %d nodes, %d cores; want 894, 8490", nodes, cores)
 	}
-	if fed.Shard("nancy") == nil || fed.Shard("atlantis") != nil {
-		t.Fatal("Shard lookup broken")
-	}
-	// Shard returns the site's coordinator: its first cluster in spec order.
-	if sh := fed.Shard("nancy"); sh.Cluster != "graphene" {
+	// A site's coordinator is its first cluster in spec order.
+	if sh := fed.bySite["nancy"][0]; sh.Cluster != "graphene" {
 		t.Fatalf("nancy coordinator cluster = %q, want graphene", sh.Cluster)
 	}
-	if got := len(fed.SiteShards("nancy")); got != 7 {
+	if got := len(fed.bySite["nancy"]); got != 7 {
 		t.Fatalf("nancy has %d micro-shards, want 7", got)
 	}
-	if fed.SiteShards("atlantis") != nil {
-		t.Fatal("SiteShards invented an unknown site")
+	if fed.bySite["atlantis"] != nil {
+		t.Fatal("an unknown site has micro-shards")
 	}
 }
 

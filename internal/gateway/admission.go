@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"repro/internal/admit"
 	"repro/internal/oar"
@@ -84,39 +83,6 @@ func (b *siteBackend) Place(req oar.Request, user string) (oar.JobInfo, error) {
 		info, _ = target.f.OAR.JobInfoByID(j.ID)
 	})
 	return info, nil
-}
-
-// parallelScatter fans the probe thunks out on one goroutine each and waits
-// for all of them — the live-serving default. Each thunk writes only its
-// own result slot and placement is a pure function of the gathered slots,
-// so this is bit-identical to running them serially
-// (TestAdmissionSerialParallelScatterOnTheWire).
-func parallelScatter(tasks []func()) {
-	var wg sync.WaitGroup
-	wg.Add(len(tasks))
-	for _, t := range tasks {
-		t := t
-		go func() {
-			defer wg.Done()
-			t()
-		}()
-	}
-	wg.Wait()
-}
-
-// EnableAdmission builds the admission controller over every site
-// (micro-shards group under their site); ForFederation calls it. cfg.Now is
-// required; a nil cfg.Scatter gets the parallel fan-out (pass a serial func
-// to force serial probing, as the determinism gate does).
-func (g *Gateway) EnableAdmission(cfg admit.Config) {
-	var backends []admit.Backend
-	for _, site := range g.sites {
-		backends = append(backends, &siteBackend{g: g, site: site, shards: g.siteShards[site]})
-	}
-	if cfg.Scatter == nil {
-		cfg.Scatter = parallelScatter
-	}
-	g.admission = admit.New(cfg, backends)
 }
 
 // Admission returns the admission controller.

@@ -7,15 +7,12 @@ package gateway
 // deterministically to the lexicographically smallest live site.
 
 import (
-	"fmt"
 	"net/http"
 	"testing"
 
-	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/inproc"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/testbed"
 )
@@ -88,56 +85,25 @@ func TestAdmissionQueueUnderChaos(t *testing.T) {
 	}
 }
 
-// newAdmissionGrid fronts the two-site federation, an hour into its
-// campaign, with grid admission under the default peak policy. Nothing
-// advances afterwards, so every placement holds its nodes and capacity only
-// drains.
-func newAdmissionGrid(t *testing.T, queueCap int, scatter func([]func())) (*federation.Federation, *Gateway) {
-	t.Helper()
-	fed, gw := newFederatedCampaign(t, simclock.Hour)
-	policy := sched.DefaultGridPolicy()
-	gw.EnableAdmission(admit.Config{Now: fed.Now, Policy: &policy, QueueCap: queueCap, Scatter: scatter})
-	return fed, gw
-}
-
-// TestAdmissionSerialParallelScatterOnTheWire: the same 140 submissions —
-// small demands that place and drain capacity, oversized ones that queue —
-// probed serially and through the gateway's goroutine fan-out leave the
-// same status, verdict and site for every request and the same counters.
-// Placement is a pure function of the gathered probe slots; the fan-out
-// must not change a single routing.
-func TestAdmissionSerialParallelScatterOnTheWire(t *testing.T) {
-	trace := func(scatter func([]func())) ([]string, admit.StatsJSON) {
-		_, gw := newAdmissionGrid(t, 0, scatter)
-		c := inproc.Client(gw)
-		var out []string
-		for n := 0; n < 140; n++ {
-			nodes := 1 + n%5
-			if n%17 == 0 {
-				nodes = 999 // startable nowhere: the queue path
-			}
-			resp, body := postJSON(t, c, "/oar/submit", fmt.Sprintf(`{"request":"nodes=%d,walltime=12","user":"e19"}`, nodes))
-			sub := decode[SubmitResponse](t, body)
-			out = append(out, fmt.Sprintf("%d:%s:%s", resp.StatusCode, sub.Admission, sub.Site))
-		}
-		return out, gw.Admission().Stats()
+// TestDryRunHonoursThePeakRule: an unanchored dry run answers what the
+// submission itself would get. On Monday at 09:00 a whole-cluster demand
+// falls under the grid-wide peak rule, so it queues (202) however free the
+// grid is, and its dry run must not answer can_start_now. The campaign is
+// never started, so every cluster stands idle.
+func TestDryRunHonoursThePeakRule(t *testing.T) {
+	fed := federation.New(federation.Config{Seed: 5, Spec: fedSpec("luxembourg", "nantes")})
+	fed.Advance(9 * simclock.Hour)
+	c := inproc.Client(ForFederation(fed))
+	resp, body := postJSON(t, c, "/oar/submit", `{"request":"nodes=ALL,walltime=1","dry_run":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("dry run status = %d: %s", resp.StatusCode, body)
 	}
-	serialTrace, serialStats := trace(func(tasks []func()) {
-		for _, task := range tasks {
-			task()
-		}
-	})
-	fanoutTrace, fanoutStats := trace(nil)
-	for i := range serialTrace {
-		if serialTrace[i] != fanoutTrace[i] {
-			t.Fatalf("submission %d diverged: serial %s, fan-out %s", i, serialTrace[i], fanoutTrace[i])
-		}
+	if sub := decode[SubmitResponse](t, body); sub.CanStartNow == nil || *sub.CanStartNow {
+		t.Fatalf("dry run during peak = %s, want can_start_now false", body)
 	}
-	if serialStats != fanoutStats {
-		t.Fatalf("admission counters diverged:\nserial:  %+v\nfan-out: %+v", serialStats, fanoutStats)
-	}
-	if serialStats.Placed == 0 || serialStats.Queued == 0 {
-		t.Fatalf("the sequence must both place and queue: %+v", serialStats)
+	resp, body = postJSON(t, c, "/oar/submit", `{"request":"nodes=ALL,walltime=1"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit during peak status = %d, want 202: %s", resp.StatusCode, body)
 	}
 }
 
@@ -149,7 +115,7 @@ func TestAdmissionSerialParallelScatterOnTheWire(t *testing.T) {
 // free capacity all places, with nothing queued or shed.
 func TestAdmissionShedsPastTheKnee(t *testing.T) {
 	const submit = `{"request":"nodes=4,walltime=12","user":"e19"}`
-	_, gw := newAdmissionGrid(t, 16, nil)
+	_, gw := newFederatedCampaign(t, simclock.Hour)
 	c := inproc.Client(gw)
 	seen := map[int]int64{}
 	for n := 0; n < 500; n++ {
@@ -172,11 +138,11 @@ func TestAdmissionShedsPastTheKnee(t *testing.T) {
 	if seen[http.StatusCreated] != st.Placed || seen[http.StatusAccepted] != st.Queued || seen[http.StatusTooManyRequests] != st.Shed {
 		t.Fatalf("wire saw %v, controller counted %+v", seen, st)
 	}
-	if st.Capacity != 16 || st.MaxDepth > st.Capacity {
-		t.Fatalf("queue grew to %d past its cap of %d (configured 16)", st.MaxDepth, st.Capacity)
+	if st.MaxDepth != st.Capacity {
+		t.Fatalf("queue reached %d, want exactly its cap of %d", st.MaxDepth, st.Capacity)
 	}
 
-	fed, gw := newAdmissionGrid(t, 0, nil)
+	fed, gw := newFederatedCampaign(t, simclock.Hour)
 	c = inproc.Client(gw)
 	free := 0
 	for _, sh := range fed.Shards() {

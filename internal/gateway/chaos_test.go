@@ -200,7 +200,7 @@ func TestChaosOutageDegradedRouting(t *testing.T) {
 	if resp, _ := postJSON(t, c, "/oar/submit", `{"request":"cluster='sagittaire'/nodes=1,walltime=1"}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit anchored to lost site status = %d, want 503", resp.StatusCode)
 	}
-	lyonNode := fed.Shard("lyon").F.TB.Nodes()[0].Name
+	lyonNode := coordinator(fed, "lyon").F.TB.Nodes()[0].Name
 	if resp, _ := get(t, c, "/monitor/metrics?node="+lyonNode); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("monitor on lost node status = %d, want 503", resp.StatusCode)
 	}
@@ -283,7 +283,7 @@ func TestChaosOutageDegradedRouting(t *testing.T) {
 	// A barrier week mid-outage freezes lyon and files the outage ticket on
 	// every surviving shard; the rollup folds that burst into one row.
 	gw.Advance(simclock.Week)
-	if got := fed.Shard("lyon").F.Clock.Now(); got != simclock.Week {
+	if got := coordinator(fed, "lyon").F.Clock.Now(); got != simclock.Week {
 		t.Fatalf("lost site clock = %v, want frozen at %v", got, simclock.Week)
 	}
 	resp, body = get(t, c, "/bugs/rollup?state=all")
@@ -351,7 +351,7 @@ func walkSites(t *testing.T, fed *federation.Federation, c *http.Client) map[str
 	out := map[string]siteWalk{}
 	for _, site := range fed.Sites() {
 		base := "/sites/" + site
-		node := fed.Shard(site).F.TB.Nodes()[0].Name
+		node := coordinator(fed, site).F.TB.Nodes()[0].Name
 		var w siteWalk
 		see := func(path string, resp *http.Response, body []byte) {
 			w.requests++
@@ -369,14 +369,14 @@ func walkSites(t *testing.T, fed *federation.Federation, c *http.Client) map[str
 			base + "/oar/resources", base + "/ref/inventory", base + "/oar/jobs?limit=25",
 			base + "/monitor/metrics?metric=power_w&node=" + node + "&from_sec=0&to_sec=30",
 		}
-		for _, sh := range fed.SiteShards(site) {
+		for _, sh := range siteShards(fed, site) {
 			paths = append(paths, base+"/oar/resources?cluster="+sh.Cluster)
 		}
 		for _, path := range paths {
 			resp, body := get(t, c, path)
 			see(path, resp, body)
 		}
-		for _, sh := range fed.SiteShards(site) {
+		for _, sh := range siteShards(fed, site) {
 			resp, body := postJSON(t, c, base+"/oar/submit",
 				`{"request":"cluster='`+sh.Cluster+`'/nodes=1,walltime=0:30:00","dry_run":true}`)
 			see(base+"/oar/submit", resp, body)
@@ -426,7 +426,7 @@ func TestChaosWalkCountsEvery503(t *testing.T) {
 		t.Fatalf("heal: %v", err)
 	}
 	gw.Advance(simclock.Week)
-	if fed.Degraded() {
+	if fed.Summary().Degraded {
 		t.Fatal("federation still degraded after heal")
 	}
 	for site, w := range walkSites(t, fed, c) {
@@ -483,7 +483,7 @@ func TestChaosPartitionKeepsSitesServing(t *testing.T) {
 	// The isolated shard still advances with the grid (partitions do not
 	// freeze clocks), and heal restores the merge.
 	gw.Advance(simclock.Week)
-	if got := fed.Shard("nantes").F.Clock.Now(); got != 2*simclock.Week {
+	if got := coordinator(fed, "nantes").F.Clock.Now(); got != 2*simclock.Week {
 		t.Fatalf("isolated site clock = %v, want %v", got, 2*simclock.Week)
 	}
 	if resp, _ := postJSON(t, c, "/chaos/heal", `{"all":true}`); resp.StatusCode != http.StatusOK {

@@ -33,6 +33,22 @@ func fedSpec(sites ...string) []testbed.ClusterSpec {
 	return out
 }
 
+// siteShards returns a site's micro-shards in cluster order.
+func siteShards(fed *federation.Federation, site string) []*federation.Shard {
+	var out []*federation.Shard
+	for _, sh := range fed.Shards() {
+		if sh.Site == site {
+			out = append(out, sh)
+		}
+	}
+	return out
+}
+
+// coordinator returns a site's first micro-shard: its first cluster.
+func coordinator(fed *federation.Federation, site string) *federation.Shard {
+	return siteShards(fed, site)[0]
+}
+
 // newFederatedCampaign builds a two-site federation, runs it for d and
 // fronts it with a gateway.
 func newFederatedCampaign(t testing.TB, d simclock.Time) (*federation.Federation, *Gateway) {
@@ -227,8 +243,8 @@ func TestFederatedMonitorAndBugs(t *testing.T) {
 	fed, gw := newFederatedCampaign(t, 2*simclock.Day)
 	c := inproc.Client(gw)
 
-	nodeLux := fed.Shard("luxembourg").F.TB.Nodes()[0].Name
-	nodeNan := fed.Shard("nantes").F.TB.Nodes()[0].Name
+	nodeLux := coordinator(fed, "luxembourg").F.TB.Nodes()[0].Name
+	nodeNan := coordinator(fed, "nantes").F.TB.Nodes()[0].Name
 
 	// Nodes resolve across shards without naming the site.
 	for _, node := range []string{nodeLux, nodeNan} {
@@ -329,7 +345,7 @@ func TestFederatedStatusAndRef(t *testing.T) {
 		t.Fatalf("conditional federated inventory status = %d, want 304", resp2.StatusCode)
 	}
 	// An update on one shard moves the joined ETag.
-	sh := fed.Shard("nantes")
+	sh := coordinator(fed, "nantes")
 	n := sh.F.TB.Nodes()[0]
 	invClone := n.Inv.Clone()
 	invClone.RAMGB += 8
@@ -428,7 +444,7 @@ func TestSiteReadsUnblockedByOtherShardAdvance(t *testing.T) {
 	gw := ForFederation(fed)
 	c := inproc.Client(gw)
 
-	a, b := fed.Shard("luxembourg"), fed.Shard("nantes")
+	a, b := coordinator(fed, "luxembourg"), coordinator(fed, "nantes")
 	started := make(chan struct{})
 	release := make(chan struct{})
 	b.F.Clock.After(30*simclock.Minute, func() {

@@ -119,7 +119,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/intel"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/status"
 	"repro/internal/wire"
@@ -300,13 +299,16 @@ func ForFederation(fed *federation.Federation) *Gateway {
 	fed.SetStepGate(func(site, cluster string, step func()) {
 		g.shardFor(site, cluster).step(&g.lockHold, step)
 	})
-	// Grid admission: unanchored submissions route to the least-loaded live
-	// site or queue against freed capacity; the federation's grid listener
-	// pumps the queue on every advance and chaos transition so a site outage
-	// fails queued reservations fast. The grid-wide peak policy defers
-	// whole-cluster demands during working hours.
-	policy := sched.DefaultGridPolicy()
-	g.EnableAdmission(admit.Config{Now: fed.Now, Policy: &policy})
+	// Grid admission over every site (micro-shards group under their site):
+	// unanchored submissions route to the least-loaded live site or queue
+	// against freed capacity; the federation's grid listener pumps the queue
+	// on every advance and chaos transition so a site outage fails queued
+	// reservations fast.
+	var backends []admit.Backend
+	for _, site := range g.sites {
+		backends = append(backends, &siteBackend{g: g, site: site, shards: g.siteShards[site]})
+	}
+	g.admission = admit.New(fed.Now, backends)
 	fed.SetGridListener(g.pumpAdmission)
 	return g
 }

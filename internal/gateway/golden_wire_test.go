@@ -8,11 +8,13 @@ import (
 	"flag"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/ci"
 	"repro/internal/faults"
 	"repro/internal/federation"
 	"repro/internal/inproc"
@@ -65,8 +67,15 @@ func wireFixture(t *testing.T) (fed *federation.Federation, gw *Gateway, ciHandl
 		FinalWeeks: intel.Band{Mean: 90.5, Std: 1, Min: 89, Max: 91, N: 3},
 		BugsFiled:  intel.Band{Mean: 12, Std: 3, Min: 9, Max: 15, N: 3},
 	})
-	server := fed.Shards()[0].F.CI
-	return fed, gw, server.Handler(), server.JobNames()[0]
+	// The first shard's first job, in creation order, as its REST API lists it.
+	ciAPI := fed.Shards()[0].F.CI.Handler()
+	rec := httptest.NewRecorder()
+	ciAPI.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/json", nil))
+	var root ci.RootJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &root); err != nil || len(root.Jobs) == 0 {
+		t.Fatalf("CI root: %v (%d jobs)", err, len(root.Jobs))
+	}
+	return fed, gw, ciAPI, root.Jobs[0].Name
 }
 
 // wireNames picks what the request lists are written against: the first

@@ -33,7 +33,7 @@ func newIntelGateway(t *testing.T) (*Gateway, *refapi.Store, *refapi.Store, *bug
 		Spec: append(fedSpec("luxembourg")[:1:1], fedSpec("nantes")[0]),
 	})
 	micro := func(site string, captured, trackerNow simclock.Time) *core.Framework {
-		f := fed.Shard(site).F
+		f := coordinator(fed, site).F
 		f.Ref = refapi.NewStore(f.TB, captured)
 		clk := simclock.New(1)
 		clk.RunUntil(trackerNow)

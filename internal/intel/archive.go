@@ -129,19 +129,13 @@ type GridSnapshot struct {
 	Sites []SiteCapture
 }
 
-// At materializes the grid snapshot current at t: Materialize of the
-// vector VersionVector reads at t. Each site's snapshot is built (and
-// cached) by its own store under its own gate; repeated calls for the same
-// t re-materialize nothing (refapi.Store.Materializations proves it).
-func (a *GridArchive) At(t simclock.Time, exclude map[string]bool) GridSnapshot {
-	return a.Materialize(a.VersionVector(t, exclude))
-}
-
 // Materialize builds the grid snapshot for an exact version vector
-// (VersionVector's output). This is the gateway's body path: the rendered
-// body is pinned to the same versions the composite ETag names, immune to
-// shards archiving new versions between the vector read and the render.
-// Vector entries with version 0 (or naming unknown sites) are omitted.
+// (VersionVector's output); each site's snapshot is built (and cached) by
+// its own store under its own gate. This is the gateway's body path: the
+// rendered body is pinned to the same versions the composite ETag names,
+// immune to shards archiving new versions between the vector read and the
+// render. Vector entries with version 0 (or naming unknown sites) are
+// omitted.
 func (a *GridArchive) Materialize(vec []SiteVersion) GridSnapshot {
 	var out GridSnapshot
 	for _, sv := range vec {
@@ -189,19 +183,11 @@ type GridDiff struct {
 // earlier instant: everything present later reads as "missing → present".
 var emptySnapshot = &refapi.Snapshot{}
 
-// Diff computes the grid-level historical diff between two instants:
-// DiffVector of the vectors VersionVector reads at each. Sites with no
-// capture at either instant are omitted; a site that only exists at the
-// later instant diffs against the empty snapshot.
-func (a *GridArchive) Diff(from, to simclock.Time, exclude map[string]bool) GridDiff {
-	return a.DiffVector(a.VersionVector(from, exclude), a.VersionVector(to, exclude))
-}
-
-// DiffVector is Diff pinned to two exact version vectors (VersionVector's
-// outputs for the two instants) — the gateway's body path, for the same
-// reason Materialize exists. Site order follows the to vector; version-0
-// entries diff against the empty snapshot; sites absent from both (or
-// unknown) are skipped.
+// DiffVector computes the grid-level historical diff between two exact
+// version vectors (VersionVector's outputs for the two instants) — the
+// gateway's body path, for the same reason Materialize exists. Site order
+// follows the to vector; version-0 entries diff against the empty
+// snapshot; sites absent from both (or unknown) are skipped.
 func (a *GridArchive) DiffVector(from, to []SiteVersion) GridDiff {
 	fromOf := make(map[string]int, len(from))
 	for _, sv := range from {

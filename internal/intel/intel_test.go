@@ -73,11 +73,11 @@ func TestVersionVector(t *testing.T) {
 func TestGridAt(t *testing.T) {
 	arch, _ := twoSiteArchive(t)
 
-	if snap := arch.At(5*simclock.Hour, nil); len(snap.Sites) != 0 {
+	if snap := arch.at(5*simclock.Hour, nil); len(snap.Sites) != 0 {
 		t.Fatalf("At before any capture carries %d sites, want 0", len(snap.Sites))
 	}
 
-	snap := arch.At(12*simclock.Hour, nil)
+	snap := arch.at(12*simclock.Hour, nil)
 	if len(snap.Sites) != 1 || snap.Sites[0].Site != "a" || snap.Sites[0].Cluster != "c1" || snap.Sites[0].Version != 1 {
 		t.Fatalf("At(12h) sites = %+v, want a/c1@1 only", snap.Sites)
 	}
@@ -85,7 +85,7 @@ func TestGridAt(t *testing.T) {
 		t.Fatalf("AsOf = %v, want 10h", snap.AsOf)
 	}
 
-	snap = arch.At(25*simclock.Hour, nil)
+	snap = arch.at(25*simclock.Hour, nil)
 	if len(snap.Sites) != 2 || snap.Sites[0].Version != 2 || snap.Sites[1].Version != 1 || snap.Sites[1].Cluster != "c2" {
 		t.Fatalf("At(25h) sites = %+v, want a/c1@2, b/c2@1", snap.Sites)
 	}
@@ -102,7 +102,7 @@ func TestMaterializePinsVector(t *testing.T) {
 
 	// A pinned render must equal the time-based render for the same vector…
 	vec := arch.VersionVector(25*simclock.Hour, nil)
-	if !reflect.DeepEqual(arch.Materialize(vec), arch.At(25*simclock.Hour, nil)) {
+	if !reflect.DeepEqual(arch.Materialize(vec), arch.at(25*simclock.Hour, nil)) {
 		t.Fatal("Materialize(vector at 25h) != At(25h)")
 	}
 
@@ -128,7 +128,7 @@ func TestMaterializePinsVector(t *testing.T) {
 	// The pinned diff equals the time-based diff for the same two vectors,
 	// presence rows (version 0 at from) included.
 	vFrom := arch.VersionVector(12*simclock.Hour, nil)
-	if !reflect.DeepEqual(arch.DiffVector(vFrom, vec), arch.Diff(12*simclock.Hour, 25*simclock.Hour, nil)) {
+	if !reflect.DeepEqual(arch.DiffVector(vFrom, vec), arch.diff(12*simclock.Hour, 25*simclock.Hour, nil)) {
 		t.Fatal("DiffVector(vectors at 12h, 25h) != Diff(12h, 25h)")
 	}
 }
@@ -143,8 +143,8 @@ func TestGridAtRunsUnderGates(t *testing.T) {
 		Gate: func(fn func()) { gated++; fn() },
 	}})
 	arch.VersionVector(2*simclock.Hour, nil)
-	arch.At(2*simclock.Hour, nil)
-	arch.Diff(simclock.Hour, 2*simclock.Hour, nil)
+	arch.at(2*simclock.Hour, nil)
+	arch.diff(simclock.Hour, 2*simclock.Hour, nil)
 	// One vector read; At reads a vector and renders it; Diff reads two and
 	// renders the pair.
 	if gated != 1+2+3 {
@@ -155,7 +155,7 @@ func TestGridAtRunsUnderGates(t *testing.T) {
 func TestGridDiff(t *testing.T) {
 	arch, tbB := twoSiteArchive(t)
 
-	d := arch.Diff(12*simclock.Hour, 25*simclock.Hour, nil)
+	d := arch.diff(12*simclock.Hour, 25*simclock.Hour, nil)
 	if len(d.Sites) != 2 {
 		t.Fatalf("diff sites = %d, want 2", len(d.Sites))
 	}
@@ -180,7 +180,7 @@ func TestGridDiff(t *testing.T) {
 	}
 
 	// Same instant twice: zero drift, present sites still listed.
-	d = arch.Diff(25*simclock.Hour, 25*simclock.Hour, nil)
+	d = arch.diff(25*simclock.Hour, 25*simclock.Hour, nil)
 	if d.Count != 0 || len(d.Sites) != 2 {
 		t.Fatalf("self diff = %+v, want 0 differences across 2 sites", d)
 	}
@@ -391,4 +391,14 @@ func TestTrendStore(t *testing.T) {
 	if v := store.Put(trend); v != 2 {
 		t.Fatalf("second Put version = %d, want 2", v)
 	}
+}
+
+// at materializes the grid snapshot current at t.
+func (a *GridArchive) at(t simclock.Time, exclude map[string]bool) GridSnapshot {
+	return a.Materialize(a.VersionVector(t, exclude))
+}
+
+// diff is the grid-level historical diff between two instants.
+func (a *GridArchive) diff(from, to simclock.Time, exclude map[string]bool) GridDiff {
+	return a.DiffVector(a.VersionVector(from, exclude), a.VersionVector(to, exclude))
 }

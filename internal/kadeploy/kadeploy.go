@@ -27,7 +27,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/simclock"
@@ -104,66 +103,30 @@ func (r *Result) FailedNodes() []string {
 	return out
 }
 
-// Config tunes the deployment timing model. Defaults reproduce the paper's
+// The calibrated timing model: it reproduces the paper's
 // 200-nodes-in-≈5-minutes figure.
-type Config struct {
-	// MinEnvBoot is the base duration of phase 1 (reboot to deployment env).
-	MinEnvBoot simclock.Time
-	// BootJitter is the ± spread applied to both reboots, per node.
-	BootJitter simclock.Time
-	// FinalBoot is the base duration of phase 3.
-	FinalBoot simclock.Time
-	// WriteMBps is the per-node image write throughput in phase 2.
-	WriteMBps float64
-	// PipelineStep is the pipeline-fill cost per chain-tree level.
-	PipelineStep simclock.Time
-	// NodeTimeout drops a straggler from the deployment.
-	NodeTimeout simclock.Time
-}
-
-// DefaultConfig returns the calibrated timing model.
-func DefaultConfig() Config {
-	return Config{
-		MinEnvBoot:   85 * simclock.Second,
-		BootJitter:   20 * simclock.Second,
-		FinalBoot:    100 * simclock.Second,
-		WriteMBps:    55,
-		PipelineStep: 4 * simclock.Second,
-		NodeTimeout:  10 * simclock.Minute,
-	}
-}
+const (
+	minEnvBoot   = 85 * simclock.Second  // base duration of phase 1 (reboot to deployment env)
+	bootJitter   = 20 * simclock.Second  // ± spread applied to both reboots, per node
+	finalBoot    = 100 * simclock.Second // base duration of phase 3
+	writeMBps    = 55                    // per-node image write throughput in phase 2
+	pipelineStep = 4 * simclock.Second   // pipeline-fill cost per chain-tree level
+	nodeTimeout  = 10 * simclock.Minute  // drops a straggler from the deployment
+)
 
 // Deployer runs deployments against the testbed. Deployments are invoked
 // from CI build scripts on executor goroutines; the simulation run token
-// serializes the actual deployment work (RNG draws, node boot counters),
-// and the mutex below guards the deployer's own counters so Count stays
-// accurate when queried from outside goroutines.
+// serializes the deployment work (RNG draws, node boot counters).
 type Deployer struct {
 	clock  *simclock.Clock
 	faults *faults.Injector
-	cfg    Config
-
-	mu          sync.Mutex
-	deployments int
 
 	res Result // the last deployment's outcome, see Deploy
 }
 
-// NewDeployer returns a deployer with the default timing model.
+// NewDeployer returns a deployer over the calibrated timing model.
 func NewDeployer(clock *simclock.Clock, inj *faults.Injector) *Deployer {
-	return &Deployer{clock: clock, faults: inj, cfg: DefaultConfig()}
-}
-
-// NewDeployerWithConfig allows benchmarks to explore the timing model.
-func NewDeployerWithConfig(clock *simclock.Clock, inj *faults.Injector, cfg Config) *Deployer {
-	return &Deployer{clock: clock, faults: inj, cfg: cfg}
-}
-
-// Count returns how many deployments have been run.
-func (d *Deployer) Count() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.deployments
+	return &Deployer{clock: clock, faults: inj}
 }
 
 // Deploy installs env on the given nodes and returns the per-node outcome.
@@ -184,9 +147,6 @@ func (d *Deployer) Deploy(nodes []*testbed.Node, env Environment) (*Result, erro
 			return nil, fmt.Errorf("kadeploy: nodes span sites %s and %s", site, n.Site)
 		}
 	}
-	d.mu.Lock()
-	d.deployments++
-	d.mu.Unlock()
 	if d.faults != nil && d.faults.ServiceFails(site, "kadeploy") {
 		return nil, fmt.Errorf("kadeploy: service error at %s (server unreachable)", site)
 	}
@@ -194,8 +154,8 @@ func (d *Deployer) Deploy(nodes []*testbed.Node, env Environment) (*Result, erro
 	res := &d.res
 	*res = Result{Env: env, PerNode: res.PerNode[:0]}
 	// Pipeline fill: the image flows down a chain tree; depth grows with
-	// log2(N) and each level costs PipelineStep.
-	depth := simclock.Time(math.Ceil(math.Log2(float64(len(nodes)+1)))) * d.cfg.PipelineStep
+	// log2(N) and each level costs pipelineStep.
+	depth := simclock.Time(math.Ceil(math.Log2(float64(len(nodes)+1)))) * pipelineStep
 
 	var slowest simclock.Time
 	for _, n := range nodes {
@@ -213,7 +173,7 @@ func (d *Deployer) Deploy(nodes []*testbed.Node, env Environment) (*Result, erro
 	slices.SortFunc(res.PerNode, func(a, b NodeResult) int { return strings.Compare(a.Node, b.Node) })
 	if res.OK == 0 {
 		// Total failure still costs the timeout before kadeploy gives up.
-		res.Duration = d.cfg.NodeTimeout
+		res.Duration = nodeTimeout
 	} else {
 		res.Duration = slowest
 	}
@@ -238,16 +198,16 @@ func (d *Deployer) deployOne(n *testbed.Node, env Environment, pipelineFill simc
 			continue
 		}
 		bootDelay := d.faults.BootDelayFor(n.Name)
-		p1 := simclock.Jitter(d.clock.Rand(), d.cfg.MinEnvBoot, d.cfg.BootJitter) + bootDelay
+		p1 := simclock.Jitter(d.clock.Rand(), minEnvBoot, bootJitter) + bootDelay
 		writeFactor := d.faults.DiskWriteFactor(n.Name)
-		writeSecs := float64(env.SizeMB) / (d.cfg.WriteMBps * writeFactor)
+		writeSecs := float64(env.SizeMB) / (writeMBps * writeFactor)
 		p2 := pipelineFill + simclock.Time(writeSecs*float64(simclock.Second))
-		p3 := simclock.Jitter(d.clock.Rand(), d.cfg.FinalBoot, d.cfg.BootJitter) + bootDelay
+		p3 := simclock.Jitter(d.clock.Rand(), finalBoot, bootJitter) + bootDelay
 
 		total := wasted + p1 + p2 + p3
 		n.BootCount += 2
-		if total > d.cfg.NodeTimeout {
-			return NodeResult{Node: n.Name, Reason: "deployment timeout (straggler dropped)", Duration: d.cfg.NodeTimeout}
+		if total > nodeTimeout {
+			return NodeResult{Node: n.Name, Reason: "deployment timeout (straggler dropped)", Duration: nodeTimeout}
 		}
 		return NodeResult{Node: n.Name, OK: true, Duration: total}
 	}
@@ -261,6 +221,6 @@ func (d *Deployer) Reboot(n *testbed.Node) (simclock.Time, error) {
 		return 0, fmt.Errorf("kadeploy: %s did not come back after reboot", n.Name)
 	}
 	n.BootCount++
-	dur := simclock.Jitter(d.clock.Rand(), d.cfg.FinalBoot, d.cfg.BootJitter) + d.faults.BootDelayFor(n.Name)
+	dur := simclock.Jitter(d.clock.Rand(), finalBoot, bootJitter) + d.faults.BootDelayFor(n.Name)
 	return dur, nil
 }

@@ -79,8 +79,6 @@ type Manager struct {
 
 	vlans      map[int]*VLAN
 	membership map[string]int // node → VLAN ID
-
-	reconfigs int
 }
 
 // ReconfigTime is how long one VLAN change takes ("almost no overhead").
@@ -154,18 +152,6 @@ func (m *Manager) VLANOf(node string) (*VLAN, error) {
 	return m.vlans[id], nil
 }
 
-// Members returns the nodes of a VLAN, sorted.
-func (m *Manager) Members(vlanID int) []string {
-	var out []string
-	for n, id := range m.membership {
-		if id == vlanID {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SetNodes moves nodes into the VLAN. Local and Routed VLANs only accept
 // nodes of their own site. The call fails when the site's kavlan service is
 // flaky. It returns the simulated duration of the reconfiguration.
@@ -190,19 +176,8 @@ func (m *Manager) SetNodes(vlanID int, nodes []string) (simclock.Time, error) {
 	for _, name := range nodes {
 		m.membership[name] = vlanID
 	}
-	m.reconfigs++
 	return ReconfigTime, nil
 }
-
-// ResetAll returns every node to the default VLAN (done at job epilogue).
-func (m *Manager) ResetAll() {
-	for n := range m.membership {
-		m.membership[n] = DefaultID
-	}
-}
-
-// Reconfigs returns how many successful reconfigurations happened.
-func (m *Manager) Reconfigs() int { return m.reconfigs }
 
 // Reachable reports whether node a can open a connection to node b given
 // current VLAN membership. The matrix follows the paper's figure:

@@ -141,20 +141,7 @@ func TestServiceFaultBlocksReconfiguration(t *testing.T) {
 	}
 }
 
-func TestResetAll(t *testing.T) {
-	tb, _, m := setup()
-	local := m.FindVLAN(Local, "sophia")
-	m.SetNodes(local.ID, []string{"sol-1.sophia", "sol-2.sophia"})
-	m.ResetAll()
-	for _, n := range tb.Nodes() {
-		v, _ := m.VLANOf(n.Name)
-		if v.ID != DefaultID {
-			t.Fatalf("%s not reset", n.Name)
-		}
-	}
-}
-
-func TestMembersAndReconfigCount(t *testing.T) {
+func TestSetNodesMovesMembers(t *testing.T) {
 	_, _, m := setup()
 	local := m.FindVLAN(Local, "sophia")
 	d, err := m.SetNodes(local.ID, []string{"sol-2.sophia", "sol-1.sophia"})
@@ -164,12 +151,13 @@ func TestMembersAndReconfigCount(t *testing.T) {
 	if d != ReconfigTime {
 		t.Fatalf("duration = %v", d)
 	}
-	got := m.Members(local.ID)
-	if len(got) != 2 || got[0] != "sol-1.sophia" || got[1] != "sol-2.sophia" {
-		t.Fatalf("members = %v", got)
+	for _, n := range []string{"sol-1.sophia", "sol-2.sophia"} {
+		if v, _ := m.VLANOf(n); v.ID != local.ID {
+			t.Fatalf("%s in VLAN %d, want %d", n, v.ID, local.ID)
+		}
 	}
-	if m.Reconfigs() != 1 {
-		t.Fatalf("reconfigs = %d", m.Reconfigs())
+	if v, _ := m.VLANOf("sol-3.sophia"); v.ID != DefaultID {
+		t.Fatalf("sol-3.sophia moved to VLAN %d", v.ID)
 	}
 }
 

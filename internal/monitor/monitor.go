@@ -77,7 +77,8 @@ type Collector struct {
 	// allocations before it was hoisted here.
 	nodes []*testbed.Node
 
-	// history of load changes per node (actual physical activity).
+	// history of load changes per node (actual physical activity). The
+	// campaign records none, so its nodes idle; tests load them.
 	history map[string][]loadChange
 }
 
@@ -98,25 +99,6 @@ func NewCollector(clock *simclock.Clock, tb *testbed.Testbed, inj *faults.Inject
 		c.portOf[n.Name] = n.Inv.NICs[0].SwitchPort
 	}
 	return c
-}
-
-// SetLoad records that a node's activity changed now (experiments do this
-// when they start/stop work on a node). cpu is in [0,1].
-func (c *Collector) SetLoad(node string, cpu, netMbps float64) error {
-	if c.tb.Node(node) == nil {
-		return fmt.Errorf("monitor: unknown node %q", node)
-	}
-	if cpu < 0 {
-		cpu = 0
-	}
-	if cpu > 1 {
-		cpu = 1
-	}
-	at := c.clock.Now()
-	c.mu.Lock()
-	c.history[node] = append(c.history[node], loadChange{at: at, cpu: cpu, netMbps: netMbps})
-	c.mu.Unlock()
-	return nil
 }
 
 // loadAt returns the physical load of a node at time t. The caller holds

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,20 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/testbed"
 )
+
+// setLoad records that a node's activity changed now, as an experiment
+// starting or stopping work on it would. cpu is clamped to [0,1].
+func (c *Collector) setLoad(node string, cpu, netMbps float64) error {
+	if c.tb.Node(node) == nil {
+		return fmt.Errorf("monitor: unknown node %q", node)
+	}
+	cpu = min(max(cpu, 0), 1)
+	at := c.clock.Now()
+	c.mu.Lock()
+	c.history[node] = append(c.history[node], loadChange{at: at, cpu: cpu, netMbps: netMbps})
+	c.mu.Unlock()
+	return nil
+}
 
 func setup(seed int64) (*simclock.Clock, *testbed.Testbed, *faults.Injector, *Collector) {
 	c := simclock.New(seed)
@@ -39,7 +54,7 @@ func TestPowerRisesWithLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col.SetLoad(node, 1.0, 0)
+	col.setLoad(node, 1.0, 0)
 	c.RunUntil(30 * simclock.Second)
 	busy, err := col.Query(MetricPowerW, node, 15*simclock.Second, 29*simclock.Second)
 	if err != nil {
@@ -59,7 +74,7 @@ func TestCablingSwapMisattributesPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Load node a only.
-	col.SetLoad(a, 1.0, 0)
+	col.setLoad(a, 1.0, 0)
 	c.RunUntil(simclock.Minute)
 
 	sa, _ := col.Query(MetricPowerW, a, 30*simclock.Second, 59*simclock.Second)
@@ -95,7 +110,7 @@ func TestFixingSwapRestoresAttribution(t *testing.T) {
 	a, b := "uvb-1.sophia", "uvb-2.sophia"
 	f, _ := inj.InjectCablingSwap(a, b)
 	inj.Fix(f.ID)
-	col.SetLoad(a, 1.0, 0)
+	col.setLoad(a, 1.0, 0)
 	c.RunUntil(simclock.Minute)
 	sa, _ := col.Query(MetricPowerW, a, 30*simclock.Second, 59*simclock.Second)
 	if Mean(sa) < idlePowerW(mustNode(t, col, a))+30 {
@@ -105,7 +120,7 @@ func TestFixingSwapRestoresAttribution(t *testing.T) {
 
 func TestNetMetric(t *testing.T) {
 	c, _, _, col := setup(5)
-	col.SetLoad("grisou-1.nancy", 0.2, 800)
+	col.setLoad("grisou-1.nancy", 0.2, 800)
 	c.RunUntil(10 * simclock.Second)
 	ss, err := col.Query(MetricNetMbps, "grisou-1.nancy", 5*simclock.Second, 9*simclock.Second)
 	if err != nil {
@@ -120,9 +135,9 @@ func TestLoadHistoryStepFunction(t *testing.T) {
 	c, _, _, col := setup(6)
 	n := "sol-10.sophia"
 	c.RunUntil(10 * simclock.Second)
-	col.SetLoad(n, 1.0, 0)
+	col.setLoad(n, 1.0, 0)
 	c.RunUntil(20 * simclock.Second)
-	col.SetLoad(n, 0, 0)
+	col.setLoad(n, 0, 0)
 	c.RunUntil(40 * simclock.Second)
 
 	ss, _ := col.Query(MetricCPULoad, n, 0, 39*simclock.Second)
@@ -187,16 +202,16 @@ func TestNoiseIsDeterministicAndBounded(t *testing.T) {
 
 func TestSetLoadValidation(t *testing.T) {
 	_, _, _, col := setup(9)
-	if err := col.SetLoad("ghost-1.limbo", 1, 0); err == nil {
+	if err := col.setLoad("ghost-1.limbo", 1, 0); err == nil {
 		t.Fatal("unknown node accepted")
 	}
 	// Clamping.
-	col.SetLoad("sol-1.sophia", 5.0, 0)
+	col.setLoad("sol-1.sophia", 5.0, 0)
 	lc := col.loadAt("sol-1.sophia", 0)
 	if lc.cpu != 1.0 {
 		t.Fatalf("cpu not clamped: %v", lc.cpu)
 	}
-	col.SetLoad("sol-1.sophia", -2, 0)
+	col.setLoad("sol-1.sophia", -2, 0)
 	lc = col.loadAt("sol-1.sophia", 0)
 	if lc.cpu != 0 {
 		t.Fatalf("negative cpu not clamped: %v", lc.cpu)

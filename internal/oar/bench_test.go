@@ -62,8 +62,8 @@ func BenchmarkSchedulePassSaturated(b *testing.B) {
 		s.SubmitReq(one, SubmitOptions{})
 	}
 	b.StopTimer()
-	if s.QueueLength() != saturatedQueue || s.BusyNodes() != 30 {
-		b.Fatalf("left the steady state: %d queued, %d busy", s.QueueLength(), s.BusyNodes())
+	if len(s.queue) != saturatedQueue || s.BusyNodes() != 30 {
+		b.Fatalf("left the steady state: %d queued, %d busy", len(s.queue), s.BusyNodes())
 	}
 }
 
@@ -92,8 +92,8 @@ func BenchmarkSchedulePassSaturatedBestEffort(b *testing.B) {
 		bestEffort[i%fillers] = j.ID
 	}
 	b.StopTimer()
-	if s.QueueLength() != saturatedQueue || s.BusyNodes() != 30 || s.spans[0].held != fillers {
-		b.Fatalf("left the steady state: %d queued, %d busy, %d held", s.QueueLength(), s.BusyNodes(), s.spans[0].held)
+	if len(s.queue) != saturatedQueue || s.BusyNodes() != 30 || s.spans[0].held != fillers {
+		b.Fatalf("left the steady state: %d queued, %d busy, %d held", len(s.queue), s.BusyNodes(), s.spans[0].held)
 	}
 }
 
@@ -125,8 +125,8 @@ func BenchmarkReleaseBehindLongQueue(b *testing.B) {
 		running[i%30] = j.ID
 	}
 	b.StopTimer()
-	if s.QueueLength() != longQueue || s.BusyNodes() != 30 {
-		b.Fatalf("left the steady state: %d queued, %d busy", s.QueueLength(), s.BusyNodes())
+	if len(s.queue) != longQueue || s.BusyNodes() != 30 {
+		b.Fatalf("left the steady state: %d queued, %d busy", len(s.queue), s.BusyNodes())
 	}
 }
 
@@ -145,10 +145,10 @@ func TestReleaseBehindALongQueueAllocatesNothing(t *testing.T) {
 		}
 		next++
 	}); got != 0 {
-		t.Errorf("a release behind %d stuck jobs allocates %v times", s.QueueLength(), got)
+		t.Errorf("a release behind %d stuck jobs allocates %v times", len(s.queue), got)
 	}
-	if s.QueueLength() != longQueue || s.BusyNodes() != 30-21 {
-		t.Errorf("%d queued, %d busy; want %d and %d", s.QueueLength(), s.BusyNodes(), longQueue, 30-21)
+	if len(s.queue) != longQueue || s.BusyNodes() != 30-21 {
+		t.Errorf("%d queued, %d busy; want %d and %d", len(s.queue), s.BusyNodes(), longQueue, 30-21)
 	}
 }
 
@@ -175,7 +175,12 @@ func TestFailedStartAttemptAllocatesNothing(t *testing.T) {
 		bestEffort int
 	}{{"no best-effort job", 0}, {"10 best-effort jobs running", 10}} {
 		s, probe := saturated(t, tc.bestEffort)
-		if got := testing.AllocsPerRun(100, s.Schedule); got != 0 {
+		pass := func() {
+			s.mu.Lock()
+			s.scheduleLocked()
+			s.mu.Unlock()
+		}
+		if got := testing.AllocsPerRun(100, pass); got != 0 {
 			t.Errorf("%s: a scheduling pass over %d stuck jobs allocates %v times", tc.name, saturatedQueue, got)
 		}
 		if got := testing.AllocsPerRun(100, func() {
@@ -185,8 +190,8 @@ func TestFailedStartAttemptAllocatesNothing(t *testing.T) {
 		}); got != 0 {
 			t.Errorf("%s: a failed availability probe allocates %v times", tc.name, got)
 		}
-		if s.QueueLength() != saturatedQueue {
-			t.Errorf("%s: %d jobs waiting, want %d", tc.name, s.QueueLength(), saturatedQueue)
+		if len(s.queue) != saturatedQueue {
+			t.Errorf("%s: %d jobs waiting, want %d", tc.name, len(s.queue), saturatedQueue)
 		}
 	}
 }

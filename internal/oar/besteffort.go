@@ -12,9 +12,6 @@ import "slices"
 // Preempted marks a best-effort job killed to make room for a normal job.
 const Preempted JobState = 100
 
-// BestEffort reports whether the job was submitted in best-effort mode.
-func (j *Job) BestEffort() bool { return j.bestEffort }
-
 // allocateWithPreemption finds nodes for a request to start on right now.
 // While best-effort jobs run, a request that may preempt also sees the
 // nodes they hold, behind the free ones — when the free nodes suffice the
@@ -35,20 +32,12 @@ func (s *Server) allocateWithPreemption(req Request, mayPreempt bool) (nodes []i
 	return nodes, victims, true
 }
 
-// PreemptedCount returns how many best-effort jobs were killed.
-func (s *Server) PreemptedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.preempted
-}
-
 // startWithPreemption allocates nodes for a waiting job, killing the
 // best-effort jobs in its way (best-effort never preempts anyone).
 func (s *Server) startWithPreemption(j *Job) ([]int32, bool) {
 	nodes, victims, ok := s.allocateWithPreemption(j.Request, !j.bestEffort)
 	for _, id := range victims {
 		s.endJob(s.jobs[id], Preempted)
-		s.preempted++
 	}
 	return nodes, ok
 }

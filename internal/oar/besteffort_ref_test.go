@@ -298,11 +298,8 @@ func (d *diffDriver) step() {
 // to a few requests from the pool against the reference's.
 func (d *diffDriver) check() {
 	s := d.s
-	busy, preempted := d.refBusy(), 0
+	busy := d.refBusy()
 	for _, j := range d.jobs {
-		if j.State == Preempted {
-			preempted++
-		}
 		if _, live := s.jobs[j.ID]; live != (j.State == Waiting || j.State == Running) {
 			d.fatalf("job %d is %v; in the live table: %v", j.ID, j.State, live)
 		}
@@ -327,9 +324,6 @@ func (d *diffDriver) check() {
 		if sp.busy != b || sp.held != h {
 			d.fatalf("span %d [%d, %d): busy %d, held %d; recounted from jobs %d, %d", k, sp.lo, sp.hi, sp.busy, sp.held, b, h)
 		}
-	}
-	if got := s.PreemptedCount(); got != preempted {
-		d.fatalf("PreemptedCount %d, %d jobs are Preempted", got, preempted)
 	}
 	d.checkQueue()
 	d.checkHistory()
@@ -485,7 +479,7 @@ func TestQueueFitsStayAlignedThroughCancels(t *testing.T) {
 // TestPreemptionMatchesScanReference drives a server through seeded random
 // histories and, after every operation, asserts that the incremental
 // best-effort bookkeeping answers exactly as the scanning reference does:
-// chosen nodes, victims, PreemptedCount, CanStartNow, the busy state and
+// chosen nodes, victims, CanStartNow, the busy state and
 // span counts against a recount, and every job's JobInfo against the job.
 // A failure names the seed and the operation index.
 func TestPreemptionMatchesScanReference(t *testing.T) {

@@ -342,15 +342,6 @@ func ParseExpr(s string) (Expr, error) {
 	return e, nil
 }
 
-// MustParseExpr is ParseExpr for expressions known valid at compile time.
-func MustParseExpr(s string) Expr {
-	e, err := ParseExpr(s)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 func (p *parser) parseOr() Expr {
 	e := p.parseAnd()
 	for p.err == nil && p.cur.kind == tokIdent && strings.EqualFold(p.cur.text, "or") {

@@ -62,7 +62,7 @@ func TestParseExprBasics(t *testing.T) {
 
 func TestParseExprPrecedence(t *testing.T) {
 	// and binds tighter than or: a or b and c == a or (b and c)
-	e := MustParseExpr("x='1' or x='2' and y='3'")
+	e := mustParseExpr("x='1' or x='2' and y='3'")
 	if !e.Eval(props("x", "1")) {
 		t.Error("x=1 should satisfy")
 	}
@@ -92,15 +92,6 @@ func TestParseExprErrors(t *testing.T) {
 			t.Errorf("ParseExpr(%q) should fail", s)
 		}
 	}
-}
-
-func TestMustParseExprPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	MustParseExpr("((")
 }
 
 // Property: String() of a parsed expression re-parses to an expression with
@@ -213,7 +204,7 @@ func TestRequestStringRoundTrip(t *testing.T) {
 
 func TestProperties(t *testing.T) {
 	tb := testbed.Default()
-	p := Properties(tb.Node("orion-1.lyon"))
+	p := properties(tb.Node("orion-1.lyon"))
 	if p["cluster"] != "orion" || p["site"] != "lyon" {
 		t.Fatalf("identity props: %v", p)
 	}
@@ -226,11 +217,11 @@ func TestProperties(t *testing.T) {
 	if p["disktype"] != "HDD" {
 		t.Errorf("orion disktype = %q", p["disktype"])
 	}
-	p = Properties(tb.Node("paravance-3.rennes"))
+	p = properties(tb.Node("paravance-3.rennes"))
 	if p["eth10g"] != "Y" || p["disktype"] != "SSD" {
 		t.Errorf("paravance props: eth10g=%q disktype=%q", p["eth10g"], p["disktype"])
 	}
-	p = Properties(tb.Node("taurus-1.lyon"))
+	p = properties(tb.Node("taurus-1.lyon"))
 	if p["ib"] != "YES" {
 		t.Errorf("taurus ib = %q", p["ib"])
 	}
@@ -242,7 +233,7 @@ func TestProperties(t *testing.T) {
 func TestPropertyMatchesProperties(t *testing.T) {
 	for _, cl := range testbed.Default().Clusters() {
 		n := cl.Nodes[0]
-		all := Properties(n)
+		all := properties(n)
 		if len(all) != len(propertyKeys) {
 			t.Fatalf("%s: %d properties, want %d", n.Name, len(all), len(propertyKeys))
 		}
@@ -264,4 +255,22 @@ func TestPropertyMatchesProperties(t *testing.T) {
 			}
 		}
 	}
+}
+
+func mustParseExpr(s string) Expr {
+	e, err := ParseExpr(s)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// properties builds the whole OAR property map of a node, one Property
+// lookup per key.
+func properties(n *testbed.Node) map[string]string {
+	m := make(map[string]string, len(propertyKeys))
+	for _, key := range propertyKeys {
+		m[key], _ = Property(n, key)
+	}
+	return m
 }

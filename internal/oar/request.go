@@ -234,17 +234,6 @@ func Property(n *testbed.Node, key string) (val string, ok bool) {
 	return str, ok
 }
 
-// Properties builds the whole OAR property map of a node. It allocates a
-// ten-entry map per call: code that reads a property or two per node wants
-// Property, and the scheduler evaluates expressions with Expr.EvalNode.
-func Properties(n *testbed.Node) map[string]string {
-	m := make(map[string]string, len(propertyKeys))
-	for _, key := range propertyKeys {
-		m[key], _ = Property(n, key)
-	}
-	return m
-}
-
 // yesNo renders a boolean property the Grid'5000 way ("YES"/"NO").
 func yesNo(b bool) string {
 	if b {

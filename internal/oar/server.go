@@ -136,7 +136,7 @@ type Server struct {
 	again      bool
 
 	// stats
-	submitted, started, canceled, preempted int
+	submitted, started, canceled int
 }
 
 // span is a contiguous range of node ordinals [lo, hi) with how many of
@@ -462,23 +462,17 @@ func (s *Server) dropQueued(i int) {
 	s.need = slices.Delete(s.need, i, i+1)
 }
 
-// Schedule runs scheduling passes over the waiting queue until no further
-// job can start. Jobs are considered in FCFS order but a stuck job does not
-// block later ones (first-fit, i.e. conservative backfilling without
-// reservations — OAR proper uses a Gantt, but what matters to the paper's
-// external scheduler is only that whole-cluster jobs wait a long time under
-// contention, which first-fit preserves).
+// scheduleLocked runs scheduling passes over the waiting queue until no
+// further job can start; the caller holds the mutex. Jobs are considered in
+// FCFS order but a stuck job does not block later ones (first-fit, i.e.
+// conservative backfilling without reservations — OAR proper uses a Gantt,
+// but what matters to the paper's external scheduler is only that
+// whole-cluster jobs wait a long time under contention, which first-fit
+// preserves).
 //
-// Re-entrant calls (from OnStart callbacks that Submit or Release) are
-// deferred to an extra pass instead of recursing.
-func (s *Server) Schedule() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.scheduleLocked()
-}
-
-// scheduleLocked is Schedule with the mutex held. OnStart callbacks fire
-// with the mutex temporarily released, so they may re-enter the server.
+// OnStart callbacks fire with the mutex temporarily released, so they may
+// re-enter the server; re-entrant calls (Submit or Release from a callback)
+// are deferred to an extra pass instead of recursing.
 func (s *Server) scheduleLocked() {
 	if s.inSchedule {
 		s.again = true
@@ -714,13 +708,6 @@ func (s *Server) BusyNodes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.spans[0].busy
-}
-
-// QueueLength returns the number of waiting jobs.
-func (s *Server) QueueLength() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
 }
 
 // Stats reports cumulative submission counters.

@@ -69,8 +69,8 @@ func TestQueueingAndFCFS(t *testing.T) {
 	if j2.State != Waiting || j3.State != Waiting {
 		t.Fatalf("j2=%v j3=%v, want Waiting", j2.State, j3.State)
 	}
-	if s.QueueLength() != 2 {
-		t.Fatalf("queue = %d", s.QueueLength())
+	if len(s.queue) != 2 {
+		t.Fatalf("queue = %d", len(s.queue))
 	}
 	c.RunUntil(90 * simclock.Minute)
 	// After j1 ends, j2 starts; j3 (needs 12 of 20, 12 busy) still waits.
@@ -413,7 +413,7 @@ func TestAnchoredNarrowingMatchesFullScan(t *testing.T) {
 // contiguous range of ordinals, span 0 is the whole testbed, and each
 // node's cluster and site spans are the ones that hold it.
 func TestSpansAreClustersAndSites(t *testing.T) {
-	for _, tb := range []*testbed.Testbed{testbed.Default(), testbed.Scaled(2)} {
+	for _, tb := range []*testbed.Testbed{testbed.Default(), testbed.Generate(testbed.ScaledSpec(2))} {
 		s := NewServer(simclock.New(1), tb)
 		if sp := s.spans[0]; !slices.Equal(s.nodeList[sp.lo:sp.hi], tb.Nodes()) {
 			t.Fatalf("span 0 is [%d, %d), want the %d nodes", sp.lo, sp.hi, len(tb.Nodes()))

@@ -10,7 +10,7 @@
 //
 // Performance notes: the diff is the hottest path of the whole simulator
 // (g5k-checks runs it for every node at every boot and across whole
-// clusters), so DiffInventories compares fields natively and only builds
+// clusters), so AppendDiff compares fields natively and only builds
 // strings for fields that actually diverge — checking a clean node performs
 // zero heap allocations. The Store archives versions as a copy-on-write
 // delta chain: Update records only the changed nodes (O(changed) time and
@@ -40,21 +40,11 @@ type NodeDescription struct {
 }
 
 // Snapshot is one archived version of the whole testbed description.
-// Snapshots handed out by a Store are immutable: mutate a Clone instead.
+// Snapshots handed out by a Store are immutable.
 type Snapshot struct {
 	Version int                        `json:"version"`
 	TakenAt simclock.Time              `json:"taken_at"`
 	Nodes   map[string]NodeDescription `json:"nodes"`
-}
-
-// Clone returns a deep copy of the snapshot.
-func (s *Snapshot) Clone() *Snapshot {
-	out := &Snapshot{Version: s.Version, TakenAt: s.TakenAt, Nodes: make(map[string]NodeDescription, len(s.Nodes))}
-	for k, v := range s.Nodes {
-		v.Inv = v.Inv.Clone()
-		out.Nodes[k] = v
-	}
-	return out
 }
 
 // MarshalJSONIndent renders the snapshot as pretty JSON — the format users
@@ -333,32 +323,12 @@ func (d Difference) String() string {
 	return b.String()
 }
 
-// Differ compares inventories into a reusable buffer, letting hot loops
-// (cluster sweeps, whole-campaign verification) diff thousands of nodes
-// without reallocating the result slice. The slice returned by Diff is
-// valid until the next Diff call.
-type Differ struct {
-	buf []Difference
-}
-
-// Diff compares ref against got and returns the divergences, reusing the
-// Differ's internal buffer.
-func (d *Differ) Diff(node string, ref, got testbed.Inventory) []Difference {
-	d.buf = AppendDiff(d.buf[:0], node, ref, got)
-	return d.buf
-}
-
-// DiffInventories compares a reference inventory against an observed one and
-// returns every field-level divergence. This is the comparison g5k-checks
-// performs between the Reference API and what OHAI/ethtool report.
-func DiffInventories(node string, ref, got testbed.Inventory) []Difference {
-	return AppendDiff(nil, node, ref, got)
-}
-
-// AppendDiff appends every field-level divergence between ref and got to
-// dst and returns the extended slice. Fields are compared natively —
-// strings are only built for fields that actually diverge, so diffing two
-// identical inventories performs zero allocations.
+// AppendDiff appends every field-level divergence between a reference
+// inventory and an observed one to dst and returns the extended slice: the
+// comparison g5k-checks performs between the Reference API and what
+// OHAI/ethtool report. Fields are compared natively — strings are only
+// built for fields that actually diverge, so diffing two identical
+// inventories into a reused dst performs zero allocations.
 func AppendDiff(dst []Difference, node string, ref, got testbed.Inventory) []Difference {
 	if ref.CPU.Model != got.CPU.Model {
 		dst = append(dst, Difference{node, "cpu.model", ref.CPU.Model, got.CPU.Model})

@@ -26,7 +26,7 @@ func TestInitialSnapshotAccurate(t *testing.T) {
 		t.Fatalf("described %d nodes, want %d", len(cur.Nodes), tb.TotalNodes())
 	}
 	for _, n := range tb.Nodes() {
-		if diffs := DiffInventories(n.Name, cur.Nodes[n.Name].Inv, n.Inv); len(diffs) != 0 {
+		if diffs := AppendDiff(nil, n.Name, cur.Nodes[n.Name].Inv, n.Inv); len(diffs) != 0 {
 			t.Fatalf("fresh description already drifted for %s: %v", n.Name, diffs)
 		}
 	}
@@ -65,7 +65,7 @@ func TestDiffDetectsMutations(t *testing.T) {
 	n.Inv.Disks[0].Firmware = "ES62"
 	n.Inv.RAMGB = 16 // one DIMM died
 
-	diffs := DiffInventories(n.Name, ref.Inv, n.Inv)
+	diffs := AppendDiff(nil, n.Name, ref.Inv, n.Inv)
 	fields := map[string]bool{}
 	for _, d := range diffs {
 		fields[d.Field] = true
@@ -85,7 +85,7 @@ func TestDiffReportsExpectedAndActual(t *testing.T) {
 	n := tb.Node("edel-2.grenoble")
 	ref, _ := st.Describe(n.Name)
 	n.Inv.RAMGB = 12
-	diffs := DiffInventories(n.Name, ref.Inv, n.Inv)
+	diffs := AppendDiff(nil, n.Name, ref.Inv, n.Inv)
 	if len(diffs) != 1 {
 		t.Fatalf("diffs = %v", diffs)
 	}
@@ -106,7 +106,7 @@ func TestDiffDetectsDeviceIdentityDrift(t *testing.T) {
 	ref, _ := st.Describe(n.Name)
 	n.Inv.Disks[0].Device = "nvme0n1"
 	n.Inv.NICs[0].Name = "enp1s0"
-	diffs := DiffInventories(n.Name, ref.Inv, n.Inv)
+	diffs := AppendDiff(nil, n.Name, ref.Inv, n.Inv)
 	if len(diffs) != 2 {
 		t.Fatalf("diffs = %v, want 2", diffs)
 	}
@@ -123,7 +123,7 @@ func TestDiffDiskCountMismatch(t *testing.T) {
 	n := tb.Node("parasilo-1.rennes")
 	ref, _ := st.Describe(n.Name)
 	n.Inv.Disks = n.Inv.Disks[:3] // two disks vanished
-	diffs := DiffInventories(n.Name, ref.Inv, n.Inv)
+	diffs := AppendDiff(nil, n.Name, ref.Inv, n.Inv)
 	if len(diffs) != 1 || diffs[0].Field != "disks.count" {
 		t.Fatalf("diffs = %v", diffs)
 	}
@@ -266,10 +266,20 @@ func TestVersionAt(t *testing.T) {
 	}
 }
 
+// cloneSnapshot deep-copies a snapshot, so a test can drift the copy.
+func cloneSnapshot(s *Snapshot) *Snapshot {
+	out := &Snapshot{Version: s.Version, TakenAt: s.TakenAt, Nodes: make(map[string]NodeDescription, len(s.Nodes))}
+	for k, v := range s.Nodes {
+		v.Inv = v.Inv.Clone()
+		out.Nodes[k] = v
+	}
+	return out
+}
+
 func TestDiffSnapshotsPresence(t *testing.T) {
 	_, st := newStore(t)
 	a := st.Current()
-	b := a.Clone()
+	b := cloneSnapshot(a)
 	delete(b.Nodes, "uvb-1.sophia")
 	diffs := DiffSnapshots(a, b)
 	if len(diffs) != 1 || diffs[0].Field != "presence" || diffs[0].Actual != "missing" {
@@ -285,7 +295,7 @@ func TestDiffSnapshotsPresence(t *testing.T) {
 func TestDiffSnapshotsSorted(t *testing.T) {
 	_, st := newStore(t)
 	a := st.Current()
-	b := a.Clone()
+	b := cloneSnapshot(a)
 	for _, name := range []string{"sol-9.sophia", "edel-1.grenoble", "graphene-40.nancy"} {
 		d := b.Nodes[name]
 		d.Inv.RAMGB++
@@ -303,7 +313,7 @@ func TestDiffSnapshotsSorted(t *testing.T) {
 	}
 }
 
-// Property: DiffInventories(x, x) is empty for arbitrary mutations of a real
+// Property: AppendDiff(nil, x, x) is empty for arbitrary mutations of a real
 // inventory — a description always matches itself.
 func TestDiffSelfIsEmptyProperty(t *testing.T) {
 	tb := testbed.Default()
@@ -313,7 +323,7 @@ func TestDiffSelfIsEmptyProperty(t *testing.T) {
 		inv.RAMGB = int(ram)
 		inv.Disks[0].Firmware = fw
 		inv.BIOS.CStates = cstates
-		return len(DiffInventories("n", inv, inv.Clone())) == 0
+		return len(AppendDiff(nil, "n", inv, inv.Clone())) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -340,7 +350,7 @@ func TestDiffCountsProperty(t *testing.T) {
 			inv.BIOS.TurboBoost = !inv.BIOS.TurboBoost
 			want++
 		}
-		return len(DiffInventories("n", base, inv)) == want
+		return len(AppendDiff(nil, "n", base, inv)) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -489,7 +499,7 @@ func TestVersionTimesClampedMonotone(t *testing.T) {
 func TestDiffSnapshotsDeterministic(t *testing.T) {
 	_, st := newStore(t)
 	a := st.Current()
-	b := a.Clone()
+	b := cloneSnapshot(a)
 	for _, name := range []string{"sol-9.sophia", "edel-1.grenoble", "graphene-40.nancy", "uvb-7.sophia"} {
 		d := b.Nodes[name]
 		d.Inv.RAMGB++
@@ -523,21 +533,21 @@ func TestDiffSnapshotsDeterministic(t *testing.T) {
 	}
 }
 
-// A Differ reuses its buffer across calls: after warming up, diffing
-// a clean node allocates nothing.
+// AppendDiff into a reused buffer: after warming up, diffing a clean node
+// allocates nothing.
 func TestDifferReusesBuffer(t *testing.T) {
 	tb, st := newStore(t)
 	n := tb.Node("griffon-1.nancy")
 	ref, _ := st.Describe(n.Name)
 
-	var d Differ
+	var buf []Difference
 	drifted := n.Inv.Clone()
 	drifted.RAMGB = 1
-	if diffs := d.Diff(n.Name, ref.Inv, drifted); len(diffs) != 1 {
-		t.Fatalf("diffs = %v", diffs)
+	if buf = AppendDiff(buf[:0], n.Name, ref.Inv, drifted); len(buf) != 1 {
+		t.Fatalf("diffs = %v", buf)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if diffs := d.Diff(n.Name, ref.Inv, n.Inv); len(diffs) != 0 {
+		if diffs := AppendDiff(buf[:0], n.Name, ref.Inv, n.Inv); len(diffs) != 0 {
 			t.Fatalf("clean node drifted: %v", diffs)
 		}
 	})
@@ -596,7 +606,7 @@ func BenchmarkSnapshotMarshalIndent(b *testing.B) {
 
 // TestUpdateAllocsFlatAcrossScale: version churn is O(changed nodes). A
 // store that copied the whole snapshot per Update allocated ~2.7k times per
-// update on the paper testbed and ~4x that on testbed.Scaled(4); the delta
+// update on the paper testbed and ~4x that on testbed.Generate(testbed.ScaledSpec(4)); the delta
 // chain must cost the same small handful on both, and archived versions
 // must stay readable after the churn. Allocations, not wall time, carry the
 // assertion: they are deterministic, and they are exactly what a
@@ -604,7 +614,7 @@ func BenchmarkSnapshotMarshalIndent(b *testing.B) {
 func TestUpdateAllocsFlatAcrossScale(t *testing.T) {
 	const updates = 2000
 	churn := func(scale int) float64 {
-		tb := testbed.Scaled(scale)
+		tb := testbed.Generate(testbed.ScaledSpec(scale))
 		st := NewStore(tb, 0)
 		nodes := tb.Nodes()
 		u := 0

@@ -13,8 +13,8 @@ import (
 func TestDecisionCountsSortedStable(t *testing.T) {
 	counts := map[Action]int{
 		ActionTriggered: 4, ActionDeferPeak: 9, ActionDeferSiteBusy: 2,
-		ActionDeferResources: 7, ActionSkipRunning: 1,
-		"zz-custom": 5, "aa-custom": 6, "mm-custom": 8,
+		ActionDeferResources: 7,
+		"zz-custom":          5, "aa-custom": 6, "mm-custom": 8,
 	}
 	s := &Scheduler{counts: counts}
 

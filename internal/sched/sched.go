@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/ci"
 	"repro/internal/oar"
@@ -71,7 +70,6 @@ const (
 	ActionDeferPeak      Action = "defer:peak-hours"
 	ActionDeferSiteBusy  Action = "defer:site-busy"
 	ActionDeferResources Action = "defer:resources"
-	ActionSkipRunning    Action = "skip:already-running"
 )
 
 // Decision is one entry of the decision log (benchmarks replay it).
@@ -82,43 +80,36 @@ type Decision struct {
 	Backoff simclock.Time // next retry delay when deferred for resources
 }
 
-// Config tunes the scheduler's policies.
+// Config tunes the scheduler's policies: the three the paper's ablations
+// vary. The rest of the deployment is fixed: the scheduler polls every
+// pollInterval, backs off from BackoffBase, and the peak hours are InPeak's.
 type Config struct {
-	PollInterval simclock.Time
-	BackoffBase  simclock.Time // first retry delay after a resource miss
-	BackoffMax   simclock.Time // cap of the exponential backoff
-	// Peak hours (local time, Mon–Fri) during which hardware-centric tests
-	// are not scheduled, to stay out of the users' way.
-	PeakStartHour, PeakEndHour int
-	AvoidPeak                  bool
-	// Grid, when set, replaces the per-site peak window with the shared
-	// grid-wide policy, so every site scheduler (and the admission layer)
-	// defers hardware-centric work over the same hours. The policy is an
-	// immutable pure value; sharing it across shards is determinism-safe.
-	Grid *GridPolicy
+	BackoffMax simclock.Time // cap of the exponential backoff
+	// AvoidPeak keeps hardware-centric tests out of the working hours, to
+	// stay out of the users' way.
+	AvoidPeak bool
 	// MaxActivePerSite bounds concurrently running test jobs per site
 	// ("avoid several jobs on same site").
 	MaxActivePerSite int
-	// DecisionLog bounds the retained decision entries: Decisions returns
-	// a ring of the most recent DecisionLog entries, while DecisionCounts
-	// stays complete (aggregated incrementally). 0 means
-	// DefaultDecisionLog; negative disables retention entirely.
-	DecisionLog int
 }
 
-// DefaultDecisionLog is the default size of the retained decision ring. A
-// multi-week campaign makes millions of decisions; the log exists for
-// debugging and benchmarks, not as an unbounded history.
-const DefaultDecisionLog = 4096
+const (
+	// pollInterval is how often the scheduler decides.
+	pollInterval = 10 * simclock.Minute
+	// BackoffBase is the first retry delay after a resource miss.
+	BackoffBase = 30 * simclock.Minute
+	// decisionLog is the size of the retained decision ring: Decisions
+	// returns the most recent entries, while DecisionCounts stays complete
+	// (aggregated incrementally). A multi-week campaign makes millions of
+	// decisions; the log exists for debugging and benchmarks, not as an
+	// unbounded history.
+	decisionLog = 4096
+)
 
 // DefaultConfig mirrors the deployment described in the paper.
 func DefaultConfig() Config {
 	return Config{
-		PollInterval:     10 * simclock.Minute,
-		BackoffBase:      30 * simclock.Minute,
 		BackoffMax:       12 * simclock.Hour,
-		PeakStartHour:    9,
-		PeakEndHour:      18,
 		AvoidPeak:        true,
 		MaxActivePerSite: 1,
 	}
@@ -157,7 +148,7 @@ type Scheduler struct {
 	ticker *simclock.Ticker
 
 	// Decision bookkeeping: counts aggregates every decision ever made;
-	// the ring retains only the most recent cfg.DecisionLog entries.
+	// the ring retains only the most recent decisionLog entries.
 	counts    map[Action]int
 	decisions []Decision // ring storage
 	decHead   int        // oldest entry once the ring is full
@@ -168,22 +159,11 @@ type Scheduler struct {
 // New wires the scheduler to the OAR and CI servers. It registers a CI
 // completion listener to observe build outcomes.
 func New(clock *simclock.Clock, oarSrv *oar.Server, ciSrv *ci.Server, cfg Config) *Scheduler {
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 10 * simclock.Minute
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 30 * simclock.Minute
-	}
-	if cfg.BackoffMax < cfg.BackoffBase {
-		cfg.BackoffMax = cfg.BackoffBase
+	if cfg.BackoffMax < BackoffBase {
+		cfg.BackoffMax = BackoffBase
 	}
 	if cfg.MaxActivePerSite <= 0 {
 		cfg.MaxActivePerSite = 1
-	}
-	if cfg.DecisionLog == 0 {
-		cfg.DecisionLog = DefaultDecisionLog
-	} else if cfg.DecisionLog < 0 {
-		cfg.DecisionLog = 0
 	}
 	s := &Scheduler{
 		clock:  clock,
@@ -226,13 +206,6 @@ func (s *Scheduler) Register(spec *Spec) error {
 	return nil
 }
 
-// SpecNames returns registered spec names in registration order.
-func (s *Scheduler) SpecNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
-}
-
 // Start begins the poll loop.
 func (s *Scheduler) Start() {
 	s.mu.Lock()
@@ -240,7 +213,7 @@ func (s *Scheduler) Start() {
 	if s.ticker != nil {
 		return
 	}
-	s.ticker = s.clock.Every(s.cfg.PollInterval, s.Poll)
+	s.ticker = s.clock.Every(pollInterval, s.Poll)
 }
 
 // Stop halts the poll loop.
@@ -292,16 +265,16 @@ func (s *Scheduler) decideLocked(st *specState) {
 
 	// Policy 1: peak hours (hardware-centric tests monopolise a cluster,
 	// keep them out of working hours).
-	if s.cfg.AvoidPeak && spec.Kind == HardwareCentric && s.isPeak(now) {
+	if s.cfg.AvoidPeak && spec.Kind == HardwareCentric && InPeak(now) {
 		s.logLocked(Decision{At: now, Spec: spec.Name, Action: ActionDeferPeak})
-		st.nextDue = now + s.cfg.PollInterval
+		st.nextDue = now + pollInterval
 		return
 	}
 
 	// Policy 2: at most N active test jobs per site.
 	if s.bySite[spec.Site] >= s.cfg.MaxActivePerSite {
 		s.logLocked(Decision{At: now, Spec: spec.Name, Action: ActionDeferSiteBusy})
-		st.nextDue = now + s.cfg.PollInterval
+		st.nextDue = now + pollInterval
 		return
 	}
 
@@ -335,25 +308,13 @@ func (s *Scheduler) decideLocked(st *specState) {
 // BackoffMax.
 func (s *Scheduler) nextBackoff(cur simclock.Time) simclock.Time {
 	if cur <= 0 {
-		return s.cfg.BackoffBase
+		return BackoffBase
 	}
 	next := cur * 2
 	if next > s.cfg.BackoffMax {
 		next = s.cfg.BackoffMax
 	}
 	return next
-}
-
-func (s *Scheduler) isPeak(t simclock.Time) bool {
-	if s.cfg.Grid != nil {
-		return s.cfg.Grid.InPeak(t)
-	}
-	wd := t.Weekday()
-	if wd == time.Saturday || wd == time.Sunday {
-		return false
-	}
-	h := t.HourOfDay()
-	return h >= s.cfg.PeakStartHour && h < s.cfg.PeakEndHour
 }
 
 // observeBuild reacts to completed CI builds of jobs we scheduled. It runs
@@ -397,10 +358,7 @@ func (s *Scheduler) observeBuild(b *ci.Build) {
 // itself in the bounded ring.
 func (s *Scheduler) logLocked(d Decision) {
 	s.counts[d.Action]++
-	if s.cfg.DecisionLog == 0 {
-		return
-	}
-	if len(s.decisions) < s.cfg.DecisionLog {
+	if len(s.decisions) < decisionLog {
 		s.decisions = append(s.decisions, d)
 		return
 	}
@@ -412,7 +370,7 @@ func (s *Scheduler) logLocked(d Decision) {
 }
 
 // Decisions returns a copy of the retained decision log (the most recent
-// Config.DecisionLog entries), in chronological order.
+// decisionLog entries), in chronological order.
 func (s *Scheduler) Decisions() []Decision {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -22,7 +22,7 @@ type fixture struct {
 func newFixture(cfg Config) *fixture {
 	f := &fixture{clock: simclock.New(77), tb: testbed.Default()}
 	f.oar = oar.NewServer(f.clock, f.tb)
-	f.ci = ci.NewServer(f.clock, 4)
+	f.ci = ci.NewServer(f.clock, ci.Options{NumExecutors: 4})
 	f.sched = New(f.clock, f.oar, f.ci, cfg)
 	return f
 }
@@ -73,7 +73,7 @@ func TestRegisterValidation(t *testing.T) {
 			t.Fatalf("bad spec %+v accepted", sp)
 		}
 	}
-	if got := f.sched.SpecNames(); len(got) != 1 || got[0] != "a" {
+	if got := f.sched.Stats(); len(got) != 1 || got[0].Name != "a" {
 		t.Fatalf("names = %v", got)
 	}
 }

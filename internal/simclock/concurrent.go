@@ -10,7 +10,7 @@ package simclock
 //
 //   - Go registers a goroutine with the clock; it starts suspended.
 //   - Exactly one party executes at any instant: either the driver (the
-//     goroutine inside Step/Run/RunUntil/Advance) or one simulation
+//     goroutine inside Step/Run/RunUntil/RunFor) or one simulation
 //     goroutine holding the token.
 //   - WaitUntil/Sleep give the token back and schedule a wake-up event;
 //     wake-ups therefore happen in deterministic event order, and ready
@@ -43,7 +43,7 @@ type parkedGs struct{ gs []*simG }
 
 // Go starts fn as a simulation goroutine tracked by the clock. The
 // goroutine does not run immediately: it is queued for the run token and
-// first executes during the next Step/Run/RunUntil/Advance, after the
+// first executes during the next Step/Run/RunUntil/RunFor, after the
 // event that spawned it returns. It may call WaitUntil/Sleep to block for
 // simulated time and At/After/Go to schedule further work.
 func (c *Clock) Go(fn func()) {
@@ -115,12 +115,6 @@ func (c *Clock) Sleep(d Time) {
 	}
 	c.WaitUntil(c.Now() + d)
 }
-
-// Advance runs the event loop for d of simulated time, coordinating any
-// simulation goroutines that become runnable along the way. It is RunFor
-// under the name the concurrency API documentation uses: Advance is the
-// driver side of the WaitUntil contract.
-func (c *Clock) Advance(d Time) { c.RunFor(d) }
 
 // makeRunnable queues a goroutine parked in WaitUntil for the run token. It
 // is the wake-up event's callback (driver context, mutex not held).

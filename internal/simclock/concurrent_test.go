@@ -12,7 +12,7 @@ func TestGoRunsDuringAdvance(t *testing.T) {
 	if ran {
 		t.Fatal("goroutine ran before the driver advanced")
 	}
-	c.Advance(0)
+	c.RunFor(0)
 	if !ran {
 		t.Fatal("goroutine did not run")
 	}
@@ -101,14 +101,14 @@ func TestAdvanceLeavesLateSleepersParked(t *testing.T) {
 		c.Sleep(2 * Hour)
 		woke = true
 	})
-	c.Advance(Hour)
+	c.RunFor(Hour)
 	if woke {
 		t.Fatal("woke before its time")
 	}
 	if c.Goroutines() != 1 {
 		t.Fatalf("goroutines = %d, want 1 parked", c.Goroutines())
 	}
-	c.Advance(Hour)
+	c.RunFor(Hour)
 	if !woke {
 		t.Fatal("never woke")
 	}
@@ -162,7 +162,7 @@ func TestSchedulingFromOutsideGoroutines(t *testing.T) {
 				mu.Unlock()
 			})
 			_ = c.Now()
-			_ = c.Pending()
+			_ = c.Fired()
 		}(i)
 	}
 	wg.Wait()

@@ -58,11 +58,3 @@ func Bernoulli(rng *rand.Rand, p float64) bool {
 func Pick[T any](rng *rand.Rand, xs []T) T {
 	return xs[rng.Intn(len(xs))]
 }
-
-// Shuffled returns a shuffled copy of xs, leaving the input untouched.
-func Shuffled[T any](rng *rand.Rand, xs []T) []T {
-	out := make([]T, len(xs))
-	copy(out, xs)
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}

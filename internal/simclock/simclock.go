@@ -12,7 +12,7 @@
 // Two execution styles coexist:
 //
 //   - plain events (At/After/Every) run on the driver goroutine, the one
-//     calling Step/Run/RunUntil/Advance;
+//     calling Step/Run/RunUntil/RunFor;
 //   - simulation goroutines (Go) are real goroutines — the CI server's
 //     executor pool runs builds on them — that block in WaitUntil/Sleep.
 //     The clock hands out a single run token, so exactly one of
@@ -56,18 +56,6 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
-
-// Add returns t shifted by d.
-func (t Time) Add(d Time) Time { return t + d }
-
-// Sub returns the duration t-u.
-func (t Time) Sub(u Time) Time { return t - u }
-
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
 
 // Weekday returns the simulated day of week, with the epoch defined to be a
 // Monday at 00:00 (convenient for peak-hour policies).
@@ -124,12 +112,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e != nil && e.canceled.Load() }
-
-// At returns the time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 type eventQueue []*Event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -160,15 +142,14 @@ func (q *eventQueue) Pop() any {
 // used while holding the run token (from event callbacks or simulation
 // goroutines), which every simulated subsystem does naturally.
 type Clock struct {
-	mu     sync.Mutex
-	idle   *sync.Cond // signaled when a simulation goroutine parks or exits
-	now    Time
-	queue  eventQueue
-	seq    uint64
-	rng    *rand.Rand
-	fired  uint64
-	maxLen int
-	free   []*Event // fired pooled events, reused last in first out
+	mu    sync.Mutex
+	idle  *sync.Cond // signaled when a simulation goroutine parks or exits
+	now   Time
+	queue eventQueue
+	seq   uint64
+	rng   *rand.Rand
+	fired uint64
+	free  []*Event // fired pooled events, reused last in first out
 
 	// Run-token scheduler state (concurrent.go): the goroutine holding the
 	// token (nil: the driver), the FIFO of those ready for it
@@ -205,27 +186,11 @@ func (c *Clock) Now() Time {
 // callbacks or simulation goroutines), never from outside goroutines.
 func (c *Clock) Rand() *rand.Rand { return c.rng }
 
-// Pending returns the number of events waiting in the queue (including
-// canceled events that have not yet been discarded).
-func (c *Clock) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
-}
-
 // Fired returns the total number of events executed so far.
 func (c *Clock) Fired() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.fired
-}
-
-// MaxQueueLen returns the high-water mark of the event queue, useful for
-// benchmarking the simulator itself.
-func (c *Clock) MaxQueueLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxLen
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (or at
@@ -247,9 +212,6 @@ func (c *Clock) pushLocked(e *Event, t Time) {
 	e.at, e.seq = t, c.seq
 	c.seq++
 	heap.Push(&c.queue, e)
-	if len(c.queue) > c.maxLen {
-		c.maxLen = len(c.queue)
-	}
 }
 
 // After schedules fn to run d after the current time.

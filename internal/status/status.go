@@ -119,11 +119,6 @@ type Grid struct {
 	Cells    map[string]map[string]CellStatus // family → target → status
 }
 
-// Cell returns the status for (family, target).
-func (g *Grid) Cell(family, target string) CellStatus {
-	return g.Cells[family][target]
-}
-
 // splitJobName parses "family/target" simple-job names.
 func splitJobName(name string) (family, target string, ok bool) {
 	i := strings.IndexByte(name, '/')

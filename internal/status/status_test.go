@@ -17,7 +17,7 @@ import (
 func fixture(t *testing.T) (*simclock.Clock, *ci.Server, *Client) {
 	t.Helper()
 	c := simclock.New(50)
-	s := ci.NewServer(c, 16)
+	s := ci.NewServer(c, ci.Options{NumExecutors: 16})
 	mk := func(res ci.Result) ci.Script {
 		return func(bc *ci.BuildContext) ci.Outcome {
 			return ci.Outcome{Result: res, Duration: simclock.Minute}
@@ -44,8 +44,11 @@ func fixture(t *testing.T) (*simclock.Clock, *ci.Server, *Client) {
 	return c, s, NewClient(ts.URL)
 }
 
+// fixtureJobs names the fixture's jobs in creation order.
+var fixtureJobs = []string{"disk/sol", "disk/helios", "kwapi/sophia", "environments"}
+
 func runAll(c *simclock.Clock, s *ci.Server) {
-	for _, name := range s.JobNames() {
+	for _, name := range fixtureJobs {
 		s.Trigger(name, "test")
 	}
 	c.Run()
@@ -61,20 +64,20 @@ func TestBuildGrid(t *testing.T) {
 	if len(g.Families) != 3 { // disk, kwapi, environments
 		t.Fatalf("families = %v", g.Families)
 	}
-	if got := g.Cell("disk", "sol").Result; got != "SUCCESS" {
+	if got := g.Cells["disk"]["sol"].Result; got != "SUCCESS" {
 		t.Fatalf("disk/sol = %q", got)
 	}
-	if got := g.Cell("disk", "helios").Result; got != "FAILURE" {
+	if got := g.Cells["disk"]["helios"].Result; got != "FAILURE" {
 		t.Fatalf("disk/helios = %q", got)
 	}
-	if got := g.Cell("kwapi", "sophia").Result; got != "SUCCESS" {
+	if got := g.Cells["kwapi"]["sophia"].Result; got != "SUCCESS" {
 		t.Fatalf("kwapi/sophia = %q", got)
 	}
 	// Matrix contributions: worst across images per cluster.
-	if got := g.Cell("environments", "sol").Result; got != "SUCCESS" {
+	if got := g.Cells["environments"]["sol"].Result; got != "SUCCESS" {
 		t.Fatalf("environments/sol = %q", got)
 	}
-	if got := g.Cell("environments", "helios").Result; got != "UNSTABLE" {
+	if got := g.Cells["environments"]["helios"].Result; got != "UNSTABLE" {
 		t.Fatalf("environments/helios = %q", got)
 	}
 }

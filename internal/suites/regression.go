@@ -84,25 +84,6 @@ func (e *Experiment) Validate(tb *testbed.Testbed) error {
 	return nil
 }
 
-// ExpectedBaseline computes the healthy-testbed result of an experiment's
-// workload — what the owner would have measured when donating it.
-func ExpectedBaseline(tb *testbed.Testbed, e *Experiment) float64 {
-	cl := tb.Cluster(e.Cluster)
-	switch e.Workload {
-	case WorkloadDiskIO:
-		ref, err := describeDisk(cl)
-		if err != nil {
-			return 0
-		}
-		return expectedReadMBps(ref)
-	case WorkloadCPU:
-		return 1.0 // 1 % run-to-run variance on a well-configured node
-	case WorkloadMPI:
-		return 1.6 // µs small-message latency, flat model
-	}
-	return 0
-}
-
 func describeDisk(cl *testbed.Cluster) (testbed.Disk, error) {
 	if len(cl.Nodes[0].Inv.Disks) == 0 {
 		return testbed.Disk{}, fmt.Errorf("suites: cluster %s has no disks", cl.Name)

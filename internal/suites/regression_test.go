@@ -25,7 +25,7 @@ func diskExperiment(cluster string) *Experiment {
 func TestExperimentValidation(t *testing.T) {
 	tb := testbed.Default()
 	good := diskExperiment("suno")
-	good.Baseline = ExpectedBaseline(tb, good)
+	good.Baseline = expectedBaseline(tb, good)
 	if err := good.Validate(tb); err != nil {
 		t.Fatal(err)
 	}
@@ -50,21 +50,21 @@ func TestExperimentValidation(t *testing.T) {
 
 func TestExpectedBaselines(t *testing.T) {
 	tb := testbed.Default()
-	if got := ExpectedBaseline(tb, diskExperiment("suno")); got != 140 {
+	if got := expectedBaseline(tb, diskExperiment("suno")); got != 140 {
 		t.Errorf("suno (10k rpm) disk baseline = %v, want 140", got)
 	}
-	if got := ExpectedBaseline(tb, diskExperiment("paravance")); got != 430 {
+	if got := expectedBaseline(tb, diskExperiment("paravance")); got != 430 {
 		t.Errorf("paravance (SSD) disk baseline = %v, want 430", got)
 	}
 	cpu := &Experiment{Workload: WorkloadCPU}
-	if got := ExpectedBaseline(tb, cpu); got != 1.0 {
+	if got := expectedBaseline(tb, cpu); got != 1.0 {
 		t.Errorf("cpu baseline = %v", got)
 	}
 }
 
 func runRegression(t *testing.T, ctx *Context, e *Experiment) ci.Outcome {
 	t.Helper()
-	e.Baseline = ExpectedBaseline(ctx.TB, e)
+	e.Baseline = expectedBaseline(ctx.TB, e)
 	tests, err := RegressionTests(ctx.TB, []*Experiment{e})
 	if err != nil {
 		t.Fatal(err)
@@ -149,4 +149,23 @@ func TestRelativeDeviation(t *testing.T) {
 	if d := relativeDeviation(5, 0); d != 0 {
 		t.Fatalf("zero baseline dev = %v", d)
 	}
+}
+
+// expectedBaseline computes the healthy-testbed result of an experiment's
+// workload — what the owner would have measured when donating it.
+func expectedBaseline(tb *testbed.Testbed, e *Experiment) float64 {
+	cl := tb.Cluster(e.Cluster)
+	switch e.Workload {
+	case WorkloadDiskIO:
+		ref, err := describeDisk(cl)
+		if err != nil {
+			return 0
+		}
+		return expectedReadMBps(ref)
+	case WorkloadCPU:
+		return 1.0 // 1 % run-to-run variance on a well-configured node
+	case WorkloadMPI:
+		return 1.6 // µs small-message latency, flat model
+	}
+	return 0
 }

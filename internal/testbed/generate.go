@@ -61,11 +61,6 @@ func ScaledSpec(k int) []ClusterSpec {
 	return out
 }
 
-// Scaled generates a k× testbed (k× clusters, nodes and cores on the same
-// 8 sites) for scalability experiments beyond the paper's 894 nodes —
-// deterministic, like every generated testbed. Scaled(1) is Default.
-func Scaled(k int) *Testbed { return Generate(ScaledSpec(k)) }
-
 func newNode(cs ClusterSpec, idx int) *Node {
 	name := fmt.Sprintf("%s-%d.%s", cs.Name, idx, cs.Site)
 	inv := Inventory{

@@ -173,19 +173,6 @@ func TestInventoryCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestAliveNodesTracksState(t *testing.T) {
-	tb := Default()
-	c := tb.Cluster("sol")
-	if got := len(c.AliveNodes()); got != len(c.Nodes) {
-		t.Fatalf("alive = %d, want %d", got, len(c.Nodes))
-	}
-	c.Nodes[0].State = Suspected
-	c.Nodes[1].State = Dead
-	if got := len(c.AliveNodes()); got != len(c.Nodes)-2 {
-		t.Fatalf("alive = %d after marking two down", got)
-	}
-}
-
 func TestNodeStateString(t *testing.T) {
 	cases := map[NodeState]string{
 		Alive: "alive", Absent: "absent", Suspected: "suspected", Dead: "dead",
@@ -274,29 +261,29 @@ func TestSiteNodes(t *testing.T) {
 }
 
 func TestScaledOneIsDefault(t *testing.T) {
-	if got, want := Scaled(1).Stats(), Default().Stats(); got != want {
-		t.Fatalf("Scaled(1) = %v, want %v", got, want)
+	if got, want := Generate(ScaledSpec(1)).Stats(), Default().Stats(); got != want {
+		t.Fatalf("Generate(ScaledSpec(1)) = %v, want %v", got, want)
 	}
-	if got := Scaled(0).Stats(); got != Default().Stats() {
-		t.Fatalf("Scaled(0) = %v, want default", got)
+	if got := Generate(ScaledSpec(0)).Stats(); got != Default().Stats() {
+		t.Fatalf("Generate(ScaledSpec(0)) = %v, want default", got)
 	}
 }
 
 func TestScaledMultipliesEverythingButSites(t *testing.T) {
 	base := Default().Stats()
 	for _, k := range []int{2, 4} {
-		st := Scaled(k).Stats()
+		st := Generate(ScaledSpec(k)).Stats()
 		if st.Sites != base.Sites {
-			t.Fatalf("Scaled(%d) sites = %d, want %d", k, st.Sites, base.Sites)
+			t.Fatalf("Generate(ScaledSpec(%d)) sites = %d, want %d", k, st.Sites, base.Sites)
 		}
 		if st.Clusters != k*base.Clusters || st.Nodes != k*base.Nodes || st.Cores != k*base.Cores {
-			t.Fatalf("Scaled(%d) = %v, want %d x %v", k, st, k, base)
+			t.Fatalf("Generate(ScaledSpec(%d)) = %v, want %d x %v", k, st, k, base)
 		}
 	}
 }
 
 func TestScaledDeterministicAndDistinct(t *testing.T) {
-	a, b := Scaled(3), Scaled(3)
+	a, b := Generate(ScaledSpec(3)), Generate(ScaledSpec(3))
 	na, nb := a.Nodes(), b.Nodes()
 	if len(na) != len(nb) {
 		t.Fatalf("node counts differ: %d vs %d", len(na), len(nb))

@@ -178,17 +178,6 @@ type Cluster struct {
 	Nodes     []*Node
 }
 
-// AliveNodes returns the cluster's nodes currently in the Alive state.
-func (c *Cluster) AliveNodes() []*Node {
-	var out []*Node
-	for _, n := range c.Nodes {
-		if n.State == Alive {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Cores returns the total core count of the cluster.
 func (c *Cluster) Cores() int {
 	t := 0

@@ -279,7 +279,7 @@ func e11ExecutorScaling(t testing.TB) metrics {
 	const jobCount = 96
 	return scaling("builds_per_simhour", func(executors int) float64 {
 		clock := simclock.New(11)
-		s := ci.NewServerWith(clock, ci.Options{NumExecutors: executors})
+		s := ci.NewServer(clock, ci.Options{NumExecutors: executors})
 		for i := 0; i < jobCount; i++ {
 			name := fmt.Sprintf("cfg-%03d", i)
 			dur := (20 + simclock.Time(i%21)) * simclock.Minute
@@ -341,7 +341,7 @@ type contendedFixture struct {
 func newFixture(seed int64) *contendedFixture {
 	f := &contendedFixture{clock: simclock.New(seed)}
 	f.oar = oar.NewServer(f.clock, testbed.Default())
-	f.ci = ci.NewServer(f.clock, 8)
+	f.ci = ci.NewServer(f.clock, ci.Options{NumExecutors: 8})
 	return f
 }
 
@@ -455,7 +455,7 @@ func ablationBackoff(testing.TB) metrics {
 		cfg := sched.DefaultConfig()
 		cfg.AvoidPeak = false // isolate the backoff policy
 		if !expo {
-			cfg.BackoffMax = cfg.BackoffBase
+			cfg.BackoffMax = sched.BackoffBase
 		}
 		var runs jobRuns
 		s := sched.New(f.clock, f.oar, f.ci, cfg)
@@ -488,7 +488,7 @@ func ablationMatrixRetry(testing.TB) metrics {
 	// round is green, and returns the cells executed.
 	run := func(next func(s *ci.Server, prev *ci.Build) *ci.Build) float64 {
 		clock := simclock.New(1)
-		s := ci.NewServer(clock, 64)
+		s := ci.NewServer(clock, ci.Options{NumExecutors: 64})
 		passed := map[string]bool{}
 		s.CreateJob(&ci.Job{
 			Name:      "m",
