@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -349,5 +350,152 @@ func TestMergeWeeklyDegraded(t *testing.T) {
 	got = MergeWeekly(sparse)
 	if len(got) != 2 || got[1].Week != 3 {
 		t.Fatalf("sparse merge = %+v", got)
+	}
+}
+
+// gridState renders the federation's grid events and every micro-shard's
+// grid tickets, in event and shard order: the two records a grid event
+// leaves, pinned together so a heal and its ticket cannot drift apart.
+func gridState(fed *Federation) []string {
+	var out []string
+	for _, e := range fed.GridHistory() {
+		out = append(out, fmt.Sprintf("#%d %s healed=%v@%dh", e.ID, e.Signature(), e.Healed, e.HealedAt/simclock.Hour))
+	}
+	for _, sh := range fed.Shards() {
+		for _, b := range sh.F.Bugs.All() {
+			if b.Family == "grid" {
+				out = append(out, fmt.Sprintf("%s/%s %s %s", sh.Site, sh.Cluster, b.Signature, b.State))
+			}
+		}
+	}
+	return out
+}
+
+// TestGridEventLifecycle pins, tick by tick, when each way a grid event can
+// end takes effect and which tickets it files and closes: a scheduled heal
+// between barriers (healed at At+Duration, applied at the next barrier), a
+// rolling maintenance that self-heals at the first barrier after its last
+// window, a manual heal that beats the event's own scheduled heal (which
+// then does nothing), and an event injected and healed between two ticks
+// (no shard ever hears of it: no ticket filed, none closed).
+func TestGridEventLifecycle(t *testing.T) {
+	// Operators never get to a ticket, so only a heal closes one.
+	fed := New(Config{Seed: 5, Spec: subSpec("luxembourg", "nantes", "lyon", "sophia"), Workers: 1,
+		Configure: func(string, int64) core.Config {
+			cfg := core.DefaultConfig()
+			cfg.OperatorMinAge = 52 * simclock.Week
+			return cfg
+		}})
+	fed.Start()
+	w := simclock.Week
+	if err := fed.ScheduleChaos(
+		faults.ScheduleEntry{Kind: faults.SiteOutage, Sites: []string{"lyon"}, At: w, Duration: 3 * w / 2},
+		faults.ScheduleEntry{Kind: faults.RollingMaintenance, Sites: []string{"nantes", "sophia"}, At: w, Duration: 3 * w / 4},
+		faults.ScheduleEntry{Kind: faults.WANPartition, Sites: []string{"luxembourg"}, At: 2 * w, Duration: 2 * w},
+	); err != nil {
+		t.Fatalf("schedule: %v", err)
+	}
+	steps := []struct {
+		live func(t *testing.T)
+		want []string
+	}{
+		// 1w: the schedule's outage and maintenance land; no tick has run
+		// since, so no shard has a ticket yet.
+		{nil, []string{
+			"#1 site-outage:lyon healed=false@0h",
+			"#2 rolling-maintenance:nantes+sophia healed=false@0h",
+		}},
+		// #3 is a live partition whose heal is scheduled for 3w. The 1w tick
+		// files #1-#3 on the sites that stepped it (lyon and nantes were
+		// down); the scheduled partition #4 lands at 2w.
+		{func(t *testing.T) {
+			if _, err := fed.InjectGrid(faults.WANPartition, []string{"sophia"}, 0, 2*w); err != nil {
+				t.Fatalf("inject: %v", err)
+			}
+		}, []string{
+			"#1 site-outage:lyon healed=false@0h",
+			"#2 rolling-maintenance:nantes+sophia healed=false@0h",
+			"#3 wan-partition:sophia healed=false@0h",
+			"#4 wan-partition:luxembourg healed=false@0h",
+			"luxembourg/granduc site-outage:lyon open",
+			"luxembourg/granduc rolling-maintenance:nantes+sophia open",
+			"luxembourg/granduc wan-partition:sophia open",
+			"sophia/sol site-outage:lyon open",
+			"sophia/sol rolling-maintenance:nantes+sophia open",
+			"sophia/sol wan-partition:sophia open",
+		}},
+		// At 2w #3 is healed by hand, beating its own heal at 3w, and #5
+		// comes and goes between two ticks. The 2w tick files #4 and closes
+		// #3 where it steps; sophia sits in its maintenance window then, so
+		// its copy of #3 never closes. By 3w #1 has healed at its scheduled
+		// 2.5w (420h), #2 self-heals at the first barrier after its last
+		// window (504h), and #3's scheduled heal changes nothing.
+		{func(t *testing.T) {
+			if _, err := fed.HealGrid(3); err != nil {
+				t.Fatalf("heal #3 before its scheduled heal: %v", err)
+			}
+			ev, err := fed.InjectGrid(faults.SiteOutage, []string{"nantes"}, 0, 0)
+			if err != nil {
+				t.Fatalf("inject: %v", err)
+			}
+			if _, err := fed.HealGrid(ev.ID); err != nil {
+				t.Fatalf("heal #%d: %v", ev.ID, err)
+			}
+		}, []string{
+			"#1 site-outage:lyon healed=true@420h",
+			"#2 rolling-maintenance:nantes+sophia healed=true@504h",
+			"#3 wan-partition:sophia healed=true@336h",
+			"#4 wan-partition:luxembourg healed=false@0h",
+			"#5 site-outage:nantes healed=true@336h",
+			"luxembourg/granduc site-outage:lyon open",
+			"luxembourg/granduc rolling-maintenance:nantes+sophia open",
+			"luxembourg/granduc wan-partition:sophia fixed",
+			"luxembourg/granduc wan-partition:luxembourg open",
+			"nantes/econome wan-partition:luxembourg open",
+			"sophia/sol site-outage:lyon open",
+			"sophia/sol rolling-maintenance:nantes+sophia open",
+			"sophia/sol wan-partition:sophia open",
+		}},
+		// The 3w tick closes #1 and #2; #4 heals at its scheduled 4w.
+		{nil, []string{
+			"#1 site-outage:lyon healed=true@420h",
+			"#2 rolling-maintenance:nantes+sophia healed=true@504h",
+			"#3 wan-partition:sophia healed=true@336h",
+			"#4 wan-partition:luxembourg healed=true@672h",
+			"#5 site-outage:nantes healed=true@336h",
+			"luxembourg/granduc site-outage:lyon fixed",
+			"luxembourg/granduc rolling-maintenance:nantes+sophia fixed",
+			"luxembourg/granduc wan-partition:sophia fixed",
+			"luxembourg/granduc wan-partition:luxembourg open",
+			"nantes/econome wan-partition:luxembourg open",
+			"sophia/sol site-outage:lyon fixed",
+			"sophia/sol rolling-maintenance:nantes+sophia fixed",
+			"sophia/sol wan-partition:sophia open",
+		}},
+		// The 4w tick closes #4.
+		{nil, []string{
+			"#1 site-outage:lyon healed=true@420h",
+			"#2 rolling-maintenance:nantes+sophia healed=true@504h",
+			"#3 wan-partition:sophia healed=true@336h",
+			"#4 wan-partition:luxembourg healed=true@672h",
+			"#5 site-outage:nantes healed=true@336h",
+			"luxembourg/granduc site-outage:lyon fixed",
+			"luxembourg/granduc rolling-maintenance:nantes+sophia fixed",
+			"luxembourg/granduc wan-partition:sophia fixed",
+			"luxembourg/granduc wan-partition:luxembourg fixed",
+			"nantes/econome wan-partition:luxembourg fixed",
+			"sophia/sol site-outage:lyon fixed",
+			"sophia/sol rolling-maintenance:nantes+sophia fixed",
+			"sophia/sol wan-partition:sophia open",
+		}},
+	}
+	for i, st := range steps {
+		if st.live != nil {
+			st.live(t)
+		}
+		fed.Advance(w)
+		if got := gridState(fed); !reflect.DeepEqual(got, st.want) {
+			t.Errorf("after week %d:\n got %q\nwant %q", i+1, got, st.want)
+		}
 	}
 }
