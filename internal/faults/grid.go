@@ -3,7 +3,7 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -48,7 +48,10 @@ type GridEvent struct {
 	// Window is the per-site maintenance window for RollingMaintenance
 	// (site i is down during [InjectedAt+i·Window, InjectedAt+(i+1)·Window)).
 	// Zero for the other kinds.
-	Window   simclock.Time
+	Window simclock.Time
+	// HealAt is the scheduled heal of a SiteOutage or WANPartition, zero
+	// while the event waits for a manual heal.
+	HealAt   simclock.Time
 	Healed   bool
 	HealedAt simclock.Time
 }
@@ -101,143 +104,129 @@ func (e *GridEvent) downAt(site string, now simclock.Time) bool {
 	return false
 }
 
-// exhaustedAt reports whether a RollingMaintenance event has run out every
-// per-site window by the given instant (and so should self-heal).
-func (e *GridEvent) exhaustedAt(now simclock.Time) bool {
-	if e.Kind != RollingMaintenance {
-		return false
-	}
-	return now >= e.InjectedAt+simclock.Time(len(e.Sites))*e.Window
+// detached returns a copy of the event that shares no memory with the
+// injector.
+func (e *GridEvent) detached() GridEvent {
+	out := *e
+	out.Sites = slices.Clone(e.Sites)
+	return out
 }
 
-// GridInjector owns the active site-scale events. It is deliberately pure
+// GridInjector owns the site-scale events. It is deliberately pure
 // state + queries — no locking and no clock of its own — because the
 // federation drives it under its own mutex off the federated clock, exactly
-// like the per-shard Injector is driven by its shard's clock.
+// like the per-shard Injector is driven by its shard's clock. The zero
+// value is ready to use.
 type GridInjector struct {
-	nextID  int
-	active  map[int]*GridEvent
-	history []*GridEvent
+	events []GridEvent // every event ever injected; events[i].ID == i+1
 }
 
-// NewGridInjector returns an injector with no active events.
-func NewGridInjector() *GridInjector {
-	return &GridInjector{active: map[int]*GridEvent{}}
-}
-
-// Inject registers a new grid event starting at the given instant. A
-// RollingMaintenance event needs a positive per-site window; the other kinds
-// ignore it. Every event needs at least one site.
-func (g *GridInjector) Inject(kind GridKind, sites []string, at, window simclock.Time) (*GridEvent, error) {
+// Inject registers a new grid event starting at the given instant. d has
+// ScheduleEntry.Duration's meaning: a RollingMaintenance event's per-site
+// window, which must be positive; for the other kinds, d > 0 schedules the
+// heal at at+d (0 = heal manually). Every event needs at least one site
+// and a start at or after time zero, which keeps a scheduled HealAt
+// nonzero.
+func (g *GridInjector) Inject(kind GridKind, sites []string, at, d simclock.Time) (GridEvent, error) {
 	switch kind {
 	case SiteOutage, WANPartition, RollingMaintenance:
 	default:
-		return nil, fmt.Errorf("faults: unknown grid event kind %q", kind)
+		return GridEvent{}, fmt.Errorf("faults: unknown grid event kind %q", kind)
+	}
+	if at < 0 {
+		return GridEvent{}, fmt.Errorf("faults: grid event %s starts before time zero", kind)
 	}
 	if len(sites) == 0 {
-		return nil, fmt.Errorf("faults: grid event %s needs at least one site", kind)
+		return GridEvent{}, fmt.Errorf("faults: grid event %s needs at least one site", kind)
 	}
 	seen := map[string]bool{}
 	for _, s := range sites {
 		if s == "" {
-			return nil, fmt.Errorf("faults: grid event %s has an empty site name", kind)
+			return GridEvent{}, fmt.Errorf("faults: grid event %s has an empty site name", kind)
 		}
 		if seen[s] {
-			return nil, fmt.Errorf("faults: grid event %s lists site %q twice", kind, s)
+			return GridEvent{}, fmt.Errorf("faults: grid event %s lists site %q twice", kind, s)
 		}
 		seen[s] = true
 	}
-	if kind == RollingMaintenance && window <= 0 {
-		return nil, fmt.Errorf("faults: rolling maintenance needs a positive per-site window")
+	e := GridEvent{ID: len(g.events) + 1, Kind: kind, Sites: slices.Clone(sites), InjectedAt: at}
+	switch {
+	case kind == RollingMaintenance && d <= 0:
+		return GridEvent{}, fmt.Errorf("faults: rolling maintenance needs a positive per-site window")
+	case kind == RollingMaintenance:
+		e.Window = d
+	case d > 0:
+		e.HealAt = at + d
 	}
-	if kind != RollingMaintenance {
-		window = 0
-	}
-	g.nextID++
-	e := &GridEvent{
-		ID:         g.nextID,
-		Kind:       kind,
-		Sites:      append([]string(nil), sites...),
-		InjectedAt: at,
-		Window:     window,
-	}
-	g.active[e.ID] = e
-	g.history = append(g.history, e)
-	return e, nil
+	g.events = append(g.events, e)
+	return e.detached(), nil
 }
 
 // Heal undoes an active event at the given instant. Healing twice is an
 // error, matching Injector.Fix semantics.
-func (g *GridInjector) Heal(id int, at simclock.Time) error {
-	e, ok := g.active[id]
-	if !ok {
-		return fmt.Errorf("faults: no active grid event #%d", id)
+func (g *GridInjector) Heal(id int, at simclock.Time) (GridEvent, error) {
+	if id < 1 || id > len(g.events) || g.events[id-1].Healed {
+		return GridEvent{}, fmt.Errorf("faults: no active grid event #%d", id)
 	}
-	e.Healed = true
-	e.HealedAt = at
-	delete(g.active, id)
-	return nil
+	e := &g.events[id-1]
+	e.Healed, e.HealedAt = true, at
+	return e.detached(), nil
 }
 
-// AutoHeal heals every RollingMaintenance event whose windows have all
-// elapsed by the given instant, returning the healed events sorted by ID.
-func (g *GridInjector) AutoHeal(now simclock.Time) []*GridEvent {
-	var done []*GridEvent
-	for _, e := range g.active {
-		if e.exhaustedAt(now) {
-			done = append(done, e)
+// AutoHeal applies every heal due by the given instant: an event whose
+// scheduled heal has come heals at HealAt, and a RollingMaintenance whose
+// windows have all elapsed heals now.
+func (g *GridInjector) AutoHeal(now simclock.Time) {
+	for i := range g.events {
+		e := &g.events[i]
+		switch {
+		case e.Healed:
+		case e.HealAt != 0 && e.HealAt <= now:
+			e.Healed, e.HealedAt = true, e.HealAt
+		case e.Kind == RollingMaintenance && now >= e.InjectedAt+simclock.Time(len(e.Sites))*e.Window:
+			e.Healed, e.HealedAt = true, now
 		}
 	}
-	sort.Slice(done, func(i, j int) bool { return done[i].ID < done[j].ID })
-	for _, e := range done {
-		e.Healed = true
-		e.HealedAt = now
-		delete(g.active, e.ID)
-	}
-	return done
-}
-
-// Get returns the event with the given ID (active or healed), or nil.
-func (g *GridInjector) Get(id int) *GridEvent {
-	for _, e := range g.history {
-		if e.ID == id {
-			return e
-		}
-	}
-	return nil
 }
 
 // Active returns the active (unhealed) events sorted by ID.
-func (g *GridInjector) Active() []*GridEvent {
-	out := make([]*GridEvent, 0, len(g.active))
-	for _, e := range g.active {
-		out = append(out, e)
+func (g *GridInjector) Active() []GridEvent {
+	var out []GridEvent
+	for i := range g.events {
+		if !g.events[i].Healed {
+			out = append(out, g.events[i].detached())
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // History returns every event ever injected, healed or not, in injection
 // order.
-func (g *GridInjector) History() []*GridEvent { return append([]*GridEvent(nil), g.history...) }
+func (g *GridInjector) History() []GridEvent {
+	out := make([]GridEvent, len(g.events))
+	for i := range g.events {
+		out[i] = g.events[i].detached()
+	}
+	return out
+}
 
 // SiteDownAt reports whether the named site is down — its shard frozen and
 // its routes dark — under any active event at the given instant.
 func (g *GridInjector) SiteDownAt(site string, now simclock.Time) bool {
-	for _, e := range g.active {
-		if e.downAt(site, now) {
+	for i := range g.events {
+		if g.events[i].downAt(site, now) {
 			return true
 		}
 	}
 	return false
 }
 
-// IsolatedAt returns the set of sites cut off from the federation's merge
-// plane by active WAN partitions at the given instant. Isolated shards keep
-// stepping; they just stop contributing to merged views until heal.
-func (g *GridInjector) IsolatedAt(now simclock.Time) map[string]bool {
+// Isolated returns the set of sites cut off from the federation's merge
+// plane by active WAN partitions. Isolated shards keep stepping; they just
+// stop contributing to merged views until heal.
+func (g *GridInjector) Isolated() map[string]bool {
 	out := map[string]bool{}
-	for _, e := range g.active {
+	for _, e := range g.events {
 		if e.Kind != WANPartition || e.Healed {
 			continue
 		}
@@ -260,7 +249,7 @@ type ScheduleEntry struct {
 	Duration simclock.Time
 }
 
-// gridKindAliases maps schedule-string spellings to kinds.
+// gridKindAliases maps the spellings of a kind to the kind.
 var gridKindAliases = map[string]GridKind{
 	"outage":                   SiteOutage,
 	string(SiteOutage):         SiteOutage,
@@ -268,6 +257,14 @@ var gridKindAliases = map[string]GridKind{
 	string(WANPartition):       WANPartition,
 	"maintenance":              RollingMaintenance,
 	string(RollingMaintenance): RollingMaintenance,
+}
+
+// ParseGridKind resolves a grid-event kind from its canonical signature or
+// its short alias (outage, partition, maintenance): the spellings disaster
+// schedules and the gateway's POST /chaos/inject both accept.
+func ParseGridKind(s string) (GridKind, bool) {
+	kind, ok := gridKindAliases[s]
+	return kind, ok
 }
 
 // ParseSchedule parses a comma-separated disaster schedule of the form
@@ -293,7 +290,7 @@ func ParseSchedule(s string) ([]ScheduleEntry, error) {
 		if !ok {
 			return nil, fmt.Errorf("faults: chaos entry %q: want kind:sites@start+duration", part)
 		}
-		kind, ok := gridKindAliases[kindStr]
+		kind, ok := ParseGridKind(kindStr)
 		if !ok {
 			return nil, fmt.Errorf("faults: chaos entry %q: unknown kind %q", part, kindStr)
 		}

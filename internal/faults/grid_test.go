@@ -1,13 +1,14 @@
 package faults
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/simclock"
 )
 
 func TestGridEventLifecycle(t *testing.T) {
-	g := NewGridInjector()
+	var g GridInjector
 	e, err := g.Inject(SiteOutage, []string{"nancy"}, simclock.Week, 0)
 	if err != nil {
 		t.Fatalf("inject: %v", err)
@@ -27,25 +28,61 @@ func TestGridEventLifecycle(t *testing.T) {
 	if n := len(g.Active()); n != 1 {
 		t.Fatalf("active = %d", n)
 	}
-	if err := g.Heal(e.ID, 2*simclock.Week); err != nil {
+	healed, err := g.Heal(e.ID, 2*simclock.Week)
+	if err != nil {
 		t.Fatalf("heal: %v", err)
 	}
 	if g.SiteDownAt("nancy", 2*simclock.Week) {
 		t.Fatal("nancy should be back after heal")
 	}
-	if !e.Healed || e.HealedAt != 2*simclock.Week {
-		t.Fatalf("heal not recorded: %+v", e)
+	if !healed.Healed || healed.HealedAt != 2*simclock.Week || e.Healed {
+		t.Fatalf("heal not recorded in a fresh value: healed %+v, injected %+v", healed, e)
 	}
-	if err := g.Heal(e.ID, 3*simclock.Week); err == nil {
+	if _, err := g.Heal(e.ID, 3*simclock.Week); err == nil {
 		t.Fatal("double heal should fail")
 	}
-	if len(g.History()) != 1 || g.Get(e.ID) != e {
-		t.Fatal("history should keep healed events")
+	if _, err := g.Heal(2, 3*simclock.Week); err == nil {
+		t.Fatal("healing an event never injected should fail")
+	}
+	if h := g.History(); len(h) != 1 || !reflect.DeepEqual(h[0], healed) || len(g.Active()) != 0 {
+		t.Fatalf("history = %+v, active = %+v; want the healed event alone in history", h, g.Active())
+	}
+	// What the accessors return is detached: writing to it leaves the
+	// injector's events as they were.
+	g.History()[0].Sites[0] = "mutated"
+	if g.History()[0].Sites[0] != "nancy" {
+		t.Fatal("History aliased the injector's sites")
+	}
+}
+
+// TestGridScheduledHeal: an outage or partition given a duration heals at
+// InjectedAt+duration, stamped with that instant whenever AutoHeal first
+// runs at or after it; a manual heal that comes first wins, and the
+// scheduled one then changes nothing.
+func TestGridScheduledHeal(t *testing.T) {
+	var g GridInjector
+	w := simclock.Week
+	early, _ := g.Inject(SiteOutage, []string{"lyon"}, w, w/2)
+	manual, _ := g.Inject(WANPartition, []string{"nancy"}, w, 2*w)
+	if early.HealAt != w+w/2 || manual.HealAt != 3*w {
+		t.Fatalf("HealAt = %v, %v; want 1.5w and 3w", early.HealAt, manual.HealAt)
+	}
+	g.AutoHeal(w + w/4)
+	if len(g.Active()) != 2 {
+		t.Fatal("AutoHeal fired before any scheduled heal was due")
+	}
+	if _, err := g.Heal(manual.ID, 2*w); err != nil {
+		t.Fatalf("manual heal: %v", err)
+	}
+	g.AutoHeal(4 * w)
+	h := g.History()
+	if !h[0].Healed || h[0].HealedAt != w+w/2 || !h[1].Healed || h[1].HealedAt != 2*w {
+		t.Fatalf("history = %+v; want healed at 1.5w and at the manual 2w", h)
 	}
 }
 
 func TestGridInjectValidation(t *testing.T) {
-	g := NewGridInjector()
+	var g GridInjector
 	if _, err := g.Inject(GridKind("volcano"), []string{"nancy"}, 0, 0); err == nil {
 		t.Fatal("unknown kind should fail")
 	}
@@ -57,6 +94,9 @@ func TestGridInjectValidation(t *testing.T) {
 	}
 	if _, err := g.Inject(RollingMaintenance, []string{"a", "b"}, 0, 0); err == nil {
 		t.Fatal("maintenance without window should fail")
+	}
+	if _, err := g.Inject(WANPartition, []string{"a"}, -simclock.Day, simclock.Day); err == nil {
+		t.Fatal("a start before time zero should fail")
 	}
 	// The Sites slice must be copied: mutating the caller's slice after
 	// injection must not alter the event.
@@ -72,7 +112,7 @@ func TestGridInjectValidation(t *testing.T) {
 }
 
 func TestRollingMaintenanceWindows(t *testing.T) {
-	g := NewGridInjector()
+	var g GridInjector
 	w := simclock.Week
 	e, err := g.Inject(RollingMaintenance, []string{"a", "b", "c"}, w, w)
 	if err != nil {
@@ -93,17 +133,19 @@ func TestRollingMaintenanceWindows(t *testing.T) {
 			}
 		}
 	}
-	if healed := g.AutoHeal(4*w - 1); len(healed) != 0 {
+	if g.AutoHeal(4*w - 1); len(g.Active()) != 1 {
 		t.Fatal("AutoHeal fired before the last window elapsed")
 	}
-	healed := g.AutoHeal(4 * w)
-	if len(healed) != 1 || healed[0] != e || !e.Healed || e.HealedAt != 4*w {
-		t.Fatalf("AutoHeal = %v (event %+v)", healed, e)
+	// The event heals itself at the instant AutoHeal runs, not at the end
+	// of its last window.
+	g.AutoHeal(5 * w)
+	if h := g.History()[0]; h.ID != e.ID || !h.Healed || h.HealedAt != 5*w {
+		t.Fatalf("after AutoHeal(5w): %+v", h)
 	}
 }
 
 func TestWANPartitionIsolation(t *testing.T) {
-	g := NewGridInjector()
+	var g GridInjector
 	e, err := g.Inject(WANPartition, []string{"nancy", "grenoble"}, 0, 0)
 	if err != nil {
 		t.Fatalf("inject: %v", err)
@@ -115,14 +157,14 @@ func TestWANPartitionIsolation(t *testing.T) {
 	if g.SiteDownAt("nancy", 0) {
 		t.Fatal("partitioned site must not count as down")
 	}
-	iso := g.IsolatedAt(0)
+	iso := g.Isolated()
 	if !iso["nancy"] || !iso["grenoble"] || iso["lyon"] {
-		t.Fatalf("IsolatedAt = %v", iso)
+		t.Fatalf("Isolated = %v", iso)
 	}
-	if err := g.Heal(e.ID, simclock.Week); err != nil {
+	if _, err := g.Heal(e.ID, simclock.Week); err != nil {
 		t.Fatalf("heal: %v", err)
 	}
-	if len(g.IsolatedAt(simclock.Week)) != 0 {
+	if len(g.Isolated()) != 0 {
 		t.Fatal("isolation should clear on heal")
 	}
 }

@@ -45,8 +45,9 @@ func (fed *Federation) notifyGrid() {
 
 // ScheduleChaos appends entries to the deterministic disaster schedule.
 // Each entry injects its event when the federated clock reaches At (and
-// schedules the heal at At+Duration, where applicable). Unknown sites are
-// rejected so a typo cannot silently schedule a no-op disaster.
+// schedules the heal at At+Duration, where applicable). Unknown sites, and
+// entries GridInjector.Inject would refuse when they came due, are rejected
+// now so a typo cannot silently schedule a no-op disaster.
 func (fed *Federation) ScheduleChaos(entries ...faults.ScheduleEntry) error {
 	fed.mu.Lock()
 	defer fed.mu.Unlock()
@@ -54,8 +55,9 @@ func (fed *Federation) ScheduleChaos(entries ...faults.ScheduleEntry) error {
 		if err := fed.checkSitesLocked(e.Sites); err != nil {
 			return err
 		}
-		if e.Kind == faults.RollingMaintenance && e.Duration <= 0 {
-			return fmt.Errorf("federation: rolling maintenance needs a per-site window")
+		var probe faults.GridInjector
+		if _, err := probe.Inject(e.Kind, e.Sites, e.At, e.Duration); err != nil {
+			return err
 		}
 	}
 	for _, e := range entries {
@@ -71,40 +73,36 @@ func (fed *Federation) ScheduleChaos(entries ...faults.ScheduleEntry) error {
 // For the other kinds, duration > 0 schedules the heal that much later
 // (0 = heal manually). Returns a value copy of the event.
 func (fed *Federation) InjectGrid(kind faults.GridKind, sites []string, window, duration simclock.Time) (faults.GridEvent, error) {
+	if kind == faults.RollingMaintenance {
+		duration = window
+		if duration <= 0 {
+			duration = barrier
+		}
+	}
 	fed.mu.Lock()
-	if err := fed.checkSitesLocked(sites); err != nil {
-		fed.mu.Unlock()
-		return faults.GridEvent{}, err
+	ev, err := faults.GridEvent{}, fed.checkSitesLocked(sites)
+	if err == nil {
+		ev, err = fed.grid.Inject(kind, sites, fed.now, duration)
 	}
-	if kind == faults.RollingMaintenance && window <= 0 {
-		window = barrier
-	}
-	ev, err := fed.grid.Inject(kind, sites, fed.now, window)
-	if err != nil {
-		fed.mu.Unlock()
-		return faults.GridEvent{}, err
-	}
-	if kind != faults.RollingMaintenance && duration > 0 {
-		fed.pendingHeals = append(fed.pendingHeals, pendingHeal{id: ev.ID, at: fed.now + duration})
-	}
-	out := eventCopy(ev)
 	fed.mu.Unlock()
+	if err != nil {
+		return faults.GridEvent{}, err
+	}
 	fed.notifyGrid()
-	return out, nil
+	return ev, nil
 }
 
 // HealGrid heals an active grid event right now, returning a value copy of
 // the healed event.
 func (fed *Federation) HealGrid(id int) (faults.GridEvent, error) {
 	fed.mu.Lock()
-	if err := fed.grid.Heal(id, fed.now); err != nil {
-		fed.mu.Unlock()
+	ev, err := fed.grid.Heal(id, fed.now)
+	fed.mu.Unlock()
+	if err != nil {
 		return faults.GridEvent{}, err
 	}
-	out := eventCopy(fed.grid.Get(id))
-	fed.mu.Unlock()
 	fed.notifyGrid()
-	return out, nil
+	return ev, nil
 }
 
 // ActiveGridEvents returns value copies of the active grid events, sorted
@@ -112,7 +110,7 @@ func (fed *Federation) HealGrid(id int) (faults.GridEvent, error) {
 func (fed *Federation) ActiveGridEvents() []faults.GridEvent {
 	fed.mu.Lock()
 	defer fed.mu.Unlock()
-	return eventCopies(fed.grid.Active())
+	return fed.grid.Active()
 }
 
 // GridHistory returns value copies of every grid event ever injected, in
@@ -120,7 +118,7 @@ func (fed *Federation) ActiveGridEvents() []faults.GridEvent {
 func (fed *Federation) GridHistory() []faults.GridEvent {
 	fed.mu.Lock()
 	defer fed.mu.Unlock()
-	return eventCopies(fed.grid.History())
+	return fed.grid.History()
 }
 
 // SiteAvailable reports whether the named site is serving: false while an
@@ -144,32 +142,22 @@ func (fed *Federation) SiteAvailable(site string) bool {
 func (fed *Federation) LostSites() (down, unreachable []string) {
 	fed.mu.Lock()
 	defer fed.mu.Unlock()
-	return fed.downSitesLocked(), fed.unreachableSitesLocked()
+	return fed.lostSitesLocked()
 }
 
-// downSitesLocked returns the down sites in site order. Caller holds
-// fed.mu.
-func (fed *Federation) downSitesLocked() []string {
-	var out []string
+// lostSitesLocked returns the down sites and the partition-isolated (but
+// not down) ones, each in site order. Caller holds fed.mu.
+func (fed *Federation) lostSitesLocked() (down, unreachable []string) {
+	iso := fed.grid.Isolated()
 	for _, site := range fed.sites {
-		if fed.grid.SiteDownAt(site, fed.now) {
-			out = append(out, site)
+		switch {
+		case fed.grid.SiteDownAt(site, fed.now):
+			down = append(down, site)
+		case iso[site]:
+			unreachable = append(unreachable, site)
 		}
 	}
-	return out
-}
-
-// unreachableSitesLocked returns the partition-isolated (but not down)
-// sites in site order. Caller holds fed.mu.
-func (fed *Federation) unreachableSitesLocked() []string {
-	iso := fed.grid.IsolatedAt(fed.now)
-	var out []string
-	for _, site := range fed.sites {
-		if iso[site] && !fed.grid.SiteDownAt(site, fed.now) {
-			out = append(out, site)
-		}
-	}
-	return out
+	return down, unreachable
 }
 
 // checkSitesLocked validates that every named site is a shard.
@@ -183,19 +171,4 @@ func (fed *Federation) checkSitesLocked(sites []string) error {
 		}
 	}
 	return nil
-}
-
-// eventCopy returns a detached value copy of a grid event.
-func eventCopy(e *faults.GridEvent) faults.GridEvent {
-	out := *e
-	out.Sites = append([]string(nil), e.Sites...)
-	return out
-}
-
-func eventCopies(events []*faults.GridEvent) []faults.GridEvent {
-	out := make([]faults.GridEvent, len(events))
-	for i, e := range events {
-		out[i] = eventCopy(e)
-	}
-	return out
 }

@@ -243,6 +243,21 @@ func TestChaosRejectsUnknownSites(t *testing.T) {
 	if err := fed.ScheduleChaos(faults.ScheduleEntry{Kind: faults.SiteOutage, Sites: []string{"atlantis"}}); err == nil {
 		t.Fatal("unknown site should be rejected")
 	}
+	// So is an entry the injector would refuse when it came due: it would
+	// never fire.
+	for _, bad := range []faults.ScheduleEntry{
+		{Kind: faults.SiteOutage, Sites: []string{"lyon", "lyon"}},
+		{Kind: "volcano", Sites: []string{"lyon"}},
+		{Kind: faults.RollingMaintenance, Sites: []string{"lyon"}},
+		{Kind: faults.WANPartition, Sites: []string{"lyon"}, At: -simclock.Day, Duration: simclock.Day},
+	} {
+		if err := fed.ScheduleChaos(bad); err == nil {
+			t.Errorf("ScheduleChaos(%+v) accepted an entry that can never fire", bad)
+		}
+	}
+	if got := fed.GridHistory(); len(got) != 0 {
+		t.Fatalf("refused entries left events behind: %+v", got)
+	}
 	if _, err := fed.InjectGrid(faults.SiteOutage, []string{"atlantis"}, 0, 0); err == nil {
 		t.Fatal("unknown site should be rejected")
 	}

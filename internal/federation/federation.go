@@ -117,14 +117,12 @@ type Federation struct {
 	// in lockstep with each other.
 	behind []simclock.Time
 
-	// grid owns the active site-scale events; pending/pendingHeals hold
-	// the not-yet-due schedule. announced/healAnnounced track which events
-	// already had their bug tickets filed/closed in the shard trackers.
-	grid          *faults.GridInjector
-	pending       []faults.ScheduleEntry
-	pendingHeals  []pendingHeal
-	announced     map[int]bool
-	healAnnounced map[int]bool
+	// grid owns the site-scale events, their scheduled heals included;
+	// pending holds the not-yet-due schedule. told[i] is how far the shard
+	// trackers have heard of event i+1 (ticket filed, then closed).
+	grid    faults.GridInjector
+	pending []faults.ScheduleEntry
+	told    []tickets
 
 	// stepGate wraps every micro-shard step so an embedder (the gateway)
 	// can interleave its own per-shard locking with the barrier ticks; the
@@ -139,11 +137,16 @@ type Federation struct {
 	gridListener func()
 }
 
-// pendingHeal schedules the heal of an injected event.
-type pendingHeal struct {
-	id int
-	at simclock.Time
-}
+// tickets is how far a grid event's bug tickets have got: no shard has
+// heard of it, its tickets are filed, or they are closed (or were never
+// filed because the event healed before any tick).
+type tickets uint8
+
+const (
+	unheard tickets = iota
+	filed
+	closed
+)
 
 // ShardSeed derives a micro-shard's RNG seed from the campaign seed, its
 // site label and its cluster name (FNV-1a over site, a zero separator
@@ -189,14 +192,11 @@ func New(cfg Config) *Federation {
 	}
 
 	fed := &Federation{
-		cfg:           cfg,
-		sites:         sites,
-		bySite:        make(map[string][]*Shard, len(sites)),
-		workers:       cfg.Workers,
-		grid:          faults.NewGridInjector(),
-		announced:     map[int]bool{},
-		healAnnounced: map[int]bool{},
-		stepGate:      func(_, _ string, step func()) { step() },
+		cfg:      cfg,
+		sites:    sites,
+		bySite:   make(map[string][]*Shard, len(sites)),
+		workers:  cfg.Workers,
+		stepGate: func(_, _ string, step func()) { step() },
 	}
 	if fed.workers <= 0 {
 		fed.workers = runtime.GOMAXPROCS(0)
@@ -309,31 +309,29 @@ func (fed *Federation) planTickLocked(tick simclock.Time) []shardWork {
 
 	// Grid events announce themselves to the shard bug trackers exactly
 	// once: a fresh event files one ticket per reachable site (one root
-	// cause, not N cluster tickets), a fresh heal closes them.
+	// cause, not N cluster tickets), a fresh heal closes them, and an event
+	// healed before any shard heard of it has nothing to close.
 	var file []gridTicket
 	var fix []string
-	for _, e := range fed.grid.Active() {
-		if fed.announced[e.ID] {
-			continue
+	for i, e := range fed.grid.History() {
+		if i == len(fed.told) {
+			fed.told = append(fed.told, unheard)
 		}
-		fed.announced[e.ID] = true
-		file = append(file, gridTicket{
-			sig:    e.Signature(),
-			title:  e.Title(),
-			target: strings.Join(e.Sites, "+"),
-		})
-	}
-	for _, e := range fed.grid.History() {
-		if !e.Healed || fed.healAnnounced[e.ID] {
-			continue
+		switch {
+		case fed.told[i] == closed:
+		case e.Healed:
+			if fed.told[i] == filed {
+				fix = append(fix, e.Signature())
+			}
+			fed.told[i] = closed
+		case fed.told[i] == unheard:
+			fed.told[i] = filed
+			file = append(file, gridTicket{
+				sig:    e.Signature(),
+				title:  e.Title(),
+				target: strings.Join(e.Sites, "+"),
+			})
 		}
-		fed.healAnnounced[e.ID] = true
-		if !fed.announced[e.ID] {
-			// Healed before any shard heard of it: nothing to close.
-			fed.announced[e.ID] = true
-			continue
-		}
-		fix = append(fix, e.Signature())
 	}
 
 	plan := make([]shardWork, 0, len(fed.shards))
@@ -360,8 +358,8 @@ func (fed *Federation) planTickLocked(tick simclock.Time) []shardWork {
 	return plan
 }
 
-// applyDueLocked injects schedule entries and heals whose time has come,
-// and self-heals exhausted rolling maintenances. Caller holds fed.mu.
+// applyDueLocked injects the schedule entries whose time has come and
+// applies every heal due by now. Caller holds fed.mu.
 func (fed *Federation) applyDueLocked() {
 	rest := fed.pending[:0]
 	for _, e := range fed.pending {
@@ -369,33 +367,11 @@ func (fed *Federation) applyDueLocked() {
 			rest = append(rest, e)
 			continue
 		}
-		window := simclock.Time(0)
-		if e.Kind == faults.RollingMaintenance {
-			window = e.Duration
-		}
-		ev, err := fed.grid.Inject(e.Kind, e.Sites, e.At, window)
-		if err != nil {
-			// Entries are validated in ScheduleChaos; an error here means a
-			// site list raced a spec change, which cannot happen — drop it.
-			continue
-		}
-		if e.Kind != faults.RollingMaintenance && e.Duration > 0 {
-			fed.pendingHeals = append(fed.pendingHeals, pendingHeal{id: ev.ID, at: e.At + e.Duration})
-		}
+		// ScheduleChaos tried every entry on a scratch injector, so Inject
+		// cannot refuse one here.
+		fed.grid.Inject(e.Kind, e.Sites, e.At, e.Duration) //nolint:errcheck
 	}
 	fed.pending = rest
-
-	heals := fed.pendingHeals[:0]
-	for _, h := range fed.pendingHeals {
-		if h.at > fed.now {
-			heals = append(heals, h)
-			continue
-		}
-		// Ignore "not active": the event may have been healed by hand via
-		// HealGrid before its scheduled heal came due.
-		_ = fed.grid.Heal(h.id, h.at)
-	}
-	fed.pendingHeals = heals
 	fed.grid.AutoHeal(fed.now)
 }
 
@@ -575,8 +551,7 @@ func (s Summary) String() string {
 func (fed *Federation) Summary() Summary {
 	fed.mu.Lock()
 	now := fed.now
-	down := fed.downSitesLocked()
-	unreachable := fed.unreachableSitesLocked()
+	down, unreachable := fed.lostSitesLocked()
 	fed.mu.Unlock()
 
 	out := Summary{

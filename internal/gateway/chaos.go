@@ -190,25 +190,12 @@ type ChaosInjectRequest struct {
 	DurationSec float64 `json:"duration_sec,omitempty"`
 }
 
-// parseGridKind resolves the wire spellings of a grid-event kind.
-func parseGridKind(s string) (faults.GridKind, bool) {
-	switch s {
-	case "outage", string(faults.SiteOutage):
-		return faults.SiteOutage, true
-	case "partition", string(faults.WANPartition):
-		return faults.WANPartition, true
-	case "maintenance", string(faults.RollingMaintenance):
-		return faults.RollingMaintenance, true
-	}
-	return "", false
-}
-
 func (g *Gateway) handleChaosInject(w http.ResponseWriter, r *http.Request) {
 	var req ChaosInjectRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	kind, ok := parseGridKind(req.Kind)
+	kind, ok := faults.ParseGridKind(req.Kind)
 	if !ok {
 		httpError(w, http.StatusBadRequest, "unknown kind "+strconv.Quote(req.Kind))
 		return

@@ -121,8 +121,7 @@ func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.R
 		if snap == nil {
 			return "", nil, fmt.Errorf("version %d vanished", ver)
 		}
-		body, err := snap.MarshalJSONIndent()
-		return key, body, err
+		return rendered(key, snap)
 	})
 }
 

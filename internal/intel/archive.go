@@ -13,10 +13,9 @@ import (
 
 // SiteArchive couples one store's Reference API archive with the read
 // gate that guards it against campaign progress. Site labels who owns the
-// store; Cluster narrows the label when a site is split into per-cluster
-// micro-shards (empty for one-store-per-site layouts — the two never mix
-// within one archive). Gate runs fn under the owning shard's read lock;
-// nil means the store needs no gating (tests, standalone use).
+// store and Cluster which of the site's micro-shards it describes. Gate
+// runs fn under the owning shard's read lock; nil means the store needs no
+// gating (tests, standalone use).
 type SiteArchive struct {
 	Site    string
 	Cluster string
@@ -24,16 +23,10 @@ type SiteArchive struct {
 	Gate    func(func())
 }
 
-// key is the archive's identity: site alone for one-store-per-site
-// layouts, site/cluster once micro-sharded.
+// key is the archive's identity: site/cluster.
 func (s *SiteArchive) key() string { return archiveKey(s.Site, s.Cluster) }
 
-func archiveKey(site, cluster string) string {
-	if cluster == "" {
-		return site
-	}
-	return site + "/" + cluster
-}
+func archiveKey(site, cluster string) string { return site + "/" + cluster }
 
 func (s *SiteArchive) gated(fn func()) {
 	if s.Gate != nil {
@@ -65,8 +58,8 @@ func NewGridArchive(sites []SiteArchive) *GridArchive {
 	return a
 }
 
-// SiteVersion is one store's archived version number at a query time.
-// Cluster carries the micro-shard label when the site is cluster-carved.
+// SiteVersion is one store's archived version number at a query time,
+// labelled like its SiteArchive.
 type SiteVersion struct {
 	Site    string
 	Cluster string

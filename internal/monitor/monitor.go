@@ -8,19 +8,19 @@
 // a cabling fault swaps two nodes' cables, each node's consumption is
 // attributed to the other node — the paper's "cabling issue → wrong
 // measurements by testbed monitoring service". The kwapi test family
-// detects exactly this by loading a node and watching its own power series.
+// detects exactly this by checking whose activity feeds each node's series
+// (Attribution).
 //
 // Implementation note: rather than firing 894 events per simulated second
-// for weeks (billions of events), the collector records each node's load
-// *changes* and materialises 1 Hz samples lazily at query time. Noise is a
-// deterministic hash of (port, second), so queries are reproducible and the
-// simulation stays O(load changes).
+// for weeks (billions of events), the collector materialises 1 Hz samples
+// lazily at query time. The campaign never loads a node, so every node
+// draws its idle power and reads zero CPU and network load; noise is a
+// deterministic hash of (target, second), so queries are reproducible and
+// the simulation records nothing.
 package monitor
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/simclock"
@@ -44,26 +44,16 @@ type Sample struct {
 // (≈1 Hz)").
 const SamplePeriod = simclock.Second
 
-type loadChange struct {
-	at      simclock.Time
-	cpu     float64 // 0..1
-	netMbps float64
-}
-
 // Collector is the monitoring service. Experiment scripts on CI executor
-// goroutines record load changes and query series; the simulation's run
-// token serializes them against the event loop, and the collector's own
-// measurement store additionally sits behind a read-write mutex (wiring
-// is immutable after construction but shares the lock for simplicity).
-// Note that the power/net attribution path also reads live testbed NIC
+// goroutines query series; the simulation's run token serializes them
+// against the event loop. The collector's own state is immutable after
+// construction, but the power/net attribution path reads live testbed NIC
 // state owned by the run token, so queries must come from simulation
 // context — not from arbitrary outside goroutines while the clock runs.
 type Collector struct {
 	clock  *simclock.Clock
 	tb     *testbed.Testbed
 	faults *faults.Injector
-
-	mu sync.RWMutex
 
 	// wiring is the monitoring database: switch port → node name, recorded
 	// at install time. Cabling faults change live NIC ports, NOT this map —
@@ -76,23 +66,18 @@ type Collector struct {
 	// mismatches, and rebuilding the slice per query dominated campaign
 	// allocations before it was hoisted here.
 	nodes []*testbed.Node
-
-	// history of load changes per node (actual physical activity). The
-	// campaign records none, so its nodes idle; tests load them.
-	history map[string][]loadChange
 }
 
 // NewCollector wires up the monitoring service from the testbed's current
 // (healthy) cabling.
 func NewCollector(clock *simclock.Clock, tb *testbed.Testbed, inj *faults.Injector) *Collector {
 	c := &Collector{
-		clock:   clock,
-		tb:      tb,
-		faults:  inj,
-		wiring:  map[string]string{},
-		portOf:  map[string]string{},
-		nodes:   tb.Nodes(),
-		history: map[string][]loadChange{},
+		clock:  clock,
+		tb:     tb,
+		faults: inj,
+		wiring: map[string]string{},
+		portOf: map[string]string{},
+		nodes:  tb.Nodes(),
 	}
 	for _, n := range c.nodes {
 		c.wiring[n.Inv.NICs[0].SwitchPort] = n.Name
@@ -101,22 +86,10 @@ func NewCollector(clock *simclock.Clock, tb *testbed.Testbed, inj *faults.Inject
 	return c
 }
 
-// loadAt returns the physical load of a node at time t. The caller holds
-// the collector mutex (read side suffices).
-func (c *Collector) loadAt(node string, t simclock.Time) loadChange {
-	hist := c.history[node]
-	// Binary search for the last change ≤ t.
-	i := sort.Search(len(hist), func(i int) bool { return hist[i].at > t }) - 1
-	if i < 0 {
-		return loadChange{}
-	}
-	return hist[i]
-}
-
 // attributedNode resolves which node's physical activity lands in the
 // series named after `target`: monitoring believes wiring[port]=target, so
 // it reads the port, and the node *actually* plugged into that port is
-// whoever's live NIC carries it. The caller holds the collector mutex.
+// whoever's live NIC carries it.
 func (c *Collector) attributedNode(target string) string {
 	n := c.tb.Node(target)
 	if n == nil {
@@ -146,8 +119,6 @@ func (c *Collector) attributedNode(target string) string {
 // is target itself; under a cabling swap it is the peer node. The kwapi test
 // family compares Attribution(n) with n to detect miswiring.
 func (c *Collector) Attribution(target string) string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return c.attributedNode(target)
 }
 
@@ -155,11 +126,6 @@ func (c *Collector) Attribution(target string) string {
 // boxes burn more).
 func idlePowerW(n *testbed.Node) float64 {
 	return 70 + 6*float64(n.Cores()) + 0.2*float64(n.Inv.RAMGB)
-}
-
-// peakExtraW is the additional draw at full load.
-func peakExtraW(n *testbed.Node) float64 {
-	return 9 * float64(n.Cores())
 }
 
 // noiseSeed is the FNV-1a prefix of the noise hash: it depends only on the
@@ -204,9 +170,6 @@ func (c *Collector) Query(metric, node string, from, to simclock.Time) ([]Sample
 		to = now
 	}
 
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-
 	// Infrastructure metrics (power, net) go through the wiring database;
 	// system metrics (cpu) come from an agent on the node itself and are
 	// immune to cabling mistakes.
@@ -226,25 +189,20 @@ func (c *Collector) Query(metric, node string, from, to simclock.Time) ([]Sample
 	}
 	out := make([]Sample, 0, int(end-start)+1)
 	seed := noiseSeed(node)
-	idle, peak := 0.0, 0.0
+	idle := 0.0
 	if metric == MetricPowerW {
-		idle, peak = idlePowerW(srcNode), peakExtraW(srcNode)
+		idle = idlePowerW(srcNode)
 	}
 	for s := start; s <= end; s++ {
-		t := s * SamplePeriod
-		load := c.loadAt(source, t)
 		var v float64
 		switch metric {
 		case MetricPowerW:
-			v = idle + load.cpu*peak + noiseAt(seed, int64(s))
-		case MetricCPULoad:
-			v = load.cpu
-		case MetricNetMbps:
-			v = load.netMbps
+			v = idle + noiseAt(seed, int64(s))
+		case MetricCPULoad, MetricNetMbps:
 		default:
 			return nil, fmt.Errorf("monitor: unknown metric %q", metric)
 		}
-		out = append(out, Sample{T: t, V: v})
+		out = append(out, Sample{T: s * SamplePeriod, V: v})
 	}
 	return out, nil
 }

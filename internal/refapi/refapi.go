@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/simclock"
 	"repro/internal/testbed"
-	"repro/internal/wire"
 )
 
 // NodeDescription is the reference (claimed) description of one node.
@@ -45,12 +44,6 @@ type Snapshot struct {
 	Version int                        `json:"version"`
 	TakenAt simclock.Time              `json:"taken_at"`
 	Nodes   map[string]NodeDescription `json:"nodes"`
-}
-
-// MarshalJSONIndent renders the snapshot as pretty JSON — the format users
-// script against.
-func (s *Snapshot) MarshalJSONIndent() ([]byte, error) {
-	return wire.MarshalIndent(s)
 }
 
 // version is one link of the store's copy-on-write chain. Exactly one of

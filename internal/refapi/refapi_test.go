@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/simclock"
 	"repro/internal/testbed"
+	"repro/internal/wire"
 )
 
 func newStore(t *testing.T) (*testbed.Testbed, *Store) {
@@ -374,12 +375,12 @@ func TestArchivedVersionsImmutableUnderChurn(t *testing.T) {
 	}
 
 	// Render v1 and v2 (and the archival At query) before the churn.
-	v1Before, err := st.Version(1).MarshalJSONIndent()
+	v1Before, err := wire.MarshalIndent(st.Version(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2Before, _ := st.Version(2).MarshalJSONIndent()
-	atBefore, _ := st.At(90 * simclock.Minute).MarshalJSONIndent()
+	v2Before, _ := wire.MarshalIndent(st.Version(2))
+	atBefore, _ := wire.MarshalIndent(st.At(90 * simclock.Minute))
 
 	// Churn: many single-node updates, a live-state mutation, and a full
 	// re-capture ("6 months" later).
@@ -393,9 +394,9 @@ func TestArchivedVersionsImmutableUnderChurn(t *testing.T) {
 	tb.Node("taurus-3.lyon").Inv.BIOS.TurboBoost = false
 	st.CaptureFrom(tb, 6*30*simclock.Day)
 
-	v1After, _ := st.Version(1).MarshalJSONIndent()
-	v2After, _ := st.Version(2).MarshalJSONIndent()
-	atAfter, _ := st.At(90 * simclock.Minute).MarshalJSONIndent()
+	v1After, _ := wire.MarshalIndent(st.Version(1))
+	v2After, _ := wire.MarshalIndent(st.Version(2))
+	atAfter, _ := wire.MarshalIndent(st.At(90 * simclock.Minute))
 	if string(v1Before) != string(v1After) {
 		t.Fatal("version 1 changed after later Update/CaptureFrom")
 	}
@@ -436,7 +437,7 @@ func TestLazyMaterializationMatchesEager(t *testing.T) {
 	eagerSt, _ := mkStore()
 	var eager [][]byte
 	for v := 1; v <= eagerSt.VersionCount(); v++ { // materialize as we go
-		data, err := eagerSt.Version(v).MarshalJSONIndent()
+		data, err := wire.MarshalIndent(eagerSt.Version(v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +446,7 @@ func TestLazyMaterializationMatchesEager(t *testing.T) {
 
 	lazySt, _ := mkStore()
 	for v := lazySt.VersionCount(); v >= 1; v-- { // materialize backwards, after all churn
-		data, err := lazySt.Version(v).MarshalJSONIndent()
+		data, err := wire.MarshalIndent(lazySt.Version(v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -566,7 +567,7 @@ func TestDifferenceStringFormat(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	_, st := newStore(t)
-	data, err := st.Current().MarshalJSONIndent()
+	data, err := wire.MarshalIndent(st.Current())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +591,7 @@ var benchBody []byte
 // produced.
 func BenchmarkSnapshotMarshalIndent(b *testing.B) {
 	snap := NewStore(testbed.Default(), 0).Current()
-	body, err := snap.MarshalJSONIndent()
+	body, err := wire.MarshalIndent(snap)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -598,7 +599,7 @@ func BenchmarkSnapshotMarshalIndent(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if benchBody, err = snap.MarshalJSONIndent(); err != nil {
+		if benchBody, err = wire.MarshalIndent(snap); err != nil {
 			b.Fatal(err)
 		}
 	}
