@@ -86,11 +86,14 @@ func NewCollector(clock *simclock.Clock, tb *testbed.Testbed, inj *faults.Inject
 	return c
 }
 
-// attributedNode resolves which node's physical activity lands in the
-// series named after `target`: monitoring believes wiring[port]=target, so
-// it reads the port, and the node *actually* plugged into that port is
-// whoever's live NIC carries it.
-func (c *Collector) attributedNode(target string) string {
+// Attribution returns the name of the node whose physical activity actually
+// feeds the series published under target's name. On a healthy testbed this
+// is target itself; under a cabling swap it is the peer node. The kwapi test
+// family compares Attribution(n) with n to detect miswiring.
+//
+// Monitoring believes wiring[port]=target, so it reads the port, and the
+// node *actually* plugged into that port is whoever's live NIC carries it.
+func (c *Collector) Attribution(target string) string {
 	n := c.tb.Node(target)
 	if n == nil {
 		return ""
@@ -112,14 +115,6 @@ func (c *Collector) attributedNode(target string) string {
 		}
 	}
 	return ""
-}
-
-// Attribution returns the name of the node whose physical activity actually
-// feeds the series published under target's name. On a healthy testbed this
-// is target itself; under a cabling swap it is the peer node. The kwapi test
-// family compares Attribution(n) with n to detect miswiring.
-func (c *Collector) Attribution(target string) string {
-	return c.attributedNode(target)
 }
 
 // idlePowerW estimates a node's idle draw from its hardware (bigger, older
@@ -175,7 +170,7 @@ func (c *Collector) Query(metric, node string, from, to simclock.Time) ([]Sample
 	// immune to cabling mistakes.
 	source := node
 	if metric == MetricPowerW || metric == MetricNetMbps {
-		source = c.attributedNode(node)
+		source = c.Attribution(node)
 		if source == "" {
 			return nil, fmt.Errorf("monitor: no probe wired for %q", node)
 		}
