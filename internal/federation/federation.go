@@ -367,7 +367,7 @@ func (fed *Federation) applyDueLocked() {
 			rest = append(rest, e)
 			continue
 		}
-		// ScheduleChaos tried every entry on a scratch injector, so Inject
+		// ScheduleChaos tried every entry on a probe injector, so Inject
 		// cannot refuse one here.
 		fed.grid.Inject(e.Kind, e.Sites, e.At, e.Duration) //nolint:errcheck
 	}
