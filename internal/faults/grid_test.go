@@ -136,10 +136,18 @@ func TestRollingMaintenanceWindows(t *testing.T) {
 	if g.AutoHeal(4*w - 1); len(g.Active()) != 1 {
 		t.Fatal("AutoHeal fired before the last window elapsed")
 	}
-	// The event heals itself at the instant AutoHeal runs, not at the end
-	// of its last window.
-	g.AutoHeal(5 * w)
-	if h := g.History()[0]; h.ID != e.ID || !h.Healed || h.HealedAt != 5*w {
+	g.AutoHeal(4 * w)
+	if h := g.History()[0]; h.ID != e.ID || !h.Healed || h.HealedAt != 4*w {
+		t.Fatalf("after AutoHeal(4w): %+v", h)
+	}
+	// A maintenance heals itself at the instant AutoHeal runs, not at the
+	// end of its last window.
+	var late GridInjector
+	if _, err := late.Inject(RollingMaintenance, []string{"a", "b", "c"}, w, w); err != nil {
+		t.Fatalf("inject: %v", err)
+	}
+	late.AutoHeal(5 * w)
+	if h := late.History()[0]; !h.Healed || h.HealedAt != 5*w {
 		t.Fatalf("after AutoHeal(5w): %+v", h)
 	}
 }
