@@ -206,7 +206,7 @@ func New(cfg Config) *Framework {
 	f.OAR = oar.NewServer(f.Clock, f.TB)
 	f.Deployer = kadeploy.NewDeployer(f.Clock, f.Faults)
 	f.VLAN = kavlan.NewManager(f.Clock, f.TB, f.Faults)
-	f.Monitor = monitor.NewCollector(f.Clock, f.TB, f.Faults)
+	f.Monitor = monitor.NewCollector(f.Clock, f.TB)
 	f.Checker = checks.NewChecker(f.Clock, f.TB, f.Ref)
 	f.CI = ci.NewServer(f.Clock, ci.Options{
 		NumExecutors:     cfg.Executors,

@@ -488,18 +488,12 @@ func (g *Gateway) serveMonitorMetrics(w http.ResponseWriter, r *http.Request, fi
 	fromT := secondsToSim(from)
 	toT := secondsToSim(to)
 
-	// The collector shares the shard campaign's RNG on flaky-kwapi rolls;
-	// serialize queries per shard so concurrent scrapes never race on it.
 	var samples []monitor.Sample
 	var qerr error
-	s.rlocked(func() {
-		s.monMu.Lock()
-		samples, qerr = s.f.Monitor.Query(metric, node, fromT, toT)
-		s.monMu.Unlock()
-	})
+	s.rlocked(func() { samples, qerr = s.f.Monitor.Query(metric, node, fromT, toT) })
 	if qerr != nil {
-		// Inputs were validated above; what remains is the monitoring
-		// service itself failing (the paper's flaky kwapi).
+		// Inputs were validated above, and a query draws nothing, so what
+		// remains is a probe the wiring database cannot find.
 		httpError(w, http.StatusBadGateway, qerr.Error())
 		return
 	}

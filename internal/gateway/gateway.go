@@ -79,8 +79,7 @@
 // snapshotting each under its own read lock, and gather the merged answer
 // outside any lock. Subsystems guard their own state with their own
 // mutexes; the shard gates only serialize requests against campaign
-// progress. Monitoring queries additionally serialize per shard because a
-// flaky-kwapi roll draws from that shard's campaign RNG.
+// progress.
 //
 // The /ref, /grid, /incidents, /bugs/rollup and /reliability/trend routes
 // are read-optimized, all through one path (serveView in view.go): a
@@ -141,9 +140,6 @@ type shard struct {
 
 	// sim is the shard's campaign gate (see the package comment).
 	sim sync.RWMutex
-
-	// monMu serializes this shard's monitoring queries (campaign RNG).
-	monMu sync.Mutex
 
 	// statusClient reads the shard CI's REST API in process to assemble
 	// the /status views, the same code path the external status page uses.

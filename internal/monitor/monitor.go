@@ -16,13 +16,15 @@
 // lazily at query time. The campaign never loads a node, so every node
 // draws its idle power and reads zero CPU and network load; noise is a
 // deterministic hash of (target, second), so queries are reproducible and
-// the simulation records nothing.
+// the simulation records nothing. A query draws nothing either: it never
+// touches the campaign's RNG, so reading a series cannot change what the
+// campaign does next. The kwapi test family rolls the service's flakiness
+// itself, as one REST call of the campaign.
 package monitor
 
 import (
 	"fmt"
 
-	"repro/internal/faults"
 	"repro/internal/simclock"
 	"repro/internal/testbed"
 )
@@ -51,9 +53,8 @@ const SamplePeriod = simclock.Second
 // state owned by the run token, so queries must come from simulation
 // context — not from arbitrary outside goroutines while the clock runs.
 type Collector struct {
-	clock  *simclock.Clock
-	tb     *testbed.Testbed
-	faults *faults.Injector
+	clock *simclock.Clock
+	tb    *testbed.Testbed
 
 	// wiring is the monitoring database: switch port → node name, recorded
 	// at install time. Cabling faults change live NIC ports, NOT this map —
@@ -70,11 +71,10 @@ type Collector struct {
 
 // NewCollector wires up the monitoring service from the testbed's current
 // (healthy) cabling.
-func NewCollector(clock *simclock.Clock, tb *testbed.Testbed, inj *faults.Injector) *Collector {
+func NewCollector(clock *simclock.Clock, tb *testbed.Testbed) *Collector {
 	c := &Collector{
 		clock:  clock,
 		tb:     tb,
-		faults: inj,
 		wiring: map[string]string{},
 		portOf: map[string]string{},
 		nodes:  tb.Nodes(),
@@ -148,15 +148,9 @@ func noise(target string, sec int64) float64 {
 }
 
 // Query returns the 1 Hz samples of a metric for a node over [from, to].
-// It fails when the node's site has a flaky kwapi service (each query rolls
-// the service's error rate once, like one REST call).
 func (c *Collector) Query(metric, node string, from, to simclock.Time) ([]Sample, error) {
-	n := c.tb.Node(node)
-	if n == nil {
+	if c.tb.Node(node) == nil {
 		return nil, fmt.Errorf("monitor: unknown node %q", node)
-	}
-	if c.faults != nil && c.faults.ServiceFails(n.Site, "kwapi") {
-		return nil, fmt.Errorf("monitor: kwapi service error at %s", n.Site)
 	}
 	if to < from {
 		return nil, fmt.Errorf("monitor: inverted time range")

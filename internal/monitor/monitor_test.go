@@ -13,7 +13,7 @@ func setup(seed int64) (*simclock.Clock, *testbed.Testbed, *faults.Injector, *Co
 	c := simclock.New(seed)
 	tb := testbed.Default()
 	inj := faults.NewInjector(c, tb)
-	return c, tb, inj, NewCollector(c, tb, inj)
+	return c, tb, inj, NewCollector(c, tb)
 }
 
 func TestSamplesAtOneHz(t *testing.T) {
@@ -84,7 +84,7 @@ func TestFixingSwapRestoresAttribution(t *testing.T) {
 }
 
 func TestQueryErrors(t *testing.T) {
-	c, _, inj, col := setup(7)
+	c, _, _, col := setup(7)
 	c.RunUntil(simclock.Minute)
 	if _, err := col.Query(MetricPowerW, "ghost-1.limbo", 0, 1); err == nil {
 		t.Fatal("unknown node accepted")
@@ -94,13 +94,6 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, err := col.Query(MetricPowerW, "sol-1.sophia", simclock.Minute, 0); err == nil {
 		t.Fatal("inverted range accepted")
-	}
-	inj.InjectService("sophia", "kwapi", 1.0)
-	if _, err := col.Query(MetricPowerW, "sol-1.sophia", 0, 1); err == nil {
-		t.Fatal("query succeeded with dead kwapi")
-	}
-	if _, err := col.Query(MetricPowerW, "taurus-1.lyon", 0, 1); err != nil {
-		t.Fatalf("other site affected: %v", err)
 	}
 }
 

@@ -234,6 +234,13 @@ func kwapiTests(tb *testbed.Testbed) []*Test {
 				if from < 0 {
 					from = 0
 				}
+				// One REST call to kwapi: the service's flakiness is rolled
+				// here, on the campaign's RNG, not by the collector.
+				if ctx.Faults.ServiceFails(site.Name, "kwapi") {
+					v.fail(fmt.Sprintf("service-flaky:%s/kwapi", site.Name),
+						"power query failed: monitor: kwapi service error at %s", site.Name)
+					return v
+				}
 				ss, err := ctx.Monitor.Query(monitor.MetricPowerW, node, from, now)
 				if err != nil {
 					v.fail(fmt.Sprintf("service-flaky:%s/kwapi", site.Name),

@@ -29,7 +29,7 @@ func newContext(seed int64) *Context {
 		OAR:      oar.NewServer(clock, tb),
 		Deployer: kadeploy.NewDeployer(clock, inj),
 		VLAN:     kavlan.NewManager(clock, tb, inj),
-		Monitor:  monitor.NewCollector(clock, tb, inj),
+		Monitor:  monitor.NewCollector(clock, tb),
 		Checker:  checks.NewChecker(clock, tb, ref),
 		Faults:   inj,
 	}

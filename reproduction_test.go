@@ -128,7 +128,7 @@ func e3Deploy(t testing.TB) metrics {
 func e4MonitoringRate(t testing.TB) metrics {
 	clock := simclock.New(1)
 	tb := testbed.Default()
-	col := monitor.NewCollector(clock, tb, faults.NewInjector(clock, tb))
+	col := monitor.NewCollector(clock, tb)
 	clock.RunUntil(2 * simclock.Minute)
 	samples := 0
 	for _, n := range tb.Cluster("taurus").Nodes {
