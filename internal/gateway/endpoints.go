@@ -80,16 +80,12 @@ func (s *shard) resources(cluster string) []oar.ResourceInfo {
 	return out
 }
 
-func (g *Gateway) handleOARResources(w http.ResponseWriter, r *http.Request) {
-	g.serveOARResources(w, r, "")
-}
-
-// serveOARResources implements /oar/resources and its site-scoped variant
-// (fixedSite != "" pins the site from the URL path).
-func (g *Gateway) serveOARResources(w http.ResponseWriter, r *http.Request, fixedSite string) {
+// serveOARResources implements /oar/resources and its site-scoped variant,
+// whose path site takes the place of ?site=.
+func (g *Gateway) serveOARResources(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	cluster := q.Get("cluster")
-	site := fixedSite
+	site := r.PathValue("site")
 	if site == "" {
 		site = q.Get("site")
 	}
@@ -177,22 +173,18 @@ func (s *shard) jobsScoped(limit int) (jobs []oar.JobInfo, submitted, started, c
 	return jobs, submitted, started, canceled
 }
 
-func (g *Gateway) handleOARJobs(w http.ResponseWriter, r *http.Request) {
-	g.serveOARJobs(w, r, nil)
-}
-
-// serveOARJobs implements /oar/jobs; a non-nil only pins a site's shard
-// set (the site-scoped route) — one shard per cluster, whose newest-first
-// lists merge like the grid-wide view's.
-func (g *Gateway) serveOARJobs(w http.ResponseWriter, r *http.Request, only []*shard) {
+// serveOARJobs implements /oar/jobs; the site-scoped route reads only the
+// path site's shards — one per cluster, whose newest-first lists merge like
+// the grid-wide view's.
+func (g *Gateway) serveOARJobs(w http.ResponseWriter, r *http.Request) {
 	limit, err := parseLimit(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var out OARJobsJSON
-	shards := only
-	if only == nil {
+	shards := g.siteShards[r.PathValue("site")]
+	if shards == nil {
 		out.Degraded = g.degradedMarker()
 		shards = liveShards(g.shards, out.Degraded)
 	}
@@ -349,17 +341,14 @@ func (s *shard) submit(req oar.Request, user string) (job oar.JobInfo) {
 	return job
 }
 
-func (g *Gateway) handleOARSubmit(w http.ResponseWriter, r *http.Request) {
-	g.serveOARSubmit(w, r, "")
-}
-
-// serveOARSubmit implements POST /oar/submit and, with site naming it, the
-// site's own /sites/{site}/oar/submit, which can never allocate outside the
-// site. The body's request is parsed once: on the grid route a request no
+// serveOARSubmit implements POST /oar/submit and, with the path naming a
+// site, the site's own /sites/{site}/oar/submit, which can never allocate
+// outside the site. The body's request is parsed once: on the grid route a request no
 // anchor places goes to the admission layer (admission.go), and everything
 // else takes routeSubmission. A submission routed to a lost site cannot
 // enqueue anywhere; it answers 503 and the client retries after heal.
-func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request, site string) {
+func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request) {
+	site := r.PathValue("site")
 	var body SubmitRequest
 	if !decodeBody(w, r, &body) {
 		return
@@ -418,14 +407,10 @@ type SampleJSON struct {
 	V    float64 `json:"v"`
 }
 
-func (g *Gateway) handleMonitorMetrics(w http.ResponseWriter, r *http.Request) {
-	g.serveMonitorMetrics(w, r, "")
-}
-
 // serveMonitorMetrics implements /monitor/metrics and its site-scoped
 // variant. The ?site= filter (or the path site) must name a known site —
 // unknown sites are 400 — and the queried node must live there.
-func (g *Gateway) serveMonitorMetrics(w http.ResponseWriter, r *http.Request, fixedSite string) {
+func (g *Gateway) serveMonitorMetrics(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	metric := q.Get("metric")
 	if metric == "" {
@@ -442,7 +427,7 @@ func (g *Gateway) serveMonitorMetrics(w http.ResponseWriter, r *http.Request, fi
 		httpError(w, http.StatusBadRequest, "missing node")
 		return
 	}
-	site := fixedSite
+	site := r.PathValue("site")
 	if site == "" {
 		site = q.Get("site")
 	}

@@ -270,14 +270,13 @@ func ForFederation(fed *federation.Federation) *Gateway {
 
 	g.handle("/", http.MethodGet, g.handleIndex)
 	g.handle("/sites", http.MethodGet, g.handleSites)
-	g.handle("/sites/", "", g.handleSiteScoped)
-	g.handle("/oar/resources", http.MethodGet, g.handleOARResources)
-	g.handle("/oar/jobs", http.MethodGet, g.handleOARJobs)
-	g.handle("/oar/submit", http.MethodPost, g.handleOARSubmit)
+	g.handle("/oar/resources", http.MethodGet, g.serveOARResources)
+	g.handle("/oar/jobs", http.MethodGet, g.serveOARJobs)
+	g.handle("/oar/submit", http.MethodPost, g.serveOARSubmit)
 	g.handle("/admit/queue", http.MethodGet, g.handleAdmitQueue)
 	g.handle("/ref/inventory", http.MethodGet, g.handleRefInventory)
 	g.handle("/ref/diff", http.MethodGet, g.handleRefDiff)
-	g.handle("/monitor/metrics", http.MethodGet, g.handleMonitorMetrics)
+	g.handle("/monitor/metrics", http.MethodGet, g.serveMonitorMetrics)
 	g.handle("/bugs", http.MethodGet, g.handleBugs)
 	g.handle("/bugs/rollup", http.MethodGet, g.handleBugsRollup)
 	g.handle("/grid/at", http.MethodGet, g.handleGridAt)
@@ -291,6 +290,13 @@ func ForFederation(fed *federation.Federation) *Gateway {
 	g.handle("/status/trend", http.MethodGet, g.handleStatusTrend)
 	g.handle("/metrics", http.MethodGet, g.handleMetrics)
 	g.handle("/ci/", "", g.handleCIProxy)
+	g.handle("/sites/{site}/oar/resources", http.MethodGet, g.siteRoute(g.serveOARResources))
+	g.handle("/sites/{site}/oar/jobs", http.MethodGet, g.siteRoute(g.serveOARJobs))
+	g.handle("/sites/{site}/oar/submit", http.MethodPost, g.siteRoute(g.serveOARSubmit))
+	g.handle("/sites/{site}/monitor/metrics", http.MethodGet, g.siteRoute(g.serveMonitorMetrics))
+	g.handle("/sites/{site}/ref/inventory", http.MethodGet, g.siteRoute(g.serveSiteInventory))
+	g.handle("/sites/{site}/ref/diff", http.MethodGet, g.siteRoute(g.serveSiteDiff))
+	g.handle("/sites/{site}/ci/", "", g.siteRoute(g.serveSiteCI))
 
 	fed.SetStepGate(func(site, cluster string, step func()) {
 		g.shardFor(site, cluster).step(&g.lockHold, step)
@@ -354,9 +360,9 @@ func (g *Gateway) shardForCluster(name string) *shard {
 	return best
 }
 
-// handle registers an instrumented endpoint. allow is the accepted method
-// ("" lets the wrapped handler enforce methods itself, used by the CI
-// proxy and the /sites/ subtree).
+// handle registers an instrumented endpoint. allow is the accepted method,
+// checked before anything else ("" lets the wrapped handler enforce
+// methods itself, used by the two CI trees).
 func (g *Gateway) handle(pattern, allow string, fn http.HandlerFunc) {
 	m := &endpointMetrics{}
 	g.metrics[pattern] = m

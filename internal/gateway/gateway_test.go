@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/federation"
 	"repro/internal/inproc"
 	"repro/internal/simclock"
@@ -153,6 +155,64 @@ func TestMethodAndPathErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("POST unknown path status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSiteRouteEdges pins how a /sites/{site}/... request is routed
+// before any handler reads a shard: the method first, then the site, and
+// each route counted under its own pattern.
+func TestSiteRouteEdges(t *testing.T) {
+	fed, gw := newFederatedCampaign(t, simclock.Hour)
+	serve := func(method, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader("{}")))
+		return rec
+	}
+	for _, tc := range []struct {
+		method, path string
+		code         int
+		header       string // "Name: value" the answer must carry
+	}{
+		{"GET", "/sites/luxembourg/ci", http.StatusMovedPermanently, "Location: /sites/luxembourg/ci/"},
+		{"GET", "/sites/luxembourg/ci/api/json", http.StatusOK, ""},
+		{"GET", "/sites/atlantis/oar/jobs", http.StatusNotFound, ""},
+		{"GET", "/sites/atlantis/ci/api/json", http.StatusNotFound, ""},
+		{"POST", "/sites/luxembourg/oar/jobs", http.StatusMethodNotAllowed, "Allow: GET"},
+		{"GET", "/sites/luxembourg/oar/submit", http.StatusMethodNotAllowed, "Allow: POST"},
+		{"POST", "/sites/atlantis/ref/diff", http.StatusMethodNotAllowed, "Allow: GET"},
+		{"GET", "/sites/luxembourg/nope", http.StatusNotFound, ""},
+		{"GET", "/sites/luxembourg", http.StatusNotFound, ""},
+		{"GET", "/sites/", http.StatusNotFound, ""},
+	} {
+		rec := serve(tc.method, tc.path)
+		name, value, _ := strings.Cut(tc.header, ": ")
+		if rec.Code != tc.code || rec.Header().Get(name) != value {
+			t.Errorf("%s %s = %d with %s %q, want %d %q", tc.method, tc.path, rec.Code, name, rec.Header().Get(name), tc.code, tc.header)
+		}
+	}
+
+	if _, err := fed.InjectGrid(faults.SiteOutage, []string{"nantes"}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/sites/nantes/oar/resources", "/sites/nantes/ref/inventory", "/sites/nantes/ci/api/json"} {
+		if rec := serve("GET", path); rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+			t.Errorf("GET %s on a lost site = %d with Retry-After %q, want 503 with one", path, rec.Code, rec.Header().Get("Retry-After"))
+		}
+	}
+	if rec := serve("POST", "/sites/nantes/oar/resources"); rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("POST to a lost site's read route = %d, want 405", rec.Code)
+	}
+
+	m := gw.Metrics().Endpoints
+	for pattern, want := range map[string]int64{
+		"/sites/{site}/oar/jobs":      2,
+		"/sites/{site}/oar/resources": 2,
+		"/sites/{site}/ci/":           3,
+		"/sites/{site}/ref/diff":      1,
+	} {
+		if m[pattern].Requests != want {
+			t.Errorf("%s counted %d requests, want %d", pattern, m[pattern].Requests, want)
+		}
 	}
 }
 

@@ -344,8 +344,9 @@ type siteViews struct {
 // or seven, and requires ?cluster=X for the parameters in perStore —
 // archived access, which then has full single-store semantics against that
 // cluster's store (one).
-func (g *Gateway) serveSiteRef(w http.ResponseWriter, r *http.Request, site, what string, perStore []string,
+func (g *Gateway) serveSiteRef(w http.ResponseWriter, r *http.Request, what string, perStore []string,
 	one func(*shard, http.ResponseWriter, *http.Request), joined func(*siteViews)) {
+	site := r.PathValue("site")
 	q := r.URL.Query()
 	if cl := q.Get("cluster"); cl != "" {
 		if s := g.shardFor(site, cl); s != nil {
@@ -368,8 +369,8 @@ func (g *Gateway) serveSiteRef(w http.ResponseWriter, r *http.Request, site, wha
 
 // serveSiteInventory implements /sites/{site}/ref/inventory; the joined
 // view's ETag is "sv3.1.7" over the site's stores' version counters.
-func (g *Gateway) serveSiteInventory(w http.ResponseWriter, r *http.Request, site string) {
-	g.serveSiteRef(w, r, site, "archives are", []string{"version", "at"}, g.serveShardInventory, func(sv *siteViews) {
+func (g *Gateway) serveSiteInventory(w http.ResponseWriter, r *http.Request) {
+	g.serveSiteRef(w, r, "archives are", []string{"version", "at"}, g.serveShardInventory, func(sv *siteViews) {
 		serveVector(w, r, &sv.inv, sv.archive, "sv", nil, func(vec []intel.SiteVersion) (any, error) {
 			sites, err := inventorySites(sv.archive, vec)
 			if err != nil {
@@ -382,8 +383,8 @@ func (g *Gateway) serveSiteInventory(w http.ResponseWriter, r *http.Request, sit
 
 // serveSiteDiff implements /sites/{site}/ref/diff; the joined view is each
 // store's latest step ("sdv"-prefixed ETag).
-func (g *Gateway) serveSiteDiff(w http.ResponseWriter, r *http.Request, site string) {
-	g.serveSiteRef(w, r, site, "version ranges are", []string{"from", "to"}, g.serveShardDiff, func(sv *siteViews) {
+func (g *Gateway) serveSiteDiff(w http.ResponseWriter, r *http.Request) {
+	g.serveSiteRef(w, r, "version ranges are", []string{"from", "to"}, g.serveShardDiff, func(sv *siteViews) {
 		serveVector(w, r, &sv.diff, sv.archive, "sdv", nil, func(vec []intel.SiteVersion) (any, error) {
 			sites, err := diffSites(sv.archive, vec)
 			if err != nil {

@@ -2,17 +2,16 @@ package gateway
 
 // The site-scoped routes: /sites lists the federation layout, and
 // /sites/{site}/... exposes the site's per-cluster micro-shards merged.
-// These are the endpoints whose latency is immune to other sites' campaign
-// progress: /sites/{site}/... takes only the owning shards' read gates, and
-// /sites takes none at all (topology is precomputed at assembly; node
-// states are read through the testbed's own mutex). (The mux predates Go
-// 1.22 pattern wildcards, so the subtree is dispatched by hand; every route
-// under /sites/ shares one metrics bucket.)
+// Each scoped route is its own mux pattern behind siteRoute, served by the
+// grid route's handler, which reads the site from the path. These are the
+// endpoints whose latency is immune to other sites' campaign progress:
+// /sites/{site}/... takes only the owning shards' read gates, and /sites
+// takes none at all (topology is precomputed at assembly; node states are
+// read through the testbed's own mutex).
 
 import (
 	"fmt"
 	"net/http"
-	"strings"
 )
 
 // SiteJSON is one entry of GET /sites. Shard is the index of the site's
@@ -72,73 +71,30 @@ func (g *Gateway) handleSites(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// handleSiteScoped dispatches /sites/{site}/... to the shards owning the
-// site: reads merge over the site's cluster shards, submissions are
-// validated against — and pinned to — the site and probe its shards in
-// cluster order, and the ci subtree proxies to the coordinator cluster's
-// server.
-func (g *Gateway) handleSiteScoped(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/sites/")
-	site, sub, _ := strings.Cut(rest, "/")
-	if site == "" {
-		http.NotFound(w, r)
-		return
+// siteRoute gates a /sites/{site}/... route: an unknown site answers 404,
+// and a site lost to an active grid event answers 503 until heal, whatever
+// the route. Partitioned sites pass: their shards are alive, only the merge
+// plane lost them.
+func (g *Gateway) siteRoute(fn http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		site := r.PathValue("site")
+		switch {
+		case len(g.siteShards[site]) == 0:
+			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown site %q", site))
+		case !g.siteAvailable(site):
+			siteUnavailable(w, site)
+		default:
+			fn(w, r)
+		}
 	}
-	ss := g.siteShards[site]
-	if len(ss) == 0 {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown site %q", site))
-		return
-	}
-	if !g.siteAvailable(site) {
-		// The site is lost to an active grid event: every scoped view of it
-		// is 503-by-design until heal. Partitioned sites do not take this
-		// path — their shard is alive, only the merge plane lost them.
-		siteUnavailable(w, site)
-		return
-	}
-	requireMethod := func(m string) bool {
-		if r.Method == m {
-			return true
-		}
-		w.Header().Set("Allow", m)
-		httpError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return false
-	}
-	switch sub {
-	case "oar/resources":
-		if requireMethod(http.MethodGet) {
-			g.serveOARResources(w, r, site)
-		}
-	case "oar/jobs":
-		if requireMethod(http.MethodGet) {
-			g.serveOARJobs(w, r, ss)
-		}
-	case "oar/submit":
-		if requireMethod(http.MethodPost) {
-			g.serveOARSubmit(w, r, site)
-		}
-	case "monitor/metrics":
-		if requireMethod(http.MethodGet) {
-			g.serveMonitorMetrics(w, r, site)
-		}
-	case "ref/inventory":
-		if requireMethod(http.MethodGet) {
-			g.serveSiteInventory(w, r, site)
-		}
-	case "ref/diff":
-		if requireMethod(http.MethodGet) {
-			g.serveSiteDiff(w, r, site)
-		}
-	default:
-		if sub == "ci" || strings.HasPrefix(sub, "ci/") {
-			// The site's CI view is its coordinator cluster's server: that is
-			// where the federation files grid tickets, so the scoped tree
-			// stays one coherent Jenkins.
-			target := ss[0]
-			proxy := http.StripPrefix("/sites/"+site+"/ci", target.f.CI.Handler())
-			target.rlocked(func() { proxy.ServeHTTP(w, r) })
-			return
-		}
-		http.NotFound(w, r)
-	}
+}
+
+// serveSiteCI proxies /sites/{site}/ci/... to the site's coordinator
+// cluster's CI server: that is where the federation files grid tickets, so
+// the scoped tree stays one coherent Jenkins.
+func (g *Gateway) serveSiteCI(w http.ResponseWriter, r *http.Request) {
+	site := r.PathValue("site")
+	target := g.siteShards[site][0]
+	proxy := http.StripPrefix("/sites/"+site+"/ci", target.f.CI.Handler())
+	target.rlocked(func() { proxy.ServeHTTP(w, r) })
 }
