@@ -407,6 +407,12 @@ type SampleJSON struct {
 	V    float64 `json:"v"`
 }
 
+// monitorWindowSec bounds a /monitor/metrics range, measured up to now: one
+// day, 86 401 samples at 1 Hz, above every window clients and the kwapi
+// family ask for. The samples are built under the shard's read gate, so a
+// longer range would hold that shard's campaign step back.
+const monitorWindowSec = 86400
+
 // serveMonitorMetrics implements /monitor/metrics and its site-scoped
 // variant. The ?site= filter (or the path site) must name a known site —
 // unknown sites are 400 — and the queried node must live there.
@@ -468,6 +474,11 @@ func (g *Gateway) serveMonitorMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if from < 0 || to < from {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad range %g..%g", from, to))
+		return
+	}
+	if min(to, now)-from > monitorWindowSec {
+		httpError(w, http.StatusBadRequest,
+			fmt.Sprintf("range %g..%g exceeds the bound of %d s of samples", from, min(to, now), monitorWindowSec))
 		return
 	}
 	fromT := secondsToSim(from)

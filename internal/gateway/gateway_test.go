@@ -492,6 +492,32 @@ func TestMonitorEndpoint(t *testing.T) {
 	}
 }
 
+// TestMonitorWindowIsBounded: a range answers at most one day of samples,
+// counted up to now; a longer one is refused before any sample is built.
+func TestMonitorWindowIsBounded(t *testing.T) {
+	fed, gw := newFederatedCampaign(t, 2*simclock.Day)
+	c := inproc.Client(gw)
+	node := fed.Shards()[0].F.TB.Nodes()[0].Name
+	day := fmt.Sprintf("/monitor/metrics?node=%s&from_sec=%d", node, 86400)
+	resp, body := get(t, c, day+"&to_sec=1e12")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("one day up to now = %d: %s", resp.StatusCode, body)
+	}
+	if m := decode[MonitorJSON](t, body); len(m.Samples) != 86401 {
+		t.Fatalf("one day up to now = %d samples, want 86401", len(m.Samples))
+	}
+	for _, path := range []string{
+		fmt.Sprintf("/monitor/metrics?node=%s&from_sec=%d", node, 86399),
+		"/monitor/metrics?node=" + node + "&from_sec=0&to_sec=1e12",
+		"/sites/" + fed.Shards()[0].Site + "/monitor/metrics?node=" + node + "&from_sec=0&to_sec=86401",
+	} {
+		resp, body := get(t, c, path)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "86400 s") {
+			t.Errorf("GET %s = %d %.120q, want 400 naming the 86400 s bound", path, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestInventoryETagUnderChurn drives conditional reads of one store from
 // several client goroutines while the Reference API archives new versions
 // underneath them. Every response must be coherent: a 304 confirms the exact
