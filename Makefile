@@ -47,12 +47,16 @@ stress:
 # and the OAR scheduler on operation streams read from the fuzzer's bytes,
 # held after every operation to the scanning reference, a recount of its
 # dense state and the jobs' own history (one input runs hundreds of
-# operations, so minimizing a new one is capped at a second).
+# operations, so minimizing a new one is capped at a second); and the
+# gateway's GET routes on its static two-day fixture, with generated route
+# suffixes, {site} segments and query parameters, which must never panic
+# or answer 5xx.
 # The checked-in corpora alone run with every `go test`; a new failing input
 # is written to the package's testdata/fuzz/ for the fix to keep.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendIndent -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzETagMatches -fuzztime 10s ./internal/gateway
+	$(GO) test -run '^$$' -fuzz FuzzGatewayGET -fuzztime 10s ./internal/gateway
 	$(GO) test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/oar
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerMatchesScan -fuzztime 10s -fuzzminimizetime 1s ./internal/oar
 	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 10s ./internal/faults

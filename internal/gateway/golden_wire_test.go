@@ -9,8 +9,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -46,7 +48,7 @@ type wireRecord struct {
 // from: the two-site federation of newFederatedCampaign after two days,
 // every store re-described once (so archives hold two versions and diffs
 // are not empty), and a hand-built reliability trend installed.
-func wireFixture(t *testing.T) (fed *federation.Federation, gw *Gateway, ciHandler http.Handler, ciJob string) {
+func wireFixture(t testing.TB) (fed *federation.Federation, gw *Gateway, ciHandler http.Handler, ciJob string) {
 	t.Helper()
 	fed, gw = newFederatedCampaign(t, 2*simclock.Day)
 	for _, sh := range fed.Shards() {
@@ -298,4 +300,49 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("wire contract moved:\n got %+v\nwant %+v", got[i], want[i])
 		}
 	}
+}
+
+// FuzzGatewayGET sends generated GETs to the static fixture through
+// inproc: any registered route (a subtree's with a generated suffix), a
+// generated {site} segment, and generated values for every query parameter
+// the GET routes read. On a healthy grid no request may panic or answer
+// 5xx: whatever a client sends is either served or refused as its own
+// fault.
+func FuzzGatewayGET(f *testing.F) {
+	_, gw, _, _ := wireFixture(f)
+	site, cluster, node, _, _ := wireNames(gw)
+	var routes []string
+	for p := range gw.metrics {
+		routes = append(routes, p)
+	}
+	sort.Strings(routes)
+	for i := range routes {
+		f.Add(uint8(i), "api/json", site, "86400", "1", "2", "1", "3600", "5", cluster, "3600", "3630", "3600")
+	}
+	f.Add(uint8(0), "", "atlantis", "NaN", "-1", "1e300", "0", "-Inf", "-5", "nope", "0", "1e12", "0")
+	c := inproc.Client(gw)
+	c.CheckRedirect = func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }
+	f.Fuzz(func(t *testing.T, route uint8, suffix, site, simT, from, to, version, at, limit, cluster, fromSec, toSec, bucketSec string) {
+		path := strings.Replace(routes[int(route)%len(routes)], "{site}", site, 1)
+		if strings.HasSuffix(path, "/") {
+			path += suffix
+		}
+		q := url.Values{"node": {node}}
+		for k, v := range map[string]string{"t": simT, "from": from, "to": to, "version": version, "at": at,
+			"limit": limit, "cluster": cluster, "from_sec": fromSec, "to_sec": toSec, "bucket_sec": bucketSec} {
+			if v != "" {
+				q.Set(k, v)
+			}
+		}
+		u := url.URL{Scheme: "http", Host: "gw.local", Path: path, RawQuery: q.Encode()}
+		resp, err := c.Get(u.String())
+		if err != nil {
+			t.Fatalf("GET %s: %v", u.String(), err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode >= http.StatusInternalServerError {
+			t.Errorf("GET %s = %d: %.200s", u.String(), resp.StatusCode, body)
+		}
+	})
 }
