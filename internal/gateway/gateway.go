@@ -40,15 +40,15 @@
 //	POST /chaos/heal       heal one event ({"id":N}) or all ({"all":true})
 //	GET  /status/grid      family × target status matrix
 //	GET  /status/trend     historical success rate (?bucket_sec=S)
-//	GET  /metrics          per-endpoint request/error/latency counters
+//	GET  /metrics          request/error/latency counters per mux pattern
 //	     /ci/...           421: there is one CI server per cluster, under
 //	                       /sites/{site}/ci/
-//	     /sites/{site}/... site-scoped views over the shards owning the
-//	                       site: oar/resources, oar/jobs, oar/submit,
-//	                       monitor/metrics, ref/inventory and ref/diff
-//	                       (?cluster=X for one store's archive: ?version=N,
-//	                       ?at=S, ?from=&to=), ci/... (the coordinator
-//	                       cluster's CI REST API)
+//	     /sites/{site}/... one mux pattern per site-scoped view over the
+//	                       shards owning the site: oar/resources, oar/jobs,
+//	                       oar/submit, monitor/metrics, ref/inventory and
+//	                       ref/diff (?cluster=X for one store's archive:
+//	                       ?version=N, ?at=S, ?from=&to=), ci/... (the
+//	                       coordinator cluster's CI REST API)
 //
 // # Sharding and concurrency
 //
