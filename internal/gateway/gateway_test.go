@@ -118,50 +118,11 @@ func TestEndpoints(t *testing.T) {
 	}
 }
 
+// TestMethodAndPathErrors pins how a request is routed before any handler
+// reads a shard: a missing resource is 404 regardless of method, a wrong
+// method 405 with Allow, and on a /sites/{site}/... route the method is
+// checked before the site. Each site route counts under its own pattern.
 func TestMethodAndPathErrors(t *testing.T) {
-	_, gw := newFederatedCampaign(t, simclock.Hour)
-	c := inproc.Client(gw)
-
-	resp, err := c.Post("http://gw.local/ref/inventory", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST read endpoint status = %d, want 405", resp.StatusCode)
-	}
-	if allow := resp.Header.Get("Allow"); allow != http.MethodGet {
-		t.Fatalf("Allow = %q, want GET", allow)
-	}
-
-	resp, _ = get(t, c, "/oar/submit")
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET submit status = %d, want 405", resp.StatusCode)
-	}
-	if allow := resp.Header.Get("Allow"); allow != http.MethodPost {
-		t.Fatalf("Allow = %q, want POST", allow)
-	}
-
-	resp, _ = get(t, c, "/no/such/endpoint")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown path status = %d, want 404", resp.StatusCode)
-	}
-
-	// A missing resource is 404 regardless of method — never 405.
-	resp, err = c.Post("http://gw.local/no/such/endpoint", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST unknown path status = %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestSiteRouteEdges pins how a /sites/{site}/... request is routed
-// before any handler reads a shard: the method first, then the site, and
-// each route counted under its own pattern.
-func TestSiteRouteEdges(t *testing.T) {
 	fed, gw := newFederatedCampaign(t, simclock.Hour)
 	serve := func(method, path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -173,6 +134,10 @@ func TestSiteRouteEdges(t *testing.T) {
 		code         int
 		header       string // "Name: value" the answer must carry
 	}{
+		{"POST", "/ref/inventory", http.StatusMethodNotAllowed, "Allow: GET"},
+		{"GET", "/oar/submit", http.StatusMethodNotAllowed, "Allow: POST"},
+		{"GET", "/no/such/endpoint", http.StatusNotFound, ""},
+		{"POST", "/no/such/endpoint", http.StatusNotFound, ""},
 		{"GET", "/sites/luxembourg/ci", http.StatusMovedPermanently, "Location: /sites/luxembourg/ci/"},
 		{"GET", "/sites/luxembourg/ci/api/json", http.StatusOK, ""},
 		{"GET", "/sites/atlantis/oar/jobs", http.StatusNotFound, ""},

@@ -234,8 +234,9 @@ func kwapiTests(tb *testbed.Testbed) []*Test {
 				if from < 0 {
 					from = 0
 				}
-				// One REST call to kwapi: the service's flakiness is rolled
-				// here, on the campaign's RNG, not by the collector.
+				// One REST call to kwapi, whose flakiness the campaign rolls
+				// here: collector queries draw nothing, so that served reads
+				// cannot move the campaign.
 				if ctx.Faults.ServiceFails(site.Name, "kwapi") {
 					v.fail(fmt.Sprintf("service-flaky:%s/kwapi", site.Name),
 						"power query failed: monitor: kwapi service error at %s", site.Name)
