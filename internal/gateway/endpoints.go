@@ -343,10 +343,10 @@ func (s *shard) submit(req oar.Request, user string) (job oar.JobInfo) {
 
 // serveOARSubmit implements POST /oar/submit and, with the path naming a
 // site, the site's own /sites/{site}/oar/submit, which can never allocate
-// outside the site. The body's request is parsed once: on the grid route a request no
-// anchor places goes to the admission layer (admission.go), and everything
-// else takes routeSubmission. A submission routed to a lost site cannot
-// enqueue anywhere; it answers 503 and the client retries after heal.
+// outside the site. The body's request is parsed once: on the grid route a
+// request no anchor places goes to the admission layer (admission.go), and
+// everything else takes routeSubmission. A submission routed to a lost site
+// cannot enqueue anywhere; it answers 503 and the client retries after heal.
 func (g *Gateway) serveOARSubmit(w http.ResponseWriter, r *http.Request) {
 	site := r.PathValue("site")
 	var body SubmitRequest

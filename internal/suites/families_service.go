@@ -234,9 +234,8 @@ func kwapiTests(tb *testbed.Testbed) []*Test {
 				if from < 0 {
 					from = 0
 				}
-				// One REST call to kwapi, whose flakiness the campaign rolls
-				// here: collector queries draw nothing, so that served reads
-				// cannot move the campaign.
+				// One REST call to kwapi: its flakiness is rolled here, on the
+				// campaign's RNG, never in a query, which served reads make.
 				if ctx.Faults.ServiceFails(site.Name, "kwapi") {
 					v.fail(fmt.Sprintf("service-flaky:%s/kwapi", site.Name),
 						"power query failed: monitor: kwapi service error at %s", site.Name)
