@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint fmt-check test race stress fuzz-smoke bench-smoke profile loc check
+.PHONY: all build vet lint fmt-check test race stress fuzz-smoke bench-smoke cli-smoke profile loc check
 
 all: check
 
@@ -67,6 +67,19 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
+# cli-smoke runs the programs no test runs: g5ktest's monolithic, fleet and
+# federated modes for one simulated week each, and every examples/ program.
+# Each must exit 0; their output is discarded. The binaries go to
+# $(SMOKE_DIR) (git-ignored).
+SMOKE_DIR ?= smoke
+cli-smoke:
+	mkdir -p $(SMOKE_DIR)
+	$(GO) build -o $(SMOKE_DIR)/ ./cmd/g5ktest ./examples/...
+	$(SMOKE_DIR)/g5ktest -quiet -weeks 1 > /dev/null
+	$(SMOKE_DIR)/g5ktest -seeds 2 -weeks 1 > /dev/null
+	$(SMOKE_DIR)/g5ktest -federated -weeks 1 > /dev/null
+	for ex in examples/*/; do $(SMOKE_DIR)/$$(basename $$ex) > /dev/null || exit 1; done
+
 # profile runs the two campaign shapes — 10 monolithic weeks, 3 federated
 # weeks — under g5ktest's -cpuprofile/-memprofile on one processor (the
 # setting g5kbench measures at), leaves the binary and the four profiles in
@@ -108,4 +121,4 @@ loc:
 		printf '%-22s %9d %9d\n' $$d $$n $$t; \
 	done | awk '{print; n += $$2; t += $$3} END {printf "%-22s %9d %9d\n", "total", n, t}'
 
-check: build vet lint fmt-check race fuzz-smoke bench-smoke
+check: build vet lint fmt-check race fuzz-smoke bench-smoke cli-smoke

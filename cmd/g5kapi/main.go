@@ -119,17 +119,12 @@ func main() {
 		// The sweep is expensive (N whole campaigns), so it runs once here
 		// and the gateway serves the stored, versioned result.
 		log.Printf("reliability sweep: %d seeds × %d weeks...", *reliability, *weeks)
+		profile := core.DefaultConfig()
+		profile.Spec = testbed.ScaledSpec(*scale)
 		res := core.RunFleet(core.FleetConfig{
 			Seeds:    core.SeedRange(*seed, *reliability),
 			Duration: simclock.Time(*weeks) * simclock.Week,
-			Configure: func(s int64) core.Config {
-				cfg := core.DefaultConfig()
-				cfg.Seed = s
-				if *scale > 1 {
-					cfg.Spec = testbed.ScaledSpec(*scale)
-				}
-				return cfg
-			},
+			Profile:  &profile,
 		})
 		gw.SetReliabilityTrend(intel.TrendFromFleet(res, *seed, *weeks))
 		log.Printf("reliability trend installed: GET /reliability/trend")

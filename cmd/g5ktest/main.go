@@ -5,14 +5,11 @@
 //
 // With -seeds N it instead runs an N-seed campaign fleet (core.RunFleet):
 // N independently seeded campaigns simulated across -parallel real
-// goroutines, reporting the trend and bug statistics as mean ± spread —
-// the Monte-Carlo view of the paper's longitudinal result.
-//
-// With -reliability it runs the same fleet sweep but reports it as the
-// grid reliability trend: per-week success-rate confidence bands
-// (mean ± std across seeds), printed through the one shared renderer
-// (internal/intel) — byte-identical to what a client renders from the
-// gateway's GET /reliability/trend body.
+// goroutines — the Monte-Carlo view of the paper's longitudinal result. It
+// lists each campaign, then the grid reliability trend: per-week
+// success-rate confidence bands and bug counters (mean ± std across seeds),
+// printed through the one shared renderer (internal/intel), byte-identical
+// to what a client renders from the gateway's GET /reliability/trend body.
 //
 // With -federated it runs ONE campaign split into per-cluster micro-shards
 // under site labels (internal/federation): every cluster gets its own OAR,
@@ -35,7 +32,6 @@
 //
 //	g5ktest [-weeks N] [-seed S] [-faults N] [-scale K] [-quiet]
 //	g5ktest -seeds N [-parallel P] [-weeks N] [-seed BASE] [-faults N] [-scale K]
-//	g5ktest -reliability -seeds N [-parallel P] [-weeks N] [-seed BASE] [-scale K]
 //	g5ktest -federated [-parallel P] [-weeks N] [-seed S] [-faults N] [-scale K]
 //	g5ktest ... [-cpuprofile FILE] [-memprofile FILE]
 package main
@@ -64,7 +60,6 @@ func main() {
 	seeds := flag.Int("seeds", 1, "run a fleet of N independently seeded campaigns")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "campaigns (fleet mode) or micro-shards (federated mode) simulated concurrently")
 	federated := flag.Bool("federated", false, "run one campaign as per-cluster micro-shards under site labels (internal/federation)")
-	reliability := flag.Bool("reliability", false, "report the -seeds fleet as the grid reliability trend (confidence bands)")
 	scale := flag.Int("scale", 1, "run on testbed.ScaledSpec(k): k replicas of the paper grid")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap and allocation profile to `file` after the run")
@@ -88,12 +83,10 @@ func main() {
 		os.Exit(1)
 	}
 	switch {
-	case *reliability:
-		runReliability(*seed, *seeds, *parallel, *weeks, *initialFaults, *scale)
 	case *federated:
-		runFederated(*seed, *parallel, *weeks, *initialFaults, *scale)
+		runFederated(cfg, *parallel, *weeks, *scale)
 	case *seeds > 1:
-		runFleet(*seed, *seeds, *parallel, *weeks, *initialFaults, *scale)
+		runFleet(cfg, *seeds, *parallel, *weeks)
 	default:
 		runCampaign(cfg, *weeks, *quiet)
 	}
@@ -187,24 +180,17 @@ func indent(s string) string {
 	return "  " + s
 }
 
-// runFleet is the -seeds mode: a multi-seed campaign sweep with aggregate
-// reporting.
-func runFleet(base int64, n, parallel, weeks, initialFaults, scale int) {
+// runFleet is the -seeds mode: n campaigns with cfg as their profile,
+// seeded from cfg.Seed on, listed one by one and then reported as the grid
+// reliability trend.
+func runFleet(cfg core.Config, n, parallel, weeks int) {
 	fmt.Printf("fleet: %d campaigns (seeds %d..%d), %d weeks each, %d in parallel\n\n",
-		n, base, base+int64(n)-1, weeks, parallel)
+		n, cfg.Seed, cfg.Seed+int64(n)-1, weeks, parallel)
 	res := core.RunFleet(core.FleetConfig{
-		Seeds:    core.SeedRange(base, n),
+		Seeds:    core.SeedRange(cfg.Seed, n),
 		Parallel: parallel,
 		Duration: simclock.Time(weeks) * simclock.Week,
-		Configure: func(seed int64) core.Config {
-			cfg := core.DefaultConfig()
-			cfg.Seed = seed
-			cfg.InitialFaults = initialFaults
-			if scale > 1 {
-				cfg.Spec = testbed.ScaledSpec(scale)
-			}
-			return cfg
-		},
+		Profile:  &cfg,
 	})
 
 	fmt.Println("per-seed campaigns:")
@@ -212,58 +198,21 @@ func runFleet(base int64, n, parallel, weeks, initialFaults, scale int) {
 		c := &res.Campaigns[i]
 		fmt.Printf("  seed %3d: %s\n", c.Seed, c.Summary)
 	}
-
-	fmt.Println("\nweekly success rate across seeds (mean ± std):")
-	for _, w := range res.Weekly {
-		fmt.Printf("  week %2d: %5.1f%% ± %4.1f  (min %5.1f%%, max %5.1f%%, %d seeds)\n",
-			w.Week+1, 100*w.Rate.Mean, 100*w.Rate.Std, 100*w.Rate.Min, 100*w.Rate.Max, w.Rate.N)
-	}
-
-	fmt.Println("\naggregates:")
-	fmt.Printf("  first week ok  %s\n", pct(res.FirstWeek))
-	fmt.Printf("  final weeks ok %s\n", pct(res.FinalWeeks))
-	fmt.Printf("  bugs filed     %s\n", res.BugsFiled)
-	fmt.Printf("  bugs fixed     %s\n", res.BugsFixed)
-	fmt.Printf("  bugs open      %s\n", res.BugsOpen)
-}
-
-// runReliability is the -reliability mode: the same N-seed sweep as
-// -seeds, folded into the grid reliability trend and printed through the
-// shared renderer — so this output and a render of the gateway's
-// /reliability/trend body are byte-for-byte the same report.
-func runReliability(base int64, n, parallel, weeks, initialFaults, scale int) {
-	res := core.RunFleet(core.FleetConfig{
-		Seeds:    core.SeedRange(base, n),
-		Parallel: parallel,
-		Duration: simclock.Time(weeks) * simclock.Week,
-		Configure: func(seed int64) core.Config {
-			cfg := core.DefaultConfig()
-			cfg.Seed = seed
-			cfg.InitialFaults = initialFaults
-			if scale > 1 {
-				cfg.Spec = testbed.ScaledSpec(scale)
-			}
-			return cfg
-		},
-	})
-	intel.TrendFromFleet(res, base, weeks).RenderText(os.Stdout)
+	fmt.Println()
+	intel.TrendFromFleet(res, cfg.Seed, weeks).RenderText(os.Stdout)
 }
 
 // runFederated is the -federated mode: one campaign as per-cluster
-// micro-shards grouped under their sites.
-func runFederated(seed int64, parallel, weeks, initialFaults, scale int) {
+// micro-shards grouped under their sites, each with cfg as its profile.
+func runFederated(cfg core.Config, parallel, weeks, scale int) {
 	fed := federation.New(federation.Config{
-		Seed:    seed,
+		Seed:    cfg.Seed,
 		Workers: parallel,
 		Spec:    testbed.ScaledSpec(scale),
-		Configure: func(site string, shardSeed int64) core.Config {
-			cfg := core.DefaultConfig()
-			cfg.InitialFaults = initialFaults
-			return cfg
-		},
+		Profile: &cfg,
 	})
 	fmt.Printf("federated campaign: %d micro-shards across %d sites, %d weeks, %d shard workers, seed %d\n\n",
-		len(fed.Shards()), len(fed.Summary().Sites), weeks, parallel, seed)
+		len(fed.Shards()), len(fed.Summary().Sites), weeks, parallel, cfg.Seed)
 	fed.Start()
 	for w := 1; w <= weeks; w++ {
 		fed.Advance(simclock.Week)
@@ -282,10 +231,4 @@ func runFederated(seed int64, parallel, weeks, initialFaults, scale int) {
 	}
 
 	fmt.Printf("\n%s\n", sum)
-}
-
-// pct renders a rate aggregate as percentages.
-func pct(a core.Aggregate) string {
-	return fmt.Sprintf("%.1f%% ± %.1f (min %.1f%%, max %.1f%%, n=%d)",
-		100*a.Mean, 100*a.Std, 100*a.Min, 100*a.Max, a.N)
 }

@@ -83,9 +83,9 @@
 //     so any filing or fix anywhere re-keys the view and ?at=T replays
 //     history (GET /incidents); and TrendFromFleet folds a core.Fleet
 //     sweep into per-week success-rate confidence bands rendered by one
-//     shared renderer — the CLI report (g5ktest -reliability) and a
-//     render of the gateway's GET /reliability/trend body are
-//     byte-identical (make race races the drills)
+//     shared renderer — the CLI report (g5ktest -seeds N) and a render
+//     of the gateway's GET /reliability/trend body are byte-identical
+//     (make race races the drills)
 //   - internal/inproc — in-process http.RoundTripper used by the status
 //     page, the gateway's internal status client and the benchmark to
 //     consume HTTP APIs without a listener

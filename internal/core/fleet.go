@@ -14,7 +14,6 @@ package core
 // trend/bug statistics with mean ± spread.
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -32,10 +31,9 @@ type FleetConfig struct {
 	// Duration is the simulated length of each campaign (0 = 10 weeks,
 	// the paper's trend window).
 	Duration simclock.Time
-	// Configure builds the campaign profile for a seed (nil =
-	// PaperCampaignConfig). The returned Config's Seed is overridden by
-	// the sweep seed.
-	Configure func(seed int64) Config
+	// Profile is every campaign's profile (nil = PaperCampaignConfig).
+	// Each campaign overrides its Seed with the sweep seed.
+	Profile *Config
 }
 
 // SeedRange returns n consecutive seeds starting at base — the common
@@ -86,10 +84,6 @@ type Aggregate struct {
 	Mean, Std float64 // Std is the sample standard deviation (0 when N < 2)
 	Min, Max  float64
 	N         int
-}
-
-func (a Aggregate) String() string {
-	return fmt.Sprintf("%.2f ± %.2f (min %.2f, max %.2f, n=%d)", a.Mean, a.Std, a.Min, a.Max, a.N)
 }
 
 func aggregate(xs []float64) Aggregate {
@@ -155,9 +149,9 @@ func RunFleet(cfg FleetConfig) *FleetResult {
 	if parallel > len(cfg.Seeds) {
 		parallel = len(cfg.Seeds)
 	}
-	configure := cfg.Configure
-	if configure == nil {
-		configure = PaperCampaignConfig
+	profile := PaperCampaignConfig(0)
+	if cfg.Profile != nil {
+		profile = *cfg.Profile
 	}
 	duration := cfg.Duration
 	if duration <= 0 {
@@ -169,12 +163,12 @@ func RunFleet(cfg FleetConfig) *FleetResult {
 	var wg sync.WaitGroup
 	for w := 0; w < parallel; w++ {
 		wg.Add(1)
-		//g5k:allow baregoroutine fleet workers run whole campaigns that share nothing; each outcome is a pure function of its seed (E14 gate)
+		//g5k:allow baregoroutine fleet workers run whole campaigns that share nothing; each outcome is a pure function of its seed (TestFleetDeterministicAcrossParallelism)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
 				seed := cfg.Seeds[i]
-				c := configure(seed)
+				c := profile
 				c.Seed = seed
 				f := New(c)
 				f.Start()

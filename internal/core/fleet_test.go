@@ -9,11 +9,10 @@ import (
 	"repro/internal/simclock"
 )
 
-// fleetTestConfig is a scaled-down campaign profile so fleet tests stay
+// fleetTestProfile is a scaled-down campaign profile so fleet tests stay
 // fast under -race: no 448-cell matrix, lighter user load, quick operators.
-func fleetTestConfig(seed int64) Config {
+func fleetTestProfile() *Config {
 	cfg := DefaultConfig()
-	cfg.Seed = seed
 	cfg.Executors = 4
 	cfg.InitialFaults = 6
 	cfg.FaultMeanInterval = 4 * simclock.Hour
@@ -21,7 +20,7 @@ func fleetTestConfig(seed int64) Config {
 	cfg.OperatorMinAge = 2 * simclock.Hour
 	cfg.UserJobInterval = simclock.Hour
 	cfg.EnvMatrixPeriod = 0
-	return cfg
+	return &cfg
 }
 
 // TestFleetDeterministicAcrossParallelism runs the same seed sweep serially
@@ -29,9 +28,9 @@ func fleetTestConfig(seed int64) Config {
 // the whole point of one-simclock-per-campaign isolation.
 func TestFleetDeterministicAcrossParallelism(t *testing.T) {
 	fc := FleetConfig{
-		Seeds:     SeedRange(7, 4),
-		Duration:  2 * simclock.Day,
-		Configure: fleetTestConfig,
+		Seeds:    SeedRange(7, 4),
+		Duration: 2 * simclock.Day,
+		Profile:  fleetTestProfile(),
 	}
 	fc.Parallel = 1
 	serial := RunFleet(fc)
@@ -79,10 +78,10 @@ func TestFleetFirstWeekShape(t *testing.T) {
 func TestFleetOverlappingSweeps(t *testing.T) {
 	mk := func(base int64) FleetConfig {
 		return FleetConfig{
-			Seeds:     SeedRange(base, 3),
-			Parallel:  3,
-			Duration:  2 * simclock.Day,
-			Configure: fleetTestConfig,
+			Seeds:    SeedRange(base, 3),
+			Parallel: 3,
+			Duration: 2 * simclock.Day,
+			Profile:  fleetTestProfile(),
 		}
 	}
 	var wg sync.WaitGroup

@@ -17,11 +17,11 @@ func benchFederation(b *testing.B) *Federation {
 	fed := New(Config{
 		Seed: 77,
 		Spec: subSpec("luxembourg", "nantes", "lyon", "sophia"),
-		Configure: func(site string, seed int64) core.Config {
+		Profile: func() *core.Config {
 			cfg := core.DefaultConfig()
 			cfg.InitialFaults = 10
-			return cfg
-		},
+			return &cfg
+		}(),
 	})
 	fed.Start()
 	fed.Advance(2 * simclock.Day)

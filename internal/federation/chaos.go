@@ -24,25 +24,6 @@ func (fed *Federation) SetStepGate(gate func(site, cluster string, step func()))
 	fed.stepGate = gate
 }
 
-// SetGridListener installs a callback fired (outside fed.mu) after every
-// InjectGrid, HealGrid and Advance — the calls that can change which sites
-// are live or move the federated clock. The gateway uses it to pump the
-// admission queue, so queued reservations against a site that just went
-// down fail or re-route immediately. Must be set before the federation
-// starts serving and not changed afterwards; the listener must not call
-// back into Inject/Heal/Advance.
-func (fed *Federation) SetGridListener(fn func()) {
-	fed.gridListener = fn
-}
-
-// notifyGrid invokes the grid listener, if any. Callers must not hold
-// fed.mu: the listener typically takes gateway and shard locks of its own.
-func (fed *Federation) notifyGrid() {
-	if fed.gridListener != nil {
-		fed.gridListener()
-	}
-}
-
 // ScheduleChaos appends entries to the deterministic disaster schedule.
 // Each entry injects its event when the federated clock reaches At (and
 // schedules the heal at At+Duration, where applicable). Unknown sites, and
@@ -68,41 +49,36 @@ func (fed *Federation) ScheduleChaos(entries ...faults.ScheduleEntry) error {
 	return nil
 }
 
-// InjectGrid injects a grid event right now (at the federated clock). For
-// RollingMaintenance, window is the per-site window (0 = one barrier tick).
-// For the other kinds, duration > 0 schedules the heal that much later
-// (0 = heal manually). Returns a value copy of the event.
+// InjectGrid injects a grid event now (at the federated clock) and returns
+// a value copy of it. RollingMaintenance takes window, the per-site window
+// (0 = one barrier tick); the other kinds take duration, the delay to their
+// heal (0 = heal manually). The parameter a kind does not take must be 0.
 func (fed *Federation) InjectGrid(kind faults.GridKind, sites []string, window, duration simclock.Time) (faults.GridEvent, error) {
-	if kind == faults.RollingMaintenance {
+	switch {
+	case kind == faults.RollingMaintenance && duration != 0:
+		return faults.GridEvent{}, fmt.Errorf("federation: %s takes a window, not a duration", kind)
+	case kind != faults.RollingMaintenance && window != 0:
+		return faults.GridEvent{}, fmt.Errorf("federation: %s takes a duration, not a window", kind)
+	case kind == faults.RollingMaintenance:
 		duration = window
 		if duration <= 0 {
 			duration = barrier
 		}
 	}
 	fed.mu.Lock()
-	ev, err := faults.GridEvent{}, fed.checkSitesLocked(sites)
-	if err == nil {
-		ev, err = fed.grid.Inject(kind, sites, fed.now, duration)
-	}
-	fed.mu.Unlock()
-	if err != nil {
+	defer fed.mu.Unlock()
+	if err := fed.checkSitesLocked(sites); err != nil {
 		return faults.GridEvent{}, err
 	}
-	fed.notifyGrid()
-	return ev, nil
+	return fed.grid.Inject(kind, sites, fed.now, duration)
 }
 
 // HealGrid heals an active grid event right now, returning a value copy of
 // the healed event.
 func (fed *Federation) HealGrid(id int) (faults.GridEvent, error) {
 	fed.mu.Lock()
-	ev, err := fed.grid.Heal(id, fed.now)
-	fed.mu.Unlock()
-	if err != nil {
-		return faults.GridEvent{}, err
-	}
-	fed.notifyGrid()
-	return ev, nil
+	defer fed.mu.Unlock()
+	return fed.grid.Heal(id, fed.now)
 }
 
 // ActiveGridEvents returns value copies of the active grid events, sorted

@@ -18,11 +18,11 @@ func chaosFed(workers int) *Federation {
 		Seed:    99,
 		Spec:    subSpec("luxembourg", "nantes", "lyon"),
 		Workers: workers,
-		Configure: func(site string, seed int64) core.Config {
+		Profile: func() *core.Config {
 			cfg := core.DefaultConfig()
 			cfg.InitialFaults = 6
-			return cfg
-		},
+			return &cfg
+		}(),
 	})
 	fed.Start()
 	return fed
@@ -261,6 +261,24 @@ func TestChaosRejectsUnknownSites(t *testing.T) {
 	if _, err := fed.InjectGrid(faults.SiteOutage, []string{"atlantis"}, 0, 0); err == nil {
 		t.Fatal("unknown site should be rejected")
 	}
+	// A parameter the kind does not take is refused, not dropped: an hour
+	// of maintenance must not become a one-week window.
+	for _, bad := range []struct {
+		kind             faults.GridKind
+		window, duration simclock.Time
+	}{
+		{faults.RollingMaintenance, 0, simclock.Hour},
+		{faults.SiteOutage, simclock.Hour, 0},
+		{faults.WANPartition, simclock.Hour, simclock.Day},
+	} {
+		if _, err := fed.InjectGrid(bad.kind, []string{"nantes"}, bad.window, bad.duration); err == nil {
+			t.Errorf("InjectGrid(%s, window %v, duration %v) accepted a parameter its kind does not take",
+				bad.kind, bad.window, bad.duration)
+		}
+	}
+	if got := fed.GridHistory(); len(got) != 0 {
+		t.Fatalf("refused injections left events behind: %+v", got)
+	}
 	if _, err := fed.HealGrid(12345); err == nil {
 		t.Fatal("healing a non-event should fail")
 	}
@@ -274,11 +292,11 @@ func runChaosFederated(t *testing.T, workers int) (Summary, []core.WeekCounts) {
 		Seed:    77,
 		Spec:    subSpec("luxembourg", "nantes", "lyon", "sophia"),
 		Workers: workers,
-		Configure: func(site string, seed int64) core.Config {
+		Profile: func() *core.Config {
 			cfg := core.DefaultConfig()
 			cfg.InitialFaults = 10
-			return cfg
-		},
+			return &cfg
+		}(),
 	})
 	fed.Start()
 	if err := fed.ScheduleChaos(
@@ -396,11 +414,11 @@ func gridState(fed *Federation) []string {
 func TestGridEventLifecycle(t *testing.T) {
 	// Operators never get to a ticket, so only a heal closes one.
 	fed := New(Config{Seed: 5, Spec: subSpec("luxembourg", "nantes", "lyon", "sophia"), Workers: 1,
-		Configure: func(string, int64) core.Config {
+		Profile: func() *core.Config {
 			cfg := core.DefaultConfig()
 			cfg.OperatorMinAge = 52 * simclock.Week
-			return cfg
-		}})
+			return &cfg
+		}()})
 	fed.Start()
 	w := simclock.Week
 	if err := fed.ScheduleChaos(

@@ -67,10 +67,10 @@ type Config struct {
 	// serially. The campaign outcome is identical either way.
 	Workers int
 
-	// Configure builds a shard's campaign profile from its site label (nil
-	// = core.DefaultConfig). The returned Config's Seed and Spec are
-	// overridden with the micro-shard's derived seed and single cluster.
-	Configure func(site string, seed int64) core.Config
+	// Profile is every micro-shard's campaign profile (nil =
+	// core.DefaultConfig). Each shard overrides its Seed and Spec with the
+	// shard's derived seed and single cluster.
+	Profile *core.Config
 }
 
 // barrier is the tick length between cross-site clock barriers. Shards
@@ -128,13 +128,6 @@ type Federation struct {
 	// can interleave its own per-shard locking with the barrier ticks; the
 	// identity until SetStepGate.
 	stepGate func(site, cluster string, step func())
-
-	// gridListener, when set, is invoked (outside fed.mu) after any call
-	// that can change grid availability or the federated clock: InjectGrid,
-	// HealGrid and Advance. The gateway hangs its admission-queue pump off
-	// this hook so a site outage invalidates queued reservations immediately
-	// instead of waiting for the next submit.
-	gridListener func()
 }
 
 // tickets is how far a grid event's bug tickets have got: no shard has
@@ -176,9 +169,9 @@ func New(cfg Config) *Federation {
 	if spec == nil {
 		spec = testbed.DefaultSpec
 	}
-	configure := cfg.Configure
-	if configure == nil {
-		configure = func(string, int64) core.Config { return core.DefaultConfig() }
+	profile := core.DefaultConfig()
+	if cfg.Profile != nil {
+		profile = *cfg.Profile
 	}
 	// Group clusters by site in first-appearance order, so shard order is a
 	// deterministic function of the spec.
@@ -204,7 +197,7 @@ func New(cfg Config) *Federation {
 	for _, site := range sites {
 		for _, cs := range bySiteSpec[site] {
 			seed := ShardSeed(cfg.Seed, site, cs.Name)
-			c := configure(site, seed)
+			c := profile
 			c.Seed = seed
 			c.Spec = []testbed.ClusterSpec{cs}
 			sh := &Shard{
@@ -281,7 +274,6 @@ func (fed *Federation) Advance(d simclock.Time) {
 	fed.mu.Lock()
 	fed.applyDueLocked()
 	fed.mu.Unlock()
-	fed.notifyGrid()
 }
 
 // shardWork is one micro-shard's slice of a tick plan: how far to step and
@@ -408,7 +400,7 @@ func (fed *Federation) runPlan(plan []shardWork) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//g5k:allow baregoroutine work-stealing barrier workers pull share-nothing micro-shards from a queue fixed before the first pull; pull interleaving cannot change the outcome (E17/E18/E21 gates)
+		//g5k:allow baregoroutine work-stealing barrier workers pull share-nothing micro-shards from a queue fixed before the first pull; pull interleaving cannot change the outcome (TestFederationSerialParallelDeterminism)
 		go func() {
 			defer wg.Done()
 			for {

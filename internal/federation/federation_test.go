@@ -106,11 +106,11 @@ func runFederated(t *testing.T, workers int) campaignOutcome {
 		Seed:    77,
 		Spec:    subSpec("luxembourg", "nantes", "lyon", "sophia"),
 		Workers: workers,
-		Configure: func(site string, seed int64) core.Config {
+		Profile: func() *core.Config {
 			cfg := core.DefaultConfig()
 			cfg.InitialFaults = 10
-			return cfg
-		},
+			return &cfg
+		}(),
 	})
 	fed.Start()
 	fed.Advance(2 * simclock.Week)
@@ -211,12 +211,12 @@ func TestFederationScaledWorkStealingDeterminism(t *testing.T) {
 	run := func(workers int) campaignOutcome {
 		fed := New(Config{
 			Seed: 21, Workers: workers, Spec: testbed.ScaledSpec(2),
-			Configure: func(site string, seed int64) core.Config {
+			Profile: func() *core.Config {
 				cfg := core.DefaultConfig()
 				cfg.InitialFaults = 4
 				cfg.EnvMatrixPeriod = 0
-				return cfg
-			},
+				return &cfg
+			}(),
 		})
 		fed.Start()
 		fed.Advance(simclock.Week)

@@ -5,10 +5,10 @@ package gateway
 // site's own route (routeSubmission, then shard.canStart or shard.submit —
 // what a POST to /sites/{site}/oar/submit takes), unanchored submissions
 // route through the controller instead of failing, and GET /admit/queue
-// exposes the queue. The admission pump runs after every campaign advance
-// and — via the federation's grid listener — after every chaos transition,
-// so a site outage fails queued reservations fast instead of letting them
-// sit out their deadlines.
+// exposes the queue. The admission pump runs after every Gateway.Advance,
+// every POST /chaos/inject and every POST /chaos/heal that healed
+// something, so a site outage fails queued reservations fast instead of
+// letting them sit out their deadlines.
 
 import (
 	"fmt"
@@ -76,11 +76,6 @@ func (b *siteBackend) Place(req oar.Request, user string) (oar.JobInfo, error) {
 
 // Admission returns the admission controller.
 func (g *Gateway) Admission() *admit.Controller { return g.admission }
-
-// pumpAdmission drains what the reservation queue can place right now.
-// Wired to every campaign advance and, through the federation's grid
-// listener, to every chaos inject/heal.
-func (g *Gateway) pumpAdmission() { g.admission.Pump() }
 
 func (g *Gateway) handleAdmitQueue(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, g.admission.Queue())

@@ -1,10 +1,10 @@
 package gateway
 
 // Admission-layer tests at the HTTP surface: unanchored submissions place,
-// queue and shed through POST /oar/submit; a site outage fails queued
-// reservations long before their deadline (wired through the federation's
-// grid listener); and the duplicate-cluster-name regression routes
-// deterministically to the lexicographically smallest live site.
+// queue and shed through POST /oar/submit; the pumps after an inject, a
+// heal and an advance fail, place and expire queued reservations; and the
+// duplicate-cluster-name regression routes deterministically to the
+// lexicographically smallest live site.
 
 import (
 	"net/http"
@@ -49,8 +49,8 @@ func TestAdmissionQueueUnderChaos(t *testing.T) {
 		t.Fatalf("/metrics admission = %+v", mets.Admission)
 	}
 
-	// Losing every site fails the reservation fast — the grid listener
-	// pumps the queue on inject, long before the reservation's deadline.
+	// Losing every site fails the reservation fast — POST /chaos/inject
+	// pumps the queue, long before the reservation's deadline.
 	if resp, body := postJSON(t, c, "/chaos/inject", `{"kind":"outage","sites":["luxembourg","nantes"]}`); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("inject status = %d: %s", resp.StatusCode, body)
 	}
@@ -82,6 +82,31 @@ func TestAdmissionQueueUnderChaos(t *testing.T) {
 	}
 	if sub := decode[SubmitResponse](t, body); sub.Site != "nantes" {
 		t.Fatalf("re-routed submit landed on %q, want nantes", sub.Site)
+	}
+
+	// With every site down a new arrival queues, and the heal's pump places
+	// it.
+	if resp, body := postJSON(t, c, "/chaos/inject", `{"kind":"outage","sites":["nantes"]}`); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("inject status = %d: %s", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, c, "/oar/submit", `{"request":"nodes=1,walltime=1","user":"dave"}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit on a dead grid status = %d, want 202: %s", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, c, "/chaos/heal", `{"all":true}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("heal status = %d: %s", resp.StatusCode, body)
+	}
+	if st := gw.Admission().Stats(); st.Depth != 0 || st.QueuedPlaced != 1 {
+		t.Fatalf("after heal: %+v, want depth 0 and queued_placed 1", st)
+	}
+
+	// An oversized arrival waits on a healthy grid, and the advance's pump
+	// expires it once its 2 h deadline has passed.
+	if resp, body := postJSON(t, c, "/oar/submit", `{"request":"nodes=999,walltime=1","user":"carol"}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("oversized submit status = %d, want 202: %s", resp.StatusCode, body)
+	}
+	gw.Advance(3 * simclock.Hour)
+	if st := gw.Admission().Stats(); st.Depth != 0 || st.Expired != 1 {
+		t.Fatalf("after the deadline: %+v, want depth 0 and expired 1", st)
 	}
 }
 
@@ -206,12 +231,12 @@ func TestDuplicateClusterRoutesToSmallestLiveSite(t *testing.T) {
 	fed := federation.New(federation.Config{
 		Seed: 8,
 		Spec: dupClusterSpec(),
-		Configure: func(site string, seed int64) core.Config {
+		Profile: func() *core.Config {
 			cfg := core.DefaultConfig()
 			cfg.InitialFaults = 0
 			cfg.EnvMatrixPeriod = 0
-			return cfg
-		},
+			return &cfg
+		}(),
 	})
 	fed.Start()
 	fed.Advance(simclock.Hour)

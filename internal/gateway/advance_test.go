@@ -34,11 +34,11 @@ func TestGatewayAddsNothingToTime(t *testing.T) {
 		fed := federation.New(federation.Config{
 			Seed: 15,
 			Spec: fedSpec("luxembourg", "nantes", "lyon"),
-			Configure: func(site string, seed int64) core.Config {
+			Profile: func() *core.Config {
 				cfg := core.DefaultConfig()
 				cfg.InitialFaults = 4
-				return cfg
-			},
+				return &cfg
+			}(),
 		})
 		fed.Start()
 		if err := fed.ScheduleChaos(faults.ScheduleEntry{

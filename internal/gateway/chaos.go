@@ -182,11 +182,13 @@ type ChaosInjectRequest struct {
 	// partition, maintenance).
 	Kind  string   `json:"kind"`
 	Sites []string `json:"sites"`
-	// WindowSec is the per-site maintenance window (rolling maintenance
-	// only; 0 = one federation barrier).
+	// WindowSec is the per-site maintenance window (0 = one federation
+	// barrier). Only rolling maintenance takes it: any other kind with a
+	// nonzero window answers 400.
 	WindowSec float64 `json:"window_sec,omitempty"`
-	// DurationSec, for outages and partitions, schedules the heal that many
-	// simulated seconds later (0 = heal manually via /chaos/heal).
+	// DurationSec schedules the heal that many simulated seconds later (0 =
+	// heal manually via /chaos/heal). Only outages and partitions take it:
+	// rolling maintenance with a nonzero duration answers 400.
 	DurationSec float64 `json:"duration_sec,omitempty"`
 }
 
@@ -209,6 +211,7 @@ func (g *Gateway) handleChaosInject(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	g.admission.Pump()
 	writeJSONStatus(w, http.StatusCreated, gridEventJSON(ev))
 }
 
@@ -250,6 +253,9 @@ func (g *Gateway) handleChaosHeal(w http.ResponseWriter, r *http.Request) {
 	default:
 		httpError(w, http.StatusBadRequest, `want {"id": N} or {"all": true}`)
 		return
+	}
+	if len(healed) > 0 {
+		g.admission.Pump()
 	}
 	writeJSON(w, ChaosHealResponse{Healed: gridEventsJSON(healed)})
 }

@@ -23,12 +23,12 @@ func newChaosCampaign(t testing.TB) (*federation.Federation, *Gateway) {
 	fed := federation.New(federation.Config{
 		Seed: 11,
 		Spec: fedSpec("luxembourg", "nantes", "lyon"),
-		Configure: func(site string, seed int64) core.Config {
+		Profile: func() *core.Config {
 			cfg := core.DefaultConfig()
 			cfg.InitialFaults = 4
 			cfg.EnvMatrixPeriod = 0
-			return cfg
-		},
+			return &cfg
+		}(),
 	})
 	fed.Start()
 	gw := ForFederation(fed)

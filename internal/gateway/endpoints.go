@@ -632,22 +632,51 @@ func (g *Gateway) handleBugsRollup(w http.ResponseWriter, r *http.Request) {
 	trackers := g.liveTrackers(excludedSites(degraded))
 	serveView(w, r, &g.rollup, keyOf(intel.SnapshotVersions(trackers)), 0, false, func() (string, []byte, error) {
 		snaps := intel.SnapshotTrackers(trackers)
-		out := BugsRollupJSON{Degraded: degraded, Rollup: []BugRollupJSON{}}
-		for _, e := range bugs.RollupSorted(rollupFromSnapshots(snaps, state)) {
-			out.Rollup = append(out.Rollup, BugRollupJSON{
-				Signature:       e.Signature,
-				Title:           e.Title,
-				Family:          e.Family,
-				Sites:           e.Sites,
-				Tickets:         e.Tickets,
-				Open:            e.Open,
-				Occurrences:     e.Occurrences,
-				FirstFiledAtSec: e.FirstFiledAt.Seconds(),
-			})
-		}
-		out.Count = len(out.Rollup)
-		return rendered(keyOf(snaps), out)
+		rows := rollupRows(snaps, state)
+		return rendered(keyOf(snaps), BugsRollupJSON{Degraded: degraded, Count: len(rows), Rollup: rows})
 	})
+}
+
+// rollupRows folds tracker snapshots into /bugs/rollup rows, one per
+// signature over the open tickets (every ticket when state is "all"): the
+// sites carrying it in snapshot order, widest burst first, then signature.
+func rollupRows(snaps []intel.TrackerSnapshot, state string) []BugRollupJSON {
+	rows := []BugRollupJSON{}
+	row := map[string]int{} // signature → index in rows
+	for _, snap := range snaps {
+		for k := range snap.List {
+			b := &snap.List[k]
+			if state != "all" && b.State != bugs.Open {
+				continue
+			}
+			i, ok := row[b.Signature]
+			if !ok {
+				i = len(rows)
+				row[b.Signature] = i
+				rows = append(rows, BugRollupJSON{
+					Signature: b.Signature, Title: b.Title, Family: b.Family,
+					FirstFiledAtSec: b.FiledAt.Seconds(),
+				})
+			}
+			r := &rows[i]
+			r.FirstFiledAtSec = min(r.FirstFiledAtSec, b.FiledAt.Seconds())
+			if len(r.Sites) == 0 || r.Sites[len(r.Sites)-1] != snap.Site {
+				r.Sites = append(r.Sites, snap.Site)
+			}
+			r.Tickets++
+			r.Occurrences += b.Occurrences
+			if b.State == bugs.Open {
+				r.Open++
+			}
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Tickets != rows[j].Tickets {
+			return rows[i].Tickets > rows[j].Tickets
+		}
+		return rows[i].Signature < rows[j].Signature
+	})
+	return rows
 }
 
 // ---- status views ----------------------------------------------------------

@@ -57,12 +57,12 @@ func newFederatedCampaign(t testing.TB, d simclock.Time) (*federation.Federation
 	fed := federation.New(federation.Config{
 		Seed: 5,
 		Spec: fedSpec("luxembourg", "nantes"),
-		Configure: func(site string, seed int64) core.Config {
+		Profile: func() *core.Config {
 			cfg := core.DefaultConfig()
 			cfg.InitialFaults = 4
 			cfg.EnvMatrixPeriod = 0
-			return cfg
-		},
+			return &cfg
+		}(),
 	})
 	fed.Start()
 	fed.Advance(d)
@@ -512,12 +512,12 @@ func TestSiteReadsUnblockedByOtherShardAdvance(t *testing.T) {
 		Seed:    9,
 		Spec:    fedSpec("luxembourg", "nantes"),
 		Workers: 1,
-		Configure: func(site string, seed int64) core.Config {
+		Profile: func() *core.Config {
 			cfg := core.DefaultConfig()
 			cfg.InitialFaults = 0
 			cfg.EnvMatrixPeriod = 0
-			return cfg
-		},
+			return &cfg
+		}(),
 	})
 	fed.Start()
 	fed.Advance(simclock.Hour)

@@ -69,12 +69,12 @@
 // of only the shard(s) they touch, and a campaign step holds a shard's
 // write side only while that micro-shard steps (shard.step — the one place
 // the write side is taken). The gateway itself never drives time: Advance
-// is Federation.Advance, whose barrier ticks come back through shard.step
-// as the federation's step gate. A site-scoped read
-// (/sites/A/oar/resources) therefore never waits on an Advance that is busy
-// stepping site B, and a read against cluster A1 does not even wait on a
-// step of A2; that read-availability property is asserted by
-// TestSiteReadsUnblockedByOtherShardAdvance.
+// calls Federation.Advance, whose barrier ticks come back through
+// shard.step as the federation's step gate, then pumps the admission queue.
+// A site-scoped read (/sites/A/oar/resources) therefore never waits on an
+// Advance that is busy stepping site B, and a read against cluster A1 does
+// not even wait on a step of A2; that read-availability property is
+// asserted by TestSiteReadsUnblockedByOtherShardAdvance.
 // Merged endpoints (/oar/resources and friends) scatter over the shards,
 // snapshotting each under its own read lock, and gather the merged answer
 // outside any lock. Subsystems guard their own state with their own
@@ -194,8 +194,8 @@ type Gateway struct {
 	// endpoints inject and heal grid events (see chaos.go).
 	chaos ChaosController
 
-	// lockHold samples how long campaign steps hold shard write locks —
-	// the advance-side half of the E16 p99 investigation (AdvanceLockStats).
+	// lockHold samples how long campaign steps hold shard write locks
+	// (AdvanceLockStats), the advance-side half of a read's wait on a step.
 	lockHold latencyStat
 
 	// admission routes unanchored submissions through the grid admission
@@ -219,7 +219,7 @@ type Gateway struct {
 // cluster's OAR, Reference API store, monitor, bug tracker and CI server
 // is served behind that micro-shard's own lock, labeled with the owning
 // site; shards sharing a site serve it together in cluster order. Time has
-// one driver, the federation's barrier engine: Gateway.Advance is
+// one driver, the federation's barrier engine: Gateway.Advance calls
 // Federation.Advance, and every micro-shard step that makes comes back
 // through the step gate below to run under the owning gateway shard's write
 // lock — so downed sites freeze all of their micro-shards, heals replay
@@ -303,15 +303,13 @@ func ForFederation(fed *federation.Federation) *Gateway {
 	})
 	// Grid admission over every site (micro-shards group under their site):
 	// unanchored submissions route to the least-loaded live site or queue
-	// against freed capacity; the federation's grid listener pumps the queue
-	// on every advance and chaos transition so a site outage fails queued
-	// reservations fast.
+	// against freed capacity; Advance and the /chaos endpoints pump the
+	// queue so a site outage fails queued reservations fast.
 	var backends []admit.Backend
 	for _, site := range g.sites {
 		backends = append(backends, &siteBackend{g: g, site: site})
 	}
 	g.admission = admit.New(fed.Now, backends)
-	fed.SetGridListener(g.pumpAdmission)
 	return g
 }
 
@@ -320,10 +318,13 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// Advance steps the served campaign by d of simulated time — it is
-// Federation.Advance, which fires the grid listener (the admission pump) on
-// return; requests against a shard that is not mid-step proceed throughout.
-func (g *Gateway) Advance(d simclock.Time) { g.fed.Advance(d) }
+// Advance steps the served campaign by d of simulated time through
+// Federation.Advance, then pumps the admission queue; requests against a
+// shard that is not mid-step proceed throughout.
+func (g *Gateway) Advance(d simclock.Time) {
+	g.fed.Advance(d)
+	g.admission.Pump()
+}
 
 // shardFor returns the site's shard carrying the given cluster label, or
 // nil.

@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/bugs"
 	"repro/internal/intel"
 	"repro/internal/refapi"
 	"repro/internal/wire"
@@ -294,7 +293,7 @@ func (g *Gateway) handleReliabilityTrend(w http.ResponseWriter, r *http.Request)
 	trend, ver := g.reliability.Latest()
 	if trend == nil {
 		httpError(w, http.StatusNotFound,
-			"no reliability trend computed yet; run a fleet sweep (g5ktest -reliability) and install it with SetReliabilityTrend")
+			"no reliability trend computed yet; run a fleet sweep (g5kapi -reliability N) and install it with SetReliabilityTrend")
 		return
 	}
 	key := "r" + strconv.Itoa(ver)
@@ -305,22 +304,4 @@ func (g *Gateway) handleReliabilityTrend(w http.ResponseWriter, r *http.Request)
 		body, err := wire.MarshalIndent(trend)
 		return key, append(body, '\n'), err
 	})
-}
-
-// rollupFromSnapshots folds pre-read tracker snapshots into the /bugs/rollup
-// accumulator (the snapshot already copied each site's tickets, so no
-// further gating is needed).
-func rollupFromSnapshots(snaps []intel.TrackerSnapshot, state string) map[string]*bugs.RollupEntry {
-	acc := map[string]*bugs.RollupEntry{}
-	for i := range snaps {
-		tickets := snaps[i].List
-		list := make([]*bugs.Bug, 0, len(tickets))
-		for k := range tickets {
-			if state == "all" || tickets[k].State == bugs.Open {
-				list = append(list, &tickets[k])
-			}
-		}
-		bugs.RollupInto(acc, snaps[i].Site, list)
-	}
-	return acc
 }

@@ -426,6 +426,66 @@ func TestFederatedVersionHint(t *testing.T) {
 	}
 }
 
+// TestRollupFoldsBurstToOneRoot holds rollupRows, the /bugs/rollup fold,
+// to its rules on three per-site tracker snapshots, as a site outage
+// produces them: the same grid signature filed on every surviving site,
+// plus one local bug.
+func TestRollupFoldsBurstToOneRoot(t *testing.T) {
+	snapshot := func(site string, at simclock.Time, sigs ...string) (intel.TrackerSnapshot, *bugs.Tracker) {
+		c := simclock.New(1)
+		c.RunFor(at)
+		tr := bugs.NewTracker(c)
+		for _, sig := range sigs {
+			tr.File(sig, "title for "+sig, "grid", "lyon")
+		}
+		return intel.TrackerSnapshot{Site: site, List: tr.Snapshot()}, tr
+	}
+	a, nancy := snapshot("nancy", simclock.Week, "site-outage:lyon")
+	b, _ := snapshot("nantes", 2*simclock.Week, "site-outage:lyon", "site-outage:lyon") // dup = occurrence bump
+	c, _ := snapshot("lyon", 3*simclock.Week, "disk-dying:node-7")
+	if bug := nancy.BySignature("site-outage:lyon"); bug != nil {
+		nancy.Fix(bug.ID)
+	}
+	a.List = nancy.Snapshot()
+	snaps := []intel.TrackerSnapshot{a, b, c}
+
+	out := rollupRows(snaps, "all")
+	if len(out) != 2 {
+		t.Fatalf("rollup rows = %d, want 2", len(out))
+	}
+	// Widest burst first.
+	top := out[0]
+	if top.Signature != "site-outage:lyon" || top.Tickets != 2 {
+		t.Fatalf("top row = %+v", top)
+	}
+	if !slices.Equal(top.Sites, []string{"nancy", "nantes"}) {
+		t.Fatalf("top sites = %v", top.Sites)
+	}
+	if top.Open != 1 {
+		t.Fatalf("top open = %d, want 1 (nancy's ticket fixed)", top.Open)
+	}
+	if top.Occurrences != 3 {
+		t.Fatalf("top occurrences = %d, want 3 (nantes re-filed once)", top.Occurrences)
+	}
+	if top.FirstFiledAtSec != simclock.Week.Seconds() {
+		t.Fatalf("FirstFiledAtSec = %v, want 1w", top.FirstFiledAtSec)
+	}
+	if out[1].Signature != "disk-dying:node-7" || out[1].Tickets != 1 {
+		t.Fatalf("second row = %+v", out[1])
+	}
+
+	// Without state=all only open tickets count: nancy's fixed one drops
+	// out, and with it nancy. Both rows now hold one ticket, so the
+	// signature orders them.
+	open := rollupRows(snaps, "open")
+	if len(open) != 2 || open[0].Signature != "disk-dying:node-7" {
+		t.Fatalf("open rollup = %+v", open)
+	}
+	if r := open[1]; r.Tickets != 1 || !slices.Equal(r.Sites, []string{"nantes"}) || r.FirstFiledAtSec != (2*simclock.Week).Seconds() {
+		t.Fatalf("open site-outage row = %+v", r)
+	}
+}
+
 // TestBugsRollupETag is the rollup satellite: /bugs/rollup carries a strong
 // ETag keyed by the per-site tracker versions, 304s while nothing mutates,
 // and moves on any filing — dedup bumps included.
@@ -635,12 +695,12 @@ func TestIntelSerialParallelDeterminism(t *testing.T) {
 		fed := federation.New(federation.Config{
 			Seed: 20, Workers: workers,
 			Spec: fedSpec("luxembourg", "nantes", "lyon", "sophia"),
-			Configure: func(site string, seed int64) core.Config {
+			Profile: func() *core.Config {
 				cfg := core.DefaultConfig()
 				cfg.InitialFaults = 10
 				cfg.EnvMatrixPeriod = 0
-				return cfg
-			},
+				return &cfg
+			}(),
 		})
 		fed.Start()
 		if err := fed.ScheduleChaos(

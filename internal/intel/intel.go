@@ -20,7 +20,7 @@
 //   - reliability.go — fleet reliability sweeps. A core.RunFleet result
 //     (N independently seeded campaigns) becomes a Trend: per-week
 //     mean ± spread confidence bands, rendered identically by the CLI
-//     (g5ktest -reliability) and the gateway (GET /reliability/trend)
+//     (g5ktest -seeds N) and the gateway (GET /reliability/trend)
 //     through the one shared renderer, and stored versioned in a
 //     TrendStore so the gateway can ETag it.
 //

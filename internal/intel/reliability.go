@@ -80,7 +80,7 @@ func TrendFromFleet(res *core.FleetResult, baseSeed int64, weeks int) *Trend {
 }
 
 // RenderText writes the human-facing report. This is the ONE renderer:
-// g5ktest -reliability prints it from a locally computed Trend, and a
+// g5ktest -seeds N prints it from a locally computed Trend, and a
 // gateway client prints it from the decoded /reliability/trend body — the
 // render-equality test holds both outputs byte-for-byte equal.
 func (t *Trend) RenderText(w io.Writer) {

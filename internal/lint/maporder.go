@@ -31,9 +31,10 @@ var emitMethods = map[string]bool{
 // afterwards, or emitting (fmt, Write*, Encode) from inside the loop
 // body. Go randomizes map iteration per run, so both patterns produce
 // output that differs between bit-identical campaigns — the exact bug
-// class that would silently break the E17 merged-summary determinism
-// gate. Collect, sort, then emit; loops that only aggregate into scalars
-// or other maps are order-independent and not flagged.
+// class that would silently break the merged summaries
+// TestFederationSerialParallelDeterminism holds to its golden. Collect,
+// sort, then emit; loops that only aggregate into scalars or other maps
+// are order-independent and not flagged.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "no slice appends or output emission in map-iteration order without a subsequent sort",

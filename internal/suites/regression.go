@@ -9,7 +9,7 @@ package suites
 // conclusions" scenario of slide 13, detected before the next user hits it.
 //
 // Regression tests are NOT part of the paper's 751 configurations; they are
-// registered separately (see core.Config.Experiments).
+// registered separately (see core.Framework.AddExperiments).
 
 import (
 	"fmt"
@@ -82,13 +82,6 @@ func (e *Experiment) Validate(tb *testbed.Testbed) error {
 		return fmt.Errorf("suites: experiment %s needs a positive tolerance", e.Name)
 	}
 	return nil
-}
-
-func describeDisk(cl *testbed.Cluster) (testbed.Disk, error) {
-	if len(cl.Nodes[0].Inv.Disks) == 0 {
-		return testbed.Disk{}, fmt.Errorf("suites: cluster %s has no disks", cl.Name)
-	}
-	return cl.Nodes[0].Inv.Disks[0], nil
 }
 
 // RegressionTests wraps experiments into schedulable tests of the

@@ -154,14 +154,13 @@ func TestRelativeDeviation(t *testing.T) {
 // expectedBaseline computes the healthy-testbed result of an experiment's
 // workload — what the owner would have measured when donating it.
 func expectedBaseline(tb *testbed.Testbed, e *Experiment) float64 {
-	cl := tb.Cluster(e.Cluster)
 	switch e.Workload {
 	case WorkloadDiskIO:
-		ref, err := describeDisk(cl)
-		if err != nil {
+		disks := tb.Cluster(e.Cluster).Nodes[0].Inv.Disks
+		if len(disks) == 0 {
 			return 0
 		}
-		return expectedReadMBps(ref)
+		return expectedReadMBps(disks[0])
 	case WorkloadCPU:
 		return 1.0 // 1 % run-to-run variance on a well-configured node
 	case WorkloadMPI:
