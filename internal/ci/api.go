@@ -7,20 +7,22 @@ package ci
 
 import (
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/wire"
 )
 
-// JobJSON is the wire form of a job summary.
+// JobJSON is the wire form of a job summary; Last* name its newest completed build.
 type JobJSON struct {
-	Name        string `json:"name"`
-	Description string `json:"description,omitempty"`
-	Matrix      bool   `json:"matrix"`
-	CellCount   int    `json:"cell_count"`
-	LastBuild   int    `json:"last_build,omitempty"`
-	LastResult  string `json:"last_result,omitempty"`
+	Name           string  `json:"name"`
+	Description    string  `json:"description,omitempty"`
+	Matrix         bool    `json:"matrix"`
+	CellCount      int     `json:"cell_count"`
+	LastBuild      int     `json:"last_build,omitempty"`
+	LastResult     string  `json:"last_result,omitempty"`
+	LastEndedAtSec float64 `json:"last_ended_at_sec,omitempty"`
 }
 
 // BuildJSON is the wire form of one build.
@@ -71,8 +73,8 @@ func buildJSON(b *Build, withLog bool) BuildJSON {
 
 // Handler returns the REST API as an http.Handler:
 //
-//	GET  /api/json                    → server summary (jobs, queue, executors)
-//	GET  /job/{name}/api/json         → job detail + retained builds
+//	GET  /api/json                    → server summary (jobs, queue, executors); a status grid's simple cells
+//	GET  /job/{name}/api/json         → job detail + retained builds; a status trend's every job, a grid's matrix jobs
 //	GET  /job/{name}/{n}/api/json     → one build, with log
 //	POST /job/{name}/build?token=T    → trigger (token access control)
 func (s *Server) Handler() http.Handler {
@@ -107,6 +109,7 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	// One read lock: the counters and every job's last result are one instant.
 	s.mu.RLock()
 	out := RootJSON{QueueLength: len(s.queue), Executors: s.executors, Busy: s.running, TotalBuilds: s.builtCount}
+	out.Jobs = slices.Grow(out.Jobs, len(s.jobOrder)) // still nil, listed null, without jobs
 	for _, name := range s.jobOrder {
 		out.Jobs = append(out.Jobs, jobJSON(s.jobs[name]))
 	}
@@ -120,6 +123,7 @@ func jobJSON(j *Job) JobJSON {
 	if last := j.lastCompleted(); last != nil {
 		out.LastBuild = last.Number
 		out.LastResult = last.Result.String()
+		out.LastEndedAtSec = last.EndedAt.Seconds()
 	}
 	return out
 }
@@ -141,6 +145,7 @@ func (s *Server) jobDetail(name string) (out JobDetailJSON, ok bool) {
 		return out, false
 	}
 	out.JobJSON = jobJSON(j)
+	out.Builds = slices.Grow(out.Builds, j.nbuilds) // still nil, listed null, without builds
 	for i := 0; i < j.nbuilds; i++ {
 		out.Builds = append(out.Builds, buildJSON(j.buildAt(i), false))
 	}

@@ -2,6 +2,7 @@ package ci
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -233,11 +234,52 @@ func TestAPIUnencodableBodyAnswers500(t *testing.T) {
 	}
 }
 
+// TestAPILastEndedAt: a job summary names its last completed build's end
+// time beside its number and result, in the root and in the job detail, and
+// leaves it out until the job's first build completes.
+func TestAPILastEndedAt(t *testing.T) {
+	c, s, ts := apiServer(t)
+	raw := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	s.Trigger("smoke", "t") // queued, not completed: nothing to name yet
+	for _, path := range []string{"/api/json", "/job/smoke/api/json"} {
+		if body := raw(path); strings.Contains(body, "last_ended_at_sec") {
+			t.Fatalf("%s names an end time before any build completed:\n%s", path, body)
+		}
+	}
+	c.Run()
+	var root RootJSON
+	getJSON(t, ts.URL+"/api/json", &root)
+	var jd JobDetailJSON
+	getJSON(t, ts.URL+"/job/smoke/api/json", &jd)
+	if len(jd.Builds) != 1 || jd.LastBuild != jd.Builds[0].Number {
+		t.Fatalf("job detail = %+v", jd)
+	}
+	if want := jd.Builds[0].EndedAtSec; want == 0 || jd.LastEndedAtSec != want || root.Jobs[0].LastEndedAtSec != want {
+		t.Fatalf("last_ended_at_sec: detail %v, root %v; build ended at %v",
+			jd.LastEndedAtSec, root.Jobs[0].LastEndedAtSec, want)
+	}
+	if root.Jobs[1].LastEndedAtSec != 0 {
+		t.Fatalf("a job that never ran names an end time: %+v", root.Jobs[1])
+	}
+}
+
 // TestAPIJobDetailIsOneSnapshot reads a matrix job's detail from several
 // goroutines while its builds complete on the executor pool. Every response
 // must be one instant of the server: last_build is the newest completed
-// top-level build the listing shows, and a completed parent lists only
-// completed cells. Run with -race.
+// top-level build the listing shows, last_ended_at_sec is when that build
+// ended, and a completed parent lists only completed cells. Run with -race.
 func TestAPIJobDetailIsOneSnapshot(t *testing.T) {
 	c := simclock.New(7)
 	s := NewServer(c, Options{NumExecutors: 3})
@@ -274,15 +316,19 @@ func TestAPIJobDetailIsOneSnapshot(t *testing.T) {
 					return
 				}
 				building := map[int]bool{}
-				newestDone := 0
+				newestDone, newestEnded := 0, 0.0
 				for _, b := range d.Builds {
 					building[b.Number] = b.Building
 					if !b.Building && b.Parent == 0 {
-						newestDone = b.Number
+						newestDone, newestEnded = b.Number, b.EndedAtSec
 					}
 				}
 				if d.LastBuild != newestDone {
 					t.Errorf("last_build = %d beside a listing whose newest completed build is %d", d.LastBuild, newestDone)
+					return
+				}
+				if d.LastEndedAtSec != newestEnded {
+					t.Errorf("last_ended_at_sec = %v beside a listing whose build %d ended at %v", d.LastEndedAtSec, newestDone, newestEnded)
 					return
 				}
 				for _, b := range d.Builds {
@@ -297,7 +343,8 @@ func TestAPIJobDetailIsOneSnapshot(t *testing.T) {
 			}
 		}()
 	}
-	for round := 0; round < minRounds || reads.Load() < minReads; round++ {
+	// A failing reader stops reading: stop triggering too, or this never ends.
+	for round := 0; !t.Failed() && (round < minRounds || reads.Load() < minReads); round++ {
 		if _, err := s.Trigger("envs", "t"); err != nil {
 			t.Fatal(err)
 		}
