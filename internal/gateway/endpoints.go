@@ -12,12 +12,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 
 	"repro/internal/admit"
 	"repro/internal/bugs"
-	"repro/internal/ci"
 	"repro/internal/intel"
 	"repro/internal/monitor"
 	"repro/internal/oar"
@@ -768,18 +768,18 @@ func (g *Gateway) handleStatusTrend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	degraded := g.degradedMarker()
-	var builds []ci.BuildJSON
+	var parts [][]status.Build
 	for _, s := range liveShards(g.shards, degraded) {
-		var part []ci.BuildJSON
+		var part []status.Build
 		var gerr error
 		s.rlocked(func() { part, gerr = s.statusClient.AllBuilds() })
 		if gerr != nil {
 			httpError(w, http.StatusBadGateway, gerr.Error())
 			return
 		}
-		builds = append(builds, part...)
+		parts = append(parts, part)
 	}
-	points := status.Trend(builds, bucket)
+	points := status.Trend(slices.Concat(parts...), bucket)
 	if points == nil {
 		points = []status.TrendPoint{}
 	}

@@ -8,19 +8,22 @@
 //
 // Three views are produced:
 //
-//   - Grid: test family × target (cluster or site), latest result;
+//   - Grid: test family × target (cluster or site), latest result, from the
+//     CI summary (/api/json) and each matrix job's detail;
 //   - TargetReport: one column of the grid, for a single cluster/site;
 //   - Trend: success rate over time buckets, the "85 % in February → 93 %
-//     today" series of slide 23.
+//     today" series of slide 23, from every job's detail.
 package status
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/ci"
@@ -59,8 +62,11 @@ func NewLocalClient(h http.Handler) *Client {
 	return NewClientWith("http://ci.local", inproc.Client(h))
 }
 
+// bodies recycles the buffers get reads response bodies into.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // get fetches and decodes one API response; any status but 200 is an
-// error naming it.
+// error naming it. json.Unmarshal copies what it keeps out of the buffer.
 func (c *Client) get(path string, v any) error {
 	resp, err := c.http.Get(c.base + path)
 	if err != nil {
@@ -71,7 +77,12 @@ func (c *Client) get(path string, v any) error {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		return fmt.Errorf("status: GET %s: %s", path, resp.Status)
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() { buf.Reset(); bodies.Put(buf) }()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), v)
 }
 
 // Root fetches the server summary.
@@ -81,26 +92,43 @@ func (c *Client) Root() (ci.RootJSON, error) {
 	return out, err
 }
 
-// JobDetail fetches one job with its retained builds.
-func (c *Client) JobDetail(name string) (ci.JobDetailJSON, error) {
-	var out ci.JobDetailJSON
+// Build is the part of a build record (ci.BuildJSON) that the grid and the
+// trend read; job, cause, bug signatures and the other axes are skipped.
+type Build struct {
+	Number int `json:"number"`
+	Parent int `json:"parent"` // a matrix cell's parent build
+	Cell   struct {
+		Cluster string `json:"cluster"`
+	} `json:"cell"` // zero unless a matrix cell
+	CellBuilds []int   `json:"cell_builds"` // a matrix parent's cells
+	Result     string  `json:"result"`
+	Building   bool    `json:"building"`
+	EndedAtSec float64 `json:"ended_at_sec"`
+}
+
+// jobBuilds fetches one job's retained builds into reuse's array, zeroed
+// first: json.Unmarshal keeps what a body leaves out of an element.
+func (c *Client) jobBuilds(name string, reuse []Build) ([]Build, error) {
+	clear(reuse[:cap(reuse)])
+	out := struct {
+		Builds []Build `json:"builds"`
+	}{reuse[:0]}
 	err := c.get("/job/"+name+"/api/json", &out)
-	return out, err
+	return out.Builds, err
 }
 
 // AllBuilds fetches every retained build of every job.
-func (c *Client) AllBuilds() ([]ci.BuildJSON, error) {
+func (c *Client) AllBuilds() ([]Build, error) {
 	root, err := c.Root()
 	if err != nil {
 		return nil, err
 	}
-	var out []ci.BuildJSON
+	var out, job []Build
 	for _, j := range root.Jobs {
-		jd, err := c.JobDetail(j.Name)
-		if err != nil {
+		if job, err = c.jobBuilds(j.Name, job); err != nil {
 			return nil, err
 		}
-		out = append(out, jd.Builds...)
+		out = append(out, job...)
 	}
 	return out, nil
 }
@@ -129,9 +157,10 @@ func splitJobName(name string) (family, target string, ok bool) {
 }
 
 // BuildGrid assembles the per-test × per-target matrix from the CI API.
-// Simple jobs named "family/target" contribute their last completed result;
-// the environments matrix job contributes one entry per cluster, the worst
-// result across that cluster's images in the latest completed parent build.
+// Simple jobs named "family/target" contribute the last completed build the
+// summary names; the environments matrix job contributes one entry per
+// cluster, the worst result across that cluster's images in the latest
+// completed parent build.
 func (c *Client) BuildGrid() (*Grid, error) {
 	root, err := c.Root()
 	if err != nil {
@@ -160,15 +189,7 @@ func (c *Client) BuildGrid() (*Grid, error) {
 		if !ok || j.LastBuild == 0 {
 			continue
 		}
-		jd, err := c.JobDetail(j.Name)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range jd.Builds {
-			if b.Number == j.LastBuild {
-				put(family, target, CellStatus{Result: b.Result, Build: b.Number, AtSec: b.EndedAtSec})
-			}
-		}
+		put(family, target, CellStatus{Result: j.LastResult, Build: j.LastBuild, AtSec: j.LastEndedAtSec})
 	}
 
 	g.Families = make([]string, 0, len(famSet))
@@ -187,34 +208,24 @@ func (c *Client) BuildGrid() (*Grid, error) {
 // mergeMatrix folds the latest completed parent build of a matrix job into
 // the grid, one entry per distinct "cluster" axis value.
 func (c *Client) mergeMatrix(g *Grid, jobName string, put func(string, string, CellStatus)) error {
-	jd, err := c.JobDetail(jobName)
+	builds, err := c.jobBuilds(jobName, nil)
 	if err != nil {
 		return err
 	}
 	// Latest completed parent.
-	var parent *ci.BuildJSON
-	for i := range jd.Builds {
-		b := &jd.Builds[i]
-		if b.Cell == nil && !b.Building && len(b.CellBuilds) > 0 {
-			if parent == nil || b.Number > parent.Number {
-				parent = b
-			}
+	var parent *Build
+	for i := range builds { // listed oldest first
+		if b := &builds[i]; !b.Building && len(b.CellBuilds) > 0 {
+			parent = b
 		}
 	}
 	if parent == nil {
 		return nil
 	}
-	inParent := make(map[int]bool, len(parent.CellBuilds))
-	for _, n := range parent.CellBuilds {
-		inParent[n] = true
-	}
 	worst := make(map[string]CellStatus, 32)
-	for _, b := range jd.Builds {
-		if b.Cell == nil || !inParent[b.Number] {
-			continue
-		}
-		cluster := b.Cell["cluster"]
-		if cluster == "" {
+	for _, b := range builds {
+		cluster := b.Cell.Cluster
+		if cluster == "" || b.Parent != parent.Number {
 			continue
 		}
 		cur, seen := worst[cluster]
@@ -285,17 +296,17 @@ func (g *Grid) OKRate() float64 {
 // tags are its wire form on the gateway's /status/trend endpoint.
 type TrendPoint struct {
 	BucketStartSec float64 `json:"bucket_start_sec"`
-	Total          int     `json:"total"` // completed verdicts (success+failure)
+	Total          int     `json:"total"` // completed verdicts (SUCCESS, FAILURE or ABORTED)
 	Success        int     `json:"success"`
 	Unstable       int     `json:"unstable"` // tracked separately: could-not-run is not a verdict
 	Rate           float64 `json:"rate"`
 }
 
 // Trend buckets completed builds by EndedAt and computes the success rate
-// per bucket, counting only builds that produced a verdict (SUCCESS or
-// FAILURE); UNSTABLE builds could not run and are reported separately.
+// per bucket, counting only verdicts (SUCCESS, and FAILURE or ABORTED as
+// failures); UNSTABLE builds could not run and are reported separately.
 // Matrix parents are skipped (their cells are already counted).
-func Trend(builds []ci.BuildJSON, bucketSec float64) []TrendPoint {
+func Trend(builds []Build, bucketSec float64) []TrendPoint {
 	if bucketSec <= 0 {
 		return nil
 	}

@@ -113,10 +113,12 @@ func TestGridBeforeAnyBuild(t *testing.T) {
 }
 
 func TestTrend(t *testing.T) {
-	builds := []ci.BuildJSON{
+	builds := []Build{
 		{Result: "SUCCESS", EndedAtSec: 10},
 		{Result: "FAILURE", EndedAtSec: 20},
 		{Result: "UNSTABLE", EndedAtSec: 30},
+		// a verdict, and a failed one
+		{Result: "ABORTED", EndedAtSec: 40},
 		{Result: "SUCCESS", EndedAtSec: 100},
 		{Result: "SUCCESS", EndedAtSec: 110},
 		// matrix parent: skipped
@@ -128,7 +130,7 @@ func TestTrend(t *testing.T) {
 	if len(pts) != 2 {
 		t.Fatalf("points = %+v", pts)
 	}
-	if pts[0].Total != 2 || pts[0].Success != 1 || pts[0].Unstable != 1 || pts[0].Rate != 0.5 {
+	if pts[0].Total != 3 || pts[0].Success != 1 || pts[0].Unstable != 1 || pts[0].Rate != 1.0/3 {
 		t.Fatalf("bucket 0 = %+v", pts[0])
 	}
 	if pts[1].Total != 2 || pts[1].Rate != 1.0 {
@@ -147,13 +149,13 @@ func TestTrendBucketBoundaries(t *testing.T) {
 	if pts := Trend(nil, 60); len(pts) != 0 {
 		t.Fatalf("empty input produced %+v", pts)
 	}
-	if Trend([]ci.BuildJSON{{Result: "SUCCESS"}}, -5) != nil {
+	if Trend([]Build{{Result: "SUCCESS"}}, -5) != nil {
 		t.Fatal("negative bucket accepted")
 	}
 
 	const day = 86400.0
 	const week = 7 * day
-	builds := []ci.BuildJSON{
+	builds := []Build{
 		// Exactly on the epoch: first bucket.
 		{Result: "SUCCESS", EndedAtSec: 0},
 		// Last instant of week 0 vs exactly the week-1 boundary: the
@@ -180,7 +182,7 @@ func TestTrendBucketBoundaries(t *testing.T) {
 
 	// A bucket holding only an UNSTABLE build has no verdicts: rate 0,
 	// unstable counted separately.
-	pts = Trend([]ci.BuildJSON{{Result: "UNSTABLE", EndedAtSec: 30}}, 60)
+	pts = Trend([]Build{{Result: "UNSTABLE", EndedAtSec: 30}}, 60)
 	if len(pts) != 1 || pts[0].Total != 0 || pts[0].Unstable != 1 || pts[0].Rate != 0 {
 		t.Fatalf("unstable-only bucket = %+v", pts)
 	}
@@ -267,7 +269,7 @@ func TestClientErrors(t *testing.T) {
 		t.Fatal("no error from dead server")
 	}
 	_, _, live := fixture(t)
-	if _, err := live.JobDetail("ghost"); err == nil {
+	if _, err := live.jobBuilds("ghost", nil); err == nil {
 		t.Fatal("ghost job accepted")
 	}
 	// A failing upstream is asked once: riding out an outage is the
