@@ -68,16 +68,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # cli-smoke runs the programs no test runs: g5ktest's monolithic, fleet and
-# federated modes for one simulated week each, and every examples/ program.
-# Each must exit 0; their output is discarded. The binaries go to
-# $(SMOKE_DIR) (git-ignored).
+# federated modes for one simulated week each, checknode's sweep of one
+# healthy cluster, and every examples/ program. Each must exit 0; their
+# output is discarded. The binaries go to $(SMOKE_DIR) (git-ignored).
 SMOKE_DIR ?= smoke
 cli-smoke:
 	mkdir -p $(SMOKE_DIR)
-	$(GO) build -o $(SMOKE_DIR)/ ./cmd/g5ktest ./examples/...
+	$(GO) build -o $(SMOKE_DIR)/ ./cmd/g5ktest ./cmd/checknode ./examples/...
 	$(SMOKE_DIR)/g5ktest -quiet -weeks 1 > /dev/null
 	$(SMOKE_DIR)/g5ktest -seeds 2 -weeks 1 > /dev/null
 	$(SMOKE_DIR)/g5ktest -federated -weeks 1 > /dev/null
+	$(SMOKE_DIR)/checknode -cluster griffon > /dev/null
 	for ex in examples/*/; do $(SMOKE_DIR)/$$(basename $$ex) > /dev/null || exit 1; done
 
 # profile runs the two campaign shapes — 10 monolithic weeks, 3 federated

@@ -4,12 +4,11 @@
 //
 // Usage:
 //
-//	checknode [-cluster NAME | -node NAME] [-inject KIND] [-seed S] [-workers N]
+//	checknode [-cluster NAME | -node NAME] [-inject KIND] [-seed S]
 //
 // Examples:
 //
 //	checknode -cluster griffon
-//	checknode -cluster griffon -workers 8
 //	checknode -node taurus-3.lyon -inject cstates-on
 package main
 
@@ -30,7 +29,6 @@ func main() {
 	node := flag.String("node", "", "check a single node")
 	inject := flag.String("inject", "", "inject this fault kind on the target before checking")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	workers := flag.Int("workers", 1, "parallel sweep fan-out for cluster checks")
 	flag.Parse()
 
 	if (*cluster == "") == (*node == "") {
@@ -71,19 +69,7 @@ func main() {
 		}
 		printReport(rep, &exit)
 	} else {
-		var reports []*checks.Report
-		var failing []string
-		var err error
-		if *workers > 1 {
-			// Parallel sweeps run on simulation goroutines; drive the clock
-			// from here, the way the CI server drives its executor pool.
-			clock.Go(func() {
-				reports, failing, err = checker.CheckClusterParallel(*cluster, *workers)
-			})
-			clock.Run()
-		} else {
-			reports, failing, err = checker.CheckCluster(*cluster)
-		}
+		reports, failing, err := checker.CheckCluster(*cluster)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -93,14 +93,15 @@
 //   - internal/sched — the external test scheduler (the paper's core
 //     custom development)
 //   - internal/ci — the Jenkins-like automation server
-//   - internal/simclock — the virtual clock, event queue and run-token
-//     goroutines everything above runs on. Its steady state allocates
-//     nothing, under one rule: a *Event returned by At or After is never
-//     reused (Cancel on a fired handle stays a no-op for good), while
-//     events nobody holds a handle to (Clock.Schedule, the wake-ups
-//     behind Sleep) are recycled per clock, a Ticker re-arms its one
-//     event, Clock.Arm schedules an event embedded in the caller's own
-//     struct, and finished simulation goroutines park for the next Go
+//   - internal/simclock — the virtual clock and event queue everything
+//     above runs on, as events only: a CI build's completion and a
+//     verification sweep's next check are events like any other. Its
+//     steady state allocates nothing, under one rule: a *Event returned
+//     by At or After is never reused (Cancel on a fired handle stays a
+//     no-op for good), while events nobody holds a handle to
+//     (Clock.Schedule) are recycled per clock, a Ticker re-arms its one
+//     event, and Clock.Arm schedules an event embedded in the caller's
+//     own struct
 //   - internal/testbed, refapi, oar, kadeploy, kavlan, monitor, checks,
 //     faults, bugs — the simulated substrate
 //   - internal/lint — the custom static-analysis suite (cmd/g5kvet is
@@ -111,8 +112,8 @@
 //     packages), globalrand (no process-global math/rand), maporder (no
 //     map-iteration order leaking into slices or emitted output),
 //     atomicfield (all-or-nothing sync/atomic per struct field) and
-//     baregoroutine (in-sim goroutines go through the simclock run
-//     token). Findings are suppressed only by a //g5k:allow <analyzer>
+//     baregoroutine (no goroutines in simulation packages: in-sim work
+//     is a clock event). Findings are suppressed only by a //g5k:allow <analyzer>
 //     <reason> directive; the reason is mandatory. One rule needs the
 //     whole module at once, so it is a test rather than an analyzer:
 //     TestEveryExportHasAProductCaller fails on any exported identifier

@@ -9,15 +9,16 @@
 // clusters).
 //
 // The verification hot path is allocation-free: CheckNodeInto borrows the
-// node's live inventory (no clone — the simulation's run token serializes
-// it against fault mutations) and diffs it field-by-field into a reused
-// report buffer; strings are only built for fields that diverge. Cluster
-// and whole-testbed sweeps shard the nodes across simulation goroutines
-// (CheckClusterParallel / CheckTestbedParallel), the same run-token
-// concurrency the CI executor pool uses.
+// node's live inventory (no clone — clock events run one at a time, so no
+// fault mutates it mid-check) and diffs it field-by-field into a reused
+// report buffer; strings are only built for fields that diverge. A cluster
+// sweep (CheckClusterInto) checks its nodes one after the other, at one
+// instant; the whole-testbed sweep (CheckTestbedParallel) shards the nodes
+// over chains of clock events, each check costing simulated time.
 package checks
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -64,13 +65,6 @@ type Checker struct {
 	tb    *testbed.Testbed
 	ref   *refapi.Store
 
-	// CheckCost is the simulated time one node check occupies during
-	// parallel sweeps (the real g5k-checks takes tens of seconds per boot).
-	// Zero — the default — keeps sweeps instantaneous in simulated time,
-	// preserving the timing of campaigns that predate parallel sweeps. Set
-	// it before starting sweeps, not concurrently with one.
-	CheckCost simclock.Time
-
 	runs atomic.Int64
 }
 
@@ -79,8 +73,8 @@ func NewChecker(clock *simclock.Clock, tb *testbed.Testbed, ref *refapi.Store) *
 	return &Checker{clock: clock, tb: tb, ref: ref}
 }
 
-// Runs returns how many node checks have been performed. Safe to call
-// concurrently with checks running on executor goroutines.
+// Runs returns how many node checks have been performed. Safe to call from
+// any goroutine while checks run in clock events.
 func (c *Checker) Runs() int { return int(c.runs.Load()) }
 
 // CheckNode verifies one node against the current reference description.
@@ -96,8 +90,8 @@ func (c *Checker) CheckNode(node string) (*Report, error) {
 // report's Mismatches slice is reused (truncated and appended to), so a
 // caller sweeping many nodes with one report performs zero allocations per
 // clean node. The live inventory is borrowed for the comparison, not
-// cloned: the diff only reads it, and the simulation's run token (plus the
-// testbed's ownership rules) serializes reads against fault mutations.
+// cloned: the diff only reads it, and the event loop (plus the testbed's
+// ownership rules) serializes reads against fault mutations.
 func (c *Checker) CheckNodeInto(node string, rep *Report) error {
 	c.runs.Add(1)
 	n := c.tb.Node(node)
@@ -118,117 +112,86 @@ func (c *Checker) CheckNodeInto(node string, rep *Report) error {
 // CheckCluster verifies every node of a cluster, returning reports sorted
 // by node name and the list of failing nodes.
 func (c *Checker) CheckCluster(cluster string) ([]*Report, []string, error) {
-	cl := c.tb.Cluster(cluster)
-	if cl == nil {
-		return nil, nil, fmt.Errorf("checks: unknown cluster %q", cluster)
+	slab, err := c.CheckClusterInto(cluster, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	var reports []*Report
+	reports := make([]*Report, len(slab))
 	var failing []string
-	for _, n := range cl.Nodes {
-		r, err := c.CheckNode(n.Name)
-		if err != nil {
-			return nil, nil, err
-		}
-		reports = append(reports, r)
-		if !r.OK {
-			failing = append(failing, n.Name)
-		}
-	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].Node < reports[j].Node })
-	sort.Strings(failing)
-	return reports, failing, nil
-}
-
-// CheckClusterParallel verifies every node of a cluster by sharding the
-// checks across `workers` simulation goroutines, each check occupying
-// CheckCost of simulated time on its worker — the deterministic analogue
-// of fanning g5k-checks out over the management network. Results match
-// CheckCluster: reports sorted by node name plus the failing list.
-//
-// Like the CI executor pool it mirrors, the sweep runs on run-token
-// goroutines: call it from a simulation goroutine (a CI build script, or a
-// function handed to Clock.Go), never from the driver.
-func (c *Checker) CheckClusterParallel(cluster string, workers int) ([]*Report, []string, error) {
-	return results(c.CheckClusterParallelInto(cluster, workers, nil))
-}
-
-// CheckClusterParallelInto is CheckClusterParallel writing its reports over
-// buf (or a new slab when buf is short), returned in node-name order: a test,
-// whose runs never overlap, hands its last result back in and allocates none.
-func (c *Checker) CheckClusterParallelInto(cluster string, workers int, buf []Report) ([]Report, error) {
-	cl := c.tb.Cluster(cluster)
-	if cl == nil {
-		return nil, fmt.Errorf("checks: unknown cluster %q", cluster)
-	}
-	return c.sweep(cl.Nodes, workers, buf)
-}
-
-// CheckTestbedParallel verifies every node of the testbed with a sharded
-// sweep — the whole-campaign version of CheckClusterParallel, with the
-// same calling convention.
-func (c *Checker) CheckTestbedParallel(workers int) ([]*Report, []string, error) {
-	return results(c.sweep(c.tb.Nodes(), workers, nil))
-}
-
-// results is a sweep's slab as one pointer per report plus the failing
-// nodes' names.
-func results(slab []Report, err error) (reports []*Report, failing []string, _ error) {
-	if err == nil {
-		reports = make([]*Report, len(slab))
-	}
 	for i := range slab {
 		reports[i] = &slab[i]
 		if !slab[i].OK {
 			failing = append(failing, slab[i].Node)
 		}
 	}
-	return reports, failing, err
+	return reports, failing, nil
 }
 
-// sweep fans the node list out over `workers` simulation goroutines in a
-// strided shard (worker w checks nodes w, w+workers, ...), joins on a
-// latch, and sorts. Workers write disjoint slots of the slab, so the shards
-// never contend.
-func (c *Checker) sweep(nodes []*testbed.Node, workers int, slab []Report) ([]Report, error) {
-	if workers < 1 {
-		workers = 1
+// CheckClusterInto verifies every node of a cluster, writing the reports
+// over buf (or a new slab when buf is short) in node-name order: a caller
+// whose sweeps never overlap hands its last result back in and allocates
+// none.
+func (c *Checker) CheckClusterInto(cluster string, buf []Report) ([]Report, error) {
+	cl := c.tb.Cluster(cluster)
+	if cl == nil {
+		return nil, fmt.Errorf("checks: unknown cluster %q", cluster)
 	}
-	if workers > len(nodes) {
-		workers = len(nodes)
+	if cap(buf) < len(cl.Nodes) {
+		buf = make([]Report, len(cl.Nodes))
 	}
-	if cap(slab) < len(nodes) {
-		slab = make([]Report, len(nodes))
-	}
-	slab = slab[:len(nodes)]
-	errs := make([]error, workers)
-	latch := c.clock.NewLatch(workers)
-	// One function for all workers: each takes the next shard as it starts.
-	started := 0
-	work := func() {
-		defer latch.Done()
-		w := started
-		started++
-		for i := w; i < len(nodes); i += workers {
-			if err := c.CheckNodeInto(nodes[i].Name, &slab[i]); err != nil {
-				errs[w] = err
-				return
-			}
-			if c.CheckCost > 0 {
-				c.clock.Sleep(c.CheckCost)
-			}
-		}
-	}
-	for w := 0; w < workers; w++ {
-		c.clock.Go(work)
-	}
-	latch.Wait()
-	for _, err := range errs {
-		if err != nil {
+	buf = buf[:len(cl.Nodes)]
+	for i, n := range cl.Nodes {
+		if err := c.CheckNodeInto(n.Name, &buf[i]); err != nil {
 			return nil, err
 		}
 	}
-	slices.SortFunc(slab, func(a, b Report) int { return strings.Compare(a.Node, b.Node) })
-	return slab, nil
+	slices.SortFunc(buf, byNode)
+	return buf, nil
+}
+
+func byNode(a, b Report) int { return strings.Compare(a.Node, b.Node) }
+
+// CheckTestbedParallel verifies every node of the testbed in a sweep
+// sharded over `workers` — the deterministic analogue of fanning g5k-checks
+// out over the management network. Worker w checks nodes w, w+workers, ...
+// as one chain of clock events: each check occupies cost of simulated time
+// before the next, so the sweep takes ⌈nodes/workers⌉ × cost. A worker
+// stops at its first error. Once every chain has ended, done receives the
+// reports in node-name order, or the first error met.
+func (c *Checker) CheckTestbedParallel(workers int, cost simclock.Time, done func([]Report, error)) {
+	nodes := c.tb.Nodes()
+	workers = min(max(workers, 1), len(nodes))
+	slab := make([]Report, len(nodes))
+	if workers == 0 {
+		done(slab, nil)
+		return
+	}
+	var first error
+	left := workers
+	for w := range workers {
+		i := w
+		var check func()
+		check = func() {
+			if i < len(nodes) {
+				err := c.CheckNodeInto(nodes[i].Name, &slab[i])
+				if i += workers; err == nil {
+					c.clock.After(cost, check)
+					return
+				}
+				first = cmp.Or(first, err)
+			}
+			if left--; left > 0 {
+				return
+			}
+			if first != nil {
+				done(nil, first)
+				return
+			}
+			slices.SortFunc(slab, byNode)
+			done(slab, nil)
+		}
+		check()
+	}
 }
 
 // HomogeneityReport lists, for a field extractor, the distinct values seen

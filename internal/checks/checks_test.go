@@ -146,8 +146,8 @@ func TestCheckNodeIntoReusedReportResets(t *testing.T) {
 	}
 }
 
-// The runs counter must be safe under real concurrency: checkers are
-// reachable from CI executor goroutines. Run with -race.
+// The runs counter must be safe under real concurrency: Runs is read from
+// outside the event loop. Run with -race.
 func TestRunsCounterConcurrent(t *testing.T) {
 	_, tb, _, ch := setup()
 	nodes := tb.Cluster("griffon").Nodes
@@ -173,63 +173,57 @@ func TestRunsCounterConcurrent(t *testing.T) {
 	}
 }
 
-// CheckClusterParallel must produce exactly CheckCluster's answer, for any
-// worker count, from a simulation goroutine.
-func TestCheckClusterParallelMatchesSequential(t *testing.T) {
-	clock, _, inj, ch := setup()
+// CheckClusterInto must produce exactly CheckCluster's answer, over a new
+// slab and over one handed back in.
+func TestCheckClusterIntoMatchesCheckCluster(t *testing.T) {
+	_, _, inj, ch := setup()
 	inj.InjectNode(faults.TurboFlip, "helios-3.sophia")
 	inj.InjectNode(faults.WrongKernel, "helios-17.sophia")
-	seqReports, seqFailing, err := ch.CheckCluster("helios")
+	want, _, err := ch.CheckCluster("helios")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3, 4, 100} {
-		var reports []*Report
-		var failing []string
-		var perr error
-		clock.Go(func() { reports, failing, perr = ch.CheckClusterParallel("helios", workers) })
-		clock.Run()
-		if perr != nil {
-			t.Fatal(perr)
+	var buf []Report
+	for round := 0; round < 2; round++ {
+		if buf, err = ch.CheckClusterInto("helios", buf); err != nil {
+			t.Fatal(err)
 		}
-		if len(reports) != len(seqReports) {
-			t.Fatalf("workers=%d: %d reports, want %d", workers, len(reports), len(seqReports))
+		if len(buf) != len(want) {
+			t.Fatalf("round %d: %d reports, want %d", round, len(buf), len(want))
 		}
-		for i := range reports {
-			if reports[i].Node != seqReports[i].Node || reports[i].OK != seqReports[i].OK {
-				t.Fatalf("workers=%d: report %d = %+v, want %+v", workers, i, reports[i], seqReports[i])
+		for i := range buf {
+			if buf[i].Node != want[i].Node || buf[i].OK != want[i].OK || len(buf[i].Mismatches) != len(want[i].Mismatches) {
+				t.Fatalf("round %d: report %d = %+v, want %+v", round, i, buf[i], *want[i])
 			}
 		}
-		if len(failing) != len(seqFailing) || failing[0] != seqFailing[0] || failing[1] != seqFailing[1] {
-			t.Fatalf("workers=%d: failing = %v, want %v", workers, failing, seqFailing)
-		}
 	}
-	if _, _, err := ch.CheckCluster("nimbus"); err == nil {
+	if _, err := ch.CheckClusterInto("nimbus", buf); err == nil {
 		t.Fatal("unknown cluster accepted")
-	}
-	var perr error
-	clock.Go(func() { _, _, perr = ch.CheckClusterParallel("nimbus", 2) })
-	clock.Run()
-	if perr == nil {
-		t.Fatal("parallel sweep accepted unknown cluster")
 	}
 }
 
 // With a per-check simulated cost, a k-worker sweep's makespan shrinks by
-// ~k: the workers genuinely overlap in simulated time.
+// ~k: the workers' event chains genuinely overlap in simulated time.
 func TestParallelSweepOverlapsSimulatedTime(t *testing.T) {
 	makespan := func(workers int) simclock.Time {
 		clock, _, _, ch := setup()
-		ch.CheckCost = 30 * simclock.Second
-		var reports []*Report
+		var reports []Report
 		var err error
-		clock.Go(func() { reports, _, err = ch.CheckTestbedParallel(workers) })
+		calls := 0
+		ch.CheckTestbedParallel(workers, 30*simclock.Second, func(r []Report, e error) {
+			reports, err, calls = r, e, calls+1
+		})
 		clock.Run()
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || calls != 1 {
+			t.Fatalf("done called %d times, error %v", calls, err)
 		}
 		if len(reports) != 894 {
 			t.Fatalf("swept %d nodes, want 894", len(reports))
+		}
+		for i := 1; i < len(reports); i++ {
+			if reports[i-1].Node >= reports[i].Node {
+				t.Fatalf("reports out of node-name order at %d: %s, %s", i, reports[i-1].Node, reports[i].Node)
+			}
 		}
 		return clock.Now()
 	}
@@ -277,33 +271,27 @@ func TestHomogeneityCleanCluster(t *testing.T) {
 var raceDetector bool
 
 // TestSweepAllocationsDoNotGrowWithTheCluster: a sweep handed its last
-// result back allocates a fixed handful of objects (the latch, the workers'
-// function and error slots) whatever the number of nodes — no report, no
-// wake channel, no goroutine — and returns what CheckClusterParallel does.
+// result back allocates nothing whatever the number of nodes — no report,
+// no slab — and returns what CheckCluster does.
 func TestSweepAllocationsDoNotGrowWithTheCluster(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation guards run without the race detector")
 	}
-	clock, tb, inj, ch := setup()
+	_, tb, inj, ch := setup()
 	inj.InjectNode(faults.TurboFlip, "griffon-3.nancy")
 	perSweep := func(cluster string) float64 {
 		var buf []Report
 		sweep := func() {
-			clock.Go(func() {
-				var err error
-				if buf, err = ch.CheckClusterParallelInto(cluster, 4, buf); err != nil {
-					t.Error(err)
-				}
-			})
-			clock.Run()
+			var err error
+			if buf, err = ch.CheckClusterInto(cluster, buf); err != nil {
+				t.Error(err)
+			}
 		}
 		sweep()
 		allocs := testing.AllocsPerRun(50, sweep)
-		var want []*Report
-		clock.Go(func() { want, _, _ = ch.CheckClusterParallel(cluster, 4) })
-		clock.Run()
+		want, _, _ := ch.CheckCluster(cluster)
 		if len(buf) != len(tb.Cluster(cluster).Nodes) || len(want) != len(buf) {
-			t.Fatalf("%s: %d reports in the slab, %d from CheckClusterParallel", cluster, len(buf), len(want))
+			t.Fatalf("%s: %d reports in the slab, %d from CheckCluster", cluster, len(buf), len(want))
 		}
 		for i := range buf {
 			if buf[i].Node != want[i].Node || buf[i].OK != want[i].OK || len(buf[i].Mismatches) != len(want[i].Mismatches) {
@@ -316,7 +304,7 @@ func TestSweepAllocationsDoNotGrowWithTheCluster(t *testing.T) {
 	if ns, nl := len(tb.Cluster("chirloute").Nodes), len(tb.Cluster("griffon").Nodes); nl < 10*ns {
 		t.Fatalf("clusters of %d and %d nodes do not tell O(1) from O(n)", ns, nl)
 	}
-	if small != large || large > 8 {
-		t.Errorf("a sweep allocates %v times on the small cluster and %v on the large one; want the same handful", small, large)
+	if small != 0 || large != 0 {
+		t.Errorf("a sweep allocates %v times on the small cluster and %v on the large one; want none", small, large)
 	}
 }

@@ -357,13 +357,14 @@ func cellKey(cell map[string]string) string {
 
 // Server is the automation server.
 //
-// Builds execute on an *executor pool*: up to NumExecutors worker
-// goroutines (simulation goroutines, see simclock.Go) pull queued builds
-// off the work queue and occupy an executor for the build's simulated
-// duration. Builds of the same job — same matrix cell for matrix jobs —
-// never run concurrently (Jenkins' default "one build at a time per
-// configuration"); builds of different jobs, or different cells of one
-// matrix build, genuinely overlap in simulated time.
+// Builds execute on an *executor pool* of NumExecutors executors, driven
+// by clock events: a pump event starts dispatchable queued builds, and a
+// build occupies its executor for its simulated duration, until its
+// completion event, which then starts the next queued build. Builds of the
+// same job — same matrix cell for matrix jobs — never run concurrently
+// (Jenkins' default "one build at a time per configuration"); builds of
+// different jobs, or different cells of one matrix build, genuinely overlap
+// in simulated time.
 //
 // All server state is mutex-protected, so the REST API and outside
 // goroutines can query (and trigger) concurrently with a running
@@ -373,9 +374,8 @@ type Server struct {
 
 	clock     *simclock.Clock
 	executors int
-	running   int    // builds currently occupying an executor
-	workers   int    // live worker goroutines (pool shrinks to zero when idle)
-	work      func() // worker as a value, made once for every Go
+	running   int         // builds currently occupying an executor
+	idle      []*executor // between builds; only clock events touch it
 
 	jobs     map[string]*Job
 	jobOrder []string
@@ -383,10 +383,10 @@ type Server struct {
 	// activeKeys marks serialization keys (job name, or job+cell for
 	// matrix cells) with a build currently running.
 	activeKeys map[string]bool
-	// pumpScheduled coalesces the start-workers event: many enqueues at one
+	// pumpScheduled coalesces the pump event: many enqueues at one
 	// instant produce a single pump.
 	pumpScheduled bool
-	claimed       []string // spawnWorkersLocked's scratch, at most executors keys
+	claimed       []string // dispatchableLocked's reused keys, at most executors
 
 	// tokens implements the "access control for users to trigger jobs
 	// manually" benefit (slide 20): token → user name.
@@ -403,6 +403,17 @@ type Server struct {
 type pending struct {
 	build  *Build
 	script Script
+}
+
+// executor carries a build that lasts simulated time from its start to its
+// completion event. One exists per build in flight; back in Server.idle in
+// between, so completions allocate nothing.
+type executor struct {
+	s   *Server
+	b   *Build
+	out Outcome
+	log []string
+	key string
 }
 
 // Options configures a Server.
@@ -432,7 +443,6 @@ func NewServer(clock *simclock.Clock, o Options) *Server {
 		tokens:      map[string]string{},
 		discardLogs: o.DiscardBuildLogs,
 	}
-	s.work = s.worker
 	return s
 }
 
@@ -452,8 +462,8 @@ func (s *Server) authenticate(token string) (string, bool) {
 }
 
 // OnComplete registers a listener called whenever any build completes.
-// Listeners run on the executor goroutine that finished the build, with no
-// server lock held; the simulation's run token serializes them.
+// Listeners run in the clock event that finished the build, with no server
+// lock held.
 func (s *Server) OnComplete(fn func(*Build)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -568,7 +578,7 @@ func (s *Server) enqueueLocked(b *Build, script Script) {
 	s.schedulePumpLocked()
 }
 
-// schedulePumpLocked arranges for the worker pool to grow at the current
+// schedulePumpLocked arranges for queued builds to start at the current
 // instant, from the event loop. Coalesced: any number of enqueues at one
 // instant schedule a single pump event.
 func (s *Server) schedulePumpLocked() {
@@ -579,25 +589,28 @@ func (s *Server) schedulePumpLocked() {
 	s.clock.Schedule(0, pump, s)
 }
 
-// pump spawns executor workers for dispatchable queued builds, up to the
-// pool size. Runs on the event loop; the argument is the server.
+// pump gives one executor turn to each dispatchable queued build, up to
+// the free executors, in order. Runs on the event loop; the argument is the
+// server.
 func pump(server any) {
 	s := server.(*Server)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.pumpScheduled = false
-	s.spawnWorkersLocked()
+	n := s.dispatchableLocked()
+	s.mu.Unlock()
+	for range n {
+		s.execute()
+	}
 }
 
-// spawnWorkersLocked grows the pool to cover dispatchable work: one worker
-// per queued build whose serialization key is free, capped at NumExecutors.
+// dispatchableLocked counts the queued builds an executor could start now:
+// one per distinct free serialization key, capped at the free executors.
 // The keys it claims fit a scratch slice: the walk stops once the pool
-// would be full. Idle workers exit on their own, so the pool always
-// shrinks back to zero.
-func (s *Server) spawnWorkersLocked() {
+// would be full.
+func (s *Server) dispatchableLocked() int {
 	claimed := s.claimed[:0]
 	for _, p := range s.queue {
-		if s.workers+len(claimed) >= s.executors {
+		if s.running+len(claimed) >= s.executors {
 			break
 		}
 		key := serialKey(p.build)
@@ -606,12 +619,10 @@ func (s *Server) spawnWorkersLocked() {
 		}
 		claimed = append(claimed, key)
 	}
-	for range claimed {
-		s.workers++
-		s.clock.Go(s.work)
-	}
+	n := len(claimed)
 	clear(claimed)
 	s.claimed = claimed[:0]
+	return n
 }
 
 // dequeueLocked pops the first queued build whose serialization key is not
@@ -627,15 +638,16 @@ func (s *Server) dequeueLocked() (pending, bool) {
 	return pending{}, false
 }
 
-// worker is one executor: it pulls builds off the queue and runs each for
-// its simulated duration. When no dispatchable work remains the worker
-// exits — completions and enqueues re-grow the pool as needed.
-func (s *Server) worker() {
-	s.mu.Lock()
+// execute is one executor turn: it starts the first dispatchable queued
+// build and runs its script. A build that lasts no simulated time completes
+// at once and the turn goes on to the next; one that lasts schedules its
+// completion, which takes the turn over (see complete). The turn ends when
+// nothing queued can start.
+func (s *Server) execute() {
 	for {
+		s.mu.Lock()
 		p, ok := s.dequeueLocked()
 		if !ok {
-			s.workers--
 			s.mu.Unlock()
 			return
 		}
@@ -659,15 +671,31 @@ func (s *Server) worker() {
 		}
 		bc.reset()
 		bcPool.Put(bc)
-		dur := out.Duration
-		if dur < 0 {
-			dur = 0
+		if out.Duration <= 0 {
+			s.completeBuild(b, out, log, key)
+			continue
 		}
-		s.clock.Sleep(dur)
-
-		s.completeBuild(b, out, log, key)
-		s.mu.Lock()
+		var e *executor
+		if n := len(s.idle); n > 0 {
+			e, s.idle = s.idle[n-1], s.idle[:n-1]
+		} else {
+			e = &executor{s: s}
+		}
+		e.b, e.out, e.log, e.key = b, out, log, key
+		s.clock.Schedule(out.Duration, complete, e)
+		return
 	}
+}
+
+// complete is a build's completion event (the argument is its executor):
+// it finishes the build, then runs the executor's next turn.
+func complete(arg any) {
+	e := arg.(*executor)
+	s, b, out, log, key := e.s, e.b, e.out, e.log, e.key
+	*e = executor{s: s}
+	s.idle = append(s.idle, e)
+	s.completeBuild(b, out, log, key)
+	s.execute()
 }
 
 func (s *Server) completeBuild(b *Build, out Outcome, log []string, key string) {

@@ -129,20 +129,24 @@ func TestMatrixCellsRunConcurrently(t *testing.T) {
 	}
 }
 
-// TestPoolShrinksToZeroWhenIdle: between bursts of work no executor
-// goroutine stays parked.
+// TestPoolShrinksToZeroWhenIdle: between bursts of work no executor is
+// busy and nothing is left pending on the clock.
 func TestPoolShrinksToZeroWhenIdle(t *testing.T) {
 	c := simclock.New(25)
 	s := NewServer(c, Options{NumExecutors: 8})
+	idle := func(when string) {
+		t.Helper()
+		if s.busy() != 0 || s.queued() != 0 || c.Step() {
+			t.Fatalf("%s: busy %d, queued %d, or an event still pending", when, s.busy(), s.queued())
+		}
+	}
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("burst-%d", i)
 		s.CreateJob(&Job{Name: name, Script: constScript(Success, simclock.Minute)})
 		s.Trigger(name, "test")
 	}
 	c.Run()
-	if g := c.Goroutines(); g != 0 {
-		t.Fatalf("idle pool kept %d goroutines", g)
-	}
+	idle("after the first burst")
 	// A second burst works fine after the pool shrank.
 	for i := 0; i < 4; i++ {
 		s.Trigger(fmt.Sprintf("burst-%d", i), "again")
@@ -151,8 +155,41 @@ func TestPoolShrinksToZeroWhenIdle(t *testing.T) {
 	if s.TotalBuilds() != 8 {
 		t.Fatalf("builds = %d", s.TotalBuilds())
 	}
-	if g := c.Goroutines(); g != 0 {
-		t.Fatalf("idle pool kept %d goroutines after second burst", g)
+	idle("after the second burst")
+}
+
+// raceDetector is set by race_test.go: the detector's own bookkeeping is
+// not what allocation guards count, so they skip under it.
+var raceDetector bool
+
+// TestWarmBuildDispatchAndCompletionAllocNothing: once warmed, a build's
+// trip through the pool — its pump, its script, its completion event, or
+// its inline completion when it lasts no time — allocates nothing but the
+// Build the job's history keeps.
+func TestWarmBuildDispatchAndCompletionAllocNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation guards run without the race detector")
+	}
+	for _, dur := range []simclock.Time{0, simclock.Hour} {
+		c := simclock.New(27)
+		s := NewServer(c, Options{NumExecutors: 2, DiscardBuildLogs: true})
+		script := func(*BuildContext) Outcome { return Outcome{Result: Success, Duration: dur} }
+		if err := s.CreateJob(&Job{Name: "j", Retention: 8, Script: script}); err != nil {
+			t.Fatal(err)
+		}
+		build := func() {
+			s.Trigger("j", "test") //nolint:errcheck // the job exists
+			c.Run()
+		}
+		for i := 0; i < 100; i++ {
+			build()
+		}
+		if got := testing.AllocsPerRun(1000, build); got != 1 {
+			t.Errorf("duration %v: a warmed build allocates %v times, want 1 (its Build)", dur, got)
+		}
+		if s.TotalBuilds() != 100+1+1000 || len(s.idle) > 1 {
+			t.Errorf("duration %v: %d builds, %d idle executors; want 1101, at most 1", dur, s.TotalBuilds(), len(s.idle))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -40,6 +41,19 @@ func TestFrameworkWiring(t *testing.T) {
 	f.Start()
 	if got := len(f.Sched.Stats()); got != 303 {
 		t.Fatalf("double Start duplicated specs: %d", got)
+	}
+}
+
+// TestCampaignRunsNoGoroutines: builds, sweeps and background processes
+// are clock events, so a simulated week of the default campaign leaves the
+// process with the goroutines it started with.
+func TestCampaignRunsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	f := New(DefaultConfig())
+	f.Start()
+	f.RunFor(simclock.Week)
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after a campaign week, %d before", after, before)
 	}
 }
 

@@ -115,7 +115,7 @@ const (
 )
 
 // Deployer runs deployments against the testbed. Deployments are invoked
-// from CI build scripts on executor goroutines; the simulation run token
+// from CI build scripts, which run in clock events; the event loop
 // serializes the deployment work (RNG draws, node boot counters).
 type Deployer struct {
 	clock  *simclock.Clock
@@ -136,7 +136,7 @@ func NewDeployer(clock *simclock.Clock, inj *faults.Injector) *Deployer {
 //
 // The Result, PerNode included, is the deployer's own and its next Deploy
 // overwrites it: copy what must outlive that (a test script reads it before
-// it parks, and deployments run one at a time under the run token).
+// it returns, and deployments run one at a time on the event loop).
 func (d *Deployer) Deploy(nodes []*testbed.Node, env Environment) (*Result, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("kadeploy: empty node set")

@@ -23,7 +23,7 @@
 //   - atomicfield: a struct field accessed through sync/atomic anywhere
 //     must be accessed atomically everywhere.
 //   - baregoroutine: no bare go statements in simulation packages; in-sim
-//     concurrency goes through the simclock run-token API.
+//     work that lasts simulated time is a clock event.
 //
 // A finding is suppressed by a `//g5k:allow <analyzer> <reason>` comment
 // on the offending line or the line directly above it. The reason is

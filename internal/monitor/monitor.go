@@ -46,12 +46,12 @@ type Sample struct {
 // (≈1 Hz)").
 const SamplePeriod = simclock.Second
 
-// Collector is the monitoring service. Experiment scripts on CI executor
-// goroutines query series; the simulation's run token serializes them
-// against the event loop. The collector's own state is immutable after
-// construction, but the power/net attribution path reads live testbed NIC
-// state owned by the run token, so queries must come from simulation
-// context — not from arbitrary outside goroutines while the clock runs.
+// Collector is the monitoring service. Experiment scripts, which run in CI
+// builds' clock events, query series; the event loop serializes them. The
+// collector's own state is immutable after construction, but the
+// power/net attribution path reads live testbed NIC state owned by the
+// event loop, so queries must come from clock events — not from arbitrary
+// outside goroutines while the clock runs.
 type Collector struct {
 	clock *simclock.Clock
 	tb    *testbed.Testbed

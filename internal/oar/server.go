@@ -68,10 +68,10 @@ type Job struct {
 // site. Either way it keeps the scheduling semantics the paper's framework
 // interacts with.
 //
-// The server is safe for concurrent use: CI build scripts run on executor
-// goroutines (see internal/ci) and submit/release jobs while the event
-// loop runs walltime expiries, so every public method takes the server
-// mutex. OnStart callbacks always fire with the mutex released — they may
+// The server is safe for concurrent use: CI build scripts submit and
+// release jobs from clock events (see internal/ci), and the gateway and
+// tests reach it from outside goroutines, so every public method takes the
+// server mutex. OnStart callbacks always fire with the mutex released — they may
 // re-enter the server (Submit/Release from a callback is the normal test
 // payload pattern).
 //

@@ -65,7 +65,7 @@ type version struct {
 
 // Store holds the current description plus the archive of every previous
 // version. It is safe for concurrent read access (the status page's HTTP
-// handlers read it); mutations happen from the single simulation goroutine.
+// handlers read it); mutations happen from the event loop.
 type Store struct {
 	mu       sync.RWMutex
 	versions []*version

@@ -130,10 +130,9 @@ type specState struct {
 
 // Scheduler is the external scheduling tool.
 //
-// The scheduler's poll loop runs on the event loop, while build-completion
-// callbacks (observeBuild) arrive from CI executor goroutines; the mutex
-// serializes both against each other and against stats queries from
-// outside goroutines.
+// The scheduler's poll loop and its build-completion callbacks
+// (observeBuild) both run in clock events; the mutex serializes them
+// against stats queries from outside goroutines.
 type Scheduler struct {
 	clock *simclock.Clock
 	oar   *oar.Server
@@ -318,7 +317,7 @@ func (s *Scheduler) nextBackoff(cur simclock.Time) simclock.Time {
 }
 
 // observeBuild reacts to completed CI builds of jobs we scheduled. It runs
-// on the executor goroutine that finished the build.
+// in the clock event that finished the build.
 func (s *Scheduler) observeBuild(b *ci.Build) {
 	if b.Cell != nil {
 		return // matrix cells roll up into their parent

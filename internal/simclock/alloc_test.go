@@ -1,15 +1,9 @@
 package simclock
 
-import (
-	"runtime"
-	"testing"
-	"time"
-)
+import "testing"
 
 // The steady state allocates nothing (see the package comment): these guards
-// pin the three places that used to pay per operation. testing.AllocsPerRun
-// counts every goroutine's allocations, which is what a guard over the
-// driver and a simulation goroutine together needs.
+// pin the places that used to pay per operation.
 
 // raceDetector is set by race_test.go: the detector's own bookkeeping is
 // not what these guards count, so they skip under it and CI runs them in a
@@ -22,16 +16,17 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// spinner starts a simulation goroutine that sleeps a minute at a time
-// until stop is set, and runs it through its first sleeps.
-func spinner(c *Clock) (stop *bool) {
+// chain keeps one handle-less event in flight, each fire scheduling the
+// next a minute on, until stop is set.
+func chain(c *Clock) (stop *bool) {
 	stop = new(bool)
-	c.Go(func() {
-		for !*stop {
-			c.Sleep(Minute)
+	var next func(any)
+	next = func(any) {
+		if !*stop {
+			c.Schedule(Minute, next, nil)
 		}
-	})
-	c.RunFor(10 * Minute)
+	}
+	c.Schedule(Minute, next, nil)
 	return stop
 }
 
@@ -50,45 +45,12 @@ func TestTickerFireAllocatesNothing(t *testing.T) {
 	tk.Stop()
 }
 
-func TestSleepWakeAllocatesNothing(t *testing.T) {
-	skipUnderRace(t)
-	c := New(1)
-	stop := spinner(c)
-	before := c.Fired()
-	if got := testing.AllocsPerRun(1000, func() { c.Step() }); got != 0 {
-		t.Errorf("a Sleep and its wake-up on a warmed simulation goroutine allocate %v times", got)
-	}
-	if c.Fired()-before != 1001 {
-		t.Errorf("%d wake-ups fired, want 1001", c.Fired()-before)
-	}
-	*stop = true
-	c.Run()
-	if c.Goroutines() != 0 {
-		t.Errorf("%d simulation goroutines left", c.Goroutines())
-	}
-}
-
-func TestGoAfterAFinishedGoroutineAllocatesNothing(t *testing.T) {
-	skipUnderRace(t)
-	c := New(1)
-	ran := 0
-	fn := func() { ran++ }
-	c.Go(fn)
-	c.RunFor(0)
-	if got := testing.AllocsPerRun(1000, func() { c.Go(fn); c.RunFor(0) }); got != 0 {
-		t.Errorf("Go after a finished goroutine allocates %v times", got)
-	}
-	if ran != 1+1+1000 || c.Goroutines() != 0 || len(c.parked.gs) != 1 {
-		t.Errorf("ran %d functions, %d goroutines live, %d parked; want 1002, 0, 1", ran, c.Goroutines(), len(c.parked.gs))
-	}
-}
-
 // TestCancelOfAFiredHandleNeverHitsALaterEvent is the handle rule: an event
 // After returned is never recycled, so cancelling it long after it fired
 // cannot cancel whatever the clock is using its free list for by then.
 func TestCancelOfAFiredHandleNeverHitsALaterEvent(t *testing.T) {
 	c := New(1)
-	stop := spinner(c) // its wake-ups draw on the free list too
+	stop := chain(c) // its events draw on the free list too
 	var handles []*Event
 	pooled, held := 0, 0
 	for i := 0; i < 10000; i++ {
@@ -120,53 +82,5 @@ func BenchmarkTickerFire(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Step()
-	}
-}
-
-func BenchmarkSleepWake(b *testing.B) {
-	c := New(1)
-	stop := spinner(c)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Step()
-	}
-	b.StopTimer()
-	*stop = true
-	c.Run()
-}
-
-func BenchmarkGoReuse(b *testing.B) {
-	c := New(1)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Go(fn)
-		c.RunFor(0)
-	}
-}
-
-// TestParkedGoroutinesExitWithTheirClock: goroutines parked for reuse hold
-// no reference to their clock, so a dropped clock is collected — with every
-// event and closure it holds — and its collection lets them return.
-func TestParkedGoroutinesExitWithTheirClock(t *testing.T) {
-	before := runtime.NumGoroutine()
-	func() {
-		c := New(1)
-		for i := 0; i < 8; i++ {
-			c.Go(func() { c.Sleep(Minute) })
-		}
-		c.Run()
-		if c.Goroutines() != 0 || len(c.parked.gs) != 8 {
-			t.Fatalf("%d live, %d parked; want 0, 8", c.Goroutines(), len(c.parked.gs))
-		}
-	}()
-	for i := 0; runtime.NumGoroutine() > before; i++ {
-		if i == 200 {
-			t.Fatalf("%d goroutines still there after their clock was dropped", runtime.NumGoroutine()-before)
-		}
-		runtime.GC()
-		time.Sleep(5 * time.Millisecond)
 	}
 }

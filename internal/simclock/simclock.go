@@ -9,29 +9,24 @@
 // work as events on its queue. A whole campaign is a pure function of
 // (seed, configuration).
 //
-// Two execution styles coexist:
-//
-//   - plain events (At/After/Every) run on the driver goroutine, the one
-//     calling Step/Run/RunUntil/RunFor;
-//   - simulation goroutines (Go) are real goroutines — the CI server's
-//     executor pool runs builds on them — that block in WaitUntil/Sleep.
-//     The clock hands out a single run token, so exactly one of
-//     {driver, simulation goroutines} executes at any instant and wake-ups
-//     happen in event order: campaigns stay deterministic (see
-//     concurrent.go).
+// Events are the only execution model. Every callback runs on the goroutine
+// calling Step/Run/RunUntil/RunFor, one at a time in (time, schedule)
+// order: work that lasts simulated time schedules its own continuation
+// (the CI server's executor pool completes a build from an event; a
+// verification sweep chains one event per check), so campaigns stay
+// deterministic without any goroutine of their own.
 //
 // The steady state allocates nothing. The handle rule: a *Event returned by
 // At or After is never reused, so Cancel on it stays a no-op however long
-// after it fired. Events without a handle (Schedule, WaitUntil's wake-ups)
-// come from a per-clock free list and return to it as they fire; a Ticker
-// re-arms its one event; Arm schedules an event the caller's struct embeds.
+// after it fired. Events without a handle (Schedule) come from a per-clock
+// free list and return to it as they fire; a Ticker re-arms its one event;
+// Arm schedules an event the caller's struct embeds.
 package simclock
 
 import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,43 +130,29 @@ func (q *eventQueue) Pop() any {
 // Clock is a virtual clock with an attached event queue and a seeded RNG.
 //
 // The clock's own bookkeeping is mutex-protected, so scheduling calls
-// (At/After, Now) may come from any goroutine. Execution, however, is
-// strictly serialized: event callbacks run on the driver goroutine, and
-// simulation goroutines (Go/WaitUntil, see concurrent.go) run one at a time
-// under the clock's run token. Rand is the one exception — it must only be
-// used while holding the run token (from event callbacks or simulation
-// goroutines), which every simulated subsystem does naturally.
+// (At/After/Schedule, Now) may come from any goroutine. Execution, however,
+// is strictly serialized: event callbacks run one at a time on the
+// goroutine stepping the clock. Rand is the one exception to the mutex — it must only be used
+// from event callbacks, which every simulated subsystem does naturally.
 type Clock struct {
 	mu    sync.Mutex
-	idle  *sync.Cond // signaled when a simulation goroutine parks or exits
 	now   Time
 	queue eventQueue
 	seq   uint64
 	rng   *rand.Rand
 	fired uint64
 	free  []*Event // fired pooled events, reused last in first out
-
-	// Run-token scheduler state (concurrent.go): the goroutine holding the
-	// token (nil: the driver), the FIFO of those ready for it
-	// (runnable[runHead:]), the live count, the finished ones kept for Go.
-	running    *simG
-	runnable   []*simG
-	runHead    int
-	goroutines int
-	parked     *parkedGs
 }
 
 // New returns a clock at the epoch with an RNG seeded by seed.
 func New(seed int64) *Clock {
-	c := &Clock{rng: rand.New(rand.NewSource(seed)), parked: new(parkedGs)}
-	c.idle = sync.NewCond(&c.mu)
-	runtime.SetFinalizer(c.parked, func(p *parkedGs) {
-		for _, g := range p.gs {
-			close(g.wake) // ends run
-		}
-	})
-	return c
+	return &Clock{rng: rand.New(rand.NewSource(seed))}
 }
+
+// Goroutines returns 0: the clock runs no goroutine of its own, every
+// callback runs on the goroutine stepping it. It stays for callers that
+// drained a campaign's goroutines before dropping it.
+func (c *Clock) Goroutines() int { return 0 }
 
 // Now returns the current simulated time.
 func (c *Clock) Now() Time {
@@ -182,8 +163,8 @@ func (c *Clock) Now() Time {
 
 // Rand returns the clock's deterministic RNG. All simulated randomness in
 // the repository flows through this so that a campaign is reproducible from
-// its seed. It must only be used under the clock's run token (from event
-// callbacks or simulation goroutines), never from outside goroutines.
+// its seed. It must only be used from event callbacks, never from outside
+// goroutines.
 func (c *Clock) Rand() *rand.Rand { return c.rng }
 
 // Fired returns the total number of events executed so far.
@@ -237,10 +218,6 @@ func (c *Clock) Arm(e *Event, d Time, fn func(arg any), arg any) {
 func (c *Clock) Schedule(d Time, fn func(arg any), arg any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.scheduleLocked(c.now+max(d, 0), fn, arg)
-}
-
-func (c *Clock) scheduleLocked(t Time, fn func(arg any), arg any) {
 	var e *Event
 	if n := len(c.free); n > 0 {
 		e, c.free = c.free[n-1], c.free[:n-1]
@@ -248,7 +225,7 @@ func (c *Clock) scheduleLocked(t Time, fn func(arg any), arg any) {
 		e = &Event{pooled: true}
 	}
 	e.fn, e.arg = fn, arg
-	c.pushLocked(e, t)
+	c.pushLocked(e, c.now+max(d, 0))
 }
 
 // Ticker repeatedly schedules a callback at a fixed period until stopped.
@@ -291,8 +268,7 @@ func (t *Ticker) Stop() {
 	t.event.Cancel()
 }
 
-// Step lets every runnable simulation goroutine proceed until it parks,
-// then runs the next pending event, advancing the clock to its time.
+// Step runs the next pending event, advancing the clock to its time.
 // It reports whether an event was run.
 func (c *Clock) Step() bool { return c.step(0, false) }
 
@@ -303,7 +279,6 @@ func (c *Clock) Step() bool { return c.step(0, false) }
 func (c *Clock) step(limit Time, bounded bool) bool {
 	c.mu.Lock()
 	for {
-		c.quiesceLocked()
 		e := c.peekLocked()
 		if e == nil || (bounded && e.at > limit) {
 			c.mu.Unlock()
@@ -321,9 +296,6 @@ func (c *Clock) step(limit Time, bounded bool) bool {
 		}
 		c.mu.Unlock()
 		fn(arg)
-		c.mu.Lock()
-		c.quiesceLocked()
-		c.mu.Unlock()
 		return true
 	}
 }
@@ -335,13 +307,11 @@ func (c *Clock) Run() {
 }
 
 // RunUntil executes events with time ≤ t, then advances the clock to exactly
-// t. Events scheduled later remain pending; simulation goroutines blocked in
-// WaitUntil past t stay parked and resume on a later run.
+// t. Events scheduled later remain pending and fire on a later run.
 func (c *Clock) RunUntil(t Time) {
 	for c.step(t, true) {
 	}
 	c.mu.Lock()
-	c.quiesceLocked()
 	if c.now < t {
 		c.now = t
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -109,6 +110,34 @@ func TestNestedScheduling(t *testing.T) {
 	c.Run()
 	if len(times) != 2 || times[0] != Second || times[1] != 2*Second {
 		t.Fatalf("nested times = %v", times)
+	}
+}
+
+// TestSchedulingFromOutsideGoroutines checks that At/After/Now/Fired are
+// safe to call from plain OS goroutines while nothing is running — the
+// pattern external API handlers (status page, stress tests) use.
+func TestSchedulingFromOutsideGoroutines(t *testing.T) {
+	c := New(7)
+	var mu sync.Mutex
+	fired := 0
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c.After(Time(i)*Minute, func() {
+				mu.Lock()
+				fired++
+				mu.Unlock()
+			})
+			_ = c.Now()
+			_ = c.Fired()
+		}(i)
+	}
+	wg.Wait()
+	c.Run()
+	if fired != 16 {
+		t.Fatalf("fired = %d", fired)
 	}
 }
 

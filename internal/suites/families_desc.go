@@ -15,17 +15,11 @@ import (
 	"repro/internal/testbed"
 )
 
-// sweepWorkers is the fan-out of the refapi family's cluster sweep: how
-// many node checks run concurrently (in simulated time) per cluster, the
-// way the real g5k-checks campaign fans out over the management network.
-const sweepWorkers = 4
-
 // refapiTests: one per cluster. Verifies every node of the cluster against
 // the Reference API (g5k-checks across the cluster). Software-centric: it
 // only reserves one node as a vantage point; checks read node inventories
-// through the management network. The sweep is sharded across sweepWorkers
-// simulation goroutines — test scripts run on CI executor goroutines, so
-// the parallel, run-token calling convention holds.
+// through the management network. The sweep checks the cluster's nodes one
+// after the other within the build's start instant.
 func refapiTests(tb *testbed.Testbed) []*Test {
 	var out []*Test
 	for _, cl := range tb.Clusters() {
@@ -44,7 +38,7 @@ func refapiTests(tb *testbed.Testbed) []*Test {
 			Run: func(ctx *Context, job *oar.Job) Verdict {
 				v := ctx.NewVerdict()
 				v.Duration = 5 * simclock.Minute
-				swept, err := ctx.Checker.CheckClusterParallelInto(cl.Name, sweepWorkers, reports)
+				swept, err := ctx.Checker.CheckClusterInto(cl.Name, reports)
 				if err != nil {
 					v.fail("refapi-error:"+cl.Name, "check run failed: %v", err)
 					return v

@@ -46,14 +46,11 @@ func findTest(t *testing.T, tests []*Test, name string) *Test {
 	return nil
 }
 
-// runTest drives one test through its full CI-script protocol. The script
-// runs on a simulation goroutine, exactly as the CI executor pool runs it
-// in production — required by scripts that fan out parallel sweeps.
+// runTest drives one test through its full CI-script protocol: the script
+// runs at once, as the CI executor pool runs it at a build's start.
 func runTest(ctx *Context, tt *Test) ci.Outcome {
-	var out ci.Outcome
-	script := tt.Script(ctx)
-	ctx.Clock.Go(func() { out = script(&ci.BuildContext{Clock: ctx.Clock}) })
-	ctx.Clock.Run() // run the script, then let OAR releases fire
+	out := tt.Script(ctx)(&ci.BuildContext{Clock: ctx.Clock})
+	ctx.Clock.Run() // let OAR releases fire
 	return out
 }
 

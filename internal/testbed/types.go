@@ -205,8 +205,8 @@ func (s *Site) Nodes() []*Node { return s.nodes }
 // Concurrency model: the topology (sites, clusters, node identities,
 // lookup maps) is immutable after generation and safe to read from any
 // goroutine. Mutable node state (State, Inv, BootCount) is owned by the
-// simulation's run token — event callbacks and simulation goroutines
-// mutate it one at a time (see simclock's concurrency notes). The mutex
+// event loop — clock events mutate it one at a time (see simclock's
+// package comment). The mutex
 // below additionally serializes the node-state flips that arrive from
 // subsystem APIs (OAR's oarnodesetting equivalent), so administrative
 // state changes are safe against each other even from outside goroutines.

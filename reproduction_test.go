@@ -301,18 +301,17 @@ func e11ExecutorScaling(t testing.TB) metrics {
 }
 
 // E12: parallel verification sweep scaling (this reproduction's
-// extension): a whole-testbed g5k-checks sweep sharded over simclock
-// run-token workers, each node check occupying 30 simulated seconds of its
-// worker — the management-network fan-out the real campaign uses.
+// extension): a whole-testbed g5k-checks sweep sharded over chains of clock
+// events, each node check occupying 30 simulated seconds of its worker —
+// the management-network fan-out the real campaign uses.
 func e12SweepScaling(t testing.TB) metrics {
 	return scaling("nodes_per_simhour", func(workers int) float64 {
 		clock := simclock.New(13)
 		tb := testbed.Default()
 		checker := checks.NewChecker(clock, tb, refapi.NewStore(tb, clock.Now()))
-		checker.CheckCost = 30 * simclock.Second
-		var reports []*checks.Report
+		var reports []checks.Report
 		var err error
-		clock.Go(func() { reports, _, err = checker.CheckTestbedParallel(workers) })
+		checker.CheckTestbedParallel(workers, 30*simclock.Second, func(r []checks.Report, e error) { reports, err = r, e })
 		clock.Run()
 		if err != nil {
 			t.Fatal(err)
