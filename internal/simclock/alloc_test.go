@@ -45,6 +45,45 @@ func TestTickerFireAllocatesNothing(t *testing.T) {
 	tk.Stop()
 }
 
+// TestSleepWakeAllocatesNothing: a task that sleeps by scheduling its own
+// continuation (the chain above) wakes on the event it just fired.
+func TestSleepWakeAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	c := New(1)
+	stop := chain(c)
+	c.RunFor(10 * Minute)
+	before := c.Fired()
+	if got := testing.AllocsPerRun(1000, func() { c.Step() }); got != 0 {
+		t.Errorf("a sleep and its wake-up on a warmed chain allocate %v times", got)
+	}
+	if c.Fired()-before != 1001 {
+		t.Errorf("%d wake-ups fired, want 1001", c.Fired()-before)
+	}
+	*stop = true
+	c.Run()
+	if c.Goroutines() != 0 || len(c.free) != 1 {
+		t.Errorf("%d goroutines, %d free events; want 0, 1", c.Goroutines(), len(c.free))
+	}
+}
+
+// TestGoAfterAFinishedGoroutineAllocatesNothing: starting a task now, with
+// Schedule(0, ...), after an earlier one finished reuses the finished one's
+// event.
+func TestGoAfterAFinishedGoroutineAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	c := New(1)
+	ran := 0
+	fn := func(any) { ran++ }
+	c.Schedule(0, fn, nil)
+	c.RunFor(0)
+	if got := testing.AllocsPerRun(1000, func() { c.Schedule(0, fn, nil); c.RunFor(0) }); got != 0 {
+		t.Errorf("starting a task after a finished one allocates %v times", got)
+	}
+	if ran != 1+1+1000 || c.Goroutines() != 0 || len(c.free) != 1 {
+		t.Errorf("ran %d tasks, %d goroutines, %d free events; want 1002, 0, 1", ran, c.Goroutines(), len(c.free))
+	}
+}
+
 // TestCancelOfAFiredHandleNeverHitsALaterEvent is the handle rule: an event
 // After returned is never recycled, so cancelling it long after it fired
 // cannot cancel whatever the clock is using its free list for by then.
