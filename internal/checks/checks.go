@@ -13,8 +13,10 @@
 // fault mutates it mid-check) and diffs it field-by-field into a reused
 // report buffer; strings are only built for fields that diverge. A cluster
 // sweep (CheckClusterInto) checks its nodes one after the other, at one
-// instant; the whole-testbed sweep (CheckTestbedParallel) shards the nodes
-// over chains of clock events, each check costing simulated time.
+// instant, in node-name order: the order is fixed once, at NewChecker, so a
+// sweep sorts nothing. The whole-testbed sweep (CheckTestbedParallel)
+// shards the nodes over chains of clock events, each check costing
+// simulated time, and sorts its reports at the end.
 package checks
 
 import (
@@ -64,13 +66,26 @@ type Checker struct {
 	clock *simclock.Clock
 	tb    *testbed.Testbed
 	ref   *refapi.Store
+	// sweeps holds each cluster's node names in name order, the order a
+	// cluster sweep reports in.
+	sweeps map[string][]string
 
 	runs atomic.Int64
 }
 
 // NewChecker returns a checker bound to the testbed and reference store.
 func NewChecker(clock *simclock.Clock, tb *testbed.Testbed, ref *refapi.Store) *Checker {
-	return &Checker{clock: clock, tb: tb, ref: ref}
+	clusters := tb.Clusters()
+	sweeps := make(map[string][]string, len(clusters))
+	for _, cl := range clusters {
+		names := make([]string, len(cl.Nodes))
+		for i, n := range cl.Nodes {
+			names[i] = n.Name
+		}
+		slices.Sort(names)
+		sweeps[cl.Name] = names
+	}
+	return &Checker{clock: clock, tb: tb, ref: ref, sweeps: sweeps}
 }
 
 // Runs returns how many node checks have been performed. Safe to call from
@@ -132,20 +147,19 @@ func (c *Checker) CheckCluster(cluster string) ([]*Report, []string, error) {
 // whose sweeps never overlap hands its last result back in and allocates
 // none.
 func (c *Checker) CheckClusterInto(cluster string, buf []Report) ([]Report, error) {
-	cl := c.tb.Cluster(cluster)
-	if cl == nil {
+	names, ok := c.sweeps[cluster]
+	if !ok {
 		return nil, fmt.Errorf("checks: unknown cluster %q", cluster)
 	}
-	if cap(buf) < len(cl.Nodes) {
-		buf = make([]Report, len(cl.Nodes))
+	if cap(buf) < len(names) {
+		buf = make([]Report, len(names))
 	}
-	buf = buf[:len(cl.Nodes)]
-	for i, n := range cl.Nodes {
-		if err := c.CheckNodeInto(n.Name, &buf[i]); err != nil {
+	buf = buf[:len(names)]
+	for i, name := range names {
+		if err := c.CheckNodeInto(name, &buf[i]); err != nil {
 			return nil, err
 		}
 	}
-	slices.SortFunc(buf, byNode)
 	return buf, nil
 }
 

@@ -202,6 +202,43 @@ func TestCheckClusterIntoMatchesCheckCluster(t *testing.T) {
 	}
 }
 
+// TestCheckClusterIntoReportsInNameOrder: a cluster sweep reports in node
+// name order, where "-10" comes before "-2", not in the cluster's index
+// order, over two sweeps sharing one slab with a fault added between them.
+func TestCheckClusterIntoReportsInNameOrder(t *testing.T) {
+	_, tb, inj, ch := setup()
+	const cluster = "helios"
+	if n := len(tb.Cluster(cluster).Nodes); n < 10 {
+		t.Fatalf("%s has %d nodes; the test needs at least 10", cluster, n)
+	}
+	var buf []Report
+	for round, faulty := range []string{"", "helios-10.sophia"} {
+		if faulty != "" {
+			inj.InjectNode(faults.WrongKernel, faulty)
+		}
+		var err error
+		if buf, err = ch.CheckClusterInto(cluster, buf); err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) != len(tb.Cluster(cluster).Nodes) {
+			t.Fatalf("round %d: %d reports", round, len(buf))
+		}
+		if buf[0].Node != "helios-1.sophia" || buf[1].Node != "helios-10.sophia" {
+			t.Fatalf("round %d: the sweep starts %s, %s; want helios-1, helios-10", round, buf[0].Node, buf[1].Node)
+		}
+		for i := 1; i < len(buf); i++ {
+			if buf[i-1].Node >= buf[i].Node {
+				t.Fatalf("round %d: reports out of node-name order at %d: %s, %s", round, i, buf[i-1].Node, buf[i].Node)
+			}
+		}
+		for _, r := range buf {
+			if r.OK != (r.Node != faulty) {
+				t.Fatalf("round %d: %s OK = %v with %q faulty", round, r.Node, r.OK, faulty)
+			}
+		}
+	}
+}
+
 // With a per-check simulated cost, a k-worker sweep's makespan shrinks by
 // ~k: the workers' event chains genuinely overlap in simulated time.
 func TestParallelSweepOverlapsSimulatedTime(t *testing.T) {

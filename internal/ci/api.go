@@ -108,7 +108,7 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	}
 	// One read lock: the counters and every job's last result are one instant.
 	s.mu.RLock()
-	out := RootJSON{QueueLength: len(s.queue), Executors: s.executors, Busy: s.running, TotalBuilds: s.builtCount}
+	out := RootJSON{QueueLength: len(s.queue) - s.qhead, Executors: s.executors, Busy: s.running, TotalBuilds: s.builtCount}
 	out.Jobs = slices.Grow(out.Jobs, len(s.jobOrder)) // still nil, listed null, without jobs
 	for _, name := range s.jobOrder {
 		out.Jobs = append(out.Jobs, jobJSON(s.jobs[name]))

@@ -379,7 +379,10 @@ type Server struct {
 
 	jobs     map[string]*Job
 	jobOrder []string
-	queue    []pending
+	// queue[qhead:] are the queued builds, oldest first; the slots before
+	// qhead are free. An emptied queue starts over at its array's front.
+	queue []pending
+	qhead int
 	// activeKeys marks serialization keys (job name, or job+cell for
 	// matrix cells) with a build currently running.
 	activeKeys map[string]bool
@@ -574,6 +577,13 @@ func serialKey(b *Build) string {
 }
 
 func (s *Server) enqueueLocked(b *Build, script Script) {
+	if len(s.queue) == cap(s.queue) && 2*s.qhead >= len(s.queue) {
+		// Full, and at least half of it free slots: slide the queued
+		// builds down instead of growing the array.
+		n := copy(s.queue, s.queue[s.qhead:])
+		clear(s.queue[n:])
+		s.queue, s.qhead = s.queue[:n], 0
+	}
 	s.queue = append(s.queue, pending{build: b, script: script})
 	s.schedulePumpLocked()
 }
@@ -609,7 +619,7 @@ func pump(server any) {
 // would be full.
 func (s *Server) dispatchableLocked() int {
 	claimed := s.claimed[:0]
-	for _, p := range s.queue {
+	for _, p := range s.queue[s.qhead:] {
 		if s.running+len(claimed) >= s.executors {
 			break
 		}
@@ -626,13 +636,21 @@ func (s *Server) dispatchableLocked() int {
 }
 
 // dequeueLocked pops the first queued build whose serialization key is not
-// currently running, if there is one.
+// currently running, if there is one. The i builds ahead of it, whose keys
+// are busy, move back one slot and the head advances past the freed one:
+// the builds behind it stay where they are, so a dequeue costs the builds
+// it skipped, not the length of the queue.
 func (s *Server) dequeueLocked() (pending, bool) {
-	for i, p := range s.queue {
+	q := s.queue[s.qhead:]
+	for i, p := range q {
 		if s.activeKeys[serialKey(p.build)] {
 			continue
 		}
-		s.queue = append(s.queue[:i], s.queue[i+1:]...)
+		copy(q[1:i+1], q[:i])
+		q[0] = pending{}
+		if s.qhead++; s.qhead == len(s.queue) {
+			s.queue, s.qhead = s.queue[:0], 0
+		}
 		return p, true
 	}
 	return pending{}, false

@@ -17,7 +17,7 @@ func (s *Server) busy() int {
 func (s *Server) queued() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.queue)
+	return len(s.queue) - s.qhead
 }
 
 func constScript(res Result, dur simclock.Time) Script {

@@ -209,3 +209,87 @@ func TestBuildsStartAtTriggerInstant(t *testing.T) {
 		t.Fatalf("ended=%v", b.EndedAt)
 	}
 }
+
+// TestDequeueSkippingABusyHeadKeepsFIFO: when the head of the queue waits
+// for its job's running build, the builds an executor takes from behind it
+// start in the order they were queued, and the skipped ones keep theirs.
+func TestDequeueSkippingABusyHeadKeepsFIFO(t *testing.T) {
+	c := simclock.New(28)
+	s := NewServer(c, Options{NumExecutors: 2})
+	for _, name := range []string{"a", "b", "c", "d"} {
+		dur := simclock.Hour
+		if name == "a" {
+			dur = 10 * simclock.Hour
+		}
+		if err := s.CreateJob(&Job{Name: name, Script: constScript(Success, dur)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var order []string
+	for _, name := range []string{"a", "a", "b", "a", "c", "b", "d"} {
+		b, err := s.Trigger(name, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		order = append(order, fmt.Sprintf("%s%d", name, b.Number))
+	}
+	c.Run()
+	started := map[string]simclock.Time{}
+	for _, job := range []string{"a", "b", "c", "d"} {
+		for _, b := range s.Builds(job) {
+			started[fmt.Sprintf("%s%d", job, b.Number)] = b.StartedAt
+		}
+	}
+	// a1 holds one executor for 10 h; the other takes b1, c1, b2 and d1 an
+	// hour apart, skipping a2 and a3, which follow a1 in their own order.
+	want := map[string]simclock.Time{
+		"a1": 0, "b1": 0, "c1": simclock.Hour, "b2": 2 * simclock.Hour, "d1": 3 * simclock.Hour,
+		"a2": 10 * simclock.Hour, "a3": 20 * simclock.Hour,
+	}
+	for _, id := range order {
+		if started[id] != want[id] {
+			t.Errorf("%s started at %v, want %v (queued in the order %v)", id, started[id], want[id], order)
+		}
+	}
+	if s.queued() != 0 || s.TotalBuilds() != len(order) {
+		t.Fatalf("%d builds left queued, %d completed; want 0 and %d", s.queued(), s.TotalBuilds(), len(order))
+	}
+}
+
+// TestQueueReusesItsSlotsInOrder: one executor, a burst of 16 builds, then
+// one more each hour while one starts each hour, so the queue's freed front
+// slots are reclaimed as it fills. Adjacent builds are of different jobs,
+// so the k-th build queued starts at k hours.
+func TestQueueReusesItsSlotsInOrder(t *testing.T) {
+	c := simclock.New(29)
+	s := NewServer(c, Options{NumExecutors: 1})
+	const jobs, burst, later = 10, 16, 40
+	for i := range jobs {
+		if err := s.CreateJob(&Job{Name: fmt.Sprintf("j%d", i), Script: constScript(Success, simclock.Hour)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var queued []*Build
+	trigger := func() {
+		b, err := s.Trigger(fmt.Sprintf("j%d", len(queued)%jobs), "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, b)
+	}
+	for range burst {
+		trigger()
+	}
+	for h := 1; h <= later; h++ {
+		c.At(simclock.Time(h)*simclock.Hour, trigger)
+	}
+	c.Run()
+	for k, b := range queued {
+		if want := simclock.Time(k) * simclock.Hour; b.StartedAt != want {
+			t.Fatalf("build %d (%s #%d) started at %v, want %v", k, b.Job, b.Number, b.StartedAt, want)
+		}
+	}
+	if s.queued() != 0 || s.TotalBuilds() != burst+later {
+		t.Fatalf("%d builds left queued, %d completed; want 0 and %d", s.queued(), s.TotalBuilds(), burst+later)
+	}
+}

@@ -27,6 +27,7 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/ci"
@@ -115,6 +116,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// causePrefix starts the cause of every build the scheduler triggers; the
+// spec's name follows it.
+const causePrefix = "scheduler "
+
 type specState struct {
 	spec    *Spec
 	req     oar.Request // parsed once at registration; probed every poll
@@ -132,7 +137,9 @@ type specState struct {
 //
 // The scheduler's poll loop and its build-completion callbacks
 // (observeBuild) both run in clock events; the mutex serializes them
-// against stats queries from outside goroutines.
+// against stats queries from outside goroutines. A poll walks the specs in
+// registration order through a slice of pointers, hashing no name; a
+// completion finds its spec from the build's cause, with one lookup.
 type Scheduler struct {
 	clock *simclock.Clock
 	oar   *oar.Server
@@ -140,9 +147,9 @@ type Scheduler struct {
 	cfg   Config
 
 	mu     sync.Mutex
-	specs  map[string]*specState
-	order  []string
-	bySite map[string]int // active test builds per site
+	specs  map[string]*specState // by spec name
+	order  []*specState          // registration order
+	bySite map[string]int        // active test builds per site
 
 	ticker *simclock.Ticker
 
@@ -195,13 +202,14 @@ func (s *Scheduler) Register(spec *Spec) error {
 	if _, dup := s.specs[spec.Name]; dup {
 		return fmt.Errorf("sched: spec %q already registered", spec.Name)
 	}
-	s.specs[spec.Name] = &specState{
+	st := &specState{
 		spec:    spec,
 		req:     req,
-		cause:   "scheduler " + spec.Name,
+		cause:   causePrefix + spec.Name,
 		nextDue: s.clock.Now(),
 	}
-	s.order = append(s.order, spec.Name)
+	s.specs[spec.Name] = st
+	s.order = append(s.order, st)
 	return nil
 }
 
@@ -244,8 +252,7 @@ func (s *Scheduler) Poll() {
 func (s *Scheduler) dueBatchLocked() []*specState {
 	now := s.clock.Now()
 	due := s.dueScratch[:0]
-	for _, name := range s.order {
-		st := s.specs[name]
+	for _, st := range s.order {
 		if st.running {
 			continue // not even logged: nothing is due
 		}
@@ -316,23 +323,24 @@ func (s *Scheduler) nextBackoff(cur simclock.Time) simclock.Time {
 	return next
 }
 
-// observeBuild reacts to completed CI builds of jobs we scheduled. It runs
-// in the clock event that finished the build.
+// observeBuild reacts to completed CI builds the scheduler triggered. It
+// runs in the clock event that finished the build. A build is attributed by
+// its cause, the "scheduler <name>" its spec triggers with, so a manual or
+// cron build of the same job that finishes first is not taken for the
+// spec's run.
 func (s *Scheduler) observeBuild(b *ci.Build) {
 	if b.Cell != nil {
 		return // matrix cells roll up into their parent
 	}
+	name, ok := strings.CutPrefix(b.Cause, causePrefix)
+	if !ok {
+		return // not one of ours (manual/cron build)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var st *specState
-	for _, name := range s.order {
-		if s.specs[name].spec.JobName == b.Job && s.specs[name].running {
-			st = s.specs[name]
-			break
-		}
-	}
-	if st == nil {
-		return // not one of ours (manual/cron build)
+	st := s.specs[name]
+	if st == nil || !st.running || st.spec.JobName != b.Job {
+		return
 	}
 	st.running = false
 	if s.bySite[st.spec.Site] > 0 {

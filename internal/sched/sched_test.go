@@ -292,3 +292,52 @@ func TestKindString(t *testing.T) {
 		t.Fatal("kind strings")
 	}
 }
+
+// TestManualBuildIsNotTheSchedulers: a user's manual build of a spec's job
+// that finishes while the scheduler's build of that job waits behind it is
+// not the spec's run. The spec stays running and keeps its site until its
+// own build ends.
+func TestManualBuildIsNotTheSchedulers(t *testing.T) {
+	f := newFixture(DefaultConfig())
+	weekendStart(f.clock)
+	f.ci.AddToken("tok", "alice")
+	f.addTestJob("t1", "cluster='sol'/nodes=ALL,walltime=2", 2*simclock.Hour)
+	f.addTestJob("t2", "cluster='helios'/nodes=ALL,walltime=2", 2*simclock.Hour)
+	if err := f.sched.Register(&Spec{Name: "a", JobName: "t1", Cluster: "sol", Site: "sophia",
+		Kind: HardwareCentric, Request: "cluster='sol'/nodes=ALL,walltime=2", Period: simclock.Day}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ci.TriggerToken("t1", "tok"); err != nil {
+		t.Fatal(err)
+	}
+	f.sched.Poll() // a triggers t1 behind the manual build
+	stats := func(name string) SpecStats {
+		for _, st := range f.sched.Stats() {
+			if st.Name == name {
+				return st
+			}
+		}
+		t.Fatalf("no spec %q", name)
+		return SpecStats{}
+	}
+
+	// The manual build ends at 2 h; the scheduler's starts then.
+	f.clock.RunFor(2*simclock.Hour + simclock.Minute)
+	if st := stats("a"); !st.Running || st.Runs != 0 {
+		t.Fatalf("after the manual build: a = %+v, want Running with Runs 0", st)
+	}
+	if err := f.sched.Register(&Spec{Name: "b", JobName: "t2", Cluster: "helios", Site: "sophia",
+		Kind: HardwareCentric, Request: "cluster='helios'/nodes=ALL,walltime=2", Period: simclock.Day}); err != nil {
+		t.Fatal(err)
+	}
+	f.sched.Poll()
+	if got := f.sched.DecisionCounts()[ActionDeferSiteBusy]; got != 1 {
+		t.Fatalf("b deferred for a busy site %d times, want 1: a still holds sophia", got)
+	}
+
+	// The scheduler's own build ends at 4 h: that is a's run.
+	f.clock.RunFor(3 * simclock.Hour)
+	if st := stats("a"); st.Running || st.Runs != 1 {
+		t.Fatalf("after its own build: a = %+v, want Runs 1, not running", st)
+	}
+}
