@@ -158,9 +158,9 @@ type Framework struct {
 	envRetries map[int]int // parent build number → retry generation
 	started    bool
 
-	userReqs   [][]oar.Request // per cluster, per node count: see startUserLoad
-	abandon    func(job any)   // abandonQueued as a value, made once
-	fixScratch []*bugs.Bug     // reused operator-pass candidate buffer
+	userReqs   [][]oar.Request   // per cluster, per node count: see startUserLoad
+	abandon    *simclock.Delayed // each user job's day-long abandon timer
+	fixScratch []*bugs.Bug       // reused operator-pass candidate buffer
 }
 
 // WeekCounts accumulates build verdicts per simulated week.
@@ -214,7 +214,7 @@ func New(cfg Config) *Framework {
 	})
 	f.Bugs = bugs.NewTracker(f.Clock)
 	f.Sched = sched.New(f.Clock, f.OAR, f.CI, cfg.Sched)
-	f.abandon = f.abandonQueued
+	f.abandon = f.Clock.Delayed(simclock.Day, f.abandonQueued)
 
 	f.Ctx = &suites.Context{
 		Clock:    f.Clock,

@@ -205,8 +205,9 @@ func (f *Framework) submitUserJob() {
 	j := f.OAR.SubmitReq(req, oar.SubmitOptions{User: "user"})
 	// Users abandon jobs stuck in the queue for a day, so unsatisfiable
 	// whole-cluster requests (e.g. a suspected node) don't clog the queue
-	// forever.
-	f.Clock.Schedule(simclock.Day, f.abandon, j)
+	// forever. Every timer has the same delay, so they share one queue and
+	// one heap slot, whatever became of the jobs they watch.
+	f.abandon.Add(j)
 }
 
 // abandonQueued withdraws a user job (the argument) that is still waiting.

@@ -210,6 +210,11 @@ func (g *GridInjector) History() []GridEvent {
 	return out
 }
 
+// Since returns the events from the i-th on (0-based, in injection order)
+// without copying them: the slice is the injector's own, so read it, do not
+// change or keep it, and read it again after an Inject, Heal or AutoHeal.
+func (g *GridInjector) Since(i int) []GridEvent { return g.events[i:] }
+
 // SiteDownAt reports whether the named site is down — its shard frozen and
 // its routes dark — under any active event at the given instant.
 func (g *GridInjector) SiteDownAt(site string, now simclock.Time) bool {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/simclock"
 )
 
@@ -59,5 +60,53 @@ func BenchmarkRunPlan(b *testing.B) {
 		fed.mu.Unlock()
 		b.StartTimer()
 		fed.runPlan(plan)
+	}
+}
+
+// BenchmarkFederatedHour is one simulated hour of the default federation
+// (32 micro-shards over the paper's grid, stepped serially) three days into
+// its campaign: the unit of work g5kbench's campaign-fed times, without the
+// harness around it.
+func BenchmarkFederatedHour(b *testing.B) {
+	fed := New(Config{Seed: 1, Workers: 1})
+	fed.Start()
+	fed.Advance(3 * simclock.Day)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		fed.Advance(simclock.Hour)
+	}
+}
+
+// TestTickPlanAllocationsAreFlatInEventCount: planning a tick reads no grid
+// event whose tickets are closed, so it allocates as much after 1 000
+// healed events as after 10.
+func TestTickPlanAllocationsAreFlatInEventCount(t *testing.T) {
+	plan := func(fed *Federation) {
+		fed.mu.Lock()
+		fed.planTickLocked(0)
+		fed.mu.Unlock()
+	}
+	perTick := func(events int) float64 {
+		fed := New(Config{Seed: 1, Spec: subSpec("luxembourg", "nantes")})
+		for range events {
+			if _, err := fed.InjectGrid(faults.WANPartition, []string{"nantes"}, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan(fed) // files every event's tickets
+		for id := 1; id <= events; id++ {
+			if _, err := fed.HealGrid(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan(fed) // and closes them
+		if fed.open != events {
+			t.Fatalf("%d of %d healed events closed", fed.open, events)
+		}
+		return testing.AllocsPerRun(100, func() { plan(fed) })
+	}
+	if few, many := perTick(10), perTick(1000); few != many {
+		t.Errorf("a tick's plan allocates %v times after 10 healed grid events, %v after 1 000", few, many)
 	}
 }

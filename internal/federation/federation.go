@@ -119,10 +119,12 @@ type Federation struct {
 
 	// grid owns the site-scale events, their scheduled heals included;
 	// pending holds the not-yet-due schedule. told[i] is how far the shard
-	// trackers have heard of event i+1 (ticket filed, then closed).
+	// trackers have heard of event i+1 (ticket filed, then closed), and
+	// every event before open has its tickets closed.
 	grid    faults.GridInjector
 	pending []faults.ScheduleEntry
 	told    []tickets
+	open    int
 
 	// stepGate wraps every micro-shard step so an embedder (the gateway)
 	// can interleave its own per-shard locking with the barrier ticks; the
@@ -302,10 +304,14 @@ func (fed *Federation) planTickLocked(tick simclock.Time) []shardWork {
 	// Grid events announce themselves to the shard bug trackers exactly
 	// once: a fresh event files one ticket per reachable site (one root
 	// cause, not N cluster tickets), a fresh heal closes them, and an event
-	// healed before any shard heard of it has nothing to close.
+	// healed before any shard heard of it has nothing to close. The walk
+	// reads the injector's events in place, from the first one whose
+	// tickets are not closed, so a tick costs nothing per finished event.
 	var file []gridTicket
 	var fix []string
-	for i, e := range fed.grid.History() {
+	events := fed.grid.Since(fed.open)
+	for k := range events {
+		i, e := fed.open+k, &events[k]
 		if i == len(fed.told) {
 			fed.told = append(fed.told, unheard)
 		}
@@ -324,6 +330,9 @@ func (fed *Federation) planTickLocked(tick simclock.Time) []shardWork {
 				target: strings.Join(e.Sites, "+"),
 			})
 		}
+	}
+	for fed.open < len(fed.told) && fed.told[fed.open] == closed {
+		fed.open++
 	}
 
 	plan := make([]shardWork, 0, len(fed.shards))

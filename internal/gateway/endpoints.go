@@ -188,23 +188,45 @@ func (g *Gateway) serveOARJobs(w http.ResponseWriter, r *http.Request) {
 		out.Degraded = g.degradedMarker()
 		shards = liveShards(g.shards, out.Degraded)
 	}
-	for _, s := range shards {
+	lists := make([][]oar.JobInfo, len(shards))
+	for i, s := range shards {
 		jobs, sub, st, can := s.jobsScoped(limit)
-		out.Jobs = append(out.Jobs, jobs...)
+		lists[i] = jobs
 		out.Submitted += sub
 		out.Started += st
 		out.Canceled += can
 	}
-	// Merge the per-shard newest-first lists into one newest-first view;
-	// ties on submission time keep shard order (stable sort), so one
-	// shard's list stays as it came.
-	sort.SliceStable(out.Jobs, func(i, j int) bool {
-		return out.Jobs[i].SubmittedAtSec > out.Jobs[j].SubmittedAtSec
-	})
-	if limit > 0 && len(out.Jobs) > limit {
-		out.Jobs = out.Jobs[:limit]
-	}
+	out.Jobs = mergeNewestFirst(lists, limit)
 	writeJSON(w, out)
+}
+
+// mergeNewestFirst merges per-shard newest-first job lists into one
+// newest-first list of at most limit jobs (0: all of them), nil when there
+// are none. Ties on submission time go to the lower shard index, so the
+// result is the stable sort of the lists' concatenation.
+func mergeNewestFirst(lists [][]oar.JobInfo, limit int) []oar.JobInfo {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	if limit > 0 {
+		total = min(total, limit)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]oar.JobInfo, 0, total)
+	for len(out) < total {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || l[0].SubmittedAtSec > lists[best][0].SubmittedAtSec) {
+				best = i
+			}
+		}
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
+	return out
 }
 
 // SubmitRequest is the body of POST /oar/submit.

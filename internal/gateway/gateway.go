@@ -135,7 +135,7 @@ type shard struct {
 	// nodes and cores are the cluster's topology — immutable after
 	// assembly, so the /sites listing never takes the shard gate (see
 	// handleSites).
-	nodes []string
+	nodes int
 	cores int
 
 	// sim is the shard's campaign gate (see the package comment).
@@ -249,9 +249,7 @@ func ForFederation(fed *federation.Federation) *Gateway {
 		s := &shard{site: sh.Site, cluster: sh.Cluster, idx: i, f: sh.F}
 		s.inv.bound = archivedBodies
 		s.statusClient = status.NewLocalClient(s.f.CI.Handler())
-		for _, n := range s.f.TB.Nodes() {
-			s.nodes = append(s.nodes, n.Name)
-		}
+		s.nodes = len(s.f.TB.Nodes())
 		s.cores = s.f.TB.Cluster(s.cluster).Cores()
 		g.shards = append(g.shards, s)
 		arc := intel.SiteArchive{Site: s.site, Cluster: s.cluster, Ref: s.f.Ref, Gate: s.rlocked}

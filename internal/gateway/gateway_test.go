@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/federation"
 	"repro/internal/inproc"
+	"repro/internal/oar"
 	"repro/internal/simclock"
 )
 
@@ -689,6 +693,37 @@ func TestStress(t *testing.T) {
 	for _, pattern := range []string{"/status/grid", "/ref/inventory", "/oar/submit"} {
 		if m.Endpoints[pattern].Requests == 0 {
 			t.Fatalf("endpoint %s saw no request: %+v", pattern, m.Endpoints)
+		}
+	}
+}
+
+// TestMergeNewestFirstIsTheStableSort holds /oar/jobs's merge to what it
+// replaced: the stable sort, newest first, of the per-shard lists'
+// concatenation, cut at the limit. The random lists are newest first, as
+// every shard's is, with many equal submission times within and across
+// shards, so every tie rule shows; a list with no jobs stays nil.
+func TestMergeNewestFirstIsTheStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 500; round++ {
+		lists := make([][]oar.JobInfo, rng.Intn(6))
+		var all []oar.JobInfo
+		id := 0
+		for i := range lists {
+			at := float64(rng.Intn(5))
+			for range rng.Intn(8) {
+				id++
+				lists[i] = append(lists[i], oar.JobInfo{ID: id, SubmittedAtSec: at})
+				at -= float64(rng.Intn(2))
+			}
+			all = append(all, lists[i]...)
+		}
+		limit := rng.Intn(12)
+		sort.SliceStable(all, func(i, j int) bool { return all[i].SubmittedAtSec > all[j].SubmittedAtSec })
+		if limit > 0 && len(all) > limit {
+			all = all[:limit]
+		}
+		if got := mergeNewestFirst(lists, limit); !reflect.DeepEqual(got, all) {
+			t.Fatalf("round %d, limit %d: merged %v, the stable sort gives %v", round, limit, got, all)
 		}
 	}
 }

@@ -6,12 +6,14 @@ package gateway
 // grid route's handler, which reads the site from the path. These are the
 // endpoints whose latency is immune to other sites' campaign progress:
 // /sites/{site}/... takes only the owning shards' read gates, and /sites
-// takes none at all (topology is precomputed at assembly; node states are
-// read through the testbed's own mutex).
+// takes none at all (topology is precomputed at assembly; each shard's node
+// states are read in one pass under the testbed's own mutex).
 
 import (
 	"fmt"
 	"net/http"
+
+	"repro/internal/testbed"
 )
 
 // SiteJSON is one entry of GET /sites. Shard is the index of the site's
@@ -39,8 +41,9 @@ type SitesJSON struct {
 
 // handleSites lists the federation layout, each site folding its
 // micro-shards in cluster order. Deliberately gate-free: the topology is
-// the assembly-time snapshot and node states go through the testbed's own
-// mutex, so this listing never queues behind any shard's Advance.
+// the assembly-time snapshot and each shard's node states are counted in
+// one pass under its testbed's own mutex, so this listing never queues
+// behind any shard's Advance.
 func (g *Gateway) handleSites(w http.ResponseWriter, r *http.Request) {
 	out := SitesJSON{Shards: len(g.shards), Degraded: g.degradedMarker()}
 	down := map[string]bool{}
@@ -59,12 +62,9 @@ func (g *Gateway) handleSites(w http.ResponseWriter, r *http.Request) {
 			Down: down[site], Unreachable: unreachable[site]}
 		for _, s := range ss {
 			entry.Clusters = append(entry.Clusters, s.cluster)
-			entry.Nodes += len(s.nodes)
+			entry.Nodes += s.nodes
 			entry.Cores += s.cores
-			for _, name := range s.nodes {
-				state, _ := s.f.TB.NodeState(name)
-				entry.States[state.String()]++
-			}
+			s.f.TB.EachNodeState(func(st testbed.NodeState) { entry.States[st.String()]++ })
 		}
 		out.Sites = append(out.Sites, entry)
 	}

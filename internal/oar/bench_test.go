@@ -46,11 +46,18 @@ func queued(tb testing.TB, bestEffort int, stuck Request, n int) *Server {
 	return s
 }
 
-// BenchmarkSchedulePassSaturated is one release on the saturated cluster:
-// the pass starts the first waiting job on the freed node and fails the
-// other 119, then one more submission refills the queue.
+// BenchmarkSchedulePassSaturated is one release on the saturated cluster
+// whose queue holds saturatedQueue/2 whole-cluster jobs, then as many
+// one-node ones: the pass refuses each whole-cluster job on its fit, starts
+// the first one-node job on the freed node and stops there, the cluster
+// full again; then one more submission refills the queue.
 func BenchmarkSchedulePassSaturated(b *testing.B) {
-	s, one := saturated(b, 0)
+	const whole = saturatedQueue / 2
+	s := queued(b, 0, ClusterRequest("genepi", AllNodes, 100*simclock.Hour), whole)
+	one := ClusterRequest("genepi", 1, 100*simclock.Hour)
+	for range saturatedQueue - whole {
+		s.SubmitReq(one, SubmitOptions{})
+	}
 	oldest := 1
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -58,7 +65,11 @@ func BenchmarkSchedulePassSaturated(b *testing.B) {
 		if err := s.Release(oldest); err != nil {
 			b.Fatal(err)
 		}
-		oldest++
+		// Jobs start in ID order: the 30 fillers, then the one-node jobs,
+		// whose IDs follow the whole-cluster jobs'.
+		if oldest++; oldest == 31 {
+			oldest += whole
+		}
 		s.SubmitReq(one, SubmitOptions{})
 	}
 	b.StopTimer()

@@ -151,10 +151,12 @@ func newDiffDriver(t *testing.T, seed int64) *diffDriver {
 	for _, site := range tb.SiteNames() {
 		shapes = append(shapes,
 			fmt.Sprintf("site='%s'/nodes=12,walltime=1", site),
+			fmt.Sprintf("site='%s'/nodes=ALL,walltime=1", site),
 			fmt.Sprintf("site='%s' and eth10g='N'/nodes=ALL,walltime=1", site),
 		)
 	}
 	shapes = append(shapes,
+		"nodes=ALL,walltime=1",
 		"nodes=3,walltime=1",
 		"nodes=40,walltime=3",
 		"gpu='YES'/nodes=4,walltime=1",
@@ -168,6 +170,13 @@ func newDiffDriver(t *testing.T, seed int64) *diffDriver {
 			t.Fatalf("request pool: %v", err)
 		}
 		d.reqs = append(d.reqs, req)
+	}
+	// The gateway's site-scoped submission pins a filter-less request to
+	// its site, one with a filter under an AND.
+	for _, site := range tb.SiteNames() {
+		d.reqs = append(d.reqs,
+			MustParseRequest("nodes=ALL,walltime=1").PinnedToSite(site),
+			MustParseRequest("gpu='NO'/nodes=ALL,walltime=1").PinnedToSite(site))
 	}
 	return d
 }
@@ -270,6 +279,7 @@ func (d *diffDriver) step() {
 			if err := d.s.Release(running[d.rng.Intn(len(running))]); err != nil {
 				d.fatalf("release: %v", err)
 			}
+			d.checkSettled()
 		}
 	case r < 82:
 		if waiting := d.jobsIn(Waiting); len(waiting) > 0 {
@@ -287,9 +297,24 @@ func (d *diffDriver) step() {
 		if err := d.s.SetNodeState(n.Name, st); err != nil {
 			d.fatalf("set state: %v", err)
 		}
+		if st == testbed.Alive {
+			d.checkSettled()
+		}
 	default:
 		// Let some walltimes expire.
 		d.s.clock.RunFor(simclock.Time(1+d.rng.Intn(90)) * simclock.Minute)
+	}
+}
+
+// checkSettled holds the queue to what a release or a node's return leaves:
+// the server has passed over its queue until a pass started nothing, so no
+// queued job can start right now. (A submission runs no pass, so the nodes
+// its preemptions free may stay free until the next one.)
+func (d *diffDriver) checkSettled() {
+	for _, j := range d.s.queue {
+		if _, _, ok := d.s.allocateWithPreemption(j.Request, !j.bestEffort); ok {
+			d.fatalf("queued job %d (%q) can start, yet the pass left it waiting", j.ID, j.Request)
+		}
 	}
 }
 
@@ -432,21 +457,27 @@ func sameInfo(a, b JobInfo) bool {
 }
 
 // TestQueueFitsStayAlignedThroughCancels queues the whole request pool —
-// nodes=N, nodes=ALL, host-anchored and multi-segment shapes, a third of
-// them best-effort — on a testbed it keeps contended, cancels from the
-// middle of the queue and releases now and then, and runs the oracle's
-// checks after every operation: the fit shadow stays aligned with the
-// queue and never refuses a job allocate would start.
+// nodes=N, nodes=ALL with and without a filter, host-anchored and
+// multi-segment shapes, a third of them best-effort — on a testbed it keeps
+// contended, cancels from the middle of the queue, releases and takes nodes
+// out of service and back now and then, and runs the oracle's checks after
+// every operation: the fit shadow stays aligned with the queue and never
+// refuses a job allocate would start.
 func TestQueueFitsStayAlignedThroughCancels(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		d := newDiffDriver(t, seed)
-		var unbounded, bounded, bestEffort bool
+		var unbounded, bounded, bestEffort, wholeSpan, held, notAlive bool
 		do := func(op func()) {
 			op()
 			d.check()
 			d.op++
-			for _, f := range d.s.need {
+			for i, f := range d.s.need {
 				unbounded, bounded, bestEffort = unbounded || f.n == 0, bounded || f.n > 0, bestEffort || f.bestEffort
+				wholeSpan = wholeSpan || f.n > 1 && d.s.queue[i].Request.Segments[0].Nodes == AllNodes
+			}
+			held = held || d.s.spans[0].held > 0
+			for _, n := range d.tb.Nodes() {
+				notAlive = notAlive || n.State != testbed.Alive
 			}
 		}
 		for i := 0; i < 150; i++ {
@@ -466,12 +497,27 @@ func TestQueueFitsStayAlignedThroughCancels(t *testing.T) {
 					if err := d.s.Release(id); err != nil {
 						d.fatalf("release: %v", err)
 					}
+					d.checkSettled()
+				})
+			}
+			if i%4 == 1 {
+				nodes := d.tb.Nodes()
+				n := nodes[d.rng.Intn(len(nodes))]
+				st := testbed.Alive
+				if n.State == testbed.Alive {
+					st = testbed.Suspected
+				}
+				do(func() {
+					if err := d.s.SetNodeState(n.Name, st); err != nil {
+						d.fatalf("set state: %v", err)
+					}
 				})
 			}
 		}
-		if !unbounded || !bounded || !bestEffort {
-			t.Fatalf("seed %d: the queue never held an unbounded fit (%v), a bounded one (%v) and a best-effort one (%v)",
-				seed, unbounded, bounded, bestEffort)
+		if !unbounded || !bounded || !bestEffort || !wholeSpan || !held || !notAlive {
+			t.Fatalf("seed %d: the queue never held an unbounded fit (%v), a bounded one (%v), a best-effort one (%v) or a whole-span one (%v), "+
+				"or no best-effort job held a node (%v), or every node stayed alive (%v)",
+				seed, unbounded, bounded, bestEffort, wholeSpan, held, notAlive)
 		}
 	}
 }

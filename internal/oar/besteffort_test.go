@@ -133,3 +133,21 @@ func TestQueuedNormalJobPreemptsWhenDue(t *testing.T) {
 		t.Fatalf("n2=%v be=%v", n2.State, be.State)
 	}
 }
+
+// TestPassPreemptsTheBestEffortJobItJustStarted: a release frees the last
+// node of a full testbed, the pass starts the best-effort job queued first
+// on it, and the normal job queued behind still preempts that job in the
+// same pass. No node is free by then, but one is takeable, so the pass
+// must not stop there.
+func TestPassPreemptsTheBestEffortJobItJustStarted(t *testing.T) {
+	one := ClusterRequest("genepi", 1, simclock.Hour)
+	s := queued(t, 0, one, 0)
+	be := s.SubmitReq(one, SubmitOptions{BestEffort: true})
+	normal := s.SubmitReq(one, SubmitOptions{})
+	if err := s.Release(1); err != nil {
+		t.Fatal(err)
+	}
+	if be.State != Preempted || normal.State != Running || len(s.queue) != 0 {
+		t.Fatalf("best-effort job %v, normal job %v, %d queued; want Preempted, Running, 0", be.State, normal.State, len(s.queue))
+	}
+}

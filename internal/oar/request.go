@@ -33,6 +33,21 @@ type Segment struct {
 // site.
 func (s Segment) Anchor() (key, val string) { return s.anchorKey, s.anchorVal }
 
+// matchesWholeSpan reports whether the segment's expression matches every
+// node of the span its anchor names: it is the anchor's equality alone, or
+// there is no expression (and no anchor: the whole testbed). A node's
+// cluster and site are the very strings its spans are keyed by, so the
+// equality holds on each of them.
+func (s Segment) matchesWholeSpan() bool {
+	switch e := s.Expr.(type) {
+	case trueExpr:
+		return s.anchorKey == ""
+	case cmpExpr:
+		return e.op == "=" && e.key == s.anchorKey && e.val == s.anchorVal
+	}
+	return false
+}
+
 func (s Segment) String() string { return string(s.appendTo(nil)) }
 
 // appendTo appends the segment as String prints it.

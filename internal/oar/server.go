@@ -159,8 +159,11 @@ type fit struct {
 }
 
 // fitOf computes the fit of a request. A single counted segment needs its
-// count; nodes=ALL needs one node, since with none free or takeable in its
-// span no matching node can be taken.
+// count. A nodes=ALL segment whose expression matches its whole span (its
+// anchor's equality alone, or no expression at all) needs every node of the
+// span, since allocate takes all of them. One with any other filter needs
+// one node: with none free or takeable in its span no matching node can be
+// taken, but a busy node may be one its filter leaves out.
 func (s *Server) fitOf(req Request, bestEffort bool) fit {
 	if len(req.Segments) != 1 {
 		return fit{}
@@ -173,13 +176,18 @@ func (s *Server) fitOf(req Request, bestEffort bool) fit {
 	n := int32(seg.Nodes)
 	if seg.Nodes == AllNodes {
 		n = 1
+		if seg.matchesWholeSpan() {
+			n = s.spans[k].hi - s.spans[k].lo
+		}
 	}
 	return fit{n: n, sp: k, bestEffort: bestEffort}
 }
 
 // refuses reports whether allocate would refuse the job of fit f right now
 // on its span's counts alone — allocate's own first test, with the held
-// count read now, as allocateWithPreemption reads it.
+// count read now, as allocateWithPreemption reads it. For a whole-span
+// nodes=ALL fit, room below the span's size means some node is busy and
+// not takeable, which is exactly allocate's busy test for that segment.
 func (s *Server) refuses(f fit) bool {
 	return f.n > 0 && s.spans[f.sp].room(!f.bestEffort && s.spans[0].held > 0) < int(f.n)
 }
@@ -520,13 +528,16 @@ func (s *Server) walltimeExpired(job any) {
 
 // schedulePass walks the queue once, starting every job that fits. A job
 // its fit refuses is passed over without reading the *Job: on a saturated
-// cluster that is nearly every job. OnStart callbacks are NOT invoked here
-// (the caller fires them after the walk) so that queue mutations from
-// callbacks cannot corrupt the iteration. The caller holds the mutex.
+// cluster that is nearly every job. The walk stops once no node of the
+// testbed is free or takeable: every request needs at least one such node,
+// so every job left would be refused, and a refused attempt changes
+// nothing. OnStart callbacks are NOT invoked here (the caller fires them
+// after the walk) so that queue mutations from callbacks cannot corrupt
+// the iteration. The caller holds the mutex.
 func (s *Server) schedulePass() []*Job {
 	var started []*Job
 	i := 0
-	for i < len(s.queue) {
+	for i < len(s.queue) && s.spans[0].room(true) > 0 {
 		if s.refuses(s.need[i]) {
 			i++
 			continue

@@ -123,3 +123,25 @@ func BenchmarkTickerFire(b *testing.B) {
 		c.Step()
 	}
 }
+
+// TestDelayedAddAndFireAllocateNothing: once a Delayed queue's ring has
+// grown to its steady length, an Add and the fire of an older entry
+// allocate nothing.
+func TestDelayedAddAndFireAllocateNothing(t *testing.T) {
+	skipUnderRace(t)
+	c := New(1)
+	fired := 0
+	q := c.Delayed(Hour, func(any) { fired++ })
+	arg := new(int)
+	for range 100 {
+		q.Add(arg)
+		c.RunFor(Minute)
+	}
+	if got := testing.AllocsPerRun(1000, func() { q.Add(arg); c.RunFor(Minute) }); got != 0 {
+		t.Errorf("an Add and a fire on a warmed queue allocate %v times", got)
+	}
+	// An entry fires in the minute its hour runs out: 59 stay pending.
+	if fired != 100+1+1000-59 || q.n != 59 {
+		t.Errorf("%d entries fired, %d pending; want 1042, 59", fired, q.n)
+	}
+}

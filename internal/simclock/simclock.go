@@ -21,10 +21,24 @@
 // after it fired. Events without a handle (Schedule) come from a per-clock
 // free list and return to it as they fire; a Ticker re-arms its one event;
 // Arm schedules an event the caller's struct embeds.
+//
+// The pending events sit in a 4-ary min-heap of slots, each an event's key
+// (time, then schedule sequence) beside its pointer: a compare reads two
+// words of the slot, never the event and never an interface, and a sift
+// down visits half the levels a binary heap has. Canceled events stay in
+// the heap and are dropped when they reach its top.
+//
+// A Delayed queue holds events that all fire one fixed delay after they
+// are added, such as a timeout armed per submission. Add reserves exactly
+// the (time, sequence) key that Schedule with that delay would give at that
+// moment, but only the queue's head occupies a heap slot; when it fires,
+// the next entry enters the heap with its own reserved key. The delay is
+// fixed and the clock never goes back, so the queue's entries are already
+// in key order: the heap pops every event, ties included, in the order it
+// would if each entry were scheduled on its own, and Fired counts the same.
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -88,8 +102,6 @@ func (t Time) String() string {
 // Event is a scheduled callback. The callback runs with the clock set to the
 // event's time. The zero Event is ready for Arm.
 type Event struct {
-	at       Time
-	seq      uint64 // tie-break so equal-time events run in schedule order
 	fn       func(arg any)
 	arg      any
 	canceled atomic.Bool // atomic: Cancel may come from any goroutine
@@ -107,24 +119,67 @@ func (e *Event) Cancel() {
 	}
 }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// slot is one pending event in the heap, keyed by its time and then by its
+// schedule sequence, so equal-time events run in schedule order.
+type slot struct {
+	at  Time
+	seq uint64
+	e   *Event
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*Event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+func (a slot) before(b slot) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventHeap is a 4-ary min-heap of slots: the children of i are 4i+1 to
+// 4i+4.
+type eventHeap []slot
+
+func (h *eventHeap) push(s slot) {
+	q := append(*h, s)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !s.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = s
+	*h = q
+}
+
+// pop removes the top slot.
+func (h *eventHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	last := q[n]
+	q[n] = slot{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for k := c + 1; k < min(c+4, n); k++ {
+			if q[k].before(q[m]) {
+				m = k
+			}
+		}
+		if !q[m].before(last) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = last
 }
 
 // Clock is a virtual clock with an attached event queue and a seeded RNG.
@@ -137,7 +192,7 @@ func (q *eventQueue) Pop() any {
 type Clock struct {
 	mu    sync.Mutex
 	now   Time
-	queue eventQueue
+	queue eventHeap
 	seq   uint64
 	rng   *rand.Rand
 	fired uint64
@@ -190,9 +245,8 @@ func (c *Clock) pushLocked(e *Event, t Time) {
 	if t < c.now {
 		t = c.now
 	}
-	e.at, e.seq = t, c.seq
+	c.queue.push(slot{at: t, seq: c.seq, e: e})
 	c.seq++
-	heap.Push(&c.queue, e)
 }
 
 // After schedules fn to run d after the current time.
@@ -226,6 +280,77 @@ func (c *Clock) Schedule(d Time, fn func(arg any), arg any) {
 	}
 	e.fn, e.arg = fn, arg
 	c.pushLocked(e, c.now+max(d, 0))
+}
+
+// Delayed is a queue of handle-less events that each run fn(arg) one fixed
+// delay after their Add, in the order Schedule would run them (see the
+// package comment). Only its head holds a heap slot.
+type Delayed struct {
+	clock *Clock
+	delay Time
+	fn    func(arg any)
+	head  Event // the heap's event for the oldest entry; runs fireDelayed
+
+	// ring holds the entries in Add order: n of them from first on,
+	// wrapping; its length is zero or a power of two.
+	ring     []delayedEntry
+	first, n int
+}
+
+// delayedEntry is one Add: the key it reserved and its argument.
+type delayedEntry struct {
+	at  Time
+	seq uint64
+	arg any
+}
+
+// Delayed returns an empty queue whose entries run fn(arg) d after they are
+// added.
+func (c *Clock) Delayed(d Time, fn func(arg any)) *Delayed {
+	q := &Delayed{clock: c, delay: max(d, 0), fn: fn}
+	q.head.fn, q.head.arg = fireDelayed, q
+	return q
+}
+
+// Add queues fn(arg) to run the queue's delay from now, taking the key
+// Schedule(d, fn, arg) would take. Once the ring has grown to the queue's
+// peak length, adding allocates nothing.
+func (q *Delayed) Add(arg any) {
+	c := q.clock
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if q.n == len(q.ring) {
+		ring := make([]delayedEntry, max(8, 2*len(q.ring)))
+		for i := range q.n {
+			ring[i] = q.ring[(q.first+i)&(len(q.ring)-1)]
+		}
+		q.ring, q.first = ring, 0
+	}
+	e := delayedEntry{at: c.now + q.delay, seq: c.seq, arg: arg}
+	c.seq++
+	q.ring[(q.first+q.n)&(len(q.ring)-1)] = e
+	q.n++
+	if q.n == 1 {
+		c.queue.push(slot{at: e.at, seq: e.seq, e: &q.head})
+	}
+}
+
+// fireDelayed runs the head entry of the queue (arg), after giving the next
+// entry the heap slot its key reserved.
+func fireDelayed(arg any) {
+	q := arg.(*Delayed)
+	c := q.clock
+	c.mu.Lock()
+	e := q.ring[q.first]
+	q.ring[q.first] = delayedEntry{}
+	q.first = (q.first + 1) & (len(q.ring) - 1)
+	q.n--
+	if q.n > 0 {
+		next := q.ring[q.first]
+		c.queue.push(slot{at: next.at, seq: next.seq, e: &q.head})
+	}
+	c.mu.Unlock()
+	q.fn(e.arg)
 }
 
 // Ticker repeatedly schedules a callback at a fixed period until stopped.
@@ -279,16 +404,22 @@ func (c *Clock) Step() bool { return c.step(0, false) }
 func (c *Clock) step(limit Time, bounded bool) bool {
 	c.mu.Lock()
 	for {
-		e := c.peekLocked()
-		if e == nil || (bounded && e.at > limit) {
+		if len(c.queue) == 0 {
 			c.mu.Unlock()
 			return false
 		}
-		heap.Pop(&c.queue)
+		top := c.queue[0]
+		e := top.e
 		if e.canceled.Load() {
-			continue // canceled concurrently between peek and pop
+			c.queue.pop()
+			continue
 		}
-		c.now = e.at
+		if bounded && top.at > limit {
+			c.mu.Unlock()
+			return false
+		}
+		c.queue.pop()
+		c.now = top.at
 		c.fired++
 		fn, arg := e.fn, e.arg
 		if e.pooled {
@@ -320,14 +451,3 @@ func (c *Clock) RunUntil(t Time) {
 
 // RunFor executes events for the next d of simulated time.
 func (c *Clock) RunFor(d Time) { c.RunUntil(c.Now() + d) }
-
-func (c *Clock) peekLocked() *Event {
-	for len(c.queue) > 0 {
-		e := c.queue[0]
-		if !e.canceled.Load() {
-			return e
-		}
-		heap.Pop(&c.queue)
-	}
-	return nil
-}

@@ -1,8 +1,10 @@
 package simclock
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -325,5 +327,143 @@ func TestBernoulli(t *testing.T) {
 	}
 	if n < 2700 || n > 3300 {
 		t.Fatalf("p=0.3 hit %d/10000", n)
+	}
+}
+
+// TestHeapPopsInKeyOrder drives the clock with random At, After, Arm,
+// Schedule and Cancel calls, most of them at equal times and some from
+// callbacks, and holds every fire to a scanning reference: it must be the
+// pending, uncanceled event with the smallest (time, schedule order) key,
+// and the run must fire each such event exactly once.
+func TestHeapPopsInKeyOrder(t *testing.T) {
+	type pending struct {
+		at  Time
+		seq int    // schedule order: every scheduling call takes one
+		e   *Event // the handle, nil for Schedule
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := New(seed)
+		var pend []pending
+		seq, fired, canceled := 0, 0, 0
+		var onFire func(seq int)
+		fire := func(arg any) { onFire(arg.(int)) }
+		schedule := func() {
+			p := pending{seq: seq}
+			seq++
+			now := c.Now()
+			d := Time(rng.Intn(4)) * Second
+			p.at = now + d
+			switch rng.Intn(4) {
+			case 0: // possibly in the past: runs now, after what is queued for now
+				at := now + d - 2*Second
+				p.at = max(at, now)
+				p.e = c.At(at, func() { onFire(p.seq) })
+			case 1:
+				p.e = c.After(d, func() { onFire(p.seq) })
+			case 2:
+				p.e = &Event{}
+				c.Arm(p.e, d, fire, p.seq)
+			default:
+				c.Schedule(d, fire, p.seq)
+			}
+			pend = append(pend, p)
+		}
+		cancel := func() {
+			i := rng.Intn(len(pend))
+			if pend[i].e == nil {
+				return
+			}
+			pend[i].e.Cancel()
+			pend = append(pend[:i], pend[i+1:]...)
+			canceled++
+		}
+		onFire = func(got int) {
+			first := 0
+			for i, p := range pend {
+				if p.at < pend[first].at || p.at == pend[first].at && p.seq < pend[first].seq {
+					first = i
+				}
+			}
+			if len(pend) == 0 || pend[first].seq != got || c.Now() != pend[first].at {
+				t.Fatalf("seed %d: event %d fired at %v; the reference's next is %+v", seed, got, c.Now(), pend[first])
+			}
+			pend = append(pend[:first], pend[first+1:]...)
+			fired++
+			for k := rng.Intn(3); k > 0 && seq < 600; k-- {
+				schedule()
+			}
+			if len(pend) > 0 && rng.Intn(4) == 0 {
+				cancel()
+			}
+		}
+		for range 40 {
+			schedule()
+		}
+		for range 5 {
+			cancel()
+		}
+		c.Run()
+		if len(pend) != 0 || fired+canceled != seq || c.Fired() != uint64(fired) {
+			t.Fatalf("seed %d: %d scheduled, %d fired (clock says %d), %d canceled, %d never fired",
+				seed, seq, fired, c.Fired(), canceled, len(pend))
+		}
+	}
+}
+
+// TestDelayedFiresAsScheduleWould runs one random history twice: once with
+// a Delayed queue's entries, once with each entry scheduled directly with
+// the queue's delay. Other events, some with the same delay, interleave
+// with them, and the run steps in bounded slices. Both runs must fire the
+// same events at the same times in the same order, and count as many.
+func TestDelayedFiresAsScheduleWould(t *testing.T) {
+	run := func(seed int64, d Time, direct bool) (trace []string, fired uint64) {
+		rng := rand.New(rand.NewSource(seed))
+		c := New(seed)
+		var q *Delayed
+		n := 0
+		var fire func(arg any)
+		add := func() {
+			n++
+			if direct {
+				c.Schedule(d, fire, n)
+			} else {
+				q.Add(n)
+			}
+		}
+		fire = func(arg any) {
+			trace = append(trace, fmt.Sprintf("%v #%v", c.Now(), arg))
+			for k := rng.Intn(4); k > 0 && n < 500; k-- {
+				switch rng.Intn(3) {
+				case 0:
+					add()
+				case 1: // the queue's delay, scheduled directly either way
+					n++
+					c.Schedule(d, fire, n)
+				default:
+					n++
+					c.Schedule(Time(rng.Intn(5))*Second, fire, n)
+				}
+			}
+		}
+		q = c.Delayed(d, fire)
+		for range 6 {
+			add()
+			n++
+			c.Schedule(Time(rng.Intn(5))*Second, fire, n)
+		}
+		for c.RunFor(Second); len(c.queue) > 0; c.RunFor(Second) {
+		}
+		return trace, c.Fired()
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, d := range []Time{0, 3 * Second} {
+			want, wantFired := run(seed, d, true)
+			got, gotFired := run(seed, d, false)
+			if len(want) < 400 || !slices.Equal(got, want) || gotFired != wantFired {
+				t.Fatalf("seed %d delay %v: the queue fired %d events (clock %d), direct scheduling %d (clock %d); equal traces %v",
+					seed, d, len(got), gotFired, len(want), wantFired, slices.Equal(got, want))
+			}
+		}
 	}
 }

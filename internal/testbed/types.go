@@ -233,15 +233,15 @@ func (tb *Testbed) SetNodeState(name string, st NodeState) bool {
 	return true
 }
 
-// NodeState reads a node's availability state under the testbed mutex.
-func (tb *Testbed) NodeState(name string) (NodeState, bool) {
+// EachNodeState calls fn with every node's availability state, in testbed
+// order, under one hold of the testbed mutex. fn must not call back into
+// the testbed.
+func (tb *Testbed) EachNodeState(fn func(NodeState)) {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	n := tb.nodesByName[name]
-	if n == nil {
-		return Alive, false
+	for _, n := range tb.nodes {
+		fn(n.State)
 	}
-	return n.State, true
 }
 
 // index (re)builds the lookup maps. Called by the generator.
