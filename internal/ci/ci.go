@@ -192,12 +192,6 @@ type Job struct {
 	Axes        []Axis // empty for simple jobs
 	Retention   int    // completed builds kept per job (0 = DefaultRetention)
 
-	// Every enables Jenkins' native time-based scheduling ("cron on
-	// steroids", slide 15): the server triggers the job at this period.
-	// The paper's test jobs do NOT use it — their external scheduler
-	// replaces it — but plain CI/CD jobs (slide 20) do.
-	Every simclock.Time
-
 	nextNumber int
 
 	// Retained builds live in a ring: ring[head] is the oldest, nbuilds
@@ -491,12 +485,6 @@ func (s *Server) CreateJob(j *Job) error {
 	}
 	s.jobs[j.Name] = j
 	s.jobOrder = append(s.jobOrder, j.Name)
-	if j.Every > 0 {
-		name := j.Name
-		s.clock.Every(j.Every, func() {
-			s.Trigger(name, "cron") //nolint:errcheck // job exists by construction
-		})
-	}
 	return nil
 }
 

@@ -369,3 +369,15 @@ func TestLastCompletedSkipsCells(t *testing.T) {
 		t.Fatal("ghost job has builds")
 	}
 }
+
+// TestNonCronJobNeverSelfTriggers: a job builds only when something
+// triggers it — the server keeps no schedule of its own.
+func TestNonCronJobNeverSelfTriggers(t *testing.T) {
+	c := simclock.New(3)
+	s := NewServer(c, Options{NumExecutors: 2})
+	s.CreateJob(&Job{Name: "manual", Script: constScript(Success, simclock.Minute)})
+	c.RunUntil(simclock.Week)
+	if s.TotalBuilds() != 0 {
+		t.Fatalf("manual job built itself %d times", s.TotalBuilds())
+	}
+}

@@ -2,9 +2,13 @@ package lint_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/token"
 	"go/types"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
@@ -34,18 +38,13 @@ var productCallerExempt = map[string]string{
 // some non-test source other than its own declaration. What only tests
 // reach is deleted, unexported, or moved into a _test.go file. Package main
 // exports nothing, a method that satisfies an interface is called through
-// it, and struct fields are data — none of them are counted. The loader is
-// the analyzers' own (non-test sources only), so every reference it sees is
-// a product caller; the rule needs the whole module at once, which is why
-// it is a test and not a g5kvet analyzer (a Pass covers one package).
+// it, and struct fields are left to TestEveryOptionFieldHasAProductWriter,
+// which asks for a writer, not a reader. The loader is the analyzers' own
+// (non-test sources only), so every reference it sees is a product caller;
+// the rule needs the whole module at once, which is why it is a test and
+// not a g5kvet analyzer (a Pass covers one package).
 func TestEveryExportHasAProductCaller(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	pkgs, err := lint.Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
+	pkgs := modulePackages(t)
 	// Each package is checked against its imports' export data, so one
 	// declaration is several types.Objects: references are matched by name.
 	used := map[string]bool{}
@@ -109,6 +108,170 @@ func TestEveryExportHasAProductCaller(t *testing.T) {
 	sort.Strings(stale)
 	for _, k := range stale {
 		t.Errorf("productCallerExempt[%q] is stale: it has a product caller now, or is gone", k)
+	}
+}
+
+// loadModule loads the module's non-test sources once for every guard.
+var loadModule = sync.OnceValues(func() ([]*lint.Package, error) { return lint.Load("../..", "./...") })
+
+// modulePackages is the whole module, loaded and type-checked; it skips
+// the test under -short.
+func modulePackages(t *testing.T) []*lint.Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	pkgs, err := loadModule()
+	if err != nil {
+		t.Fatalf("loading module packages: %v", err)
+	}
+	return pkgs
+}
+
+// TestEveryOptionFieldHasAProductWriter is the export rule for struct
+// fields: an exported field of an exported struct is written somewhere in
+// the module's non-test sources, or it is an option only tests set and
+// its code path is reached by nothing else. A write is a composite literal
+// (keyed: its keys; unkeyed: every field), an assignment, op-assignment,
+// ++ or -- through a selector chain (out.Merged.Builds += n writes Merged
+// too) and taking a field's address (&cfg.Seed hands it to a flag). A
+// field with a json tag is a wire shape, filled by a decoder or read by a
+// client, and an embedded field is there for what it promotes: neither is
+// counted.
+func TestEveryOptionFieldHasAProductWriter(t *testing.T) {
+	pkgs := modulePackages(t)
+	written := map[string]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					markLiteral(written, p.Info, n)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						markChain(written, p.Info, lhs)
+					}
+				case *ast.IncDecStmt:
+					markChain(written, p.Info, n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						markChain(written, p.Info, n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unwritten []string
+	for _, p := range pkgs {
+		if p.Types.Name() == "main" {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if _, wire := reflect.StructTag(st.Tag(i)).Lookup("json"); !f.Exported() || f.Embedded() || wire {
+					continue
+				}
+				if !written[fieldID(tn, f.Name())] {
+					unwritten = append(unwritten, key(p.Types, name+"."+f.Name()))
+				}
+			}
+		}
+	}
+	if len(unwritten) > 0 {
+		t.Errorf("exported fields no product code writes (delete the field and what it switches on, or unexport it):\n  %s", strings.Join(unwritten, "\n  "))
+	}
+}
+
+// fieldID names field of the named struct type tn "<path>.<Type>.<Field>".
+func fieldID(tn *types.TypeName, field string) string {
+	return tn.Pkg().Path() + "." + tn.Name() + "." + field
+}
+
+// structOf is the named type t is or points to, and the struct under it;
+// ok is false for anything else.
+func structOf(t types.Type) (*types.TypeName, *types.Struct, bool) {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok {
+		return nil, nil, false
+	}
+	st, ok := named.Underlying().(*types.Struct)
+	return named.Origin().Obj(), st, ok
+}
+
+// markLiteral marks the fields a struct literal sets: its keys, or every
+// field when it has none.
+func markLiteral(written map[string]bool, info *types.Info, lit *ast.CompositeLit) {
+	tn, st, ok := structOf(info.TypeOf(lit))
+	if !ok || tn.Pkg() == nil {
+		return
+	}
+	if len(lit.Elts) > 0 {
+		if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); !keyed {
+			for i := 0; i < st.NumFields(); i++ {
+				written[fieldID(tn, st.Field(i).Name())] = true
+			}
+			return
+		}
+	}
+	for _, e := range lit.Elts {
+		if kv, ok := e.(*ast.KeyValueExpr); ok {
+			if id, ok := kv.Key.(*ast.Ident); ok {
+				written[fieldID(tn, id.Name)] = true
+			}
+		}
+	}
+}
+
+// markChain marks every field the written expression e reaches through:
+// x.A.B[i].C writes C, B and A.
+func markChain(written map[string]bool, info *types.Info, e ast.Expr) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				markSelection(written, sel)
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// markSelection marks the field a selection names and every embedded field
+// its path goes through to reach it.
+func markSelection(written map[string]bool, sel *types.Selection) {
+	t := sel.Recv()
+	for _, i := range sel.Index() {
+		tn, st, ok := structOf(t)
+		if !ok {
+			return
+		}
+		f := st.Field(i)
+		if tn.Pkg() != nil {
+			written[fieldID(tn, f.Name())] = true
+		}
+		t = f.Type()
 	}
 }
 

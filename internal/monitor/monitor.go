@@ -142,11 +142,6 @@ func noiseAt(seed uint64, sec int64) float64 {
 	return float64(h%2000)/1000 - 1
 }
 
-// noise derives the wiggle from (target, second) in one call.
-func noise(target string, sec int64) float64 {
-	return noiseAt(noiseSeed(target), sec)
-}
-
 // Query returns the 1 Hz samples of a metric for a node over [from, to].
 func (c *Collector) Query(metric, node string, from, to simclock.Time) ([]Sample, error) {
 	if c.tb.Node(node) == nil {

@@ -112,7 +112,7 @@ func TestQueryClampsToNow(t *testing.T) {
 func TestNoiseIsDeterministicAndBounded(t *testing.T) {
 	for _, node := range []string{"a", "sol-1.sophia", "graphene-9.nancy"} {
 		for sec := int64(0); sec < 1000; sec++ {
-			n1, n2 := noise(node, sec), noise(node, sec)
+			n1, n2 := noiseAt(noiseSeed(node), sec), noiseAt(noiseSeed(node), sec)
 			if n1 != n2 {
 				t.Fatal("noise not deterministic")
 			}

@@ -5,7 +5,6 @@ package oar
 // cluster-anchored jobs re-walked on every release.
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -18,22 +17,20 @@ import (
 const saturatedQueue = 120
 
 // saturated returns a server over one 30-node cluster with every node held
-// by a one-node job, the first bestEffort of them best-effort, and
-// saturatedQueue normal jobs waiting behind them for one node more than
-// preemption could give them — plus the request those waiting jobs carry.
-func saturated(tb testing.TB, bestEffort int) (*Server, Request) {
-	stuck := MustParseRequest(fmt.Sprintf("cluster='genepi'/nodes=%d,walltime=100", bestEffort+1))
-	return queued(tb, bestEffort, stuck, saturatedQueue), stuck
+// by a one-node job and saturatedQueue jobs waiting behind them for one
+// node — plus the request those waiting jobs carry.
+func saturated(tb testing.TB) (*Server, Request) {
+	stuck := ClusterRequest("genepi", 1, 100*simclock.Hour)
+	return queued(tb, stuck, saturatedQueue), stuck
 }
 
 // queued returns a server over genepi's 30 nodes, job IDs 1 to 30 holding
-// one node each (the first bestEffort of them best-effort), with n normal
-// jobs of the request stuck waiting behind them.
-func queued(tb testing.TB, bestEffort int, stuck Request, n int) *Server {
+// one node each, with n jobs of the request stuck waiting behind them.
+func queued(tb testing.TB, stuck Request, n int) *Server {
 	spec := testbed.DefaultSpec[1:2] // genepi, 30 nodes
 	s := NewServer(simclock.New(1), testbed.Generate(spec))
 	for i := 0; i < spec[0].NodeCount; i++ {
-		j := s.SubmitReq(MustParseRequest("cluster='genepi'/nodes=1,walltime=100"), SubmitOptions{BestEffort: i < bestEffort})
+		j := s.SubmitReq(MustParseRequest("cluster='genepi'/nodes=1,walltime=100"), SubmitOptions{})
 		if j.State != Running {
 			tb.Fatalf("filler job %d is %v", j.ID, j.State)
 		}
@@ -53,7 +50,7 @@ func queued(tb testing.TB, bestEffort int, stuck Request, n int) *Server {
 // full again; then one more submission refills the queue.
 func BenchmarkSchedulePassSaturated(b *testing.B) {
 	const whole = saturatedQueue / 2
-	s := queued(b, 0, ClusterRequest("genepi", AllNodes, 100*simclock.Hour), whole)
+	s := queued(b, ClusterRequest("genepi", AllNodes, 100*simclock.Hour), whole)
 	one := ClusterRequest("genepi", 1, 100*simclock.Hour)
 	for range saturatedQueue - whole {
 		s.SubmitReq(one, SubmitOptions{})
@@ -78,36 +75,6 @@ func BenchmarkSchedulePassSaturated(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulePassSaturatedBestEffort is the release with 10 of the 30
-// nodes held by best-effort jobs: the oldest of them ends, the pass fails
-// all 120 waiting jobs — each may preempt, and the cluster's held count
-// refuses it — and a new best-effort job takes the freed node.
-func BenchmarkSchedulePassSaturatedBestEffort(b *testing.B) {
-	const fillers = 10
-	s, _ := saturated(b, fillers)
-	one := ClusterRequest("genepi", 1, 100*simclock.Hour)
-	var bestEffort [fillers]int // job IDs, oldest at i%fillers
-	for i := range bestEffort {
-		bestEffort[i] = i + 1
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Release(bestEffort[i%fillers]); err != nil {
-			b.Fatal(err)
-		}
-		j := s.SubmitReq(one, SubmitOptions{BestEffort: true})
-		if j.State != Running {
-			b.Fatalf("best-effort job %d is %v", j.ID, j.State)
-		}
-		bestEffort[i%fillers] = j.ID
-	}
-	b.StopTimer()
-	if len(s.queue) != saturatedQueue || s.BusyNodes() != 30 || s.spans[0].held != fillers {
-		b.Fatalf("left the steady state: %d queued, %d busy, %d held", len(s.queue), s.BusyNodes(), s.spans[0].held)
-	}
-}
-
 // longQueue is how long a federated micro-shard's queue is for most of a
 // campaign (the median over shards, seed 1, three weeks).
 const longQueue = 124
@@ -117,7 +84,7 @@ const longQueue = 124
 // of them on its fit, and a one-node resubmission takes the freed node
 // back.
 func BenchmarkReleaseBehindLongQueue(b *testing.B) {
-	s := queued(b, 0, ClusterRequest("genepi", 2, 100*simclock.Hour), longQueue)
+	s := queued(b, ClusterRequest("genepi", 2, 100*simclock.Hour), longQueue)
 	one := ClusterRequest("genepi", 1, 100*simclock.Hour)
 	var running [30]int // job IDs, oldest at i%30
 	for i := range running {
@@ -148,7 +115,7 @@ func TestReleaseBehindALongQueueAllocatesNothing(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation guards run without the race detector")
 	}
-	s := queued(t, 0, ClusterRequest("genepi", 30, 100*simclock.Hour), longQueue)
+	s := queued(t, ClusterRequest("genepi", 30, 100*simclock.Hour), longQueue)
 	next := 1
 	if got := testing.AllocsPerRun(20, func() {
 		if err := s.Release(next); err != nil {
@@ -166,7 +133,7 @@ func TestReleaseBehindALongQueueAllocatesNothing(t *testing.T) {
 // BenchmarkCanStartNowSaturated is the external scheduler's availability
 // probe against the saturated cluster: the answer is no.
 func BenchmarkCanStartNowSaturated(b *testing.B) {
-	s, one := saturated(b, 0)
+	s, one := saturated(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -178,32 +145,26 @@ func BenchmarkCanStartNowSaturated(b *testing.B) {
 
 // TestFailedStartAttemptAllocatesNothing pins what the README promises of
 // the allocation path: a scheduling pass in which every waiting job fails
-// to start, and a failed availability probe, allocate nothing — whether or
-// not a best-effort job is running for the preemption logic to look at.
+// to start, and a failed availability probe, allocate nothing.
 func TestFailedStartAttemptAllocatesNothing(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		bestEffort int
-	}{{"no best-effort job", 0}, {"10 best-effort jobs running", 10}} {
-		s, probe := saturated(t, tc.bestEffort)
-		pass := func() {
-			s.mu.Lock()
-			s.scheduleLocked()
-			s.mu.Unlock()
+	s, probe := saturated(t)
+	pass := func() {
+		s.mu.Lock()
+		s.schedulePass()
+		s.mu.Unlock()
+	}
+	if got := testing.AllocsPerRun(100, pass); got != 0 {
+		t.Errorf("a scheduling pass over %d stuck jobs allocates %v times", saturatedQueue, got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if s.CanStartNowReq(probe) {
+			t.Fatalf("probe %q succeeded", probe)
 		}
-		if got := testing.AllocsPerRun(100, pass); got != 0 {
-			t.Errorf("%s: a scheduling pass over %d stuck jobs allocates %v times", tc.name, saturatedQueue, got)
-		}
-		if got := testing.AllocsPerRun(100, func() {
-			if s.CanStartNowReq(probe) {
-				t.Fatalf("%s: probe %q succeeded", tc.name, probe)
-			}
-		}); got != 0 {
-			t.Errorf("%s: a failed availability probe allocates %v times", tc.name, got)
-		}
-		if len(s.queue) != saturatedQueue {
-			t.Errorf("%s: %d jobs waiting, want %d", tc.name, len(s.queue), saturatedQueue)
-		}
+	}); got != 0 {
+		t.Errorf("a failed availability probe allocates %v times", got)
+	}
+	if len(s.queue) != saturatedQueue {
+		t.Errorf("%d jobs waiting, want %d", len(s.queue), saturatedQueue)
 	}
 }
 
@@ -272,17 +233,6 @@ func TestFinishedJobsAreNotRetained(t *testing.T) {
 		if info, ok := s.JobInfoByID(id); !ok || info.State != want {
 			t.Errorf("job %d reads %+v, %v; want %s", id, info, ok, want)
 		}
-	}
-}
-
-// TestOnStartIsDroppedOnceFired: the callback runs once and the job's
-// record does not keep what it captured.
-func TestOnStartIsDroppedOnceFired(t *testing.T) {
-	_, _, s := newServer()
-	fired := 0
-	j := s.SubmitReq(ClusterRequest("taurus", 1, simclock.Hour), SubmitOptions{OnStart: func(*Job) { fired++ }})
-	if fired != 1 || j.OnStart != nil {
-		t.Fatalf("fired %d times, OnStart kept: %v", fired, j.OnStart != nil)
 	}
 }
 

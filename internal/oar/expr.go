@@ -311,10 +311,9 @@ func isIdentChar(c byte) bool {
 // ---- parser (recursive descent) ----
 
 type parser struct {
-	lex  *lexer
-	cur  token
-	err  error
-	done bool
+	lex *lexer
+	cur token
+	err error
 }
 
 func (p *parser) advance() {

@@ -30,11 +30,12 @@ func FuzzParseRequest(f *testing.F) {
 	})
 }
 
-// FuzzSchedulerMatchesScan is TestPreemptionMatchesScanReference with the
+// FuzzSchedulerMatchesScan is TestSchedulerMatchesScanReference with the
 // fuzzer's bytes in place of the seeded RNG: each byte picks an operation,
 // an argument of one, or a probe, and check runs after every operation —
-// allocation, preemption and availability against the scanning reference,
-// the dense state against a recount, every job's history against the job.
+// allocation and availability against the scanning reference, the dense
+// state against a recount, the queue settled, every job's history against
+// the job.
 // The seeds are the corpus under testdata/fuzz/FuzzSchedulerMatchesScan.
 func FuzzSchedulerMatchesScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {

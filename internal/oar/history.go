@@ -4,9 +4,9 @@ package oar
 // hundred thousand and oarstat (JobsInfo) must still answer for every one,
 // but a *Job — its strings, node slice, request and walltime event — is
 // what the collector would re-mark on every cycle for the rest of the run.
-// So a job that ends (Terminated, Canceled, Preempted) leaves the server's
-// tables for a record with no pointer in it, in chunks the collector never
-// scans; whoever submitted it keeps a valid *Job of its own.
+// So a job that ends (Terminated or Canceled) leaves the server's tables
+// for a record with no pointer in it, in chunks the collector never scans;
+// whoever submitted it keeps a valid *Job of its own.
 
 import (
 	"repro/internal/simclock"

@@ -1,15 +1,11 @@
 package oar
 
-// The scan-based preemption fallback the server used before it kept the
-// best-effort holdings incrementally, kept as the oracle of a differential
-// test: on every failed allocation it re-derives who is best-effort by
-// walking a busy map recounted from the jobs and looking each holder up,
-// and allocates by name over the whole testbed with those nodes hidden and
-// penalized — no ordinal, span or anchor of the server's in sight.
+// A scanning allocator, the oracle of a differential test: it allocates by
+// name over the whole testbed and a busy map recounted from the jobs — no
+// ordinal, span, fit or anchor of the server's in sight.
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -20,11 +16,11 @@ import (
 	"repro/internal/testbed"
 )
 
-// refAllocatePreferring is the old allocatePreferring, over a busy map
-// (node name → job ID) the caller recounts from the jobs it holds and the
-// whole testbed in order — an anchor only narrows what the expression
-// already says: free nodes only, non-penalized ones first.
-func (d *diffDriver) refAllocatePreferring(busy map[string]int, req Request, penalized map[string]bool) ([]string, bool) {
+// refAllocate is the scanning allocator, over a busy map (node name → job
+// ID) the caller recounts from the jobs it holds and the whole testbed in
+// order — an anchor only narrows what the expression already says: the
+// first free, Alive matching nodes of each segment.
+func (d *diffDriver) refAllocate(busy map[string]int, req Request) ([]string, bool) {
 	var chosen []string
 	for _, seg := range req.Segments {
 		if seg.Nodes == AllNodes {
@@ -47,7 +43,7 @@ func (d *diffDriver) refAllocatePreferring(busy map[string]int, req Request, pen
 			}
 			continue
 		}
-		var free []*testbed.Node
+		var free []string
 		for _, n := range d.tb.Nodes() {
 			if slices.Contains(chosen, n.Name) || n.State != testbed.Alive {
 				continue
@@ -56,55 +52,16 @@ func (d *diffDriver) refAllocatePreferring(busy map[string]int, req Request, pen
 				continue
 			}
 			if seg.Expr.EvalNode(n) {
-				free = append(free, n)
+				free = append(free, n.Name)
 			}
 		}
 		if len(free) < seg.Nodes {
 			return nil, false
 		}
-		// Stable partition: genuinely free nodes first.
-		sort.SliceStable(free, func(i, j int) bool {
-			return !penalized[free[i].Name] && penalized[free[j].Name]
-		})
-		for _, n := range free[:seg.Nodes] {
-			chosen = append(chosen, n.Name)
-		}
+		chosen = append(chosen, free[:seg.Nodes]...)
 	}
 	sort.Strings(chosen)
 	return chosen, true
-}
-
-// refAllocateWithPreemption is the old allocateWithPreemption: it finds
-// who is best-effort by looking each holder in busy up among the jobs,
-// hides those nodes, and allocates with them penalized.
-func (d *diffDriver) refAllocateWithPreemption(busy map[string]int, req Request) (nodes []string, victims []int, ok bool) {
-	hidden := map[string]int{}
-	for node, jobID := range busy {
-		if d.jobs[jobID-1].bestEffort {
-			hidden[node] = jobID
-		}
-	}
-	if len(hidden) == 0 {
-		return nil, nil, false
-	}
-	rest := maps.Clone(busy)
-	penalized := make(map[string]bool, len(hidden))
-	for node := range hidden {
-		delete(rest, node)
-		penalized[node] = true
-	}
-	nodes, ok = d.refAllocatePreferring(rest, req, penalized)
-	if !ok {
-		return nil, nil, false
-	}
-	seen := map[int]bool{}
-	for _, node := range nodes {
-		if jobID, held := hidden[node]; held && !seen[jobID] {
-			seen[jobID] = true
-			victims = append(victims, jobID)
-		}
-	}
-	return nodes, victims, true
 }
 
 // diffDriver generates operations against one server and, after each,
@@ -236,50 +193,32 @@ func (d *diffDriver) names(ords []int32) []string {
 	return out
 }
 
-// submit issues one top-level submission and checks the decision the
-// server took for it against the one the reference takes beforehand. With
-// nest > 0 the job's OnStart submits again from inside the callback.
-func (d *diffDriver) submit(nest int) {
+// submit issues one submission and checks the decision the server took for
+// it against the one the reference takes beforehand.
+func (d *diffDriver) submit() {
 	req := d.pick()
-	opts := SubmitOptions{BestEffort: d.rng.Intn(3) == 0, Immediate: d.rng.Intn(5) == 0}
-	if nest > 0 {
-		inner, innerBE := d.pick(), d.rng.Intn(2) == 0
-		opts.OnStart = func(*Job) { d.track(d.s.SubmitReq(inner, SubmitOptions{BestEffort: innerBE})) }
-	}
-	busy := d.refBusy()
-	wantNodes, wantOK := d.refAllocatePreferring(busy, req, nil)
-	var wantVictims []int
-	if !wantOK && !opts.BestEffort {
-		wantNodes, wantVictims, wantOK = d.refAllocateWithPreemption(busy, req)
-	}
+	opts := SubmitOptions{Immediate: d.rng.Intn(5) == 0}
+	wantNodes, wantOK := d.refAllocate(d.refBusy(), req)
 	j := d.s.SubmitReq(req, opts)
 	d.track(j)
 	if started := j.Nodes != nil; started != wantOK {
-		d.fatalf("submit %q (best-effort %v): started %v, reference %v", req, opts.BestEffort, started, wantOK)
+		d.fatalf("submit %q (immediate %v): started %v, reference %v", req, opts.Immediate, started, wantOK)
 	}
 	if wantOK && !reflect.DeepEqual(j.Nodes, wantNodes) {
 		d.fatalf("submit %q: nodes %v, reference %v", req, j.Nodes, wantNodes)
-	}
-	for _, id := range wantVictims {
-		if st := d.jobs[id-1].State; st != Preempted {
-			d.fatalf("submit %q: reference victim %d is %v", req, id, st)
-		}
 	}
 }
 
 // step applies one random operation.
 func (d *diffDriver) step() {
 	switch r := d.rng.Intn(100); {
-	case r < 45:
-		d.submit(0)
 	case r < 55:
-		d.submit(1)
+		d.submit()
 	case r < 75:
 		if running := d.jobsIn(Running); len(running) > 0 {
 			if err := d.s.Release(running[d.rng.Intn(len(running))]); err != nil {
 				d.fatalf("release: %v", err)
 			}
-			d.checkSettled()
 		}
 	case r < 82:
 		if waiting := d.jobsIn(Waiting); len(waiting) > 0 {
@@ -297,30 +236,16 @@ func (d *diffDriver) step() {
 		if err := d.s.SetNodeState(n.Name, st); err != nil {
 			d.fatalf("set state: %v", err)
 		}
-		if st == testbed.Alive {
-			d.checkSettled()
-		}
 	default:
 		// Let some walltimes expire.
 		d.s.clock.RunFor(simclock.Time(1+d.rng.Intn(90)) * simclock.Minute)
 	}
 }
 
-// checkSettled holds the queue to what a release or a node's return leaves:
-// the server has passed over its queue until a pass started nothing, so no
-// queued job can start right now. (A submission runs no pass, so the nodes
-// its preemptions free may stay free until the next one.)
-func (d *diffDriver) checkSettled() {
-	for _, j := range d.s.queue {
-		if _, _, ok := d.s.allocateWithPreemption(j.Request, !j.bestEffort); ok {
-			d.fatalf("queued job %d (%q) can start, yet the pass left it waiting", j.ID, j.Request)
-		}
-	}
-}
-
-// check holds the dense state against a recount from the jobs, the history
-// against the jobs themselves, and the answers the server gives right now
-// to a few requests from the pool against the reference's.
+// check holds the dense state against a recount from the jobs, the queue
+// to being settled, the history against the jobs themselves, and the
+// answers the server gives right now to a few requests from the pool
+// against the reference's.
 func (d *diffDriver) check() {
 	s := d.s
 	busy := d.refBusy()
@@ -330,47 +255,31 @@ func (d *diffDriver) check() {
 		}
 	}
 	for o, n := range s.nodeList {
-		id := busy[n.Name]
-		be := id != 0 && d.jobs[id-1].bestEffort
-		if s.busy[o] != id || s.preemptable[o] != be {
-			d.fatalf("node %s: busy %d, best-effort %v; recounted from jobs %d, %v", n.Name, s.busy[o], s.preemptable[o], id, be)
+		if id := busy[n.Name]; s.busy[o] != id {
+			d.fatalf("node %s: busy %d; recounted from jobs %d", n.Name, s.busy[o], id)
 		}
 	}
 	for k, sp := range s.spans {
-		b, h := 0, 0
+		b := 0
 		for _, n := range s.nodeList[sp.lo:sp.hi] {
-			if id := busy[n.Name]; id != 0 {
+			if busy[n.Name] != 0 {
 				b++
-				if d.jobs[id-1].bestEffort {
-					h++
-				}
 			}
 		}
-		if sp.busy != b || sp.held != h {
-			d.fatalf("span %d [%d, %d): busy %d, held %d; recounted from jobs %d, %d", k, sp.lo, sp.hi, sp.busy, sp.held, b, h)
+		if sp.busy != b {
+			d.fatalf("span %d [%d, %d): busy %d; recounted from jobs %d", k, sp.lo, sp.hi, sp.busy, b)
 		}
 	}
 	d.checkQueue()
+	d.checkSettled()
 	d.checkHistory()
 	for i := 0; i < probesPerOp; i++ {
 		req := d.pick()
-		ords, gotOK := s.allocate(req, false)
+		ords, gotOK := s.allocate(req)
 		gotNodes := d.names(ords)
-		wantNodes, wantOK := d.refAllocatePreferring(busy, req, nil)
+		wantNodes, wantOK := d.refAllocate(busy, req)
 		if gotOK != wantOK || (gotOK && !reflect.DeepEqual(gotNodes, wantNodes)) {
 			d.fatalf("allocate %q: %v %v, reference %v %v", req, gotNodes, gotOK, wantNodes, wantOK)
-		}
-		// The reference falls back to preemption only when the plain
-		// attempt fails; the server decides both in one pass.
-		var wantVictims []int
-		if !wantOK {
-			wantNodes, wantVictims, wantOK = d.refAllocateWithPreemption(busy, req)
-		}
-		ords, gotVictims, gotOK := s.allocateWithPreemption(req, true)
-		gotNodes = d.names(ords)
-		if gotOK != wantOK || !reflect.DeepEqual(gotNodes, wantNodes) || !reflect.DeepEqual(gotVictims, wantVictims) {
-			d.fatalf("preempting %q: nodes %v victims %v %v, reference nodes %v victims %v %v",
-				req, gotNodes, gotVictims, gotOK, wantNodes, wantVictims, wantOK)
 		}
 		if got := s.CanStartNowReq(req); got != wantOK {
 			d.fatalf("CanStartNow %q: %v, reference %v", req, got, wantOK)
@@ -378,10 +287,8 @@ func (d *diffDriver) check() {
 	}
 }
 
-// checkQueue holds the queue's fit shadow to the queue and to allocate:
-// one fit per queued job, each the one its request and mode give, every
-// queued job Waiting, and no job refused by its fit that allocate would
-// start right now.
+// checkQueue holds the queue's fit shadow to the queue: one fit per queued
+// job, each the one its request gives, and every queued job Waiting.
 func (d *diffDriver) checkQueue() {
 	s := d.s
 	if len(s.need) != len(s.queue) {
@@ -391,14 +298,23 @@ func (d *diffDriver) checkQueue() {
 		if j.State != Waiting {
 			d.fatalf("queued job %d is %v", j.ID, j.State)
 		}
-		if want := s.fitOf(j.Request, j.bestEffort); s.need[i] != want {
+		if want := s.fitOf(j.Request); s.need[i] != want {
 			d.fatalf("queued job %d (%q): fit %+v, its request gives %+v", j.ID, j.Request, s.need[i], want)
 		}
-		if !s.refuses(s.need[i]) {
-			continue
-		}
-		if _, _, ok := s.allocateWithPreemption(j.Request, !j.bestEffort); ok {
-			d.fatalf("queued job %d (%q): its fit %+v refuses it, allocate starts it", j.ID, j.Request, s.need[i])
+	}
+}
+
+// checkSettled holds the queue to what every operation leaves: no queued
+// job can start right now. A release, an expiry and a node's return each
+// run a pass, which starts every job that fits; a submission, a cancel and
+// a node going down only add a job or take nodes away. A job its fit
+// refuses is held to allocate too, so a fit that refuses a job allocate
+// would start is caught here.
+func (d *diffDriver) checkSettled() {
+	for i, j := range d.s.queue {
+		if _, ok := d.s.allocate(j.Request); ok {
+			d.fatalf("queued job %d (%q, fit %+v, refused on it: %v) can start, yet it waits",
+				j.ID, j.Request, d.s.need[i], d.s.refuses(d.s.need[i]))
 		}
 	}
 }
@@ -458,31 +374,30 @@ func sameInfo(a, b JobInfo) bool {
 
 // TestQueueFitsStayAlignedThroughCancels queues the whole request pool —
 // nodes=N, nodes=ALL with and without a filter, host-anchored and
-// multi-segment shapes, a third of them best-effort — on a testbed it keeps
-// contended, cancels from the middle of the queue, releases and takes nodes
-// out of service and back now and then, and runs the oracle's checks after
-// every operation: the fit shadow stays aligned with the queue and never
-// refuses a job allocate would start.
+// multi-segment shapes — on a testbed it keeps contended, cancels from the
+// middle of the queue, releases and takes nodes out of service and back
+// now and then, and runs the oracle's checks after every operation: the
+// fit shadow stays aligned with the queue and never refuses a job allocate
+// would start.
 func TestQueueFitsStayAlignedThroughCancels(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		d := newDiffDriver(t, seed)
-		var unbounded, bounded, bestEffort, wholeSpan, held, notAlive bool
+		var unbounded, bounded, wholeSpan, notAlive bool
 		do := func(op func()) {
 			op()
 			d.check()
 			d.op++
 			for i, f := range d.s.need {
-				unbounded, bounded, bestEffort = unbounded || f.n == 0, bounded || f.n > 0, bestEffort || f.bestEffort
+				unbounded, bounded = unbounded || f.n == 0, bounded || f.n > 0
 				wholeSpan = wholeSpan || f.n > 1 && d.s.queue[i].Request.Segments[0].Nodes == AllNodes
 			}
-			held = held || d.s.spans[0].held > 0
 			for _, n := range d.tb.Nodes() {
 				notAlive = notAlive || n.State != testbed.Alive
 			}
 		}
 		for i := 0; i < 150; i++ {
-			req, be := d.reqs[i%len(d.reqs)], d.rng.Intn(3) == 0
-			do(func() { d.track(d.s.SubmitReq(req, SubmitOptions{BestEffort: be})) })
+			req := d.reqs[i%len(d.reqs)]
+			do(func() { d.track(d.s.SubmitReq(req, SubmitOptions{})) })
 			if q := d.s.queue; i%3 == 2 && len(q) > 2 {
 				id := q[1+d.rng.Intn(len(q)-2)].ID
 				do(func() {
@@ -497,7 +412,6 @@ func TestQueueFitsStayAlignedThroughCancels(t *testing.T) {
 					if err := d.s.Release(id); err != nil {
 						d.fatalf("release: %v", err)
 					}
-					d.checkSettled()
 				})
 			}
 			if i%4 == 1 {
@@ -514,21 +428,20 @@ func TestQueueFitsStayAlignedThroughCancels(t *testing.T) {
 				})
 			}
 		}
-		if !unbounded || !bounded || !bestEffort || !wholeSpan || !held || !notAlive {
-			t.Fatalf("seed %d: the queue never held an unbounded fit (%v), a bounded one (%v), a best-effort one (%v) or a whole-span one (%v), "+
-				"or no best-effort job held a node (%v), or every node stayed alive (%v)",
-				seed, unbounded, bounded, bestEffort, wholeSpan, held, notAlive)
+		if !unbounded || !bounded || !wholeSpan || !notAlive {
+			t.Fatalf("seed %d: the queue never held an unbounded fit (%v), a bounded one (%v) or a whole-span one (%v), "+
+				"or every node stayed alive (%v)", seed, unbounded, bounded, wholeSpan, notAlive)
 		}
 	}
 }
 
-// TestPreemptionMatchesScanReference drives a server through seeded random
-// histories and, after every operation, asserts that the incremental
-// best-effort bookkeeping answers exactly as the scanning reference does:
-// chosen nodes, victims, CanStartNow, the busy state and
-// span counts against a recount, and every job's JobInfo against the job.
-// A failure names the seed and the operation index.
-func TestPreemptionMatchesScanReference(t *testing.T) {
+// TestSchedulerMatchesScanReference drives a server through seeded random
+// histories and, after every operation, asserts that its dense state
+// answers exactly as the scanning reference does: chosen nodes and
+// CanStartNow, the busy state and span counts against a recount, a settled
+// queue, and every job's JobInfo against the job. A failure names the seed
+// and the operation index.
+func TestSchedulerMatchesScanReference(t *testing.T) {
 	seeds, ops := 200, 300
 	if testing.Short() {
 		seeds = 20

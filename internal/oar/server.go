@@ -34,8 +34,6 @@ func (s JobState) String() string {
 		return "Terminated"
 	case Canceled:
 		return "Canceled"
-	case Preempted:
-		return "Preempted"
 	}
 	return fmt.Sprintf("JobState(%d)", int(s))
 }
@@ -54,12 +52,7 @@ type Job struct {
 	// Nodes assigned while Running/Terminated.
 	Nodes []string
 
-	// OnStart fires when the job's resources are allocated; test jobs run
-	// their payload from here. The server drops it once fired.
-	OnStart func(j *Job)
-
-	bestEffort bool
-	walltime   simclock.Event // the walltime expiry, armed by startJob
+	walltime simclock.Event // the walltime expiry, armed by startJob
 }
 
 // Server is the OAR resource manager of one testbed. The monolithic
@@ -70,10 +63,9 @@ type Job struct {
 //
 // The server is safe for concurrent use: CI build scripts submit and
 // release jobs from clock events (see internal/ci), and the gateway and
-// tests reach it from outside goroutines, so every public method takes the
-// server mutex. OnStart callbacks always fire with the mutex released — they may
-// re-enter the server (Submit/Release from a callback is the normal test
-// payload pattern).
+// tests reach it from outside goroutines, so every public method holds the
+// server mutex for its whole run; nothing it calls under the mutex calls
+// back into the server.
 //
 // Its state is dense. A node is its ordinal, its position in tb.Nodes(),
 // where every cluster and every site is one contiguous range (NewServer
@@ -93,11 +85,10 @@ type Server struct {
 	need   []fit        // need[i] is queue[i]'s fit: dropQueued keeps them aligned
 	hist   history
 
-	// busy is each node's running job ID (0: free); preemptable marks the
-	// part of it held by best-effort jobs. startJob and endJob are the only
-	// places either changes, and they keep the spans' counts in step.
-	busy        []int
-	preemptable []bool
+	// busy is each node's running job ID (0: free). startJob and
+	// finishLocked are the only places it changes, and they keep the spans'
+	// counts in step.
+	busy []int
 
 	// spans[0] is the whole testbed, then one span per cluster and per site
 	// (byCluster, bySite name them; clusterOf, siteOf give a node's). Their
@@ -119,52 +110,37 @@ type Server struct {
 
 	expire func(job any) // walltimeExpired as a value, made once
 
-	// Scratch ordinals reused across allocation attempts (all access is
-	// under the server mutex). chosen/free/held hold the in-progress
-	// selection; only a successful start copies the result out.
-	chosenScratch, freeScratch, heldScratch []int32
-
-	// Re-entrancy guard: OnStart callbacks may Submit or Release
-	// synchronously, which re-invokes Schedule.
-	inSchedule bool
-	again      bool
+	// chosenScratch holds allocate's in-progress selection across attempts
+	// (all access is under the server mutex); only a successful start copies
+	// the result out.
+	chosenScratch []int32
 
 	// stats
 	submitted, started, canceled int
 }
 
 // span is a contiguous range of node ordinals [lo, hi) with how many of
-// them running jobs hold (busy) and how many of those are best-effort
-// (held).
+// them running jobs hold.
 type span struct {
-	lo, hi     int32
-	busy, held int
+	lo, hi int32
+	busy   int
 }
 
 // room bounds how many nodes the span can give a request right now.
-func (sp *span) room(preempting bool) int {
-	r := int(sp.hi-sp.lo) - sp.busy
-	if preempting {
-		r += sp.held
-	}
-	return r
-}
+func (sp *span) room() int { return int(sp.hi-sp.lo) - sp.busy }
 
 // fit is what a queued job needs of one span before allocate can start it:
-// at least n nodes that are free, or takeable when it may preempt. n is 0
-// when no span bounds the request (a host anchor, several segments).
-type fit struct {
-	n, sp      int32
-	bestEffort bool
-}
+// at least n free nodes. n is 0 when no span bounds the request (a host
+// anchor, several segments).
+type fit struct{ n, sp int32 }
 
 // fitOf computes the fit of a request. A single counted segment needs its
 // count. A nodes=ALL segment whose expression matches its whole span (its
 // anchor's equality alone, or no expression at all) needs every node of the
 // span, since allocate takes all of them. One with any other filter needs
-// one node: with none free or takeable in its span no matching node can be
-// taken, but a busy node may be one its filter leaves out.
-func (s *Server) fitOf(req Request, bestEffort bool) fit {
+// one node: with none free in its span no matching node can be taken, but a
+// busy node may be one its filter leaves out.
+func (s *Server) fitOf(req Request) fit {
 	if len(req.Segments) != 1 {
 		return fit{}
 	}
@@ -180,16 +156,15 @@ func (s *Server) fitOf(req Request, bestEffort bool) fit {
 			n = s.spans[k].hi - s.spans[k].lo
 		}
 	}
-	return fit{n: n, sp: k, bestEffort: bestEffort}
+	return fit{n: n, sp: k}
 }
 
 // refuses reports whether allocate would refuse the job of fit f right now
-// on its span's counts alone — allocate's own first test, with the held
-// count read now, as allocateWithPreemption reads it. For a whole-span
-// nodes=ALL fit, room below the span's size means some node is busy and
-// not takeable, which is exactly allocate's busy test for that segment.
+// on its span's counts alone — allocate's own first test. For a whole-span
+// nodes=ALL fit, room below the span's size means some node is busy, which
+// is exactly allocate's busy test for that segment.
 func (s *Server) refuses(f fit) bool {
-	return f.n > 0 && s.spans[f.sp].room(!f.bestEffort && s.spans[0].held > 0) < int(f.n)
+	return f.n > 0 && s.spans[f.sp].room() < int(f.n)
 }
 
 // NewServer returns an OAR server over the testbed. It panics if a cluster
@@ -198,18 +173,17 @@ func (s *Server) refuses(f fit) bool {
 func NewServer(clock *simclock.Clock, tb *testbed.Testbed) *Server {
 	nodes := tb.Nodes()
 	s := &Server{
-		clock:       clock,
-		tb:          tb,
-		jobs:        map[int]*Job{},
-		busy:        make([]int, len(nodes)),
-		preemptable: make([]bool, len(nodes)),
-		spans:       []span{{hi: int32(len(nodes))}},
-		byCluster:   map[string]int32{},
-		bySite:      map[string]int32{},
-		clusterOf:   make([]int32, len(nodes)),
-		siteOf:      make([]int32, len(nodes)),
-		nodeList:    nodes,
-		ordinal:     make(map[string]int32, len(nodes)),
+		clock:     clock,
+		tb:        tb,
+		jobs:      map[int]*Job{},
+		busy:      make([]int, len(nodes)),
+		spans:     []span{{hi: int32(len(nodes))}},
+		byCluster: map[string]int32{},
+		bySite:    map[string]int32{},
+		clusterOf: make([]int32, len(nodes)),
+		siteOf:    make([]int32, len(nodes)),
+		nodeList:  nodes,
+		ordinal:   make(map[string]int32, len(nodes)),
 	}
 	for i, n := range nodes {
 		o := int32(i)
@@ -280,11 +254,6 @@ type SubmitOptions struct {
 	// slide 17: "if that testbed job fails to be scheduled immediately, it
 	// is cancelled and the build is marked as unstable".
 	Immediate bool
-	// BestEffort runs the job on idle resources only; it is killed the
-	// moment a normal job needs its nodes.
-	BestEffort bool
-	// OnStart runs when resources are allocated.
-	OnStart func(*Job)
 }
 
 // Submit parses and enqueues a resource request, then attempts to schedule
@@ -304,6 +273,7 @@ func (s *Server) Submit(request string, opts SubmitOptions) (*Job, error) {
 // onto the parsed form (Request.PinnedToSite).
 func (s *Server) SubmitReq(req Request, opts SubmitOptions) *Job {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.nextID++
 	j := &Job{
 		ID:          s.nextID,
@@ -311,24 +281,23 @@ func (s *Server) SubmitReq(req Request, opts SubmitOptions) *Job {
 		Request:     req,
 		State:       Waiting,
 		SubmittedAt: s.clock.Now(),
-		OnStart:     opts.OnStart,
-		bestEffort:  opts.BestEffort,
 	}
 	s.jobs[j.ID] = j
 	s.queue = append(s.queue, j)
-	s.need = append(s.need, s.fitOf(req, opts.BestEffort))
+	s.need = append(s.need, s.fitOf(req))
 	s.submitted++
 	// A new submission can only start itself (first-fit: it cannot free
 	// resources for anyone else), so try just this job instead of walking
 	// the whole waiting queue — submissions are the hot path.
-	started := s.tryStartOneLocked(j)
+	last := len(s.queue) - 1
+	if !s.refuses(s.need[last]) {
+		if nodes, ok := s.allocate(req); ok {
+			s.dropQueued(last)
+			s.startJob(j, nodes)
+		}
+	}
 	if opts.Immediate && j.State == Waiting {
 		s.cancelLocked(j)
-	}
-	s.mu.Unlock()
-	if fn := j.OnStart; started && fn != nil {
-		j.OnStart = nil // fires once; what it captured need not outlive that
-		fn(j)
 	}
 	return j
 }
@@ -381,23 +350,18 @@ func (s *Server) refusalLocked(id int, verb string) error {
 	return fmt.Errorf("oar: job %d is %s, cannot %s", id, st, verb)
 }
 
+// finishLocked ends a running job — released, or out of walltime — takes
+// it off its nodes and retires it, then passes over the queue: the freed
+// nodes may start queued jobs.
 func (s *Server) finishLocked(j *Job) {
-	s.endJob(j, Terminated)
-	// Freed resources may unblock queued jobs.
-	s.scheduleLocked()
-}
-
-// endJob takes a running job off its nodes in the given final state
-// (Terminated, or Preempted with no walltime refund) and retires it.
-func (s *Server) endJob(j *Job, final JobState) {
-	j.State = final
+	j.State = Terminated
 	j.EndedAt = s.clock.Now()
 	j.walltime.Cancel()
 	for _, o := range s.retire(j) {
 		s.busy[o] = 0
-		s.preemptable[o] = false
-		s.count(o, -1, j.bestEffort)
+		s.count(o, -1)
 	}
+	s.schedulePass()
 }
 
 // retire moves a finished job from jobs to its record and returns the
@@ -408,14 +372,10 @@ func (s *Server) retire(j *Job) []int32 {
 	return s.hist.add(j, s.ordinal)
 }
 
-// count adds d to the busy count of the three spans holding node o, and
-// to their held count too for a best-effort job.
-func (s *Server) count(o int32, d int, bestEffort bool) {
+// count adds d to the busy count of the three spans holding node o.
+func (s *Server) count(o int32, d int) {
 	for _, k := range [...]int32{0, s.clusterOf[o], s.siteOf[o]} {
 		s.spans[k].busy += d
-		if bestEffort {
-			s.spans[k].held += d
-		}
 	}
 }
 
@@ -441,67 +401,9 @@ func (s *Server) dropQueued(i int) {
 	s.need = slices.Delete(s.need, i, i+1)
 }
 
-// scheduleLocked runs scheduling passes over the waiting queue until no
-// further job can start; the caller holds the mutex. Jobs are considered in
-// FCFS order but a stuck job does not block later ones (first-fit, i.e.
-// conservative backfilling without reservations — OAR proper uses a Gantt,
-// but what matters to the paper's external scheduler is only that
-// whole-cluster jobs wait a long time under contention, which first-fit
-// preserves).
-//
-// OnStart callbacks fire with the mutex temporarily released, so they may
-// re-enter the server; re-entrant calls (Submit or Release from a callback)
-// are deferred to an extra pass instead of recursing.
-func (s *Server) scheduleLocked() {
-	if s.inSchedule {
-		s.again = true
-		return
-	}
-	s.inSchedule = true
-	defer func() { s.inSchedule = false }()
-	for {
-		s.again = false
-		started := s.schedulePass()
-		for _, j := range started {
-			if fn := j.OnStart; fn != nil {
-				j.OnStart = nil
-				s.mu.Unlock()
-				fn(j)
-				s.mu.Lock()
-			}
-		}
-		if !s.again && len(started) == 0 {
-			return
-		}
-	}
-}
-
-// tryStartOneLocked attempts to start j, the job just queued (the last in
-// the queue), right now. It reports whether the job started; the caller
-// fires OnStart after releasing the mutex.
-func (s *Server) tryStartOneLocked(j *Job) bool {
-	if s.inSchedule {
-		// A Submit from inside an OnStart callback: let the outer Schedule
-		// loop pick the job up on its extra pass.
-		s.again = true
-		return false
-	}
-	last := len(s.queue) - 1
-	if s.refuses(s.need[last]) {
-		return false
-	}
-	nodes, ok := s.startWithPreemption(j)
-	if !ok {
-		return false
-	}
-	s.dropQueued(last)
-	s.startJob(j, nodes)
-	return true
-}
-
 // startJob transitions a waiting job to Running on the given nodes. The
-// caller holds the mutex, is responsible for removing the job from the
-// queue, and fires OnStart itself (with the mutex released).
+// caller holds the mutex and is responsible for removing the job from the
+// queue.
 func (s *Server) startJob(j *Job, nodes []int32) {
 	j.State = Running
 	j.StartedAt = s.clock.Now()
@@ -509,8 +411,7 @@ func (s *Server) startJob(j *Job, nodes []int32) {
 	for i, o := range nodes {
 		j.Nodes[i] = s.nodeList[o].Name
 		s.busy[o] = j.ID
-		s.preemptable[o] = j.bestEffort
-		s.count(o, 1, j.bestEffort)
+		s.count(o, 1)
 	}
 	s.started++
 	s.clock.Arm(&j.walltime, j.Request.Walltime, s.expire, j)
@@ -526,42 +427,40 @@ func (s *Server) walltimeExpired(job any) {
 	}
 }
 
-// schedulePass walks the queue once, starting every job that fits. A job
-// its fit refuses is passed over without reading the *Job: on a saturated
-// cluster that is nearly every job. The walk stops once no node of the
-// testbed is free or takeable: every request needs at least one such node,
-// so every job left would be refused, and a refused attempt changes
-// nothing. OnStart callbacks are NOT invoked here (the caller fires them
-// after the walk) so that queue mutations from callbacks cannot corrupt
-// the iteration. The caller holds the mutex.
-func (s *Server) schedulePass() []*Job {
-	var started []*Job
+// schedulePass walks the waiting queue once, starting every job that fits;
+// the caller holds the mutex. Jobs are considered in FCFS order but a stuck
+// job does not block later ones (first-fit, i.e. conservative backfilling
+// without reservations — OAR proper uses a Gantt, but what matters to the
+// paper's external scheduler is only that whole-cluster jobs wait a long
+// time under contention, which first-fit preserves). One pass settles the
+// queue: starting a job only takes nodes, so a job the pass refused stays
+// refused until something frees a node or brings one back.
+//
+// A job its fit refuses is passed over without reading the *Job: on a
+// saturated cluster that is nearly every job. The walk stops once no node
+// of the testbed is free: every request needs at least one, so every job
+// left would be refused, and a refused attempt changes nothing.
+func (s *Server) schedulePass() {
 	i := 0
-	for i < len(s.queue) && s.spans[0].room(true) > 0 {
+	for i < len(s.queue) && s.spans[0].room() > 0 {
 		if s.refuses(s.need[i]) {
 			i++
 			continue
 		}
 		j := s.queue[i]
-		nodes, ok := s.startWithPreemption(j)
+		nodes, ok := s.allocate(j.Request)
 		if !ok {
 			i++
 			continue
 		}
 		s.dropQueued(i)
 		s.startJob(j, nodes)
-		started = append(started, j)
 	}
-	return started
 }
 
 // allocate tries to satisfy every segment of the request with distinct
-// Alive nodes, returning the chosen ordinals sorted by node name, or
-// ok=false. Free nodes always qualify; with preempting set, so do nodes
-// held by best-effort jobs — busy but takeable — and when picking N of M
-// candidates the free ones go first, so that only the minimum number of
-// best-effort jobs get killed. The returned slice is scratch, valid until
-// the next call.
+// free, Alive nodes, returning the chosen ordinals sorted by node name, or
+// ok=false. The returned slice is scratch, valid until the next call.
 //
 // This is the scheduler's hottest path (every Submit, every availability
 // probe, every queued job on every release): candidates come pre-narrowed
@@ -569,9 +468,16 @@ func (s *Server) schedulePass() []*Job {
 // without a scan, expressions evaluate against live node state without
 // property maps, and all working storage is reused scratch — an attempt
 // allocates nothing.
-func (s *Server) allocate(req Request, preempting bool) ([]int32, bool) {
+func (s *Server) allocate(req Request) ([]int32, bool) {
 	chosen := s.chosenScratch[:0]
-	defer func() { keepScratch(&s.chosenScratch, chosen) }()
+	defer func() {
+		// Store the buffer back only when append grew it: the store is a
+		// pointer write, which costs a write barrier while the collector
+		// marks, and allocate runs for every waiting job on every release.
+		if cap(chosen) != cap(s.chosenScratch) {
+			s.chosenScratch = chosen[:0]
+		}
+	}()
 	// Nodes already claimed by an earlier segment of the same request are
 	// skipped; requests are at most a few segments of bounded size, so a
 	// linear scan beats a map here.
@@ -579,7 +485,7 @@ func (s *Server) allocate(req Request, preempting bool) ([]int32, bool) {
 	for _, seg := range req.Segments {
 		cands, base, sp := s.segmentCandidates(seg)
 		if seg.Nodes == AllNodes {
-			// Every matching node must exist, be Alive and be free or takeable.
+			// Every matching node must exist, be Alive and be free.
 			matched := false
 			for i, n := range cands {
 				o := base + int32(i)
@@ -590,10 +496,7 @@ func (s *Server) allocate(req Request, preempting bool) ([]int32, bool) {
 					continue
 				}
 				matched = true
-				if n.State != testbed.Alive {
-					return nil, false
-				}
-				if s.busy[o] != 0 && !(preempting && s.preemptable[o]) {
+				if n.State != testbed.Alive || s.busy[o] != 0 {
 					return nil, false
 				}
 				chosen = append(chosen, o)
@@ -603,67 +506,37 @@ func (s *Server) allocate(req Request, preempting bool) ([]int32, bool) {
 			}
 			continue
 		}
-		if sp != nil && sp.room(preempting) < seg.Nodes {
+		if sp != nil && sp.room() < seg.Nodes {
 			return nil, false
 		}
-		// First-fit: the first N free candidates in testbed order, topped
-		// up with the first takeable ones when the free ones run short.
-		free, held := s.freeScratch[:0], s.heldScratch[:0]
+		// First-fit: the first N free candidates in testbed order.
+		want := len(chosen) + seg.Nodes
 		for i, n := range cands {
 			o := base + int32(i)
-			if multi && slices.Contains(chosen, o) {
+			if s.busy[o] != 0 || n.State != testbed.Alive || multi && slices.Contains(chosen, o) || !seg.Expr.EvalNode(n) {
 				continue
 			}
-			if n.State != testbed.Alive {
-				continue
-			}
-			used := s.busy[o] != 0
-			if used && !(preempting && s.preemptable[o]) {
-				continue
-			}
-			if !seg.Expr.EvalNode(n) {
-				continue
-			}
-			if used {
-				held = append(held, o)
-				continue
-			}
-			free = append(free, o)
-			if len(free) == seg.Nodes {
+			if chosen = append(chosen, o); len(chosen) == want {
 				break
 			}
 		}
-		keepScratch(&s.freeScratch, free)
-		keepScratch(&s.heldScratch, held)
-		if len(free)+len(held) < seg.Nodes {
+		if len(chosen) < want {
 			return nil, false
 		}
-		chosen = append(chosen, free...)
-		chosen = append(chosen, held[:seg.Nodes-len(free)]...)
 	}
 	slices.SortFunc(chosen, s.byName)
 	return chosen, true
 }
 
-// keepScratch stores a scratch buffer back only when append grew it. The
-// store is a pointer write, which costs a write barrier while the collector
-// marks, and allocate runs for every waiting job on every release.
-func keepScratch(scratch *[]int32, grown []int32) {
-	if cap(grown) != cap(*scratch) {
-		*scratch = grown[:0]
-	}
-}
-
 // ---- availability queries (used by the external test scheduler) ----
 
-// CanStartNowReq reports whether a normal-priority request could be
-// allocated immediately, counting nodes that would be freed by preempting
-// best-effort jobs. Callers parse once and probe many times: the external
-// scheduler at registration, the gateway per request.
+// CanStartNowReq reports whether the request could be allocated right now.
+// Callers parse once and probe many times: the external scheduler at
+// registration, the gateway per request.
 func (s *Server) CanStartNowReq(req Request) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, _, ok := s.allocateWithPreemption(req, true)
+	_, ok := s.allocate(req)
 	return ok
 }
 
@@ -695,7 +568,7 @@ func (s *Server) SetNodeState(nodeName string, st testbed.NodeState) error {
 		return fmt.Errorf("oar: unknown node %q", nodeName)
 	}
 	if st == testbed.Alive {
-		s.scheduleLocked() // a healed node may unblock the queue
+		s.schedulePass() // a healed node may unblock the queue
 	}
 	return nil
 }

@@ -163,53 +163,6 @@ func TestCancelWaitingOnly(t *testing.T) {
 	}
 }
 
-func TestOnStartFires(t *testing.T) {
-	c, _, s := newServer()
-	s.Submit("cluster='sol'/nodes=ALL,walltime=1", SubmitOptions{})
-	started := simclock.Time(-1)
-	s.Submit("cluster='sol'/nodes=3,walltime=1", SubmitOptions{
-		OnStart: func(j *Job) { started = c.Now() },
-	})
-	c.Run()
-	if started != simclock.Hour {
-		t.Fatalf("OnStart at %v, want 1h", started)
-	}
-}
-
-func TestOnStartCanReleaseSynchronously(t *testing.T) {
-	c, _, s := newServer()
-	// A job whose payload finishes instantly and releases itself, plus a
-	// queued successor: exercises Schedule's re-entrancy guard.
-	s.Submit("cluster='sol'/nodes=ALL,walltime=4", SubmitOptions{})
-	var j2, j3 *Job
-	j2, _ = s.Submit("cluster='sol'/nodes=ALL,walltime=4", SubmitOptions{
-		OnStart: func(j *Job) { s.Release(j.ID) },
-	})
-	j3, _ = s.Submit("cluster='sol'/nodes=2,walltime=1", SubmitOptions{})
-	c.Run()
-	if j2.State != Terminated || j3.State != Terminated {
-		t.Fatalf("j2=%v j3=%v", j2.State, j3.State)
-	}
-	// j2 released at its own start time, so j3 started then too.
-	if j3.StartedAt != j2.StartedAt {
-		t.Fatalf("j3 started %v, j2 %v", j3.StartedAt, j2.StartedAt)
-	}
-}
-
-func TestOnStartCanSubmitSynchronously(t *testing.T) {
-	c, _, s := newServer()
-	var child *Job
-	s.Submit("cluster='uvb'/nodes=1,walltime=1", SubmitOptions{
-		OnStart: func(j *Job) {
-			child, _ = s.Submit("cluster='uvb'/nodes=1,walltime=1", SubmitOptions{})
-		},
-	})
-	c.Run()
-	if child == nil || child.State != Terminated {
-		t.Fatalf("child = %+v", child)
-	}
-}
-
 func TestMultiSegmentAllocation(t *testing.T) {
 	_, _, s := newServer()
 	j, err := s.Submit("cluster='adonis' and gpu='YES'/nodes=1+cluster='grisou' and eth10g='Y'/nodes=2,walltime=2", SubmitOptions{})
