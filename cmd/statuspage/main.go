@@ -44,7 +44,9 @@ func main() {
 	// The page consumes the CI REST API through the exact HTTP client code
 	// path the paper's external status page uses, but dispatched in
 	// process: the same handler is mounted below under /ci/, so there is
-	// no second listener and no loopback hop.
+	// no second listener and no loopback hop. The campaign has stopped, so
+	// concurrent handlers only read the CI server, which has no lock: with
+	// no token registered, a POST trigger answers 403.
 	ciHandler := f.CI.Handler()
 	client := status.NewLocalClient(ciHandler)
 

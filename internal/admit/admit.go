@@ -3,7 +3,7 @@
 // Grid'5000 front door needs once submissions stop naming a site.
 //
 // A submission without an anchor could be satisfied anywhere, so the
-// controller probes every live site with a read-only CanStartNowReq and routes
+// controller probes every live site with a CanStartNowReq and routes
 // the job to the least-loaded site that can start it right now.
 // Requests no site can start enter a bounded, fairness-aware reservation
 // queue with a per-request deadline instead of failing; every campaign
@@ -24,7 +24,8 @@
 // broken by lexicographically smallest site name). Time is an injected
 // simulated-clock function and the controller spawns no goroutines, keeping
 // the package clean under the repository's walltime and baregoroutine
-// analyzers.
+// analyzers. Controller.mu is its one lock: gateway handlers admit and
+// probe from their own goroutines while the Advance driver pumps the queue.
 package admit
 
 import (
@@ -38,7 +39,8 @@ import (
 
 // Backend is one site's placement surface. The gateway adapts each of its
 // shards to this interface; probes and placements run under the shard's
-// own read gate so they never block another site's progress.
+// own write gate (a probe reuses OAR's allocation scratch), so they never
+// block another site's progress.
 type Backend interface {
 	// Site returns the backend's site name (unique across backends).
 	Site() string
@@ -47,8 +49,8 @@ type Backend interface {
 	Available() bool
 	// Capacity returns the site's allocated and total node counts.
 	Capacity() (busy, total int)
-	// CanPlace probes whether the request could start right now — a
-	// read-only, RNG-free CanStartNowReq against the site's OAR.
+	// CanPlace probes whether the request could start right now — an
+	// RNG-free CanStartNowReq against the site's OAR.
 	CanPlace(req oar.Request) bool
 	// Place pins the request to the site and submits it. It errors only
 	// when the site cannot take submissions at all (down mid-flight);

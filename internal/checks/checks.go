@@ -16,7 +16,8 @@
 // instant, in node-name order: the order is fixed once, at NewChecker, so a
 // sweep sorts nothing. The whole-testbed sweep (CheckTestbedParallel)
 // shards the nodes over chains of clock events, each check costing
-// simulated time, and sorts its reports at the end.
+// simulated time, and sorts its reports at the end. A Checker has no lock:
+// it belongs to the goroutine stepping its clock.
 package checks
 
 import (
@@ -26,7 +27,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/refapi"
 	"repro/internal/simclock"
@@ -70,7 +70,7 @@ type Checker struct {
 	// cluster sweep reports in.
 	sweeps map[string][]string
 
-	runs atomic.Int64
+	runs int
 }
 
 // NewChecker returns a checker bound to the testbed and reference store.
@@ -88,9 +88,8 @@ func NewChecker(clock *simclock.Clock, tb *testbed.Testbed, ref *refapi.Store) *
 	return &Checker{clock: clock, tb: tb, ref: ref, sweeps: sweeps}
 }
 
-// Runs returns how many node checks have been performed. Safe to call from
-// any goroutine while checks run in clock events.
-func (c *Checker) Runs() int { return int(c.runs.Load()) }
+// Runs returns how many node checks have been performed.
+func (c *Checker) Runs() int { return c.runs }
 
 // CheckNode verifies one node against the current reference description.
 func (c *Checker) CheckNode(node string) (*Report, error) {
@@ -108,7 +107,7 @@ func (c *Checker) CheckNode(node string) (*Report, error) {
 // cloned: the diff only reads it, and the event loop (plus the testbed's
 // ownership rules) serializes reads against fault mutations.
 func (c *Checker) CheckNodeInto(node string, rep *Report) error {
-	c.runs.Add(1)
+	c.runs++
 	n := c.tb.Node(node)
 	if n == nil {
 		return fmt.Errorf("checks: unknown node %q", node)

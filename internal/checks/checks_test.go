@@ -2,7 +2,6 @@ package checks
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/faults"
@@ -143,33 +142,6 @@ func TestCheckNodeIntoReusedReportResets(t *testing.T) {
 	}
 	if !rep.OK || len(rep.Mismatches) != 0 || rep.Node != "sol-3.sophia" {
 		t.Fatalf("reused report kept stale state: %+v", rep)
-	}
-}
-
-// The runs counter must be safe under real concurrency: Runs is read from
-// outside the event loop. Run with -race.
-func TestRunsCounterConcurrent(t *testing.T) {
-	_, tb, _, ch := setup()
-	nodes := tb.Cluster("griffon").Nodes
-	const goroutines = 8
-	const perG = 50
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				if _, err := ch.CheckNode(nodes[(g*perG+i)%len(nodes)].Name); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := ch.Runs(); got != goroutines*perG {
-		t.Fatalf("runs = %d, want %d", got, goroutines*perG)
 	}
 }
 

@@ -42,14 +42,6 @@ type BuildJSON struct {
 	BugSignatures []string          `json:"bug_signatures,omitempty"`
 }
 
-// buildSnapshot renders a build's wire form under the server lock, so the
-// REST API can serve builds the executor pool is still mutating.
-func (s *Server) buildSnapshot(b *Build, withLog bool) BuildJSON {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return buildJSON(b, withLog)
-}
-
 func buildJSON(b *Build, withLog bool) BuildJSON {
 	out := BuildJSON{
 		Job:           b.Job,
@@ -106,18 +98,15 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodGet)
 		return
 	}
-	// One read lock: the counters and every job's last result are one instant.
-	s.mu.RLock()
 	out := RootJSON{QueueLength: len(s.queue) - s.qhead, Executors: s.executors, Busy: s.running, TotalBuilds: s.builtCount}
 	out.Jobs = slices.Grow(out.Jobs, len(s.jobOrder)) // still nil, listed null, without jobs
 	for _, name := range s.jobOrder {
 		out.Jobs = append(out.Jobs, jobJSON(s.jobs[name]))
 	}
-	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, out)
 }
 
-// jobJSON renders a job's summary. Caller holds the server mutex.
+// jobJSON renders a job's summary.
 func jobJSON(j *Job) JobJSON {
 	out := JobJSON{Name: j.Name, Description: j.Description, Matrix: j.IsMatrix(), CellCount: j.CellCount()}
 	if last := j.lastCompleted(); last != nil {
@@ -134,12 +123,9 @@ type JobDetailJSON struct {
 	Builds []BuildJSON `json:"builds"`
 }
 
-// jobDetail renders a job and its retained builds under ONE read lock, so a
-// response is a single instant of the server: last_build is the newest
-// completed build listed. ok is false for an unknown job.
+// jobDetail renders a job and its retained builds. ok is false for an
+// unknown job.
 func (s *Server) jobDetail(name string) (out JobDetailJSON, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	j := s.jobs[name]
 	if j == nil {
 		return out, false
@@ -173,7 +159,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusForbidden)
 			return
 		}
-		writeJSON(w, http.StatusCreated, s.buildSnapshot(b, false))
+		writeJSON(w, http.StatusCreated, buildJSON(b, false))
 
 	case strings.HasSuffix(rest, "/api/json"):
 		if r.Method != http.MethodGet {
@@ -192,7 +178,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 						http.NotFound(w, r)
 						return
 					}
-					writeJSON(w, http.StatusOK, s.buildSnapshot(b, true))
+					writeJSON(w, http.StatusOK, buildJSON(b, true))
 					return
 				}
 			}

@@ -218,26 +218,12 @@ type matrixCell struct {
 	serial string // job + cell serialization key
 }
 
-// cellsLocked lazily expands and interns the matrix cells. Caller holds
-// the server mutex.
-func (j *Job) cellsLocked() []matrixCell {
-	if j.cells == nil {
-		maps := expandAxes(j.Axes)
-		j.cells = make([]matrixCell, len(maps))
-		for i, m := range maps {
-			k := cellKey(m)
-			j.cells[i] = matrixCell{values: m, key: k, serial: j.Name + "\x00" + k}
-		}
-	}
-	return j.cells
-}
-
-// pushBuildLocked appends a build to the ring and evicts the oldest
-// completed builds beyond the retention limit. Uncompleted builds are
-// never evicted (they block eviction from the front until they finish —
-// in steady state builds complete roughly in order, so the ring stays
-// within a constant of Retention).
-func (j *Job) pushBuildLocked(b *Build) {
+// push appends a build to the ring and evicts the oldest completed builds
+// beyond the retention limit. Uncompleted builds are never evicted (they
+// block eviction from the front until they finish — in steady state builds
+// complete roughly in order, so the ring stays within a constant of
+// Retention).
+func (j *Job) push(b *Build) {
 	if j.byNumber == nil {
 		j.byNumber = map[int]*Build{}
 	}
@@ -360,12 +346,12 @@ func cellKey(cell map[string]string) string {
 // different jobs, or different cells of one matrix build, genuinely overlap
 // in simulated time.
 //
-// All server state is mutex-protected, so the REST API and outside
-// goroutines can query (and trigger) concurrently with a running
-// simulation.
+// The server has no lock: it belongs to the goroutine stepping its clock,
+// and its REST API is served under the lock that goroutine steps under
+// (the gateway's shard gate, whose write side a trigger takes). bcPool is
+// the package's one synchronized value: a sync.Pool that every server of
+// a process shares, concurrent fleet campaigns included.
 type Server struct {
-	mu sync.RWMutex
-
 	clock     *simclock.Clock
 	executors int
 	running   int         // builds currently occupying an executor
@@ -383,7 +369,7 @@ type Server struct {
 	// pumpScheduled coalesces the pump event: many enqueues at one
 	// instant produce a single pump.
 	pumpScheduled bool
-	claimed       []string // dispatchableLocked's reused keys, at most executors
+	claimed       []string // pump's reused keys, at most executors
 
 	// tokens implements the "access control for users to trigger jobs
 	// manually" benefit (slide 20): token → user name.
@@ -445,32 +431,17 @@ func NewServer(clock *simclock.Clock, o Options) *Server {
 
 // AddToken registers an API token for a user.
 func (s *Server) AddToken(token, user string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.tokens[token] = user
 }
 
-// authenticate resolves a token to a user name.
-func (s *Server) authenticate(token string) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	u, ok := s.tokens[token]
-	return u, ok
-}
-
 // OnComplete registers a listener called whenever any build completes.
-// Listeners run in the clock event that finished the build, with no server
-// lock held.
+// Listeners run in the clock event that finished the build.
 func (s *Server) OnComplete(fn func(*Build)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.onComplete = append(s.onComplete, fn)
 }
 
 // CreateJob registers a job. Re-registering a name is an error.
 func (s *Server) CreateJob(j *Job) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if j.Name == "" {
 		return fmt.Errorf("ci: job needs a name")
 	}
@@ -489,49 +460,39 @@ func (s *Server) CreateJob(j *Job) error {
 }
 
 // JobByName returns a job, or nil.
-func (s *Server) JobByName(name string) *Job {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.jobs[name]
-}
+func (s *Server) JobByName(name string) *Job { return s.jobs[name] }
 
 // TotalBuilds returns the number of completed builds since startup.
-func (s *Server) TotalBuilds() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.builtCount
-}
+func (s *Server) TotalBuilds() int { return s.builtCount }
 
 // Trigger enqueues a build of a job. For matrix jobs the returned build is
 // the parent; every cell is enqueued behind it.
 func (s *Server) Trigger(jobName, cause string) (*Build, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	j := s.jobs[jobName]
 	if j == nil {
 		return nil, fmt.Errorf("ci: unknown job %q", jobName)
 	}
 	if j.IsMatrix() {
-		return s.triggerMatrixLocked(j, cause, nil), nil
+		return s.triggerMatrix(j, cause, nil), nil
 	}
-	b := s.newBuildLocked(j, cause, nil, 0)
-	s.enqueueLocked(b, j.Script)
+	b := s.newBuild(j, cause, nil, 0)
+	s.enqueue(b, j.Script)
 	return b, nil
 }
 
 // TriggerToken is Trigger gated by the access-control token (the manual
 // web-interface path).
 func (s *Server) TriggerToken(jobName, token string) (*Build, error) {
-	user, ok := s.authenticate(token)
+	user, ok := s.tokens[token]
 	if !ok {
 		return nil, fmt.Errorf("ci: invalid token")
 	}
 	return s.Trigger(jobName, "user "+user)
 }
 
-// newBuildLocked allocates the next build number for j. Retention is
-// enforced by the ring push (O(1) amortized).
-func (s *Server) newBuildLocked(j *Job, cause string, cell map[string]string, parent int) *Build {
+// newBuild allocates the next build number for j. Retention is enforced by
+// the ring push (O(1) amortized).
+func (s *Server) newBuild(j *Job, cause string, cell map[string]string, parent int) *Build {
 	j.nextNumber++
 	b := &Build{
 		Job:      j.Name,
@@ -544,7 +505,7 @@ func (s *Server) newBuildLocked(j *Job, cause string, cell map[string]string, pa
 	if cell == nil {
 		b.serial = j.Name
 	}
-	j.pushBuildLocked(b)
+	j.push(b)
 	return b
 }
 
@@ -564,7 +525,10 @@ func serialKey(b *Build) string {
 	return b.Job + "\x00" + b.CellKey()
 }
 
-func (s *Server) enqueueLocked(b *Build, script Script) {
+// enqueue queues b and arranges for queued builds to start at the current
+// instant, from the event loop. The pump is coalesced: any number of
+// enqueues at one instant schedule a single pump event.
+func (s *Server) enqueue(b *Build, script Script) {
 	if len(s.queue) == cap(s.queue) && 2*s.qhead >= len(s.queue) {
 		// Full, and at least half of it free slots: slide the queued
 		// builds down instead of growing the array.
@@ -573,39 +537,20 @@ func (s *Server) enqueueLocked(b *Build, script Script) {
 		s.queue, s.qhead = s.queue[:n], 0
 	}
 	s.queue = append(s.queue, pending{build: b, script: script})
-	s.schedulePumpLocked()
-}
-
-// schedulePumpLocked arranges for queued builds to start at the current
-// instant, from the event loop. Coalesced: any number of enqueues at one
-// instant schedule a single pump event.
-func (s *Server) schedulePumpLocked() {
-	if s.pumpScheduled {
-		return
+	if !s.pumpScheduled {
+		s.pumpScheduled = true
+		s.clock.Schedule(0, pump, s)
 	}
-	s.pumpScheduled = true
-	s.clock.Schedule(0, pump, s)
 }
 
-// pump gives one executor turn to each dispatchable queued build, up to
-// the free executors, in order. Runs on the event loop; the argument is the
+// pump gives one executor turn to each dispatchable queued build, in
+// order: one per distinct free serialization key, up to the free
+// executors. The keys it claims fit a scratch slice: the walk stops once
+// the pool would be full. Runs on the event loop; the argument is the
 // server.
 func pump(server any) {
 	s := server.(*Server)
-	s.mu.Lock()
 	s.pumpScheduled = false
-	n := s.dispatchableLocked()
-	s.mu.Unlock()
-	for range n {
-		s.execute()
-	}
-}
-
-// dispatchableLocked counts the queued builds an executor could start now:
-// one per distinct free serialization key, capped at the free executors.
-// The keys it claims fit a scratch slice: the walk stops once the pool
-// would be full.
-func (s *Server) dispatchableLocked() int {
 	claimed := s.claimed[:0]
 	for _, p := range s.queue[s.qhead:] {
 		if s.running+len(claimed) >= s.executors {
@@ -620,15 +565,17 @@ func (s *Server) dispatchableLocked() int {
 	n := len(claimed)
 	clear(claimed)
 	s.claimed = claimed[:0]
-	return n
+	for range n {
+		s.execute()
+	}
 }
 
-// dequeueLocked pops the first queued build whose serialization key is not
+// dequeue pops the first queued build whose serialization key is not
 // currently running, if there is one. The i builds ahead of it, whose keys
 // are busy, move back one slot and the head advances past the freed one:
 // the builds behind it stay where they are, so a dequeue costs the builds
 // it skipped, not the length of the queue.
-func (s *Server) dequeueLocked() (pending, bool) {
+func (s *Server) dequeue() (pending, bool) {
 	q := s.queue[s.qhead:]
 	for i, p := range q {
 		if s.activeKeys[serialKey(p.build)] {
@@ -651,10 +598,8 @@ func (s *Server) dequeueLocked() (pending, bool) {
 // nothing queued can start.
 func (s *Server) execute() {
 	for {
-		s.mu.Lock()
-		p, ok := s.dequeueLocked()
+		p, ok := s.dequeue()
 		if !ok {
-			s.mu.Unlock()
 			return
 		}
 		b := p.build
@@ -662,7 +607,6 @@ func (s *Server) execute() {
 		s.activeKeys[key] = true
 		s.running++
 		b.StartedAt = s.clock.Now()
-		s.mu.Unlock()
 
 		// The build script runs at the start instant; the executor then
 		// stays occupied for the duration the script reports. The context
@@ -705,7 +649,6 @@ func complete(arg any) {
 }
 
 func (s *Server) completeBuild(b *Build, out Outcome, log []string, key string) {
-	s.mu.Lock()
 	b.Log = log
 	b.Result = out.Result
 	b.BugSignatures = out.BugSignatures
@@ -716,12 +659,9 @@ func (s *Server) completeBuild(b *Build, out Outcome, log []string, key string) 
 	s.builtCount++
 	var parentDone *Build
 	if b.Parent != 0 {
-		parentDone = s.maybeCompleteParentLocked(b)
+		parentDone = s.maybeCompleteParent(b)
 	}
-	listeners := s.onComplete
-	s.mu.Unlock()
-
-	for _, fn := range listeners {
+	for _, fn := range s.onComplete {
 		fn(b)
 		if parentDone != nil {
 			fn(parentDone)
@@ -731,8 +671,6 @@ func (s *Server) completeBuild(b *Build, out Outcome, log []string, key string) 
 
 // Build returns one build of a job by number, or nil.
 func (s *Server) Build(jobName string, number int) *Build {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	j := s.jobs[jobName]
 	if j == nil {
 		return nil
@@ -742,8 +680,6 @@ func (s *Server) Build(jobName string, number int) *Build {
 
 // Builds returns the retained builds of a job, oldest first.
 func (s *Server) Builds(jobName string) []*Build {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	j := s.jobs[jobName]
 	if j == nil {
 		return nil
@@ -758,8 +694,6 @@ func (s *Server) Builds(jobName string) []*Build {
 // LastCompleted returns a job's most recent completed top-level build
 // (matrix parents count, cells do not), or nil.
 func (s *Server) LastCompleted(jobName string) *Build {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	j := s.jobs[jobName]
 	if j == nil {
 		return nil
@@ -767,7 +701,7 @@ func (s *Server) LastCompleted(jobName string) *Build {
 	return j.lastCompleted()
 }
 
-// lastCompleted is LastCompleted's walk. Caller holds the server mutex.
+// lastCompleted is LastCompleted's walk.
 func (j *Job) lastCompleted() *Build {
 	for i := j.nbuilds - 1; i >= 0; i-- {
 		b := j.buildAt(i)

@@ -8,17 +8,9 @@ import (
 )
 
 // busy and queued read the executor pool's load, as /api/json reports it.
-func (s *Server) busy() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.running
-}
+func (s *Server) busy() int { return s.running }
 
-func (s *Server) queued() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.queue) - s.qhead
-}
+func (s *Server) queued() int { return len(s.queue) - s.qhead }
 
 func constScript(res Result, dur simclock.Time) Script {
 	return func(bc *BuildContext) Outcome {

@@ -5,16 +5,25 @@ package ci
 
 import "fmt"
 
-// triggerMatrixLocked creates a parent build plus one cell build per axis
+// triggerMatrix creates a parent build plus one cell build per axis
 // combination. When onlyCells is non-nil, only cells whose key appears in
 // it are built (Matrix Reloaded); the others are not re-run.
 //
-// Cell maps and their key strings are interned on the job (cellsLocked):
-// every trigger shares the same read-only maps and strings, so expanding
-// a 448-cell matrix allocates only the builds themselves.
-func (s *Server) triggerMatrixLocked(j *Job, cause string, onlyCells map[string]bool) *Build {
-	parent := s.newBuildLocked(j, cause, nil, 0)
-	cells := j.cellsLocked()
+// Cell maps and their key strings are expanded on the first trigger and
+// interned on the job: every trigger shares the same read-only maps and
+// strings, so expanding a 448-cell matrix allocates only the builds
+// themselves.
+func (s *Server) triggerMatrix(j *Job, cause string, onlyCells map[string]bool) *Build {
+	parent := s.newBuild(j, cause, nil, 0)
+	if j.cells == nil {
+		maps := expandAxes(j.Axes)
+		j.cells = make([]matrixCell, len(maps))
+		for i, m := range maps {
+			k := cellKey(m)
+			j.cells[i] = matrixCell{values: m, key: k, serial: j.Name + "\x00" + k}
+		}
+	}
+	cells := j.cells
 	if onlyCells == nil {
 		parent.CellBuilds = make([]int, 0, len(cells))
 	}
@@ -24,10 +33,10 @@ func (s *Server) triggerMatrixLocked(j *Job, cause string, onlyCells map[string]
 		if onlyCells != nil && !onlyCells[mc.key] {
 			continue
 		}
-		cb := s.newBuildLocked(j, cause, mc.values, parent.Number)
+		cb := s.newBuild(j, cause, mc.values, parent.Number)
 		cb.key, cb.serial = mc.key, mc.serial
 		parent.CellBuilds = append(parent.CellBuilds, cb.Number)
-		s.enqueueLocked(cb, j.Script)
+		s.enqueue(cb, j.Script)
 	}
 	parent.cellsPending = len(parent.CellBuilds)
 	if parent.cellsPending == 0 {
@@ -42,13 +51,12 @@ func (s *Server) triggerMatrixLocked(j *Job, cause string, onlyCells map[string]
 	return parent
 }
 
-// maybeCompleteParentLocked rolls a finished cell up into its parent,
+// maybeCompleteParent rolls a finished cell up into its parent,
 // completing the parent when it was the last one. The rollup is
 // incremental — O(1) per cell instead of rescanning every sibling — with
 // the parent accumulating the worst result and the start/end envelope as
-// cells arrive. Returns the parent if it just completed, else nil. Caller
-// holds s.mu.
-func (s *Server) maybeCompleteParentLocked(cell *Build) *Build {
+// cells arrive. Returns the parent if it just completed, else nil.
+func (s *Server) maybeCompleteParent(cell *Build) *Build {
 	j := s.jobs[cell.Job]
 	if j == nil {
 		return nil // job deleted mid-flight
@@ -79,8 +87,6 @@ func (s *Server) maybeCompleteParentLocked(cell *Build) *Build {
 // did not succeed (both unstable and failed cells — the paper retries
 // unstable configurations too, since they simply could not get resources).
 func (s *Server) FailedCells(jobName string, parentNumber int) ([]map[string]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	j := s.jobs[jobName]
 	if j == nil {
 		return nil, fmt.Errorf("ci: unknown job %q", jobName)
@@ -113,10 +119,7 @@ func (s *Server) RetryFailedCells(jobName string, parentNumber int, cause string
 	for _, cell := range failed {
 		only[cellKey(cell)] = true
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.jobs[jobName]
-	return s.triggerMatrixLocked(j, cause, only), nil
+	return s.triggerMatrix(s.jobs[jobName], cause, only), nil
 }
 
 // expandAxes computes the cartesian product of axis values.

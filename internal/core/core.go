@@ -6,6 +6,11 @@
 // paper's evaluation: users load the testbed, faults arrive silently,
 // tests catch them, bugs get filed and deduplicated, operators fix them,
 // and the testbed's measured reliability climbs (slides 22–23).
+//
+// A framework is single-threaded: its campaign runs in clock events on the
+// goroutine stepping its clock. The package's one synchronization is
+// RunFleet's sync.WaitGroup, joining the goroutines of a fleet, each of
+// which owns a framework of its own (fleet.go).
 package core
 
 import (

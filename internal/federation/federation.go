@@ -34,6 +34,12 @@
 // counters sum), and the trend endpoints are re-selected from the merged
 // report with the same volume threshold a monolithic campaign uses
 // (core.TrendWeeks).
+//
+// Locks: Federation.mu guards the federated clock and the chaos state,
+// because the gateway's /chaos handlers inject and heal from their own
+// goroutines while Advance plans ticks; a tick's workers share a
+// sync.WaitGroup and an atomic queue index. A shard's framework holds no
+// lock: one worker steps it at a time, inside the step gate.
 package federation
 
 import (

@@ -21,8 +21,9 @@ import (
 
 // siteBackend adapts one site to the admission controller's placement
 // surface — the site is the admission unit, not its per-cluster
-// micro-shards. All OAR access happens under the owning shard's read gate,
-// so probes never block another shard's barrier ticks.
+// micro-shards. Capacity reads under the owning shards' read gates, and a
+// probe or a placement holds one shard's write gate (shard.canStart,
+// shard.submit), so none blocks another shard's barrier ticks.
 type siteBackend struct {
 	g    *Gateway
 	site string

@@ -1,9 +1,9 @@
 package gateway
 
-// The OAR, monitoring, bug-tracker and status-view endpoints. Each handler
+// The OAR, monitoring, bug-tracker and status-view endpoints. Each read
 // follows the scatter-gather shape: parse parameters lock-free, snapshot
 // the shard(s) involved under their own read gates, merge and write the
-// answer outside any lock.
+// answer outside any lock. A submission or a dry run holds a write gate.
 
 import (
 	"encoding/json"
@@ -349,14 +349,14 @@ func nodeShardIn(shards []*shard, name string) *shard {
 
 // canStart probes whether the shard's OAR could start the request now.
 func (s *shard) canStart(req oar.Request) (ok bool) {
-	s.rlocked(func() { ok = s.f.OAR.CanStartNowReq(req) })
+	s.locked(func() { ok = s.f.OAR.CanStartNowReq(req) })
 	return ok
 }
 
 // submit enqueues the request on the shard's OAR — where every submission
 // ends, whichever way it came in — and returns the job as OAR lists it.
 func (s *shard) submit(req oar.Request, user string) (job oar.JobInfo) {
-	s.rlocked(func() {
+	s.locked(func() {
 		j := s.f.OAR.SubmitReq(req, oar.SubmitOptions{User: user})
 		job, _ = s.f.OAR.JobInfoByID(j.ID)
 	})
@@ -435,6 +435,24 @@ type SampleJSON struct {
 // longer range would hold that shard's campaign step back.
 const monitorWindowSec = 86400
 
+// monitorRange reads a /monitor/metrics range against the shard's now;
+// it defaults to the last minute, or less in a younger campaign.
+func monitorRange(fromQ, toQ string, now float64) (from, to float64, err error) {
+	if from, err = floatParam(fromQ, max(now-60, 0)); err != nil {
+		return 0, 0, err
+	}
+	if to, err = floatParam(toQ, now); err != nil {
+		return 0, 0, err
+	}
+	switch {
+	case from < 0 || to < from:
+		return 0, 0, fmt.Errorf("bad range %g..%g", from, to)
+	case min(to, now)-from > monitorWindowSec:
+		return 0, 0, fmt.Errorf("range %g..%g exceeds the bound of %d s of samples", from, min(to, now), monitorWindowSec)
+	}
+	return from, to, nil
+}
+
 // serveMonitorMetrics implements /monitor/metrics and its site-scoped
 // variant. The ?site= filter (or the path site) must name a known site —
 // unknown sites are 400 — and the queried node must live there.
@@ -479,36 +497,19 @@ func (g *Gateway) serveMonitorMetrics(w http.ResponseWriter, r *http.Request) {
 		siteUnavailable(w, s.site)
 		return
 	}
-	now := s.f.Clock.Now().Seconds()
-	defFrom := now - 60
-	if defFrom < 0 {
-		defFrom = 0 // a campaign younger than the default window
-	}
-	from, err := floatParam(q.Get("from_sec"), defFrom)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	to, err := floatParam(q.Get("to_sec"), now)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if from < 0 || to < from {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad range %g..%g", from, to))
-		return
-	}
-	if min(to, now)-from > monitorWindowSec {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("range %g..%g exceeds the bound of %d s of samples", from, min(to, now), monitorWindowSec))
-		return
-	}
-	fromT := secondsToSim(from)
-	toT := secondsToSim(to)
-
+	var from, to float64
 	var samples []monitor.Sample
-	var qerr error
-	s.rlocked(func() { samples, qerr = s.f.Monitor.Query(metric, node, fromT, toT) })
+	var err, qerr error
+	s.rlocked(func() { // one hold reads now and the samples: one instant
+		from, to, err = monitorRange(q.Get("from_sec"), q.Get("to_sec"), s.f.Clock.Now().Seconds())
+		if err == nil {
+			samples, qerr = s.f.Monitor.Query(metric, node, secondsToSim(from), secondsToSim(to))
+		}
+	})
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	if qerr != nil {
 		// Inputs were validated above, and a query draws nothing, so what
 		// remains is a probe the wiring database cannot find.

@@ -65,21 +65,23 @@
 // never changes a wire shape: a site of one answers the same joined
 // envelopes as a site of seven.
 //
-// Each shard carries its own RWMutex: request handlers hold the read side
-// of only the shard(s) they touch, and a campaign step holds a shard's
-// write side only while that micro-shard steps (shard.step — the one place
-// the write side is taken). The gateway itself never drives time: Advance
-// calls Federation.Advance, whose barrier ticks come back through
-// shard.step as the federation's step gate, then pumps the admission queue.
+// A shard's gate is its one lock: the simulator packages hold none. A
+// request that only reads shard state holds the read side of the shard(s)
+// it touches; anything that changes a shard holds the write side, through
+// shard.locked: a step (shard.step), a submission, a dry run (OAR probes
+// with shared scratch), an admission placement, a site CI request other
+// than GET or HEAD. No handler takes a shard's gate twice (sync.RWMutex is
+// not reentrant). The gateway itself never drives time: Advance calls
+// Federation.Advance, whose barrier ticks come back through shard.step as
+// the federation's step gate, then pumps the admission queue.
 // A site-scoped read (/sites/A/oar/resources) therefore never waits on an
 // Advance that is busy stepping site B, and a read against cluster A1 does
 // not even wait on a step of A2; that read-availability property is
 // asserted by TestSiteReadsUnblockedByOtherShardAdvance.
 // Merged endpoints (/oar/resources and friends) scatter over the shards,
-// snapshotting each under its own read lock, and gather the merged answer
-// outside any lock. Subsystems guard their own state with their own
-// mutexes; the shard gates only serialize requests against campaign
-// progress.
+// snapshotting each under its own read gate, and gather the merged answer
+// outside any lock. The gateway's other locks are its own: each view's
+// mutex (view.go) and the metrics' atomic counters.
 //
 // The /ref, /grid, /incidents, /bugs/rollup and /reliability/trend routes
 // are read-optimized, all through one path (serveView in view.go): a
@@ -132,9 +134,8 @@ type shard struct {
 	idx     int // position in Gateway.shards (the /sites "shard" column)
 	f       *core.Framework
 
-	// nodes and cores are the cluster's topology — immutable after
-	// assembly, so the /sites listing never takes the shard gate (see
-	// handleSites).
+	// nodes and cores are the cluster's topology, immutable after
+	// assembly, so they are read without the gate.
 	nodes int
 	cores int
 
@@ -157,14 +158,21 @@ func (s *shard) rlocked(fn func()) {
 	fn()
 }
 
+// locked runs fn under the shard's write gate.
+func (s *shard) locked(fn func()) {
+	s.sim.Lock()
+	defer s.sim.Unlock()
+	fn()
+}
+
 // step runs one campaign step under the shard's write gate and records in
 // hold how long readers were shut out.
 func (s *shard) step(hold *latencyStat, fn func()) {
-	s.sim.Lock()
-	defer s.sim.Unlock()
-	start := time.Now()
-	fn()
-	hold.record(time.Since(start))
+	s.locked(func() {
+		start := time.Now()
+		fn()
+		hold.record(time.Since(start))
+	})
 }
 
 // Gateway is the front door. It implements http.Handler.
@@ -217,7 +225,7 @@ type Gateway struct {
 
 // ForFederation mounts one gateway shard per federation micro-shard: each
 // cluster's OAR, Reference API store, monitor, bug tracker and CI server
-// is served behind that micro-shard's own lock, labeled with the owning
+// is served behind that micro-shard's own gate, labeled with the owning
 // site; shards sharing a site serve it together in cluster order. Time has
 // one driver, the federation's barrier engine: Gateway.Advance calls
 // Federation.Advance, and every micro-shard step that makes comes back

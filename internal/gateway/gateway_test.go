@@ -11,17 +11,20 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/ci"
 	"repro/internal/faults"
 	"repro/internal/federation"
 	"repro/internal/inproc"
 	"repro/internal/oar"
 	"repro/internal/simclock"
+	"repro/internal/testbed"
 )
 
 // storePath is the single-store form of a /sites/{site}/ref route: the
@@ -593,8 +596,12 @@ func TestInventoryETagUnderChurn(t *testing.T) {
 
 // TestStress hammers every endpoint family from concurrent clients while a
 // driver goroutine keeps advancing the simulated campaign through
-// Gateway.Advance — the live-serving mode of cmd/g5kapi. Run with -race;
-// CI does (GATEWAY_STRESS=1 scales it up).
+// Gateway.Advance — the live-serving mode of cmd/g5kapi. Half the clients
+// also write, through every route that takes a shard's write gate: a dry
+// run, an anchored submission, an unanchored one (admission places it), a
+// token-authenticated CI trigger, and a partition injected and healed
+// (admission pumps on both). Run with -race; CI does (GATEWAY_STRESS=1
+// scales it up).
 func TestStress(t *testing.T) {
 	fed, gw := newFederatedCampaign(t, simclock.Day)
 	clients, iters := 4, 30
@@ -604,6 +611,23 @@ func TestStress(t *testing.T) {
 	sh := fed.Shards()[1]
 	cluster := sh.Cluster
 	node := fed.Shards()[0].F.TB.Nodes()[0].Name
+	coordinator(fed, sh.Site).F.CI.AddToken("stress-token", "stress")
+	_, body := get(t, inproc.Client(gw), "/sites/"+sh.Site+"/ci/api/json")
+	trigger := "/sites/" + sh.Site + "/ci/job/" + decode[ci.RootJSON](t, body).Jobs[0].Name + "/build?token=stress-token"
+	// Each write is a POST and the statuses it may answer. A client heals
+	// every partition the write after it injects one.
+	type write struct {
+		path, body string
+		ok         []int
+	}
+	writes := []write{
+		{"/oar/submit", `{"request":"cluster='` + cluster + `'/nodes=1,walltime=0:30:00","dry_run":true}`, []int{http.StatusOK}},
+		{"/oar/submit", `{"request":"cluster='` + cluster + `'/nodes=1,walltime=0:05:00"}`, []int{http.StatusCreated}},
+		{"/oar/submit", `{"request":"nodes=1,walltime=0:05:00"}`, []int{http.StatusCreated, http.StatusAccepted}},
+		{trigger, "", []int{http.StatusCreated}},
+		{"/chaos/inject", `{"kind":"partition","sites":["` + sh.Site + `"]}`, []int{http.StatusCreated}},
+		{"/chaos/heal", `{"all":true}`, []int{http.StatusOK}},
+	}
 	paths := []string{
 		"/oar/resources?cluster=" + cluster,
 		"/oar/jobs?limit=20",
@@ -618,8 +642,8 @@ func TestStress(t *testing.T) {
 		"/monitor/metrics?metric=cpu_load&node=" + node + "&from_sec=0&to_sec=30",
 		"/sites/" + sh.Site + "/ci/api/json",
 		"/metrics",
-		// The gate-free federation layout and a site's merged view, racing
-		// the node-state flips of the advancing campaign.
+		// The federation layout and a site's merged view, racing the
+		// node-state flips of the advancing campaign.
 		"/sites",
 		"/sites/nantes/oar/resources",
 	}
@@ -629,17 +653,20 @@ func TestStress(t *testing.T) {
 	advancer.Add(1)
 	go func() {
 		defer advancer.Done()
-		// Bounded: ~a simulated day of campaign progress under the
-		// clients' feet is plenty, and keeps the test fast under -race.
-		for i := 0; i < 150; i++ {
+		// Until the clients are done, so every write races a step and
+		// admission's unanchored jobs keep ending (10 minutes a step).
+		// Between steps a node goes Suspected and back, as an operator's
+		// quarantine takes it, under the write gate as a step would.
+		flip := gw.shards[0]
+		for i := 0; ; i++ {
 			select {
 			case <-done:
 				return
 			default:
 				gw.Advance(10 * simclock.Minute)
+				flip.locked(func() { flip.f.OAR.SetNodeState(node, []testbed.NodeState{testbed.Suspected, testbed.Alive}[i%2]) })
 			}
 		}
-		<-done
 	}()
 
 	var wg sync.WaitGroup
@@ -662,19 +689,20 @@ func TestStress(t *testing.T) {
 					t.Errorf("GET %s: status %d", path, resp.StatusCode)
 					return
 				}
-				if w%2 == 0 {
-					body := fmt.Sprintf(`{"request":"cluster='%s'/nodes=1,walltime=0:30:00","dry_run":true}`, cluster)
-					resp, err := c.Post("http://gw.local/oar/submit", "application/json", strings.NewReader(body))
-					if err != nil {
-						t.Errorf("submit: %v", err)
-						return
-					}
-					io.Copy(io.Discard, resp.Body) //nolint:errcheck
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						t.Errorf("dry-run submit status = %d", resp.StatusCode)
-						return
-					}
+				if w%2 != 0 {
+					continue
+				}
+				wr := writes[(w/2+i)%len(writes)]
+				resp, err = c.Post("http://gw.local"+wr.path, "application/json", strings.NewReader(wr.body))
+				if err != nil {
+					t.Errorf("POST %s: %v", wr.path, err)
+					return
+				}
+				out, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if !slices.Contains(wr.ok, resp.StatusCode) {
+					t.Errorf("POST %s: status %d: %s", wr.path, resp.StatusCode, out)
+					return
 				}
 			}
 		}()
@@ -689,12 +717,98 @@ func TestStress(t *testing.T) {
 			t.Fatalf("endpoint %s recorded %d errors under stress", pattern, em.Errors)
 		}
 	}
-	// Every consumer population was served: dashboards, scrapers, submitters.
-	for _, pattern := range []string{"/status/grid", "/ref/inventory", "/oar/submit"} {
+	// Every consumer population was served: dashboards, scrapers, submitters,
+	// CI users and operators.
+	for _, pattern := range []string{"/status/grid", "/ref/inventory", "/oar/submit", "/sites/{site}/ci/", "/chaos/heal"} {
 		if m.Endpoints[pattern].Requests == 0 {
 			t.Fatalf("endpoint %s saw no request: %+v", pattern, m.Endpoints)
 		}
 	}
+}
+
+// TestSiteCIJobDetailIsOneSnapshot reads a matrix job's detail through
+// /sites/{site}/ci/ from several goroutines while a driver triggers it
+// through the same tree and Gateway.Advance completes its cells. Every
+// response must be one instant of the CI server: last_build is the newest
+// completed top-level build the listing shows, last_ended_at_sec is when
+// that build ended, and a completed parent lists only completed cells. The
+// shard gate is what holds it: the CI server has no lock of its own. Run
+// with -race.
+func TestSiteCIJobDetailIsOneSnapshot(t *testing.T) {
+	fed, gw := newFederatedCampaign(t, simclock.Hour)
+	site := fed.Sites()[0]
+	ciServer := coordinator(fed, site).F.CI
+	ciServer.AddToken("snapshot-token", "snapshot")
+	// Three matrix builds' worth of history keeps every body small.
+	ciServer.JobByName("environments").Retention = 45
+	job := "/sites/" + site + "/ci/job/environments/"
+
+	const readers, minReads, minRounds = 4, 400, 40
+	var reads atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := inproc.Client(gw)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := c.Get("http://gw.local" + job + "api/json")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var d ci.JobDetailJSON
+				err = json.NewDecoder(resp.Body).Decode(&d)
+				resp.Body.Close()
+				if err != nil {
+					t.Errorf("status %d: %v", resp.StatusCode, err)
+					return
+				}
+				building := map[int]bool{}
+				newestDone, newestEnded := 0, 0.0
+				for _, b := range d.Builds {
+					building[b.Number] = b.Building
+					if !b.Building && b.Parent == 0 {
+						newestDone, newestEnded = b.Number, b.EndedAtSec
+					}
+				}
+				if d.LastBuild != newestDone {
+					t.Errorf("last_build = %d beside a listing whose newest completed build is %d", d.LastBuild, newestDone)
+					return
+				}
+				if d.LastEndedAtSec != newestEnded {
+					t.Errorf("last_ended_at_sec = %v beside a listing whose build %d ended at %v", d.LastEndedAtSec, newestDone, newestEnded)
+					return
+				}
+				for _, b := range d.Builds {
+					for _, cell := range b.CellBuilds {
+						if !b.Building && building[cell] {
+							t.Errorf("parent %d reads completed beside cell %d still building", b.Number, cell)
+							return
+						}
+					}
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	// A failing reader stops reading: stop triggering too, or this never ends.
+	c := inproc.Client(gw)
+	for round := 0; !t.Failed() && (round < minRounds || reads.Load() < minReads); round++ {
+		if resp, body := postJSON(t, c, job+"build?token=snapshot-token", ""); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("trigger: status %d: %s", resp.StatusCode, body)
+		}
+		gw.Advance(10 * simclock.Minute)
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestMergeNewestFirstIsTheStableSort holds /oar/jobs's merge to what it

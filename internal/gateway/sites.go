@@ -5,15 +5,12 @@ package gateway
 // Each scoped route is its own mux pattern behind siteRoute, served by the
 // grid route's handler, which reads the site from the path. These are the
 // endpoints whose latency is immune to other sites' campaign progress:
-// /sites/{site}/... takes only the owning shards' read gates, and /sites
-// takes none at all (topology is precomputed at assembly; each shard's node
-// states are read in one pass under the testbed's own mutex).
+// /sites/{site}/... and /sites take only the owning shards' gates
+// (topology is precomputed at assembly).
 
 import (
 	"fmt"
 	"net/http"
-
-	"repro/internal/testbed"
 )
 
 // SiteJSON is one entry of GET /sites. Shard is the index of the site's
@@ -40,10 +37,8 @@ type SitesJSON struct {
 }
 
 // handleSites lists the federation layout, each site folding its
-// micro-shards in cluster order. Deliberately gate-free: the topology is
-// the assembly-time snapshot and each shard's node states are counted in
-// one pass under its testbed's own mutex, so this listing never queues
-// behind any shard's Advance.
+// micro-shards in cluster order, whose node states it counts under each
+// shard's read gate in turn.
 func (g *Gateway) handleSites(w http.ResponseWriter, r *http.Request) {
 	out := SitesJSON{Shards: len(g.shards), Degraded: g.degradedMarker()}
 	down := map[string]bool{}
@@ -64,7 +59,11 @@ func (g *Gateway) handleSites(w http.ResponseWriter, r *http.Request) {
 			entry.Clusters = append(entry.Clusters, s.cluster)
 			entry.Nodes += s.nodes
 			entry.Cores += s.cores
-			s.f.TB.EachNodeState(func(st testbed.NodeState) { entry.States[st.String()]++ })
+			s.rlocked(func() {
+				for _, n := range s.f.TB.Nodes() {
+					entry.States[n.State.String()]++
+				}
+			})
 		}
 		out.Sites = append(out.Sites, entry)
 	}
@@ -91,10 +90,15 @@ func (g *Gateway) siteRoute(fn http.HandlerFunc) http.HandlerFunc {
 
 // serveSiteCI proxies /sites/{site}/ci/... to the site's coordinator
 // cluster's CI server: that is where the federation files grid tickets, so
-// the scoped tree stays one coherent Jenkins.
+// the scoped tree stays one coherent Jenkins. Any method but GET or HEAD
+// may trigger a build, so it takes the write gate.
 func (g *Gateway) serveSiteCI(w http.ResponseWriter, r *http.Request) {
 	site := r.PathValue("site")
 	target := g.siteShards[site][0]
 	proxy := http.StripPrefix("/sites/"+site+"/ci", target.f.CI.Handler())
-	target.rlocked(func() { proxy.ServeHTTP(w, r) })
+	gate := target.locked
+	if r.Method == http.MethodGet || r.Method == http.MethodHead {
+		gate = target.rlocked
+	}
+	gate(func() { proxy.ServeHTTP(w, r) })
 }

@@ -26,5 +26,7 @@
 //
 // Everything here is deterministic: inputs are read under the caller's
 // gates in caller-given (shard) order, and every emitted collection is
-// explicitly sorted — never map iteration order.
+// explicitly sorted — never map iteration order. The one lock is
+// TrendStore's RWMutex: gateway handlers read the stored trend while a
+// sweep may Put the next one.
 package intel

@@ -193,6 +193,32 @@ func TestEveryOptionFieldHasAProductWriter(t *testing.T) {
 	}
 }
 
+// TestEveryUnexportedIdentifierHasAProductReader is the export rule for a
+// package's own names: an unexported package-level function, type,
+// variable or constant is referenced from the package's non-test sources.
+// What only tests read moves into a _test.go file. Package main's main
+// runs without a reference. There is no allowlist.
+func TestEveryUnexportedIdentifierHasAProductReader(t *testing.T) {
+	var unread []string
+	for _, p := range modulePackages(t) {
+		used := map[types.Object]bool{}
+		for _, obj := range p.Info.Uses {
+			used[obj] = true
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() || name == "_" || used[obj] || p.Types.Name() == "main" && name == "main" {
+				continue
+			}
+			unread = append(unread, key(p.Types, name))
+		}
+	}
+	if len(unread) > 0 {
+		t.Errorf("unexported identifiers no product code reads (delete them, or move them into a _test.go file):\n  %s", strings.Join(unread, "\n  "))
+	}
+}
+
 // fieldID names field of the named struct type tn "<path>.<Type>.<Field>".
 func fieldID(tn *types.TypeName, field string) string {
 	return tn.Pkg().Path() + "." + tn.Name() + "." + field

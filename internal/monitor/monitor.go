@@ -50,8 +50,8 @@ const SamplePeriod = simclock.Second
 // builds' clock events, query series; the event loop serializes them. The
 // collector's own state is immutable after construction, but the
 // power/net attribution path reads live testbed NIC state owned by the
-// event loop, so queries must come from clock events — not from arbitrary
-// outside goroutines while the clock runs.
+// event loop, so queries come from clock events or from a caller holding
+// the lock the clock steps under (the gateway's shard gate).
 type Collector struct {
 	clock *simclock.Clock
 	tb    *testbed.Testbed

@@ -148,12 +148,7 @@ func BenchmarkCanStartNowSaturated(b *testing.B) {
 // to start, and a failed availability probe, allocate nothing.
 func TestFailedStartAttemptAllocatesNothing(t *testing.T) {
 	s, probe := saturated(t)
-	pass := func() {
-		s.mu.Lock()
-		s.schedulePass()
-		s.mu.Unlock()
-	}
-	if got := testing.AllocsPerRun(100, pass); got != 0 {
+	if got := testing.AllocsPerRun(100, s.schedulePass); got != 0 {
 		t.Errorf("a scheduling pass over %d stuck jobs allocates %v times", saturatedQueue, got)
 	}
 	if got := testing.AllocsPerRun(100, func() {

@@ -227,6 +227,10 @@ func TestProperties(t *testing.T) {
 	}
 }
 
+// propertyKeys lists the properties OAR serves for every node.
+var propertyKeys = [...]string{"cluster", "site", "host", "cores", "ram_gb",
+	"gpu", "ib", "eth10g", "disktype", "cpu_model"}
+
 // TestPropertyMatchesProperties holds the single-property accessor, the
 // map form and an expression evaluated against the node to one answer for
 // every property of one node per cluster.

@@ -89,12 +89,13 @@ func (h *history) get(id int) *record {
 }
 
 // info is the JobInfo of job id, finished as r records, exactly as
-// jobInfoLocked read it from the job.
+// jobInfo reads it from the live job. It writes no shared scratch, since
+// concurrent gateway readers call it under the shard's read gate.
 func (h *history) info(id int, r *record, nodes []*testbed.Node) JobInfo {
 	info := JobInfo{
 		ID:             id,
 		User:           h.users.strs[r.user],
-		Request:        h.requests.strs[r.request] + string(appendWalltime(h.buf[:0], r.walltime)),
+		Request:        h.requests.strs[r.request] + string(appendWalltime(make([]byte, 0, 24), r.walltime)),
 		State:          JobState(r.state).String(),
 		SubmittedAtSec: r.submitted.Seconds(),
 		StartedAtSec:   r.started.Seconds(),

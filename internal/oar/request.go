@@ -233,10 +233,6 @@ func parseWalltime(s string) (simclock.Time, error) {
 	return 0, fmt.Errorf("oar: bad walltime %q", s)
 }
 
-// propertyKeys lists the properties OAR serves for every node.
-var propertyKeys = [...]string{"cluster", "site", "host", "cores", "ram_gb",
-	"gpu", "ib", "eth10g", "disktype", "cpu_model"}
-
 // Property returns one OAR property of a node, derived from its live
 // inventory: the Reference API fills the OAR database on a real testbed
 // (slide 7); here the live inventory plays that role. ok is false for a

@@ -332,7 +332,7 @@ func (d *diffDriver) checkHistory() {
 		} else if d.want[i].State == j.State.String() {
 			continue
 		}
-		d.want[i] = jobInfoLocked(j)
+		d.want[i] = jobInfo(j)
 		if got, ok := d.s.JobInfoByID(j.ID); !ok || !sameInfo(got, d.want[i]) {
 			d.fatalf("JobInfoByID(%d) = %+v, %v; the job reads %+v", j.ID, got, ok, d.want[i])
 		}

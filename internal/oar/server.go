@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/simclock"
 	"repro/internal/testbed"
@@ -61,11 +60,11 @@ type Job struct {
 // site. Either way it keeps the scheduling semantics the paper's framework
 // interacts with.
 //
-// The server is safe for concurrent use: CI build scripts submit and
-// release jobs from clock events (see internal/ci), and the gateway and
-// tests reach it from outside goroutines, so every public method holds the
-// server mutex for its whole run; nothing it calls under the mutex calls
-// back into the server.
+// The server has no lock: it belongs to the goroutine stepping its clock.
+// CI build scripts submit and release jobs from clock events (see
+// internal/ci); the gateway reaches it only under the shard gate, whose
+// write side it takes for SubmitReq and for CanStartNowReq, which reuses
+// allocate's scratch.
 //
 // Its state is dense. A node is its ordinal, its position in tb.Nodes(),
 // where every cluster and every site is one contiguous range (NewServer
@@ -75,7 +74,6 @@ type Job struct {
 // queued job asks of its span, so a pass over a saturated queue refuses
 // most jobs without reading them.
 type Server struct {
-	mu    sync.Mutex
 	clock *simclock.Clock
 	tb    *testbed.Testbed
 
@@ -86,7 +84,7 @@ type Server struct {
 	hist   history
 
 	// busy is each node's running job ID (0: free). startJob and
-	// finishLocked are the only places it changes, and they keep the spans'
+	// Release are the only places it changes, and they keep the spans'
 	// counts in step.
 	busy []int
 
@@ -110,9 +108,8 @@ type Server struct {
 
 	expire func(job any) // walltimeExpired as a value, made once
 
-	// chosenScratch holds allocate's in-progress selection across attempts
-	// (all access is under the server mutex); only a successful start copies
-	// the result out.
+	// chosenScratch holds allocate's in-progress selection across attempts;
+	// only a successful start copies the result out.
 	chosenScratch []int32
 
 	// stats
@@ -272,8 +269,6 @@ func (s *Server) Submit(request string, opts SubmitOptions) (*Job, error) {
 // federated gateway submits through it after pinning site constraints
 // onto the parsed form (Request.PinnedToSite).
 func (s *Server) SubmitReq(req Request, opts SubmitOptions) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.nextID++
 	j := &Job{
 		ID:          s.nextID,
@@ -297,7 +292,7 @@ func (s *Server) SubmitReq(req Request, opts SubmitOptions) *Job {
 		}
 	}
 	if opts.Immediate && j.State == Waiting {
-		s.cancelLocked(j)
+		s.Cancel(j.ID)
 	}
 	return j
 }
@@ -305,40 +300,41 @@ func (s *Server) SubmitReq(req Request, opts SubmitOptions) *Job {
 // Cancel withdraws a waiting job. Canceling a running or finished job is an
 // error; use Release to end a running job early.
 func (s *Server) Cancel(id int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	j := s.jobs[id]
 	if j == nil || j.State != Waiting {
-		return s.refusalLocked(id, "cancel")
+		return s.refusal(id, "cancel")
 	}
-	s.cancelLocked(j)
-	return nil
-}
-
-func (s *Server) cancelLocked(j *Job) {
 	j.State = Canceled
 	j.EndedAt = s.clock.Now()
 	s.removeFromQueue(j)
 	s.canceled++
 	s.retire(j)
-}
-
-// Release ends a running job before its walltime (tests finishing early
-// free resources for the next test).
-func (s *Server) Release(id int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.jobs[id]
-	if j == nil || j.State != Running {
-		return s.refusalLocked(id, "release")
-	}
-	s.finishLocked(j)
 	return nil
 }
 
-// refusalLocked is the error of a Cancel or Release (verb) of job id, which
+// Release ends a running job — before its walltime (tests finishing early
+// free resources for the next test), or at it — takes it off its nodes and
+// retires it, then passes over the queue: the freed nodes may start queued
+// jobs.
+func (s *Server) Release(id int) error {
+	j := s.jobs[id]
+	if j == nil || j.State != Running {
+		return s.refusal(id, "release")
+	}
+	j.State = Terminated
+	j.EndedAt = s.clock.Now()
+	j.walltime.Cancel()
+	for _, o := range s.retire(j) {
+		s.busy[o] = 0
+		s.count(o, -1)
+	}
+	s.schedulePass()
+	return nil
+}
+
+// refusal is the error of a Cancel or Release (verb) of job id, which
 // does not exist or is in the wrong state for it.
-func (s *Server) refusalLocked(id int, verb string) error {
+func (s *Server) refusal(id int, verb string) error {
 	var st JobState
 	if j := s.jobs[id]; j != nil {
 		st = j.State
@@ -348,20 +344,6 @@ func (s *Server) refusalLocked(id int, verb string) error {
 		return fmt.Errorf("oar: no job %d", id)
 	}
 	return fmt.Errorf("oar: job %d is %s, cannot %s", id, st, verb)
-}
-
-// finishLocked ends a running job — released, or out of walltime — takes
-// it off its nodes and retires it, then passes over the queue: the freed
-// nodes may start queued jobs.
-func (s *Server) finishLocked(j *Job) {
-	j.State = Terminated
-	j.EndedAt = s.clock.Now()
-	j.walltime.Cancel()
-	for _, o := range s.retire(j) {
-		s.busy[o] = 0
-		s.count(o, -1)
-	}
-	s.schedulePass()
 }
 
 // retire moves a finished job from jobs to its record and returns the
@@ -402,8 +384,7 @@ func (s *Server) dropQueued(i int) {
 }
 
 // startJob transitions a waiting job to Running on the given nodes. The
-// caller holds the mutex and is responsible for removing the job from the
-// queue.
+// caller is responsible for removing the job from the queue.
 func (s *Server) startJob(j *Job, nodes []int32) {
 	j.State = Running
 	j.StartedAt = s.clock.Now()
@@ -419,16 +400,13 @@ func (s *Server) startJob(j *Job, nodes []int32) {
 
 // walltimeExpired ends a job that ran out its walltime.
 func (s *Server) walltimeExpired(job any) {
-	j := job.(*Job)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.State == Running {
-		s.finishLocked(j)
+	if j := job.(*Job); j.State == Running {
+		s.Release(j.ID)
 	}
 }
 
-// schedulePass walks the waiting queue once, starting every job that fits;
-// the caller holds the mutex. Jobs are considered in FCFS order but a stuck
+// schedulePass walks the waiting queue once, starting every job that fits.
+// Jobs are considered in FCFS order but a stuck
 // job does not block later ones (first-fit, i.e. conservative backfilling
 // without reservations — OAR proper uses a Gantt, but what matters to the
 // paper's external scheduler is only that whole-cluster jobs wait a long
@@ -534,36 +512,22 @@ func (s *Server) allocate(req Request) ([]int32, bool) {
 // Callers parse once and probe many times: the external scheduler at
 // registration, the gateway per request.
 func (s *Server) CanStartNowReq(req Request) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	_, ok := s.allocate(req)
 	return ok
 }
 
 // BusyNodes returns how many nodes are currently allocated.
-func (s *Server) BusyNodes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spans[0].busy
-}
+func (s *Server) BusyNodes() int { return s.spans[0].busy }
 
 // Stats reports cumulative submission counters.
 func (s *Server) Stats() (submitted, started, canceled int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.submitted, s.started, s.canceled
 }
 
 // SetNodeState changes a node's OAR state (Alive/Absent/Suspected/Dead).
 // Marking a busy node non-Alive does not kill its job (matching OAR, where
 // suspecting happens at job epilogue); it only prevents new allocations.
-//
-// The write happens under the server mutex (in addition to the testbed's
-// own mutex) so that it synchronizes with every state read the server's
-// allocation and query paths perform under the same lock.
 func (s *Server) SetNodeState(nodeName string, st testbed.NodeState) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.tb.SetNodeState(nodeName, st) {
 		return fmt.Errorf("oar: unknown node %q", nodeName)
 	}
@@ -587,12 +551,8 @@ type ResourceInfo struct {
 
 // Resources snapshots every node's allocation state in testbed order,
 // optionally narrowed to one cluster (empty = all; an unknown name selects
-// the empty subset — the gateway turns that into its 404). The copy is
-// taken under the server mutex, so it is consistent with a single
-// scheduling instant.
+// the empty subset — the gateway turns that into its 404).
 func (s *Server) Resources(cluster string) []ResourceInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sp := s.spans[0]
 	if cluster != "" {
 		sp = span{}
@@ -627,9 +587,37 @@ type JobInfo struct {
 	EndedAtSec     float64  `json:"ended_at_sec,omitempty"`
 }
 
-// jobInfoLocked copies one job's externally visible state. The caller
-// holds the server mutex.
-func jobInfoLocked(j *Job) JobInfo {
+// JobsInfo snapshots the most recently submitted limit jobs (0 = all),
+// newest first. Node name slices are copied, so callers may hold the result
+// while the scheduler keeps running.
+func (s *Server) JobsInfo(limit int) []JobInfo {
+	if limit <= 0 || limit > s.nextID {
+		limit = s.nextID
+	}
+	out := make([]JobInfo, 0, limit)
+	for id := s.nextID; id >= 1 && len(out) < limit; id-- {
+		if info, ok := s.JobInfoByID(id); ok {
+			out = append(out, info)
+		}
+	}
+	return out
+}
+
+// JobInfoByID copies job id's externally visible state from the live job or
+// its record; ok is false when the job is unknown. The copy is safe to read
+// while the scheduler keeps mutating the live object.
+func (s *Server) JobInfoByID(id int) (JobInfo, bool) {
+	if r := s.hist.get(id); r != nil {
+		return s.hist.info(id, r, s.nodeList), true
+	}
+	if j := s.jobs[id]; j != nil {
+		return jobInfo(j), true
+	}
+	return JobInfo{}, false
+}
+
+// jobInfo copies one live job's externally visible state.
+func jobInfo(j *Job) JobInfo {
 	return JobInfo{
 		ID:             j.ID,
 		User:           j.User,
@@ -640,44 +628,4 @@ func jobInfoLocked(j *Job) JobInfo {
 		StartedAtSec:   j.StartedAt.Seconds(),
 		EndedAtSec:     j.EndedAt.Seconds(),
 	}
-}
-
-// infoLocked copies job id's externally visible state from the live job or
-// its record; ok is false when there is no job id. The caller holds the
-// server mutex.
-func (s *Server) infoLocked(id int) (JobInfo, bool) {
-	if r := s.hist.get(id); r != nil {
-		return s.hist.info(id, r, s.nodeList), true
-	}
-	if j := s.jobs[id]; j != nil {
-		return jobInfoLocked(j), true
-	}
-	return JobInfo{}, false
-}
-
-// JobsInfo snapshots the most recently submitted limit jobs (0 = all),
-// newest first. Node name slices are copied, so callers may hold the result
-// while the scheduler keeps running.
-func (s *Server) JobsInfo(limit int) []JobInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if limit <= 0 || limit > s.nextID {
-		limit = s.nextID
-	}
-	out := make([]JobInfo, 0, limit)
-	for id := s.nextID; id >= 1 && len(out) < limit; id-- {
-		if info, ok := s.infoLocked(id); ok {
-			out = append(out, info)
-		}
-	}
-	return out
-}
-
-// JobInfoByID snapshots one job's externally visible state; ok is false
-// when the job is unknown. The returned copy is safe to read while the
-// scheduler keeps mutating the live object.
-func (s *Server) JobInfoByID(id int) (JobInfo, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.infoLocked(id)
 }

@@ -16,6 +16,11 @@
 // delta chain: Update records only the changed nodes (O(changed) time and
 // memory), and full Snapshots are materialized lazily — and cached — when
 // an archived version is actually read.
+//
+// Store keeps a lock, the only one left in the simulator: its RWMutex and
+// its atomic materialization counter, because concurrent readers (gateway
+// handlers under a shard's read gate) materialize and cache archived
+// snapshots, which writes the store. Updates come from clock events.
 package refapi
 
 import (
@@ -64,8 +69,9 @@ type version struct {
 }
 
 // Store holds the current description plus the archive of every previous
-// version. It is safe for concurrent read access (the status page's HTTP
-// handlers read it); mutations happen from the event loop.
+// version. It is safe for concurrent read access (gateway handlers read it
+// under a shard's read gate, and a read may cache a materialization);
+// mutations happen from clock events.
 type Store struct {
 	mu       sync.RWMutex
 	versions []*version

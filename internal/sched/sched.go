@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/ci"
 	"repro/internal/oar"
@@ -135,9 +134,9 @@ type specState struct {
 
 // Scheduler is the external scheduling tool.
 //
-// The scheduler's poll loop and its build-completion callbacks
-// (observeBuild) both run in clock events; the mutex serializes them
-// against stats queries from outside goroutines. A poll walks the specs in
+// The scheduler has no lock: its poll loop and its build-completion
+// callbacks (observeBuild) both run in clock events, on the goroutine
+// stepping the clock, and its stats are read between steps. A poll walks the specs in
 // registration order through a slice of pointers, hashing no name; a
 // completion finds its spec from the build's cause, with one lookup.
 type Scheduler struct {
@@ -146,7 +145,6 @@ type Scheduler struct {
 	ci    *ci.Server
 	cfg   Config
 
-	mu     sync.Mutex
 	specs  map[string]*specState // by spec name
 	order  []*specState          // registration order
 	bySite map[string]int        // active test builds per site
@@ -197,8 +195,6 @@ func (s *Scheduler) Register(spec *Spec) error {
 	if err != nil {
 		return fmt.Errorf("sched: spec %q: %w", spec.Name, err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, dup := s.specs[spec.Name]; dup {
 		return fmt.Errorf("sched: spec %q already registered", spec.Name)
 	}
@@ -215,8 +211,6 @@ func (s *Scheduler) Register(spec *Spec) error {
 
 // Start begins the poll loop.
 func (s *Scheduler) Start() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.ticker != nil {
 		return
 	}
@@ -225,8 +219,6 @@ func (s *Scheduler) Start() {
 
 // Stop halts the poll loop.
 func (s *Scheduler) Stop() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.ticker != nil {
 		s.ticker.Stop()
 		s.ticker = nil
@@ -240,46 +232,36 @@ func (s *Scheduler) Stop() {
 // other on the single simulated thread). Exported so tests and benchmarks
 // can drive the scheduler without the ticker.
 func (s *Scheduler) Poll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, st := range s.dueBatchLocked() {
-		s.decideLocked(st)
-	}
-}
-
-// dueBatchLocked snapshots the specs due at this tick, in registration
-// order. The batch buffer is reused across polls.
-func (s *Scheduler) dueBatchLocked() []*specState {
+	// The batch is the specs due at this tick, in registration order, in a
+	// buffer reused across polls.
 	now := s.clock.Now()
 	due := s.dueScratch[:0]
 	for _, st := range s.order {
-		if st.running {
-			continue // not even logged: nothing is due
+		if !st.running && now >= st.nextDue {
+			due = append(due, st) // a running spec is not even logged
 		}
-		if now < st.nextDue {
-			continue
-		}
-		due = append(due, st)
 	}
 	s.dueScratch = due
-	return due
+	for _, st := range due {
+		s.decide(st)
+	}
 }
 
-func (s *Scheduler) decideLocked(st *specState) {
+func (s *Scheduler) decide(st *specState) {
 	now := s.clock.Now()
 	spec := st.spec
 
 	// Policy 1: peak hours (hardware-centric tests monopolise a cluster,
 	// keep them out of working hours).
 	if s.cfg.AvoidPeak && spec.Kind == HardwareCentric && InPeak(now) {
-		s.logLocked(Decision{At: now, Spec: spec.Name, Action: ActionDeferPeak})
+		s.record(Decision{At: now, Spec: spec.Name, Action: ActionDeferPeak})
 		st.nextDue = now + pollInterval
 		return
 	}
 
 	// Policy 2: at most N active test jobs per site.
 	if s.bySite[spec.Site] >= s.cfg.MaxActivePerSite {
-		s.logLocked(Decision{At: now, Spec: spec.Name, Action: ActionDeferSiteBusy})
+		s.record(Decision{At: now, Spec: spec.Name, Action: ActionDeferSiteBusy})
 		st.nextDue = now + pollInterval
 		return
 	}
@@ -290,7 +272,7 @@ func (s *Scheduler) decideLocked(st *specState) {
 	if !s.oar.CanStartNowReq(st.req) {
 		st.backoff = s.nextBackoff(st.backoff)
 		st.nextDue = now + st.backoff
-		s.logLocked(Decision{At: now, Spec: spec.Name, Action: ActionDeferResources, Backoff: st.backoff})
+		s.record(Decision{At: now, Spec: spec.Name, Action: ActionDeferResources, Backoff: st.backoff})
 		return
 	}
 
@@ -301,13 +283,13 @@ func (s *Scheduler) decideLocked(st *specState) {
 		// notices the growing backoff.
 		st.backoff = s.nextBackoff(st.backoff)
 		st.nextDue = now + st.backoff
-		s.logLocked(Decision{At: now, Spec: spec.Name, Action: ActionDeferResources, Backoff: st.backoff})
+		s.record(Decision{At: now, Spec: spec.Name, Action: ActionDeferResources, Backoff: st.backoff})
 		return
 	}
 	st.running = true
 	st.triggers++
 	s.bySite[spec.Site]++
-	s.logLocked(Decision{At: now, Spec: spec.Name, Action: ActionTriggered})
+	s.record(Decision{At: now, Spec: spec.Name, Action: ActionTriggered})
 }
 
 // nextBackoff doubles the delay, starting at BackoffBase, capped at
@@ -336,8 +318,6 @@ func (s *Scheduler) observeBuild(b *ci.Build) {
 	if !ok {
 		return // not one of ours (manual/cron build)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.specs[name]
 	if st == nil || !st.running || st.spec.JobName != b.Job {
 		return
@@ -361,9 +341,9 @@ func (s *Scheduler) observeBuild(b *ci.Build) {
 	st.nextDue = now + st.spec.Period
 }
 
-// logLocked records a decision: the aggregate count always, the entry
-// itself in the bounded ring.
-func (s *Scheduler) logLocked(d Decision) {
+// record logs a decision: the aggregate count always, the entry itself in
+// the bounded ring.
+func (s *Scheduler) record(d Decision) {
 	s.counts[d.Action]++
 	if len(s.decisions) < decisionLog {
 		s.decisions = append(s.decisions, d)
@@ -379,8 +359,6 @@ func (s *Scheduler) logLocked(d Decision) {
 // Decisions returns a copy of the retained decision log (the most recent
 // decisionLog entries), in chronological order.
 func (s *Scheduler) Decisions() []Decision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Decision, 0, len(s.decisions))
 	out = append(out, s.decisions[s.decHead:]...)
 	out = append(out, s.decisions[:s.decHead]...)
@@ -390,8 +368,6 @@ func (s *Scheduler) Decisions() []Decision {
 // DecisionCounts aggregates every decision ever made by action — complete
 // even when the retained log ring has wrapped.
 func (s *Scheduler) DecisionCounts() map[Action]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make(map[Action]int, len(s.counts))
 	for a, n := range s.counts {
 		out[a] = n
@@ -410,8 +386,6 @@ type ActionCount struct {
 // DecisionCounts map would leak nondeterministic iteration order into the
 // output.
 func (s *Scheduler) DecisionCountsSorted() []ActionCount {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]ActionCount, 0, len(s.counts))
 	for a, n := range s.counts {
 		out = append(out, ActionCount{Action: a, Count: n})
@@ -433,8 +407,6 @@ type SpecStats struct {
 
 // Stats returns per-spec statistics sorted by name.
 func (s *Scheduler) Stats() []SpecStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]SpecStats, 0, len(s.specs))
 	for _, st := range s.specs {
 		out = append(out, SpecStats{

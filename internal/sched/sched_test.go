@@ -188,6 +188,31 @@ func TestPeakHoursPolicy(t *testing.T) {
 	}
 }
 
+// TestInPeakBoundaries names the working-hours window at its edges:
+// 09:00 is in and 18:00 out, on weekdays only (the epoch is a Monday).
+func TestInPeakBoundaries(t *testing.T) {
+	at := func(day int, h, m, sec simclock.Time) simclock.Time {
+		return simclock.Time(day)*simclock.Day + h*simclock.Hour + m*simclock.Minute + sec*simclock.Second
+	}
+	for _, tc := range []struct {
+		name string
+		t    simclock.Time
+		in   bool
+	}{
+		{"Monday 08:59:59", at(0, 8, 59, 59), false},
+		{"Monday 09:00", at(0, 9, 0, 0), true},
+		{"Monday 17:59:59", at(0, 17, 59, 59), true},
+		{"Monday 18:00", at(0, 18, 0, 0), false},
+		{"Friday 17:00", at(4, 17, 0, 0), true},
+		{"Saturday 10:00", at(5, 10, 0, 0), false},
+		{"Sunday 10:00", at(6, 10, 0, 0), false},
+	} {
+		if got := InPeak(tc.t); got != tc.in {
+			t.Errorf("InPeak(%s = %v) = %v, want %v", tc.name, tc.t, got, tc.in)
+		}
+	}
+}
+
 func TestPeakPolicyDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AvoidPeak = false

@@ -99,7 +99,7 @@ func TestCancelOfAFiredHandleNeverHitsALaterEvent(t *testing.T) {
 		handles[i].Cancel()
 		handles[i/2].Cancel()
 		for _, e := range c.free {
-			if e == handles[i] || e.canceled.Load() {
+			if e == handles[i] || e.canceled {
 				t.Fatalf("round %d: the free list holds a handed-out or canceled event", i)
 			}
 		}

@@ -16,6 +16,10 @@
 // verification sweep chains one event per check), so campaigns stay
 // deterministic without any goroutine of their own.
 //
+// A clock has no lock. It belongs to the goroutine that steps it, and
+// anything else that touches it (a gateway handler, say) must first hold
+// whatever its owner holds while stepping: the gateway's shard gate.
+//
 // The steady state allocates nothing. The handle rule: a *Event returned by
 // At or After is never reused, so Cancel on it stays a no-op however long
 // after it fired. Events without a handle (Schedule) come from a per-clock
@@ -41,8 +45,6 @@ package simclock
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -104,18 +106,18 @@ func (t Time) String() string {
 type Event struct {
 	fn       func(arg any)
 	arg      any
-	canceled atomic.Bool // atomic: Cancel may come from any goroutine
-	pooled   bool        // no handle exists: back to the clock's free list on fire
+	canceled bool
+	pooled   bool // no handle exists: back to the clock's free list on fire
 }
 
 // callFunc is the fn of an event scheduled with a plain func(), its arg.
 func callFunc(fn any) { fn.(func())() }
 
 // Cancel prevents a pending event from firing. Canceling an already-fired or
-// already-canceled event is a no-op. Safe to call from any goroutine.
+// already-canceled event is a no-op.
 func (e *Event) Cancel() {
 	if e != nil {
-		e.canceled.Store(true)
+		e.canceled = true
 	}
 }
 
@@ -183,14 +185,10 @@ func (h *eventHeap) pop() {
 }
 
 // Clock is a virtual clock with an attached event queue and a seeded RNG.
-//
-// The clock's own bookkeeping is mutex-protected, so scheduling calls
-// (At/After/Schedule, Now) may come from any goroutine. Execution, however,
-// is strictly serialized: event callbacks run one at a time on the
-// goroutine stepping the clock. Rand is the one exception to the mutex — it must only be used
-// from event callbacks, which every simulated subsystem does naturally.
+// It is owned by the goroutine stepping it (see the package comment):
+// event callbacks run one at a time there, and scheduling, Now and Rand
+// are called from those callbacks or by a caller holding the owner's lock.
 type Clock struct {
-	mu    sync.Mutex
 	now   Time
 	queue eventHeap
 	seq   uint64
@@ -210,38 +208,27 @@ func New(seed int64) *Clock {
 func (c *Clock) Goroutines() int { return 0 }
 
 // Now returns the current simulated time.
-func (c *Clock) Now() Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() Time { return c.now }
 
 // Rand returns the clock's deterministic RNG. All simulated randomness in
 // the repository flows through this so that a campaign is reproducible from
-// its seed. It must only be used from event callbacks, never from outside
-// goroutines.
+// its seed.
 func (c *Clock) Rand() *rand.Rand { return c.rng }
 
 // Fired returns the total number of events executed so far.
-func (c *Clock) Fired() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fired
-}
+func (c *Clock) Fired() uint64 { return c.fired }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (or at
 // the current instant) runs the event at the current time, after all events
 // already scheduled for that time.
 func (c *Clock) At(t Time, fn func()) *Event {
 	e := &Event{fn: callFunc, arg: fn}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pushLocked(e, t)
+	c.push(e, t)
 	return e
 }
 
-// pushLocked queues e for time t (the current instant if t is past).
-func (c *Clock) pushLocked(e *Event, t Time) {
+// push queues e for time t (the current instant if t is past).
+func (c *Clock) push(e *Event, t Time) {
 	if t < c.now {
 		t = c.now
 	}
@@ -260,18 +247,14 @@ func (c *Clock) After(d Time, fn func()) *Event {
 // works on, say: a cancellable timer without an allocation) to run fn(arg)
 // d from now. e must not be pending; once canceled it never fires again.
 func (c *Clock) Arm(e *Event, d Time, fn func(arg any), arg any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	e.fn, e.arg = fn, arg
-	c.pushLocked(e, c.now+max(d, 0))
+	c.push(e, c.now+max(d, 0))
 }
 
 // Schedule is After without a handle: fn(arg) runs d from now and cannot be
 // canceled, so the clock recycles the event once it has fired. With fn kept
 // in a field and what varies passed as arg, scheduling allocates nothing.
 func (c *Clock) Schedule(d Time, fn func(arg any), arg any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var e *Event
 	if n := len(c.free); n > 0 {
 		e, c.free = c.free[n-1], c.free[:n-1]
@@ -279,7 +262,7 @@ func (c *Clock) Schedule(d Time, fn func(arg any), arg any) {
 		e = &Event{pooled: true}
 	}
 	e.fn, e.arg = fn, arg
-	c.pushLocked(e, c.now+max(d, 0))
+	c.push(e, c.now+max(d, 0))
 }
 
 // Delayed is a queue of handle-less events that each run fn(arg) one fixed
@@ -317,8 +300,6 @@ func (c *Clock) Delayed(d Time, fn func(arg any)) *Delayed {
 // peak length, adding allocates nothing.
 func (q *Delayed) Add(arg any) {
 	c := q.clock
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if q.n == len(q.ring) {
 		ring := make([]delayedEntry, max(8, 2*len(q.ring)))
 		for i := range q.n {
@@ -340,7 +321,6 @@ func (q *Delayed) Add(arg any) {
 func fireDelayed(arg any) {
 	q := arg.(*Delayed)
 	c := q.clock
-	c.mu.Lock()
 	e := q.ring[q.first]
 	q.ring[q.first] = delayedEntry{}
 	q.first = (q.first + 1) & (len(q.ring) - 1)
@@ -349,19 +329,16 @@ func fireDelayed(arg any) {
 		next := q.ring[q.first]
 		c.queue.push(slot{at: next.at, seq: next.seq, e: &q.head})
 	}
-	c.mu.Unlock()
 	q.fn(e.arg)
 }
 
 // Ticker repeatedly schedules a callback at a fixed period until stopped.
-// Stop is safe to call from any goroutine (subsystem drain paths stop
-// their tickers from outside the event loop).
 type Ticker struct {
 	clock   *Clock
 	period  Time
 	fn      func()
 	event   Event // armed again on every fire
-	stopped atomic.Bool
+	stopped bool
 }
 
 // Every schedules fn to run every period, with the first firing one full
@@ -377,19 +354,18 @@ func (c *Clock) Every(period Time, fn func()) *Ticker {
 
 func tick(arg any) {
 	t := arg.(*Ticker)
-	if t.stopped.Load() {
+	if t.stopped {
 		return
 	}
 	t.fn()
-	if !t.stopped.Load() {
+	if !t.stopped {
 		t.clock.Arm(&t.event, t.period, tick, t)
 	}
 }
 
-// Stop halts the ticker. It is safe to call multiple times, from any
-// goroutine.
+// Stop halts the ticker. It is safe to call multiple times.
 func (t *Ticker) Stop() {
-	t.stopped.Store(true)
+	t.stopped = true
 	t.event.Cancel()
 }
 
@@ -398,24 +374,19 @@ func (t *Ticker) Stop() {
 func (c *Clock) Step() bool { return c.step(0, false) }
 
 // step is Step with an optional time bound: when bounded, events past the
-// limit stay queued and the bound check happens under the mutex, in the
-// same critical section as the pop — a concurrent Cancel of the head
-// event can therefore never let a later-than-limit event slip through.
+// limit stay queued.
 func (c *Clock) step(limit Time, bounded bool) bool {
-	c.mu.Lock()
 	for {
 		if len(c.queue) == 0 {
-			c.mu.Unlock()
 			return false
 		}
 		top := c.queue[0]
 		e := top.e
-		if e.canceled.Load() {
+		if e.canceled {
 			c.queue.pop()
 			continue
 		}
 		if bounded && top.at > limit {
-			c.mu.Unlock()
 			return false
 		}
 		c.queue.pop()
@@ -425,7 +396,6 @@ func (c *Clock) step(limit Time, bounded bool) bool {
 		if e.pooled {
 			c.free = append(c.free, e)
 		}
-		c.mu.Unlock()
 		fn(arg)
 		return true
 	}
@@ -442,11 +412,7 @@ func (c *Clock) Run() {
 func (c *Clock) RunUntil(t Time) {
 	for c.step(t, true) {
 	}
-	c.mu.Lock()
-	if c.now < t {
-		c.now = t
-	}
-	c.mu.Unlock()
+	c.now = max(c.now, t)
 }
 
 // RunFor executes events for the next d of simulated time.

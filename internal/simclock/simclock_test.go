@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -72,7 +71,7 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !e.canceled.Load() {
+	if !e.canceled {
 		t.Fatal("Canceled() = false after Cancel")
 	}
 	// Cancel is idempotent and nil-safe.
@@ -112,34 +111,6 @@ func TestNestedScheduling(t *testing.T) {
 	c.Run()
 	if len(times) != 2 || times[0] != Second || times[1] != 2*Second {
 		t.Fatalf("nested times = %v", times)
-	}
-}
-
-// TestSchedulingFromOutsideGoroutines checks that At/After/Now/Fired are
-// safe to call from plain OS goroutines while nothing is running — the
-// pattern external API handlers (status page, stress tests) use.
-func TestSchedulingFromOutsideGoroutines(t *testing.T) {
-	c := New(7)
-	var mu sync.Mutex
-	fired := 0
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c.After(Time(i)*Minute, func() {
-				mu.Lock()
-				fired++
-				mu.Unlock()
-			})
-			_ = c.Now()
-			_ = c.Fired()
-		}(i)
-	}
-	wg.Wait()
-	c.Run()
-	if fired != 16 {
-		t.Fatalf("fired = %d", fired)
 	}
 }
 

@@ -16,7 +16,6 @@ package testbed
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // NodeState is the availability state of a node, mirroring OAR's node
@@ -204,44 +203,29 @@ func (s *Site) Nodes() []*Node { return s.nodes }
 //
 // Concurrency model: the topology (sites, clusters, node identities,
 // lookup maps) is immutable after generation and safe to read from any
-// goroutine. Mutable node state (State, Inv, BootCount) is owned by the
-// event loop — clock events mutate it one at a time (see simclock's
-// package comment). The mutex
-// below additionally serializes the node-state flips that arrive from
-// subsystem APIs (OAR's oarnodesetting equivalent), so administrative
-// state changes are safe against each other even from outside goroutines.
+// goroutine. Mutable node state (State, Inv, BootCount) has no lock: it is
+// owned by the goroutine stepping the campaign's clock, whose events
+// mutate it one at a time (see simclock's package comment), and anything
+// else reads it under the lock that goroutine steps under (the gateway's
+// shard gate).
 type Testbed struct {
 	Sites []*Site
 
-	mu             sync.Mutex
 	nodes          []*Node // every site's nodes in order, set by index
 	nodesByName    map[string]*Node
 	clustersByName map[string]*Cluster
 	sitesByName    map[string]*Site
 }
 
-// SetNodeState flips a node's availability state under the testbed mutex.
-// It reports whether the node exists.
+// SetNodeState flips a node's availability state. It reports whether the
+// node exists.
 func (tb *Testbed) SetNodeState(name string, st NodeState) bool {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
 	n := tb.nodesByName[name]
 	if n == nil {
 		return false
 	}
 	n.State = st
 	return true
-}
-
-// EachNodeState calls fn with every node's availability state, in testbed
-// order, under one hold of the testbed mutex. fn must not call back into
-// the testbed.
-func (tb *Testbed) EachNodeState(fn func(NodeState)) {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	for _, n := range tb.nodes {
-		fn(n.State)
-	}
 }
 
 // index (re)builds the lookup maps. Called by the generator.
