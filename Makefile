@@ -38,7 +38,9 @@ stress:
 # fuzz-smoke gives each of the repository's fuzz targets ten seconds:
 # AppendIndent, the single-pass indenter every JSON body goes through
 # (internal/wire), against encoding/json's indenter on whatever valid JSON
-# the fuzzer finds; etagMatches, the If-None-Match comparison every
+# the fuzzer finds; the splice (internal/wire), where a Fragment fills a
+# slot of an envelope at any depth, against AppendIndent of the envelope
+# with the fragment's JSON inline; etagMatches, the If-None-Match comparison every
 # conditional GET goes through (internal/gateway), against its contract on
 # arbitrary header text; the two parsers of operator-written text,
 # oar.ParseRequest (resource requests, also off the wire) and
@@ -55,6 +57,7 @@ stress:
 # is written to the package's testdata/fuzz/ for the fix to keep.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendIndent -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzSplice -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzETagMatches -fuzztime 10s ./internal/gateway
 	$(GO) test -run '^$$' -fuzz FuzzGatewayGET -fuzztime 10s ./internal/gateway
 	$(GO) test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/oar

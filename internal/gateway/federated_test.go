@@ -15,6 +15,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/inproc"
 	"repro/internal/oar"
+	"repro/internal/refapi"
 	"repro/internal/simclock"
 	"repro/internal/testbed"
 )
@@ -609,8 +610,10 @@ func TestOneClusterFederationServesFederatedShapes(t *testing.T) {
 	scoped := "/sites/" + sh.Site + "/ref/inventory"
 	resp, body := get(t, c, scoped)
 	joined := decode[SiteInventoryJSON](t, body)
+	type store struct{ Inventory *refapi.Snapshot } // what a slot renders
+	stores := decode[struct{ Clusters []store }](t, body).Clusters
 	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("ETag"), `"sv`) || joined.Site != sh.Site ||
-		len(joined.Clusters) != 1 || joined.Clusters[0].Cluster != sh.Cluster || joined.Clusters[0].Inventory == nil {
+		len(joined.Clusters) != 1 || joined.Clusters[0].Cluster != sh.Cluster || stores[0].Inventory == nil {
 		t.Fatalf("%s = %d under %s: %+v; want the joined envelope with its %s store", scoped, resp.StatusCode, resp.Header.Get("ETag"), joined, sh.Cluster)
 	}
 	if resp, body := get(t, c, scoped+"?version=1"); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), sh.Cluster) {

@@ -60,11 +60,11 @@ func allZero(vec []intel.SiteVersion) bool {
 // GridSiteJSON is one store's slice of a GET /grid/at answer: one cluster
 // micro-shard of a site.
 type GridSiteJSON struct {
-	Site       string           `json:"site"`
-	Cluster    string           `json:"cluster,omitempty"`
-	Version    int              `json:"version"`
-	TakenAtSec float64          `json:"taken_at_sec"`
-	Inventory  *refapi.Snapshot `json:"inventory"`
+	Site       string    `json:"site"`
+	Cluster    string    `json:"cluster,omitempty"`
+	Version    int       `json:"version"`
+	TakenAtSec float64   `json:"taken_at_sec"`
+	Inventory  wire.Slot `json:"inventory"` // the store's refapi.Snapshot
 }
 
 // GridAtJSON is the wire form of GET /grid/at. It deliberately does not
@@ -104,6 +104,7 @@ func (g *Gateway) handleGridAt(w http.ResponseWriter, r *http.Request) {
 	key := "ga" + intel.VersionKey(vec) + downSetKey(degraded)
 	serveView(w, r, &g.gridAt, key, 0, false, func() (string, []byte, error) {
 		snap := g.archive.Materialize(vec)
+		var sp wire.Splice
 		out := GridAtJSON{
 			Degraded: degraded,
 			AsOfSec:  snap.AsOf.Seconds(),
@@ -115,10 +116,11 @@ func (g *Gateway) handleGridAt(w http.ResponseWriter, r *http.Request) {
 				Cluster:    sc.Cluster,
 				Version:    sc.Version,
 				TakenAtSec: sc.TakenAt.Seconds(),
-				Inventory:  sc.Snapshot,
+				Inventory:  sp.Slot(sc.Snapshot),
 			})
 		}
-		return rendered(key, out)
+		body, err := sp.MarshalIndent(out)
+		return key, body, err
 	})
 }
 

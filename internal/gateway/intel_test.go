@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bugs"
@@ -619,6 +621,7 @@ func TestIncidentsAndRollupUnderLiveAdvance(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	keysSeen := make([]int, len(paths))
+	served := make([]atomic.Int64, len(paths)) // answers each reader has read
 	for i, path := range paths {
 		wg.Add(1)
 		go func(i int, path string) {
@@ -667,11 +670,19 @@ func TestIncidentsAndRollupUnderLiveAdvance(t *testing.T) {
 					t.Errorf("GET %s: status %d", path, resp.StatusCode)
 					return
 				}
+				served[i].Add(1)
 			}
 		}(i, path)
 	}
 	for h := 0; h < 72; h++ {
 		gw.Advance(simclock.Hour)
+		// Every reader reads at least once per hour, however the host
+		// schedules its goroutine; a reader that gave up has failed the test.
+		for i := range served {
+			for n := served[i].Load(); served[i].Load() == n && !t.Failed(); {
+				runtime.Gosched()
+			}
+		}
 	}
 	close(stop)
 	wg.Wait()

@@ -13,7 +13,12 @@ package gateway
 //   - rendered bodies are kept per key — one per route, except a store's
 //     archived versions, of which the newest few asked for stay (view.store
 //     has the rule and the measurement behind it) — so even non-conditional
-//     hot reads marshal each version once.
+//     hot reads render each version once;
+//   - a body the views miss is spliced, not marshaled: each snapshot in it
+//     is a wire.Slot filled by refapi.Snapshot.AppendIndent from its
+//     nodes' fragments, which the stores render once per node description,
+//     so only the envelope around the snapshots passes through
+//     encoding/json.
 //
 // A /ref body answers one of two questions. What one store held at any
 // archived version (serveShardInventory, serveShardDiff): ?cluster=X on a
@@ -37,6 +42,7 @@ import (
 	"repro/internal/intel"
 	"repro/internal/refapi"
 	"repro/internal/simclock"
+	"repro/internal/wire"
 )
 
 // parseVersion reads a 1-based version query parameter; 0 means "not
@@ -121,16 +127,16 @@ func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.R
 		if snap == nil {
 			return "", nil, fmt.Errorf("version %d vanished", ver)
 		}
-		return rendered(key, snap)
+		return key, snap.AppendIndent(nil, 0), nil
 	})
 }
 
 // ClusterInventoryJSON is one cluster store's slice of a site inventory
 // section.
 type ClusterInventoryJSON struct {
-	Cluster   string           `json:"cluster,omitempty"`
-	Version   int              `json:"version"`
-	Inventory *refapi.Snapshot `json:"inventory"`
+	Cluster   string    `json:"cluster,omitempty"`
+	Version   int       `json:"version"`
+	Inventory wire.Slot `json:"inventory"` // the store's refapi.Snapshot
 }
 
 // SiteInventoryJSON is one site's section of a federated (or joined
@@ -153,17 +159,20 @@ const latest = simclock.Time(math.MaxInt64)
 
 // serveVector is the one path of the four merged /ref views: arc's current
 // version vector over the surviving sites, behind prefix, is the key, and
-// body renders the answer from exactly the versions it names.
+// body builds the answer from exactly the versions it names, its snapshots
+// as slots of sp.
 func serveVector(w http.ResponseWriter, r *http.Request, cache *view, arc *intel.GridArchive, prefix string,
-	degraded *DegradedJSON, body func(vec []intel.SiteVersion) (any, error)) {
+	degraded *DegradedJSON, body func(vec []intel.SiteVersion, sp *wire.Splice) (any, error)) {
 	vec := arc.VersionVector(latest, excludedSites(degraded))
 	key := prefix + intel.VersionKey(vec) + downSetKey(degraded)
 	serveView(w, r, cache, key, 0, false, func() (string, []byte, error) {
-		v, err := body(vec)
+		var sp wire.Splice
+		v, err := body(vec, &sp)
 		if err != nil {
 			return "", nil, err
 		}
-		return rendered(key, v)
+		out, err := sp.MarshalIndent(v)
+		return key, out, err
 	})
 }
 
@@ -175,8 +184,8 @@ func (g *Gateway) handleRefInventory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	degraded := g.degradedMarker()
-	serveVector(w, r, &g.fedInv, g.archive, "v", degraded, func(vec []intel.SiteVersion) (any, error) {
-		sites, err := inventorySites(g.archive, vec)
+	serveVector(w, r, &g.fedInv, g.archive, "v", degraded, func(vec []intel.SiteVersion, sp *wire.Splice) (any, error) {
+		sites, err := inventorySites(g.archive, vec, sp)
 		return FederatedInventoryJSON{Degraded: degraded, Sites: sites}, err
 	})
 }
@@ -188,9 +197,10 @@ func vanished(vec []intel.SiteVersion) error {
 }
 
 // inventorySites materializes the vector: one section per site, in archive
-// order (site-grouped), each listing its stores at the versions named. A
-// version the archive cannot produce is an error, never a shorter body.
-func inventorySites(arc *intel.GridArchive, vec []intel.SiteVersion) ([]SiteInventoryJSON, error) {
+// order (site-grouped), each listing its stores at the versions named, each
+// store's snapshot a slot of sp. A version the archive cannot produce is an
+// error, never a shorter body.
+func inventorySites(arc *intel.GridArchive, vec []intel.SiteVersion, sp *wire.Splice) ([]SiteInventoryJSON, error) {
 	snap := arc.Materialize(vec)
 	if len(snap.Sites) != len(vec) {
 		return nil, vanished(vec)
@@ -202,7 +212,7 @@ func inventorySites(arc *intel.GridArchive, vec []intel.SiteVersion) ([]SiteInve
 		}
 		site := &out[len(out)-1]
 		site.Clusters = append(site.Clusters,
-			ClusterInventoryJSON{Cluster: sc.Cluster, Version: sc.Version, Inventory: sc.Snapshot})
+			ClusterInventoryJSON{Cluster: sc.Cluster, Version: sc.Version, Inventory: sp.Slot(sc.Snapshot)})
 	}
 	return out, nil
 }
@@ -269,12 +279,8 @@ func (g *Gateway) serveShardDiff(s *shard, w http.ResponseWriter, r *http.Reques
 	// (latest-1, latest) pair until the store moves on.
 	key := fmt.Sprintf("v%d-v%d", from, to)
 	serveView(w, r, &s.diff, key, 0, to < cur, func() (string, []byte, error) {
-		var a, b *refapi.Snapshot
-		s.rlocked(func() { a, b = st.Version(from), st.Version(to) })
-		if a == nil || b == nil {
-			return "", nil, fmt.Errorf("version range %d..%d vanished", from, to)
-		}
-		diffs := refapi.DiffSnapshots(a, b)
+		var diffs []refapi.Difference
+		s.rlocked(func() { diffs = st.Diff(from, to) })
 		if diffs == nil {
 			diffs = []refapi.Difference{}
 		}
@@ -290,7 +296,7 @@ func (g *Gateway) handleRefDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	degraded := g.degradedMarker()
-	serveVector(w, r, &g.fedDiff, g.archive, "dv", degraded, func(vec []intel.SiteVersion) (any, error) {
+	serveVector(w, r, &g.fedDiff, g.archive, "dv", degraded, func(vec []intel.SiteVersion, _ *wire.Splice) (any, error) {
 		out := FederatedDiffJSON{Degraded: degraded}
 		var err error
 		out.Sites, err = diffSites(g.archive, vec)
@@ -371,8 +377,8 @@ func (g *Gateway) serveSiteRef(w http.ResponseWriter, r *http.Request, what stri
 // view's ETag is "sv3.1.7" over the site's stores' version counters.
 func (g *Gateway) serveSiteInventory(w http.ResponseWriter, r *http.Request) {
 	g.serveSiteRef(w, r, "archives are", []string{"version", "at"}, g.serveShardInventory, func(sv *siteViews) {
-		serveVector(w, r, &sv.inv, sv.archive, "sv", nil, func(vec []intel.SiteVersion) (any, error) {
-			sites, err := inventorySites(sv.archive, vec)
+		serveVector(w, r, &sv.inv, sv.archive, "sv", nil, func(vec []intel.SiteVersion, sp *wire.Splice) (any, error) {
+			sites, err := inventorySites(sv.archive, vec, sp)
 			if err != nil {
 				return nil, err
 			}
@@ -385,7 +391,7 @@ func (g *Gateway) serveSiteInventory(w http.ResponseWriter, r *http.Request) {
 // store's latest step ("sdv"-prefixed ETag).
 func (g *Gateway) serveSiteDiff(w http.ResponseWriter, r *http.Request) {
 	g.serveSiteRef(w, r, "version ranges are", []string{"from", "to"}, g.serveShardDiff, func(sv *siteViews) {
-		serveVector(w, r, &sv.diff, sv.archive, "sdv", nil, func(vec []intel.SiteVersion) (any, error) {
+		serveVector(w, r, &sv.diff, sv.archive, "sdv", nil, func(vec []intel.SiteVersion, _ *wire.Splice) (any, error) {
 			sites, err := diffSites(sv.archive, vec)
 			if err != nil {
 				return nil, err

@@ -172,15 +172,14 @@ type GridDiff struct {
 	Sites []SiteDiff
 }
 
-// emptySnapshot is the diff base for a site that had no capture at the
-// earlier instant: everything present later reads as "missing → present".
-var emptySnapshot = &refapi.Snapshot{}
-
 // DiffVector computes the grid-level historical diff between two exact
 // version vectors (VersionVector's outputs for the two instants) — the
 // gateway's body path, for the same reason Materialize exists. Site order
-// follows the to vector; version-0 entries diff against the empty
-// snapshot; sites absent from both (or unknown) are skipped.
+// follows the to vector; version-0 entries, and versions a store never
+// archived, diff against the empty description (and are reported as 0);
+// sites absent from both (or unknown) are skipped. Each store compares only
+// the nodes its Updates between the two versions re-described
+// (refapi.Store.Diff).
 func (a *GridArchive) DiffVector(from, to []SiteVersion) GridDiff {
 	fromOf := make(map[string]int, len(from))
 	for _, sv := range from {
@@ -194,26 +193,16 @@ func (a *GridArchive) DiffVector(from, to []SiteVersion) GridDiff {
 			continue
 		}
 		sd := SiteDiff{Site: sv.Site, Cluster: sv.Cluster, FromVersion: fromOf[k], ToVersion: sv.Version}
-		var sa, sb *refapi.Snapshot
 		s.gated(func() {
-			if sd.FromVersion > 0 {
-				sa = s.Ref.Version(sd.FromVersion)
+			archived := s.Ref.VersionCount()
+			if sd.FromVersion < 0 || sd.FromVersion > archived {
+				sd.FromVersion = 0
 			}
-			if sd.ToVersion > 0 {
-				sb = s.Ref.Version(sd.ToVersion)
+			if sd.ToVersion < 0 || sd.ToVersion > archived {
+				sd.ToVersion = 0
 			}
+			sd.Differences = s.Ref.Diff(sd.FromVersion, sd.ToVersion)
 		})
-		if sa == nil {
-			sa = emptySnapshot
-			sd.FromVersion = 0
-		}
-		if sb == nil {
-			sb = emptySnapshot
-			sd.ToVersion = 0
-		}
-		if sa != sb {
-			sd.Differences = refapi.DiffSnapshots(sa, sb)
-		}
 		if sd.Differences == nil {
 			sd.Differences = []refapi.Difference{}
 		}

@@ -13,18 +13,31 @@
 // clusters), so AppendDiff compares fields natively and only builds
 // strings for fields that actually diverge — checking a clean node performs
 // zero heap allocations. The Store archives versions as a copy-on-write
-// delta chain: Update records only the changed nodes (O(changed) time and
+// delta chain: Update records only the changed node (O(changed) time and
 // memory), and full Snapshots are materialized lazily — and cached — when
-// an archived version is actually read.
+// an archived version is actually read. Store.Diff between two versions
+// compares only the nodes the Updates in between re-described.
+//
+// Each node description in the chain is one *Node, shared by every version
+// and snapshot that holds it. A Node carries its wire form, a fragment
+// rendered by wire.MarshalIndent on the first read that needs it (never by
+// NewStore, CaptureFrom or Update), so the store renders each description
+// once however many versions hold it, and Snapshot.AppendIndent splices a
+// snapshot's body from its nodes' fragments.
 //
 // Store keeps a lock, the only one left in the simulator: its RWMutex and
 // its atomic materialization counter, because concurrent readers (gateway
 // handlers under a shard's read gate) materialize and cache archived
-// snapshots, which writes the store. Updates come from clock events.
+// snapshots, which writes the store; and each Node's atomic fragment
+// pointer, which those readers fill. Updates come from clock events.
 package refapi
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,6 +46,7 @@ import (
 
 	"repro/internal/simclock"
 	"repro/internal/testbed"
+	"repro/internal/wire"
 )
 
 // NodeDescription is the reference (claimed) description of one node.
@@ -43,20 +57,98 @@ type NodeDescription struct {
 	Inv     testbed.Inventory `json:"inventory"`
 }
 
+// Node is one archived node description, immutable once archived. Every
+// version that holds the description shares the Node, and with it the
+// description's wire form, rendered on first read.
+type Node struct {
+	NodeDescription
+	frag atomic.Pointer[fragment]
+}
+
+// fragment is a node's wire form, wire.MarshalIndent of its description,
+// and how many newlines it holds: each gains indentation where the fragment
+// lands deeper.
+type fragment struct {
+	body  []byte
+	lines int
+}
+
+// rendered returns the node's wire form, rendering it on first use. Readers
+// racing on a fresh node each render the same bytes; the first stored wins.
+func (n *Node) rendered() *fragment {
+	if f := n.frag.Load(); f != nil {
+		return f
+	}
+	body, err := wire.MarshalIndent(&n.NodeDescription)
+	if err != nil {
+		panic("refapi: " + err.Error()) // strings, integers and booleans always encode
+	}
+	f := &fragment{body: body, lines: bytes.Count(body, []byte{'\n'})}
+	if !n.frag.CompareAndSwap(nil, f) {
+		return n.frag.Load()
+	}
+	return f
+}
+
 // Snapshot is one archived version of the whole testbed description.
 // Snapshots handed out by a Store are immutable.
 type Snapshot struct {
-	Version int                        `json:"version"`
-	TakenAt simclock.Time              `json:"taken_at"`
-	Nodes   map[string]NodeDescription `json:"nodes"`
+	Version int              `json:"version"`
+	TakenAt simclock.Time    `json:"taken_at"`
+	Nodes   map[string]*Node `json:"nodes"`
+}
+
+// AppendIndent appends the snapshot's wire form — what wire.MarshalIndent
+// writes for it — as it reads at depth, which makes a Snapshot a
+// wire.Fragment. Node names come in encoding/json's map key order, each
+// escaped as encoding/json escapes a key, and each node is its fragment,
+// rendered once per description and shifted to the depth it lands at.
+func (s *Snapshot) AppendIndent(dst []byte, depth int) []byte {
+	type entry struct {
+		name string
+		frag *fragment
+	}
+	entries := make([]entry, 0, len(s.Nodes))
+	size := 96 + 8*depth // everything but the nodes, numbers at their widest
+	for name, n := range s.Nodes {
+		f := n.rendered()
+		entries = append(entries, entry{name, f})
+		size += len(name) + 6 + len(f.body) + 2*(depth+2)*(f.lines+1)
+	}
+	slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.name, b.name) })
+	dst = slices.Grow(dst, size)
+	dst = wire.AppendShifted(dst, []byte("{\n  \"version\": "), depth)
+	dst = strconv.AppendInt(dst, int64(s.Version), 10)
+	dst = wire.AppendShifted(dst, []byte(",\n  \"taken_at\": "), depth)
+	dst = strconv.AppendInt(dst, int64(s.TakenAt), 10)
+	dst = wire.AppendShifted(dst, []byte(",\n  \"nodes\": "), depth)
+	switch {
+	case s.Nodes == nil:
+		dst = append(dst, "null"...)
+	case len(entries) == 0:
+		dst = append(dst, "{}"...)
+	default:
+		for i, e := range entries {
+			if i == 0 {
+				dst = append(dst, '{')
+			} else {
+				dst = append(dst, ',')
+			}
+			dst = wire.AppendShifted(dst, []byte("\n    "), depth)
+			dst = append(wire.AppendString(dst, e.name), ':', ' ')
+			dst = wire.AppendShifted(dst, e.frag.body, depth+2)
+		}
+		dst = wire.AppendShifted(dst, []byte("\n  }"), depth)
+	}
+	return wire.AppendShifted(dst, []byte("\n}"), depth)
 }
 
 // version is one link of the store's copy-on-write chain. Exactly one of
 // the two cases holds:
 //
 //   - capture point (CaptureFrom/NewStore): snap is set eagerly and holds
-//     the complete node set;
-//   - delta (Update): delta holds only the nodes whose description changed
+//     the complete node set, and delta is nil;
+//   - delta (Update): delta is the one node whose description changed
 //     relative to the previous version, and snap is materialized lazily.
 //
 // TakenAt values are monotone non-decreasing along the chain (simulated
@@ -64,8 +156,8 @@ type Snapshot struct {
 type version struct {
 	num     int
 	takenAt simclock.Time
-	delta   map[string]NodeDescription // changed nodes (delta versions only)
-	snap    *Snapshot                  // cached materialization, immutable once set
+	delta   *Node     // the re-described node (delta versions only)
+	snap    *Snapshot // cached materialization, immutable once set
 }
 
 // Store holds the current description plus the archive of every previous
@@ -78,7 +170,7 @@ type Store struct {
 	// cur is the live accumulated node map of the latest version. It is
 	// owned by the store and mutated in place by Update (O(changed nodes)),
 	// never aliased by a handed-out Snapshot.
-	cur map[string]NodeDescription
+	cur map[string]*Node
 
 	// materializations counts how many times a full snapshot was actually
 	// built (cache misses of the lazy delta chain). Readers that claim to
@@ -109,14 +201,17 @@ func NewStore(tb *testbed.Testbed, now simclock.Time) *Store {
 func (st *Store) CaptureFrom(tb *testbed.Testbed, now simclock.Time) *Snapshot {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	nodes := make(map[string]NodeDescription)
-	for _, n := range tb.Nodes() {
-		nodes[n.Name] = NodeDescription{
+	live := tb.Nodes()
+	described := make([]Node, len(live)) // one allocation for the capture's nodes
+	nodes := make(map[string]*Node, len(live))
+	for i, n := range live {
+		described[i].NodeDescription = NodeDescription{
 			Name:    n.Name,
 			Cluster: n.Cluster,
 			Site:    n.Site,
 			Inv:     n.Inv.Clone(),
 		}
+		nodes[n.Name] = &described[i]
 	}
 	now = st.clampMonotoneLocked(now)
 	v := &version{
@@ -126,13 +221,9 @@ func (st *Store) CaptureFrom(tb *testbed.Testbed, now simclock.Time) *Snapshot {
 	}
 	st.versions = append(st.versions, v)
 	// cur must not alias the archived map: later Updates rewrite cur entries
-	// in place. The NodeDescription values (and their cloned slices) are
-	// shared — safe, because Update replaces whole values, never mutating
-	// the inventories an archived snapshot points at.
-	st.cur = make(map[string]NodeDescription, len(nodes))
-	for k, d := range nodes {
-		st.cur[k] = d
-	}
+	// in place. The Nodes are shared — safe, because Update replaces a
+	// whole Node, never mutating one an archived snapshot points at.
+	st.cur = maps.Clone(nodes)
 	return v.snap
 }
 
@@ -143,16 +234,17 @@ func (st *Store) CaptureFrom(tb *testbed.Testbed, now simclock.Time) *Snapshot {
 func (st *Store) Update(now simclock.Time, node string, inv testbed.Inventory) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	d, ok := st.cur[node]
+	old, ok := st.cur[node]
 	if !ok {
 		return fmt.Errorf("refapi: cannot update unknown node %q", node)
 	}
-	d.Inv = inv.Clone()
-	st.cur[node] = d
+	n := &Node{NodeDescription: old.NodeDescription}
+	n.Inv = inv.Clone()
+	st.cur[node] = n
 	st.versions = append(st.versions, &version{
 		num:     len(st.versions) + 1,
 		takenAt: st.clampMonotoneLocked(now),
-		delta:   map[string]NodeDescription{node: d},
+		delta:   n,
 	})
 	return nil
 }
@@ -222,15 +314,9 @@ func (st *Store) materializeLocked(i int) *Snapshot {
 	for st.versions[base].snap == nil {
 		base-- // version 1 is a capture point, so this terminates
 	}
-	src := st.versions[base].snap.Nodes
-	nodes := make(map[string]NodeDescription, len(src))
-	for k, d := range src {
-		nodes[k] = d
-	}
-	for j := base + 1; j <= i; j++ {
-		for k, d := range st.versions[j].delta {
-			nodes[k] = d
-		}
+	nodes := maps.Clone(st.versions[base].snap.Nodes)
+	for _, v := range st.versions[base+1 : i+1] {
+		nodes[v.delta.Name] = v.delta
 	}
 	ver.snap = &Snapshot{Version: ver.num, TakenAt: ver.takenAt, Nodes: nodes}
 	st.materializations.Add(1)
@@ -293,12 +379,12 @@ func (st *Store) VersionAt(t simclock.Time) (int, bool) {
 // beyond the returned value.
 func (st *Store) Describe(node string) (NodeDescription, error) {
 	st.mu.RLock()
-	d, ok := st.cur[node]
+	n, ok := st.cur[node]
 	st.mu.RUnlock()
 	if !ok {
 		return NodeDescription{}, fmt.Errorf("refapi: no description for node %q", node)
 	}
-	return d, nil
+	return n.NodeDescription, nil
 }
 
 // Difference is one divergence between two descriptions of the same node.
@@ -434,32 +520,104 @@ func nicField(name, field string) string {
 	return "nics[" + name + "]." + field
 }
 
-// DiffSnapshots compares two whole-testbed snapshots and returns all
-// node-level differences, plus differences for nodes present in only one of
-// the two. Output is sorted by node then field, so the report is
-// deterministic regardless of map iteration order.
-func DiffSnapshots(a, b *Snapshot) []Difference {
+// Diff returns the differences between versions from and to of the store:
+// every field-level divergence of a node both hold, and a presence
+// difference for each node only one of them holds, sorted by node then
+// field. Version 0, like any version outside 1..VersionCount(), reads as
+// the empty description. Between two versions with no capture point after
+// the earlier one, only the nodes the Updates in between re-described are
+// compared and nothing is materialized; across a capture point, or against
+// the empty description, both versions are materialized and every node is
+// compared.
+func (st *Store) Diff(from, to int) []Difference {
+	if from == to {
+		return nil
+	}
+	st.mu.RLock()
+	out, ok := st.deltaDiffLocked(from, to)
+	st.mu.RUnlock()
+	if ok {
+		return out
+	}
+	return diffNodes(st.nodesOf(from), st.nodesOf(to))
+}
+
+// nodesOf is version v's node set; nil (empty) outside the archive.
+func (st *Store) nodesOf(v int) map[string]*Node {
+	if snap := st.Version(v); snap != nil {
+		return snap.Nodes
+	}
+	return nil
+}
+
+// deltaDiffLocked is Diff from the deltas alone: ok is false when the range
+// leaves the archive or holds a capture point. Called with the read lock
+// held.
+func (st *Store) deltaDiffLocked(from, to int) (out []Difference, ok bool) {
+	lo, hi := min(from, to), max(from, to)
+	if lo < 1 || hi > len(st.versions) {
+		return nil, false
+	}
+	later := map[string]*Node{} // each re-described node as version hi holds it
+	for _, v := range st.versions[lo:hi] {
+		if v.delta == nil {
+			return nil, false
+		}
+		later[v.delta.Name] = v.delta
+	}
+	for name, b := range later {
+		a := st.nodeAtLocked(lo, name)
+		if from > to {
+			a, b = b, a
+		}
+		if a != b {
+			out = AppendDiff(out, name, a.Inv, b.Inv)
+		}
+	}
+	slices.SortStableFunc(out, compareDifferences)
+	return out, true
+}
+
+// nodeAtLocked is node name as version v holds it: the last Update at or
+// below v that re-described it, or else the nearest snapshot's (version 1 is
+// one). Called with the read lock held.
+func (st *Store) nodeAtLocked(v int, name string) *Node {
+	for i := v - 1; ; i-- {
+		if snap := st.versions[i].snap; snap != nil {
+			return snap.Nodes[name]
+		}
+		if d := st.versions[i].delta; d.Name == name {
+			return d
+		}
+	}
+}
+
+// diffNodes compares two whole node sets, either of which may be empty.
+// A Node both share is one description and is skipped.
+func diffNodes(a, b map[string]*Node) []Difference {
 	var out []Difference
-	for name, da := range a.Nodes {
-		db, ok := b.Nodes[name]
+	for name, na := range a {
+		nb, ok := b[name]
 		if !ok {
 			out = append(out, Difference{Node: name, Field: "presence", Expected: "present", Actual: "missing"})
-			continue
+		} else if na != nb {
+			out = AppendDiff(out, name, na.Inv, nb.Inv)
 		}
-		out = AppendDiff(out, name, da.Inv, db.Inv)
 	}
-	for name := range b.Nodes {
-		if _, ok := a.Nodes[name]; !ok {
+	for name := range b {
+		if _, ok := a[name]; !ok {
 			out = append(out, Difference{Node: name, Field: "presence", Expected: "missing", Actual: "present"})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Field < out[j].Field
-	})
+	slices.SortStableFunc(out, compareDifferences)
 	return out
+}
+
+// compareDifferences orders a diff report by node, then field; one node's
+// differences come from one AppendDiff, so a stable sort makes the report
+// deterministic whatever order the maps were walked in.
+func compareDifferences(x, y Difference) int {
+	return cmp.Or(strings.Compare(x.Node, y.Node), strings.Compare(x.Field, y.Field))
 }
 
 func itoa(i int) string  { return strconv.Itoa(i) }

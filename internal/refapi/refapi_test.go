@@ -2,6 +2,7 @@ package refapi
 
 import (
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -269,11 +270,39 @@ func TestVersionAt(t *testing.T) {
 
 // cloneSnapshot deep-copies a snapshot, so a test can drift the copy.
 func cloneSnapshot(s *Snapshot) *Snapshot {
-	out := &Snapshot{Version: s.Version, TakenAt: s.TakenAt, Nodes: make(map[string]NodeDescription, len(s.Nodes))}
-	for k, v := range s.Nodes {
-		v.Inv = v.Inv.Clone()
-		out.Nodes[k] = v
+	out := &Snapshot{Version: s.Version, TakenAt: s.TakenAt, Nodes: make(map[string]*Node, len(s.Nodes))}
+	for k, n := range s.Nodes {
+		d := n.NodeDescription
+		d.Inv = d.Inv.Clone()
+		out.Nodes[k] = &Node{NodeDescription: d}
 	}
+	return out
+}
+
+// DiffSnapshots is the reference whole-snapshot comparison Store.Diff is
+// held to: every node-level difference, plus presence differences for nodes
+// present in only one of the two, sorted by node then field.
+func DiffSnapshots(a, b *Snapshot) []Difference {
+	var out []Difference
+	for name, da := range a.Nodes {
+		db, ok := b.Nodes[name]
+		if !ok {
+			out = append(out, Difference{Node: name, Field: "presence", Expected: "present", Actual: "missing"})
+			continue
+		}
+		out = AppendDiff(out, name, da.Inv, db.Inv)
+	}
+	for name := range b.Nodes {
+		if _, ok := a.Nodes[name]; !ok {
+			out = append(out, Difference{Node: name, Field: "presence", Expected: "missing", Actual: "present"})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Node != out[j].Node {
+			return out[i].Node < out[j].Node
+		}
+		return out[i].Field < out[j].Field
+	})
 	return out
 }
 
@@ -282,12 +311,12 @@ func TestDiffSnapshotsPresence(t *testing.T) {
 	a := st.Current()
 	b := cloneSnapshot(a)
 	delete(b.Nodes, "uvb-1.sophia")
-	diffs := DiffSnapshots(a, b)
+	diffs := diffNodes(a.Nodes, b.Nodes)
 	if len(diffs) != 1 || diffs[0].Field != "presence" || diffs[0].Actual != "missing" {
 		t.Fatalf("diffs = %v", diffs)
 	}
 	// And symmetric direction.
-	diffs = DiffSnapshots(b, a)
+	diffs = diffNodes(b.Nodes, a.Nodes)
 	if len(diffs) != 1 || diffs[0].Actual != "present" {
 		t.Fatalf("reverse diffs = %v", diffs)
 	}
@@ -301,9 +330,8 @@ func TestDiffSnapshotsSorted(t *testing.T) {
 		d := b.Nodes[name]
 		d.Inv.RAMGB++
 		d.Inv.BIOS.CStates = true
-		b.Nodes[name] = d
 	}
-	diffs := DiffSnapshots(a, b)
+	diffs := diffNodes(a.Nodes, b.Nodes)
 	for i := 1; i < len(diffs); i++ {
 		if diffs[i-1].Node > diffs[i].Node {
 			t.Fatalf("diff output not sorted: %v before %v", diffs[i-1], diffs[i])
@@ -495,7 +523,7 @@ func TestVersionTimesClampedMonotone(t *testing.T) {
 	}
 }
 
-// DiffSnapshots iterates Go maps internally; its sorted output must be
+// diffNodes iterates Go maps internally; its sorted output must be
 // identical across repeated calls regardless of iteration order.
 func TestDiffSnapshotsDeterministic(t *testing.T) {
 	_, st := newStore(t)
@@ -506,16 +534,15 @@ func TestDiffSnapshotsDeterministic(t *testing.T) {
 		d.Inv.RAMGB++
 		d.Inv.BIOS.CStates = !d.Inv.BIOS.CStates
 		d.Inv.Disks[0].Firmware += "-x"
-		b.Nodes[name] = d
 	}
 	delete(b.Nodes, "taurus-1.lyon")
 
-	first := DiffSnapshots(a, b)
+	first := diffNodes(a.Nodes, b.Nodes)
 	if len(first) == 0 {
 		t.Fatal("no differences found")
 	}
 	for run := 0; run < 10; run++ {
-		again := DiffSnapshots(a, b)
+		again := diffNodes(a.Nodes, b.Nodes)
 		if len(again) != len(first) {
 			t.Fatalf("run %d: %d diffs, first run had %d", run, len(again), len(first))
 		}
@@ -602,6 +629,20 @@ func BenchmarkSnapshotMarshalIndent(b *testing.B) {
 		if benchBody, err = wire.MarshalIndent(snap); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSnapshotAppendIndent is the same body as a store serves it: the
+// snapshot spliced from its nodes' fragments, rendered before the timer
+// starts, at depth 0 into a buffer kept warm.
+func BenchmarkSnapshotAppendIndent(b *testing.B) {
+	snap := NewStore(testbed.Default(), 0).Current()
+	body := snap.AppendIndent(nil, 0)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchBody = snap.AppendIndent(body[:0], 0)
 	}
 }
 
