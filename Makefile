@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint fmt-check test race stress fuzz-smoke bench-smoke cli-smoke profile loc check
+.PHONY: all build vet lint fmt-check test race alloc-guard stress fuzz-smoke bench-smoke cli-smoke profile loc check
 
 all: check
 
@@ -28,6 +28,22 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# alloc-guard runs the allocation guards, the tests named *Alloc*: a ticker
+# fire allocates nothing; a warmed CI build's dispatch and completion
+# allocate only the Build its job keeps; a submission allocates its Job and
+# node slice; a cluster sweep handed its last reports back allocates
+# nothing; a status grid costs as much with 10 retained builds per job as
+# with 200; a warmed scheduler poll allocates nothing, whether no spec is
+# due or every due spec defers; a Reference API store renders nothing until
+# read, and a warmed archived version renders with as many allocations at
+# 4x the testbed as at 1x; a grid archive's version vector allocates only
+# its result. They skip under the race detector, whose bookkeeping is not
+# what they count, so this runs without it.
+ALLOC_GUARD_PKGS = ./internal/simclock ./internal/oar ./internal/core ./internal/checks \
+	./internal/status ./internal/ci ./internal/sched ./internal/refapi ./internal/intel
+alloc-guard:
+	$(GO) test -run Alloc $(ALLOC_GUARD_PKGS)
 
 # stress runs the gateway's concurrency stress test at full size under the
 # race detector: 16 clients hammering every endpoint family while the
@@ -125,4 +141,4 @@ loc:
 		printf '%-22s %9d %9d\n' $$d $$n $$t; \
 	done | awk '{print; n += $$2; t += $$3} END {printf "%-22s %9d %9d\n", "total", n, t}'
 
-check: build vet lint fmt-check race fuzz-smoke bench-smoke cli-smoke
+check: build vet lint fmt-check race alloc-guard stress fuzz-smoke bench-smoke cli-smoke

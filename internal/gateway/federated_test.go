@@ -506,8 +506,9 @@ func TestFederatedStatusAndRef(t *testing.T) {
 // TestSiteReadsUnblockedByOtherShardAdvance pins the lock-scoping claim
 // deterministically: while a whole-grid Advance is mid-step on site B's
 // coordinator shard — stalled there by an event on that shard's own
-// simulated clock, so B's write lock is held — a site-A read completes, and
-// a site-B read can not: it is released exactly when the step finishes.
+// simulated clock, so B's write lock is held — a site-A read completes, as
+// does every Reference API read, B's archive included, and a read of B's
+// OAR can not: it is released exactly when the step finishes.
 func TestSiteReadsUnblockedByOtherShardAdvance(t *testing.T) {
 	fed := federation.New(federation.Config{
 		Seed:    9,
@@ -540,29 +541,42 @@ func TestSiteReadsUnblockedByOtherShardAdvance(t *testing.T) {
 	}()
 	<-started // B's shard gate is now write-held, mid-step
 
-	// A site-A read completes while B is mid-advance.
-	readDone := make(chan int, 1)
-	go func() {
-		resp, err := c.Get(fmt.Sprintf("http://gw.local/sites/%s/oar/resources", a.Site))
-		if err != nil {
-			t.Errorf("site-A read: %v", err)
-			readDone <- 0
-			return
+	// Reads that need no state behind B's gate complete while B is
+	// mid-step: site A's OAR, and every Reference API route, B's own
+	// stores included, since a store synchronizes itself.
+	for _, path := range []string{
+		"/sites/" + a.Site + "/oar/resources",
+		"/sites/" + b.Site + "/ref/inventory?cluster=" + b.Cluster + "&version=1",
+		"/sites/" + b.Site + "/ref/diff?cluster=" + b.Cluster,
+		"/sites/" + b.Site + "/ref/inventory",
+		"/ref/inventory",
+		"/ref/diff",
+		"/grid/at?t=3600",
+		"/grid/diff?from=0&to=3600",
+	} {
+		readDone := make(chan int, 1)
+		go func() {
+			resp, err := c.Get("http://gw.local" + path)
+			if err != nil {
+				t.Errorf("%s: %v", path, err)
+				readDone <- 0
+				return
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			resp.Body.Close()
+			readDone <- resp.StatusCode
+		}()
+		select {
+		case code := <-readDone:
+			if code != http.StatusOK {
+				t.Errorf("%s during site-B's step = %d", path, code)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s blocked behind site-B's step", path)
 		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		readDone <- resp.StatusCode
-	}()
-	select {
-	case code := <-readDone:
-		if code != http.StatusOK {
-			t.Fatalf("site-A read during site-B advance = %d", code)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("site-A read blocked behind site-B's advance")
 	}
 
-	// A site-B read must wait for the step; it completes only after
+	// A read of B's OAR must wait for the step; it completes only after
 	// release.
 	bDone := make(chan struct{})
 	go func() {

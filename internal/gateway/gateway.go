@@ -65,9 +65,10 @@
 // never changes a wire shape: a site of one answers the same joined
 // envelopes as a site of seven.
 //
-// A shard's gate is its one lock: the simulator packages hold none. A
-// request that only reads shard state holds the read side of the shard(s)
-// it touches; anything that changes a shard holds the write side, through
+// A shard's gate guards what has no lock of its own: OAR, bugs, the
+// monitor, CI and the testbed (the simulator packages hold none). A request
+// that only reads that state holds the read side of the shard(s) it
+// touches; anything that changes a shard holds the write side, through
 // shard.locked: a step (shard.step), a submission, a dry run (OAR probes
 // with shared scratch), an admission placement, a site CI request other
 // than GET or HEAD. No handler takes a shard's gate twice (sync.RWMutex is
@@ -76,8 +77,10 @@
 // the federation's step gate, then pumps the admission queue.
 // A site-scoped read (/sites/A/oar/resources) therefore never waits on an
 // Advance that is busy stepping site B, and a read against cluster A1 does
-// not even wait on a step of A2; that read-availability property is
-// asserted by TestSiteReadsUnblockedByOtherShardAdvance.
+// not even wait on a step of A2. A refapi.Store synchronizes itself, so the
+// archive routes (/ref, /sites/{site}/ref, /grid/at, /grid/diff) take no
+// gate and wait on no step. TestSiteReadsUnblockedByOtherShardAdvance
+// asserts both.
 // Merged endpoints (/oar/resources and friends) scatter over the shards,
 // snapshotting each under its own read gate, and gather the merged answer
 // outside any lock. The gateway's other locks are its own: each view's
@@ -248,9 +251,8 @@ func ForFederation(fed *federation.Federation) *Gateway {
 		siteRef:     map[string]*siteViews{},
 		reliability: &intel.TrendStore{},
 	}
-	// The grid intelligence sources: every archived store and every
-	// tracker, each behind its own shard's read gate and under its site's
-	// label.
+	// The grid intelligence sources, under their sites' labels: every
+	// archived store, and every tracker behind its shard's read gate.
 	var arcs []intel.SiteArchive
 	siteArcs := map[string][]intel.SiteArchive{}
 	for i, sh := range fed.Shards() {
@@ -260,7 +262,7 @@ func ForFederation(fed *federation.Federation) *Gateway {
 		s.nodes = len(s.f.TB.Nodes())
 		s.cores = s.f.TB.Cluster(s.cluster).Cores()
 		g.shards = append(g.shards, s)
-		arc := intel.SiteArchive{Site: s.site, Cluster: s.cluster, Ref: s.f.Ref, Gate: s.rlocked}
+		arc := intel.SiteArchive{Site: s.site, Cluster: s.cluster, Ref: s.f.Ref}
 		arcs = append(arcs, arc)
 		g.trackers = append(g.trackers, intel.SiteTracker{Site: s.site, Bugs: s.f.Bugs, Gate: s.rlocked})
 		if len(g.siteShards[s.site]) == 0 {

@@ -12,13 +12,14 @@ package gateway
 // vector, tracker version vector, or trend version) computed without
 // materializing anything, a matching If-None-Match short-cuts to 304, and
 // the rendered body is kept under that same key, one per route. The key and
-// the body are pinned to each other — vector reads happen under the shard
-// gates, bodies are materialized from the exact versions the key names
-// (GridArchive.Materialize / DiffVector, intel.TrackerSnapshot) — so a body
-// can never be newer than its ETag even while a campaign advances
-// mid-request. Degraded mode composes the same way as /ref: lost sites drop
-// out of the vector and the key carries the down-set suffix, so a degraded
-// body never answers a whole-grid conditional request.
+// the body are pinned to each other — bodies are materialized from the
+// exact versions the key names (GridArchive.Materialize / DiffVector,
+// intel.TrackerSnapshot) — so a body can never be newer than its ETag even
+// while a campaign advances mid-request. Trackers are read under the shard
+// gates, stores under their own locks alone. Degraded mode composes the
+// same way as /ref: lost sites drop out of the vector and the key carries
+// the down-set suffix, so a degraded body never answers a whole-grid
+// conditional request.
 
 import (
 	"fmt"

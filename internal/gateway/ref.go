@@ -1,9 +1,10 @@
 package gateway
 
 // The Reference API endpoints. These are the gateway's hottest reads —
-// scripts poll the testbed description constantly — so every one of them
-// is a key and a render function handed to serveView (view.go), and the
-// keys are built from the stores' version counters, which only grow:
+// scripts poll the testbed description constantly — so they take no shard
+// gate (a refapi.Store synchronizes itself), and every one of them is a key
+// and a render function handed to serveView (view.go), keyed by the stores'
+// version counters, which only grow:
 //
 //   - the ETag of one store's inventory at ?version=N is "vN"; its current
 //     inventory's ETag advances exactly when Store.Update archives a new
@@ -101,8 +102,7 @@ func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.R
 			return
 		}
 		var ok bool
-		s.rlocked(func() { ver, ok = st.VersionAt(secondsToSim(sec)) })
-		if !ok {
+		if ver, ok = st.VersionAt(secondsToSim(sec)); !ok {
 			httpError(w, http.StatusNotFound,
 				fmt.Sprintf("no capture at or before t=%ss (the first capture postdates it)", atQ))
 			return
@@ -110,8 +110,7 @@ func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.R
 	}
 	// Read last: versions only grow, so one VersionAt resolved is never
 	// above it, however many steps land in between.
-	var cur int
-	s.rlocked(func() { cur = st.VersionCount() })
+	cur := st.VersionCount()
 	if ver == 0 {
 		ver = cur
 	}
@@ -122,8 +121,7 @@ func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.R
 	key := "v" + strconv.Itoa(ver)
 	// Archived versions are immutable: let clients cache them hard.
 	serveView(w, r, &s.inv, key, ver, ver < cur, func() (string, []byte, error) {
-		var snap *refapi.Snapshot
-		s.rlocked(func() { snap = st.Version(ver) })
+		snap := st.Version(ver)
 		if snap == nil {
 			return "", nil, fmt.Errorf("version %d vanished", ver)
 		}
@@ -245,8 +243,7 @@ type FederatedDiffJSON struct {
 
 func (g *Gateway) serveShardDiff(s *shard, w http.ResponseWriter, r *http.Request) {
 	st := s.f.Ref
-	var cur int
-	s.rlocked(func() { cur = st.VersionCount() })
+	cur := st.VersionCount()
 	from, err := parseVersion(r, "from")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -279,8 +276,7 @@ func (g *Gateway) serveShardDiff(s *shard, w http.ResponseWriter, r *http.Reques
 	// (latest-1, latest) pair until the store moves on.
 	key := fmt.Sprintf("v%d-v%d", from, to)
 	serveView(w, r, &s.diff, key, 0, to < cur, func() (string, []byte, error) {
-		var diffs []refapi.Difference
-		s.rlocked(func() { diffs = st.Diff(from, to) })
+		diffs := st.Diff(from, to)
 		if diffs == nil {
 			diffs = []refapi.Difference{}
 		}

@@ -11,30 +11,17 @@ import (
 	"repro/internal/simclock"
 )
 
-// SiteArchive couples one store's Reference API archive with the read
-// gate that guards it against campaign progress. Site labels who owns the
-// store and Cluster which of the site's micro-shards it describes. Gate
-// runs fn under the owning shard's read lock; nil means the store needs no
-// gating (tests, standalone use).
+// SiteArchive is one store's Reference API archive. Site labels who owns
+// the store and Cluster which of the site's micro-shards it describes. The
+// store synchronizes itself, so the archive reads it under no other lock.
 type SiteArchive struct {
 	Site    string
 	Cluster string
 	Ref     *refapi.Store
-	Gate    func(func())
 }
 
-// key is the archive's identity: site/cluster.
-func (s *SiteArchive) key() string { return archiveKey(s.Site, s.Cluster) }
-
+// archiveKey is an archive's identity: site/cluster.
 func archiveKey(site, cluster string) string { return site + "/" + cluster }
-
-func (s *SiteArchive) gated(fn func()) {
-	if s.Gate != nil {
-		s.Gate(fn)
-		return
-	}
-	fn()
-}
 
 // GridArchive answers archival questions over every store at once.
 // Entries keep caller order (shard order: site-grouped, cluster order
@@ -53,7 +40,8 @@ func NewGridArchive(sites []SiteArchive) *GridArchive {
 		byKey: make(map[string]*SiteArchive, len(sites)),
 	}
 	for i := range a.sites {
-		a.byKey[a.sites[i].key()] = &a.sites[i]
+		s := &a.sites[i]
+		a.byKey[archiveKey(s.Site, s.Cluster)] = s
 	}
 	return a
 }
@@ -67,22 +55,17 @@ type SiteVersion struct {
 }
 
 // VersionVector answers "which version was current at t at every site"
-// without materializing a single snapshot: one binary search per site,
-// each under that site's gate. Sites in exclude (the degraded set) are
-// skipped entirely. This is the gateway's conditional-request fast path.
+// without materializing a single snapshot: one binary search per site.
+// Sites in exclude (the degraded set) are skipped entirely. This is the
+// gateway's conditional-request fast path.
 func (a *GridArchive) VersionVector(t simclock.Time, exclude map[string]bool) []SiteVersion {
 	out := make([]SiteVersion, 0, len(a.sites))
-	// One closure for the whole walk: a gate is an indirect call, so one
-	// made per store would be two heap objects per store on the gateway's
-	// hottest path.
-	var s *SiteArchive
-	var version int
-	read := func() { version, _ = s.Ref.VersionAt(t) }
 	for i := range a.sites {
-		if s = &a.sites[i]; exclude[s.Site] {
+		s := &a.sites[i]
+		if exclude[s.Site] {
 			continue
 		}
-		s.gated(read)
+		version, _ := s.Ref.VersionAt(t)
 		out = append(out, SiteVersion{Site: s.Site, Cluster: s.Cluster, Version: version})
 	}
 	return out
@@ -124,11 +107,11 @@ type GridSnapshot struct {
 
 // Materialize builds the grid snapshot for an exact version vector
 // (VersionVector's output); each site's snapshot is built (and cached) by
-// its own store under its own gate. This is the gateway's body path: the
-// rendered body is pinned to the same versions the composite ETag names,
-// immune to shards archiving new versions between the vector read and the
-// render. Vector entries with version 0 (or naming unknown sites) are
-// omitted.
+// its own store, under that store's lock alone. This is the gateway's body
+// path: the rendered body is pinned to the same versions the composite ETag
+// names, immune to shards archiving new versions between the vector read
+// and the render. Vector entries with version 0 (or naming unknown sites)
+// are omitted.
 func (a *GridArchive) Materialize(vec []SiteVersion) GridSnapshot {
 	var out GridSnapshot
 	for _, sv := range vec {
@@ -136,8 +119,7 @@ func (a *GridArchive) Materialize(vec []SiteVersion) GridSnapshot {
 		if s == nil || sv.Version < 1 {
 			continue
 		}
-		var snap *refapi.Snapshot
-		s.gated(func() { snap = s.Ref.Version(sv.Version) })
+		snap := s.Ref.Version(sv.Version)
 		if snap == nil {
 			continue
 		}
@@ -177,9 +159,9 @@ type GridDiff struct {
 // gateway's body path, for the same reason Materialize exists. Site order
 // follows the to vector; version-0 entries, and versions a store never
 // archived, diff against the empty description (and are reported as 0);
-// sites absent from both (or unknown) are skipped. Each store compares only
-// the nodes its Updates between the two versions re-described
-// (refapi.Store.Diff).
+// sites absent from both (or unknown) are skipped. Each store compares,
+// under its own lock alone, only the nodes its Updates between the two
+// versions re-described (refapi.Store.Diff).
 func (a *GridArchive) DiffVector(from, to []SiteVersion) GridDiff {
 	fromOf := make(map[string]int, len(from))
 	for _, sv := range from {
@@ -193,16 +175,14 @@ func (a *GridArchive) DiffVector(from, to []SiteVersion) GridDiff {
 			continue
 		}
 		sd := SiteDiff{Site: sv.Site, Cluster: sv.Cluster, FromVersion: fromOf[k], ToVersion: sv.Version}
-		s.gated(func() {
-			archived := s.Ref.VersionCount()
-			if sd.FromVersion < 0 || sd.FromVersion > archived {
-				sd.FromVersion = 0
-			}
-			if sd.ToVersion < 0 || sd.ToVersion > archived {
-				sd.ToVersion = 0
-			}
-			sd.Differences = s.Ref.Diff(sd.FromVersion, sd.ToVersion)
-		})
+		archived := s.Ref.VersionCount()
+		if sd.FromVersion < 0 || sd.FromVersion > archived {
+			sd.FromVersion = 0
+		}
+		if sd.ToVersion < 0 || sd.ToVersion > archived {
+			sd.ToVersion = 0
+		}
+		sd.Differences = s.Ref.Diff(sd.FromVersion, sd.ToVersion)
 		if sd.Differences == nil {
 			sd.Differences = []refapi.Difference{}
 		}

@@ -6,9 +6,9 @@
 //
 //   - archive.go — federated time travel. GridArchive answers "what was
 //     the grid's inventory as of sim-time T" by binary-searching every
-//     site's refapi.Store delta chain (Store.At / Store.VersionAt) under
-//     the per-site read gates, and "what changed anywhere between T1 and
-//     T2" as a per-site-tagged diff. The version vector it computes is
+//     site's refapi.Store delta chain (Store.VersionAt), under each store's
+//     own lock and no other, and "what changed anywhere between T1 and T2"
+//     as a per-site-tagged diff. The version vector it computes is
 //     the composite strong ETag the gateway serves, so conditional
 //     re-reads cost one binary search per site and zero snapshot builds.
 //   - incidents.go — cross-site incident rollup. Per-site bug trackers
@@ -24,9 +24,9 @@
 //     through the one shared renderer, and stored versioned in a
 //     TrendStore so the gateway can ETag it.
 //
-// Everything here is deterministic: inputs are read under the caller's
-// gates in caller-given (shard) order, and every emitted collection is
-// explicitly sorted — never map iteration order. The one lock is
-// TrendStore's RWMutex: gateway handlers read the stored trend while a
-// sweep may Put the next one.
+// Everything here is deterministic: inputs are read in caller-given
+// (shard) order, trackers under the caller's gates and stores under their
+// own locks, and every emitted collection is explicitly sorted — never map
+// iteration order. The one lock is TrendStore's RWMutex: gateway handlers
+// read the stored trend while a sweep may Put the next one.
 package intel

@@ -133,25 +133,6 @@ func TestMaterializePinsVector(t *testing.T) {
 	}
 }
 
-func TestGridAtRunsUnderGates(t *testing.T) {
-	tb := testbed.Default()
-	st := refapi.NewStore(tb, simclock.Hour)
-	gated := 0
-	arch := NewGridArchive([]SiteArchive{{
-		Site: "a",
-		Ref:  st,
-		Gate: func(fn func()) { gated++; fn() },
-	}})
-	arch.VersionVector(2*simclock.Hour, nil)
-	arch.at(2*simclock.Hour, nil)
-	arch.diff(simclock.Hour, 2*simclock.Hour, nil)
-	// One vector read; At reads a vector and renders it; Diff reads two and
-	// renders the pair.
-	if gated != 1+2+3 {
-		t.Fatalf("gate ran %d times, want 6 (every store access gated)", gated)
-	}
-}
-
 func TestGridDiff(t *testing.T) {
 	arch, tbB := twoSiteArchive(t)
 

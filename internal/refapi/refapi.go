@@ -25,11 +25,11 @@
 // once however many versions hold it, and Snapshot.AppendIndent splices a
 // snapshot's body from its nodes' fragments.
 //
-// Store keeps a lock, the only one left in the simulator: its RWMutex and
-// its atomic materialization counter, because concurrent readers (gateway
-// handlers under a shard's read gate) materialize and cache archived
-// snapshots, which writes the store; and each Node's atomic fragment
-// pointer, which those readers fill. Updates come from clock events.
+// Store synchronizes itself, so its readers need no other lock: its RWMutex
+// and atomic materialization counter, because concurrent readers materialize
+// and cache archived snapshots, which writes the store; and each Node's
+// atomic fragment pointer, which those readers fill. Its one writer's
+// Updates come from clock events.
 package refapi
 
 import (
@@ -161,8 +161,8 @@ type version struct {
 }
 
 // Store holds the current description plus the archive of every previous
-// version. It is safe for concurrent read access (gateway handlers read it
-// under a shard's read gate, and a read may cache a materialization);
+// version. It is safe for concurrent use by any number of readers and one
+// writer, under its own lock alone: a read may cache a materialization, and
 // mutations happen from clock events.
 type Store struct {
 	mu       sync.RWMutex
@@ -261,20 +261,10 @@ func (st *Store) clampMonotoneLocked(now simclock.Time) simclock.Time {
 	return now
 }
 
-// Current returns the latest description version, materializing it if the
-// store has seen Updates since the last materialization.
-func (st *Store) Current() *Snapshot {
-	st.mu.RLock()
-	last := st.versions[len(st.versions)-1]
-	snap := last.snap
-	st.mu.RUnlock()
-	if snap != nil {
-		return snap
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.materializeLocked(len(st.versions) - 1)
-}
+// Current returns the latest description version, materializing it if
+// needed. Versions only grow and never change once archived, so the number
+// VersionCount reads still names that version when Version reads it.
+func (st *Store) Current() *Snapshot { return st.Version(st.VersionCount()) }
 
 // Version returns the archived snapshot with the given version number, or
 // nil if it does not exist. Delta versions are materialized on first read
@@ -336,22 +326,11 @@ func (st *Store) VersionCount() int {
 // Versions are timestamped in monotone simulated order, so the lookup is a
 // binary search over the version chain.
 func (st *Store) At(t simclock.Time) *Snapshot {
-	st.mu.RLock()
-	i := sort.Search(len(st.versions), func(i int) bool {
-		return st.versions[i].takenAt > t
-	}) - 1
-	if i < 0 {
-		st.mu.RUnlock()
+	v, ok := st.VersionAt(t)
+	if !ok {
 		return nil
 	}
-	if snap := st.versions[i].snap; snap != nil {
-		st.mu.RUnlock()
-		return snap
-	}
-	st.mu.RUnlock()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.materializeLocked(i)
+	return st.Version(v)
 }
 
 // VersionAt returns the number of the version that was current at time t

@@ -97,8 +97,8 @@ func TestSnapshotWireMatchesMarshalIndent(t *testing.T) {
 	}
 }
 
-// TestConcurrentRendersAgree: readers under a shard's read gate may render
-// a version none has rendered yet all at once. Each gets the encoder's
+// TestConcurrentRendersAgree: concurrent readers may render a version none
+// has rendered yet all at once. Each gets the encoder's
 // body, and every node ends up holding a fragment. Under -race this checks
 // the fill.
 func TestConcurrentRendersAgree(t *testing.T) {
@@ -125,6 +125,105 @@ func TestConcurrentRendersAgree(t *testing.T) {
 	for name, n := range snap.Nodes {
 		if n.frag.Load() == nil {
 			t.Fatalf("node %s rendered no fragment", name)
+		}
+	}
+}
+
+// TestReadersBesideOneWriter pins the contract that lets the gateway read
+// a store under no lock but the store's own: while one writer Updates and
+// re-captures, readers call every read method, and each version a reader
+// saw mid-churn renders, and diffs against its predecessor, the same once
+// the writer has stopped. Under -race this checks the store's own
+// synchronization alone.
+func TestReadersBesideOneWriter(t *testing.T) {
+	tb := testbed.Generate(testbed.DefaultSpec[:2])
+	st := NewStore(tb, 0)
+	nodes := tb.Nodes()
+	type seen struct {
+		version int
+		body    []byte
+		diff    []Difference
+	}
+	const readers = 4
+	saw := make([][]seen, readers)
+	stop := make(chan struct{})
+	var wg, ready sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		ready.Add(1)
+		go func() {
+			defer wg.Done()
+			readOnce := sync.OnceFunc(ready.Done) // the writer starts once every reader has read
+			defer readOnce()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for i := 0; ; i++ {
+				if i == 1 {
+					readOnce()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				count := st.VersionCount()
+				at := simclock.Time(rng.Intn(count+1)) * simclock.Second
+				v, ok := st.VersionAt(at)
+				if !ok || v > count {
+					t.Errorf("VersionAt(%v) = %d, %v with %d archived", at, v, ok, count)
+					return
+				}
+				snap := st.Version(v)
+				if snap == nil || snap.Version != v {
+					t.Errorf("Version(%d) = %v", v, snap)
+					return
+				}
+				if got := st.At(at); got == nil || got.Version < v {
+					t.Errorf("At(%v) went back before version %d", at, v)
+					return
+				}
+				if cur := st.Current(); cur.Version < count {
+					t.Errorf("Current is version %d with %d archived", cur.Version, count)
+					return
+				}
+				if _, err := st.Describe(nodes[i%len(nodes)].Name); err != nil {
+					t.Error(err)
+					return
+				}
+				got := seen{v, snap.AppendIndent(nil, 0), st.Diff(v-1, v)}
+				if len(saw[r]) < 16 {
+					saw[r] = append(saw[r], got)
+				} else {
+					saw[r][i%16] = got
+				}
+			}
+		}()
+	}
+	ready.Wait()
+	for u := 1; u <= 400; u++ {
+		now := simclock.Time(u) * simclock.Second
+		n := nodes[(u*7)%len(nodes)]
+		if u%100 == 0 {
+			n.Inv.OSKernel = fmt.Sprintf("churn-%d", u) // live drift the capture takes in
+			st.CaptureFrom(tb, now)
+			continue
+		}
+		inv := n.Inv.Clone()
+		inv.RAMGB = u
+		if err := st.Update(now, n.Name, inv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for r, list := range saw {
+		for _, s := range list {
+			if body := st.Version(s.version).AppendIndent(nil, 0); !bytes.Equal(body, s.body) {
+				t.Fatalf("reader %d: version %d renders differently after the churn", r, s.version)
+			}
+			if diff := st.Diff(s.version-1, s.version); !slices.Equal(diff, s.diff) {
+				t.Fatalf("reader %d: diff %d..%d = %v after the churn, %v during it",
+					r, s.version-1, s.version, diff, s.diff)
+			}
 		}
 	}
 }
