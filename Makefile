@@ -36,9 +36,10 @@ race:
 # nothing; a status grid costs as much with 10 retained builds per job as
 # with 200; a warmed scheduler poll allocates nothing, whether no spec is
 # due or every due spec defers; a Reference API store renders nothing until
-# read, and a warmed archived version renders with as many allocations at
-# 4x the testbed as at 1x; a grid archive's version vector allocates only
-# its result. They skip under the race detector, whose bookkeeping is not
+# read, a warmed archived version renders with as many allocations at 4x
+# the testbed as at 1x, and a version's body renders once and a second
+# read of it allocates nothing; a grid archive's version vector allocates
+# only its result. They skip under the race detector, whose bookkeeping is not
 # what they count, so this runs without it.
 ALLOC_GUARD_PKGS = ./internal/simclock ./internal/oar ./internal/core ./internal/checks \
 	./internal/status ./internal/ci ./internal/sched ./internal/refapi ./internal/intel

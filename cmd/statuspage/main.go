@@ -12,14 +12,23 @@
 //	/target/X    all tests for cluster or site X (text)
 //	/trend       historical success rate (text)
 //	/ci/...      the underlying CI REST API (Jenkins-style JSON)
+//
+// SIGINT or SIGTERM stops it gracefully: it stops accepting, lets
+// in-flight requests finish within a grace period and exits 0.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -41,6 +50,21 @@ func main() {
 	f.RunFor(simclock.Time(*weeks) * simclock.Week)
 	log.Printf("campaign done: %s", f.Summary())
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	log.Printf("status page on %s", ln.Addr())
+	if err := serve(ctx, ln, newMux(f)); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("shut down")
+}
+
+// newMux mounts the status page over the campaign's CI server.
+func newMux(f *core.Framework) *http.ServeMux {
 	// The page consumes the CI REST API through the exact HTTP client code
 	// path the paper's external status page uses, but dispatched in
 	// process: the same handler is mounted below under /ci/, so there is
@@ -89,17 +113,35 @@ func main() {
 		status.RenderTrend(w, status.Trend(builds, float64(simclock.Day/simclock.Second)))
 	})
 	mux.Handle("/ci/", http.StripPrefix("/ci", ciHandler))
+	return mux
+}
 
+// serve answers requests on ln until ctx is cancelled (what SIGINT and
+// SIGTERM do), then stops accepting, gives in-flight requests
+// shutdownGrace to finish, and returns.
+func serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	const shutdownGrace = 10 * time.Second
 	// The same bounds g5kapi sets on how long a client may take to send a
 	// request, read a response or sit idle.
 	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
+		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
 		WriteTimeout:      time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-	log.Printf("status page on %s", *addr)
-	log.Fatal(srv.ListenAndServe())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	err := srv.Shutdown(grace)
+	if serveErr := <-served; err == nil && !errors.Is(serveErr, http.ErrServerClosed) {
+		err = serveErr
+	}
+	return err
 }

@@ -173,7 +173,6 @@ type breaker struct {
 type Controller struct {
 	now      func() simclock.Time
 	backends []Backend // sorted by site name
-	bySite   map[string]Backend
 
 	mu       sync.Mutex
 	queue    []*reservation
@@ -200,16 +199,11 @@ type Controller struct {
 func New(now func() simclock.Time, backends []Backend) *Controller {
 	sorted := append([]Backend(nil), backends...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Site() < sorted[j].Site() })
-	c := &Controller{
+	return &Controller{
 		now:      now,
 		backends: sorted,
-		bySite:   make(map[string]Backend, len(sorted)),
 		breakers: map[string]*breaker{},
 	}
-	for _, b := range sorted {
-		c.bySite[b.Site()] = b
-	}
-	return c
 }
 
 // probe is one backend's gathered probe result.

@@ -210,7 +210,7 @@ func New(cfg Config) *Framework {
 	f.Faults = faults.NewInjector(f.Clock, f.TB)
 	f.OAR = oar.NewServer(f.Clock, f.TB)
 	f.Deployer = kadeploy.NewDeployer(f.Clock, f.Faults)
-	f.VLAN = kavlan.NewManager(f.Clock, f.TB, f.Faults)
+	f.VLAN = kavlan.NewManager(f.TB, f.Faults)
 	f.Monitor = monitor.NewCollector(f.Clock, f.TB)
 	f.Checker = checks.NewChecker(f.Clock, f.TB, f.Ref)
 	f.CI = ci.NewServer(f.Clock, ci.Options{

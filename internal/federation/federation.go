@@ -100,7 +100,6 @@ type Shard struct {
 
 // Federation owns the per-cluster micro-shards and their lockstep clocks.
 type Federation struct {
-	cfg     Config
 	shards  []*Shard            // site-grouped, cluster order within a site
 	sites   []string            // distinct site labels, first-appearance order
 	bySite  map[string][]*Shard // site → its micro-shards in cluster order
@@ -193,7 +192,6 @@ func New(cfg Config) *Federation {
 	}
 
 	fed := &Federation{
-		cfg:      cfg,
 		sites:    sites,
 		bySite:   make(map[string][]*Shard, len(sites)),
 		workers:  cfg.Workers,

@@ -639,7 +639,7 @@ type BugsRollupJSON struct {
 // ticket per surviving shard; this view folds such bursts back into one row
 // per signature, widest burst first. The ETag is the joined per-site
 // tracker version vector (every File and Fix bumps it) — so a matching
-// conditional request means the cached body is exactly current, and a 304
+// conditional request means the client's body is exactly current, and a 304
 // costs no rollup and reads no ticket at all; a miss reads each tracker's
 // tickets together with its version and answers under that key (serveView).
 func (g *Gateway) handleBugsRollup(w http.ResponseWriter, r *http.Request) {
@@ -653,7 +653,7 @@ func (g *Gateway) handleBugsRollup(w http.ResponseWriter, r *http.Request) {
 		return "br" + intel.VersionKey64(snaps) + "|" + state + downSetKey(degraded)
 	}
 	trackers := g.liveTrackers(excludedSites(degraded))
-	serveView(w, r, &g.rollup, keyOf(intel.SnapshotVersions(trackers)), 0, false, func() (string, []byte, error) {
+	serveView(w, r, keyOf(intel.SnapshotVersions(trackers)), false, func() (string, []byte, error) {
 		snaps := intel.SnapshotTrackers(trackers)
 		rows := rollupRows(snaps, state)
 		return rendered(keyOf(snaps), BugsRollupJSON{Degraded: degraded, Count: len(rows), Rollup: rows})
@@ -706,18 +706,11 @@ func rollupRows(snaps []intel.TrackerSnapshot, state string) []BugRollupJSON {
 
 // GridJSON is the wire form of GET /status/grid.
 type GridJSON struct {
-	Degraded  *DegradedJSON                      `json:"degraded,omitempty"`
-	Families  []string                           `json:"families"`
-	Targets   []string                           `json:"targets"`
-	OKRatePct float64                            `json:"ok_rate_pct"`
-	Cells     map[string]map[string]GridCellJSON `json:"cells"`
-}
-
-// GridCellJSON is one grid entry.
-type GridCellJSON struct {
-	Result string  `json:"result"`
-	Build  int     `json:"build"`
-	AtSec  float64 `json:"at_sec"`
+	Degraded  *DegradedJSON                           `json:"degraded,omitempty"`
+	Families  []string                                `json:"families"`
+	Targets   []string                                `json:"targets"`
+	OKRatePct float64                                 `json:"ok_rate_pct"`
+	Cells     map[string]map[string]status.CellStatus `json:"cells"`
 }
 
 func (g *Gateway) handleStatusGrid(w http.ResponseWriter, r *http.Request) {
@@ -760,21 +753,13 @@ func (g *Gateway) handleStatusGrid(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(merged.Families)
 	sort.Strings(merged.Targets)
 
-	out := GridJSON{
+	writeJSON(w, GridJSON{
 		Degraded:  degraded,
 		Families:  merged.Families,
 		Targets:   merged.Targets,
 		OKRatePct: 100 * merged.OKRate(),
-		Cells:     make(map[string]map[string]GridCellJSON, len(merged.Cells)),
-	}
-	for fam, row := range merged.Cells {
-		m := make(map[string]GridCellJSON, len(row))
-		for tgt, st := range row {
-			m[tgt] = GridCellJSON{Result: st.Result, Build: st.Build, AtSec: st.AtSec}
-		}
-		out.Cells[fam] = m
-	}
-	writeJSON(w, out)
+		Cells:     merged.Cells,
+	})
 }
 
 // TrendJSON is the wire form of GET /status/trend.

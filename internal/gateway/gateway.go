@@ -83,23 +83,22 @@
 // asserts both.
 // Merged endpoints (/oar/resources and friends) scatter over the shards,
 // snapshotting each under its own read gate, and gather the merged answer
-// outside any lock. The gateway's other locks are its own: each view's
-// mutex (view.go) and the metrics' atomic counters.
+// outside any lock. Besides the gates, the gateway synchronizes nothing of
+// its own but the metrics' atomic counters.
 //
 // The /ref, /grid, /incidents, /bugs/rollup and /reliability/trend routes
 // are read-optimized, all through one path (serveView in view.go): a
 // response carries a strong ETag derived from version counters alone (a
-// store's, an archive's version vector, a tracker version vector), a
+// store's, an archive's version vector, a tracker version vector), and a
 // conditional request short-cuts to 304 before any snapshot is
-// materialized or marshaled, and each route keeps its last rendered body
-// under that key. A /ref body has two renderers (ref.go) because it
-// answers two questions: one store at any archived version (?cluster=X on
-// a site's routes), or the current version vector of an intel.GridArchive
-// — the one /grid/at reads, or a site's own. Only a store's archived
-// versions keep more — eight, the lowest version leaving first, because a
-// scraper walking more versions than that in a cycle would miss every time
-// under oldest-first eviction (measured on the benchmark's cold walk: 8
-// hits in 11 instead of 0).
+// materialized or marshaled. The gateway keeps no rendered body: a rendered
+// wire form lives with the immutable value it renders — a node
+// description's fragment on its refapi.Node, a store version's body on its
+// refapi.Snapshot — so an archived version renders once however often it is
+// read, and a merged body is spliced from those fragments. A /ref body has
+// two renderers (ref.go) because it answers two questions: one store at any
+// archived version (?cluster=X on a site's routes), or the current version
+// vector of an intel.GridArchive — the one /grid/at reads, or a site's own.
 //
 // # Degraded mode
 //
@@ -148,10 +147,6 @@ type shard struct {
 	// statusClient reads the shard CI's REST API in process to assemble
 	// the /status views, the same code path the external status page uses.
 	statusClient *status.Client
-
-	// Rendered bodies of the shard's single-store /ref routes: its newest
-	// requested versions, and its last diff.
-	inv, diff view
 }
 
 // rlocked runs fn under the shard's read gate.
@@ -190,12 +185,12 @@ type Gateway struct {
 	// sites keeps the site names in shard order; siteShards maps a site
 	// name to the shards serving it, one per cluster. A site's first shard
 	// is its *coordinator* (the federation files grid tickets there, and the
-	// site CI proxy targets it). siteRef holds each site's own archive and
-	// joined /sites/{site}/ref bodies. All three are built at assembly and
-	// only read afterwards.
-	sites      []string
-	siteShards map[string][]*shard
-	siteRef    map[string]*siteViews
+	// site CI proxy targets it). siteArchive holds each site's own archive,
+	// which its joined /sites/{site}/ref routes read. All three are built at
+	// assembly and only read afterwards.
+	sites       []string
+	siteShards  map[string][]*shard
+	siteArchive map[string]*intel.GridArchive
 
 	// metrics is keyed by mux pattern; read-only after assembly.
 	metrics map[string]*endpointMetrics
@@ -220,10 +215,6 @@ type Gateway struct {
 	archive     *intel.GridArchive
 	trackers    []intel.SiteTracker
 	reliability *intel.TrendStore
-
-	// Rendered bodies of the merged conditional-GET routes, one each (see
-	// view.go).
-	fedInv, fedDiff, gridAt, gridDiff, incidents, rollup, trend view
 }
 
 // ForFederation mounts one gateway shard per federation micro-shard: each
@@ -248,7 +239,7 @@ func ForFederation(fed *federation.Federation) *Gateway {
 		chaos:       fed,
 		metrics:     map[string]*endpointMetrics{},
 		siteShards:  map[string][]*shard{},
-		siteRef:     map[string]*siteViews{},
+		siteArchive: map[string]*intel.GridArchive{},
 		reliability: &intel.TrendStore{},
 	}
 	// The grid intelligence sources, under their sites' labels: every
@@ -257,7 +248,6 @@ func ForFederation(fed *federation.Federation) *Gateway {
 	siteArcs := map[string][]intel.SiteArchive{}
 	for i, sh := range fed.Shards() {
 		s := &shard{site: sh.Site, cluster: sh.Cluster, idx: i, f: sh.F}
-		s.inv.bound = archivedBodies
 		s.statusClient = status.NewLocalClient(s.f.CI.Handler())
 		s.nodes = len(s.f.TB.Nodes())
 		s.cores = s.f.TB.Cluster(s.cluster).Cores()
@@ -273,7 +263,7 @@ func ForFederation(fed *federation.Federation) *Gateway {
 	}
 	g.archive = intel.NewGridArchive(arcs)
 	for _, site := range g.sites {
-		g.siteRef[site] = &siteViews{archive: intel.NewGridArchive(siteArcs[site])}
+		g.siteArchive[site] = intel.NewGridArchive(siteArcs[site])
 	}
 
 	g.handle("/", http.MethodGet, g.handleIndex)

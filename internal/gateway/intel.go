@@ -11,8 +11,8 @@ package gateway
 // serveView (view.go): the ETag is a strong composite key (archive version
 // vector, tracker version vector, or trend version) computed without
 // materializing anything, a matching If-None-Match short-cuts to 304, and
-// the rendered body is kept under that same key, one per route. The key and
-// the body are pinned to each other — bodies are materialized from the
+// any other request renders its body and answers under the key it read. The
+// key and the body are pinned to each other — bodies are materialized from the
 // exact versions the key names (GridArchive.Materialize / DiffVector,
 // intel.TrackerSnapshot) — so a body can never be newer than its ETag even
 // while a campaign advances mid-request. Trackers are read under the shard
@@ -71,7 +71,7 @@ type GridSiteJSON struct {
 // GridAtJSON is the wire form of GET /grid/at. It deliberately does not
 // echo the query's t: the body derives only from the version vector (plus
 // the degraded marker), so every t that resolves to the same vector shares
-// one ETag and one cached body. AsOfSec — the latest capture among the
+// one ETag and one body. AsOfSec — the latest capture among the
 // included sites — is the instant the view actually reflects.
 type GridAtJSON struct {
 	Degraded *DegradedJSON  `json:"degraded,omitempty"`
@@ -103,7 +103,7 @@ func (g *Gateway) handleGridAt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := "ga" + intel.VersionKey(vec) + downSetKey(degraded)
-	serveView(w, r, &g.gridAt, key, 0, false, func() (string, []byte, error) {
+	serveView(w, r, key, false, func() (string, []byte, error) {
 		snap := g.archive.Materialize(vec)
 		var sp wire.Splice
 		out := GridAtJSON{
@@ -181,7 +181,7 @@ func (g *Gateway) handleGridDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := "gd" + intel.VersionKey(vecFrom) + "-" + intel.VersionKey(vecTo) + downSetKey(degraded)
-	serveView(w, r, &g.gridDiff, key, 0, false, func() (string, []byte, error) {
+	serveView(w, r, key, false, func() (string, []byte, error) {
 		diff := g.archive.DiffVector(vecFrom, vecTo)
 		out := GridDiffJSON{
 			Degraded: degraded,
@@ -251,7 +251,7 @@ func (g *Gateway) handleIncidents(w http.ResponseWriter, r *http.Request) {
 		return "inc" + intel.VersionKey64(snaps) + "|" + state + "|at:" + atLabel + downSetKey(degraded)
 	}
 	trackers := g.liveTrackers(excludedSites(degraded))
-	serveView(w, r, &g.incidents, keyOf(intel.SnapshotVersions(trackers)), 0, false, func() (string, []byte, error) {
+	serveView(w, r, keyOf(intel.SnapshotVersions(trackers)), false, func() (string, []byte, error) {
 		snaps := intel.SnapshotTrackers(trackers)
 		incidents := intel.CorrelateSnapshots(snaps, opts)
 		out := IncidentsJSON{
@@ -300,7 +300,7 @@ func (g *Gateway) handleReliabilityTrend(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	key := "r" + strconv.Itoa(ver)
-	serveView(w, r, &g.trend, key, 0, false, func() (string, []byte, error) {
+	serveView(w, r, key, false, func() (string, []byte, error) {
 		// Served verbatim: a client decoding this body holds the exact Trend
 		// the CLI renders, which is what the shared-renderer equality rests
 		// on. The body has always ended with the Encoder's newline.

@@ -11,15 +11,13 @@ package gateway
 //     version;
 //   - a conditional request whose ETag still matches returns 304 before any
 //     snapshot is materialized or marshaled;
-//   - rendered bodies are kept per key — one per route, except a store's
-//     archived versions, of which the newest few asked for stay (view.store
-//     has the rule and the measurement behind it) — so even non-conditional
-//     hot reads render each version once;
-//   - a body the views miss is spliced, not marshaled: each snapshot in it
-//     is a wire.Slot filled by refapi.Snapshot.AppendIndent from its
-//     nodes' fragments, which the stores render once per node description,
-//     so only the envelope around the snapshots passes through
-//     encoding/json.
+//   - one store's version is served as its snapshot's own body
+//     (refapi.Snapshot.Body), which the snapshot renders once, on first
+//     read, and keeps: an archived version never changes;
+//   - a merged body is spliced, not marshaled: each snapshot in it is a
+//     wire.Slot filled by refapi.Snapshot.AppendIndent from its nodes'
+//     fragments, which the stores render once per node description, so
+//     only the envelope around the snapshots passes through encoding/json.
 //
 // A /ref body answers one of two questions. What one store held at any
 // archived version (serveShardInventory, serveShardDiff): ?cluster=X on a
@@ -69,9 +67,9 @@ func clusterList(shards []*shard) string {
 	return strings.Join(names, ", ")
 }
 
-// downSetKey suffixes a merged view's cache/ETag key with the lost-site set, so
-// a degraded merge never serves (or matches a conditional request against)
-// a body rendered while the grid was whole, and vice versa.
+// downSetKey suffixes a merged view's ETag key with the lost-site set, so a
+// degraded merge never matches a conditional request against a body
+// rendered while the grid was whole, and vice versa.
 func downSetKey(d *DegradedJSON) string {
 	if d == nil {
 		return ""
@@ -83,7 +81,7 @@ func downSetKey(d *DegradedJSON) string {
 // serveShardInventory is the single-store path: full ?version= archive
 // access with per-version ETags, plus ?at= time travel (the version that
 // was current at a sim-time, resolved by one binary search — same ETag and
-// cache identity as asking for that version by number).
+// body as asking for that version by number).
 func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.Request) {
 	st := s.f.Ref
 	ver, err := parseVersion(r, "version")
@@ -120,12 +118,12 @@ func (g *Gateway) serveShardInventory(s *shard, w http.ResponseWriter, r *http.R
 	}
 	key := "v" + strconv.Itoa(ver)
 	// Archived versions are immutable: let clients cache them hard.
-	serveView(w, r, &s.inv, key, ver, ver < cur, func() (string, []byte, error) {
+	serveView(w, r, key, ver < cur, func() (string, []byte, error) {
 		snap := st.Version(ver)
 		if snap == nil {
 			return "", nil, fmt.Errorf("version %d vanished", ver)
 		}
-		return key, snap.AppendIndent(nil, 0), nil
+		return key, snap.Body(), nil
 	})
 }
 
@@ -159,11 +157,11 @@ const latest = simclock.Time(math.MaxInt64)
 // version vector over the surviving sites, behind prefix, is the key, and
 // body builds the answer from exactly the versions it names, its snapshots
 // as slots of sp.
-func serveVector(w http.ResponseWriter, r *http.Request, cache *view, arc *intel.GridArchive, prefix string,
+func serveVector(w http.ResponseWriter, r *http.Request, arc *intel.GridArchive, prefix string,
 	degraded *DegradedJSON, body func(vec []intel.SiteVersion, sp *wire.Splice) (any, error)) {
 	vec := arc.VersionVector(latest, excludedSites(degraded))
 	key := prefix + intel.VersionKey(vec) + downSetKey(degraded)
-	serveView(w, r, cache, key, 0, false, func() (string, []byte, error) {
+	serveView(w, r, key, false, func() (string, []byte, error) {
 		var sp wire.Splice
 		v, err := body(vec, &sp)
 		if err != nil {
@@ -182,7 +180,7 @@ func (g *Gateway) handleRefInventory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	degraded := g.degradedMarker()
-	serveVector(w, r, &g.fedInv, g.archive, "v", degraded, func(vec []intel.SiteVersion, sp *wire.Splice) (any, error) {
+	serveVector(w, r, g.archive, "v", degraded, func(vec []intel.SiteVersion, sp *wire.Splice) (any, error) {
 		sites, err := inventorySites(g.archive, vec, sp)
 		return FederatedInventoryJSON{Degraded: degraded, Sites: sites}, err
 	})
@@ -272,10 +270,8 @@ func (g *Gateway) serveShardDiff(s *shard, w http.ResponseWriter, r *http.Reques
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("from %d > to %d", from, to))
 		return
 	}
-	// A single body suffices: traffic overwhelmingly asks for the same
-	// (latest-1, latest) pair until the store moves on.
 	key := fmt.Sprintf("v%d-v%d", from, to)
-	serveView(w, r, &s.diff, key, 0, to < cur, func() (string, []byte, error) {
+	serveView(w, r, key, to < cur, func() (string, []byte, error) {
 		diffs := st.Diff(from, to)
 		if diffs == nil {
 			diffs = []refapi.Difference{}
@@ -292,7 +288,7 @@ func (g *Gateway) handleRefDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	degraded := g.degradedMarker()
-	serveVector(w, r, &g.fedDiff, g.archive, "dv", degraded, func(vec []intel.SiteVersion, _ *wire.Splice) (any, error) {
+	serveVector(w, r, g.archive, "dv", degraded, func(vec []intel.SiteVersion, _ *wire.Splice) (any, error) {
 		out := FederatedDiffJSON{Degraded: degraded}
 		var err error
 		out.Sites, err = diffSites(g.archive, vec)
@@ -334,20 +330,13 @@ func diffSites(arc *intel.GridArchive, vec []intel.SiteVersion) ([]SiteDiffJSON,
 
 // ---- site-scoped views ------------------------------------------------------
 
-// siteViews holds one site's own archive — its stores in cluster order —
-// and the joined /sites/{site}/ref bodies rendered from it.
-type siteViews struct {
-	archive   *intel.GridArchive
-	inv, diff view
-}
-
 // serveSiteRef dispatches a /sites/{site}/ref route. A site serves the
 // joined per-cluster view by default (joined), whether it has one cluster
 // or seven, and requires ?cluster=X for the parameters in perStore —
 // archived access, which then has full single-store semantics against that
 // cluster's store (one).
 func (g *Gateway) serveSiteRef(w http.ResponseWriter, r *http.Request, what string, perStore []string,
-	one func(*shard, http.ResponseWriter, *http.Request), joined func(*siteViews)) {
+	one func(*shard, http.ResponseWriter, *http.Request), joined func(*intel.GridArchive)) {
 	site := r.PathValue("site")
 	q := r.URL.Query()
 	if cl := q.Get("cluster"); cl != "" {
@@ -366,15 +355,15 @@ func (g *Gateway) serveSiteRef(w http.ResponseWriter, r *http.Request, what stri
 			return
 		}
 	}
-	joined(g.siteRef[site])
+	joined(g.siteArchive[site])
 }
 
 // serveSiteInventory implements /sites/{site}/ref/inventory; the joined
 // view's ETag is "sv3.1.7" over the site's stores' version counters.
 func (g *Gateway) serveSiteInventory(w http.ResponseWriter, r *http.Request) {
-	g.serveSiteRef(w, r, "archives are", []string{"version", "at"}, g.serveShardInventory, func(sv *siteViews) {
-		serveVector(w, r, &sv.inv, sv.archive, "sv", nil, func(vec []intel.SiteVersion, sp *wire.Splice) (any, error) {
-			sites, err := inventorySites(sv.archive, vec, sp)
+	g.serveSiteRef(w, r, "archives are", []string{"version", "at"}, g.serveShardInventory, func(arc *intel.GridArchive) {
+		serveVector(w, r, arc, "sv", nil, func(vec []intel.SiteVersion, sp *wire.Splice) (any, error) {
+			sites, err := inventorySites(arc, vec, sp)
 			if err != nil {
 				return nil, err
 			}
@@ -386,9 +375,9 @@ func (g *Gateway) serveSiteInventory(w http.ResponseWriter, r *http.Request) {
 // serveSiteDiff implements /sites/{site}/ref/diff; the joined view is each
 // store's latest step ("sdv"-prefixed ETag).
 func (g *Gateway) serveSiteDiff(w http.ResponseWriter, r *http.Request) {
-	g.serveSiteRef(w, r, "version ranges are", []string{"from", "to"}, g.serveShardDiff, func(sv *siteViews) {
-		serveVector(w, r, &sv.diff, sv.archive, "sdv", nil, func(vec []intel.SiteVersion, _ *wire.Splice) (any, error) {
-			sites, err := diffSites(sv.archive, vec)
+	g.serveSiteRef(w, r, "version ranges are", []string{"from", "to"}, g.serveShardDiff, func(arc *intel.GridArchive) {
+		serveVector(w, r, arc, "sdv", nil, func(vec []intel.SiteVersion, _ *wire.Splice) (any, error) {
+			sites, err := diffSites(arc, vec)
 			if err != nil {
 				return nil, err
 			}

@@ -2,12 +2,9 @@ package gateway
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -16,145 +13,35 @@ import (
 	"repro/internal/simclock"
 )
 
-// askView sends one GET through serveView against cache and reports what
-// went out and whether the body had to be rendered. render stands in for a
-// route's: the body names its key.
-func askView(cache *view, key string, version int, inm string) (rec *httptest.ResponseRecorder, renderedNow bool) {
-	req := httptest.NewRequest(http.MethodGet, "/", nil)
-	if inm != "" {
-		req.Header.Set("If-None-Match", inm)
-	}
-	rec = httptest.NewRecorder()
-	serveView(rec, req, cache, key, version, false, func() (string, []byte, error) {
-		renderedNow = true
-		return key, []byte("body of " + key), nil
-	})
-	return rec, renderedNow
-}
-
-// TestInventoryCacheBound: a store's rendered versions stay bounded no
-// matter the access pattern — including a client scraping archived history
-// newest-to-oldest, where no kept body is older than the requested one.
-// Told from outside: after the scrape the newest eight versions answer
-// without a render and the ninth does not.
-func TestInventoryCacheBound(t *testing.T) {
-	fed, gw := newFederatedCampaign(t, simclock.Hour)
-	c := inproc.Client(gw)
-	f := fed.Shards()[0].F
-	nodes := f.TB.Nodes()
-	for u := 0; u < 40; u++ {
-		n := nodes[u%len(nodes)]
-		inv := n.Inv.Clone()
-		inv.RAMGB = 16 + u
-		if err := f.Ref.Update(f.Clock.Now(), n.Name, inv); err != nil {
-			t.Fatal(err)
-		}
-	}
-	latest := f.Ref.VersionCount()
-	for v := latest; v >= 1; v-- {
-		resp, _ := get(t, c, fmt.Sprintf("%s&version=%d", storePath(fed.Shards()[0], "inventory"), v))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("version %d status = %d", v, resp.StatusCode)
-		}
-	}
-	kept := &gw.shards[0].inv
-	for v := latest; v > latest-archivedBodies; v-- {
-		if _, renderedNow := askView(kept, "v"+strconv.Itoa(v), v, ""); renderedNow {
-			t.Errorf("version %d of %d was rendered again: the newest %d should be kept", v, latest, archivedBodies)
-		}
-	}
-	if _, renderedNow := askView(kept, "v"+strconv.Itoa(latest-archivedBodies), latest-archivedBodies, ""); !renderedNow {
-		t.Errorf("version %d answered without a render: more than %d bodies are kept", latest-archivedBodies, archivedBodies)
-	}
-}
-
-// TestViewKeepsHighestVersionsOverACycle pins the eviction rule to what
-// the benchmark's cold walk needs: 11 versions asked for in ascending
-// order, three times over, through a view of 8. Giving up the lowest
-// version keeps 4..11, so every later pass renders three bodies and finds
-// eight; evicting the oldest insertion (or the least recently used) would
-// render all eleven on every pass.
-func TestViewKeepsHighestVersionsOverACycle(t *testing.T) {
-	cache := &view{bound: archivedBodies}
-	const versions, passes = 11, 3
-	for pass := 1; pass <= passes; pass++ {
-		renders := 0
-		for v := 1; v <= versions; v++ {
-			rec, renderedNow := askView(cache, "v"+strconv.Itoa(v), v, "")
-			if renderedNow {
-				renders++
-			}
-			if got, want := rec.Body.String(), "body of v"+strconv.Itoa(v); got != want {
-				t.Fatalf("pass %d version %d: body %q, want %q", pass, v, got, want)
-			}
-		}
-		want := versions - archivedBodies
-		if pass == 1 {
-			want = versions
-		}
-		if renders != want {
-			t.Errorf("pass %d rendered %d of %d versions, want %d", pass, renders, versions, want)
-		}
-	}
-}
-
-// TestViewOneBodyAlwaysReplaces: a one-body view follows the key, whichever
-// way it moves.
-func TestViewOneBodyAlwaysReplaces(t *testing.T) {
-	var cache view
-	for _, key := range []string{"v2.2", "v2.2|down:nantes", "v2.2"} {
-		if _, renderedNow := askView(&cache, key, 0, ""); !renderedNow {
-			t.Errorf("%s answered from a view that held another key", key)
-		}
-		if _, renderedNow := askView(&cache, key, 0, ""); renderedNow {
-			t.Errorf("%s rendered twice in a row", key)
-		}
-	}
-}
-
 // TestServeViewAnswersUnderTheKeyRendered: when the state moved between
-// computing the key and rendering, the body goes out — and is kept — under
-// the key the render read, and the older key holds nothing.
+// computing the key and rendering, the body goes out under the key the
+// render read; a conditional GET carrying that key is answered 304 without
+// a render.
 func TestServeViewAnswersUnderTheKeyRendered(t *testing.T) {
-	var cache view
-	req := httptest.NewRequest(http.MethodGet, "/", nil)
-	rec := httptest.NewRecorder()
-	serveView(rec, req, &cache, "inc7", 0, false, func() (string, []byte, error) {
-		return "inc8", []byte("eight"), nil
-	})
+	ask := func(key, inm string) (rec *httptest.ResponseRecorder, renderedNow bool) {
+		req := httptest.NewRequest(http.MethodGet, "/", nil)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		rec = httptest.NewRecorder()
+		serveView(rec, req, key, false, func() (string, []byte, error) {
+			renderedNow = true
+			return "inc8", []byte("eight"), nil
+		})
+		return rec, renderedNow
+	}
+	rec, _ := ask("inc7", "")
 	if got := rec.Header().Get("ETag"); got != `"inc8"` || rec.Body.String() != "eight" {
 		t.Fatalf("answered ETag %s body %q, want \"inc8\" eight", got, rec.Body.String())
 	}
-	if _, renderedNow := askView(&cache, "inc8", 0, ""); renderedNow {
-		t.Error("the body was not kept under the key it was rendered at")
+	rec, renderedNow := ask("inc8", `"inc8"`)
+	if rec.Code != http.StatusNotModified || rec.Body.Len() != 0 || renderedNow {
+		t.Errorf("conditional GET = %d with %d body bytes (rendered: %v), want an empty 304 and no render",
+			rec.Code, rec.Body.Len(), renderedNow)
 	}
-	if rec, _ := askView(&cache, "inc8", 0, `"inc8"`); rec.Code != http.StatusNotModified || rec.Body.Len() != 0 {
-		t.Errorf("conditional GET = %d with %d body bytes, want an empty 304", rec.Code, rec.Body.Len())
+	if got := rec.Header().Get("ETag"); got != `"inc8"` {
+		t.Errorf("304 carries ETag %s, want \"inc8\"", got)
 	}
-}
-
-// TestServeViewHammer: eight goroutines alternate between two keys on one
-// one-body view (the /ref/diff shape: a cold range beside the hot one).
-// Renders run outside the view's lock, so neither key waits for the other;
-// whatever interleaving happens, every answer's bytes are its ETag's.
-func TestServeViewHammer(t *testing.T) {
-	var cache view
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				key := "v1-v" + strconv.Itoa(2+(g+i)%2)
-				rec, _ := askView(&cache, key, 0, "")
-				if etag, body := rec.Header().Get("ETag"), rec.Body.String(); etag != `"`+key+`"` || body != "body of "+key {
-					t.Errorf("asked %s: ETag %s with body %q", key, etag, body)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // flippingChaos is a controller under which an outage lands in the middle

@@ -73,7 +73,6 @@ const DefaultID = 1
 // Manager tracks VLAN membership of every node. Reconfigurations take
 // ReconfigTime of simulated time (small: the operation is a switch update).
 type Manager struct {
-	clock  *simclock.Clock
 	tb     *testbed.Testbed
 	faults *faults.Injector
 
@@ -87,9 +86,8 @@ const ReconfigTime = 5 * simclock.Second
 // NewManager creates the VLAN pool: the default VLAN, three local and three
 // routed VLANs per site, and one global VLAN per site (Grid'5000's real
 // allocation policy). All nodes start in the default VLAN.
-func NewManager(clock *simclock.Clock, tb *testbed.Testbed, inj *faults.Injector) *Manager {
+func NewManager(tb *testbed.Testbed, inj *faults.Injector) *Manager {
 	m := &Manager{
-		clock:      clock,
 		tb:         tb,
 		faults:     inj,
 		vlans:      map[int]*VLAN{},

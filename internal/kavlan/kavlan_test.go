@@ -13,7 +13,7 @@ func setup() (*testbed.Testbed, *faults.Injector, *Manager) {
 	c := simclock.New(21)
 	tb := testbed.Default()
 	inj := faults.NewInjector(c, tb)
-	return tb, inj, NewManager(c, tb, inj)
+	return tb, inj, NewManager(tb, inj)
 }
 
 func TestPoolLayout(t *testing.T) {

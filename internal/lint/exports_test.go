@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -216,6 +217,109 @@ func TestEveryUnexportedIdentifierHasAProductReader(t *testing.T) {
 	}
 	if len(unread) > 0 {
 		t.Errorf("unexported identifiers no product code reads (delete them, or move them into a _test.go file):\n  %s", strings.Join(unread, "\n  "))
+	}
+}
+
+// TestEveryUnexportedFieldHasAReader is the export rule for a struct's own
+// fields: an unexported field is read somewhere in its package's non-test
+// sources, or it is state kept for nobody and goes. A read is any use but
+// a write: the target of an assignment, a composite literal's key, and the
+// field under an indexed assignment target (x.m[k] = v writes x.m's
+// entries). A field of a struct used as a map key is read by every lookup,
+// and a field with a json tag is a wire shape, read by the encoder; neither
+// needs a use. Embedded fields are there for what they promote. There is
+// no allowlist.
+func TestEveryUnexportedFieldHasAReader(t *testing.T) {
+	var unread []string
+	for _, p := range modulePackages(t) {
+		writes := map[*ast.Ident]bool{}
+		var fields []*ast.Field
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.StructType:
+					fields = append(fields, n.Fields.List...)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if x, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+							lhs = x.X
+						}
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							writes[sel.Sel] = true
+						}
+					}
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								writes[id] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		read := map[*types.Var]bool{}
+		for id, obj := range p.Info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+				read[v.Origin()] = true
+			}
+		}
+		for _, tv := range p.Info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				markKeyFields(read, m.Key())
+			}
+		}
+		owner := map[*types.Var]string{}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						owner[st.Field(i)] = key(p.Types, name+"."+st.Field(i).Name())
+					}
+				}
+			}
+		}
+		for _, f := range fields {
+			if f.Tag != nil {
+				if tag, err := strconv.Unquote(f.Tag.Value); err == nil {
+					if _, wire := reflect.StructTag(tag).Lookup("json"); wire {
+						continue
+					}
+				}
+			}
+			for _, id := range f.Names {
+				v, ok := p.Info.Defs[id].(*types.Var)
+				if !ok || v.Exported() || v.Name() == "_" || read[v] {
+					continue
+				}
+				name := owner[v]
+				if name == "" {
+					name = p.Fset.Position(id.Pos()).String() + ": " + v.Name()
+				}
+				unread = append(unread, name)
+			}
+		}
+	}
+	if len(unread) > 0 {
+		sort.Strings(unread)
+		t.Errorf("unexported fields no product code reads (delete them with their writes):\n  %s", strings.Join(unread, "\n  "))
+	}
+}
+
+// markKeyFields marks every field of the struct t is, and of the structs
+// those fields are, as read: a map keyed by t compares them on every
+// lookup.
+func markKeyFields(read map[*types.Var]bool, t types.Type) {
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		read[st.Field(i).Origin()] = true
+		markKeyFields(read, st.Field(i).Type())
 	}
 }
 

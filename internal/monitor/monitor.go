@@ -56,11 +56,10 @@ type Collector struct {
 	clock *simclock.Clock
 	tb    *testbed.Testbed
 
-	// wiring is the monitoring database: switch port → node name, recorded
-	// at install time. Cabling faults change live NIC ports, NOT this map —
-	// that divergence is the bug. portOf is the inverse (node name → its
-	// recorded port); both are immutable after construction.
-	wiring map[string]string
+	// portOf is the monitoring database: node name → the switch port it
+	// was cabled to at install time. Cabling faults change live NIC ports,
+	// NOT this map — that divergence is the bug. It is immutable after
+	// construction.
 	portOf map[string]string
 
 	// nodes caches the testbed's node list: attribution scans it on cable
@@ -75,12 +74,10 @@ func NewCollector(clock *simclock.Clock, tb *testbed.Testbed) *Collector {
 	c := &Collector{
 		clock:  clock,
 		tb:     tb,
-		wiring: map[string]string{},
 		portOf: map[string]string{},
 		nodes:  tb.Nodes(),
 	}
 	for _, n := range c.nodes {
-		c.wiring[n.Inv.NICs[0].SwitchPort] = n.Name
 		c.portOf[n.Name] = n.Inv.NICs[0].SwitchPort
 	}
 	return c
@@ -91,8 +88,9 @@ func NewCollector(clock *simclock.Clock, tb *testbed.Testbed) *Collector {
 // is target itself; under a cabling swap it is the peer node. The kwapi test
 // family compares Attribution(n) with n to detect miswiring.
 //
-// Monitoring believes wiring[port]=target, so it reads the port, and the
-// node *actually* plugged into that port is whoever's live NIC carries it.
+// Monitoring believes portOf[target] is target's port, so it reads that
+// port, and the node *actually* plugged into it is whoever's live NIC
+// carries it.
 func (c *Collector) Attribution(target string) string {
 	n := c.tb.Node(target)
 	if n == nil {

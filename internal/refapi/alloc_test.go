@@ -1,6 +1,7 @@
 package refapi
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -85,5 +86,36 @@ func TestSnapshotWireAllocsFlatInNodes(t *testing.T) {
 	}
 	if a1, a4 := allocs(1), allocs(4); a1 != a4 || a1 > 1 {
 		t.Fatalf("a warmed render allocated %.0f times at 1x and %.0f at 4x, want the same, at most 1", a1, a4)
+	}
+}
+
+// TestSnapshotBodyRendersOnceAllocs: a version's body is its splice at
+// depth 0, rendered by the first read and kept by the snapshot, so every
+// later read returns those same bytes and allocates nothing. A delta
+// version, materialized on read, keeps its body as a capture does.
+func TestSnapshotBodyRendersOnceAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tb := testbed.Generate(testbed.DefaultSpec[:2])
+	st := NewStore(tb, 0)
+	n := tb.Nodes()[0]
+	inv := n.Inv.Clone()
+	inv.RAMGB++
+	if err := st.Update(simclock.Hour, n.Name, inv); err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= st.VersionCount(); v++ {
+		snap := st.Version(v)
+		body := snap.Body()
+		if want := snap.AppendIndent(nil, 0); !bytes.Equal(body, want) {
+			t.Fatalf("version %d: Body\n%q\nwant AppendIndent(nil, 0)\n%q", v, body, want)
+		}
+		if again := snap.Body(); &again[0] != &body[0] {
+			t.Fatalf("version %d rendered its body twice", v)
+		}
+		if a := testing.AllocsPerRun(100, func() { snap.Body() }); a != 0 {
+			t.Fatalf("version %d: a second read allocated %.0f times, want 0", v, a)
+		}
 	}
 }

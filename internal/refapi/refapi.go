@@ -23,13 +23,15 @@
 // rendered by wire.MarshalIndent on the first read that needs it (never by
 // NewStore, CaptureFrom or Update), so the store renders each description
 // once however many versions hold it, and Snapshot.AppendIndent splices a
-// snapshot's body from its nodes' fragments.
+// snapshot's body from its nodes' fragments. A Snapshot keeps its own body,
+// that splice at depth 0, once a reader has asked for it (Snapshot.Body), so
+// each archived version renders at most once however often it is read.
 //
 // Store synchronizes itself, so its readers need no other lock: its RWMutex
 // and atomic materialization counter, because concurrent readers materialize
 // and cache archived snapshots, which writes the store; and each Node's
-// atomic fragment pointer, which those readers fill. Its one writer's
-// Updates come from clock events.
+// atomic fragment pointer and each Snapshot's atomic body pointer, which
+// those readers fill. Its one writer's Updates come from clock events.
 package refapi
 
 import (
@@ -91,11 +93,27 @@ func (n *Node) rendered() *fragment {
 }
 
 // Snapshot is one archived version of the whole testbed description.
-// Snapshots handed out by a Store are immutable.
+// Snapshots handed out by a Store are immutable, and so is their wire form,
+// rendered on first read (Body).
 type Snapshot struct {
 	Version int              `json:"version"`
 	TakenAt simclock.Time    `json:"taken_at"`
 	Nodes   map[string]*Node `json:"nodes"`
+	body    atomic.Pointer[[]byte]
+}
+
+// Body returns the snapshot's wire form at depth 0, AppendIndent(nil, 0),
+// rendering it on first use; the caller must not modify it. Readers racing
+// on a fresh snapshot each render the same bytes; the first stored wins.
+func (s *Snapshot) Body() []byte {
+	if b := s.body.Load(); b != nil {
+		return *b
+	}
+	b := s.AppendIndent(nil, 0)
+	if !s.body.CompareAndSwap(nil, &b) {
+		return *s.body.Load()
+	}
+	return b
 }
 
 // AppendIndent appends the snapshot's wire form — what wire.MarshalIndent

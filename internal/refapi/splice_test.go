@@ -129,6 +129,40 @@ func TestConcurrentRendersAgree(t *testing.T) {
 	}
 }
 
+// TestConcurrentBodiesAgree: eight readers ask a fresh version for its
+// body at once. Each may render it, but the first stored wins, so all of
+// them — and every later reader — get the one body the snapshot keeps,
+// which is the encoder's. Under -race this checks the fill.
+func TestConcurrentBodiesAgree(t *testing.T) {
+	snap := NewStore(testbed.Generate(testbed.DefaultSpec[:2]), 0).Current()
+	want, err := wire.MarshalIndent(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([][]byte, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			bodies[i] = snap.Body()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	kept := snap.Body()
+	if !bytes.Equal(kept, want) {
+		t.Fatalf("the kept body is\n%q\nwant\n%q", kept, want)
+	}
+	for i, body := range bodies {
+		if &body[0] != &kept[0] {
+			t.Fatalf("reader %d got a body the snapshot did not keep", i)
+		}
+	}
+}
+
 // TestReadersBesideOneWriter pins the contract that lets the gateway read
 // a store under no lock but the store's own: while one writer Updates and
 // re-captures, readers call every read method, and each version a reader

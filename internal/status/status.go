@@ -133,11 +133,12 @@ func (c *Client) AllBuilds() ([]Build, error) {
 	return out, nil
 }
 
-// CellStatus is one grid entry.
+// CellStatus is one grid entry, and its wire form in the gateway's
+// /status/grid.
 type CellStatus struct {
-	Result string  // SUCCESS/UNSTABLE/FAILURE/ABORTED, "" when never run
-	Build  int     // build number behind the verdict
-	AtSec  float64 // sim-time (seconds) of the verdict
+	Result string  `json:"result"` // SUCCESS/UNSTABLE/FAILURE/ABORTED, "" when never run
+	Build  int     `json:"build"`  // build number behind the verdict
+	AtSec  float64 `json:"at_sec"` // sim-time (seconds) of the verdict
 }
 
 // Grid is the family × target status matrix.

@@ -28,7 +28,7 @@ func newContext(seed int64) *Context {
 		Ref:      ref,
 		OAR:      oar.NewServer(clock, tb),
 		Deployer: kadeploy.NewDeployer(clock, inj),
-		VLAN:     kavlan.NewManager(clock, tb, inj),
+		VLAN:     kavlan.NewManager(tb, inj),
 		Monitor:  monitor.NewCollector(clock, tb),
 		Checker:  checks.NewChecker(clock, tb, ref),
 		Faults:   inj,

@@ -13,6 +13,7 @@ import (
 	"repro/internal/ci"
 	"repro/internal/gateway"
 	"repro/internal/refapi"
+	"repro/internal/status"
 	"repro/internal/testbed"
 	"repro/internal/wire"
 )
@@ -106,7 +107,7 @@ func wireValues() map[string]any {
 		"gateway.GridJSON": gateway.GridJSON{
 			Families: []string{"refapi", "oarstate"}, Targets: []string{},
 			OKRatePct: 87.5,
-			Cells: map[string]map[string]gateway.GridCellJSON{
+			Cells: map[string]map[string]status.CellStatus{
 				"refapi":   {"sol": {Result: "SUCCESS", Build: 3, AtSec: 86400}, "<edel>": {Result: "FAILURE", Build: 1, AtSec: 1e21}},
 				"oarstate": {},
 			},
