@@ -45,16 +45,42 @@ func TestFrameworkWiring(t *testing.T) {
 }
 
 // TestCampaignRunsNoGoroutines: builds, sweeps and background processes
-// are clock events, so a simulated week of the default campaign leaves the
-// process with the goroutines it started with.
+// are clock events, so a simulated week of the default campaign starts no
+// goroutine. It compares goroutine IDs, not counts, so a goroutine of an
+// earlier test that exits during the week cannot hide one the week started
+// or fail the test on its own.
 func TestCampaignRunsNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutines()
 	f := New(DefaultConfig())
 	f.Start()
 	f.RunFor(simclock.Week)
-	if after := runtime.NumGoroutine(); after != before {
-		t.Fatalf("%d goroutines after a campaign week, %d before", after, before)
+	for id, stack := range goroutines() {
+		if _, ok := before[id]; !ok {
+			t.Errorf("a campaign week started goroutine %s:\n%s", id, stack)
+		}
 	}
+}
+
+// goroutines maps the ID of every goroutine runtime.Stack reports to its
+// stack.
+func goroutines() map[string]string {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if rest, ok := strings.CutPrefix(g, "goroutine "); ok {
+			id, _, _ := strings.Cut(rest, " ")
+			out[id] = g
+		}
+	}
+	return out
 }
 
 func TestHealthyWeekIsNearlyAllGreen(t *testing.T) {

@@ -652,9 +652,8 @@ func (g *Gateway) handleBugsRollup(w http.ResponseWriter, r *http.Request) {
 	keyOf := func(snaps []intel.TrackerSnapshot) string {
 		return "br" + intel.VersionKey64(snaps) + "|" + state + downSetKey(degraded)
 	}
-	trackers := g.liveTrackers(excludedSites(degraded))
-	serveView(w, r, keyOf(intel.SnapshotVersions(trackers)), false, func() (string, []byte, error) {
-		snaps := intel.SnapshotTrackers(trackers)
+	serveView(w, r, keyOf(g.trackerSnapshots(degraded, false)), false, func() (string, []byte, error) {
+		snaps := g.trackerSnapshots(degraded, true)
 		rows := rollupRows(snaps, state)
 		return rendered(keyOf(snaps), BugsRollupJSON{Degraded: degraded, Count: len(rows), Rollup: rows})
 	})

@@ -33,8 +33,8 @@
 //	                       (?from=S&to=S; per-site sections)
 //	GET  /incidents        cross-site incident rollup (?state=, ?at=S
 //	                       for the as-of view)
-//	GET  /reliability/trend fleet reliability confidence bands (stored
-//	                       sweep; ETag/304)
+//	GET  /reliability/trend fleet reliability confidence bands (one sweep,
+//	                       installed before serving; ETag/304)
 //	GET  /chaos            grid-event state: degraded set, active, history
 //	POST /chaos/inject     inject a site-scale event (outage/partition/...)
 //	POST /chaos/heal       heal one event ({"id":N}) or all ({"all":true})
@@ -209,12 +209,11 @@ type Gateway struct {
 	// load shedding (see admission.go).
 	admission *admit.Controller
 
-	// Grid intelligence (internal/intel): the archive and tracker sources
-	// assembled over the shards at construction, and the stored fleet
-	// reliability trend (see intel.go).
+	// Grid intelligence (internal/intel): the archive assembled over the
+	// shards' stores at construction, and the fleet reliability trend,
+	// installed once before serving (see intel.go).
 	archive     *intel.GridArchive
-	trackers    []intel.SiteTracker
-	reliability *intel.TrendStore
+	reliability *intel.Trend
 }
 
 // ForFederation mounts one gateway shard per federation micro-shard: each
@@ -240,10 +239,8 @@ func ForFederation(fed *federation.Federation) *Gateway {
 		metrics:     map[string]*endpointMetrics{},
 		siteShards:  map[string][]*shard{},
 		siteArchive: map[string]*intel.GridArchive{},
-		reliability: &intel.TrendStore{},
 	}
-	// The grid intelligence sources, under their sites' labels: every
-	// archived store, and every tracker behind its shard's read gate.
+	// The grid archive, under the sites' labels: every archived store.
 	var arcs []intel.SiteArchive
 	siteArcs := map[string][]intel.SiteArchive{}
 	for i, sh := range fed.Shards() {
@@ -254,7 +251,6 @@ func ForFederation(fed *federation.Federation) *Gateway {
 		g.shards = append(g.shards, s)
 		arc := intel.SiteArchive{Site: s.site, Cluster: s.cluster, Ref: s.f.Ref}
 		arcs = append(arcs, arc)
-		g.trackers = append(g.trackers, intel.SiteTracker{Site: s.site, Bugs: s.f.Bugs, Gate: s.rlocked})
 		if len(g.siteShards[s.site]) == 0 {
 			g.sites = append(g.sites, s.site)
 		}

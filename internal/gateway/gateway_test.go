@@ -631,6 +631,11 @@ func TestStress(t *testing.T) {
 	paths := []string{
 		"/oar/resources?cluster=" + cluster,
 		"/oar/jobs?limit=20",
+		// The tracker reads, each under its shard's read gate, racing the
+		// tickets a step files and fixes.
+		"/bugs/rollup",
+		"/incidents",
+		"/incidents?state=all&at=1e300",
 		"/ref/inventory",
 		"/ref/diff",
 		storePath(sh, "inventory"),
@@ -656,7 +661,9 @@ func TestStress(t *testing.T) {
 		// Until the clients are done, so every write races a step and
 		// admission's unanchored jobs keep ending (10 minutes a step).
 		// Between steps a node goes Suspected and back, as an operator's
-		// quarantine takes it, under the write gate as a step would.
+		// quarantine takes it, and the quarantine re-files its ticket, under
+		// the write gate as a step would: the campaign alone files tickets
+		// in rare bursts, too rare to race the tracker reads.
 		flip := gw.shards[0]
 		for i := 0; ; i++ {
 			select {
@@ -664,7 +671,10 @@ func TestStress(t *testing.T) {
 				return
 			default:
 				gw.Advance(10 * simclock.Minute)
-				flip.locked(func() { flip.f.OAR.SetNodeState(node, []testbed.NodeState{testbed.Suspected, testbed.Alive}[i%2]) })
+				flip.locked(func() {
+					flip.f.OAR.SetNodeState(node, []testbed.NodeState{testbed.Suspected, testbed.Alive}[i%2])
+					flip.f.Bugs.File("stress/quarantine:"+node, "node quarantined", "stress", node)
+				})
 			}
 		}
 	}()

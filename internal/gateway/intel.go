@@ -9,17 +9,17 @@ package gateway
 //
 // All four follow the /ref conditional-request discipline through the same
 // serveView (view.go): the ETag is a strong composite key (archive version
-// vector, tracker version vector, or trend version) computed without
+// vector, tracker version vector, or the one trend's "r1") computed without
 // materializing anything, a matching If-None-Match short-cuts to 304, and
 // any other request renders its body and answers under the key it read. The
 // key and the body are pinned to each other — bodies are materialized from the
 // exact versions the key names (GridArchive.Materialize / DiffVector,
 // intel.TrackerSnapshot) — so a body can never be newer than its ETag even
 // while a campaign advances mid-request. Trackers are read under the shard
-// gates, stores under their own locks alone. Degraded mode composes the
-// same way as /ref: lost sites drop out of the vector and the key carries
-// the down-set suffix, so a degraded body never answers a whole-grid
-// conditional request.
+// gates (trackerSnapshots), stores under their own locks alone. Degraded
+// mode composes the same way as /ref: lost sites drop out of the vector and
+// the key carries the down-set suffix, so a degraded body never answers a
+// whole-grid conditional request.
 
 import (
 	"fmt"
@@ -31,17 +31,20 @@ import (
 	"repro/internal/wire"
 )
 
-// liveTrackers filters the assembled tracker sources down to the surviving
-// sites.
-func (g *Gateway) liveTrackers(exclude map[string]bool) []intel.SiteTracker {
-	if len(exclude) == 0 {
-		return g.trackers
-	}
-	out := make([]intel.SiteTracker, 0, len(g.trackers))
-	for _, t := range g.trackers {
-		if !exclude[t.Site] {
-			out = append(out, t)
-		}
+// trackerSnapshots reads the live shards' bug trackers in shard order, each
+// under one hold of its shard's read gate: the version, and the tickets that
+// version pins when tickets is set.
+func (g *Gateway) trackerSnapshots(degraded *DegradedJSON, tickets bool) []intel.TrackerSnapshot {
+	live := liveShards(g.shards, degraded)
+	out := make([]intel.TrackerSnapshot, len(live))
+	for i, s := range live {
+		out[i].Site = s.site
+		s.rlocked(func() {
+			out[i].Version = s.f.Bugs.Version()
+			if tickets {
+				out[i].List = s.f.Bugs.Snapshot()
+			}
+		})
 	}
 	return out
 }
@@ -250,9 +253,8 @@ func (g *Gateway) handleIncidents(w http.ResponseWriter, r *http.Request) {
 	keyOf := func(snaps []intel.TrackerSnapshot) string {
 		return "inc" + intel.VersionKey64(snaps) + "|" + state + "|at:" + atLabel + downSetKey(degraded)
 	}
-	trackers := g.liveTrackers(excludedSites(degraded))
-	serveView(w, r, keyOf(intel.SnapshotVersions(trackers)), false, func() (string, []byte, error) {
-		snaps := intel.SnapshotTrackers(trackers)
+	serveView(w, r, keyOf(g.trackerSnapshots(degraded, false)), false, func() (string, []byte, error) {
+		snaps := g.trackerSnapshots(degraded, true)
 		incidents := intel.CorrelateSnapshots(snaps, opts)
 		out := IncidentsJSON{
 			Degraded:  degraded,
@@ -285,26 +287,28 @@ func (g *Gateway) handleIncidents(w http.ResponseWriter, r *http.Request) {
 
 // ---- GET /reliability/trend -------------------------------------------------
 
-// SetReliabilityTrend installs a computed fleet reliability trend and
-// returns its version (sweeps are expensive — N whole campaigns — so they
-// run out-of-band and the gateway only ever serves the stored result).
-func (g *Gateway) SetReliabilityTrend(t *intel.Trend) int {
-	return g.reliability.Put(t)
+// SetReliabilityTrend installs the fleet reliability trend once, before
+// serving: handlers read it unsynchronized, and a second trend would answer
+// new bytes under the same "r1" ETag, so a second call panics.
+func (g *Gateway) SetReliabilityTrend(t *intel.Trend) {
+	if g.reliability != nil {
+		panic("gateway: SetReliabilityTrend called twice")
+	}
+	g.reliability = t
 }
 
 func (g *Gateway) handleReliabilityTrend(w http.ResponseWriter, r *http.Request) {
-	trend, ver := g.reliability.Latest()
-	if trend == nil {
+	if g.reliability == nil {
 		httpError(w, http.StatusNotFound,
 			"no reliability trend computed yet; run a fleet sweep (g5kapi -reliability N) and install it with SetReliabilityTrend")
 		return
 	}
-	key := "r" + strconv.Itoa(ver)
+	const key = "r1"
 	serveView(w, r, key, false, func() (string, []byte, error) {
 		// Served verbatim: a client decoding this body holds the exact Trend
 		// the CLI renders, which is what the shared-renderer equality rests
 		// on. The body has always ended with the Encoder's newline.
-		body, err := wire.MarshalIndent(trend)
+		body, err := wire.MarshalIndent(g.reliability)
 		return key, append(body, '\n'), err
 	})
 }

@@ -322,9 +322,7 @@ func TestReliabilityTrendEndpoint(t *testing.T) {
 		BugsFixed:  intel.Band{Mean: 10, Std: 2, Min: 8, Max: 12, N: 3},
 		BugsOpen:   intel.Band{Mean: 2, Std: 1, Min: 1, Max: 3, N: 3},
 	}
-	if v := gw.SetReliabilityTrend(trend); v != 1 {
-		t.Fatalf("first Put version = %d, want 1", v)
-	}
+	gw.SetReliabilityTrend(trend)
 
 	resp, body = get(t, c, "/reliability/trend")
 	if resp.StatusCode != http.StatusOK {
@@ -352,12 +350,41 @@ func TestReliabilityTrendEndpoint(t *testing.T) {
 		t.Fatalf("CLI and API renders differ:\n--- cli\n%s--- api\n%s", cli.String(), api.String())
 	}
 
-	// A new sweep replaces the stored trend under a fresh version.
-	if v := gw.SetReliabilityTrend(trend); v != 2 {
-		t.Fatalf("second Put version = %d, want 2", v)
+	// The trend is installed once: a second one would serve new bytes
+	// under the same "r1" ETag, so installing it panics.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a second SetReliabilityTrend did not panic")
+			}
+		}()
+		gw.SetReliabilityTrend(trend)
+	}()
+}
+
+// TestTrackerSnapshots: the gateway reads the live shards' trackers in
+// shard order, versions alone for a key and tickets with them for a body,
+// and a lost site drops out.
+func TestTrackerSnapshots(t *testing.T) {
+	gw, _, _, trA, _ := newIntelGateway(t)
+	trA.File("s", "t", "f", "x")
+	trA.File("s", "t", "f", "x")
+	vers := gw.trackerSnapshots(nil, false)
+	full := gw.trackerSnapshots(nil, true)
+	if k := intel.VersionKey64(vers); k != "2.0" || intel.VersionKey64(full) != k {
+		t.Fatalf("version keys = %q and %q, want 2.0 twice", k, intel.VersionKey64(full))
 	}
-	if resp := getConditional(t, c, "/reliability/trend", etag); resp.StatusCode != http.StatusOK {
-		t.Fatalf("stale conditional after new sweep = %d, want 200", resp.StatusCode)
+	for i, site := range []string{"luxembourg", "nantes"} {
+		if vers[i].Site != site || full[i].Site != site || vers[i].List != nil {
+			t.Fatalf("snapshot %d = %+v / %+v, want site %s and no tickets in the versions-only read", i, vers[i], full[i], site)
+		}
+	}
+	if len(full[0].List) != 1 || len(full[1].List) != 0 {
+		t.Fatalf("ticket lists = %d/%d, want 1/0", len(full[0].List), len(full[1].List))
+	}
+	lost := gw.trackerSnapshots(&DegradedJSON{DownSites: []string{"nantes"}}, true)
+	if len(lost) != 1 || lost[0].Site != "luxembourg" {
+		t.Fatalf("with nantes down = %+v, want luxembourg alone", lost)
 	}
 }
 

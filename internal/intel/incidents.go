@@ -1,7 +1,10 @@
 package intel
 
 // Cross-site incident rollup: signature-keyed correlation over every
-// site's bug tracker. See the package comment for where this sits.
+// site's bug tracker. A tracker has no lock of its own, and this file takes
+// none: the caller reads the trackers under whatever guards them and hands
+// over snapshots (CorrelateSnapshots), or guards them for the whole of
+// Correlate. See the package comment for where this sits.
 
 import (
 	"sort"
@@ -12,20 +15,10 @@ import (
 	"repro/internal/simclock"
 )
 
-// SiteTracker couples one site's bug tracker with the read gate that
-// guards it against campaign progress (nil Gate = no gating).
+// SiteTracker names one site's bug tracker.
 type SiteTracker struct {
 	Site string
 	Bugs *bugs.Tracker
-	Gate func(func())
-}
-
-func (s *SiteTracker) gated(fn func()) {
-	if s.Gate != nil {
-		s.Gate(fn)
-		return
-	}
-	fn()
 }
 
 // Incident is one root cause seen across the grid: every ticket sharing a
@@ -62,42 +55,16 @@ type CorrelateOptions struct {
 // AtNow marks an unscoped (live) correlation.
 const AtNow = simclock.Time(-1)
 
-// TrackerSnapshot is one site's single-pass gated read: the tracker's
-// mutation version plus the tickets that version pins, copied by value so
-// that nothing read from a snapshot can change under a later campaign
-// step. Reading both under one gate acquisition is what keeps a
-// version-keyed ETag honest — the key and the body cannot straddle a step.
+// TrackerSnapshot is one site's tracker read in a single pass: the
+// tracker's mutation version plus the tickets that version pins, copied by
+// value so that nothing read from a snapshot can change under a later
+// campaign step. The reader takes both under one hold of whatever guards the
+// tracker, which is what keeps a version-keyed ETag honest — the key and
+// the body cannot straddle a step.
 type TrackerSnapshot struct {
 	Site    string
 	Version int64
 	List    []bugs.Bug // nil in a versions-only snapshot
-}
-
-// SnapshotTrackers reads every tracker once, each under its own gate, in
-// caller (shard) order.
-func SnapshotTrackers(sources []SiteTracker) []TrackerSnapshot {
-	return snapshotTrackers(sources, true)
-}
-
-// SnapshotVersions is SnapshotTrackers without the tickets: all a
-// conditional request needs to compute its key and answer 304.
-func SnapshotVersions(sources []SiteTracker) []TrackerSnapshot {
-	return snapshotTrackers(sources, false)
-}
-
-func snapshotTrackers(sources []SiteTracker, tickets bool) []TrackerSnapshot {
-	out := make([]TrackerSnapshot, len(sources))
-	for i := range sources {
-		src := &sources[i]
-		out[i].Site = src.Site
-		src.gated(func() {
-			out[i].Version = src.Bugs.Version()
-			if tickets {
-				out[i].List = src.Bugs.Snapshot()
-			}
-		})
-	}
-	return out
 }
 
 // VersionKey64 renders the snapshots' version vector as an ETag payload,
@@ -114,11 +81,16 @@ func VersionKey64(snaps []TrackerSnapshot) string {
 }
 
 // Correlate folds every tracker's tickets into signature-keyed incidents,
-// each tracker read under its own gate in caller (shard) order. Output is
+// reading the trackers in caller (shard) order. The caller guards the
+// trackers: nothing may File or Fix on them while Correlate runs. Output is
 // sorted first-seen ascending, signature as the tie-break — deterministic
 // regardless of how many sites filed or in what interleaving.
 func Correlate(sources []SiteTracker, opts CorrelateOptions) []Incident {
-	return CorrelateSnapshots(SnapshotTrackers(sources), opts)
+	snaps := make([]TrackerSnapshot, len(sources))
+	for i, src := range sources {
+		snaps[i] = TrackerSnapshot{Site: src.Site, List: src.Bugs.Snapshot()}
+	}
+	return CorrelateSnapshots(snaps, opts)
 }
 
 // CorrelateSnapshots is Correlate over pre-read tracker snapshots (the

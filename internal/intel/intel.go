@@ -21,12 +21,12 @@
 //     (N independently seeded campaigns) becomes a Trend: per-week
 //     mean ± spread confidence bands, rendered identically by the CLI
 //     (g5ktest -seeds N) and the gateway (GET /reliability/trend)
-//     through the one shared renderer, and stored versioned in a
-//     TrendStore so the gateway can ETag it.
+//     through the one shared renderer. A sweep runs once, before the
+//     gateway serves, so the gateway holds the one Trend it was given.
 //
 // Everything here is deterministic: inputs are read in caller-given
-// (shard) order, trackers under the caller's gates and stores under their
+// (shard) order, trackers under the caller's guard and stores under their
 // own locks, and every emitted collection is explicitly sorted — never map
-// iteration order. The one lock is TrendStore's RWMutex: gateway handlers
-// read the stored trend while a sweep may Put the next one.
+// iteration order. The package holds no lock: it owns no mutable state
+// after assembly.
 package intel

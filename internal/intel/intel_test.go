@@ -266,18 +266,17 @@ func TestCorrelateTimeScoped(t *testing.T) {
 	}
 }
 
+// TestSnapshotTrackers: snapshots a caller read from the trackers correlate
+// exactly as the trackers do, their versions key them, and they hold values.
 func TestSnapshotTrackers(t *testing.T) {
 	trA, _ := trackerAt(6, simclock.Hour)
 	trB, _ := trackerAt(7, simclock.Hour)
 	trA.File("s", "t", "f", "x")
 	trA.File("s", "t", "f", "x")
 	sources := []SiteTracker{{Site: "a", Bugs: trA}, {Site: "b", Bugs: trB}}
-	snaps := SnapshotTrackers(sources)
-	if len(snaps) != 2 || snaps[0].Version != 2 || snaps[1].Version != 0 {
-		t.Fatalf("snapshots = %+v, want versions [2 0]", snaps)
-	}
-	if len(snaps[0].List) != 1 || len(snaps[1].List) != 0 {
-		t.Fatalf("snapshot lists = %d/%d tickets, want 1/0", len(snaps[0].List), len(snaps[1].List))
+	snaps := make([]TrackerSnapshot, len(sources))
+	for i, src := range sources {
+		snaps[i] = TrackerSnapshot{Site: src.Site, Version: src.Bugs.Version(), List: src.Bugs.Snapshot()}
 	}
 	if k := VersionKey64(snaps); k != "2.0" {
 		t.Fatalf("version key = %q, want 2.0", k)
@@ -288,15 +287,13 @@ func TestSnapshotTrackers(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("snapshot correlation diverges: %+v vs %+v", a, b)
 	}
-	// The versions-only read names the same key and copies no ticket.
-	vers := SnapshotVersions(sources)
-	if VersionKey64(vers) != "2.0" || vers[0].List != nil || vers[1].List != nil {
-		t.Fatalf("versions-only snapshots = %+v, want key 2.0 and no tickets", vers)
-	}
 	// Snapshots hold values: a later filing moves the tracker, not them.
 	trA.File("s", "t", "f", "x")
 	if got := snaps[0].List[0].Occurrences; got != 2 {
 		t.Fatalf("snapshot ticket changed under a later File: %d occurrences, want 2", got)
+	}
+	if got := Correlate(sources, CorrelateOptions{At: AtNow})[0].Occurrences; got != 3 {
+		t.Fatalf("Correlate read %d occurrences after the third File, want 3", got)
 	}
 }
 
@@ -354,23 +351,6 @@ func TestTrendRenderRoundTrip(t *testing.T) {
 	}
 	if direct.Len() == 0 {
 		t.Fatal("renderer produced nothing")
-	}
-}
-
-func TestTrendStore(t *testing.T) {
-	var store TrendStore
-	if tr, v := store.Latest(); tr != nil || v != 0 {
-		t.Fatalf("empty store = %v, %d", tr, v)
-	}
-	trend := TrendFromFleet(fixtureFleet(), 42, 2)
-	if v := store.Put(trend); v != 1 {
-		t.Fatalf("first Put version = %d, want 1", v)
-	}
-	if tr, v := store.Latest(); tr != trend || v != 1 {
-		t.Fatalf("Latest = %v, %d", tr, v)
-	}
-	if v := store.Put(trend); v != 2 {
-		t.Fatalf("second Put version = %d, want 2", v)
 	}
 }
 

@@ -6,7 +6,6 @@ package intel
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -107,29 +106,4 @@ func pctBand(b Band) string {
 func countBand(b Band) string {
 	return fmt.Sprintf("%.2f ± %.2f (min %.2f, max %.2f, n=%d)",
 		b.Mean, b.Std, b.Min, b.Max, b.N)
-}
-
-// TrendStore holds the computed trend, versioned: a sweep is expensive
-// (N whole campaigns), so it runs once, is Put here, and every gateway
-// read serves the stored result under a version-keyed strong ETag.
-type TrendStore struct {
-	mu      sync.RWMutex
-	version int
-	trend   *Trend
-}
-
-// Put installs a freshly computed trend and returns its version number.
-func (s *TrendStore) Put(t *Trend) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.version++
-	s.trend = t
-	return s.version
-}
-
-// Latest returns the stored trend and its version (nil, 0 before any Put).
-func (s *TrendStore) Latest() (*Trend, int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.trend, s.version
 }

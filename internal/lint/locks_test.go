@@ -14,6 +14,10 @@ import (
 var simulatorPackages = []string{
 	"simclock", "oar", "sched", "ci", "testbed", "checks",
 	"bugs", "monitor", "faults", "kadeploy", "kavlan", "suites",
+	// intel runs no campaign, but it owns no mutable state after assembly:
+	// its callers guard the bug trackers it reads, and a refapi.Store
+	// synchronizes itself.
+	"intel",
 }
 
 // TestSimulatorPackagesHoldNoLocks refuses, in the non-test sources of the
